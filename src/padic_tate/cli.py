@@ -191,18 +191,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _read_json(path: str) -> dict:
+    """Parse an input file; a missing file or a missing key is a usage error."""
+
+    class Entry(dict):
+        def __missing__(self, key):
+            raise ValueError(f"{path}: missing key {key!r}")
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_hook=Entry)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _load_matrix(source: str):
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return matrix(data["entries"])
+        return matrix(_read_json(source)["entries"])
     rows = [[int(x) for x in row.split(",")] for row in source.split(";")]
     return matrix(rows)
 
 
 def _load_lattice(path: str) -> SubgroupLattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     n = int(data["n"])
     mult = matrix(data["mult"]) if data.get("mult") else zeros(n, 0)
     ell = matrix(data["ell"]) if data.get("ell") else zeros(n, 0)
@@ -210,8 +221,7 @@ def _load_lattice(path: str) -> SubgroupLattice:
 
 
 def _load_series(path: str, field, prec: int, cap: int) -> StrictSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     terms = {}
     for entry in data["terms"]:
         expo = tuple(int(x) for x in entry["exp"])
@@ -253,7 +263,7 @@ def dispatch(argv) -> int:
 
     def config() -> RunConfig:
         return RunConfig(p=args.p, prec=args.prec, ext=args.ext,
-                         seed=args.seed, slack=args.slack, output=args.fmt)
+                         seed=args.seed, slack=args.slack)
 
     def elt(text: str) -> PadicElement:
         return parse_element(text, field, prec)

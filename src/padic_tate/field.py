@@ -205,9 +205,7 @@ class ValuationResult:
 
     def exceeds(self, bound: Rational) -> bool:
         """True when the valuation is certainly > bound."""
-        if self.tag == "exact":
-            return self.value > bound
-        return self.value > bound        # true value >= self.value
+        return self.value > bound        # an at_least value bounds the truth below
 
     def __str__(self) -> str:
         prefix = "" if self.tag == "exact" else ">="

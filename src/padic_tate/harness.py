@@ -39,7 +39,6 @@ class RunConfig:
     ext: str = "base"
     seed: int = 0
     slack: int = 10
-    output: str = "text"          # "text" | "structured"
 
     def __post_init__(self):
         if self.prec <= self.slack:
@@ -421,33 +420,33 @@ def _solve_division_exact(g: dict, f: dict, nvars: int, active: int, d: int, cap
     return q_sol, r_sol
 
 
-def _gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve an overdetermined consistent system; free variables pinned to 0."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination over Q on the first ncols columns, in place;
+    returns the pivot columns, so their count is the rank."""
     pivots = []
-    rank = 0
-    for col in range(n):
-        sel = None
-        for i in range(rank, m):
-            if aug[i][col]:
-                sel = i
-                break
+    for col in range(ncols):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if sel is None:
             continue
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[rank])]
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][n]:
-            return None            # inconsistent
+    return pivots
+
+
+def _gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
+    """Solve an overdetermined consistent system; free variables pinned to 0."""
+    n = len(rows[0]) if rows else 0
+    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+    pivots = _row_reduce(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None                # inconsistent
     solution = [Fraction(0)] * n
     for i, col in enumerate(pivots):
         solution[col] = aug[i][n]
@@ -557,30 +556,6 @@ def _grid_check(report: SuiteReport, field: FieldDescriptor, config: RunConfig) 
 # lattice suite
 # ---------------------------------------------------------------------------
 
-def _rank_fraction_gauss(M) -> int:
-    """Independent rank oracle: straight Gaussian elimination over Q."""
-    rows = [[Fraction(x) for x in row] for row in M]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        sel = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def lattice_suite(config: RunConfig, matrices: int = 200) -> SuiteReport:
     t0 = time.time()
     report = SuiteReport("lattice")
@@ -602,7 +577,9 @@ def lattice_suite(config: RunConfig, matrices: int = 200) -> SuiteReport:
                 snf_fail += 1
             if a and b % a:
                 snf_fail += 1
-        if sum(1 for d in diag if d) != _rank_fraction_gauss(M):
+        # independent rank oracle: elimination over Q, not lattice.py
+        oracle_rank = len(_row_reduce([[Fraction(x) for x in row] for row in M], c))
+        if sum(1 for d in diag if d) != oracle_rank:
             snf_fail += 1
     report.check("snf/200", snf_fail == 0, f"{snf_fail} failures",
                  "identity, unimodularity, chain, oracle rank")

@@ -156,11 +156,3 @@ def p_log(y: Evaluable) -> Evaluable:
 def dual_eval(f: Callable[[DualElement], DualElement], x: PadicElement) -> DualElement:
     """Run an analytic evaluator over dual arithmetic seeded with (x, 1)."""
     return f(DualElement.seed(x))
-
-
-def identity_map(x: Evaluable) -> Evaluable:
-    return x
-
-
-def square_map(x: Evaluable) -> Evaluable:
-    return x * x

@@ -1,22 +1,25 @@
 """The Tate curve y^2 + xy = x^3 + a4(q) x + a6(q) and its uniformization.
 
-The modular coefficients come from s_k(q) = sum n^k q^n / (1 - q^n); the
-coefficient a6 is summed termwise with the exact integer (5n^3 + 7n^5)/12 so
-that p = 2 and p = 3 lose no precision.  Points are produced by the map
-u -> (X(q,u), Y(q,u)) evaluated through the one-sided expansions
+Every q-series here is a Lambert sum sum_m c_m q^m / (1 - q^m), evaluated by
+the single kernel ``_lambert``; N is the working precision and valuations
+count pi-digits.  The modular coefficients use c_m = m^k for s_k(q) and the
+exact integer c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2 and p = 3 lose
+no precision; both sums stop after ceil(N / v(q)) terms.  Points are
+produced by the map u -> (X(q,u), Y(q,u)) with
 
-    X = u/(1-u)^2 + sum_d ( sum_{m|d} m (u^m + u^-m - 2) ) q^d
-    Y = u^2/(1-u)^3 + sum_d ( sum_{m|d} ((m-1)m/2 u^m - m(m+1)/2 u^-m + m) ) q^d
+    X = u/(1-u)^2 + sum_m m (u^m + u^-m - 2) q^m / (1 - q^m)
+    Y = u^2/(1-u)^3 + sum_m ((m-1)m/2 u^m - m(m+1)/2 u^-m + m) q^m / (1 - q^m)
 
-whose d-th summand has valuation at least d (v(q) - v(u)); evaluation always
-reduces u to the fundamental domain 0 <= v(u) < v(q) first.
+Every q^(km) piece of the m-th summand has valuation at least
+km (v(q) - v(u)), so m <= ceil(N / (v(q) - v(u))) terms reach precision N;
+evaluation always reduces u to the fundamental domain 0 <= v(u) < v(q) first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .dual import DualElement
 from .errors import (
@@ -82,6 +85,18 @@ def _require_positive_valuation(q: PadicElement) -> int:
     return q.shift
 
 
+def _lambert(q: PadicElement, coeff: Callable[[int], Evaluable], terms: int,
+             target: int) -> Evaluable:
+    """sum_{m=1..terms} coeff(m) q^m / (1 - q^m), known at most to pi^target."""
+    one = PadicElement.one(q.field, target + q.shift)
+    acc = PadicElement.zero(q.field, target)
+    qm = one
+    for m in range(1, terms + 1):
+        qm = qm * q
+        acc = coeff(m) * (qm / (one - qm)) + acc
+    return acc
+
+
 def s_k(q: PadicElement, k: int) -> PadicElement:
     """sum_{n>=1} n^k q^n / (1 - q^n), truncated once n v(q) clears the target."""
     if k < 1:
@@ -91,14 +106,7 @@ def s_k(q: PadicElement, k: int) -> PadicElement:
         return PadicElement.zero(q.field, q.abs_prec)
     sq = _require_positive_valuation(q)
     target = q.abs_prec
-    terms = -(-target // sq)
-    one = PadicElement.one(q.field, target + sq)
-    acc = PadicElement.zero(q.field, target)
-    qn = one
-    for n in range(1, terms + 1):
-        qn = qn * q
-        acc = acc + qn * (n ** k) / (one - qn)
-    return acc.truncate(target)
+    return _lambert(q, lambda n: n ** k, -(-target // sq), target)
 
 
 def a6_coefficient(n: int) -> int:
@@ -114,13 +122,8 @@ def curve_coefficients(q: PadicElement) -> TateCurve:
     sq = _require_positive_valuation(q)
     target = q.abs_prec
     a4 = s_k(q, 3) * (-5)
-    one = PadicElement.one(q.field, target + sq)
-    acc = PadicElement.zero(q.field, target)
-    qn = one
-    for n in range(1, -(-target // sq) + 1):
-        qn = qn * q
-        acc = acc + qn * (-a6_coefficient(n)) / (one - qn)
-    return TateCurve(q=q, a4=a4.truncate(target), a6=acc.truncate(target), prec=target)
+    a6 = _lambert(q, lambda n: -a6_coefficient(n), -(-target // sq), target)
+    return TateCurve(q=q, a4=a4.truncate(target), a6=a6, prec=target)
 
 
 def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElement, int]:
@@ -134,11 +137,6 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     u_red = u * q ** (-n)
     assert 0 <= u_red.shift < sq
     return u_red, n
-
-
-def _divisors(d: int) -> list[int]:
-    out = [m for m in range(1, d + 1) if d % m == 0]
-    return out
 
 
 def _value_part(x: Evaluable) -> PadicElement:
@@ -156,7 +154,6 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
     su = uval.shift
     if not 0 <= su < sq:
         raise DomainError("u must be reduced to the fundamental domain first")
-    field = q.field
     target = curve.prec
     one_minus_u = -(u - 1)
     omu_val = _value_part(one_minus_u)
@@ -167,8 +164,6 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
         raise InsufficientPrecision(
             f"principal part at v(1-u) = {omu_val.valuation()} exhausts the budget")
     inv_omu = one_minus_u.invert()
-    x_acc = u * inv_omu * inv_omu
-    y_acc = u * u * inv_omu * inv_omu * inv_omu
     dmax = -(-target // (sq - su))
     u_inv = u.invert()
     upow = [None, u]
@@ -176,20 +171,10 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
     for m in range(2, dmax + 1):
         upow.append(upow[-1] * u)
         unegpow.append(unegpow[-1] * u_inv)
-    qd = PadicElement.one(field, target + sq)
-    for d in range(1, dmax + 1):
-        qd = qd * q
-        x_inner = None
-        y_inner = None
-        for m in _divisors(d):
-            xt = (upow[m] + unegpow[m] - 2) * m
-            yt = upow[m] * Fraction((m - 1) * m, 2) \
-                - unegpow[m] * Fraction(m * (m + 1), 2) + m
-            x_inner = xt if x_inner is None else x_inner + xt
-            y_inner = yt if y_inner is None else y_inner + yt
-        x_acc = x_acc + x_inner * qd
-        y_acc = y_acc + y_inner * qd
-    return x_acc, y_acc
+    x = _lambert(q, lambda m: (upow[m] + unegpow[m] - 2) * m, dmax, target)
+    y = _lambert(q, lambda m: upow[m] * Fraction((m - 1) * m, 2)
+                 - unegpow[m] * Fraction(m * (m + 1), 2) + m, dmax, target)
+    return u * inv_omu * inv_omu + x, u * u * inv_omu * inv_omu * inv_omu + y
 
 
 def phi(curve: TateCurve, u: PadicElement, slack: int = DEFAULT_SLACK) -> TatePoint:
@@ -274,19 +259,15 @@ def point_difference_valuation(P: TatePoint, Q: TatePoint) -> ValuationResult:
 
 
 def j_invariant(curve: TateCurve) -> PadicElement:
-    """j = c4^3 / Delta with b2 = 1, b4 = 2 a4, b6 = 4 a6, b8 = a6 - a4^2."""
-    a4, a6 = curve.a4, curve.a6
-    b4 = a4 * 2
-    b6 = a6 * 4
-    b8 = a6 - a4 * a4
-    c4 = -(a4 * 48 - 1)
-    delta = -b8 - (b4 * b4 * b4) * 8 - (b6 * b6) * 27 + b4 * b6 * 9
+    """j = c4^3 / Delta with c4 = 1 - 48 a4."""
+    delta = curve_discriminant(curve)
     if delta.is_zero:
         raise PrecisionCollapse("discriminant is indistinguishable from zero")
-    return (c4 ** 3) / delta
+    return (-(curve.a4 * 48 - 1)) ** 3 / delta
 
 
 def curve_discriminant(curve: TateCurve) -> PadicElement:
+    """Delta for b2 = 1, b4 = 2 a4, b6 = 4 a6, b8 = a6 - a4^2."""
     a4, a6 = curve.a4, curve.a6
     b4 = a4 * 2
     b6 = a6 * 4

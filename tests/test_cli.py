@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from padic_tate.cli import main
 
 
@@ -73,6 +75,24 @@ class TestExitCodes:
         code = main(["geom", "plikely", "--V", str(e1), "--S", str(e1),
                      "--T", str(e1), "--n", "2"])
         assert code == 1
+
+    @pytest.mark.parametrize("command, content", [
+        (["geom", "rotund", "--lattice"], None),
+        (["geom", "rotund", "--lattice"], {"mult": [[1], [0]]}),
+        (["wdiv", "--g"], None),
+        (["wdiv", "--g"], {"nvars": 1}),
+    ], ids=["lattice-missing-file", "lattice-missing-key",
+            "g-missing-file", "g-missing-key"])
+    def test_input_file_error_is_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(json.dumps(content))
+        argv = command + [str(path)]
+        if command[0] == "wdiv":
+            argv += ["--f", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 class TestFileFormats:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from padic_tate.errors import NonpositiveValuation, OnKernel
-from padic_tate.field import PadicElement
+from padic_tate.field import PadicElement, make_field
 from padic_tate.prng import random_unit, stream
 from padic_tate.tate import (
     TatePoint,
@@ -98,17 +98,35 @@ class TestReduction:
         assert red.valuation().value == 1
 
 
+# (p, q, u, prec, X.abs_prec, Y.abs_prec); u = 6 over Q_5 and u = 3 over Q_2
+# sit one digit off the kernel, v(1-u) = 1
+SERIES_CASES = [
+    (5, 25, 5, 40, 39, 39), (5, 25, 6, 40, 37, 36), (5, 25, 7, 40, 40, 40),
+    (5, 25, 5, 160, 159, 159), (5, 25, 6, 160, 157, 156), (5, 25, 7, 160, 160, 160),
+    (2, 4, 2, 40, 39, 39), (2, 4, 3, 40, 37, 36), (2, 4, 5, 40, 34, 32),
+    (2, 4, 2, 160, 159, 159), (2, 4, 3, 160, 157, 156), (2, 4, 5, 160, 154, 152),
+]
+
+# unit parts frozen from the exact-rational truncated sums
+FROZEN_XY = {(5, 25, 5, 40): (1244001341213061294116064212, 1196988732939325828772046019)}
+
+
 class TestSeriesPoint:
-    def test_oracle_q25_u5(self, curve25, Q5):
-        # frozen from the exact-rational truncated sums at prec 40
-        X, Y = tate_series_point(curve25, PadicElement.from_int(Q5, 5, 40))
-        x_frozen = PadicElement(Q5, 1, (1244001341213061294116064212,), 40)
-        y_frozen = PadicElement(Q5, 1, (1196988732939325828772046019,), 40)
-        assert X.is_indistinguishable(x_frozen)
-        assert Y.is_indistinguishable(y_frozen)
-        Xo, Yo = tate_xy(Fraction(25), Fraction(5), 45)
-        assert X.is_indistinguishable(from_fraction(Q5, Xo, 40))
-        assert Y.is_indistinguishable(from_fraction(Q5, Yo, 40))
+    @pytest.mark.parametrize(
+        "p, q, u, prec, x_prec, y_prec", SERIES_CASES,
+        ids=[f"Q{c[0]}-q{c[1]}-u{c[2]}-prec{c[3]}" for c in SERIES_CASES])
+    def test_divisor_oracle(self, p, q, u, prec, x_prec, y_prec):
+        field = make_field(p)
+        curve = curve_coefficients(PadicElement.from_int(field, q, prec))
+        X, Y = tate_series_point(curve, PadicElement.from_int(field, u, prec))
+        assert (X.abs_prec, Y.abs_prec) == (x_prec, y_prec)
+        Xo, Yo = tate_xy(Fraction(q), Fraction(u), prec + 5)
+        assert X.is_indistinguishable(from_fraction(field, Xo, prec))
+        assert Y.is_indistinguishable(from_fraction(field, Yo, prec))
+        if (p, q, u, prec) in FROZEN_XY:
+            x_unit, y_unit = FROZEN_XY[p, q, u, prec]
+            assert X.is_indistinguishable(PadicElement(field, 1, (x_unit,), prec))
+            assert Y.is_indistinguishable(PadicElement(field, 1, (y_unit,), prec))
 
     def test_on_curve(self, curve25, Q5):
         X, Y = tate_series_point(curve25, PadicElement.from_int(Q5, 7, 40))
