@@ -246,7 +246,10 @@ def _bare_literal(x: PadicElement) -> str:
 
 
 def _fraction_arg(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def dispatch(argv) -> int:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .field import PadicElement
+from .field import PadicElement, _binary_power, _coerce
 
-Scalar = Union[int, Fraction]
+
+def _value_part(x: PadicElement | DualElement) -> PadicElement:
+    return x.value if isinstance(x, DualElement) else x
 
 
 @dataclass(frozen=True)
@@ -34,13 +35,10 @@ class DualElement:
     def _lift(self, other) -> "DualElement":
         if isinstance(other, DualElement):
             return other
-        if isinstance(other, PadicElement):
-            return DualElement.constant(other)
-        if isinstance(other, (int, Fraction)):
-            f = self.value.field
-            prec = self.value.abs_prec + abs(self.value.shift) + 8
-            return DualElement.constant(PadicElement.from_rational(f, Fraction(other), prec))
-        return NotImplemented
+        other = _coerce(self.value, other)
+        if other is NotImplemented:
+            return NotImplemented
+        return DualElement.constant(other)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -97,13 +95,4 @@ class DualElement:
         if n == 0:
             one = PadicElement.one(self.value.field, self.value.rel_prec)
             return DualElement.constant(one)
-        result = None
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _binary_power(self, n)

@@ -79,18 +79,32 @@ def _poly_str(coeffs: Sequence[int]) -> str:
     return " + ".join(reversed(parts)) if parts else "0"
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin over _PRIME_BASES, which is exact for n < _PRIME_LIMIT.
+
+    Larger n raise ValueError instead of a verdict that could be wrong.
+    """
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only below {_PRIME_LIMIT}")
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -235,6 +249,13 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _split_rational(value: Fraction, p: int) -> tuple[int, int, int]:
+    """(w, a, b) with value = p^w * a/b and a, b prime to p; value != 0."""
+    num, den = value.numerator, value.denominator
+    vn, vd = _vp(num, p), _vp(den, p)
+    return vn - vd, num // p ** vn, den // p ** vd
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -272,25 +293,27 @@ def _vec_val(field: FieldDescriptor, vec: Sequence[int]) -> Optional[int]:
     return best
 
 
-def _mul_pi(field: FieldDescriptor, vec: Sequence[int]) -> list[int]:
-    if field.kind == "eisenstein":
-        if field.e == 1:
-            return [vec[0] * field.eis_unit * field.p]
-        return [vec[-1] * field.eis_unit * field.p] + list(vec[:-1])
-    return [v * field.p for v in vec]
+def _shift_vec(field: FieldDescriptor, vec: Sequence[int], k: int, work: int = 0) -> list[int]:
+    """The coefficient vector of pi^k * vec, in one step.
 
-
-def _div_pi(field: FieldDescriptor, vec: Sequence[int], work_bits: int) -> list[int]:
-    """Exact division by the uniformizer; valuation of vec must be >= 1."""
+    With q, r = divmod(k, e), eisenstein entry i is vec[i - r] * (c*p)^(q + (i < r)).
+    For k < 0 entries are floor-divided by powers of p, which is exact only
+    when vec has pi-adic valuation >= -k, i.e. e*v_p(vec[i]) + i >= -k for
+    each nonzero entry; negative powers of c are taken modulo p^work, so the
+    result is right modulo p^work.
+    """
     p = field.p
-    if field.kind == "eisenstein":
-        mod = p ** max(1, work_bits)
-        cinv = pow(field.eis_unit, -1, mod)
-        head = (vec[0] // p) * cinv
-        if field.e == 1:
-            return [head]
-        return list(vec[1:]) + [head]
-    return [v // p for v in vec]
+    if field.kind != "eisenstein":
+        scale = p ** abs(k)
+        return [v * scale for v in vec] if k >= 0 else [v // scale for v in vec]
+    c, e = field.eis_unit, field.e
+    q, r = divmod(k, e)
+    if q >= 0:
+        lo, hi = (c * p) ** q, (c * p) ** (q + 1)
+        return [vec[i - r] * (hi if i < r else lo) for i in range(e)]
+    mod = p ** work
+    lo, hi = (p ** -q, pow(c, q, mod)), (p ** (-q - 1), pow(c, q + 1, mod))
+    return [vec[i - r] // d * u for i, (d, u) in enumerate([hi] * r + [lo] * (e - r))]
 
 
 def _vec_mul(field: FieldDescriptor, a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -412,23 +435,11 @@ class PadicElement:
         value = Fraction(value)
         if value == 0:
             return PadicElement.zero(field, prec)
-        num, den = value.numerator, value.denominator
-        p = field.p
-        w = _vp(num, p) - _vp(den, p)
-        num //= p ** _vp(num, p)
-        den //= p ** _vp(den, p)
-        shift = w * field.e
-        rel = prec - shift
+        rel = prec - _split_rational(value, field.p)[0] * field.e
         if rel <= 0:
             return PadicElement.zero(field, prec)
-        kmax = max(_moduli(field, rel))
-        mod = p ** kmax
-        unit = (num * pow(den, -1, mod)) % mod
-        if field.kind == "eisenstein" and w:
-            # p^w = pi^(e*w) * c^(-w)
-            unit = (unit * pow(field.eis_unit, -w, mod)) % mod
-        vec = [unit] + [0] * (field.coeff_len - 1)
-        return PadicElement(field, shift, _reduce_vec(field, vec, rel), prec)
+        one = PadicElement(field, 0, (1,) + (0,) * (field.coeff_len - 1), rel)
+        return one._scale_rational(value)
 
     @staticmethod
     def one(field: FieldDescriptor, prec: int) -> "PadicElement":
@@ -502,15 +513,10 @@ class PadicElement:
             return other.truncate(prec)
         if other.is_zero:
             return self.truncate(prec)
-        s = min(self.shift, other.shift)
-        va = list(self.coeffs)
-        for _ in range(self.shift - s):
-            va = _mul_pi(self.field, va)
-        vb = list(other.coeffs)
-        for _ in range(other.shift - s):
-            vb = _mul_pi(self.field, vb)
-        vec = [x + y for x, y in zip(va, vb)]
-        return _make(self.field, s, vec, prec)
+        low, high = (self, other) if self.shift <= other.shift else (other, self)
+        vec = _shift_vec(self.field, high.coeffs, high.shift - low.shift)
+        vec = [x + y for x, y in zip(low.coeffs, vec)]
+        return _make(self.field, low.shift, vec, prec)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -550,23 +556,21 @@ class PadicElement:
         """Exact multiplication by a rational scalar; relative precision kept."""
         if value == 0:
             return PadicElement.zero(self.field, self.abs_prec)
-        if self.is_zero:
-            w = _vp(value.numerator, self.field.p) - _vp(value.denominator, self.field.p)
-            return PadicElement.zero(self.field, self.abs_prec + w * self.field.e)
         p = self.field.p
-        num, den = value.numerator, value.denominator
-        w = _vp(num, p) - _vp(den, p)
-        num //= p ** _vp(num, p)
-        den //= p ** _vp(den, p)
+        w, num, den = _split_rational(value, p)
+        shift = w * self.field.e
+        if self.is_zero:
+            return PadicElement.zero(self.field, self.abs_prec + shift)
         rel = self.rel_prec
         mod = p ** max(_moduli(self.field, rel))
         unit = (num * pow(den, -1, mod)) % mod
         if self.field.kind == "eisenstein" and w:
+            # p^w = pi^(e*w) * c^(-w)
             unit = (unit * pow(self.field.eis_unit, -w, mod)) % mod
         vec = [unit * c for c in self.coeffs]
-        return PadicElement(self.field, self.shift + w * self.field.e,
+        return PadicElement(self.field, self.shift + shift,
                             _reduce_vec(self.field, vec, rel),
-                            self.abs_prec + w * self.field.e)
+                            self.abs_prec + shift)
 
     def invert(self) -> "PadicElement":
         if self.is_zero:
@@ -593,16 +597,7 @@ class PadicElement:
             return PadicElement.one(self.field, self.rel_prec)
         if n < 0:
             return self.invert() ** (-n)
-        result = None
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _binary_power(self, n)
 
     # -- precision management -------------------------------------------------
 
@@ -633,23 +628,21 @@ class PadicElement:
         if count > self.rel_prec:
             raise InsufficientPrecision(
                 f"{count} digits requested, {self.rel_prec} known")
-        p = self.field.p
+        field = self.field
+        p = field.p
+        work = max(_moduli(field, self.rel_prec)) + 1
+        vec = self.coeffs
         out = []
-        if self.field.kind != "eisenstein":
-            vec = list(self.coeffs)
-            for _ in range(count):
-                digit = tuple(v % p for v in vec)
-                out.append(digit[0] if self.field.f == 1 else digit)
-                vec = [(v - v % p) // p for v in vec]
-            return out
-        work = max(_moduli(self.field, self.rel_prec)) + 1
-        vec = list(self.coeffs)
-        for _ in range(count):
-            d = vec[0] % p
-            out.append(d)
-            vec[0] -= d
-            vec = _div_pi(self.field, vec, work)
-        return out
+        while len(out) < count:
+            # one pass reads the next e digits (one digit for e = 1); the
+            # floor division in the shift by pi^-e drops exactly those digits
+            digits = [v % p for v in vec]
+            if field.kind == "eisenstein":
+                out += digits
+            else:
+                out.append(digits[0] if field.f == 1 else tuple(digits))
+            vec = _shift_vec(field, vec, -field.e, work)
+        return out[:count]
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -691,6 +684,18 @@ def _coerce(template: PadicElement, value) -> PadicElement:
     return NotImplemented
 
 
+def _binary_power(base, n: int):
+    """base ** n for n >= 1 by square-and-multiply; shared with DualElement."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _make(field: FieldDescriptor, shift: int, vec: Sequence[int], prec: int) -> PadicElement:
     """Normalise a raw coefficient vector at the given shift into an element."""
     rel = prec - shift
@@ -701,13 +706,9 @@ def _make(field: FieldDescriptor, shift: int, vec: Sequence[int], prec: int) -> 
     if val is None or val >= rel:
         return PadicElement.zero(field, prec)
     if val:
-        work = max(_moduli(field, rel)) + 1
-        out = list(reduced)
-        for _ in range(val):
-            out = _div_pi(field, out, work)
+        out = _shift_vec(field, reduced, -val, max(_moduli(field, rel)) + 1)
         reduced = _reduce_vec(field, out, rel - val)
         shift += val
-        rel -= val
     return PadicElement(field, shift, reduced, prec)
 
 

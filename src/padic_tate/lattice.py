@@ -282,6 +282,8 @@ def rotund_check(V: SubgroupLattice, height: int,
     A witness refutes rotundity outright; exhausting the height box only
     verifies it up to that height.
     """
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
     n = V.n
     if (2 * height + 1) ** n > max_candidates:
         raise SearchSpaceTooLarge(
@@ -411,6 +413,8 @@ def relation_search(z: Sequence[PadicElement], height: int,
     Exhaustive over the height box, so every planted relation within the box
     is found; an empty answer is 'no relation to precision', never a proof.
     """
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
     if not z:
         return []
     field = z[0].field
@@ -447,6 +451,8 @@ def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
     Only one exponent k can match each m (valuations decide it), so the scan
     is exhaustive in m for every k at once.
     """
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
     if q.is_zero or q.shift <= 0:
         raise ValueError("q needs positive exact valuation")
     n = len(u)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Union
 
-from .dual import DualElement
+from .dual import DualElement, _value_part
 from .errors import OutsideConvergenceDomain
 from .field import PadicElement
 
@@ -28,10 +28,6 @@ def factorial_valuation(n: int, p: int) -> Fraction:
         digit_sum += m % p
         m //= p
     return Fraction(n - digit_sum, p - 1)
-
-
-def _value_part(x: Evaluable) -> PadicElement:
-    return x.value if isinstance(x, DualElement) else x
 
 
 def _one_like(x: Evaluable, prec: int) -> Evaluable:

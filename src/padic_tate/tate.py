@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .dual import DualElement
+from .dual import DualElement, _value_part
 from .errors import (
     DomainError,
     ImpreciseValuation,
@@ -137,10 +137,6 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     u_red = u * q ** (-n)
     assert 0 <= u_red.shift < sq
     return u_red, n
-
-
-def _value_part(x: Evaluable) -> PadicElement:
-    return x.value if isinstance(x, DualElement) else x
 
 
 def tate_series_point(curve: TateCurve, u: Evaluable,

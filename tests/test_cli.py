@@ -94,6 +94,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["rv", "--x", "5", "--lambda", "1/0"],
+        ["balls", "same", "--C", "0", "--x", "5", "--y", "30", "--lambda", "1/0"],
+        ["geom", "rotund", "--lattice", "LATTICE", "--height", "-1"],
+        ["relations", "search", "--z", "5", "--height", "-1"],
+        ["relations", "mult", "--q", "25", "--u", "7", "--height", "-2"],
+    ], ids=["rv-lambda", "balls-lambda", "rotund-height", "search-height", "mult-height"])
+    def test_bad_argument_is_2(self, tmp_path, capsys, argv):
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(json.dumps({"n": 2, "mult": [[1], [0]]}))
+        assert main([str(lattice) if a == "LATTICE" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
 
 class TestFileFormats:
     def test_matrix_file_and_inline_agree(self, tmp_path, capsys):

@@ -55,6 +55,20 @@ class TestMakeField:
         with pytest.raises(NotPrime):
             make_field(6)
 
+    @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
+    def test_large_prime(self, p):
+        assert make_field(p).p == p
+
+    # 3825123056546413051 is a strong pseudoprime to every prime base <= 31
+    @pytest.mark.parametrize("n", [2047, 561, 3825123056546413051])
+    def test_pseudoprime_rejected(self, n):
+        with pytest.raises(NotPrime):
+            make_field(n)
+
+    def test_primality_beyond_the_exact_range_is_refused(self):
+        with pytest.raises(ValueError):
+            make_field(3317044064679887385961981)
+
     def test_eisenstein_bad_constant(self):
         with pytest.raises(NonUnitEisensteinConstant):
             make_field(5, "eisenstein", e=2, c=10)

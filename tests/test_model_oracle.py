@@ -7,6 +7,8 @@ then both sides are compared after reduction to finite precision.
 
 from fractions import Fraction
 
+import pytest
+
 from padic_tate.field import PadicElement, make_field
 from padic_tate.prng import stream
 from padic_tate.tate import (
@@ -63,11 +65,13 @@ class EisensteinModel:
         return out.truncate(prec)
 
 
-def random_model_vector(rng, e, spread=3):
+def random_model_vector(rng, p, e):
+    # p-power scales up to p^3 make the pi-shifts of two entries, and of two
+    # vectors, differ by more than e
     def rand_fraction():
         num = rng.randint(-50, 50)
         den = rng.choice([1, 1, 2, 3, 7])
-        scale = rng.choice([1, 1, 1, 5, 25])
+        scale = p ** rng.choice([0, 0, 0, 1, 2, 3])
         return Fraction(num, den) * scale
     vec = [rand_fraction() for _ in range(e)]
     if all(x == 0 for x in vec):
@@ -76,17 +80,25 @@ def random_model_vector(rng, e, spread=3):
 
 
 class TestEisensteinAgainstModel:
-    def test_ring_operations_match(self):
-        field = make_field(5, "eisenstein", e=4, c=-1)
-        model = EisensteinModel(5, 4, -1)
+    # e = 1 is the field where pi = c*p itself; c != +-1 needs c^-1 mod p^k
+    @pytest.mark.parametrize("p, e, c", [(5, 4, -1), (2, 3, 3), (3, 1, 2)],
+                             ids=["p5-e4-c-1", "p2-e3-c3", "p3-e1-c2"])
+    def test_ring_operations_match(self, p, e, c):
+        field = make_field(p, "eisenstein", e=e, c=c)
+        model = EisensteinModel(p, e, c)
         prec = 28
         for i in range(60):
             rng = stream(111, "model", i)
-            a = random_model_vector(rng, 4)
-            b = random_model_vector(rng, 4)
+            a = random_model_vector(rng, p, e)
+            b = random_model_vector(rng, p, e)
             ea = model.to_element(field, a, prec)
             eb = model.to_element(field, b, prec)
             assert ea.is_indistinguishable(model.to_element(field, a, prec))
+            for x in (ea, eb):
+                if not x.is_zero:
+                    digits = x.pi_digits(x.rel_prec)
+                    assert PadicElement.from_pi_digits(field, x.shift, digits,
+                                                       x.abs_prec) == x
             got_sum = ea + eb
             want_sum = model.to_element(field, model.add(a, b), prec)
             assert got_sum.truncate(want_sum.abs_prec) \
@@ -102,7 +114,7 @@ class TestEisensteinAgainstModel:
         model = EisensteinModel(5, 4, -1)
         for i in range(80):
             rng = stream(113, "modelval", i)
-            a = random_model_vector(rng, 4)
+            a = random_model_vector(rng, 5, 4)
             want = model.valuation(a)
             got = model.to_element(field, a, 28).valuation()
             if want is not None and want < 25:
@@ -113,7 +125,7 @@ class TestEisensteinAgainstModel:
         model = EisensteinModel(5, 4, -1)
         for i in range(30):
             rng = stream(127, "modelinv", i)
-            a = random_model_vector(rng, 4)
+            a = random_model_vector(rng, 5, 4)
             ea = model.to_element(field, a, 28)
             if ea.is_zero:
                 continue
