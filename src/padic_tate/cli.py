@@ -257,6 +257,10 @@ def dispatch(argv) -> int:
     args = parser.parse_args(argv, namespace=argparse.Namespace(**GLOBAL_DEFAULTS))
     if os.environ.get("PADIC_TATE_SEED"):
         args.seed = int(os.environ["PADIC_TATE_SEED"])
+    for name in ("trials", "active"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name} must be >= 1, got {value}")
     emit = _Emitter(args.fmt)
     field = parse_extension(args.p, args.ext)
     prec = args.prec
@@ -288,7 +292,7 @@ def dispatch(argv) -> int:
     if command == "wdiv":
         g = _load_series(args.g, field, prec, args.degree_cap)
         f = _load_series(args.f, field, prec, args.degree_cap)
-        active = (args.active - 1) if args.active else g.nvars - 1
+        active = (args.active - 1) if args.active is not None else g.nvars - 1
         d = regular_degree(f, active)
         if d is None:
             emit.record(op="wdiv", ok=False, reason="divisor not regular")
@@ -312,11 +316,9 @@ def dispatch(argv) -> int:
         M = _load_matrix(args.matrix)
         if args.lattice_command == "smith":
             U, D, V = smith_normal_form(M)
-            nonzero = sum(1 for k in range(min(len(D), len(D[0]) if D else 0))
-                          if D[k][k])
             emit.record(op="lattice.smith", D=json.dumps([list(r) for r in D]),
                         U=json.dumps([list(r) for r in U]),
-                        V=json.dumps([list(r) for r in V]), rank=nonzero)
+                        V=json.dumps([list(r) for r in V]), rank=rank(M))
         else:
             K = kernel_lattice(M)
             emit.record(op="lattice.kernel", basis=json.dumps([list(r) for r in K]),
@@ -449,9 +451,9 @@ def _harness_command(args, emit, config) -> int:
         kwargs = {}
         if name == "tate":
             kwargs["q_literal"] = args.q or f"{config.p}^2"
-            if args.trials:
+            if args.trials is not None:
                 kwargs["trials"] = args.trials
-        elif name == "exp" and args.trials:
+        elif name == "exp" and args.trials is not None:
             kwargs["trials"] = args.trials
         report = run_suite(name, config, **kwargs)
         for rec in report.records:

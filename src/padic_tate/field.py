@@ -108,48 +108,73 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod_mod_p(num: list[int], den: list[int], p: int):
-    """Division of polynomials over F_p; den must be monic mod p."""
-    num = [x % p for x in num]
-    den = [x % p for x in den]
-    while den and den[-1] == 0:
-        den.pop()
-    d = len(den) - 1
-    quot = [0] * max(0, len(num) - d)
-    rem = list(num)
+def _poly_rem(num: Sequence[int], g: Sequence[int], p: int) -> list[int]:
+    """Remainder of num modulo the monic g over F_p, trailing zeros dropped."""
+    d = len(g) - 1
+    rem = [x % p for x in num]
     for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i] % p
-        if c == 0:
-            continue
-        quot[i - d] = c
-        for j in range(d + 1):
-            rem[i - d + j] = (rem[i - d + j] - c * den[j]) % p
+        c = rem[i]
+        if c:
+            for j in range(d + 1):
+                rem[i - d + j] = (rem[i - d + j] - c * g[j]) % p
     while rem and rem[-1] == 0:
         rem.pop()
-    return quot, rem
+    return rem
+
+
+def _poly_pow_rem(a: list[int], n: int, g: Sequence[int], p: int) -> list[int]:
+    """a^n modulo the monic g over F_p, by square-and-multiply."""
+
+    def mul(x, y):
+        prod = [0] * (len(x) + len(y))
+        for i, u in enumerate(x):
+            for j, v in enumerate(y):
+                prod[i + j] += u * v
+        return _poly_rem(prod, g, p)
+
+    out = [1]
+    while n:
+        if n & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        n >>= 1
+    return out
 
 
 def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
-    """Brute-force factor search over F_p; intended for degree <= 8."""
-    f = len(coeffs) - 1
-    reduced = [c % p for c in coeffs]
-    if reduced[-1] != 1:
+    """Rabin's test: a monic g of degree f >= 2 is irreducible over F_p iff
+    x^(p^f) = x mod g and gcd(x^(p^(f/r)) - x, g) = 1 for each prime r | f."""
+    g = [c % p for c in coeffs]
+    f = len(g) - 1
+    frob = [[0, 1]]                           # x^(p^k) mod g for k = 0..f
+    for _ in range(f):
+        frob.append(_poly_pow_rem(frob[-1], p, g, p))
+    if frob[f] != frob[0]:
         return False
-    for deg in range(1, f // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            divisor = list(tail) + [1]
-            _, rem = _poly_divmod_mod_p(reduced, divisor, p)
-            if not rem:
-                return False
-    return f >= 1
+    for r in range(2, f + 1):
+        if f % r or not _is_prime(r):
+            continue
+        a = g
+        b = _poly_rem([u - v for u, v in itertools.zip_longest(
+            frob[f // r], frob[0], fillvalue=0)], g, p)
+        while b:
+            inv = pow(b[-1], -1, p)
+            a, b = b, _poly_rem(a, [c * inv % p for c in b], p)
+        if len(a) > 1:
+            return False
+    return True
 
 
 def _find_unramified_poly(p: int, f: int) -> tuple[int, ...]:
-    """Smallest (lexicographic in low coefficients) monic irreducible of degree f."""
-    for tail in itertools.product(range(p), repeat=f):
-        cand = list(tail) + [1]
-        if _irreducible_mod_p(cand, p):
-            return tuple(cand)
+    """Smallest (lexicographic in low coefficients) monic irreducible of degree f.
+
+    Candidates are read lazily as the base-p digits of an index, constant
+    term first; those with constant term 0 are divisible by x and skipped.
+    """
+    for index in range(p ** (f - 1), p ** f):
+        tail = [index // p ** (f - 1 - i) % p for i in range(f)]
+        if _irreducible_mod_p(tail + [1], p):
+            return tuple(tail + [1])
     raise ReducibleDefiningPolynomial(f"no irreducible polynomial of degree {f} mod {p}")
 
 
@@ -162,7 +187,8 @@ def make_field(p: int, kind: str = "base", *, e: int | None = None,
     (pi^e = c*p).  kind="unramified" requires either a residue degree f
     (a defining polynomial is searched for) or an explicit monic integer
     polynomial, irreducible mod p, given low-to-high.  Irreducibility is
-    checked by brute force, which limits f to at most 8.
+    decided by Rabin's test; the degree is capped at 8 because arithmetic
+    costs grow with it and f arrives from the command line.
     """
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -182,18 +208,15 @@ def make_field(p: int, kind: str = "base", *, e: int | None = None,
             if len(coeffs) < 3 or coeffs[-1] != 1:
                 raise ReducibleDefiningPolynomial(
                     "defining polynomial must be monic of degree >= 2")
-            deg = len(coeffs) - 1
-            if deg > 8:
-                raise ValueError("brute-force irreducibility check supports degree <= 8")
-            if not _irreducible_mod_p(coeffs, p):
-                raise ReducibleDefiningPolynomial(
-                    f"{list(coeffs)} factors modulo {p}")
-            return FieldDescriptor(p=p, kind="unramified", f=deg, residue_poly=coeffs)
-        if f is None or f < 2:
+            f = len(coeffs) - 1
+        elif f is None or f < 2:
             raise ValueError("unramified extension needs f >= 2 or an explicit polynomial")
         if f > 8:
-            raise ValueError("brute-force irreducibility check supports degree <= 8")
-        coeffs = _find_unramified_poly(p, f)
+            raise ValueError("unramified extensions support degree <= 8")
+        if poly is None:
+            coeffs = _find_unramified_poly(p, f)
+        elif not _irreducible_mod_p(coeffs, p):
+            raise ReducibleDefiningPolynomial(f"{list(coeffs)} factors modulo {p}")
         return FieldDescriptor(p=p, kind="unramified", f=f, residue_poly=coeffs)
     raise ValueError(f"unknown field kind {kind!r}")
 

@@ -3,9 +3,10 @@
 Subgroups are presented by integer lattices: columns of L_mult span the
 cocharacter lattice of the torus part, columns of L_ell span the lattice of
 the elliptic part (endomorphisms are plain integers, so dimensions are plain
-ranks).  Everything reduces to Smith normal form over Z with exact big
-integers.  Translating by a coset representative changes no dimension, so
-cosets carry no extra data here.
+ranks).  Ranks and determinants come from one fraction-free (Bareiss)
+elimination, kernels and the unimodular transforms from Smith normal form
+over Z, both with exact big integers.  Translating by a coset representative
+changes no dimension, so cosets carry no extra data here.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -63,30 +63,43 @@ def hstack(A: Matrix, B: Matrix) -> Matrix:
     return tuple(A[i] + B[i] for i in range(ra))
 
 
+def _bareiss(M: Matrix) -> tuple[int, int]:
+    """(rank, signed last pivot) of a fraction-free row-echelon pass over M.
+
+    A column with no pivot is skipped.  Every entry held is a minor of M, so
+    each division by the previous pivot is exact, and for a square M of full
+    rank the signed last pivot is the determinant (Bareiss 1968).
+    """
+    a = [list(row) for row in M]
+    rows, cols = shape(M)
+    sign, prev, r = 1, 1, 0
+    for k in range(cols):
+        j = next((j for j in range(r, rows) if a[j][k]), None)
+        if j is None:
+            continue
+        if j != r:
+            a[r], a[j] = a[j], a[r]
+            sign = -sign
+        pivot = a[r]
+        for i in range(r + 1, rows):
+            f = a[i][k]
+            a[i] = [(x * pivot[k] - f * y) // prev for x, y in zip(a[i], pivot)]
+        prev = pivot[k]
+        r += 1
+    return r, sign * prev
+
+
 def determinant(M: Matrix) -> int:
     """Fraction-free (Bareiss) determinant of a square integer matrix."""
     n, m = shape(M)
     if n != m:
         raise DimensionMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rk, last = _bareiss(M)
+    return last if rk == n else 0
+
+
+def rank(M: Matrix) -> int:
+    return _bareiss(M)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +188,6 @@ def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             tuple(tuple(row) for row in V))
 
 
-def smith_diagonal(M: Matrix) -> list[int]:
-    _, D, _ = smith_normal_form(M)
-    r, c = shape(D)
-    return [D[i][i] for i in range(min(r, c))]
-
-
-def rank(M: Matrix) -> int:
-    if not M or not M[0]:
-        return 0
-    return sum(1 for d in smith_diagonal(M) if d)
-
-
 def kernel_lattice(A: Matrix) -> Matrix:
     """Columns form a saturated basis of {v : A v = 0}."""
     r, c = shape(A)
@@ -237,11 +238,7 @@ def dim_image(M: Matrix, T: SubgroupLattice) -> int:
     r, c = shape(M)
     if r != T.n or c != T.n:
         raise DimensionMismatch(f"M is {r}x{c}, ambient n = {T.n}")
-    total = 0
-    for part in (T.mult, T.ell):
-        if part and part[0]:
-            total += rank(mat_mul(M, part))
-    return total
+    return sum(rank(mat_mul(M, part)) for part in (T.mult, T.ell) if part)
 
 
 @dataclass(frozen=True)
@@ -256,23 +253,12 @@ class RotundVerdict:
         return f"verified up to height {self.height}"
 
 
-def _normalized_rows(n: int, height: int) -> list[tuple[int, ...]]:
+def _normalized_rows(n: int, height: int,
+                     max_candidates: int) -> list[tuple[int, ...]]:
     """Zero or primitive rows with positive leading entry; every integer row is
     a scalar multiple of exactly one of these, and scaling rows changes no rank."""
-    rows = [(0,) * n]
-    for row in itertools.product(range(-height, height + 1), repeat=n):
-        if all(x == 0 for x in row):
-            continue
-        g = 0
-        for x in row:
-            g = math.gcd(g, x)
-        if g != 1:
-            continue
-        lead = next(x for x in row if x)
-        if lead < 0:
-            continue
-        rows.append(row)
-    return rows
+    box = _height_box(n, height, max_candidates)
+    return [(0,) * n] + [row for row in box if _primitive_signed(row)]
 
 
 def rotund_check(V: SubgroupLattice, height: int,
@@ -282,30 +268,21 @@ def rotund_check(V: SubgroupLattice, height: int,
     A witness refutes rotundity outright; exhausting the height box only
     verifies it up to that height.
     """
-    if height < 0:
-        raise ValueError(f"height must be >= 0, got {height}")
     n = V.n
-    if (2 * height + 1) ** n > max_candidates:
-        raise SearchSpaceTooLarge(
-            f"row enumeration alone needs {(2 * height + 1) ** n} draws")
-    rows = _normalized_rows(n, height)
+    rows = _normalized_rows(n, height, max_candidates)
     total = len(rows) ** n
     if total > max_candidates:
         raise SearchSpaceTooLarge(f"{total} candidate matrices at height {height}")
-    for combo in itertools.product(rows, repeat=n):
-        M = tuple(combo)
-        rk = rank(M)
-        if rk == 0:
-            continue
-        if dim_image(M, V) < rk:
+    for M in itertools.product(rows, repeat=n):
+        if dim_image(M, V) < rank(M):
             return RotundVerdict(True, M, height)
     return RotundVerdict(False, None, height)
 
 
 def lattice_intersection_rank(A: Matrix, B: Matrix) -> int:
     """rank(span A intersect span B) = rank A + rank B - rank [A | B]."""
-    ra = rank(A) if A and A[0] else 0
-    rb = rank(B) if B and B[0] else 0
+    ra = rank(A)
+    rb = rank(B)
     if ra == 0 or rb == 0:
         return 0
     return ra + rb - rank(hstack(A, B))
@@ -341,14 +318,8 @@ def lemma_vm_bound(V: SubgroupLattice, M: Matrix) -> VMBound:
 
 def quotient_dim(L: Matrix, T: Matrix, n: int) -> int:
     """Dimension of the image of the subgroup spanned by L in the quotient by
-    the subgroup spanned by T: rank[L | T] - rank T."""
-    lt = rank(T) if T and T[0] else 0
-    ll = rank(L) if L and L[0] else 0
-    if ll == 0:
-        return 0
-    if lt == 0:
-        return ll
-    return rank(hstack(L, T)) - lt
+    the subgroup spanned by T: rank[L | T] - rank T = rank L - rank(L cap T)."""
+    return rank(L) - lattice_intersection_rank(L, T)
 
 
 @dataclass(frozen=True)
@@ -372,7 +343,7 @@ def persistently_likely(V: Matrix, S: Matrix, T_list: Sequence[Matrix],
     out = []
     for idx, T in enumerate(T_list):
         lhs = quotient_dim(V, T, n) + quotient_dim(S, T, n)
-        rhs = n - (rank(T) if T and T[0] else 0)
+        rhs = n - rank(T)
         out.append(LikelyVerdict(index=idx, ok=lhs >= rhs, lhs=lhs, rhs=rhs))
     return out
 
@@ -390,18 +361,21 @@ def atypical(dim_x: int, dim_v: int, dim_w: int, dim_z: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _primitive_signed(vec: Sequence[int]) -> bool:
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
-    if g != 1:
-        return False
-    lead = next((x for x in vec if x), 0)
-    return lead > 0
+    return math.gcd(*vec) == 1 and next(x for x in vec if x) > 0
 
 
-def _meets_threshold(residual: PadicElement, threshold_pi: int) -> bool:
-    v = residual.valuation()
-    return v.value * residual.field.e >= threshold_pi
+def _height_box(n: int, height: int,
+                max_candidates: int) -> Iterator[tuple[int, ...]]:
+    """Integer vectors of length n with |m_i| <= height, in lexicographic order.
+
+    Refuses a negative height, and a box of more than max_candidates vectors.
+    """
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
+    total = (2 * height + 1) ** n
+    if total > max_candidates:
+        raise SearchSpaceTooLarge(f"{total} candidates at height {height}")
+    return itertools.product(range(-height, height + 1), repeat=n)
 
 
 def relation_search(z: Sequence[PadicElement], height: int,
@@ -413,25 +387,20 @@ def relation_search(z: Sequence[PadicElement], height: int,
     Exhaustive over the height box, so every planted relation within the box
     is found; an empty answer is 'no relation to precision', never a proof.
     """
-    if height < 0:
-        raise ValueError(f"height must be >= 0, got {height}")
+    n = len(z)
+    box = _height_box(n, height, max_candidates)
     if not z:
         return []
-    field = z[0].field
-    n = len(z)
-    total = (2 * height + 1) ** n
-    if total > max_candidates:
-        raise SearchSpaceTooLarge(f"{total} candidates at height {height}")
     threshold = min(x.abs_prec for x in z) - slack
     tables = [{m: x * m for m in range(-height, height + 1)} for x in z]
     found = []
-    for m_vec in itertools.product(range(-height, height + 1), repeat=n):
+    for m_vec in box:
         if not _primitive_signed(m_vec):
             continue
         acc = tables[0][m_vec[0]]
         for i in range(1, n):
             acc = acc + tables[i][m_vec[i]]
-        if _meets_threshold(acc, threshold):
+        if acc.shift >= threshold:
             found.append(m_vec)
     return found
 
@@ -451,14 +420,10 @@ def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
     Only one exponent k can match each m (valuations decide it), so the scan
     is exhaustive in m for every k at once.
     """
-    if height < 0:
-        raise ValueError(f"height must be >= 0, got {height}")
     if q.is_zero or q.shift <= 0:
         raise ValueError("q needs positive exact valuation")
     n = len(u)
-    total = (2 * height + 1) ** n
-    if total > max_candidates:
-        raise SearchSpaceTooLarge(f"{total} candidates at height {height}")
+    box = _height_box(n, height, max_candidates)
     for x in u:
         if x.is_zero:
             raise ValueError("every u_i needs a known leading digit")
@@ -472,7 +437,7 @@ def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
         return qpow_cache[k]
 
     found = []
-    for m_vec in itertools.product(range(-height, height + 1), repeat=n):
+    for m_vec in box:
         if all(x == 0 for x in m_vec):
             continue
         val = sum(m * x.shift for m, x in zip(m_vec, u))
@@ -485,6 +450,6 @@ def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
         for i in range(1, n):
             prod = prod * tables[i][m_vec[i]]
         residual = prod * qpow(-k) - 1
-        if _meets_threshold(residual, threshold):
+        if residual.shift >= threshold:
             found.append((m_vec, k))
     return found

@@ -4,6 +4,7 @@ Everything here works in plain Fractions / integers and is reduced into the
 p-adic representation only at the final comparison step.
 """
 
+import itertools
 from fractions import Fraction
 
 from padic_tate.field import PadicElement
@@ -120,3 +121,25 @@ def rank_over_Q(rows) -> int:
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def first_irreducible_mod_p(p: int, f: int) -> tuple[int, ...]:
+    """First monic polynomial of degree f over F_p, in itertools.product order
+    of its low coefficients (constant term first), that no monic polynomial of
+    degree 1..f/2 divides: brute-force trial division."""
+
+    def divides(d, g):
+        rem = list(g)
+        for i in range(len(rem) - 1, len(d) - 2, -1):
+            c = rem[i]
+            for j in range(len(d)):
+                rem[i - len(d) + 1 + j] = (rem[i - len(d) + 1 + j] - c * d[j]) % p
+        return not any(rem)
+
+    for tail in itertools.product(range(p), repeat=f):
+        g = list(tail) + [1]
+        if not any(divides(list(low) + [1], g)
+                   for deg in range(1, f // 2 + 1)
+                   for low in itertools.product(range(p), repeat=deg)):
+            return tuple(g)
+    raise AssertionError(f"no irreducible polynomial of degree {f} mod {p}")

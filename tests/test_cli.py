@@ -100,11 +100,19 @@ class TestExitCodes:
         ["geom", "rotund", "--lattice", "LATTICE", "--height", "-1"],
         ["relations", "search", "--z", "5", "--height", "-1"],
         ["relations", "mult", "--q", "25", "--u", "7", "--height", "-2"],
-    ], ids=["rv-lambda", "balls-lambda", "rotund-height", "search-height", "mult-height"])
+        ["harness", "--suite", "exp", "--trials", "-1"],
+        ["harness", "--suite", "exp", "--trials", "0"],
+        ["tate", "verify-hom", "--q", "5^2", "--trials", "-2"],
+        ["wdiv", "--g", "SERIES", "--f", "SERIES", "--active", "0"],
+    ], ids=["rv-lambda", "balls-lambda", "rotund-height", "search-height", "mult-height",
+            "harness-trials-negative", "harness-trials-zero", "verify-hom-trials",
+            "wdiv-active-zero"])
     def test_bad_argument_is_2(self, tmp_path, capsys, argv):
-        lattice = tmp_path / "lattice.json"
-        lattice.write_text(json.dumps({"n": 2, "mult": [[1], [0]]}))
-        assert main([str(lattice) if a == "LATTICE" else a for a in argv]) == 2
+        files = {"LATTICE": {"n": 2, "mult": [[1], [0]]},
+                 "SERIES": {"nvars": 1, "terms": [{"exp": [1], "coeff": "1"}]}}
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
 

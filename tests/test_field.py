@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from padic_tate.field import (
 )
 from padic_tate.prng import random_element, random_unit, stream
 
-from oracles import from_fraction, vp_int
+from oracles import first_irreducible_mod_p, from_fraction, vp_int
 
 
 class TestMakeField:
@@ -45,11 +46,33 @@ class TestMakeField:
         with pytest.raises(ReducibleDefiningPolynomial):
             make_field(2, "unramified", poly=[1, 0, 1])
 
+    def test_unramified_rootless_reducible_rejected(self):
+        # x^5 + x^4 + 1 = (x^2+x+1)(x^3+x+1) mod 2 has no root, so only the
+        # check x^(p^f) = x mod g rejects it
+        with pytest.raises(ReducibleDefiningPolynomial):
+            make_field(2, "unramified", poly=[1, 0, 0, 0, 1, 1])
+
     def test_unramified_exhaustive_root_check(self):
         # independent check: x^2 + x + 1 has no root mod 2 and no
         # degree-1 monic factor
         poly = [1, 1, 1]
         assert all((poly[0] + poly[1] * r + poly[2] * r * r) % 2 for r in range(2))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
+    def test_unramified_search_matches_brute_force(self, p):
+        for f in (2, 3, 4):
+            poly = make_field(p, "unramified", f=f).residue_poly
+            assert poly == first_irreducible_mod_p(p, f)
+
+    @pytest.mark.parametrize("p", [1000003, 10**18 + 3])
+    def test_unramified_large_prime(self, p):
+        start = time.perf_counter()
+        quadratic = make_field(p, "unramified", f=2).residue_poly
+        assert make_field(p, "unramified", f=3).f == 3
+        assert time.perf_counter() - start < 1.0
+        # x^2 + 1 is the first candidate not divisible by x, and it is
+        # irreducible because -1 is a non-square modulo p = 3 mod 4
+        assert p % 4 == 3 and quadratic == (1, 0, 1)
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):

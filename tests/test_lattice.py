@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,25 @@ class TestSmith:
         _, D, _ = smith_normal_form(M)
         assert D == M and rank(M) == 0
 
+    @pytest.mark.parametrize("M, rk, det", [
+        ((), 0, 1),
+        (zeros(3, 0), 0, None),
+        (matrix([[1, 2, 3], [1, 2, 3]]), 1, None),
+        (matrix([[4, -6], [4, -6]]), 1, 0),
+        (matrix([[0, 2, 4], [0, 1, 2], [0, 3, 7]]), 2, 0),
+        (matrix([[0, 0, 3], [0, 0, 5], [2, 1, 1]]), 2, 0),
+        (matrix([[0, 1], [1, 0]]), 2, -1),
+        (matrix([[0, 2, 1], [3, 0, 0], [1, 1, 1]]), 3, -3),
+    ], ids=["0x0", "3x0", "repeated-row", "repeated-square", "zero-column",
+            "two-zero-columns", "swap", "swap-3x3"])
+    def test_rank_and_determinant_examples(self, M, rk, det):
+        assert rank(M) == rk == rank_over_Q(M)
+        if det is None:
+            with pytest.raises(DimensionMismatch):
+                determinant(M)
+        else:
+            assert determinant(M) == det
+
     def test_seeded_against_rational_rank(self):
         for i in range(200):
             rng = stream(61, "snf", i)
@@ -70,7 +90,9 @@ class TestSmith:
                 assert (a == 0) <= (b == 0)
                 if a:
                     assert b % a == 0
-            assert sum(1 for d in diag if d) == rank_over_Q(M)
+            assert sum(1 for d in diag if d) == rank_over_Q(M) == rank(M)
+            if r == c:
+                assert abs(determinant(M)) == math.prod(diag)
 
 
 class TestKernel:
@@ -260,7 +282,10 @@ def test_smith_identity_hypothesis(rows):
     assert mat_mul(mat_mul(U, M), V) == D
     assert abs(determinant(U)) == 1
     assert abs(determinant(V)) == 1
-    assert sum(1 for k in range(min(len(M), len(M[0]))) if D[k][k]) == rank_over_Q(M)
+    diag = [D[k][k] for k in range(min(len(M), len(M[0])))]
+    assert sum(1 for d in diag if d) == rank_over_Q(M) == rank(M)
+    if len(M) == len(M[0]):
+        assert abs(determinant(M)) == math.prod(diag)
 
 
 class TestImageBounds:
