@@ -183,12 +183,13 @@ def make_field(p: int, kind: str = "base", *, e: int | None = None,
                poly: Sequence[int] | None = None) -> FieldDescriptor:
     """Build and validate a field descriptor.
 
-    kind="eisenstein" requires e >= 1 and a defining unit c coprime to p
-    (pi^e = c*p).  kind="unramified" requires either a residue degree f
+    kind="eisenstein" requires 1 <= e <= 64 and a defining unit c coprime
+    to p (pi^e = c*p).  kind="unramified" requires either a residue degree f
     (a defining polynomial is searched for) or an explicit monic integer
     polynomial, irreducible mod p, given low-to-high.  Irreducibility is
-    decided by Rabin's test; the degree is capped at 8 because arithmetic
-    costs grow with it and f arrives from the command line.
+    decided by Rabin's test.  Every element carries e (or f) coefficients
+    and multiplication costs grow with their square, so, as both arrive
+    from the command line, e is capped at 64 and f at 8.
     """
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -197,6 +198,8 @@ def make_field(p: int, kind: str = "base", *, e: int | None = None,
     if kind == "eisenstein":
         if e is None or e < 1:
             raise ValueError("eisenstein extension needs a ramification index e >= 1")
+        if e > 64:
+            raise ValueError("eisenstein extensions support ramification index <= 64")
         if c is None:
             c = 1
         if c == 0 or math.gcd(c, p) != 1:

@@ -2,10 +2,13 @@
 
 Every q-series here is a Lambert sum sum_m c_m q^m / (1 - q^m), evaluated by
 the single kernel ``_lambert``; N is the working precision and valuations
-count pi-digits.  The modular coefficients use c_m = m^k for s_k(q) and the
-exact integer c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2 and p = 3 lose
-no precision; both sums stop after ceil(N / v(q)) terms.  Points are
-produced by the map u -> (X(q,u), Y(q,u)) with
+count pi-digits.  The weights q^m / (1 - q^m) depend only on the curve, so
+each TateCurve keeps those computed so far and extends them on demand, up to
+the largest term count any of its sums has asked for; each weight costs one
+inversion, once per curve.  The modular coefficients use c_m = m^k for
+s_k(q) and the exact integer c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2
+and p = 3 lose no precision; both sums stop after ceil(N / v(q)) terms.
+Points are produced by the map u -> (X(q,u), Y(q,u)) with
 
     X = u/(1-u)^2 + sum_m m (u^m + u^-m - 2) q^m / (1 - q^m)
     Y = u^2/(1-u)^3 + sum_m ((m-1)m/2 u^m - m(m+1)/2 u^-m + m) q^m / (1 - q^m)
@@ -17,7 +20,7 @@ evaluation always reduces u to the fundamental domain 0 <= v(u) < v(q) first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -45,6 +48,8 @@ class TateCurve:
     a4: PadicElement
     a6: PadicElement
     prec: int
+    # q^m / (1 - q^m) for m = 1, 2, ..., as far as any sum has asked
+    weights: list = field(default_factory=list, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -85,15 +90,23 @@ def _require_positive_valuation(q: PadicElement) -> int:
     return q.shift
 
 
-def _lambert(q: PadicElement, coeff: Callable[[int], Evaluable], terms: int,
-             target: int) -> Evaluable:
-    """sum_{m=1..terms} coeff(m) q^m / (1 - q^m), known at most to pi^target."""
-    one = PadicElement.one(q.field, target + q.shift)
+def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],
+             terms: int, target: int) -> Evaluable:
+    """sum_{m=1..terms} coeff(m) q^m / (1 - q^m), known at most to pi^target.
+
+    weights holds q^m / (1 - q^m) for m = 1, 2, ... at this (q, target); it is
+    extended in place to ``terms`` entries, each weight computed once.
+    """
+    if terms > len(weights):
+        one = PadicElement.one(q.field, target + q.shift)
+        qm = one
+        for m in range(1, terms + 1):
+            qm = qm * q
+            if m > len(weights):
+                weights.append(qm / (one - qm))
     acc = PadicElement.zero(q.field, target)
-    qm = one
     for m in range(1, terms + 1):
-        qm = qm * q
-        acc = coeff(m) * (qm / (one - qm)) + acc
+        acc = coeff(m) * weights[m - 1] + acc
     return acc
 
 
@@ -106,7 +119,7 @@ def s_k(q: PadicElement, k: int) -> PadicElement:
         return PadicElement.zero(q.field, q.abs_prec)
     sq = _require_positive_valuation(q)
     target = q.abs_prec
-    return _lambert(q, lambda n: n ** k, -(-target // sq), target)
+    return _lambert(q, [], lambda n: n ** k, -(-target // sq), target)
 
 
 def a6_coefficient(n: int) -> int:
@@ -121,9 +134,13 @@ def curve_coefficients(q: PadicElement) -> TateCurve:
     """a4 = -5 s_3(q); a6 summed termwise with integer coefficients."""
     sq = _require_positive_valuation(q)
     target = q.abs_prec
-    a4 = s_k(q, 3) * (-5)
-    a6 = _lambert(q, lambda n: -a6_coefficient(n), -(-target // sq), target)
-    return TateCurve(q=q, a4=a4.truncate(target), a6=a6, prec=target)
+    terms = -(-target // sq)
+    weights = []
+    a4 = _lambert(q, weights, lambda n: n ** 3, terms, target) * (-5)
+    a6 = _lambert(q, weights, lambda n: -a6_coefficient(n), terms, target)
+    curve = TateCurve(q=q, a4=a4.truncate(target), a6=a6, prec=target)
+    curve.weights.extend(weights)
+    return curve
 
 
 def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElement, int]:
@@ -167,9 +184,9 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
     for m in range(2, dmax + 1):
         upow.append(upow[-1] * u)
         unegpow.append(unegpow[-1] * u_inv)
-    x = _lambert(q, lambda m: (upow[m] + unegpow[m] - 2) * m, dmax, target)
-    y = _lambert(q, lambda m: upow[m] * Fraction((m - 1) * m, 2)
-                 - unegpow[m] * Fraction(m * (m + 1), 2) + m, dmax, target)
+    x = _lambert(q, curve.weights, lambda m: (upow[m] + unegpow[m] - 2) * m, dmax, target)
+    y = _lambert(q, curve.weights, lambda m: upow[m] * ((m - 1) * m // 2)
+                 - unegpow[m] * (m * (m + 1) // 2) + m, dmax, target)
     return u * inv_omu * inv_omu + x, u * u * inv_omu * inv_omu * inv_omu + y
 
 

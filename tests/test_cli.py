@@ -104,9 +104,10 @@ class TestExitCodes:
         ["harness", "--suite", "exp", "--trials", "0"],
         ["tate", "verify-hom", "--q", "5^2", "--trials", "-2"],
         ["wdiv", "--g", "SERIES", "--f", "SERIES", "--active", "0"],
+        ["rv", "--x", "1+pi", "--lambda", "0", "--ext", "eisenstein:e=65,c=1", "--prec", "5"],
     ], ids=["rv-lambda", "balls-lambda", "rotund-height", "search-height", "mult-height",
             "harness-trials-negative", "harness-trials-zero", "verify-hom-trials",
-            "wdiv-active-zero"])
+            "wdiv-active-zero", "eisenstein-degree"])
     def test_bad_argument_is_2(self, tmp_path, capsys, argv):
         files = {"LATTICE": {"n": 2, "mult": [[1], [0]]},
                  "SERIES": {"nvars": 1, "terms": [{"exp": [1], "coeff": "1"}]}}

@@ -37,6 +37,12 @@ class TestMakeField:
         assert f.pi_valuation() == Fraction(1, 4)
         assert f.pi_valuation() == Fraction(1, f.p - 1)
 
+    def test_eisenstein_degree_capped(self):
+        # every element holds e coefficients and products cost O(e^2)
+        assert make_field(5, "eisenstein", e=64).e == 64
+        with pytest.raises(ValueError, match="ramification index <= 64"):
+            make_field(5, "eisenstein", e=10 ** 8)
+
     def test_unramified(self):
         f = make_field(2, "unramified", poly=[1, 1, 1])
         assert f.f == 2 and f.e == 1

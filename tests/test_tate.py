@@ -19,6 +19,7 @@ from padic_tate.tate import (
     relation_residual,
     s_k,
     tate_series_point,
+    tate_xy_with_derivative,
     verify_ode,
 )
 
@@ -105,6 +106,8 @@ SERIES_CASES = [
     (5, 25, 5, 160, 159, 159), (5, 25, 6, 160, 157, 156), (5, 25, 7, 160, 160, 160),
     (2, 4, 2, 40, 39, 39), (2, 4, 3, 40, 37, 36), (2, 4, 5, 40, 34, 32),
     (2, 4, 2, 160, 159, 159), (2, 4, 3, 160, 157, 156), (2, 4, 5, 160, 154, 152),
+    # v(u) = v(q) - 1, so the series runs to the last term, dmax = prec
+    (5, 125, 50, 40, 38, 38),
 ]
 
 # unit parts frozen from the exact-rational truncated sums
@@ -136,6 +139,62 @@ class TestSeriesPoint:
     def test_kernel_rejected(self, curve25, Q5):
         with pytest.raises(OnKernel):
             tate_series_point(curve25, PadicElement.one(Q5, 40))
+
+
+class TestLambertWeights:
+    """Each curve computes q^m/(1-q^m) once, and only as far as asked."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        count = [0]
+        invert = PadicElement.invert
+
+        def counting_invert(self):
+            count[0] += 1
+            return invert(self)
+
+        monkeypatch.setattr(PadicElement, "invert", counting_invert)
+
+        def counted(call):
+            count[0] = 0
+            result = call()
+            return count[0], result
+        return counted
+
+    def test_inversion_counts(self, inversions, Q5):
+        q = PadicElement.from_int(Q5, 25, 40)
+        # a4 and a6 share the ceil(40/2) = 20 weights
+        n, curve = inversions(lambda: curve_coefficients(q))
+        assert n == 20
+        u0 = PadicElement.from_int(Q5, 7, 40)
+        u1 = PadicElement.from_int(Q5, 35, 40)
+        # 1/(1-u) and 1/u; v(u) = 0 needs no weight beyond the 20 stored
+        assert inversions(lambda: phi(curve, u0))[0] == 2
+        # v(u) = 1 runs to ceil(40/1) = 40 terms: 20 new weights, once
+        assert inversions(lambda: phi(curve, u1))[0] == 22
+        assert inversions(lambda: phi(curve, u1))[0] == 2
+        assert inversions(lambda: phi(curve, u0))[0] == 2
+
+    def test_weights_not_computed_eagerly(self, inversions, Q5):
+        # ceil(640/600) = 2 terms; an up-front fill to prec would need 640
+        q = PadicElement.from_int(Q5, 5 ** 600, 640)
+        assert inversions(lambda: curve_coefficients(q))[0] == 2
+
+    @pytest.mark.parametrize("order", [(7, 50), (50, 7)], ids=["v0-first", "v2-first"])
+    def test_shared_weights_match_fresh_curve(self, Q5, order):
+        q = PadicElement.from_int(Q5, 125, 40)
+        curve = curve_coefficients(q)
+        for u in order:
+            phi(curve, PadicElement.from_int(Q5, u, 40))
+        assert len(curve.weights) == 40
+        for u in (PadicElement.from_int(Q5, n, 40) for n in order):
+            assert phi(curve, u) == phi(curve_coefficients(q), u)
+            assert (tate_xy_with_derivative(curve, u)
+                    == tate_xy_with_derivative(curve_coefficients(q), u))
+        fresh = curve_coefficients(q)
+        assert len(fresh.weights) == 14
+        assert curve == fresh and hash(curve) == hash(fresh)
+        assert "weights" not in repr(curve) and repr(curve) == repr(fresh)
 
 
 class TestPhi:
