@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import ImpreciseDistance, MemberOfC
-from .field import PadicElement, _vp
-
-Rational = Union[int, Fraction]
+from .field import PadicElement, Rational, _lambda_digits, _vp
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,48 +24,47 @@ class Ball:
     lambda_radius: Fraction
 
     def contains(self, x: PadicElement) -> bool:
-        diff = (x - self.center).valuation()
-        if diff.exceeds(self.lambda_radius):
+        diff = x - self.center
+        if _beyond(diff, self.lambda_radius):
             return True
-        if diff.is_exact:
+        if not diff.is_zero:
             return False
         raise ImpreciseDistance(
-            f"membership undecidable: v(x-center) >= {diff.value} vs radius {self.lambda_radius}")
+            f"membership undecidable: v(x-center) >= {diff.valuation().value} "
+            f"vs radius {self.lambda_radius}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ball):
             return NotImplemented
         if self.lambda_radius != other.lambda_radius:
             return False
-        return (self.center - other.center).valuation().exceeds(self.lambda_radius)
+        return _beyond(self.center - other.center, self.lambda_radius)
 
     def __str__(self) -> str:
         return f"B_>{self.lambda_radius}({self.center})"
 
 
-def _exact_distance(x: PadicElement, c: PadicElement) -> Fraction:
-    d = (x - c).valuation()
-    if not d.is_exact:
-        raise MemberOfC(f"point is indistinguishable from a member of C (v >= {d.value})")
-    return d.value
+def _beyond(d: PadicElement, radius: Rational) -> bool:
+    """v(d) > radius for certain; an imprecise zero's shift is its bound abs_prec."""
+    return d.shift * radius.denominator > radius.numerator * d.field.e
 
 
-def _check_lambda(lam: Rational, e: int) -> Fraction:
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if (lam * e).denominator != 1:
-        raise ValueError(f"lambda {lam} is not in the value group (1/{e})Z")
-    return lam
+def _exact_distance(x: PadicElement, c: PadicElement) -> int:
+    """v(x - c) in pi-units; raises when x - c is an imprecise zero."""
+    d = x - c
+    if d.is_zero:
+        raise MemberOfC("point is indistinguishable from a member of C "
+                        f"(v >= {d.valuation().value})")
+    return d.shift
 
 
 def ball_next(C: Sequence[PadicElement], lam: Rational, x: PadicElement) -> Ball:
     """The ball lambda-next to C containing x: radius max_c v(x-c) + lambda."""
     if not C:
         raise ValueError("C must be a non-empty finite set")
-    lam = _check_lambda(lam, x.field.e)
-    radius = max(_exact_distance(x, c) for c in C) + lam
-    return Ball(center=x, lambda_radius=radius)
+    e = x.field.e
+    radius = _lambda_digits(lam, e) + max(_exact_distance(x, c) for c in C)
+    return Ball(center=x, lambda_radius=Fraction(radius, e))
 
 
 def same_ball(C: Sequence[PadicElement], lam: Rational,
@@ -75,16 +72,17 @@ def same_ball(C: Sequence[PadicElement], lam: Rational,
     """True iff v(x-y) > lambda + v(x-c) for every c in C."""
     if not C:
         raise ValueError("C must be a non-empty finite set")
-    lam = _check_lambda(lam, x.field.e)
-    dxy = (x - y).valuation()
+    e = x.field.e
+    lam_digits = _lambda_digits(lam, e)
+    dxy = x - y
     for c in C:
-        bound = lam + _exact_distance(x, c)
-        if dxy.exceeds(bound):
+        bound = lam_digits + _exact_distance(x, c)
+        if dxy.shift > bound:
             continue
-        if dxy.is_exact:
+        if not dxy.is_zero:
             return False
         raise ImpreciseDistance(
-            f"v(x-y) >= {dxy.value} cannot be compared with {bound}")
+            f"v(x-y) >= {dxy.valuation().value} cannot be compared with {Fraction(bound, e)}")
     return True
 
 

@@ -9,8 +9,11 @@ unit part lives on an integral basis of the ring of integers:
   a power of p, with pi^e = c*p.
 
 Absolute precision N means the value is known modulo pi^N.  Valuations are
-rationals normalised so that v(p) = 1; the value group is (1/e)*Z.  All
-values are immutable and all operations are pure functions.
+normalised so that v(p) = 1; the value group is (1/e)*Z.  Internally a
+valuation is the integer shift in pi-units (for an imprecise zero, its lower
+bound abs_prec), and every comparison is made on those integers; the rational
+v = shift/e is built only for ValuationResult, Ball, RVClass and messages.
+All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -275,7 +278,7 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _split_rational(value: Fraction, p: int) -> tuple[int, int, int]:
+def _split_rational(value: Rational, p: int) -> tuple[int, int, int]:
     """(w, a, b) with value = p^w * a/b and a, b prime to p; value != 0."""
     num, den = value.numerator, value.denominator
     vn, vd = _vp(num, p), _vp(den, p)
@@ -473,7 +476,7 @@ class PadicElement:
 
     @staticmethod
     def from_int(field: FieldDescriptor, value: int, prec: int) -> "PadicElement":
-        return PadicElement.from_rational(field, Fraction(value), prec)
+        return PadicElement.from_rational(field, value, prec)
 
     @staticmethod
     def uniformizer(field: FieldDescriptor, prec: int, power: int = 1) -> "PadicElement":
@@ -517,12 +520,6 @@ class PadicElement:
             return ValuationResult("at_least", Fraction(self.abs_prec, self.field.e))
         return ValuationResult("exact", Fraction(self.shift, self.field.e))
 
-    def valuation_pi(self) -> int:
-        """Exact shift in pi-units; raises on an imprecise zero."""
-        if self.is_zero:
-            raise ZeroElement("valuation known only as a lower bound")
-        return self.shift
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same_field(self, other: "PadicElement") -> None:
@@ -540,6 +537,8 @@ class PadicElement:
         if other.is_zero:
             return self.truncate(prec)
         low, high = (self, other) if self.shift <= other.shift else (other, self)
+        if high.shift >= prec:
+            return low.truncate(prec)
         vec = _shift_vec(self.field, high.coeffs, high.shift - low.shift)
         vec = [x + y for x, y in zip(low.coeffs, vec)]
         return _make(self.field, low.shift, vec, prec)
@@ -565,7 +564,7 @@ class PadicElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scale_rational(Fraction(other))
+            return self._scale_rational(other)
         if not isinstance(other, PadicElement):
             return NotImplemented
         self._check_same_field(other)
@@ -578,7 +577,7 @@ class PadicElement:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def _scale_rational(self, value: Fraction) -> "PadicElement":
+    def _scale_rational(self, value: Rational) -> "PadicElement":
         """Exact multiplication by a rational scalar; relative precision kept."""
         if value == 0:
             return PadicElement.zero(self.field, self.abs_prec)
@@ -606,7 +605,7 @@ class PadicElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scale_rational(Fraction(1, 1) / Fraction(other))
+            return self._scale_rational(Fraction(other.denominator, other.numerator))
         if not isinstance(other, PadicElement):
             return NotImplemented
         return self.__mul__(other.invert())
@@ -705,7 +704,7 @@ def _coerce(template: PadicElement, value) -> PadicElement:
     if isinstance(value, PadicElement):
         return value
     if isinstance(value, (int, Fraction)):
-        return PadicElement.from_rational(template.field, Fraction(value),
+        return PadicElement.from_rational(template.field, value,
                                           template.abs_prec + abs(template.shift) + 8)
     return NotImplemented
 
@@ -763,24 +762,28 @@ def valuation(a: PadicElement) -> ValuationResult:
     return a.valuation()
 
 
+def _lambda_digits(lam: Rational, e: int) -> int:
+    """lambda * e, the pi-unit form of a scaling lambda >= 0 in (1/e)Z."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    depth, rem = divmod(lam.numerator * e, lam.denominator)
+    if rem:
+        raise ValueError(f"lambda {lam} is not in the value group (1/{e})Z")
+    return depth
+
+
 def rv_class(a: PadicElement, lam: Rational) -> RVClass:
     """Leading-term class of a at scaling lambda.
 
     Two elements share a class iff v(x - y) > v(x) + lambda.  lambda must be
     a non-negative element of the value group (1/e)Z.
     """
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    depth = lam * a.field.e
-    if depth.denominator != 1:
-        raise ValueError(f"lambda {lam} is not in the value group (1/{a.field.e})Z")
+    count = _lambda_digits(lam, a.field.e) + 1
     if a.is_zero:
         raise ZeroElement("rv undefined on an imprecise zero")
-    count = int(depth) + 1
     if count > a.rel_prec:
         raise InsufficientPrecision(
             f"need {count} unit digits, have {a.rel_prec}")
     digits = tuple(a.pi_digits(count))
     return RVClass(valuation=Fraction(a.shift, a.field.e),
-                   leading_digits=digits, lam=lam)
+                   leading_digits=digits, lam=Fraction(lam))

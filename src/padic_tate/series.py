@@ -42,14 +42,13 @@ def _exp_truncation(shift: int, e: int, p: int, target: int) -> int:
     """Smallest T with n*shift - e*v_p(n!) >= target for every n > T.
 
     Valid because the per-term lower bound n*shift - e*(n-1)/(p-1) is
-    strictly increasing on the convergence domain shift/e > 1/(p-1).
+    strictly increasing on the convergence domain shift/e > 1/(p-1); the
+    bound at n + 1 is compared after multiplying through by p - 1.
     """
     n = 1
-    while True:
-        phi_next = Fraction((n + 1) * shift) - Fraction(e * n, p - 1)
-        if phi_next >= target:
-            return n
+    while ((n + 1) * shift - target) * (p - 1) < e * n:
         n += 1
+    return n
 
 
 def _log_truncation(shift: int, e: int, p: int, target: int) -> int:
@@ -96,17 +95,17 @@ def p_exp(x: Evaluable) -> Evaluable:
     val = _value_part(x)
     field = val.field
     p, e = field.p, field.e
-    radius = Fraction(1, p - 1)
     target = val.abs_prec
+    # v = shift/e > 1/(p-1), tested as shift*(p-1) > e
     if val.is_zero:
-        if Fraction(val.abs_prec, e) > radius:
+        if val.abs_prec * (p - 1) > e:
             one = PadicElement.one(field, val.abs_prec)
             return DualElement(one, one) if isinstance(x, DualElement) else one
         raise OutsideConvergenceDomain(
             "argument is an imprecise zero whose bound does not clear 1/(p-1)")
-    if Fraction(val.shift, e) <= radius:
+    if val.shift * (p - 1) <= e:
         raise OutsideConvergenceDomain(
-            f"v(x) = {Fraction(val.shift, e)} is not > 1/(p-1) = {radius}")
+            f"v(x) = {Fraction(val.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
     T = _exp_truncation(val.shift, e, p, target)
     acc = _one_like(x, target)
     term = acc
@@ -123,21 +122,20 @@ def p_log(y: Evaluable) -> Evaluable:
     val = _value_part(y)
     field = val.field
     p, e = field.p, field.e
-    radius = Fraction(1, p - 1)
     t = y - _one_like(y, val.abs_prec + abs(val.shift) + 4)
     tval = _value_part(t)
     target = tval.abs_prec
     if tval.is_zero:
-        if Fraction(tval.abs_prec, e) > radius:
+        if tval.abs_prec * (p - 1) > e:
             zero = PadicElement.zero(field, tval.abs_prec)
             if isinstance(y, DualElement):
                 return DualElement(zero, y.deriv.truncate(tval.abs_prec))
             return zero
         raise OutsideConvergenceDomain(
             "y - 1 is an imprecise zero whose bound does not clear 1/(p-1)")
-    if Fraction(tval.shift, e) <= radius:
+    if tval.shift * (p - 1) <= e:
         raise OutsideConvergenceDomain(
-            f"v(y-1) = {Fraction(tval.shift, e)} is not > 1/(p-1) = {radius}")
+            f"v(y-1) = {Fraction(tval.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
     T = _log_truncation(tval.shift, e, p, target)
     acc = t
     power = t

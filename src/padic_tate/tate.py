@@ -40,6 +40,8 @@ from .field import PadicElement, ValuationResult
 Evaluable = Union[PadicElement, DualElement]
 
 DEFAULT_SLACK = 10
+# agreement reported for two identity points, which are equal by kind
+_UNBOUNDED_AGREEMENT = ValuationResult("at_least", Fraction(10 ** 9))
 
 
 @dataclass(frozen=True)
@@ -201,22 +203,24 @@ def phi(curve: TateCurve, u: PadicElement, slack: int = DEFAULT_SLACK) -> TatePo
     return TatePoint.affine(x, y)
 
 
-def curve_equation_residual(curve: TateCurve, point: TatePoint) -> ValuationResult:
-    """Valuation of y^2 + xy - x^3 - a4 x - a6 at an affine point."""
+def _equation_residual(curve: TateCurve, point: TatePoint) -> PadicElement:
     if point.is_identity:
         raise ValueError("identity point has no affine residual")
     x, y = point.x, point.y
-    res = y * y + x * y - x * x * x - curve.a4 * x - curve.a6
-    return res.valuation()
+    return y * y + x * y - x * x * x - curve.a4 * x - curve.a6
+
+
+def curve_equation_residual(curve: TateCurve, point: TatePoint) -> ValuationResult:
+    """Valuation of y^2 + xy - x^3 - a4 x - a6 at an affine point."""
+    return _equation_residual(curve, point).valuation()
 
 
 def _assert_on_curve(curve: TateCurve, point: TatePoint, slack: int) -> None:
     if point.is_identity:
         return
-    res = curve_equation_residual(curve, point)
-    threshold = Fraction(max(0, point.prec - slack), curve.q.field.e)
-    if res.is_exact and res.value < threshold:
-        raise OffCurveInput(f"curve equation residual has valuation {res}")
+    res = _equation_residual(curve, point)
+    if not res.is_zero and res.shift < max(0, point.prec - slack):
+        raise OffCurveInput(f"curve equation residual has valuation {res.valuation()}")
 
 
 def curve_neg(curve: TateCurve, point: TatePoint) -> TatePoint:
@@ -260,15 +264,13 @@ def curve_add(curve: TateCurve, P: TatePoint, Q: TatePoint,
 def point_difference_valuation(P: TatePoint, Q: TatePoint) -> ValuationResult:
     """Coordinatewise agreement of two affine points, as a valuation bound."""
     if P.is_identity and Q.is_identity:
-        # equal by kind; report an effectively unbounded agreement
-        return ValuationResult("at_least", Fraction(10 ** 9))
+        return _UNBOUNDED_AGREEMENT
     if P.is_identity or Q.is_identity:
         raise ValueError("cannot compare an affine point with the identity")
-    vx = (P.x - Q.x).valuation()
-    vy = (P.y - Q.y).valuation()
-    lo = min(vx.value, vy.value)
-    exact = (vx.is_exact and vx.value == lo) or (vy.is_exact and vy.value == lo)
-    return ValuationResult("exact" if exact else "at_least", lo)
+    dx, dy = P.x - Q.x, P.y - Q.y
+    lo = min(dx.shift, dy.shift)
+    exact = any(not d.is_zero and d.shift == lo for d in (dx, dy))
+    return ValuationResult("exact" if exact else "at_least", Fraction(lo, dx.field.e))
 
 
 def j_invariant(curve: TateCurve) -> PadicElement:

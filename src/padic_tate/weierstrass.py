@@ -70,9 +70,6 @@ class StrictSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def degree_in(self, var: int) -> int:
         return max((e[var] for e in self.coeffs), default=0)
 
@@ -127,12 +124,16 @@ class StrictSeries:
         return " + ".join(bits)
 
 
+def _gauss_shift(f: StrictSeries) -> int:
+    """The Gauss valuation in pi-units: the least coefficient shift, or the
+    bound coeff_prec when f vanishes mod pi^coeff_prec."""
+    return min((c.shift for c in f.coeffs.values()), default=f.coeff_prec)
+
+
 def gauss_valuation(f: StrictSeries) -> ValuationResult:
     """Minimum coefficient valuation; a lower bound when f vanishes mod pi^N."""
-    if f.is_zero:
-        return ValuationResult("at_least", Fraction(f.coeff_prec, f.field.e))
-    best = min(Fraction(c.shift, f.field.e) for c in f.coeffs.values())
-    return ValuationResult("exact", best)
+    return ValuationResult("at_least" if f.is_zero else "exact",
+                           Fraction(_gauss_shift(f), f.field.e))
 
 
 def _split_regular(f: StrictSeries, active: int):
@@ -180,10 +181,8 @@ def _split_regular(f: StrictSeries, active: int):
     w_terms[top] = one
     w = StrictSeries.build(f.nvars, f.field, w_terms, f.degree_cap, f.coeff_prec)
     eps = f - w
-    if not eps.is_zero:
-        gv = gauss_valuation(eps)
-        if gv.is_exact and gv.value <= 0:
-            return None
+    if not eps.is_zero and _gauss_shift(eps) <= 0:
+        return None
     return d, w, eps
 
 
@@ -227,9 +226,9 @@ def weierstrass_divide(g: StrictSeries, f: StrictSeries, active: int,
     d, w, eps = split
     if eps.is_zero:
         return _poly_divmod(g, w, active, d)
-    gamma = gauss_valuation(eps).value * f.field.e     # pi-units, integer > 0
+    gamma = _gauss_shift(eps)
     assert gamma > 0
-    iterations = -(-prec // int(gamma)) + 1
+    iterations = -(-prec // gamma) + 1
     q = initial if initial is not None else StrictSeries.zero(g.nvars, g.field, cap, prec)
     r = StrictSeries.zero(g.nvars, g.field, cap, prec)
     prev = q
@@ -237,11 +236,11 @@ def weierstrass_divide(g: StrictSeries, f: StrictSeries, active: int,
         work = g - q * eps
         q_next, r_next = _poly_divmod(work, w, active, d)
         if check_rate and k:
-            gap = gauss_valuation(q_next - prev)
-            floor = min(prec, k * int(gamma))
-            if not gap.at_least(Fraction(floor, f.field.e)):
-                raise AssertionError(
-                    f"contraction too slow: {gap} after {k} passes (need {floor} pi-digits)")
+            gap = q_next - prev
+            floor = min(prec, k * gamma)
+            if _gauss_shift(gap) < floor:
+                raise AssertionError(f"contraction too slow: {gauss_valuation(gap)} "
+                                     f"after {k} passes (need {floor} pi-digits)")
         if q_next.is_indistinguishable(prev) and k:
             return q_next, r_next
         prev, q, r = q_next, q_next, r_next

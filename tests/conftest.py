@@ -1,6 +1,27 @@
+from fractions import Fraction
+
 import pytest
 
 from padic_tate.field import make_field
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """counted(call) -> (number of Fraction objects call builds, its result)."""
+    count = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+
+    def counted(call):
+        count[0] = 0
+        result = call()
+        return count[0], result
+    return counted
 
 
 @pytest.fixture(scope="session")

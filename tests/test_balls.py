@@ -40,6 +40,15 @@ class TestBallNext:
 
 
 class TestSameBall:
+    @pytest.mark.parametrize("centers", [[0], [0, 1, 2, 3]], ids=["C1", "C4"])
+    def test_fraction_count(self, Q5, fractions_built, centers):
+        # valuations are compared as integers in pi-units
+        C = ints(Q5, *centers)
+        x, y = ints(Q5, 5, 5 + 5 ** 10)
+        lam = Fraction(1)
+        built, same = fractions_built(lambda: same_ball(C, lam, x, y))
+        assert same is True and built <= 1
+
     def test_worked_true(self, Q5):
         (zero, x, y) = ints(Q5, 0, 5, 30)
         # v(x-y) = 2 > 0 + v(5) = 1

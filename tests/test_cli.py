@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -118,6 +119,31 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+    # the eisenstein rows sit each valuation comparison at its exact boundary
+    @pytest.mark.parametrize("argv, code, message", [
+        (["exp", "--x", "1"], 2, "error: v(x) = 0 is not > 1/(p-1) = 1/4"),
+        (["exp", "--x", "pi", "--ext", "eisenstein:e=4,c=-1"], 2,
+         "error: v(x) = 1/4 is not > 1/(p-1) = 1/4"),
+        (["log", "--y", "1+pi", "--ext", "eisenstein:e=4,c=-1"], 2,
+         "error: v(y-1) = 1/4 is not > 1/(p-1) = 1/4"),
+        (["balls", "same", "--C", "0", "--x", "pi^3", "--y", "pi^3+O(pi^4)",
+          "--lambda", "1/2", "--ext", "eisenstein:e=2,c=1"], 3,
+         "precision error: v(x-y) >= 2 cannot be compared with 2"),
+        (["balls", "next", "--C", "pi", "--x", "pi+O(pi^3)", "--lambda", "1/2",
+          "--ext", "eisenstein:e=2,c=1"], 2,
+         "error: point is indistinguishable from a member of C (v >= 3/2)"),
+        (["rv", "--x", "pi", "--lambda", "1/3", "--ext", "eisenstein:e=2,c=1"], 2,
+         "usage error: lambda 1/3 is not in the value group (1/2)Z"),
+        (["rv", "--x", "5", "--lambda", "-1"], 2, "usage error: lambda must be >= 0"),
+        (["tate", "add", "--q", "5^2", "--x1", "1", "--y1", "1", "--x2", "2", "--y2", "3"], 2,
+         "error: curve equation residual has valuation 0"),
+    ], ids=["exp-domain", "exp-boundary", "log-boundary", "same-imprecise",
+            "next-member-of-C", "rv-value-group", "rv-negative", "add-off-curve"])
+    def test_error_message(self, capsys, argv, code, message):
+        assert main(argv) == code
+        assert capsys.readouterr().err == message + "\n"
+
+
 class TestFileFormats:
     def test_matrix_file_and_inline_agree(self, tmp_path, capsys):
         mat = tmp_path / "m.json"
@@ -180,6 +206,20 @@ class TestHarnessCommand:
         _, out1 = run_cli(capsys, *args)
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
+        assert hashlib.sha256(out1.encode()).hexdigest() == (
+            "2b6d06e568e70e0af79905a5a250e686aedcc8b221a55167f2d18f426a9ccac8")
+
+    # SHA-256 of each report at seed 0; a change that alters a report on
+    # purpose records the new digest here
+    @pytest.mark.parametrize("suite, digest", [
+        ("tate", "e300a5ca96eba330f0e8711e70d8b0887cd95c2c8fb888c74b946d16a88e5e56"),
+        ("exp", "2d2e1e50d2afcd9a0ce151bbfd65259c7e21ec3d93c0026bbd097d30e24bdd5b"),
+        ("weierstrass", "8e1e120aded9b4d85dedb853d00543dde1f99d33dd7e92ed94a239a948d9ee37"),
+    ])
+    def test_report_digest(self, capsys, suite, digest):
+        _, out = run_cli(capsys, "harness", "--suite", suite, "--seed", "0",
+                         "--format", "structured")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPointRoundTrip:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padic_tate import field as field_mod
 from padic_tate.errors import (
     DivisionByImpreciseZero,
     FieldMismatch,
@@ -226,6 +227,32 @@ class TestPrecision:
         a = PadicElement.from_int(Q5, 25, 10)      # shift 2
         b = PadicElement.from_int(Q5, 5, 7)        # shift 1
         assert (a * b).abs_prec == min(10 + 1, 7 + 2)
+
+    @pytest.mark.parametrize("name", ["Q5", "E54", "U22"])
+    def test_add_skips_summand_beyond_precision(self, request, monkeypatch, name):
+        # y vanishes modulo pi^prec, so x + y is x truncated to prec and y is
+        # never multiplied out by pi^(shift gap)
+        field = request.getfixturevalue(name)
+        pairs = []
+        for i in range(20):
+            rng = stream(11, "add-skip", name, i)
+            x = random_element(rng, field, 20, 0, 3)
+            y = random_element(rng, field, 80, 20, 40)
+            gap = field_mod._shift_vec(field, y.coeffs, y.shift - x.shift)
+            full = field_mod._make(field, x.shift,
+                                   [a + b for a, b in zip(x.coeffs, gap)], 20)
+            pairs.append((x, y, full))
+        calls = []
+        shift_vec = field_mod._shift_vec
+
+        def counting_shift_vec(*args):
+            calls.append(args)
+            return shift_vec(*args)
+
+        monkeypatch.setattr(field_mod, "_shift_vec", counting_shift_vec)
+        for x, y, full in pairs:
+            assert x + y == y + x == x.truncate(20) == full
+        assert calls == []
 
     def test_cancellation_gives_imprecise_zero(self, Q5):
         a = PadicElement.from_int(Q5, 7, 8)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from padic_tate.errors import OutsideConvergenceDomain
 from padic_tate.field import PadicElement
 from padic_tate.prng import random_element, stream
 from padic_tate.series import (
+    _exp_truncation,
     dual_eval,
     factorial_valuation,
     p_exp,
@@ -71,6 +73,16 @@ class TestExp:
             p_exp(PadicElement.one(Q5, 10))            # v = 0
         with pytest.raises(OutsideConvergenceDomain):
             p_exp(PadicElement.uniformizer(E54, 12))   # v = 1/4 boundary
+
+    def test_truncation_matches_rational_bound(self):
+        # the integer loop against the rational per-term bound it stands for:
+        # T is the least n with (n+1)*shift - e*n/(p-1) >= target
+        for p, e in itertools.product((2, 3, 5, 7), (1, 2, 3, 4, 6)):
+            lo = e // (p - 1) + 1                   # least shift with shift/e > 1/(p-1)
+            for shift, target in itertools.product(range(lo, lo + 5), range(1, 60)):
+                want = next(n for n in itertools.count(1)
+                            if Fraction((n + 1) * shift) - Fraction(e * n, p - 1) >= target)
+                assert _exp_truncation(shift, e, p, target) == want
 
     def test_image_valuation_exact(self, Q5, E54):
         for field, lo in ((Q5, 1), (E54, 2)):
