@@ -85,6 +85,8 @@ class DualElement:
 
     def __rtruediv__(self, other):
         o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
         return o.__mul__(self.invert())
 
     def __pow__(self, n: int):

@@ -298,9 +298,15 @@ def _moduli(field: FieldDescriptor, rel_prec: int) -> list[int]:
 
 
 def _reduce_vec(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tuple[int, ...]:
-    p = field.p
-    return tuple(v % (p ** k) if k > 0 else 0
-                 for v, k in zip(vec, _moduli(field, rel_prec)))
+    """vec, a full coefficient vector, reduced modulo pi^rel_prec."""
+    if field.kind == "eisenstein":
+        p = field.p
+        return tuple(v % (p ** k) if k > 0 else 0
+                     for v, k in zip(vec, _moduli(field, rel_prec)))
+    if rel_prec <= 0:
+        return (0,) * len(vec)
+    mod = field.p ** rel_prec
+    return tuple(v % mod for v in vec)
 
 
 def _vec_val(field: FieldDescriptor, vec: Sequence[int]) -> Optional[int]:
@@ -523,7 +529,7 @@ class PadicElement:
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same_field(self, other: "PadicElement") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other):
@@ -588,7 +594,7 @@ class PadicElement:
             return PadicElement.zero(self.field, self.abs_prec + shift)
         rel = self.rel_prec
         mod = p ** max(_moduli(self.field, rel))
-        unit = (num * pow(den, -1, mod)) % mod
+        unit = num % mod if den == 1 else (num * pow(den, -1, mod)) % mod
         if self.field.kind == "eisenstein" and w:
             # p^w = pi^(e*w) * c^(-w)
             unit = (unit * pow(self.field.eis_unit, -w, mod)) % mod

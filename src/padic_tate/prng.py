@@ -35,8 +35,13 @@ def random_unit(rng: random.Random, field: FieldDescriptor, prec: int) -> PadicE
 
 def random_element(rng: random.Random, field: FieldDescriptor, prec: int,
                    min_shift: int = 0, max_shift: int = 0) -> PadicElement:
-    """Uniform digits at a uniform shift in [min_shift, max_shift]."""
+    """Uniform digits at a uniform shift in [min_shift, max_shift].
+
+    Every shift must leave a digit below prec, so max_shift >= prec raises
+    ValueError before anything is drawn from rng.
+    """
+    if max_shift >= prec:
+        raise ValueError(f"max_shift {max_shift} must be below prec {prec}")
     shift = rng.randint(min_shift, max_shift)
-    unit = random_unit(rng, field, max(1, prec - shift))
-    value = PadicElement(field, shift, unit.coeffs, prec)
-    return value
+    unit = random_unit(rng, field, prec - shift)
+    return PadicElement(field, shift, unit.coeffs, prec)

@@ -16,6 +16,13 @@ Points are produced by the map u -> (X(q,u), Y(q,u)) with
 Every q^(km) piece of the m-th summand has valuation at least
 km (v(q) - v(u)), so m <= ceil(N / (v(q) - v(u))) terms reach precision N;
 evaluation always reduces u to the fundamental domain 0 <= v(u) < v(q) first.
+
+The derivative X' comes from running the same series on the dual number
+u + eps.  verify_ode and relation_residual both need (X, Y, X') at one u, so
+each TateCurve also remembers its last dual evaluation, keyed on (u, slack):
+u compares by field, shift, coefficients and absolute precision, so another
+u, field, precision or slack recomputes.  The entry is replaced by one item
+assignment, so a concurrent reader sees a key with its own result.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ class TateCurve:
     prec: int
     # q^m / (1 - q^m) for m = 1, 2, ..., as far as any sum has asked
     weights: list = field(default_factory=list, init=False, compare=False, repr=False)
+    # [((u, slack), (X, Y, X'))] of the last tate_xy_with_derivative call
+    memo: list = field(default_factory=lambda: [None], init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -97,15 +106,20 @@ def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],
     """sum_{m=1..terms} coeff(m) q^m / (1 - q^m), known at most to pi^target.
 
     weights holds q^m / (1 - q^m) for m = 1, 2, ... at this (q, target); it is
-    extended in place to ``terms`` entries, each weight computed once.
+    extended in place to ``terms`` entries, each weight computed once.  The
+    new entries go in by one slice assignment, so a concurrent extension of
+    the same list rewrites equal values at the same places.
     """
-    if terms > len(weights):
+    start = len(weights)
+    if terms > start:
         one = PadicElement.one(q.field, target + q.shift)
         qm = one
+        tail = []
         for m in range(1, terms + 1):
             qm = qm * q
-            if m > len(weights):
-                weights.append(qm / (one - qm))
+            if m > start:
+                tail.append(qm / (one - qm))
+        weights[start:terms] = tail
     acc = PadicElement.zero(q.field, target)
     for m in range(1, terms + 1):
         acc = coeff(m) * weights[m - 1] + acc
@@ -292,9 +306,21 @@ def curve_discriminant(curve: TateCurve) -> PadicElement:
 
 def tate_xy_with_derivative(curve: TateCurve, u: PadicElement,
                             slack: int = DEFAULT_SLACK):
-    """(X, Y, X') at u via dual-number evaluation of the series."""
+    """(X, Y, X') at u via dual-number evaluation of the series.
+
+    The curve keeps one entry, the last (u, slack) and its result, so a
+    second call at the same u (verify_ode then relation_residual) reuses
+    it; u must be equal as an element, field and absolute precision
+    included.  Calls that raise leave the entry unchanged.
+    """
+    key = (u, slack)
+    last = curve.memo[0]
+    if last is not None and last[0] == key:
+        return last[1]
     xd, yd = tate_series_point(curve, DualElement.seed(u), slack=slack)
-    return xd.value, yd.value, xd.deriv
+    out = (xd.value, yd.value, xd.deriv)
+    curve.memo[0] = (key, out)
+    return out
 
 
 def relation_residual(curve: TateCurve, u: PadicElement,

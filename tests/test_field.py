@@ -129,6 +129,22 @@ class TestArithmeticExamples:
         b = PadicElement.one(Q3, 5)
         with pytest.raises(FieldMismatch):
             arithmetic("add", a, b)
+        c = PadicElement.one(make_field(7), 5)
+        for op in ("add", "sub", "mul", "div"):
+            with pytest.raises(FieldMismatch):
+                arithmetic(op, a, c)
+
+    @pytest.mark.parametrize("kind, kwargs", [
+        ("base", {}), ("eisenstein", {"e": 4, "c": -1}), ("unramified", {"f": 2})])
+    def test_equal_descriptors_interoperate(self, kind, kwargs):
+        # separate make_field calls give equal, not identical, descriptors
+        a, b = make_field(5, kind, **kwargs), make_field(5, kind, **kwargs)
+        assert a is not b and a == b
+        x = random_element(stream(0, "interop", kind), a, 12, 0, 3)
+        y = random_element(stream(1, "interop", kind), b, 12, 0, 3)
+        y_a = PadicElement(a, y.shift, y.coeffs, y.abs_prec)
+        for op in ("add", "sub", "mul", "div"):
+            assert arithmetic(op, x, y) == arithmetic(op, x, y_a)
 
     def test_division_by_imprecise_zero(self, Q5):
         a = PadicElement.one(Q5, 8)
@@ -274,6 +290,61 @@ class TestPrecision:
                 hi = expr(*inputs)
                 lo = expr(*(v.truncate(16) for v in inputs))
                 assert lo.is_indistinguishable(hi.truncate(lo.abs_prec))
+
+
+def _reduce_by_moduli(field, vec, rel_prec):
+    """vec reduced entry by entry modulo p^k, k from _moduli."""
+    p = field.p
+    return tuple(v % (p ** k) if k > 0 else 0
+                 for v, k in zip(vec, field_mod._moduli(field, rel_prec)))
+
+
+def _scale_through_inverse(x, value):
+    """x * value with the denominator inverted by pow even when it is 1."""
+    field = x.field
+    if value == 0:
+        return PadicElement.zero(field, x.abs_prec)
+    w, num, den = field_mod._split_rational(value, field.p)
+    shift = w * field.e
+    if x.is_zero:
+        return PadicElement.zero(field, x.abs_prec + shift)
+    mod = field.p ** max(field_mod._moduli(field, x.rel_prec))
+    unit = num * pow(den, -1, mod) % mod
+    if field.kind == "eisenstein" and w:
+        unit = unit * pow(field.eis_unit, -w, mod) % mod
+    vec = _reduce_by_moduli(field, [unit * c for c in x.coeffs], x.rel_prec)
+    return PadicElement(field, x.shift + shift, vec, x.abs_prec + shift)
+
+
+class TestFastPathsMatchGeneralFormulas:
+    @pytest.mark.parametrize("p, kind, kwargs", [
+        (5, "base", {}), (2, "base", {}), (2, "unramified", {"f": 2}),
+        (3, "unramified", {"f": 3}), (5, "eisenstein", {"e": 3, "c": 2})])
+    def test_reduce_vec(self, p, kind, kwargs):
+        field = make_field(p, kind, **kwargs)
+        rng = stream(0, "reduce-vec", p, kind)
+        bound = p ** 60
+        for rel in range(-2, 51):
+            for _ in range(8):
+                vec = [rng.choice((0, rng.randrange(-bound, bound), rng.randrange(-p, p)))
+                       for _ in range(field.coeff_len)]
+                assert field_mod._reduce_vec(field, vec, rel) == _reduce_by_moduli(field, vec, rel)
+
+    @pytest.mark.parametrize("p, kind, kwargs", [
+        (5, "base", {}), (2, "base", {}), (5, "eisenstein", {"e": 4, "c": -1}),
+        (5, "eisenstein", {"e": 3, "c": 2}), (2, "unramified", {"f": 2}),
+        (3, "unramified", {"f": 3})])
+    def test_integer_scale(self, p, kind, kwargs):
+        field = make_field(p, kind, **kwargs)
+        xs = [random_element(stream(i, "int-scale", p, kind), field, 20, 0, 4)
+              for i in range(6)] + [PadicElement.zero(field, 20)]
+        for x in xs:
+            for m in (0, 1, -1, 3 * p ** 2, -p, p + 1, -(p + 1)):
+                got = x * m
+                want = _scale_through_inverse(x, Fraction(m))
+                assert (got.shift, got.coeffs, got.abs_prec) == \
+                    (want.shift, want.coeffs, want.abs_prec)
+                assert got == x * Fraction(m) == m * x
 
 
 class TestSeededProperties:

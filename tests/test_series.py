@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,14 @@ class TestDual:
         xi = PadicElement.from_int(Q5, 7, 12).invert()
         want = PadicElement.one(Q5, 12) - xi * xi
         assert r.deriv.is_indistinguishable(want)
+
+    @pytest.mark.parametrize("op", [operator.truediv, operator.sub], ids=["div", "sub"])
+    def test_unsupported_left_operand(self, Q5, op):
+        x = PadicElement.from_int(Q5, 7, 12)
+        for operand in (x, DualElement.seed(x)):
+            name = type(operand).__name__
+            with pytest.raises(TypeError, match=f"'str' and '{name}'"):
+                op("a", operand)
 
     def test_against_symmetric_difference(self, Q5):
         # (exp(x+h) - exp(x-h)) / 2h = exp'(x) + h^2/6 exp'''(x) + ...

@@ -1,8 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from padic_tate.errors import NonpositiveValuation, OnKernel
+from padic_tate import tate as tate_mod
+from padic_tate.errors import FieldMismatch, InsufficientPrecision, NonpositiveValuation, OnKernel
 from padic_tate.field import PadicElement, make_field
 from padic_tate.prng import random_unit, stream
 from padic_tate.tate import (
@@ -180,6 +183,24 @@ class TestLambertWeights:
         q = PadicElement.from_int(Q5, 5 ** 600, 640)
         assert inversions(lambda: curve_coefficients(q))[0] == 2
 
+    def test_interleaved_extension_keeps_order(self, monkeypatch, Q5):
+        # a second extension of the same list lands while the first is still
+        # computing, as with two threads sharing one curve
+        q = PadicElement.from_int(Q5, 25, 40)
+        want = []
+        tate_mod._lambert(q, want, lambda m: 1, 40, 40)
+        weights, div, started = [], PadicElement.__truediv__, []
+
+        def interleaving_div(self, other):
+            if not started:
+                started.append(True)
+                tate_mod._lambert(q, weights, lambda m: 1, 20, 40)
+            return div(self, other)
+
+        monkeypatch.setattr(PadicElement, "__truediv__", interleaving_div)
+        tate_mod._lambert(q, weights, lambda m: 1, 40, 40)
+        assert weights == want
+
     @pytest.mark.parametrize("order", [(7, 50), (50, 7)], ids=["v0-first", "v2-first"])
     def test_shared_weights_match_fresh_curve(self, Q5, order):
         q = PadicElement.from_int(Q5, 125, 40)
@@ -195,6 +216,120 @@ class TestLambertWeights:
         assert len(fresh.weights) == 14
         assert curve == fresh and hash(curve) == hash(fresh)
         assert "weights" not in repr(curve) and repr(curve) == repr(fresh)
+
+
+class TestDualMemo:
+    """verify_ode and relation_residual at one (u, slack) share one dual
+    evaluation; any other u, precision, slack or curve recomputes."""
+
+    @pytest.fixture
+    def series_calls(self, monkeypatch):
+        count = [0]
+        series = tate_mod.tate_series_point
+
+        def counting_series(*args, **kwargs):
+            count[0] += 1
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(tate_mod, "tate_series_point", counting_series)
+
+        def counted(call):
+            count[0] = 0
+            result = call()
+            return count[0], result
+        return counted
+
+    @pytest.fixture
+    def curve(self, Q5):
+        return curve_coefficients(PadicElement.from_int(Q5, 25, 40))
+
+    @pytest.mark.parametrize("n", [7, 35], ids=["v0", "v1"])
+    def test_ode_then_relation_evaluates_once(self, series_calls, curve, Q5, n):
+        u = PadicElement.from_int(Q5, n, 40)
+        calls, (ode, rel) = series_calls(
+            lambda: (verify_ode(curve, u), relation_residual(curve, u)))
+        assert calls == 1
+        assert series_calls(lambda: tate_xy_with_derivative(curve, u))[0] == 0
+        fresh = curve_coefficients(curve.q)
+        assert ode == verify_ode(fresh, u) and rel == relation_residual(fresh, u)
+        assert tate_xy_with_derivative(curve, u) == tate_xy_with_derivative(fresh, u)
+
+    @pytest.mark.parametrize("other", ["u", "abs_prec", "slack", "curve"])
+    def test_other_key_recomputes(self, series_calls, curve, Q5, other):
+        u = PadicElement.from_int(Q5, 7, 40)
+        verify_ode(curve, u)
+        c2, u2, slack2 = curve, u, 10
+        if other == "u":
+            u2 = PadicElement.from_int(Q5, 8, 40)
+        elif other == "abs_prec":
+            u2 = PadicElement.from_int(Q5, 7, 39)
+        elif other == "slack":
+            slack2 = 9
+        else:
+            c2 = curve_coefficients(curve.q)
+        calls, got = series_calls(lambda: tate_xy_with_derivative(c2, u2, slack=slack2))
+        assert calls == 1
+        assert got == tate_xy_with_derivative(curve_coefficients(curve.q), u2, slack=slack2)
+        # one entry per curve: on the same curve the second key replaced the first
+        back = series_calls(lambda: tate_xy_with_derivative(curve, u))[0]
+        assert back == (0 if other == "curve" else 1)
+
+    def test_other_field_raises_and_is_not_memoised(self, series_calls, curve, Q5):
+        u = PadicElement.from_int(Q5, 3, 40)
+        want = tate_xy_with_derivative(curve, u)
+        alien = PadicElement(make_field(7), u.shift, u.coeffs, u.abs_prec)
+        for _ in range(2):
+            with pytest.raises(FieldMismatch):
+                verify_ode(curve, alien)
+        near_one = PadicElement.from_int(Q5, 1 + 5 ** 12, 40)
+        calls, _ = series_calls(lambda: pytest.raises(
+            InsufficientPrecision, tate_xy_with_derivative, curve, near_one))
+        assert calls == 1
+        assert series_calls(lambda: tate_xy_with_derivative(curve, u)) == (0, want)
+
+    def test_shared_curve_across_threads(self, Q5):
+        # more threads than cores and a short switch interval, so that memo
+        # reads and writes and weight extensions on one curve interleave
+        q = PadicElement.from_int(Q5, 125, 40)
+        us = [PadicElement.from_int(Q5, n, 40) for n in (7, 35, 50, 8)]
+        want = {n: tate_xy_with_derivative(curve_coefficients(q), u)
+                for n, u in enumerate(us)}
+        shared = curve_coefficients(q)
+        errors = []
+
+        def work(k):
+            try:
+                for i in range(8):
+                    n = (i + k) % len(us)
+                    if tate_xy_with_derivative(shared, us[n]) != want[n]:
+                        errors.append((k, i))
+            except Exception as exc:        # reported through errors below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        fresh = []
+        tate_mod._lambert(q, fresh, lambda m: 1, len(shared.weights), q.abs_prec)
+        assert shared.weights == fresh
+
+    def test_eq_hash_repr_unchanged(self, curve, Q5):
+        fresh = curve_coefficients(curve.q)
+        before = (hash(curve), repr(curve))
+        relation_residual(curve, PadicElement.from_int(Q5, 7, 40))
+        assert curve.memo[0] is not None and fresh.memo[0] is None
+        assert curve == fresh and (hash(curve), repr(curve)) == before
+        assert hash(fresh) == before[0] and repr(fresh) == before[1]
+        assert "memo" not in repr(curve)
 
 
 class TestPhi:
