@@ -4,6 +4,10 @@ A DualElement is value + deriv*eps with eps^2 = 0; every ring operation
 satisfies the Leibniz rule by construction, so running an analytic
 evaluator on DualElement(x, 1) returns the function value together with
 its derivative at x.
+
+A PadicElement, int or Fraction operand is a constant whose derivative is
+exactly zero, not a zero known to some precision: d + c keeps d.deriv
+unchanged and d * c has derivative d.deriv * c.
 """
 
 from __future__ import annotations
@@ -11,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import PadicElement, _binary_power, _coerce
+from .field import PadicElement, _binary_power
+
+# operands whose derivative is exactly zero
+_CONSTANT = (PadicElement, int, Fraction)
 
 
 def _value_part(x: PadicElement | DualElement) -> PadicElement:
@@ -32,19 +39,16 @@ class DualElement:
     def constant(x: PadicElement) -> "DualElement":
         return DualElement(x, PadicElement.zero(x.field, x.abs_prec))
 
-    def _lift(self, other) -> "DualElement":
-        if isinstance(other, DualElement):
-            return other
-        other = _coerce(self.value, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DualElement.constant(other)
+    def truncate(self, prec: int) -> "DualElement":
+        """Forget digits of value and derivative beyond pi^prec."""
+        return DualElement(self.value.truncate(prec), self.deriv.truncate(prec))
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return DualElement(self.value + o.value, self.deriv + o.deriv)
+        if isinstance(other, DualElement):
+            return DualElement(self.value + other.value, self.deriv + other.deriv)
+        if isinstance(other, _CONSTANT):
+            return DualElement(self.value + other, self.deriv)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -52,22 +56,22 @@ class DualElement:
         return DualElement(-self.value, -self.deriv)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return DualElement(self.value - o.value, self.deriv - o.deriv)
+        if isinstance(other, DualElement):
+            return DualElement(self.value - other.value, self.deriv - other.deriv)
+        if isinstance(other, _CONSTANT):
+            return DualElement(self.value - other, self.deriv)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, DualElement):
+            return DualElement(self.value * other.value,
+                               self.value * other.deriv + self.deriv * other.value)
+        if isinstance(other, _CONSTANT):
             return DualElement(self.value * other, self.deriv * other)
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return DualElement(self.value * o.value,
-                           self.value * o.deriv + self.deriv * o.value)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -76,18 +80,16 @@ class DualElement:
         return DualElement(iv, -(self.deriv * iv * iv))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, DualElement):
+            return self.__mul__(other.invert())
+        if isinstance(other, _CONSTANT):
             return DualElement(self.value / other, self.deriv / other)
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.__mul__(o.invert())
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__mul__(self.invert())
+        if isinstance(other, _CONSTANT):
+            return self.invert().__mul__(other)
+        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

@@ -13,6 +13,9 @@ normalised so that v(p) = 1; the value group is (1/e)*Z.  Internally a
 valuation is the integer shift in pi-units (for an imprecise zero, its lower
 bound abs_prec), and every comparison is made on those integers; the rational
 v = shift/e is built only for ValuationResult, Ball, RVClass and messages.
+An int or Fraction operand is exact: x + m, x - m and m - x keep x's
+abs_prec, and x * m and m / x keep x's relative precision; no operand is
+given a precision of its own.
 All values are immutable and all operations are pure functions.
 """
 
@@ -111,18 +114,51 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_rem(num: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    """Remainder of num modulo the monic g over F_p, trailing zeros dropped."""
-    d = len(g) - 1
-    rem = [x % p for x in num]
+def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of num by den over F_p, lists low -> high.
+
+    den's last coefficient must be nonzero mod p; the remainder drops its
+    trailing zeros.  Entries are reduced mod p only where they are read.
+    """
+    d = len(den) - 1
+    rem = list(num)
+    inv = pow(den[-1], -1, p)
+    quot = [0] * max(0, len(rem) - d)
     for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
+        c = rem[i] % p * inv % p
         if c:
-            for j in range(d + 1):
-                rem[i - d + j] = (rem[i - d + j] - c * g[j]) % p
+            quot[i - d] = c
+            for j in range(d):
+                rem[i - d + j] -= c * den[j]
+    rem = [x % p for x in rem[:d]]
     while rem and rem[-1] == 0:
         rem.pop()
-    return rem
+    return quot, rem
+
+
+def _poly_inverse(a: Sequence[int], g: Sequence[int], p: int) -> Optional[list[int]]:
+    """Inverse of a modulo g over F_p by the extended Euclidean algorithm,
+    or None when gcd(a, g) != 1.  g is reduced mod p with a nonzero last
+    coefficient and a has fewer entries than g."""
+    r0, r1 = g, [x % p for x in a]
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    s0, s1 = [], [1]                          # s_i * a = r_i mod g
+    while len(r1) > 1:
+        q, r = _poly_divmod(r0, r1, p)
+        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+        for k, c in enumerate(q):             # one scaled subtraction per term
+            if c:
+                for j, x in enumerate(s1):
+                    s[k + j] -= c * x
+        s = [x % p for x in s]
+        while s and s[-1] == 0:
+            s.pop()
+        r0, r1, s0, s1 = r1, r, s1, s
+    if not r1:                                # the gcd r0 is not constant
+        return None
+    scale = pow(r1[0], -1, p)
+    return [x * scale % p for x in s1]
 
 
 def _poly_pow_rem(a: list[int], n: int, g: Sequence[int], p: int) -> list[int]:
@@ -133,7 +169,7 @@ def _poly_pow_rem(a: list[int], n: int, g: Sequence[int], p: int) -> list[int]:
         for i, u in enumerate(x):
             for j, v in enumerate(y):
                 prod[i + j] += u * v
-        return _poly_rem(prod, g, p)
+        return _poly_divmod(prod, g, p)[1]
 
     out = [1]
     while n:
@@ -157,13 +193,8 @@ def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
     for r in range(2, f + 1):
         if f % r or not _is_prime(r):
             continue
-        a = g
-        b = _poly_rem([u - v for u, v in itertools.zip_longest(
-            frob[f // r], frob[0], fillvalue=0)], g, p)
-        while b:
-            inv = pow(b[-1], -1, p)
-            a, b = b, _poly_rem(a, [c * inv % p for c in b], p)
-        if len(a) > 1:
+        h = [u - v for u, v in itertools.zip_longest(frob[f // r], frob[0], fillvalue=0)]
+        if _poly_inverse(h, g, p) is None:
             return False
     return True
 
@@ -289,23 +320,20 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _moduli(field: FieldDescriptor, rel_prec: int) -> list[int]:
-    """p-power exponents bounding each stored coefficient of a unit part
-    known modulo pi^rel_prec."""
-    if field.kind == "eisenstein":
-        return [max(0, _ceil_div(rel_prec - i, field.e)) for i in range(field.e)]
-    return [max(0, rel_prec)] * field.f
-
-
 def _reduce_vec(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tuple[int, ...]:
-    """vec, a full coefficient vector, reduced modulo pi^rel_prec."""
+    """vec, a full coefficient vector, reduced modulo pi^rel_prec.
+
+    Eisenstein entry i (the coefficient of pi^i) is taken modulo
+    p^ceil((rel_prec - i)/e), and is 0 when i >= rel_prec.
+    """
+    p = field.p
     if field.kind == "eisenstein":
-        p = field.p
-        return tuple(v % (p ** k) if k > 0 else 0
-                     for v, k in zip(vec, _moduli(field, rel_prec)))
+        e = field.e
+        return tuple(v % p ** -((i - rel_prec) // e) if i < rel_prec else 0
+                     for i, v in enumerate(vec))
     if rel_prec <= 0:
         return (0,) * len(vec)
-    mod = field.p ** rel_prec
+    mod = p ** rel_prec
     return tuple(v % mod for v in vec)
 
 
@@ -387,41 +415,8 @@ def _residue_inverse(field: FieldDescriptor, vec: Sequence[int]) -> list[int]:
     if field.kind != "unramified":
         a0 = vec[0] % p
         return [pow(a0, -1, p)] + [0] * (field.coeff_len - 1)
-    # extended euclid in F_p[x] modulo the defining polynomial
-    r0 = [c % p for c in field.residue_poly]
-    r1 = [v % p for v in vec]
-    while r1 and r1[-1] == 0:
-        r1.pop()
-    s0, s1 = [0], [1]
-
-    def poly_sub_scaled(u, v, c, shift):
-        out = list(u) + [0] * max(0, len(v) + shift - len(u))
-        for i, x in enumerate(v):
-            out[i + shift] = (out[i + shift] - c * x) % p
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    while r1:
-        # divide r0 by r1
-        q_shifted = []
-        r = list(r0)
-        inv_lead = pow(r1[-1], -1, p)
-        while len(r) >= len(r1) and r:
-            c = (r[-1] * inv_lead) % p
-            shift = len(r) - len(r1)
-            q_shifted.append((c, shift))
-            r = poly_sub_scaled(r, r1, c, shift)
-        new_s = list(s0)
-        for c, shift in q_shifted:
-            new_s = poly_sub_scaled(new_s, s1, c, shift)
-        r0, r1 = r1, r
-        s0, s1 = s1, new_s
-    # r0 is now a nonzero constant gcd
-    scale = pow(r0[0], -1, p)
-    inv = [(scale * x) % p for x in s0]
-    inv += [0] * (field.f - len(inv))
-    return inv[: field.f]
+    inv = _poly_inverse(vec, [c % p for c in field.residue_poly], p)
+    return inv + [0] * (field.f - len(inv))
 
 
 def _vec_invert(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tuple[int, ...]:
@@ -593,7 +588,7 @@ class PadicElement:
         if self.is_zero:
             return PadicElement.zero(self.field, self.abs_prec + shift)
         rel = self.rel_prec
-        mod = p ** max(_moduli(self.field, rel))
+        mod = p ** _ceil_div(rel, self.field.e)
         unit = num % mod if den == 1 else (num * pow(den, -1, mod)) % mod
         if self.field.kind == "eisenstein" and w:
             # p^w = pi^(e*w) * c^(-w)
@@ -617,7 +612,9 @@ class PadicElement:
         return self.__mul__(other.invert())
 
     def __rtruediv__(self, other):
-        return self.invert().__mul__(_coerce(self, other))
+        if isinstance(other, (int, Fraction)):
+            return self.invert()._scale_rational(other)
+        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -661,7 +658,7 @@ class PadicElement:
                 f"{count} digits requested, {self.rel_prec} known")
         field = self.field
         p = field.p
-        work = max(_moduli(field, self.rel_prec)) + 1
+        work = _ceil_div(self.rel_prec, field.e) + 1
         vec = self.coeffs
         out = []
         while len(out) < count:
@@ -707,11 +704,12 @@ class PadicElement:
 
 
 def _coerce(template: PadicElement, value) -> PadicElement:
+    """An exact int or Fraction operand, built at the template's own abs_prec:
+    a sum keeps min(abs_prec), so no digit beyond it could survive."""
     if isinstance(value, PadicElement):
         return value
     if isinstance(value, (int, Fraction)):
-        return PadicElement.from_rational(template.field, value,
-                                          template.abs_prec + abs(template.shift) + 8)
+        return PadicElement.from_rational(template.field, value, template.abs_prec)
     return NotImplemented
 
 
@@ -737,7 +735,7 @@ def _make(field: FieldDescriptor, shift: int, vec: Sequence[int], prec: int) -> 
     if val is None or val >= rel:
         return PadicElement.zero(field, prec)
     if val:
-        out = _shift_vec(field, reduced, -val, max(_moduli(field, rel)) + 1)
+        out = _shift_vec(field, reduced, -val, _ceil_div(rel, field.e) + 1)
         reduced = _reduce_vec(field, out, rel - val)
         shift += val
     return PadicElement(field, shift, reduced, prec)

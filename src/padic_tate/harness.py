@@ -58,19 +58,19 @@ def parse_extension(p: int, ext: str) -> FieldDescriptor:
     if kind == "unramified" and args.startswith("poly="):
         coeffs = [int(x) for x in args[len("poly="):].split(",")]
         return make_field(p, "unramified", poly=coeffs)
+    keys = {"eisenstein": ("e", "c"), "unramified": ("f",)}.get(kind)
+    if keys is None:
+        raise ValueError(f"unknown extension {ext!r}")
     fields = {}
-    if args:
-        for chunk in args.split(","):
-            key, _, val = chunk.partition("=")
-            fields.setdefault(key.strip(), []).append(val.strip())
+    for chunk in args.split(",") if args else ():
+        key, _, val = chunk.partition("=")
+        key = key.strip()
+        if key not in keys or key in fields:
+            raise ValueError(f"{kind} accepts only {' and '.join(keys)}, each at most once: {ext!r}")
+        fields[key] = int(val)
     if kind == "eisenstein":
-        e = int(fields.get("e", ["2"])[0])
-        c = int(fields.get("c", ["1"])[0])
-        return make_field(p, "eisenstein", e=e, c=c)
-    if kind == "unramified":
-        f = int(fields.get("f", ["2"])[0])
-        return make_field(p, "unramified", f=f)
-    raise ValueError(f"unknown extension {ext!r}")
+        return make_field(p, "eisenstein", e=fields.get("e", 2), c=fields.get("c", 1))
+    return make_field(p, "unramified", f=fields.get("f", 2))
 
 
 @dataclass(frozen=True)

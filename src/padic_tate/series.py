@@ -30,14 +30,6 @@ def factorial_valuation(n: int, p: int) -> Fraction:
     return Fraction(n - digit_sum, p - 1)
 
 
-def _one_like(x: Evaluable, prec: int) -> Evaluable:
-    field = _value_part(x).field
-    one = PadicElement.one(field, prec)
-    if isinstance(x, DualElement):
-        return DualElement.constant(one)
-    return one
-
-
 def _exp_truncation(shift: int, e: int, p: int, target: int) -> int:
     """Smallest T with n*shift - e*v_p(n!) >= target for every n > T.
 
@@ -100,37 +92,33 @@ def p_exp(x: Evaluable) -> Evaluable:
     if val.is_zero:
         if val.abs_prec * (p - 1) > e:
             one = PadicElement.one(field, val.abs_prec)
-            return DualElement(one, one) if isinstance(x, DualElement) else one
+            return DualElement(one, one * x.deriv) if isinstance(x, DualElement) else one
         raise OutsideConvergenceDomain(
             "argument is an imprecise zero whose bound does not clear 1/(p-1)")
     if val.shift * (p - 1) <= e:
         raise OutsideConvergenceDomain(
             f"v(x) = {Fraction(val.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
     T = _exp_truncation(val.shift, e, p, target)
-    acc = _one_like(x, target)
-    term = acc
+    # a PadicElement one is a constant to dual arithmetic, so for a dual x
+    # acc and term turn dual at the first product
+    acc = term = PadicElement.one(field, target)
     for n in range(1, T + 1):
         term = term * x * Fraction(1, n)
         acc = acc + term
-    if isinstance(acc, DualElement):
-        return DualElement(acc.value.truncate(target), acc.deriv.truncate(target))
     return acc.truncate(target)
 
 
 def p_log(y: Evaluable) -> Evaluable:
     """log(y) = sum (-1)^(n+1) (y-1)^n / n for v(y-1) > 1/(p-1)."""
-    val = _value_part(y)
-    field = val.field
+    field = _value_part(y).field
     p, e = field.p, field.e
-    t = y - _one_like(y, val.abs_prec + abs(val.shift) + 4)
+    t = y - 1
     tval = _value_part(t)
     target = tval.abs_prec
     if tval.is_zero:
         if tval.abs_prec * (p - 1) > e:
             zero = PadicElement.zero(field, tval.abs_prec)
-            if isinstance(y, DualElement):
-                return DualElement(zero, y.deriv.truncate(tval.abs_prec))
-            return zero
+            return DualElement(zero, y.deriv / y.value) if isinstance(y, DualElement) else zero
         raise OutsideConvergenceDomain(
             "y - 1 is an imprecise zero whose bound does not clear 1/(p-1)")
     if tval.shift * (p - 1) <= e:
@@ -142,8 +130,6 @@ def p_log(y: Evaluable) -> Evaluable:
     for n in range(2, T + 1):
         power = power * t
         acc = acc + power * Fraction((-1) ** (n + 1), n)
-    if isinstance(acc, DualElement):
-        return DualElement(acc.value.truncate(target), acc.deriv.truncate(target))
     return acc.truncate(target)
 
 

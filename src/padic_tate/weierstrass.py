@@ -216,8 +216,7 @@ def _poly_divmod(g: StrictSeries, w: StrictSeries, active: int, d: int):
 
 
 def weierstrass_divide(g: StrictSeries, f: StrictSeries, active: int,
-                       initial: Optional[StrictSeries] = None,
-                       check_rate: bool = True):
+                       initial: Optional[StrictSeries] = None):
     """Unique (q, r) with g = q*f + r mod pi^N and deg_active(r) <= d-1."""
     cap, prec = g._compatible(f)
     split = _split_regular(f, active)
@@ -235,7 +234,7 @@ def weierstrass_divide(g: StrictSeries, f: StrictSeries, active: int,
     for k in range(iterations):
         work = g - q * eps
         q_next, r_next = _poly_divmod(work, w, active, d)
-        if check_rate and k:
+        if k:
             gap = q_next - prev
             floor = min(prec, k * gamma)
             if _gauss_shift(gap) < floor:

@@ -47,6 +47,18 @@ def from_fraction(field, value: Fraction, prec: int) -> PadicElement:
     return PadicElement.from_pi_digits(field, shift, digits, prec)
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def _moduli(field, rel_prec: int) -> list[int]:
+    """p-power exponents bounding each stored coefficient of a unit part
+    known modulo pi^rel_prec."""
+    if field.kind == "eisenstein":
+        return [max(0, _ceil_div(rel_prec - i, field.e)) for i in range(field.e)]
+    return [max(0, rel_prec)] * field.f
+
+
 def exp_partial_sum(x: Fraction, terms: int) -> Fraction:
     acc = Fraction(0)
     fact = 1

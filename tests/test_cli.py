@@ -106,9 +106,13 @@ class TestExitCodes:
         ["tate", "verify-hom", "--q", "5^2", "--trials", "-2"],
         ["wdiv", "--g", "SERIES", "--f", "SERIES", "--active", "0"],
         ["rv", "--x", "1+pi", "--lambda", "0", "--ext", "eisenstein:e=65,c=1", "--prec", "5"],
+        ["exp", "--x", "5", "--ext", "eisenstein:e=2,C=3"],
+        ["exp", "--x", "5", "--ext", "eisenstein:e=2,e=3"],
+        ["exp", "--x", "5", "--ext", "unramified:f=2,poly=1,0,1"],
     ], ids=["rv-lambda", "balls-lambda", "rotund-height", "search-height", "mult-height",
             "harness-trials-negative", "harness-trials-zero", "verify-hom-trials",
-            "wdiv-active-zero", "eisenstein-degree"])
+            "wdiv-active-zero", "eisenstein-degree", "ext-unknown-key", "ext-repeated-key",
+            "ext-poly-after-f"])
     def test_bad_argument_is_2(self, tmp_path, capsys, argv):
         files = {"LATTICE": {"n": 2, "mult": [[1], [0]]},
                  "SERIES": {"nvars": 1, "terms": [{"exp": [1], "coeff": "1"}]}}
@@ -211,14 +215,19 @@ class TestHarnessCommand:
 
     # SHA-256 of each report at seed 0; a change that alters a report on
     # purpose records the new digest here
-    @pytest.mark.parametrize("suite, digest", [
-        ("tate", "e300a5ca96eba330f0e8711e70d8b0887cd95c2c8fb888c74b946d16a88e5e56"),
-        ("exp", "2d2e1e50d2afcd9a0ce151bbfd65259c7e21ec3d93c0026bbd097d30e24bdd5b"),
-        ("weierstrass", "8e1e120aded9b4d85dedb853d00543dde1f99d33dd7e92ed94a239a948d9ee37"),
-    ])
-    def test_report_digest(self, capsys, suite, digest):
+    @pytest.mark.parametrize("args, digest", [
+        (("tate",), "e300a5ca96eba330f0e8711e70d8b0887cd95c2c8fb888c74b946d16a88e5e56"),
+        (("exp",), "2d2e1e50d2afcd9a0ce151bbfd65259c7e21ec3d93c0026bbd097d30e24bdd5b"),
+        (("weierstrass",), "8e1e120aded9b4d85dedb853d00543dde1f99d33dd7e92ed94a239a948d9ee37"),
+        (("exp", "--p", "5", "--ext", "eisenstein:e=4,c=-1"),
+         "4415a9e34cdeae0197d6c5c2f6129e9d414a52c610ede027ad452f48a3e672ae"),
+        (("tate", "--p", "3", "--ext", "unramified:f=2"),
+         "1bbe8ad22fd9531fa64961407af20f8b0e6f8f5af2f6e567b7c0af2da648be60"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_report_digest(self, capsys, args, digest):
+        suite, *options = args
         _, out = run_cli(capsys, "harness", "--suite", suite, "--seed", "0",
-                         "--format", "structured")
+                         "--format", "structured", *options)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

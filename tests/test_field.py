@@ -25,7 +25,7 @@ from padic_tate.field import (
 )
 from padic_tate.prng import random_element, random_unit, stream
 
-from oracles import first_irreducible_mod_p, from_fraction, vp_int
+from oracles import _moduli, first_irreducible_mod_p, from_fraction, vp_int
 
 
 class TestMakeField:
@@ -296,7 +296,7 @@ def _reduce_by_moduli(field, vec, rel_prec):
     """vec reduced entry by entry modulo p^k, k from _moduli."""
     p = field.p
     return tuple(v % (p ** k) if k > 0 else 0
-                 for v, k in zip(vec, field_mod._moduli(field, rel_prec)))
+                 for v, k in zip(vec, _moduli(field, rel_prec)))
 
 
 def _scale_through_inverse(x, value):
@@ -308,7 +308,7 @@ def _scale_through_inverse(x, value):
     shift = w * field.e
     if x.is_zero:
         return PadicElement.zero(field, x.abs_prec + shift)
-    mod = field.p ** max(field_mod._moduli(field, x.rel_prec))
+    mod = field.p ** max(_moduli(field, x.rel_prec))
     unit = num * pow(den, -1, mod) % mod
     if field.kind == "eisenstein" and w:
         unit = unit * pow(field.eis_unit, -w, mod) % mod
@@ -345,6 +345,93 @@ class TestFastPathsMatchGeneralFormulas:
                 assert (got.shift, got.coeffs, got.abs_prec) == \
                     (want.shift, want.coeffs, want.abs_prec)
                 assert got == x * Fraction(m) == m * x
+
+
+def _triple(x):
+    return x.shift, x.coeffs, x.abs_prec
+
+
+def _operand_elements(name, field):
+    """Shifts -3..3 at several precisions (abs_prec <= 0 included), and
+    imprecise zeros."""
+    rng = stream(3, "operand-rule", name)
+    xs = [random_element(rng, field, prec, shift, shift)
+          for shift in range(-3, 4) for prec in (shift + 1, shift + 5, 12)]
+    return xs + [PadicElement.zero(field, prec) for prec in (-2, 0, 3, 12)]
+
+
+def _scalars(p):
+    return (0, 1, -1, p, -p, p ** 40, Fraction(1, p), Fraction(3, p ** 2))
+
+
+class TestOperandRule:
+    """An int or Fraction operand is exact: x + m keeps x's precision and
+    m / x keeps x's relative precision."""
+
+    @pytest.mark.parametrize("name", ["Q5", "Q2", "E54", "U22"])
+    def test_scalar_sum_matches_guessed_precision(self, request, name):
+        # a sum keeps min(abs_prec), so an operand built at
+        # abs_prec + |shift| + 8 carries only digits the sum drops
+        field = request.getfixturevalue(name)
+        for x in _operand_elements(name, field):
+            for m in _scalars(field.p):
+                c = PadicElement.from_rational(field, m, x.abs_prec + abs(x.shift) + 8)
+                assert _triple(x + m) == _triple(m + x) == _triple(x + c)
+                assert _triple(x - m) == _triple(x - c)
+                assert _triple(m - x) == _triple(c - x)
+
+    @pytest.mark.parametrize("name", ["Q5", "Q2", "E54", "U22"])
+    def test_scalar_over_element(self, request, name):
+        field = request.getfixturevalue(name)
+        for x in _operand_elements(name, field):
+            if x.is_zero:
+                continue
+            for m in _scalars(field.p):
+                got = m / x
+                assert _triple(got) == _triple(x.invert() * m)
+                if m == 0:
+                    # like x * 0, a zero at the precision of the inverse
+                    assert _triple(got) == _triple(PadicElement.zero(field, got.abs_prec))
+                    continue
+                guessed = x.invert() * PadicElement.from_rational(
+                    field, m, x.abs_prec + abs(x.shift) + 8)
+                assert got.abs_prec >= guessed.abs_prec
+                assert _triple(got.truncate(guessed.abs_prec)) == _triple(guessed)
+
+    def test_scalar_over_element_keeps_relative_precision(self, Q5):
+        x = PadicElement.one(Q5, 10)
+        assert str(5 ** 12 / x) == "pi^12 + O(pi^22)"
+        assert str(x.invert() * PadicElement.from_int(Q5, 5 ** 12, 18)) == "pi^12 + O(pi^18)"
+        with pytest.raises(TypeError):
+            [1] / x
+
+
+UNRAMIFIED_INVERSE_FIELDS = [(p, f) for p in (2, 3, 7, 1000003, 10**18 + 3)
+                             for f in (2, 3, 5, 8)]
+
+
+class TestResidueInverse:
+    @pytest.mark.parametrize("p, f", UNRAMIFIED_INVERSE_FIELDS)
+    def test_inverse_times_residue_is_one(self, p, f):
+        field = make_field(p, "unramified", f=f)
+        rng = stream(5, "residue-inverse", p, f)
+        one = [1] + [0] * (f - 1)
+        for _ in range(20):
+            # residues of low degree included, and entries far beyond p
+            top = rng.randrange(1, f + 1)
+            a = [rng.randrange(p ** 3) for _ in range(top)] + [0] * (f - top)
+            if not any(x % p for x in a):
+                continue
+            inv = field_mod._residue_inverse(field, a)
+            assert len(inv) == f and all(0 <= x < p for x in inv)
+            assert [x % p for x in field_mod._vec_mul(field, a, inv)] == one
+
+    def test_no_inverse_shares_a_factor(self):
+        # (x - 1)(x + 1) = x^2 - 1 over F_7: x - 1 has no inverse, x has one
+        g = [6, 0, 1]
+        assert field_mod._poly_inverse([6, 1], g, 7) is None
+        assert field_mod._poly_inverse([0], g, 7) is None
+        assert field_mod._poly_inverse([0, 1], g, 7) == [0, 1]
 
 
 class TestSeededProperties:

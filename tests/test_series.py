@@ -185,6 +185,72 @@ class TestDual:
         assert d.deriv.is_indistinguishable(want)
 
 
+class TestDualConstants:
+    """A PadicElement, int or Fraction operand is a constant: its derivative
+    is exactly zero, not a zero known to the constant's precision."""
+
+    @staticmethod
+    def _dual(Q5):
+        # value 7 + O(pi^10) and derivative 5^3 * unit + O(pi^40): the
+        # derivative is known far beyond the value and the constants
+        value = PadicElement.from_int(Q5, 7, 10)
+        deriv = random_element(stream(2, "dual-constant"), Q5, 40, 3, 3)
+        return DualElement(value, deriv)
+
+    def test_sum_keeps_derivative(self, Q5):
+        d = self._dual(Q5)
+        c = PadicElement.from_int(Q5, 11, 5)
+        for m in (c, 2, -3, Fraction(1, 5), Fraction(3, 7)):
+            for r in (d + m, m + d, d - m):
+                assert r.deriv == d.deriv
+            assert (m - d).deriv == -d.deriv
+            assert (d + m).value == d.value + m and (d - m).value == d.value - m
+            assert (m - d).value == m - d.value
+
+    def test_product_and_quotient_scale_derivative(self, Q5):
+        d = self._dual(Q5)
+        c = PadicElement.from_int(Q5, 11, 10)
+        for m in (c, 2, Fraction(3, 7), 25):
+            assert (d * m).deriv == (m * d).deriv == d.deriv * m
+            assert (d / m).deriv == d.deriv / m
+            assert (d * m).value == d.value * m and (d / m).value == d.value / m
+        # with a constant the product keeps digits the zero derivative of a
+        # precision-10 constant would have cut: 3 + 10 = 13
+        assert (d * c).deriv.abs_prec == 13
+
+    def test_scalar_over_dual(self, Q5):
+        d = self._dual(Q5)
+        for m in (PadicElement.from_int(Q5, 11, 10), 3, Fraction(2, 5)):
+            r = m / d
+            inv = d.invert()
+            assert r.value == inv.value * m and r.deriv == inv.deriv * m
+
+    def test_truncate(self, Q5):
+        d = self._dual(Q5)
+        for prec in (50, 40, 12, 4, 3, 0):
+            t = d.truncate(prec)
+            assert t == DualElement(d.value.truncate(prec), d.deriv.truncate(prec))
+        assert d.truncate(50) == d
+
+    def test_exp_of_zero_scales_derivative(self, Q5):
+        # exp'(x) x' = x' for x = O(5^10): the derivative is 3, not 1
+        x = DualElement(PadicElement.zero(Q5, 10), PadicElement.from_int(Q5, 3, 10))
+        r = p_exp(x)
+        assert str(r.value) == "1 + O(pi^10)" and str(r.deriv) == "3 + O(pi^10)"
+        seeded = dual_eval(p_exp, PadicElement.zero(Q5, 10))
+        assert seeded == DualElement(PadicElement.one(Q5, 10), PadicElement.one(Q5, 10))
+
+    def test_log_of_one_proves_only_known_digits(self, Q5):
+        # log'(y) y' = y'/y with y = 1 + O(5^10) and y' = 5^-3 + O(5^20):
+        # the error of y costs y' its digits beyond pi^(10 - 3)
+        y = DualElement(PadicElement.one(Q5, 10),
+                        PadicElement.from_rational(Q5, Fraction(1, 125), 20))
+        r = p_log(y)
+        assert str(r.value) == "O(pi^10)" and str(r.deriv) == "pi^-3 + O(pi^7)"
+        seeded = dual_eval(p_log, PadicElement.one(Q5, 10))
+        assert seeded == DualElement(PadicElement.zero(Q5, 10), PadicElement.one(Q5, 10))
+
+
 class TestDualWithCurveEvaluator:
     def test_dual_eval_of_curve_coordinate(self, Q5):
         # a fixed-q coordinate evaluator is a valid formula handle
