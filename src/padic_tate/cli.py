@@ -192,7 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: str) -> dict:
-    """Parse an input file; a missing file or a missing key is a usage error."""
+    """Parse an input file; a missing file, a top-level value that is not an
+    object, or a missing key is a usage error."""
 
     class Entry(dict):
         def __missing__(self, key):
@@ -200,9 +201,19 @@ def _read_json(path: str) -> dict:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_hook=Entry)
+            data = json.load(fh, object_hook=Entry)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
+
+
+def _json_int(path: str, data: dict, key: str, default=None) -> int:
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _load_matrix(source: str):
@@ -214,7 +225,7 @@ def _load_matrix(source: str):
 
 def _load_lattice(path: str) -> SubgroupLattice:
     data = _read_json(path)
-    n = int(data["n"])
+    n = _json_int(path, data, "n")
     mult = matrix(data["mult"]) if data.get("mult") else zeros(n, 0)
     ell = matrix(data["ell"]) if data.get("ell") else zeros(n, 0)
     return SubgroupLattice(n, mult, ell)
@@ -222,12 +233,16 @@ def _load_lattice(path: str) -> SubgroupLattice:
 
 def _load_series(path: str, field, prec: int, cap: int) -> StrictSeries:
     data = _read_json(path)
-    terms = {}
-    for entry in data["terms"]:
-        expo = tuple(int(x) for x in entry["exp"])
-        terms[expo] = parse_element(entry["coeff"], field, prec)
-    return StrictSeries.build(int(data["nvars"]), field, terms,
-                              int(data.get("degree_cap", cap)), prec)
+    entries = data["terms"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e["exp"], list)
+            and all(isinstance(x, int) for x in e["exp"])
+            and isinstance(e["coeff"], str) for e in entries):
+        raise ValueError(f"{path}: terms must be a list of "
+                         '{"exp": [int, ...], "coeff": "literal"} objects')
+    terms = {tuple(e["exp"]): parse_element(e["coeff"], field, prec) for e in entries}
+    return StrictSeries.build(_json_int(path, data, "nvars"), field, terms,
+                              _json_int(path, data, "degree_cap", cap), prec)
 
 
 def _series_record(series: StrictSeries) -> dict:

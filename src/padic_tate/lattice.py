@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -28,7 +29,10 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
+    try:
+        out = tuple(tuple(operator.index(x) for x in row) for row in rows)
+    except TypeError:
+        raise ValueError("a matrix must be a list of rows, each a list of integers") from None
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
@@ -212,6 +216,8 @@ class SubgroupLattice:
     ell: Matrix         # n x k2, columns span the elliptic-part lattice
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"lattice dimension n must be >= 0, got {self.n}")
         for part in (self.mult, self.ell):
             if part and len(part) != self.n:
                 raise DimensionMismatch("lattice rows must equal the ambient n")
@@ -267,14 +273,27 @@ def rotund_check(V: SubgroupLattice, height: int,
 
     A witness refutes rotundity outright; exhausting the height box only
     verifies it up to that height.
+
+    Both dim(MV) = rank(M L_mult) + rank(M L_ell) and rank(M) depend only on
+    the set of rows of M, so each set of at most n candidate rows is tested
+    once, as the first n-tuple of ``itertools.product(rows, repeat=n)`` that
+    uses exactly that set: its indices s0 < ... < s(k-1) with s0 repeated
+    n - k + 1 times.  These are the non-decreasing index tuples, taken in
+    lexicographic (hence product) order, that repeat no index but the first.
+    A set met earlier was already found not deficient, so the first deficient
+    tuple reached is the first witness of the full product walk.
     """
     n = V.n
     rows = _normalized_rows(n, height, max_candidates)
     total = len(rows) ** n
     if total > max_candidates:
         raise SearchSpaceTooLarge(f"{total} candidate matrices at height {height}")
-    for M in itertools.product(rows, repeat=n):
-        if dim_image(M, V) < rank(M):
+    images = [mat_mul(rows, part) for part in (V.mult, V.ell) if part]
+    for idx in itertools.combinations_with_replacement(range(len(rows)), n):
+        if any(a == b != idx[0] for a, b in zip(idx, idx[1:])):
+            continue
+        M = tuple(rows[i] for i in idx)
+        if sum(rank(tuple(image[i] for i in idx)) for image in images) < rank(M):
             return RotundVerdict(True, M, height)
     return RotundVerdict(False, None, height)
 

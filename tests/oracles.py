@@ -7,7 +7,9 @@ p-adic representation only at the final comparison step.
 import itertools
 from fractions import Fraction
 
+from padic_tate.errors import SearchSpaceTooLarge
 from padic_tate.field import PadicElement
+from padic_tate.lattice import RotundVerdict, _normalized_rows, dim_image, rank
 
 
 def vp_int(n: int, p: int) -> int:
@@ -155,3 +157,18 @@ def first_irreducible_mod_p(p: int, f: int) -> tuple[int, ...]:
                    for low in itertools.product(range(p), repeat=deg)):
             return tuple(g)
     raise AssertionError(f"no irreducible polynomial of degree {f} mod {p}")
+
+
+def rotund_check_brute(V, height: int,
+                       max_candidates: int = 5_000_000) -> RotundVerdict:
+    """rotund_check by ranking every n-tuple of candidate rows, in
+    itertools.product order."""
+    n = V.n
+    rows = _normalized_rows(n, height, max_candidates)
+    total = len(rows) ** n
+    if total > max_candidates:
+        raise SearchSpaceTooLarge(f"{total} candidate matrices at height {height}")
+    for M in itertools.product(rows, repeat=n):
+        if dim_image(M, V) < rank(M):
+            return RotundVerdict(True, M, height)
+    return RotundVerdict(False, None, height)

@@ -82,8 +82,21 @@ class TestExitCodes:
         (["geom", "rotund", "--lattice"], {"mult": [[1], [0]]}),
         (["wdiv", "--g"], None),
         (["wdiv", "--g"], {"nvars": 1}),
+        (["lattice", "smith", "--matrix"], {"entries": [1, 2]}),
+        (["lattice", "smith", "--matrix"], [[1, 2]]),
+        (["lattice", "smith", "--matrix"], {"entries": [[1.5]]}),
+        (["geom", "rotund", "--lattice"], {"n": 2, "mult": [1, 2]}),
+        (["geom", "rotund", "--lattice"], {"n": 1.7, "mult": [[1]]}),
+        (["geom", "rotund", "--lattice"], {"n": -1}),
+        (["wdiv", "--g"], {"nvars": 1, "terms": 5}),
+        (["wdiv", "--g"], {"nvars": 1, "terms": [{"exp": 1, "coeff": "1"}]}),
+        (["wdiv", "--g"], {"nvars": 1, "terms": [{"exp": [1], "coeff": 5}]}),
+        (["wdiv", "--g"], {"nvars": 1.5, "terms": []}),
     ], ids=["lattice-missing-file", "lattice-missing-key",
-            "g-missing-file", "g-missing-key"])
+            "g-missing-file", "g-missing-key", "matrix-flat-entries",
+            "matrix-top-level-array", "matrix-float-entry", "lattice-flat-part",
+            "lattice-fractional-n", "lattice-negative-n", "g-terms-not-list",
+            "g-exp-not-list", "g-coeff-not-string", "g-fractional-nvars"])
     def test_input_file_error_is_2(self, tmp_path, capsys, command, content):
         path = tmp_path / "input.json"
         if content is not None:
@@ -149,6 +162,13 @@ class TestExitCodes:
 
 
 class TestFileFormats:
+    def test_zero_dimensional_lattice_verified(self, tmp_path, capsys):
+        path = tmp_path / "V.json"
+        path.write_text(json.dumps({"n": 0}))
+        code, out = run_cli(capsys, "geom", "rotund", "--lattice", str(path),
+                            "--height", "2", "--format", "structured")
+        assert code == 0 and records(out)[0]["refuted"] is False
+
     def test_matrix_file_and_inline_agree(self, tmp_path, capsys):
         mat = tmp_path / "m.json"
         mat.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[2, 4], [6, 8]]}))

@@ -10,8 +10,10 @@ from padic_tate.errors import (
     InconsistentDimensions,
     SearchSpaceTooLarge,
 )
+from padic_tate import lattice
 from padic_tate.field import PadicElement
 from padic_tate.lattice import (
+    RotundVerdict,
     SubgroupLattice,
     atypical,
     determinant,
@@ -35,7 +37,51 @@ from padic_tate.lattice import (
 )
 from padic_tate.prng import random_unit, stream
 
-from oracles import rank_over_Q
+from oracles import rank_over_Q, rotund_check_brute
+
+
+@pytest.fixture
+def lattice_calls(monkeypatch):
+    """counted(call) -> ({name: calls} for lattice._bareiss and lattice.mat_mul,
+    call's result)."""
+    counts = {}
+    for name in ("_bareiss", "mat_mul"):
+        def counting(*args, _name=name, _inner=getattr(lattice, name)):
+            counts[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(lattice, name, counting)
+
+    def counted(call):
+        counts.update(_bareiss=0, mat_mul=0)
+        result = call()
+        return dict(counts), result
+    return counted
+
+
+# both parts of full rank, so every candidate is tested and none refutes
+FULL_RANK_3 = SubgroupLattice(3, matrix([[1, 2, 0], [0, 1, -1], [2, 0, 1]]),
+                              matrix([[2, 1, 1], [1, -1, 0], [0, 1, 2]]))
+
+
+def _random_part(rng, n):
+    """An n-row part of rank at most r, r drawn from 0..n; rank 0 comes as
+    (), zeros(n, 0) or a zero matrix with columns."""
+    r = rng.randint(0, n)
+    if r == 0:
+        return rng.choice([(), zeros(n, 0), zeros(n, rng.randint(1, n))])
+    k = rng.randint(r, n)
+    A = matrix([[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)])
+    B = matrix([[rng.randint(-2, 2) for _ in range(k)] for _ in range(r)])
+    return mat_mul(A, B)
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("rows", [[1, 2], [[1], 2], "12", 5, [[[1]]], [[1.5]], [["1"]]],
+                             ids=["flat", "mixed", "string", "scalar", "nested",
+                                  "float", "string-entry"])
+    def test_malformed_rows_rejected(self, rows):
+        with pytest.raises(ValueError):
+            matrix(rows)
 
 
 class TestSmith:
@@ -160,6 +206,75 @@ class TestRotund:
     def test_search_space_guard(self):
         with pytest.raises(SearchSpaceTooLarge):
             rotund_check(full_subgroup(4), 40, max_candidates=1000)
+
+    def test_guard_message_matches_brute_force(self):
+        with pytest.raises(SearchSpaceTooLarge) as fast:
+            rotund_check(FULL_RANK_3, 1, max_candidates=2743)
+        with pytest.raises(SearchSpaceTooLarge) as brute:
+            rotund_check_brute(FULL_RANK_3, 1, max_candidates=2743)
+        assert str(fast.value) == str(brute.value) == "2744 candidate matrices at height 1"
+        assert not rotund_check(FULL_RANK_3, 1, max_candidates=2744).refuted
+
+    @pytest.mark.parametrize("V, height, witness", [
+        # dim V = 1 < 2 and (3, -1) is the only row killing the torus part,
+        # so below height 3 the first witness has two distinct nonzero rows
+        (SubgroupLattice(2, matrix([[1], [3]]), ()), 1, ((0, 1), (1, -1))),
+        (SubgroupLattice(2, matrix([[1], [3]]), ()), 3, ((0, 0), (3, -1))),
+        (SubgroupLattice(2, matrix([[1], [0]]), matrix([[1], [0]])), 2,
+         ((0, 0), (0, 1))),
+        (SubgroupLattice(3, zeros(3, 0), ()), 2,
+         ((0, 0, 0), (0, 0, 0), (0, 0, 1))),
+        # rows killing the torus part span e2, e3; the elliptic part is
+        # killed only by (0, 1, 2), of height 2
+        (SubgroupLattice(3, matrix([[1], [0], [0]]),
+                         matrix([[1, 0], [0, 2], [0, -1]])), 1,
+         ((0, 0, 0), (0, 0, 1), (0, 1, -1))),
+        (SubgroupLattice(3, matrix([[1], [0], [0]]),
+                         matrix([[1, 0], [0, 2], [0, -1]])), 2,
+         ((0, 0, 0), (0, 0, 0), (0, 1, 2))),
+        (FULL_RANK_3, 1, None),
+        (SubgroupLattice(0, (), ()), 2, None),
+    ], ids=["distinct-rows", "zero-row", "skew", "repeated-zero-row",
+            "rank-two-witness", "height-two", "full-rank", "n0"])
+    def test_first_witness_matches_brute_force(self, V, height, witness):
+        verdict = rotund_check(V, height)
+        assert verdict == rotund_check_brute(V, height)
+        assert verdict == RotundVerdict(witness is not None, witness, height)
+
+    def test_seeded_against_brute_force(self):
+        seen = set()
+        for i in range(120):
+            rng = stream(109, "rotund", i)
+            n = rng.randint(1, 3)
+            height = rng.randint(0, 1 if n == 3 else 3)
+            V = SubgroupLattice(n, _random_part(rng, n), _random_part(rng, n))
+            verdict = rotund_check(V, height)
+            assert verdict == rotund_check_brute(V, height), (V, height)
+            seen.add((n, rank(V.mult), rank(V.ell), verdict.refuted))
+        # every dimension meets refuted and verified lattices, and parts of
+        # every rank 0..n
+        for n in (1, 2, 3):
+            assert {refuted for m, _, _, refuted in seen if m == n} == {False, True}
+            assert {r for m, r, _, _ in seen if m == n} == set(range(n + 1))
+
+    def test_each_row_set_ranked_once(self, lattice_calls):
+        # 14 candidate rows at n = 3, H = 1: 14 + 91 + 364 = 469 sets of 1..3
+        # rows, three ranks each, against 14^3 = 2744 tuples and 8232 ranks
+        counts, verdict = lattice_calls(lambda: rotund_check(FULL_RANK_3, 1))
+        assert not verdict.refuted
+        assert counts == {"_bareiss": 1407, "mat_mul": 2}
+        counts, brute = lattice_calls(lambda: rotund_check_brute(FULL_RANK_3, 1))
+        assert brute == verdict
+        assert counts == {"_bareiss": 8232, "mat_mul": 5488}
+
+    def test_height_zero_tests_one_candidate(self, lattice_calls):
+        counts, verdict = lattice_calls(lambda: rotund_check(FULL_RANK_3, 0))
+        assert verdict == RotundVerdict(False, None, 0)
+        assert counts == {"_bareiss": 3, "mat_mul": 2}
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            SubgroupLattice(-1, (), ())
 
 
 class TestLemmaVM:
