@@ -14,7 +14,6 @@ from .field import (
     rv_class,
     valuation,
 )
-from .harness import RunConfig, run_suite
 from .lattice import (
     SubgroupLattice,
     atypical,
@@ -51,3 +50,11 @@ from .weierstrass import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the harness is imported on first use, not with the package
+    if name in ("RunConfig", "run_suite"):
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

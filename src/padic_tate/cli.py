@@ -8,6 +8,7 @@ line with stable key order; PADIC_TATE_SEED overrides --seed when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,8 +27,7 @@ from .errors import (
     PrecisionCollapse,
     ZeroElement,
 )
-from .field import PadicElement, rv_class
-from .harness import RunConfig, SUITES, parse_extension, run_suite
+from .field import PadicElement, parse_extension, rv_class
 from .lattice import (
     SubgroupLattice,
     atypical,
@@ -40,7 +40,6 @@ from .lattice import (
     relation_search,
     rotund_check,
     smith_normal_form,
-    zeros,
 )
 from .parsing import parse_element
 from .series import p_exp, p_log
@@ -96,7 +95,12 @@ def _common_options() -> argparse.ArgumentParser:
     return par
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared after it:
+    parsing reads a parser and never changes it."""
+    from .harness import SUITES
+
     common = _common_options()
     top = argparse.ArgumentParser(prog="padic-tate", parents=[common],
                                   description="p-adic arithmetic, the Tate curve, "
@@ -226,8 +230,8 @@ def _load_matrix(source: str):
 def _load_lattice(path: str) -> SubgroupLattice:
     data = _read_json(path)
     n = _json_int(path, data, "n")
-    mult = matrix(data["mult"]) if data.get("mult") else zeros(n, 0)
-    ell = matrix(data["ell"]) if data.get("ell") else zeros(n, 0)
+    mult = matrix(data["mult"]) if data.get("mult") else ()
+    ell = matrix(data["ell"]) if data.get("ell") else ()
     return SubgroupLattice(n, mult, ell)
 
 
@@ -283,7 +287,9 @@ def dispatch(argv) -> int:
     # evaluation only uses slack as a local budget, clamped to the precision
     args.eff_slack = min(args.slack, max(args.prec - 1, 0))
 
-    def config() -> RunConfig:
+    def config():
+        from .harness import RunConfig
+
         return RunConfig(p=args.p, prec=args.prec, ext=args.ext,
                          seed=args.seed, slack=args.slack)
 
@@ -416,7 +422,7 @@ def _geom_command(args, emit) -> int:
     if sub == "plikely":
         V = _load_matrix(args.V)
         S = _load_matrix(args.S)
-        Ts = [_load_matrix(t) for t in args.T] or [zeros(args.n, 0)]
+        Ts = [_load_matrix(t) for t in args.T] or [()]
         verdicts = persistently_likely(V, S, Ts, args.n)
         bad = 0
         for v in verdicts:
@@ -460,6 +466,8 @@ def _relations_command(args, emit, field, prec, slack) -> int:
 
 
 def _harness_command(args, emit, config) -> int:
+    from .harness import SUITES, run_suite
+
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:

@@ -258,6 +258,31 @@ def make_field(p: int, kind: str = "base", *, e: int | None = None,
     raise ValueError(f"unknown field kind {kind!r}")
 
 
+def parse_extension(p: int, ext: str) -> FieldDescriptor:
+    """Extension strings: 'base', 'eisenstein:e=4,c=-1',
+    'unramified:f=2', 'unramified:poly=1,1,1' (coefficients low to high)."""
+    ext = (ext or "base").strip()
+    if ext in ("", "base"):
+        return make_field(p)
+    kind, _, args = ext.partition(":")
+    if kind == "unramified" and args.startswith("poly="):
+        coeffs = [int(x) for x in args[len("poly="):].split(",")]
+        return make_field(p, "unramified", poly=coeffs)
+    keys = {"eisenstein": ("e", "c"), "unramified": ("f",)}.get(kind)
+    if keys is None:
+        raise ValueError(f"unknown extension {ext!r}")
+    fields = {}
+    for chunk in args.split(",") if args else ():
+        key, _, val = chunk.partition("=")
+        key = key.strip()
+        if key not in keys or key in fields:
+            raise ValueError(f"{kind} accepts only {' and '.join(keys)}, each at most once: {ext!r}")
+        fields[key] = int(val)
+    if kind == "eisenstein":
+        return make_field(p, "eisenstein", e=fields.get("e", 2), c=fields.get("c", 1))
+    return make_field(p, "unramified", f=fields.get("f", 2))
+
+
 # ---------------------------------------------------------------------------
 # valuation results and leading-term classes
 # ---------------------------------------------------------------------------

@@ -282,8 +282,13 @@ def rotund_check(V: SubgroupLattice, height: int,
     lexicographic (hence product) order, that repeat no index but the first.
     A set met earlier was already found not deficient, so the first deficient
     tuple reached is the first witness of the full product walk.
+
+    Each candidate has n * n entries, so an n with n * n > max_candidates is
+    refused before anything of size n is built.
     """
     n = V.n
+    if n * n > max_candidates:
+        raise SearchSpaceTooLarge(f"{n}x{n} candidate matrices exceed {max_candidates} entries")
     rows = _normalized_rows(n, height, max_candidates)
     total = len(rows) ** n
     if total > max_candidates:
@@ -379,6 +384,10 @@ def atypical(dim_x: int, dim_v: int, dim_w: int, dim_z: int) -> bool:
 # bounded-height relation probers
 # ---------------------------------------------------------------------------
 
+# the longest count written out in decimal (Python's default int -> str limit)
+_COUNT_DIGITS = 4300
+
+
 def _primitive_signed(vec: Sequence[int]) -> bool:
     return math.gcd(*vec) == 1 and next(x for x in vec if x) > 0
 
@@ -388,10 +397,15 @@ def _height_box(n: int, height: int,
     """Integer vectors of length n with |m_i| <= height, in lexicographic order.
 
     Refuses a negative height, and a box of more than max_candidates vectors.
+    A box whose size has more than _COUNT_DIGITS decimal digits is refused
+    as side^n, without forming the power.
     """
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
-    total = (2 * height + 1) ** n
+    side = 2 * height + 1
+    if n * math.log10(side) > _COUNT_DIGITS:
+        raise SearchSpaceTooLarge(f"{side}^{n} candidates at height {height}")
+    total = side ** n
     if total > max_candidates:
         raise SearchSpaceTooLarge(f"{total} candidates at height {height}")
     return itertools.product(range(-height, height + 1), repeat=n)

@@ -1,9 +1,21 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from padic_tate import cli
 from padic_tate.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -266,3 +278,242 @@ class TestPointRoundTrip:
                             "--format", "structured")
         assert code == 0
         assert records(out)[0]["kind"] == "identity"
+
+
+# Input files named by "@name" in the argv lists below; the outputs of the
+# calls that read them do not contain the path.
+GOLDEN_FILES = {
+    "@V": {"n": 2, "mult": [[1], [0]], "ell": [[1], [0]]},
+    "@G": {"nvars": 2, "degree_cap": 8, "terms": [{"exp": [0, 4], "coeff": "1"}]},
+    "@F": {"nvars": 2, "degree_cap": 8,
+           "terms": [{"exp": [0, 2], "coeff": "1"}, {"exp": [1, 0], "coeff": "5"}]},
+}
+
+_P7_X = ("2 + 2*pi + pi^2 + pi^4 + 4*pi^5 + 2*pi^7 + pi^8 + 2*pi^9 + 4*pi^10 + pi^11"
+         " + 4*pi^12 + pi^13 + 4*pi^14 + 3*pi^16 + 4*pi^17 + pi^19 + O(pi^20)")
+_P7_Y = ("1 + 2*pi + pi^2 + 3*pi^3 + 3*pi^4 + 4*pi^5 + pi^6 + pi^8 + 4*pi^9 + 2*pi^12"
+         " + pi^13 + 3*pi^14 + pi^15 + 2*pi^16 + 2*pi^17 + 2*pi^19 + O(pi^20)")
+
+# SHA-256 of (exit code, stdout, stderr) for each argv, recorded before the
+# parser was shared between calls.  Help and usage text is argparse's
+# rendering at 80 columns, which can change between Python minor versions;
+# these digests were taken with CPython 3.11.
+GOLDEN = [
+    # --help of every parser
+    (["--help"], "74828f3ef4a071cc32348e895ebe4c5a5a1f704a2f04e75412d823f768523cd0"),
+    (["exp", "--help"], "31061fa6a00e9addc7539283caffec889762a6949a851816b7641d3ad28e2fc8"),
+    (["log", "--help"], "1bd64b81d6366531011572e412dc7ff575c0eda1ee45d9b0caa0aca0219daea7"),
+    (["rv", "--help"], "4b7a60bb51e09ac479fcdbc0bf99ec41f6f729d7b1417f733faea9e876a0e549"),
+    (["tate", "--help"], "32584077ad78911deecff41e7c169351a0bf5a5694480e774f4e32b812658e92"),
+    (["tate", "invariants", "--help"], "f9c6f114e41fccac8659d5276403dbaf1f44cfee380248823145997a50d9aede"),
+    (["tate", "j", "--help"], "a8aac4128c28ed1e0237f89ee14a66603cdab998fd7fdc467f70b18a32a7743e"),
+    (["tate", "map", "--help"], "443eea3f2c92332c9735f0419a7d437bf37292b665b37c8762e4a6594b07c386"),
+    (["tate", "add", "--help"], "98dd1381fdf0f964210aa08c70304722eea6cba5023655f259e2e6092f1aa7e5"),
+    (["tate", "verify-hom", "--help"], "84f082aefde9fc3cfbacf6172f93838432582c1376e20491c28bf7fc24dd019a"),
+    (["tate", "verify-ode", "--help"], "eacb411c2d8fcad123219a2e110d05b468a1ececc4d03ac93c333d324f25f798"),
+    (["wdiv", "--help"], "92cf00745f12df8a5bcadfd6c2695faffdaf7733ad05ed18767f1782968954a9"),
+    (["balls", "--help"], "caf6b8ba732985f011ce012c5af26833aa5182ac715b0be41f28cd1087fe97c3"),
+    (["balls", "next", "--help"], "9c779a0bfea614974138c934cc23468f87b1fd0bb537d6262f36f01441616fc8"),
+    (["balls", "same", "--help"], "68ae6b638ebed9457303ec260d696bad8922a3ee9fd6ac81f1014b1549878dc2"),
+    (["lattice", "--help"], "276af2216dca74785d0758eced27b1d1c4f5c66644e38a59d6b6fbee54fc3001"),
+    (["lattice", "smith", "--help"], "61a0626ee45c7b5087b4cbab4ce4518797d4e2a5ab3087744ba97f5d8a0c61d0"),
+    (["lattice", "kernel", "--help"], "847ae1a2ad8049280fb8c0963547b9e5c5b3e2161ac953da6ac202a9123526ea"),
+    (["geom", "--help"], "a0df097255ea1550e1657dc9cc30e5789a1dfa733f721f60de3cd65eb953ba3b"),
+    (["geom", "rotund", "--help"], "144c2ad45c9a539c56aa8f5ab8683a71d93c7bc632f184c2274f54c1085974ab"),
+    (["geom", "plikely", "--help"], "345192d513348ffb0d0a3c17221872d134d9791dfc7675a675f129d22bc873fb"),
+    (["geom", "atypical", "--help"], "a3bcd1b922295e1fb7e0db2042d9dd646da4ac8492b57093437c0a48e7c816f5"),
+    (["relations", "--help"], "0c85aee7127c5151976ca26a3d2ddc05f913bf34fb81d5e9947fe4821b631a9f"),
+    (["relations", "search", "--help"], "1ce3cea7c0bbb0351f241f911ccac74675f7ba2a3ec72d5ad96d81586af9aa48"),
+    (["relations", "mult", "--help"], "ffedf8432c6d4d5a1904f68f75dde86b9b26bc7276fe76cb0b7b8b88de4b650d"),
+    (["harness", "--help"], "c42fcd41c1b4f56d57f9456d270b9ab2da7e8cb36d70a1fae49afd1f3c37e550"),
+    # usage errors
+    ([], "7d87180784a0ac04ac3dd0a8e73faddbc7b527b2a0e48ccefe9f96a9c08e6db8"),
+    (["exp"], "153dfc14bb60c94639e0ce4bbea97c33d1eb2cd375fa882606bed5aab70e6d25"),
+    (["tate", "map", "--q", "5^2"], "07250886d587b9f1ed8dd8ad2d5e8bacabfdb3d030ab6649a5ad3a6444ba74c5"),
+    (["tate"], "c9d2d06c1fe2dc2ec0bb5f378adaa34d88d7aa69ce0d0d3c76c7e7c40ac877bb"),
+    (["frobnicate"], "9c6013a3925046b603258f727210608c7ae8d8524b72024d339ab7c1d8df0769"),
+    (["exp", "--x", "5", "--format", "xml"], "2a909ae7935f787797cd5fc06aac63b356a8f17fbc398a968531670b06537571"),
+    (["harness", "--suite", "nope"], "fc60d17214ec1a4517d5f05678eff5ae76a3a53aa79c143fa40c5c90d4e47fc0"),
+    (["exp", "--x", "5", "--nope", "1"], "afa23befac7c675aff4acba871b1cdce830bd654c7a0795a9dc9309512e25e60"),
+    (["exp", "--x", "5", "--prec", "ten"], "937090644b4e5c8f25ce6e55d94adb8503dfbdbf7aec40321bf6623a29b24a30"),
+    # errors raised by the library: domain, then precision
+    (["log", "--y", "2", "--prec", "6"], "92482a0da0baa017341c04476fbc1737a8e9069fb51c2042fd682269d91f53b1"),
+    (["rv", "--x", "0", "--prec", "6"], "fb4aee65c8590ce8d3606014780189ae08c8b9a2e7cb68eb9c3ea3dc73c1b198"),
+    # one valid call per leaf
+    (["exp", "--x", "5", "--prec", "10"], "b2e9a46a3ffb39a3d4752f19c8d3504c0f3b4374a2e8a89d1674a3a3418398fc"),
+    (["--p", "5", "--prec", "10", "log", "--y", "1 + 5^2", "--format", "structured"], "dc62778f3ae4dbc9f140746fe4f0b3701f3f533a2206c2762faa1c3a2dca7f41"),
+    (["rv", "--x", "5 + 2*5^2", "--lambda", "1", "--prec", "10"], "a8bdd2916dc4b2deb3d18f3fa9e866b4be0492d2742646b4a13928b35a81d64c"),
+    (["tate", "invariants", "--q", "5^2", "--prec", "20"], "e41fd5b6f1d70f219289ce985185a7be2ec234351a2c8c05636004e143a2e378"),
+    (["tate", "j", "--q", "5^2", "--format", "structured"], "62eca5db592c956d14d482c0daffc1b80d29900ab59e3b59b6742e58901ef776"),
+    (["tate", "map", "--q", "5^2", "--u", "7", "--prec", "20"], "8dec97edd9be014c346eea29197301540d00b99aa413bd06cf714e394cfc8fcb"),
+    (["tate", "add", "--q", "5^2", "--prec", "20", "--x1", _P7_X, "--y1", _P7_Y,
+      "--x2", _P7_X, "--y2", _P7_Y], "3bec6efcd8bf0b31736325bf37e7c1080867509fb1c7ee27422b0f1b9c4695d9"),
+    (["tate", "verify-hom", "--q", "5^2", "--trials", "2", "--prec", "30"], "3b513080e058a1bfba4adc1d4a5e0d21178f06a60ae7294fc262bb8d2683c4a0"),
+    (["tate", "verify-ode", "--p", "3", "--q", "3^2", "--trials", "1", "--seed", "4"], "b5d6ad5fdd1fd9fcd7cb2463fb968e30161e57b44858f8af910925e226276fc1"),
+    (["wdiv", "--g", "@G", "--f", "@F", "--prec", "12", "--format", "structured"], "14b1c2fb403c6cc27ee32e4008aca8d5a0313f63ed594bb471fb93dee2ce0e1c"),
+    (["balls", "next", "--C", "0,1", "--lambda", "0", "--x", "5"], "c41a8c63288c2a5a6fa61cf838a978ce88c954f37c94b39b16c7aae643c77913"),
+    (["balls", "same", "--C", "0", "--x", "5", "--y", "30"], "e343bec1c389311cc3235da94d3d09a2fc6fce215554c05dc08bca55c5d6ec87"),
+    (["lattice", "smith", "--matrix", "2,4;6,8"], "90fe7c202d53983e974d52686d12df7e156ae2204ccceaf25853316829f349d4"),
+    (["lattice", "kernel", "--matrix", "1,1", "--format", "structured"], "379027a14e7551355899587a59fafbbb7f5584dd3b9ecc88e80408d2e6421047"),
+    (["geom", "rotund", "--lattice", "@V", "--height", "1"], "7e4bc5163a0ad28217698ccbe6b5606cc9be078bb9a6e08ca5e6e20c853363a2"),
+    (["geom", "plikely", "--V", "1;0", "--S", "0;1", "--n", "2"], "381d80704f932b887a9b51bdf1d8516d505627ee9424a946b2d039b0133d180b"),
+    (["geom", "plikely", "--V", "1;0", "--S", "1;0", "--T", "1;0", "--T", "0;1",
+      "--n", "2"], "7138f1dca9bc919552166c4d4e22b4691f14b6a44a0337c7bbd5b4605b79b480"),
+    (["geom", "atypical", "--dims", "1,1,1,3"], "dcbc93be9f8b1b1b569a4441cd180174b7d755ae7121d730041063dd1601b2fd"),
+    (["relations", "search", "--z", "5", "--z", "2*5", "--height", "3", "--prec", "30"], "2c36a2fcb86153621cb4302aeb9db0bdbc214f9069cdb8d364703b8d16ad2df0"),
+    (["relations", "mult", "--q", "5^2", "--u", "7*5^2", "--u", "7", "--height", "2",
+      "--prec", "30"], "13f84998c8ff25d94dc7b6a16d30a8df343ff42a9f9e8eea57c46a41032ed4dc"),
+    (["harness", "--suite", "exp", "--trials", "1", "--format", "structured"], "a35aa386cf5ad55f9142018552cb0c9c78c9989c5f9a8b26230bf25ae0eccea6"),
+]
+
+
+def golden_digest(argv) -> str:
+    """SHA-256 of the exit code, stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.fixture
+def golden_env(tmp_path, monkeypatch):
+    """Fixed help width, no seed override, and the input files; returns the
+    argv rewriter that puts their paths in place of the @names."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("PADIC_TATE_SEED", raising=False)
+    paths = {}
+    for name, content in GOLDEN_FILES.items():
+        path = tmp_path / (name[1:] + ".json")
+        path.write_text(json.dumps(content))
+        paths[name] = str(path)
+    return lambda argv: [paths.get(a, a) for a in argv]
+
+
+class TestGoldenBytes:
+    def test_outputs_match_recorded_digests(self, golden_env):
+        # forward, then reversed in the same process: any state one call
+        # leaves in the shared parser shows up as a changed digest
+        for argv, digest in GOLDEN + GOLDEN[::-1]:
+            assert golden_digest(golden_env(argv)) == digest, argv
+
+
+class TestParserReuse:
+    def test_first_call_builds_the_tree_and_later_calls_none(self, monkeypatch, capsys):
+        built = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        assert main(["exp", "--x", "5", "--prec", "5"]) == 0
+        # the shared flags, the top parser, five command groups and 20 leaves
+        assert built[0] == 27
+        built[0] = 0
+        for k in range(20):
+            assert main(["exp", "--x", str(5 * k), "--prec", "5"]) == 0
+        assert main(["geom", "atypical", "--help"]) == 0
+        assert built[0] == 0
+
+    def test_omitted_T_is_zero_after_a_call_with_T(self, capsys):
+        base = ["geom", "plikely", "--V", "1;0", "--S", "1;0", "--n", "2",
+                "--format", "structured"]
+        code, out = run_cli(capsys, *base, "--T", "1;0", "--T", "0;1")
+        assert code == 1 and [r["rhs"] for r in records(out)] == [1, 1]
+        code, out = run_cli(capsys, *base)
+        # one quotient, T = 0, so rhs = n
+        assert code == 0 and records(out) == [
+            {"op": "geom.plikely", "index": 0, "ok": True, "lhs": 2, "rhs": 2}]
+        assert cli._build_parser().parse_args(base).T == []
+
+    def test_repeated_z_lists_are_not_shared(self, capsys):
+        argv = ["relations", "search", "--z", "5", "--z", "2*5", "--height", "2"]
+        first = cli._build_parser().parse_args(argv)
+        second = cli._build_parser().parse_args(argv[:4] + argv[6:])
+        assert first.z == ["5", "2*5"] and second.z == ["5"]
+        assert first.z is not second.z
+        _, both = run_cli(capsys, *argv, "--format", "structured")
+        _, alone = run_cli(capsys, *argv[:4], *argv[6:], "--format", "structured")
+        assert records(both)[0]["relations"] == "[[2, -1]]"
+        assert records(alone)[0]["relations"] == "[]"
+
+
+IMPORT_PROBE = """
+import sys
+import padic_tate
+import padic_tate.cli
+assert "padic_tate.harness" not in sys.modules, "imported with the package"
+from padic_tate import RunConfig
+assert padic_tate.run_suite is sys.modules["padic_tate.harness"].run_suite
+assert padic_tate.RunConfig is RunConfig
+assert padic_tate.harness.parse_extension is padic_tate.field.parse_extension
+try:
+    padic_tate.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+
+
+class TestImportHygiene:
+    def run_fresh(self, code):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+
+    def test_package_and_cli_leave_the_harness_unimported(self):
+        proc = self.run_fresh(IMPORT_PROBE)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_harness_command_imports_it_on_demand(self):
+        proc = self.run_fresh(
+            "import sys\n"
+            "from padic_tate.cli import main\n"
+            "assert 'padic_tate.harness' not in sys.modules\n"
+            "sys.exit(main(['harness', '--suite', 'exp', '--trials', '1']))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "suite=exp  summary=True  ok=True  records=4"
+
+
+class TestDimensionBound:
+    """A lattice dimension n arrives as one JSON integer, so nothing of size
+    n may be built before it is refused."""
+
+    def measured(self, argv):
+        cli._build_parser()          # built before measuring
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        finally:
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return code, elapsed, peak
+
+    @pytest.mark.parametrize("height", ["0", "1"])
+    def test_rotund_refuses_huge_n_at_once(self, tmp_path, capsys, height):
+        path = tmp_path / "V.json"
+        path.write_text(json.dumps({"n": 10 ** 6}))
+        code, elapsed, peak = self.measured(
+            ["geom", "rotund", "--lattice", str(path), "--height", height])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: 1000000x1000000 candidate matrices exceed 5000000 entries\n")
+        # one slot per unit of n would already take 8 MB
+        assert elapsed < 1.0 and peak < 10 ** 6
+
+    def test_plikely_default_T_is_not_built(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"entries": []}))
+        code, elapsed, peak = self.measured(
+            ["geom", "plikely", "--V", str(empty), "--S", str(empty), "--n", "1000000"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "op=geom.plikely  index=0  ok=False  lhs=0  rhs=1000000\n")
+        assert elapsed < 1.0 and peak < 10 ** 6

@@ -276,6 +276,18 @@ class TestRotund:
         with pytest.raises(ValueError, match="n must be >= 0"):
             SubgroupLattice(-1, (), ())
 
+    @pytest.mark.parametrize("height", [0, 1])
+    def test_dimension_refused_before_any_candidate(self, height, monkeypatch):
+        # one candidate matrix of n * n entries is itself beyond the budget,
+        # so no candidate row is made
+        with monkeypatch.context() as patch, pytest.raises(SearchSpaceTooLarge) as err:
+            patch.setattr(lattice, "_normalized_rows", None)
+            rotund_check(SubgroupLattice(10 ** 6, (), ()), height)
+        assert str(err.value) == "1000000x1000000 candidate matrices exceed 5000000 entries"
+        with pytest.raises(SearchSpaceTooLarge, match="^3x3 candidate matrices exceed 8 entries$"):
+            rotund_check(FULL_RANK_3, 0, max_candidates=8)
+        assert rotund_check(FULL_RANK_3, 0, max_candidates=9) == RotundVerdict(False, None, 0)
+
 
 class TestLemmaVM:
     def test_zero_matrix_vacuous(self):
@@ -369,6 +381,19 @@ class TestRelationSearch:
         zs = [PadicElement.one(Q5, 50)] * 6
         with pytest.raises(SearchSpaceTooLarge):
             relation_search(zs, 20, max_candidates=10 ** 5)
+
+    def test_guard_count_is_written_out_while_it_fits(self, Q5):
+        # 3^9012 has 4300 digits, the longest decimal Python writes by
+        # default; 3^9013 has 4301 and is refused without being formed
+        with pytest.raises(SearchSpaceTooLarge) as err:
+            relation_search([PadicElement.one(Q5, 50)] * 9012, 1)
+        assert str(err.value) == f"{3 ** 9012} candidates at height 1"
+        with pytest.raises(SearchSpaceTooLarge, match="^3\\^9013 candidates at height 1$"):
+            relation_search([PadicElement.one(Q5, 50)] * 9013, 1)
+        height = 10 ** 4000
+        with pytest.raises(SearchSpaceTooLarge) as err:
+            relation_search([PadicElement.one(Q5, 50)] * 2, height)
+        assert str(err.value) == f"{2 * height + 1}^2 candidates at height {height}"
 
 
 class TestMultDependence:
