@@ -23,16 +23,6 @@ class Ball:
     center: PadicElement
     lambda_radius: Fraction
 
-    def contains(self, x: PadicElement) -> bool:
-        diff = x - self.center
-        if _beyond(diff, self.lambda_radius):
-            return True
-        if not diff.is_zero:
-            return False
-        raise ImpreciseDistance(
-            f"membership undecidable: v(x-center) >= {diff.valuation().value} "
-            f"vs radius {self.lambda_radius}")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ball):
             return NotImplemented

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit status: 0 success or verification pass, 1 verification failure,
-2 usage error, 3 precision error.  Structured output is one JSON record per
+Exit status: 0 success or verification pass, 1 verification failure, 2 usage
+or output error, 3 precision error.  Structured output is one JSON record per
 line with stable key order; PADIC_TATE_SEED overrides --seed when set.
 """
 
@@ -65,20 +65,40 @@ PRECISION_ERRORS = (
 
 USAGE_ERRORS = (ParseError, DenominatorNotInvertible, ValueError)
 
+# the keys of harness.SUITES, sorted; listed here so that building the
+# parser does not import the harness
+SUITE_NAMES = ("balls", "exp", "lattice", "tate", "weierstrass")
 
-class _Emitter:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
+GLOBAL_DEFAULTS = {"p": 5, "prec": 40, "ext": "base", "seed": 0,
+                   "slack": 10, "fmt": "text"}
 
-    def record(self, **fields) -> None:
-        if self.fmt == "structured":
+
+class _Context:
+    """What every handler may use besides its arguments: the output record,
+    the field and precision of element literals, and the slack budget."""
+
+    def __init__(self, args):
+        self.args = args
+        self.field = parse_extension(args.p, args.ext)
+        self.prec = args.prec
+        # verification commands validate prec > slack via RunConfig; plain
+        # evaluation only uses slack as a local budget, clamped to the precision
+        self.slack = min(args.slack, max(args.prec - 1, 0))
+
+    def emit(self, **fields) -> None:
+        if self.args.fmt == "structured":
             print(json.dumps(fields))
         else:
             print("  ".join(f"{k}={v}" for k, v in fields.items()))
 
+    def elt(self, text: str) -> PadicElement:
+        return parse_element(text, self.field, self.prec)
 
-GLOBAL_DEFAULTS = {"p": 5, "prec": 40, "ext": "base", "seed": 0,
-                   "slack": 10, "fmt": "text"}
+    def config(self):
+        from .harness import RunConfig
+
+        a = self.args
+        return RunConfig(p=a.p, prec=a.prec, ext=a.ext, seed=a.seed, slack=a.slack)
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -98,98 +118,98 @@ def _common_options() -> argparse.ArgumentParser:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument tree, built on the first call and shared after it:
-    parsing reads a parser and never changes it."""
-    from .harness import SUITES
-
+    parsing reads a parser and never changes it.  Each leaf names its
+    handler as the default of ``run``."""
     common = _common_options()
     top = argparse.ArgumentParser(prog="padic-tate", parents=[common],
                                   description="p-adic arithmetic, the Tate curve, "
                                               "and lattice intersection checks")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def leaf(group, name, **kw):
-        return group.add_parser(name, parents=[common], **kw)
+    def group(name, text):
+        return sub.add_parser(name, help=text).add_subparsers(
+            dest=f"{name}_command", required=True)
 
-    s = leaf(sub, "exp", help="p-adic exponential")
+    def leaf(group, name, run, **kw):
+        par = group.add_parser(name, parents=[common], **kw)
+        par.set_defaults(run=run)
+        return par
+
+    s = leaf(sub, "exp", _exp, help="p-adic exponential")
     s.add_argument("--x", required=True)
 
-    s = leaf(sub, "log", help="p-adic logarithm")
+    s = leaf(sub, "log", _log, help="p-adic logarithm")
     s.add_argument("--y", required=True)
 
-    s = leaf(sub, "rv", help="leading-term class")
+    s = leaf(sub, "rv", _rv, help="leading-term class")
     s.add_argument("--x", required=True)
     s.add_argument("--lambda", dest="lam", default="0")
 
-    tate = sub.add_parser("tate", help="Tate curve operations")
-    tsub = tate.add_subparsers(dest="tate_command", required=True)
-    for name in ("invariants", "j"):
-        t = leaf(tsub, name)
+    tsub = group("tate", "Tate curve operations")
+    for name, run in (("invariants", _tate_invariants), ("j", _tate_j)):
+        t = leaf(tsub, name, run)
         t.add_argument("--q", required=True)
-    t = leaf(tsub, "map")
+    t = leaf(tsub, "map", _tate_map)
     t.add_argument("--q", required=True)
     t.add_argument("--u", required=True)
-    t = leaf(tsub, "add")
+    t = leaf(tsub, "add", _tate_add)
     t.add_argument("--q", required=True)
     t.add_argument("--x1", required=True)
     t.add_argument("--y1", required=True)
     t.add_argument("--x2", required=True)
     t.add_argument("--y2", required=True)
-    for name in ("verify-hom", "verify-ode"):
-        t = leaf(tsub, name)
+    for name, prefixes in (("verify-hom", ("hom/",)), ("verify-ode", ("ode/", "xprime/"))):
+        t = leaf(tsub, name, functools.partial(_tate_verify, prefixes))
         t.add_argument("--q", required=True)
         t.add_argument("--trials", type=int, default=20)
 
-    s = leaf(sub, "wdiv", help="Weierstrass division g = q*f + r")
+    s = leaf(sub, "wdiv", _wdiv, help="Weierstrass division g = q*f + r")
     s.add_argument("--g", required=True, help="series file for the dividend")
     s.add_argument("--f", required=True, help="series file for the divisor")
     s.add_argument("--active", type=int, default=None,
                    help="1-based active variable (default: the last)")
     s.add_argument("--degree-cap", type=int, default=8)
 
-    balls = sub.add_parser("balls", help="ball combinatorics")
-    bsub = balls.add_subparsers(dest="balls_command", required=True)
-    b = leaf(bsub, "next")
+    bsub = group("balls", "ball combinatorics")
+    b = leaf(bsub, "next", _balls_next)
     b.add_argument("--C", required=True, help="comma-separated element literals")
     b.add_argument("--lambda", dest="lam", default="0")
     b.add_argument("--x", required=True)
-    b = leaf(bsub, "same")
+    b = leaf(bsub, "same", _balls_same)
     b.add_argument("--C", required=True)
     b.add_argument("--lambda", dest="lam", default="0")
     b.add_argument("--x", required=True)
     b.add_argument("--y", required=True)
 
-    lot = sub.add_parser("lattice", help="integer matrix calculus")
-    lsub = lot.add_subparsers(dest="lattice_command", required=True)
-    for name in ("smith", "kernel"):
-        m = leaf(lsub, name)
+    lsub = group("lattice", "integer matrix calculus")
+    for name, run in (("smith", _lattice_smith), ("kernel", _lattice_kernel)):
+        m = leaf(lsub, name, run)
         m.add_argument("--matrix", required=True, help="JSON matrix file or inline rows a,b;c,d")
 
-    geom = sub.add_parser("geom", help="subgroup-coset geometry")
-    gsub = geom.add_subparsers(dest="geom_command", required=True)
-    g = leaf(gsub, "rotund")
+    gsub = group("geom", "subgroup-coset geometry")
+    g = leaf(gsub, "rotund", _geom_rotund)
     g.add_argument("--lattice", required=True, help="JSON subgroup lattice file")
     g.add_argument("--height", type=int, default=3)
-    g = leaf(gsub, "plikely")
+    g = leaf(gsub, "plikely", _geom_plikely)
     g.add_argument("--V", required=True)
     g.add_argument("--S", required=True)
     g.add_argument("--T", action="append", default=[],
                    help="quotient lattice (repeatable; omit for T = 0)")
     g.add_argument("--n", type=int, required=True)
-    g = leaf(gsub, "atypical")
+    g = leaf(gsub, "atypical", _geom_atypical)
     g.add_argument("--dims", required=True, help="dimX,dimV,dimW,dimZ")
 
-    rel = sub.add_parser("relations", help="bounded-height relation probers")
-    rsub = rel.add_subparsers(dest="relations_command", required=True)
-    r = leaf(rsub, "search")
+    rsub = group("relations", "bounded-height relation probers")
+    r = leaf(rsub, "search", _relations_search)
     r.add_argument("--z", action="append", required=True)
     r.add_argument("--height", type=int, default=10)
-    r = leaf(rsub, "mult")
+    r = leaf(rsub, "mult", _relations_mult)
     r.add_argument("--q", required=True)
     r.add_argument("--u", action="append", required=True)
     r.add_argument("--height", type=int, default=10)
 
-    h = leaf(sub, "harness", help="run a seeded verification suite")
-    h.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
+    h = leaf(sub, "harness", _harness, help="run a seeded verification suite")
+    h.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     h.add_argument("--q", default=None, help="q literal for the tate suite")
     h.add_argument("--trials", type=int, default=None)
     return top
@@ -253,15 +273,10 @@ def _series_record(series: StrictSeries) -> dict:
     return {
         "nvars": series.nvars,
         "degree_cap": series.degree_cap,
-        "terms": [{"exp": list(expo), "coeff": _bare_literal(c)}
+        # the digits without the O-term, re-parseable by the grammar
+        "terms": [{"exp": list(expo), "coeff": str(c).rsplit(" + O(", 1)[0]}
                   for expo, c in series.coeffs.items()],
     }
-
-
-def _bare_literal(x: PadicElement) -> str:
-    """Digit expansion without the O-term, re-parseable by the grammar."""
-    text = str(x)
-    return text.rsplit(" + O(", 1)[0]
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -271,228 +286,199 @@ def _fraction_arg(text: str) -> Fraction:
         raise ValueError(f"{text!r} has a zero denominator") from None
 
 
+def _rows(M) -> str:
+    return json.dumps([list(r) for r in M])
+
+
+# Each handler prints its records and returns the exit code, or None for 0.
+
+def _exp(args, ctx):
+    ctx.emit(op="exp", x=args.x, result=str(p_exp(ctx.elt(args.x))))
+
+
+def _log(args, ctx):
+    ctx.emit(op="log", y=args.y, result=str(p_log(ctx.elt(args.y))))
+
+
+def _rv(args, ctx):
+    cls = rv_class(ctx.elt(args.x), _fraction_arg(args.lam))
+    ctx.emit(op="rv", valuation=str(cls.valuation),
+             digits=str(list(cls.leading_digits)), lam=str(cls.lam))
+
+
+def _curve(args, ctx):
+    return curve_coefficients(ctx.elt(args.q))
+
+
+def _tate_invariants(args, ctx):
+    curve = _curve(args, ctx)
+    j = j_invariant(curve)
+    ctx.emit(op="tate.invariants", a4=str(curve.a4), a6=str(curve.a6),
+             discriminant=str(curve_discriminant(curve)), j=str(j),
+             v_j=str(j.valuation().value))
+
+
+def _tate_j(args, ctx):
+    j = j_invariant(_curve(args, ctx))
+    ctx.emit(op="tate.j", j=str(j), v_j=str(j.valuation().value), prec=j.abs_prec)
+
+
+def _emit_point(ctx, op: str, pt: TatePoint) -> None:
+    if pt.is_identity:
+        ctx.emit(op=op, kind="identity")
+    else:
+        ctx.emit(op=op, kind="affine", x=str(pt.x), y=str(pt.y))
+
+
+def _tate_map(args, ctx):
+    _emit_point(ctx, "tate.map", phi(_curve(args, ctx), ctx.elt(args.u), slack=ctx.slack))
+
+
+def _tate_add(args, ctx):
+    curve = _curve(args, ctx)
+    P = TatePoint.affine(ctx.elt(args.x1), ctx.elt(args.y1))
+    Q = TatePoint.affine(ctx.elt(args.x2), ctx.elt(args.y2))
+    _emit_point(ctx, "tate.add", curve_add(curve, P, Q, slack=ctx.slack))
+
+
+def _tate_verify(prefixes, args, ctx):
+    from .harness import tate_suite
+
+    ctx.elt(args.q)      # a bad --q is reported before a bad configuration
+    cfg = ctx.config()
+    report = tate_suite(cfg, q_literal=args.q, trials=args.trials)
+    shown = [rec for rec in report.records if rec.name.startswith(prefixes)]
+    for rec in shown:
+        ctx.emit(name=rec.name, ok=rec.ok, residual_valuation=rec.measured.lstrip(">="),
+                 prec=cfg.prec)
+    return 0 if all(rec.ok for rec in shown) else 1
+
+
+def _wdiv(args, ctx):
+    g = _load_series(args.g, ctx.field, ctx.prec, args.degree_cap)
+    f = _load_series(args.f, ctx.field, ctx.prec, args.degree_cap)
+    active = (args.active - 1) if args.active is not None else g.nvars - 1
+    d = regular_degree(f, active)
+    if d is None:
+        ctx.emit(op="wdiv", ok=False, reason="divisor not regular")
+        return 1
+    q, r = weierstrass_divide(g, f, active)
+    ctx.emit(op="wdiv", ok=True, degree=d,
+             q=json.dumps(_series_record(q)), r=json.dumps(_series_record(r)))
+
+
+def _centers(args, ctx):
+    return [ctx.elt(c) for c in args.C.split(",")], _fraction_arg(args.lam)
+
+
+def _balls_next(args, ctx):
+    ball = ball_next(*_centers(args, ctx), ctx.elt(args.x))
+    ctx.emit(op="balls.next", center=str(ball.center), radius=str(ball.lambda_radius))
+
+
+def _balls_same(args, ctx):
+    ctx.emit(op="balls.same",
+             same=same_ball(*_centers(args, ctx), ctx.elt(args.x), ctx.elt(args.y)))
+
+
+def _lattice_smith(args, ctx):
+    M = _load_matrix(args.matrix)
+    U, D, V = smith_normal_form(M)
+    ctx.emit(op="lattice.smith", D=_rows(D), U=_rows(U), V=_rows(V), rank=rank(M))
+
+
+def _lattice_kernel(args, ctx):
+    K = kernel_lattice(_load_matrix(args.matrix))
+    ctx.emit(op="lattice.kernel", basis=_rows(K), rank=rank(K))
+
+
+def _geom_rotund(args, ctx):
+    verdict = rotund_check(_load_lattice(args.lattice), args.height)
+    ctx.emit(op="geom.rotund", refuted=verdict.refuted,
+             witness=_rows(verdict.witness) if verdict.witness else None,
+             height=verdict.height)
+    return 1 if verdict.refuted else 0
+
+
+def _geom_plikely(args, ctx):
+    V = _load_matrix(args.V)
+    S = _load_matrix(args.S)
+    Ts = [_load_matrix(t) for t in args.T] or [()]
+    verdicts = persistently_likely(V, S, Ts, args.n)
+    for v in verdicts:
+        ctx.emit(op="geom.plikely", index=v.index, ok=v.ok, lhs=v.lhs, rhs=v.rhs)
+    return 0 if all(v.ok for v in verdicts) else 1
+
+
+def _geom_atypical(args, ctx):
+    dims = [int(x) for x in args.dims.split(",")]
+    if len(dims) != 4:
+        raise ValueError("--dims needs dimX,dimV,dimW,dimZ")
+    ctx.emit(op="geom.atypical", atypical=atypical(*dims))
+
+
+def _relations_search(args, ctx):
+    zs = [ctx.elt(z) for z in args.z]
+    found = relation_search(zs, args.height, slack=ctx.slack)
+    threshold = min(z.abs_prec for z in zs) - ctx.slack
+    bound = relation_false_positive_bound(len(zs), args.height, ctx.field.p,
+                                          ctx.field.f, threshold)
+    ctx.emit(op="relations.search", relations=_rows(found),
+             count=len(found), height=args.height,
+             false_positive_bound=f"{bound:.3e}",
+             note="relations to precision, not exact")
+
+
+def _relations_mult(args, ctx):
+    found = mult_dependence_mod_kernel(ctx.elt(args.q), [ctx.elt(u) for u in args.u],
+                                       args.height, slack=ctx.slack)
+    ctx.emit(op="relations.mult",
+             relations=json.dumps([[list(m), k] for m, k in found]),
+             count=len(found), height=args.height,
+             note="relations to precision, not exact")
+
+
+def _harness(args, ctx):
+    from .harness import run_suite
+
+    config = ctx.config()
+    failed = False
+    for name in SUITE_NAMES if args.suite == "all" else [args.suite]:
+        kwargs = {}
+        if name == "tate":
+            kwargs["q_literal"] = args.q or f"{config.p}^2"
+        if name in ("exp", "tate") and args.trials is not None:
+            kwargs["trials"] = args.trials
+        report = run_suite(name, config, **kwargs)
+        for rec in report.records:
+            ctx.emit(suite=name, name=rec.name, ok=rec.ok,
+                     measured=rec.measured, threshold=rec.threshold)
+        ctx.emit(suite=name, summary=True, ok=report.ok, records=len(report.records))
+        failed = failed or not report.ok
+    return 1 if failed else 0
+
+
 def dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv, namespace=argparse.Namespace(**GLOBAL_DEFAULTS))
+    args = _build_parser().parse_args(argv, namespace=argparse.Namespace(**GLOBAL_DEFAULTS))
     if os.environ.get("PADIC_TATE_SEED"):
         args.seed = int(os.environ["PADIC_TATE_SEED"])
     for name in ("trials", "active"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name} must be >= 1, got {value}")
-    emit = _Emitter(args.fmt)
-    field = parse_extension(args.p, args.ext)
-    prec = args.prec
-    # verification commands validate prec > slack via RunConfig; plain
-    # evaluation only uses slack as a local budget, clamped to the precision
-    args.eff_slack = min(args.slack, max(args.prec - 1, 0))
-
-    def config():
-        from .harness import RunConfig
-
-        return RunConfig(p=args.p, prec=args.prec, ext=args.ext,
-                         seed=args.seed, slack=args.slack)
-
-    def elt(text: str) -> PadicElement:
-        return parse_element(text, field, prec)
-
-    command = args.command
-    if command == "exp":
-        emit.record(op="exp", x=args.x, result=str(p_exp(elt(args.x))))
-        return 0
-    if command == "log":
-        emit.record(op="log", y=args.y, result=str(p_log(elt(args.y))))
-        return 0
-    if command == "rv":
-        cls = rv_class(elt(args.x), _fraction_arg(args.lam))
-        emit.record(op="rv", valuation=str(cls.valuation),
-                    digits=str(list(cls.leading_digits)), lam=str(cls.lam))
-        return 0
-    if command == "tate":
-        return _tate_command(args, emit, field, prec, config)
-    if command == "wdiv":
-        g = _load_series(args.g, field, prec, args.degree_cap)
-        f = _load_series(args.f, field, prec, args.degree_cap)
-        active = (args.active - 1) if args.active is not None else g.nvars - 1
-        d = regular_degree(f, active)
-        if d is None:
-            emit.record(op="wdiv", ok=False, reason="divisor not regular")
-            return 1
-        q, r = weierstrass_divide(g, f, active)
-        emit.record(op="wdiv", ok=True, degree=d,
-                    q=json.dumps(_series_record(q)), r=json.dumps(_series_record(r)))
-        return 0
-    if command == "balls":
-        C = [elt(c) for c in args.C.split(",")]
-        lam = _fraction_arg(args.lam)
-        if args.balls_command == "next":
-            ball = ball_next(C, lam, elt(args.x))
-            emit.record(op="balls.next", center=str(ball.center),
-                        radius=str(ball.lambda_radius))
-        else:
-            verdict = same_ball(C, lam, elt(args.x), elt(args.y))
-            emit.record(op="balls.same", same=verdict)
-        return 0
-    if command == "lattice":
-        M = _load_matrix(args.matrix)
-        if args.lattice_command == "smith":
-            U, D, V = smith_normal_form(M)
-            emit.record(op="lattice.smith", D=json.dumps([list(r) for r in D]),
-                        U=json.dumps([list(r) for r in U]),
-                        V=json.dumps([list(r) for r in V]), rank=rank(M))
-        else:
-            K = kernel_lattice(M)
-            emit.record(op="lattice.kernel", basis=json.dumps([list(r) for r in K]),
-                        rank=rank(K))
-        return 0
-    if command == "geom":
-        return _geom_command(args, emit)
-    if command == "relations":
-        return _relations_command(args, emit, field, prec, args.eff_slack)
-    if command == "harness":
-        return _harness_command(args, emit, config())
-    parser.error(f"unhandled command {command}")
-    return 2
-
-
-def _tate_command(args, emit, field, prec, config) -> int:
-    from .harness import tate_suite
-
-    slack = args.eff_slack
-    q = parse_element(args.q, field, prec)
-    sub = args.tate_command
-    if sub in ("invariants", "j"):
-        curve = curve_coefficients(q)
-        j = j_invariant(curve)
-        if sub == "j":
-            emit.record(op="tate.j", j=str(j), v_j=str(j.valuation().value),
-                        prec=j.abs_prec)
-            return 0
-        emit.record(op="tate.invariants", a4=str(curve.a4), a6=str(curve.a6),
-                    discriminant=str(curve_discriminant(curve)), j=str(j),
-                    v_j=str(j.valuation().value))
-        return 0
-    if sub == "map":
-        curve = curve_coefficients(q)
-        pt = phi(curve, parse_element(args.u, field, prec), slack=slack)
-        if pt.is_identity:
-            emit.record(op="tate.map", kind="identity")
-        else:
-            emit.record(op="tate.map", kind="affine", x=str(pt.x), y=str(pt.y))
-        return 0
-    if sub == "add":
-        curve = curve_coefficients(q)
-        P = TatePoint.affine(parse_element(args.x1, field, prec),
-                             parse_element(args.y1, field, prec))
-        Q = TatePoint.affine(parse_element(args.x2, field, prec),
-                             parse_element(args.y2, field, prec))
-        total = curve_add(curve, P, Q, slack=slack)
-        if total.is_identity:
-            emit.record(op="tate.add", kind="identity")
-        else:
-            emit.record(op="tate.add", kind="affine", x=str(total.x), y=str(total.y))
-        return 0
-    if sub in ("verify-hom", "verify-ode"):
-        cfg = config()
-        report = tate_suite(cfg, q_literal=args.q, trials=args.trials)
-        prefixes = ("hom/",) if sub == "verify-hom" else ("ode/", "xprime/")
-        failures = 0
-        for rec in report.records:
-            if not rec.name.startswith(prefixes):
-                continue
-            if not rec.ok:
-                failures += 1
-            emit.record(name=rec.name, ok=rec.ok,
-                        residual_valuation=rec.measured.lstrip(">="),
-                        prec=cfg.prec)
-        return 0 if failures == 0 else 1
-    raise ValueError(f"unknown tate subcommand {sub}")
-
-
-def _geom_command(args, emit) -> int:
-    sub = args.geom_command
-    if sub == "rotund":
-        V = _load_lattice(args.lattice)
-        verdict = rotund_check(V, args.height)
-        emit.record(op="geom.rotund", refuted=verdict.refuted,
-                    witness=json.dumps([list(r) for r in verdict.witness])
-                    if verdict.witness else None,
-                    height=verdict.height)
-        return 1 if verdict.refuted else 0
-    if sub == "plikely":
-        V = _load_matrix(args.V)
-        S = _load_matrix(args.S)
-        Ts = [_load_matrix(t) for t in args.T] or [()]
-        verdicts = persistently_likely(V, S, Ts, args.n)
-        bad = 0
-        for v in verdicts:
-            emit.record(op="geom.plikely", index=v.index, ok=v.ok, lhs=v.lhs, rhs=v.rhs)
-            bad += 0 if v.ok else 1
-        return 0 if bad == 0 else 1
-    if sub == "atypical":
-        dims = [int(x) for x in args.dims.split(",")]
-        if len(dims) != 4:
-            raise ValueError("--dims needs dimX,dimV,dimW,dimZ")
-        verdict = atypical(*dims)
-        emit.record(op="geom.atypical", atypical=verdict)
-        return 0
-    raise ValueError(f"unknown geom subcommand {sub}")
-
-
-def _relations_command(args, emit, field, prec, slack) -> int:
-    sub = args.relations_command
-    if sub == "search":
-        zs = [parse_element(z, field, prec) for z in args.z]
-        found = relation_search(zs, args.height, slack=slack)
-        threshold = min(z.abs_prec for z in zs) - slack
-        bound = relation_false_positive_bound(len(zs), args.height, field.p,
-                                              field.f, threshold)
-        emit.record(op="relations.search",
-                    relations=json.dumps([list(m) for m in found]),
-                    count=len(found), height=args.height,
-                    false_positive_bound=f"{bound:.3e}",
-                    note="relations to precision, not exact")
-        return 0
-    if sub == "mult":
-        q = parse_element(args.q, field, prec)
-        us = [parse_element(u, field, prec) for u in args.u]
-        found = mult_dependence_mod_kernel(q, us, args.height, slack=slack)
-        emit.record(op="relations.mult",
-                    relations=json.dumps([[list(m), k] for m, k in found]),
-                    count=len(found), height=args.height,
-                    note="relations to precision, not exact")
-        return 0
-    raise ValueError(f"unknown relations subcommand {sub}")
-
-
-def _harness_command(args, emit, config) -> int:
-    from .harness import SUITES, run_suite
-
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    failures = 0
-    for name in names:
-        kwargs = {}
-        if name == "tate":
-            kwargs["q_literal"] = args.q or f"{config.p}^2"
-            if args.trials is not None:
-                kwargs["trials"] = args.trials
-        elif name == "exp" and args.trials is not None:
-            kwargs["trials"] = args.trials
-        report = run_suite(name, config, **kwargs)
-        for rec in report.records:
-            if not rec.ok:
-                failures += 1
-            emit.record(suite=name, name=rec.name, ok=rec.ok,
-                        measured=rec.measured, threshold=rec.threshold)
-        emit.record(suite=name, summary=True, ok=report.ok,
-                    records=len(report.records))
-    return 0 if failures == 0 else 1
+    return args.run(args, _Context(args)) or 0
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        code = dispatch(argv)
+        try:
+            code = dispatch(argv)
+        finally:
+            # a failed write surfaces here, not at interpreter exit; stdout
+            # is None when the process started with it closed
+            if sys.stdout is not None:
+                sys.stdout.flush()
     except PRECISION_ERRORS as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         code = 3
@@ -501,6 +487,15 @@ def main(argv=None) -> int:
         code = 2
     except PadicError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except OSError as exc:
+        # _read_json reports its own OSError, so this one is a failed write
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:
+            # later writes, and the flush at exit, go nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         code = 2
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2

@@ -59,9 +59,6 @@ class FieldDescriptor:
     def coeff_len(self) -> int:
         return self.e if self.kind == "eisenstein" else self.f
 
-    def pi_valuation(self) -> Fraction:
-        return Fraction(1, self.e)
-
     def __str__(self) -> str:
         if self.kind == "base":
             return f"Q_{self.p}"
@@ -301,10 +298,6 @@ class ValuationResult:
     def at_least(self, bound: Rational) -> bool:
         """True when the (possibly bounded) valuation is certainly >= bound."""
         return self.value >= bound
-
-    def exceeds(self, bound: Rational) -> bool:
-        """True when the valuation is certainly > bound."""
-        return self.value > bound        # an at_least value bounds the truth below
 
     def __str__(self) -> str:
         prefix = "" if self.tag == "exact" else ">="

@@ -244,15 +244,14 @@ def curve_neg(curve: TateCurve, point: TatePoint) -> TatePoint:
 
 
 def curve_add(curve: TateCurve, P: TatePoint, Q: TatePoint,
-              slack: int = DEFAULT_SLACK, check: bool = True) -> TatePoint:
+              slack: int = DEFAULT_SLACK) -> TatePoint:
     """Chord-tangent law for y^2 + xy = x^3 + a4 x + a6 (a1 = 1, a2 = a3 = 0)."""
     if P.is_identity:
         return Q
     if Q.is_identity:
         return P
-    if check:
-        _assert_on_curve(curve, P, slack)
-        _assert_on_curve(curve, Q, slack)
+    _assert_on_curve(curve, P, slack)
+    _assert_on_curve(curve, Q, slack)
     x1, y1 = P.x, P.y
     x2, y2 = Q.x, Q.y
     dx = x2 - x1

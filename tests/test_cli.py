@@ -1,9 +1,12 @@
 import argparse
 import contextlib
+import errno
 import hashlib
+import inspect
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -15,7 +18,14 @@ import pytest
 from padic_tate import cli
 from padic_tate.cli import main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def fresh_env():
+    """The environment of a child interpreter that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +297,7 @@ GOLDEN_FILES = {
     "@G": {"nvars": 2, "degree_cap": 8, "terms": [{"exp": [0, 4], "coeff": "1"}]},
     "@F": {"nvars": 2, "degree_cap": 8,
            "terms": [{"exp": [0, 2], "coeff": "1"}, {"exp": [1, 0], "coeff": "5"}]},
+    "@N": {"nvars": 2, "degree_cap": 8, "terms": [{"exp": [0, 1], "coeff": "5"}]},
 }
 
 _P7_X = ("2 + 2*pi + pi^2 + pi^4 + 4*pi^5 + 2*pi^7 + pi^8 + 2*pi^9 + 4*pi^10 + pi^11"
@@ -339,6 +350,8 @@ GOLDEN = [
     # errors raised by the library: domain, then precision
     (["log", "--y", "2", "--prec", "6"], "92482a0da0baa017341c04476fbc1737a8e9069fb51c2042fd682269d91f53b1"),
     (["rv", "--x", "0", "--prec", "6"], "fb4aee65c8590ce8d3606014780189ae08c8b9a2e7cb68eb9c3ea3dc73c1b198"),
+    # a bad --q is reported before the configuration error (prec <= slack)
+    (["tate", "verify-hom", "--q", "5^", "--prec", "5"], "6de79be354ca51f9907e93200aa0ec961ba78114104f4977ce21e3e908f7011b"),
     # one valid call per leaf
     (["exp", "--x", "5", "--prec", "10"], "b2e9a46a3ffb39a3d4752f19c8d3504c0f3b4374a2e8a89d1674a3a3418398fc"),
     (["--p", "5", "--prec", "10", "log", "--y", "1 + 5^2", "--format", "structured"], "dc62778f3ae4dbc9f140746fe4f0b3701f3f533a2206c2762faa1c3a2dca7f41"),
@@ -364,6 +377,18 @@ GOLDEN = [
     (["relations", "mult", "--q", "5^2", "--u", "7*5^2", "--u", "7", "--height", "2",
       "--prec", "30"], "13f84998c8ff25d94dc7b6a16d30a8df343ff42a9f9e8eea57c46a41032ed4dc"),
     (["harness", "--suite", "exp", "--trials", "1", "--format", "structured"], "a35aa386cf5ad55f9142018552cb0c9c78c9989c5f9a8b26230bf25ae0eccea6"),
+    # branches no row above takes: a divisor that is not regular (exit 1), the
+    # identity image, a short --dims (exit 2), the tate suite's trials, tuple
+    # and eisenstein digit display
+    (["wdiv", "--g", "@G", "--f", "@N"], "8e627aa82abc69bb2e69cbe5f2c87ae2d8fca28b7915703ec8dccf9c8b1cff5a"),
+    (["tate", "map", "--q", "5^2", "--u", "5^2"], "1e88807885f679c3fa8366521a2ca0b3926a1090a9ea0f81fc10b5abc68c487c"),
+    (["geom", "atypical", "--dims", "1,1,1"], "93341e70380345238aa133de85d0cd27ed569f16e0e6818346ce116ff04e159d"),
+    (["harness", "--suite", "tate", "--trials", "1", "--format", "structured"], "02e22c56ed5c3908bacd35a9c68fe95c1fb10e2e502ef2fdc8c21c947f3b1b1a"),
+    (["exp", "--p", "3", "--ext", "unramified:f=2", "--x", "3+3*g", "--prec", "6"], "45a17341288da571b3fd13d7c20a2c1f69b3226d7d55000e09e505884224b13c"),
+    (["log", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--y", "1+pi^3", "--prec", "10"], "c30c1cdbb041d05c95d9d299fc626fabd53f7203db314f9b1a6a13590ba3de48"),
+    # the harness's one verification failure, the known false failure of
+    # ode_doubled/5 (exit 1); its digest changes when that threshold is fixed
+    (["harness", "--suite", "tate", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--trials", "6"], "0c9b28f043702cfab075c4efc790263a926e2319c132bbd15b53009d2eb76178"),
 ]
 
 
@@ -429,6 +454,14 @@ class TestParserReuse:
             {"op": "geom.plikely", "index": 0, "ok": True, "lhs": 2, "rhs": 2}]
         assert cli._build_parser().parse_args(base).T == []
 
+    def test_only_dispatch_and_main_are_public(self):
+        # every public function of cli is traced as a span, and main is the
+        # one counted as a CLI call
+        public = [name for name, obj in vars(cli).items()
+                  if inspect.isfunction(obj) and obj.__module__ == cli.__name__
+                  and not name.startswith("_")]
+        assert sorted(public) == ["dispatch", "main"]
+
     def test_repeated_z_lists_are_not_shared(self, capsys):
         argv = ["relations", "search", "--z", "5", "--z", "2*5", "--height", "2"]
         first = cli._build_parser().parse_args(argv)
@@ -461,10 +494,8 @@ else:
 
 class TestImportHygiene:
     def run_fresh(self, code):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=60)
+                              text=True, env=fresh_env(), timeout=60)
 
     def test_package_and_cli_leave_the_harness_unimported(self):
         proc = self.run_fresh(IMPORT_PROBE)
@@ -478,6 +509,85 @@ class TestImportHygiene:
             "sys.exit(main(['harness', '--suite', 'exp', '--trials', '1']))\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "suite=exp  summary=True  ok=True  records=4"
+
+    def test_other_commands_leave_the_harness_unimported(self):
+        proc = self.run_fresh(
+            "import sys\n"
+            "from padic_tate.cli import main\n"
+            "assert main(['exp', '--x', '5']) == 0\n"
+            "assert main(['tate', 'j', '--q', '5^2']) == 0\n"
+            "assert 'padic_tate.harness' not in sys.modules\n")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_suite_names_are_the_harness_suites(self):
+        from padic_tate import harness
+        assert cli.SUITE_NAMES == tuple(sorted(harness.SUITES))
+
+
+def run_child(argv, stdout, unbuffered):
+    """Run the CLI in a fresh interpreter with the given stdout."""
+    env = dict(fresh_env(), PYTHONUNBUFFERED="1" if unbuffered else "")
+    return subprocess.run([sys.executable, "-m", "padic_tate.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+
+class TestOutputErrors:
+    """A failed write to stdout exits 2 with one line on stderr, and nothing
+    is printed at interpreter exit."""
+
+    # an unbuffered stdout fails in print; a buffered one in the flush at the
+    # end of main, which also covers help text (argparse swallows an OSError
+    # from its own write, so unbuffered help is not covered)
+    CASES = pytest.mark.parametrize("argv, unbuffered", [
+        (["exp", "--x", "5", "--prec", "10"], False),
+        (["exp", "--x", "5", "--prec", "10"], True),
+        (["--help"], False),
+    ], ids=["exp", "exp-unbuffered", "help"])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @CASES
+    def test_full_device(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = run_child(argv, full, unbuffered)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+    @CASES
+    def test_closed_pipe(self, argv, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_child(argv, write, unbuffered)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write output: {os.strerror(errno.EPIPE)}\n")
+
+    def test_closed_stdout_is_not_an_error(self):
+        # a process started with stdout closed has sys.stdout None, and
+        # print writes nothing
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m padic_tate.cli exp --x 5 >&-', sys.executable],
+            capture_output=True, text=True, env=fresh_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def readme_cli_lines():
+    """The command lines in the fenced block of README's CLI section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("padic-tate ")]
+
+
+class TestReadme:
+    def test_cli_block_is_not_empty(self):
+        assert len(readme_cli_lines()) >= 20
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_cli_line_parses(self, line):
+        # parsed only: a renamed flag or leaf exits 2 here
+        args = cli._build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.run)
 
 
 class TestDimensionBound:
