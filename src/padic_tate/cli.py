@@ -115,15 +115,26 @@ def _common_options() -> argparse.ArgumentParser:
     return par
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed write of help or usage to stdout raises
+    the OSError, which main reports, where argparse would swallow it."""
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument tree, built on the first call and shared after it:
     parsing reads a parser and never changes it.  Each leaf names its
     handler as the default of ``run``."""
     common = _common_options()
-    top = argparse.ArgumentParser(prog="padic-tate", parents=[common],
-                                  description="p-adic arithmetic, the Tate curve, "
-                                              "and lattice intersection checks")
+    top = _Parser(prog="padic-tate", parents=[common],
+                  description="p-adic arithmetic, the Tate curve, "
+                              "and lattice intersection checks")
     sub = top.add_subparsers(dest="command", required=True)
 
     def group(name, text):

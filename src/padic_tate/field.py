@@ -15,7 +15,9 @@ bound abs_prec), and every comparison is made on those integers; the rational
 v = shift/e is built only for ValuationResult, Ball, RVClass and messages.
 An int or Fraction operand is exact: x + m, x - m and m - x keep x's
 abs_prec, and x * m and m / x keep x's relative precision; no operand is
-given a precision of its own.
+given a precision of its own.  An int summand costs one reduction of the
+vector (m, 0, ..., 0) and builds no Fraction; x - y aligns both operands and
+reduces once, without negating y first.
 All values are immutable and all operations are pure functions.
 """
 
@@ -345,6 +347,8 @@ def _reduce_vec(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tu
     p^ceil((rel_prec - i)/e), and is 0 when i >= rel_prec.
     """
     p = field.p
+    if field.kind == "base":
+        return (vec[0] % p ** rel_prec,) if rel_prec > 0 else (0,)
     if field.kind == "eisenstein":
         e = field.e
         return tuple(v % p ** -((i - rel_prec) // e) if i < rel_prec else 0
@@ -358,6 +362,8 @@ def _reduce_vec(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tu
 def _vec_val(field: FieldDescriptor, vec: Sequence[int]) -> Optional[int]:
     """pi-adic valuation of a canonically reduced vector, None if zero."""
     p = field.p
+    if field.kind == "base":
+        return _vp(vec[0], p) if vec[0] else None
     best: Optional[int] = None
     if field.kind == "eisenstein":
         for i, a in enumerate(vec):
@@ -546,24 +552,9 @@ class PadicElement:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other):
-        other = _coerce(self, other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same_field(other)
-        prec = min(self.abs_prec, other.abs_prec)
-        if self.is_zero:
-            return other.truncate(prec)
-        if other.is_zero:
-            return self.truncate(prec)
-        low, high = (self, other) if self.shift <= other.shift else (other, self)
-        if high.shift >= prec:
-            return low.truncate(prec)
-        vec = _shift_vec(self.field, high.coeffs, high.shift - low.shift)
-        vec = [x + y for x, y in zip(low.coeffs, vec)]
-        return _make(self.field, low.shift, vec, prec)
+        return self._combine(other, 1)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
@@ -573,13 +564,31 @@ class PadicElement:
                             self.abs_prec)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other for sign = 1 or -1, in one pass: both operands
+        are aligned at the lower shift and reduced by one _make, so a
+        difference never negates other first."""
         other = _coerce(self, other)
         if other is NotImplemented:
             return NotImplemented
-        return self.__add__(-other)
+        self._check_same_field(other)
+        prec = min(self.abs_prec, other.abs_prec)
+        if other.is_zero or other.shift >= prec:
+            return self.truncate(prec)
+        if self.is_zero or self.shift >= prec:
+            return _make(self.field, other.shift, [sign * c for c in other.coeffs], prec)
+        low = min(self.shift, other.shift)
+        a = _shift_vec(self.field, self.coeffs, self.shift - low)
+        b = _shift_vec(self.field, other.coeffs, other.shift - low)
+        return _make(self.field, low, [x + sign * y for x, y in zip(a, b)], prec)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        other = _coerce(self, other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -723,10 +732,14 @@ class PadicElement:
 
 def _coerce(template: PadicElement, value) -> PadicElement:
     """An exact int or Fraction operand, built at the template's own abs_prec:
-    a sum keeps min(abs_prec), so no digit beyond it could survive."""
+    a sum keeps min(abs_prec), so no digit beyond it could survive.  An int
+    is the vector (m, 0, ..., 0) at shift 0, normalised by one _make."""
     if isinstance(value, PadicElement):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
+        field = template.field
+        return _make(field, 0, (value,) + (0,) * (field.coeff_len - 1), template.abs_prec)
+    if isinstance(value, Fraction):
         return PadicElement.from_rational(template.field, value, template.abs_prec)
     return NotImplemented
 

@@ -394,7 +394,12 @@ def _solve_division_exact(g: dict, f: dict, nvars: int, active: int, d: int, cap
 
 def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
     """Gauss-Jordan elimination over Q on the first ncols columns, in place;
-    returns the pivot columns, so their count is the rank."""
+    returns the pivot columns, so their count is the rank.
+
+    The systems are sparse, so each pivot row is normalised and then
+    subtracted only at its nonzero columns; the reduced echelon form, and so
+    the solution with free variables at 0, is the same as a dense pass.
+    """
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -402,12 +407,16 @@ def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        pivot = rows[rank]
+        inv = 1 / pivot[col]
+        support = [j for j, x in enumerate(pivot) if x]
+        for j in support:
+            pivot[j] *= inv
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if factor and i != rank:
+                for j in support:
+                    row[j] -= factor * pivot[j]
         pivots.append(col)
     return pivots
 

@@ -73,6 +73,12 @@ def _bareiss(M: Matrix) -> tuple[int, int]:
     A column with no pivot is skipped.  Every entry held is a minor of M, so
     each division by the previous pivot is exact, and for a square M of full
     rank the signed last pivot is the determinant (Bareiss 1968).
+
+    It is meant for the small dense integer matrices of rank, determinant
+    and the rotundity checks.  The harness's large sparse rational systems
+    use harness._row_reduce: there the entries held here grow as minors of
+    the whole matrix, and back-substitution on them was slower than even a
+    dense Fraction elimination.
     """
     a = [list(row) for row in M]
     rows, cols = shape(M)

@@ -8,6 +8,15 @@ the largest term count any of its sums has asked for; each weight costs one
 inversion, once per curve.  The modular coefficients use c_m = m^k for
 s_k(q) and the exact integer c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2
 and p = 3 lose no precision; both sums stop after ceil(N / v(q)) terms.
+
+A sum is reduced once, not once per term: the raw products c_m * w_m are
+added at one common shift and normalised by one _make.  It is known to the
+least precision among its terms and N; as each term is exact modulo its own
+precision, the digits are those of the term-by-term sum.  For a dual
+argument the values and the derivatives are two such sums, and only the
+values are capped at N (the zero a sum starts from is a constant, with no
+derivative), so X' is known to the least precision among its own terms.
+
 Points are produced by the map u -> (X(q,u), Y(q,u)) with
 
     X = u/(1-u)^2 + sum_m m (u^m + u^-m - 2) q^m / (1 - q^m)
@@ -42,7 +51,15 @@ from .errors import (
     PrecisionCollapse,
     ZeroElement,
 )
-from .field import PadicElement, ValuationResult
+from .field import (
+    FieldDescriptor,
+    PadicElement,
+    ValuationResult,
+    _make,
+    _shift_vec,
+    _vec_mul,
+    _vp,
+)
 
 Evaluable = Union[PadicElement, DualElement]
 
@@ -101,6 +118,40 @@ def _require_positive_valuation(q: PadicElement) -> int:
     return q.shift
 
 
+def _dot(field: FieldDescriptor, coeffs: list, weights: list,
+         cap: Optional[int]) -> PadicElement:
+    """sum_m coeffs[m] * weights[m] with one reduction, known at most to pi^cap.
+
+    A term c*w is known to min(c.abs_prec + w.shift, w.abs_prec + c.shift),
+    or for an int c != 0 to w.abs_prec + e*v_p(c) (for c = 0 to w.abs_prec),
+    as PadicElement.__mul__ and _scale_rational give it; the sum is known to
+    the least of these and cap.  Each term's raw product is exact modulo its
+    own precision, so their sum at one common shift, reduced once, equals the
+    term-by-term sum at that precision; terms at or above it are dropped.
+    """
+    prec = cap
+    parts = []
+    for c, w in zip(coeffs, weights):
+        if isinstance(c, int):
+            term = w.abs_prec + field.e * _vp(c, field.p) if c else w.abs_prec
+            if c and w.coeffs:
+                parts.append((w.shift, [c * x for x in w.coeffs]))
+        else:
+            term = min(c.abs_prec + w.shift, w.abs_prec + c.shift)
+            if c.coeffs and w.coeffs:
+                parts.append((c.shift + w.shift, _vec_mul(field, c.coeffs, w.coeffs)))
+        if prec is None or term < prec:
+            prec = term
+    parts = [(shift, vec) for shift, vec in parts if shift < prec]
+    if not parts:
+        return PadicElement.zero(field, prec)
+    low = min(shift for shift, _ in parts)
+    acc = [0] * field.coeff_len
+    for shift, vec in parts:
+        acc = [a + b for a, b in zip(acc, _shift_vec(field, vec, shift - low))]
+    return _make(field, low, acc, prec)
+
+
 def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],
              terms: int, target: int) -> Evaluable:
     """sum_{m=1..terms} coeff(m) q^m / (1 - q^m), known at most to pi^target.
@@ -108,8 +159,18 @@ def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],
     weights holds q^m / (1 - q^m) for m = 1, 2, ... at this (q, target); it is
     extended in place to ``terms`` entries, each weight computed once.  The
     new entries go in by one slice assignment, so a concurrent extension of
-    the same list rewrites equal values at the same places.
+    the same list rewrites equal values at the same places.  The coefficients
+    are built and their fields checked before any weight is computed.  A
+    dual sum is two sums, of values and of derivatives, and only the values
+    are capped at target: a constant summand leaves a derivative as it is.
     """
+    coeffs = [coeff(m) for m in range(1, terms + 1)]
+    dual = bool(coeffs) and isinstance(coeffs[0], DualElement)
+    parts = ([c.value for c in coeffs], [c.deriv for c in coeffs]) if dual else (coeffs,)
+    for part in parts:
+        for c in part:
+            if isinstance(c, PadicElement):
+                c._check_same_field(q)
     start = len(weights)
     if terms > start:
         one = PadicElement.one(q.field, target + q.shift)
@@ -120,10 +181,8 @@ def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],
             if m > start:
                 tail.append(qm / (one - qm))
         weights[start:terms] = tail
-    acc = PadicElement.zero(q.field, target)
-    for m in range(1, terms + 1):
-        acc = coeff(m) * weights[m - 1] + acc
-    return acc
+    sums = [_dot(q.field, part, weights, cap) for part, cap in zip(parts, (target, None))]
+    return DualElement(*sums) if dual else sums[0]
 
 
 def s_k(q: PadicElement, k: int) -> PadicElement:

@@ -1,7 +1,9 @@
-"""Exact-rational reference computations, independent of the library paths.
+"""Reference computations for differential tests.
 
-Everything here works in plain Fractions / integers and is reduced into the
-p-adic representation only at the final comparison step.
+Most work in plain Fractions / integers, independent of the library paths,
+and are reduced into the p-adic representation only at the final comparison
+step.  The others keep a simpler library algorithm that a faster one
+replaced: the brute-force rotundity check and the term-by-term Lambert sum.
 """
 
 import itertools
@@ -102,6 +104,25 @@ def tate_xy(q: Fraction, u: Fraction, dmax: int) -> tuple[Fraction, Fraction]:
     return X, Y
 
 
+def lambert_stepwise(q: PadicElement, weights: list, coeff, terms: int, target: int):
+    """tate._lambert term by term: one __mul__ and one __add__ per term,
+    each reduced, from a zero known to pi^target."""
+    start = len(weights)
+    if terms > start:
+        one = PadicElement.one(q.field, target + q.shift)
+        qm = one
+        tail = []
+        for m in range(1, terms + 1):
+            qm = qm * q
+            if m > start:
+                tail.append(qm / (one - qm))
+        weights[start:terms] = tail
+    acc = PadicElement.zero(q.field, target)
+    for m in range(1, terms + 1):
+        acc = coeff(m) * weights[m - 1] + acc
+    return acc
+
+
 def j_from_q_expansion(q: Fraction, terms: int) -> Fraction:
     s3 = s_k_partial_sum(q, 3, terms)
     s5 = s_k_partial_sum(q, 5, terms)
@@ -113,11 +134,12 @@ def j_from_q_expansion(q: Fraction, terms: int) -> Fraction:
     return c4 ** 3 / delta
 
 
-def rank_over_Q(rows) -> int:
-    """Plain Gaussian elimination over Fractions."""
+def row_reduce_dense(rows, ncols: int):
+    """(pivot columns, reduced rows): dense Gauss-Jordan over Fractions on
+    the first ncols columns, every entry of every row updated."""
     mat = [[Fraction(x) for x in row] for row in rows]
     rank = 0
-    ncols = len(mat[0]) if mat else 0
+    pivots = []
     for col in range(ncols):
         sel = None
         for i in range(rank, len(mat)):
@@ -134,7 +156,13 @@ def rank_over_Q(rows) -> int:
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
-    return rank
+        pivots.append(col)
+    return pivots, mat
+
+
+def rank_over_Q(rows) -> int:
+    """Plain Gaussian elimination over Fractions."""
+    return len(row_reduce_dense(rows, len(rows[0]) if rows else 0)[0])
 
 
 def first_irreducible_mod_p(p: int, f: int) -> tuple[int, ...]:

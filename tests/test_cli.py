@@ -535,14 +535,14 @@ class TestOutputErrors:
     """A failed write to stdout exits 2 with one line on stderr, and nothing
     is printed at interpreter exit."""
 
-    # an unbuffered stdout fails in print; a buffered one in the flush at the
-    # end of main, which also covers help text (argparse swallows an OSError
-    # from its own write, so unbuffered help is not covered)
+    # an unbuffered stdout fails in print, or for help text in the parser's
+    # own write; a buffered one in the flush at the end of main
     CASES = pytest.mark.parametrize("argv, unbuffered", [
         (["exp", "--x", "5", "--prec", "10"], False),
         (["exp", "--x", "5", "--prec", "10"], True),
         (["--help"], False),
-    ], ids=["exp", "exp-unbuffered", "help"])
+        (["--help"], True),
+    ], ids=["exp", "exp-unbuffered", "help", "help-unbuffered"])
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @CASES

@@ -26,6 +26,7 @@ from padic_tate.field import (
 from padic_tate.prng import random_element, random_unit, stream
 
 from oracles import _moduli, first_irreducible_mod_p, from_fraction, vp_int
+from strategies import FIELDS, elements, int_operands
 
 
 class TestMakeField:
@@ -496,6 +497,66 @@ class TestAgainstRationalOracle:
         want = vp_int(x.numerator, 5) - vp_int(x.denominator, 5)
         if want < 20:
             assert v == ValuationResult("exact", Fraction(want))
+
+
+def key(x: PadicElement):
+    return x.shift, x.coeffs, x.abs_prec
+
+
+class TestOnePassOperands:
+    """a - b and an int operand each take one reduction, with the same
+    canonical result as the two-step paths they replace."""
+
+    @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)))
+    @settings(max_examples=200, deadline=None)
+    def test_sub_matches_add_of_negation(self, data, name):
+        field = FIELDS[name]
+        a, b = data.draw(elements(field)), data.draw(elements(field))
+        assert key(a - b) == key(a + (-b))
+        assert key(b - a) == key(b + (-a))
+        assert key(a - a) == key(a + (-a))
+
+    @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)))
+    @settings(max_examples=200, deadline=None)
+    def test_int_operand_matches_from_rational(self, data, name):
+        field = FIELDS[name]
+        x = data.draw(elements(field))
+        m = data.draw(int_operands(field.p))
+
+        def exact(n):
+            return PadicElement.from_rational(field, n, x.abs_prec)
+        assert key(x + m) == key(m + x) == key(x + exact(m))
+        assert key(x - m) == key(x + exact(-m))
+        assert key(m - x) == key(exact(m) + (-x))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of __neg__, __add__ and from_rational calls."""
+        count = {}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                count[name] = count.get(name, 0) + 1
+                return fn(*args)
+            return wrapped
+        for name in ("__neg__", "__add__"):
+            monkeypatch.setattr(PadicElement, name, counting(name, getattr(PadicElement, name)))
+        monkeypatch.setattr(PadicElement, "from_rational",
+                            staticmethod(counting("from_rational", PadicElement.from_rational)))
+        return count
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_one_pass_counts(self, calls, name):
+        field = FIELDS[name]
+        a = PadicElement.from_pi_digits(field, 0, [2, 3, 1, 4], 6)
+        b = PadicElement.from_pi_digits(field, 1, [1, 1, 2], 7)
+        zero = PadicElement.zero(field, 5)
+        calls.clear()
+        diffs = [a - b, b - a, a - zero, zero - a, a - 3, 3 - a, a - 0, a - 25]
+        assert calls == {}
+        sums = [a + 3, 3 + a, a + 0, a + 25]
+        assert set(calls) == {"__add__"}
+        assert diffs[0] == -diffs[1] and diffs[4] == -diffs[5] and sums[0] == sums[1]
 
 
 class TestDisplay:

@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padic_tate.harness import (
     RunConfig,
+    _row_reduce,
     balls_suite,
     exp_suite,
     lattice_suite,
@@ -10,6 +14,8 @@ from padic_tate.harness import (
     tate_suite,
     weierstrass_suite,
 )
+
+from oracles import row_reduce_dense
 
 
 class TestConfig:
@@ -89,3 +95,19 @@ class TestDifferentPrimes:
         cfg = RunConfig(p=2, prec=40, seed=0)
         rep = weierstrass_suite(cfg, instances=6, oracle_instances=1)
         assert rep.ok
+
+
+# sparse integer matrices with an augmented column, as the Weierstrass
+# oracle's systems are; mostly zeros, with repeated and dependent rows
+_SPARSE_ROWS = st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.just(0), st.integers(-6, 6)),
+             min_size=n, max_size=n), min_size=1, max_size=12))
+
+
+@given(rows=_SPARSE_ROWS, augmented=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_sparse_row_reduce_matches_dense(rows, augmented):
+    ncols = len(rows[0]) - augmented
+    got = [[Fraction(x) for x in row] for row in rows]
+    pivots = _row_reduce(got, ncols)
+    assert (pivots, got) == row_reduce_dense(rows, ncols)

@@ -1,11 +1,20 @@
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padic_tate import tate as tate_mod
-from padic_tate.errors import FieldMismatch, InsufficientPrecision, NonpositiveValuation, OnKernel
+from padic_tate.dual import DualElement
+from padic_tate.errors import (
+    FieldMismatch,
+    InsufficientPrecision,
+    NonpositiveValuation,
+    OnKernel,
+    PadicError,
+)
 from padic_tate.field import PadicElement, make_field
 from padic_tate.prng import random_unit, stream
 from padic_tate.tate import (
@@ -26,7 +35,8 @@ from padic_tate.tate import (
     verify_ode,
 )
 
-from oracles import from_fraction, j_from_q_expansion, s_k_partial_sum, tate_xy
+from oracles import from_fraction, j_from_q_expansion, lambert_stepwise, s_k_partial_sum, tate_xy
+from strategies import FIELDS, elements, int_operands, units
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +226,143 @@ class TestLambertWeights:
         assert len(fresh.weights) == 14
         assert curve == fresh and hash(curve) == hash(fresh)
         assert "weights" not in repr(curve) and repr(curve) == repr(fresh)
+
+
+def key(x):
+    """Everything that equality of results compares, spelled out."""
+    if isinstance(x, DualElement):
+        return key(x.value), key(x.deriv)
+    return x.shift, x.coeffs, x.abs_prec
+
+
+def outcome(call):
+    """key(call()), or the type of the library error it raises."""
+    try:
+        out = call()
+    except PadicError as exc:
+        return type(exc)
+    return tuple(key(x) for x in out) if isinstance(out, tuple) else key(out)
+
+
+def a4_a6(q):
+    curve = curve_coefficients(q)
+    return curve.a4, curve.a6
+
+
+@st.composite
+def tate_inputs(draw):
+    """(q, terms, target) over one of FIELDS, v(q) in 1..3."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    target = draw(st.integers(4, 24))
+    sq = draw(st.integers(1, 3))
+    unit = draw(units(field, target))
+    q = unit * PadicElement.uniformizer(field, target + sq, sq)
+    return q, draw(st.integers(0, 14)), target
+
+
+class TestFusedLambert:
+    """Each Lambert sum is reduced once, and agrees with the term-by-term sum
+    (tests/oracles.py) in shift, coefficients and precision."""
+
+    @given(data=st.data(), inputs=tate_inputs(),
+           kind=st.sampled_from(["element", "dual", "int"]), drawn=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stepwise(self, data, inputs, kind, drawn):
+        # drawn: weights of any shift and precision, zeros included, in place
+        # of the curve's, so that a term and not the target sets the precision
+        q, terms, target = inputs
+        field = q.field
+        if kind == "int":
+            coeffs = [data.draw(int_operands(field.p)) for _ in range(terms)]
+        else:
+            coeffs = [data.draw(elements(field, -6, 4)) for _ in range(terms)]
+            if kind == "dual":
+                coeffs = [DualElement(c, data.draw(elements(field, -6, 4))) for c in coeffs]
+        weights = [data.draw(elements(field, 0, 6)) for _ in range(terms)] if drawn else []
+        w_fused, w_step = list(weights), list(weights)
+        got = tate_mod._lambert(q, w_fused, lambda m: coeffs[m - 1], terms, target)
+        want = lambert_stepwise(q, w_step, lambda m: coeffs[m - 1], terms, target)
+        assert key(got) == key(want) and w_fused == w_step
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["element", "dual"])
+    def test_other_field_raises_before_weights(self, Q5, dual):
+        q = PadicElement.from_int(Q5, 25, 40)
+        alien = PadicElement.from_int(make_field(7), 3, 40)
+        coeff = DualElement.seed(alien) if dual else alien
+        weights = []
+        with pytest.raises(FieldMismatch):
+            tate_mod._lambert(q, weights, lambda m: coeff, 20, 40)
+        assert weights == []
+
+    @given(data=st.data(), inputs=tate_inputs(), near_one=st.booleans(),
+           dual=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_series_point_matches_stepwise(self, data, inputs, near_one, dual):
+        # u = 1 + pi^k v sits k digits off the kernel, where X's coefficient
+        # m(u^m + u^-m - 2) has a higher valuation than its parts
+        q, _, target = inputs
+        field = q.field
+        if near_one:
+            k = data.draw(st.integers(1, max(1, target // 3)))
+            u = data.draw(units(field, target)) * PadicElement.uniformizer(field, target, k) + 1
+        else:
+            shift = data.draw(st.integers(0, q.shift - 1))
+            u = data.draw(units(field, target)) * PadicElement.uniformizer(field, target, shift)
+        if dual:
+            u = DualElement.seed(u)
+        slack = data.draw(st.integers(0, 3))
+        want = {}
+        with mock.patch.object(tate_mod, "_lambert", lambert_stepwise):
+            want["curve"] = outcome(lambda: a4_a6(q))
+            want["s_k"] = outcome(lambda: s_k(q, 5))
+            curve = curve_coefficients(q)
+            want["point"] = outcome(lambda: tate_series_point(curve, u, slack))
+        got = {"curve": outcome(lambda: a4_a6(q)),
+               "s_k": outcome(lambda: s_k(q, 5))}
+        got["point"] = outcome(lambda: tate_series_point(curve_coefficients(q), u, slack))
+        assert got == want
+
+    @pytest.fixture
+    def makes(self, monkeypatch):
+        """counted(call) -> (number of _make calls made in tate.py, result)."""
+        count = [0]
+        make = tate_mod._make
+
+        def counting_make(*args):
+            count[0] += 1
+            return make(*args)
+
+        monkeypatch.setattr(tate_mod, "_make", counting_make)
+
+        def counted(call):
+            count[0] = 0
+            result = call()
+            return count[0], result
+        return counted
+
+    @pytest.mark.parametrize("n", [7, 35], ids=["v0", "v1"])
+    def test_one_make_per_sum(self, makes, curve25, Q5, n):
+        u = PadicElement.from_int(Q5, n, 40)
+        # X and Y: one sum each over 20 or 40 terms; dual: value and derivative
+        assert makes(lambda: tate_series_point(curve25, u))[0] == 2
+        assert makes(lambda: tate_series_point(curve25, DualElement.seed(u)))[0] == 4
+        assert makes(lambda: curve_coefficients(curve25.q))[0] == 2
+        assert makes(lambda: s_k(curve25.q, 3))[0] == 1
+
+    def test_phi_builds_no_integer_operand(self, monkeypatch, curve25, Q5):
+        us = [PadicElement.from_int(Q5, n, 40) for n in (7, 8, 6)]
+        phi(curve25, us[0])              # the curve's weights now reach u's terms
+        count = [0]
+        from_rational = PadicElement.from_rational
+
+        def counting(*args):
+            count[0] += 1
+            return from_rational(*args)
+
+        monkeypatch.setattr(PadicElement, "from_rational", staticmethod(counting))
+        for u in us:
+            phi(curve25, u)
+        assert count[0] == 0
 
 
 class TestDualMemo:
