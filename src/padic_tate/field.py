@@ -15,9 +15,10 @@ bound abs_prec), and every comparison is made on those integers; the rational
 v = shift/e is built only for ValuationResult, Ball, RVClass and messages.
 An int or Fraction operand is exact: x + m, x - m and m - x keep x's
 abs_prec, and x * m and m / x keep x's relative precision; no operand is
-given a precision of its own.  An int summand costs one reduction of the
-vector (m, 0, ..., 0) and builds no Fraction; x - y aligns both operands and
-reduces once, without negating y first.
+given a precision of its own.  An int summand is the raw vector
+(m, 0, ..., 0), reduced once together with x, and builds no Fraction; nor
+does x * m.  x - y aligns both operands and reduces once, without negating
+y first.
 All values are immutable and all operations are pure functions.
 """
 
@@ -570,6 +571,8 @@ class PadicElement:
         """self + sign * other for sign = 1 or -1, in one pass: both operands
         are aligned at the lower shift and reduced by one _make, so a
         difference never negates other first."""
+        if isinstance(other, int):
+            return self if other == 0 else self._add_int(sign * other, 1)
         other = _coerce(self, other)
         if other is NotImplemented:
             return NotImplemented
@@ -584,7 +587,21 @@ class PadicElement:
         b = _shift_vec(self.field, other.coeffs, other.shift - low)
         return _make(self.field, low, [x + sign * y for x, y in zip(a, b)], prec)
 
+    def _add_int(self, m: int, sign: int) -> "PadicElement":
+        """sign * self + m for sign = 1 or -1, at self's abs_prec, with one
+        _make: m is the raw vector (m, 0, ..., 0) at shift 0, aligned with
+        self without a reduction of its own."""
+        field = self.field
+        low = min(self.shift, 0)
+        b = _shift_vec(field, (m,) + (0,) * (field.coeff_len - 1), -low)
+        if self.is_zero:
+            return _make(field, low, b, self.abs_prec)
+        a = _shift_vec(field, self.coeffs, self.shift - low)
+        return _make(field, low, [sign * x + y for x, y in zip(a, b)], self.abs_prec)
+
     def __rsub__(self, other):
+        if isinstance(other, int):
+            return self._add_int(other, -1)
         other = _coerce(self, other)
         if other is NotImplemented:
             return NotImplemented
@@ -610,7 +627,11 @@ class PadicElement:
         if value == 0:
             return PadicElement.zero(self.field, self.abs_prec)
         p = self.field.p
-        w, num, den = _split_rational(value, p)
+        if isinstance(value, int):
+            w = _vp(value, p)
+            num, den = value // p ** w, 1
+        else:
+            w, num, den = _split_rational(value, p)
         shift = w * self.field.e
         if self.is_zero:
             return PadicElement.zero(self.field, self.abs_prec + shift)
@@ -731,14 +752,11 @@ class PadicElement:
 
 
 def _coerce(template: PadicElement, value) -> PadicElement:
-    """An exact int or Fraction operand, built at the template's own abs_prec:
-    a sum keeps min(abs_prec), so no digit beyond it could survive.  An int
-    is the vector (m, 0, ..., 0) at shift 0, normalised by one _make."""
+    """An exact Fraction operand, built at the template's own abs_prec: a sum
+    keeps min(abs_prec), so no digit beyond it could survive.  (An int
+    operand never gets here: it is added as a raw vector by _add_int.)"""
     if isinstance(value, PadicElement):
         return value
-    if isinstance(value, int):
-        field = template.field
-        return _make(field, 0, (value,) + (0,) * (field.coeff_len - 1), template.abs_prec)
     if isinstance(value, Fraction):
         return PadicElement.from_rational(template.field, value, template.abs_prec)
     return NotImplemented
@@ -770,6 +788,35 @@ def _make(field: FieldDescriptor, shift: int, vec: Sequence[int], prec: int) -> 
         reduced = _reduce_vec(field, out, rel - val)
         shift += val
     return PadicElement(field, shift, reduced, prec)
+
+
+def _sum_terms(field: FieldDescriptor, terms, cap: Optional[int] = None) -> PadicElement:
+    """sum of pi^shift * vec over the (prec, shift, vec) terms, with one _make.
+
+    A term is exact modulo pi^prec, and vec None marks a zero term, which
+    only bounds the precision.  The sum is known to the least term prec and
+    cap (None: no cap).  As in a term-by-term sum, a term is added only when
+    its shift is below the precision so far, and at the lowest shift so far
+    (the sum is rescaled when a lower one comes): terms can be produced one
+    at a time and no list of them is kept.  Terms added at or above the
+    final precision change no digit the one _make keeps.
+    """
+    prec, low, acc = cap, None, None
+    for term_prec, shift, vec in terms:
+        if prec is None or term_prec < prec:
+            prec = term_prec
+        if vec is None or shift >= prec:
+            continue
+        if acc is None:
+            low, acc = shift, vec
+        elif shift >= low:
+            acc = [a + b for a, b in zip(acc, _shift_vec(field, vec, shift - low))]
+        else:
+            acc = [a + b for a, b in zip(_shift_vec(field, acc, low - shift), vec)]
+            low = shift
+    if acc is None:
+        return PadicElement.zero(field, prec)
+    return _make(field, low, acc, prec)
 
 
 # ---------------------------------------------------------------------------

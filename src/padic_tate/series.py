@@ -4,6 +4,19 @@ exp converges on the open ball of valuative radius 1/(p-1) around 0 and maps
 it bijectively onto 1 + that ball; log is its inverse there.  Truncation
 indices are derived from exact valuation lower bounds on the series tails,
 never from heuristics; a precision shortfall raises instead of degrading.
+
+Each series is reduced once, not once per term.  A term is a raw unit
+vector, taken modulo one p^K with K = ceil(rel/e) + 1, at a shift: exp steps
+it by x's unit and the unit part of 1/n, log keeps t^n as a running product
+and scales each term by the unit part of +-1/n apart from it.  The terms are
+added one at a time at a common shift and normalised by one _make.  The
+precision is tracked as the term-by-term loop tracks it: every product and
+scaling keeps the relative precision, and the sum is known to the least term
+precision (on the ball this is the argument's own).  Each term is exact modulo its own
+precision, at least the final one, so the raw sum agrees with the loop's
+modulo pi^final and the canonical digits are the loop's.  A dual argument
+keeps the loop: the shift of a derivative after a sum is known only after a
+reduction, and the precision of the next product depends on it.
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ from typing import Callable, Union
 
 from .dual import DualElement, _value_part
 from .errors import OutsideConvergenceDomain
-from .field import PadicElement
+from .field import FieldDescriptor, PadicElement, _ceil_div, _sum_terms, _vec_mul
 
 Evaluable = Union[PadicElement, DualElement]
 
@@ -99,6 +112,8 @@ def p_exp(x: Evaluable) -> Evaluable:
         raise OutsideConvergenceDomain(
             f"v(x) = {Fraction(val.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
     T = _exp_truncation(val.shift, e, p, target)
+    if isinstance(x, PadicElement):
+        return _sum_terms(field, _exp_terms(x, T))
     # a PadicElement one is a constant to dual arithmetic, so for a dual x
     # acc and term turn dual at the first product
     acc = term = PadicElement.one(field, target)
@@ -125,12 +140,64 @@ def p_log(y: Evaluable) -> Evaluable:
         raise OutsideConvergenceDomain(
             f"v(y-1) = {Fraction(tval.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
     T = _log_truncation(tval.shift, e, p, target)
+    if isinstance(t, PadicElement):
+        return _sum_terms(field, _log_terms(t, T))
     acc = t
     power = t
     for n in range(2, T + 1):
         power = power * t
         acc = acc + power * Fraction((-1) ** (n + 1), n)
     return acc.truncate(target)
+
+
+def _inverse_unit(field: FieldDescriptor, n: int, mod: int) -> tuple[int, int]:
+    """(e*v_p(n), u) with 1/n = pi^(-e*v_p(n)) * u and u reduced modulo mod.
+
+    For n = p^v * n_u, 1/n = p^-v / n_u and p^-v = pi^(-e*v) * c^v when
+    pi^e = c*p (c = 1 unless eisenstein), so u = c^v / n_u.
+    """
+    p, v = field.p, 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    unit = pow(n, -1, mod)
+    if v and field.kind == "eisenstein":
+        unit = unit * pow(field.eis_unit, v, mod) % mod
+    return field.e * v, unit
+
+
+def _exp_terms(x: PadicElement, T: int):
+    """The (prec, shift, vec) terms of 1 + sum_{n<=T} x^n/n!.  As in the
+    loop term = term * x * (1/n), term n is term n-1 times x's unit and
+    1/n's unit, and keeps the relative precision min(target, x.rel_prec)."""
+    field, target = x.field, x.abs_prec
+    rel = min(target, x.rel_prec)
+    mod = field.p ** (_ceil_div(rel, field.e) + 1)
+    vec, shift = (1,) + (0,) * (field.coeff_len - 1), 0
+    yield target, shift, vec
+    for n in range(1, T + 1):
+        down, unit = _inverse_unit(field, n, mod)
+        vec = [a * unit % mod for a in _vec_mul(field, vec, x.coeffs)]
+        shift += x.shift - down
+        yield shift + rel, shift, vec
+
+
+def _log_terms(t: PadicElement, T: int):
+    """The (prec, shift, vec) terms of sum_{n<=T} (-1)^(n+1) t^n/n.  As in
+    the loop power = power * t; acc = acc + power * (+-1/n), the sign and
+    1/n scale each term apart from the running power, and every term keeps
+    t's relative precision."""
+    field, rel = t.field, t.rel_prec
+    mod = field.p ** (_ceil_div(rel, field.e) + 1)
+    power = t.coeffs
+    yield t.abs_prec, t.shift, power
+    for n in range(2, T + 1):
+        down, unit = _inverse_unit(field, n, mod)
+        if n % 2 == 0:
+            unit = mod - unit
+        power = [a % mod for a in _vec_mul(field, power, t.coeffs)]
+        shift = n * t.shift - down
+        yield shift + rel, shift, [a * unit % mod for a in power]
 
 
 def dual_eval(f: Callable[[DualElement], DualElement], x: PadicElement) -> DualElement:

@@ -55,8 +55,7 @@ from .field import (
     FieldDescriptor,
     PadicElement,
     ValuationResult,
-    _make,
-    _shift_vec,
+    _sum_terms,
     _vec_mul,
     _vp,
 )
@@ -126,30 +125,20 @@ def _dot(field: FieldDescriptor, coeffs: list, weights: list,
     or for an int c != 0 to w.abs_prec + e*v_p(c) (for c = 0 to w.abs_prec),
     as PadicElement.__mul__ and _scale_rational give it; the sum is known to
     the least of these and cap.  Each term's raw product is exact modulo its
-    own precision, so their sum at one common shift, reduced once, equals the
-    term-by-term sum at that precision; terms at or above it are dropped.
+    own precision, so their sum by _sum_terms, reduced once, equals the
+    term-by-term sum at that precision.
     """
-    prec = cap
-    parts = []
+    terms = []
     for c, w in zip(coeffs, weights):
         if isinstance(c, int):
-            term = w.abs_prec + field.e * _vp(c, field.p) if c else w.abs_prec
-            if c and w.coeffs:
-                parts.append((w.shift, [c * x for x in w.coeffs]))
+            prec = w.abs_prec + field.e * _vp(c, field.p) if c else w.abs_prec
+            vec = [c * x for x in w.coeffs] if c and w.coeffs else None
+            terms.append((prec, w.shift, vec))
         else:
-            term = min(c.abs_prec + w.shift, w.abs_prec + c.shift)
-            if c.coeffs and w.coeffs:
-                parts.append((c.shift + w.shift, _vec_mul(field, c.coeffs, w.coeffs)))
-        if prec is None or term < prec:
-            prec = term
-    parts = [(shift, vec) for shift, vec in parts if shift < prec]
-    if not parts:
-        return PadicElement.zero(field, prec)
-    low = min(shift for shift, _ in parts)
-    acc = [0] * field.coeff_len
-    for shift, vec in parts:
-        acc = [a + b for a, b in zip(acc, _shift_vec(field, vec, shift - low))]
-    return _make(field, low, acc, prec)
+            prec = min(c.abs_prec + w.shift, w.abs_prec + c.shift)
+            vec = _vec_mul(field, c.coeffs, w.coeffs) if c.coeffs and w.coeffs else None
+            terms.append((prec, c.shift + w.shift, vec))
+    return _sum_terms(field, terms, cap)
 
 
 def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],

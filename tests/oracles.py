@@ -3,15 +3,18 @@
 Most work in plain Fractions / integers, independent of the library paths,
 and are reduced into the p-adic representation only at the final comparison
 step.  The others keep a simpler library algorithm that a faster one
-replaced: the brute-force rotundity check and the term-by-term Lambert sum.
+replaced: the brute-force rotundity check and the term-by-term Lambert,
+exp and log sums.
 """
 
 import itertools
 from fractions import Fraction
 
-from padic_tate.errors import SearchSpaceTooLarge
+from padic_tate.dual import DualElement, _value_part
+from padic_tate.errors import OutsideConvergenceDomain, SearchSpaceTooLarge
 from padic_tate.field import PadicElement
 from padic_tate.lattice import RotundVerdict, _normalized_rows, dim_image, rank
+from padic_tate.series import _exp_truncation, _log_truncation
 
 
 def vp_int(n: int, p: int) -> int:
@@ -121,6 +124,59 @@ def lambert_stepwise(q: PadicElement, weights: list, coeff, terms: int, target: 
     for m in range(1, terms + 1):
         acc = coeff(m) * weights[m - 1] + acc
     return acc
+
+
+def exp_stepwise(x):
+    """series.p_exp term by term: one __mul__, one scaling by 1/n and one
+    __add__ per term, each reduced."""
+    val = _value_part(x)
+    field = val.field
+    p, e = field.p, field.e
+    target = val.abs_prec
+    # v = shift/e > 1/(p-1), tested as shift*(p-1) > e
+    if val.is_zero:
+        if val.abs_prec * (p - 1) > e:
+            one = PadicElement.one(field, val.abs_prec)
+            return DualElement(one, one * x.deriv) if isinstance(x, DualElement) else one
+        raise OutsideConvergenceDomain(
+            "argument is an imprecise zero whose bound does not clear 1/(p-1)")
+    if val.shift * (p - 1) <= e:
+        raise OutsideConvergenceDomain(
+            f"v(x) = {Fraction(val.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
+    T = _exp_truncation(val.shift, e, p, target)
+    # a PadicElement one is a constant to dual arithmetic, so for a dual x
+    # acc and term turn dual at the first product
+    acc = term = PadicElement.one(field, target)
+    for n in range(1, T + 1):
+        term = term * x * Fraction(1, n)
+        acc = acc + term
+    return acc.truncate(target)
+
+
+def log_stepwise(y):
+    """series.p_log term by term: power = power * t, then one scaling by
+    (-1)^(n+1)/n and one __add__ per term, each reduced."""
+    field = _value_part(y).field
+    p, e = field.p, field.e
+    t = y - 1
+    tval = _value_part(t)
+    target = tval.abs_prec
+    if tval.is_zero:
+        if tval.abs_prec * (p - 1) > e:
+            zero = PadicElement.zero(field, tval.abs_prec)
+            return DualElement(zero, y.deriv / y.value) if isinstance(y, DualElement) else zero
+        raise OutsideConvergenceDomain(
+            "y - 1 is an imprecise zero whose bound does not clear 1/(p-1)")
+    if tval.shift * (p - 1) <= e:
+        raise OutsideConvergenceDomain(
+            f"v(y-1) = {Fraction(tval.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
+    T = _log_truncation(tval.shift, e, p, target)
+    acc = t
+    power = t
+    for n in range(2, T + 1):
+        power = power * t
+        acc = acc + power * Fraction((-1) ** (n + 1), n)
+    return acc.truncate(target)
 
 
 def j_from_q_expansion(q: Fraction, terms: int) -> Fraction:

@@ -386,6 +386,20 @@ GOLDEN = [
     (["harness", "--suite", "tate", "--trials", "1", "--format", "structured"], "02e22c56ed5c3908bacd35a9c68fe95c1fb10e2e502ef2fdc8c21c947f3b1b1a"),
     (["exp", "--p", "3", "--ext", "unramified:f=2", "--x", "3+3*g", "--prec", "6"], "45a17341288da571b3fd13d7c20a2c1f69b3226d7d55000e09e505884224b13c"),
     (["log", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--y", "1+pi^3", "--prec", "10"], "c30c1cdbb041d05c95d9d299fc626fabd53f7203db314f9b1a6a13590ba3de48"),
+    # exp and log at prec 640 over each field kind, recorded before each
+    # series was summed with one reduction
+    (["exp", "--p", "2",
+      "--x", "4", "--prec", "640"], "75ed439c87392b616e8e373f84a76b695e8abb6689a391bb7ed281c4d6cbcbd3"),
+    (["log", "--p", "2",
+      "--y", "5", "--prec", "640", "--format", "structured"], "4b7344d1ede15299ec2e06fc006704a45cc544ba84e4d8a4397dae0532b41cce"),
+    (["exp", "--p", "5", "--ext", "eisenstein:e=4,c=-1",
+      "--x", "pi^2+3*pi^3", "--prec", "640"], "b6446263a14a0153aeb2bc82357eca2be01d5ecd3464c3edb64201a098d67d3a"),
+    (["log", "--p", "5", "--ext", "eisenstein:e=4,c=-1",
+      "--y", "1+pi^2", "--prec", "640"], "6962d54e9a871e3c666b6c1b6e562808c3020823c27a1158b34fcd296cf2d7b1"),
+    (["exp", "--p", "3", "--ext", "unramified:f=3",
+      "--x", "3+3*g^2", "--prec", "640"], "763d4ad55f17d6883d6cbdd1565697b75b031ea5f7aaa87f96e4467f2fd3be64"),
+    (["log", "--p", "3", "--ext", "unramified:f=3",
+      "--y", "1+3*g", "--prec", "640", "--format", "structured"], "0c0037cf29ebd5b484890b28cc3f2dc30b9d3db5c669d9c591c252e4cf3bea24"),
     # the harness's one verification failure, the known false failure of
     # ode_doubled/5 (exit 1); its digest changes when that threshold is fixed
     (["harness", "--suite", "tate", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--trials", "6"], "0c9b28f043702cfab075c4efc790263a926e2319c132bbd15b53009d2eb76178"),

@@ -558,6 +558,22 @@ class TestOnePassOperands:
         assert set(calls) == {"__add__"}
         assert diffs[0] == -diffs[1] and diffs[4] == -diffs[5] and sums[0] == sums[1]
 
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_int_operand_reduces_once(self, monkeypatch, fractions_built, name):
+        field = FIELDS[name]
+        a = PadicElement.from_pi_digits(field, -1, [2, 3, 1, 4], 6)
+        count = [0]
+        make = field_mod._make
+
+        def counting_make(*args):
+            count[0] += 1
+            return make(*args)
+
+        monkeypatch.setattr(field_mod, "_make", counting_make)
+        for op in (lambda: a + 7, lambda: a - 7, lambda: 7 - a, lambda: 7 + a):
+            count[0] = 0
+            assert fractions_built(op)[0] == 0 and count[0] == 1
+
 
 class TestDisplay:
     def test_canonical_digits(self, Q5):

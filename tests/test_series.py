@@ -3,10 +3,12 @@ import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from padic_tate import field as field_mod
 from padic_tate.dual import DualElement
 from padic_tate.errors import OutsideConvergenceDomain
-from padic_tate.field import PadicElement
+from padic_tate.field import PadicElement, _make, make_field
 from padic_tate.prng import random_element, stream
 from padic_tate.series import (
     _exp_truncation,
@@ -16,7 +18,14 @@ from padic_tate.series import (
     p_log,
 )
 
-from oracles import exp_partial_sum, from_fraction, legendre_sum, log_partial_sum
+from oracles import (
+    exp_partial_sum,
+    exp_stepwise,
+    from_fraction,
+    legendre_sum,
+    log_partial_sum,
+    log_stepwise,
+)
 
 
 class TestFactorialValuation:
@@ -280,3 +289,89 @@ class TestUnramifiedExp:
             y = p_exp(x)
             assert (y - 1).valuation().value == x.valuation().value
             assert p_log(y).is_indistinguishable(x)
+
+
+# the three base fields, an eisenstein field over p = 5 and one over p = 2
+# (the ball's edge at shift e + 1), and unramified fields of degree 2 and 3
+SERIES_FIELDS = {
+    "Q2": make_field(2),
+    "Q3": make_field(3),
+    "Q5": make_field(5),
+    "Q5(pi^4=-5)": make_field(5, "eisenstein", e=4, c=-1),
+    "Q2(pi^3=6)": make_field(2, "eisenstein", e=3, c=3),
+    "Q4": make_field(2, "unramified", f=2),
+    "Q27": make_field(3, "unramified", f=3),
+}
+
+
+def _edge(field) -> int:
+    """The least shift strictly inside the ball v(x) > 1/(p-1)."""
+    return field.e // (field.p - 1) + 1
+
+
+def key(x):
+    return (x.shift, x.coeffs, x.abs_prec)
+
+
+@st.composite
+def ball_elements(draw, field, max_prec: int) -> PadicElement:
+    """pi^shift * unit, shift from the ball's edge to prec - 1."""
+    prec = draw(st.integers(max(2, _edge(field) + 1), max_prec))
+    shift = draw(st.integers(_edge(field), prec - 1))
+    vec = [draw(st.integers(0, field.p ** 40)) for _ in range(field.coeff_len)]
+    vec[0] = vec[0] * field.p + draw(st.integers(1, field.p - 1))
+    return _make(field, shift, vec, prec)
+
+
+class TestFusedSeries:
+    """p_exp and p_log reduce each series once, and agree with the
+    term-by-term loops (tests/oracles.py) in shift, coefficients and
+    precision; duals keep the loop."""
+
+    @given(data=st.data(), name=st.sampled_from(sorted(SERIES_FIELDS)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stepwise(self, data, name):
+        x = data.draw(ball_elements(SERIES_FIELDS[name], 200))
+        y = p_exp(x)
+        assert key(y) == key(exp_stepwise(x))
+        assert key(p_log(y)) == key(log_stepwise(y))
+        for got, want in ((dual_eval(p_exp, x), dual_eval(exp_stepwise, x)),
+                          (dual_eval(p_log, y), dual_eval(log_stepwise, y))):
+            assert (key(got.value), key(got.deriv)) == (key(want.value), key(want.deriv))
+
+    @pytest.mark.parametrize("name", ["Q2", "Q5(pi^4=-5)", "Q27"])
+    def test_matches_stepwise_at_prec_640(self, name):
+        field = SERIES_FIELDS[name]
+        shift = _edge(field) + 1
+        x = random_element(stream(13, "fused", name), field, 640, shift, shift)
+        y = p_exp(x)
+        assert key(y) == key(exp_stepwise(x))
+        assert key(p_log(y)) == key(log_stepwise(y))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of _make, PadicElement.__mul__ and _scale_rational calls."""
+        count = {}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                count[name] = count.get(name, 0) + 1
+                return fn(*args)
+            return wrapped
+        monkeypatch.setattr(field_mod, "_make", counting("_make", field_mod._make))
+        for name in ("__mul__", "_scale_rational"):
+            monkeypatch.setattr(PadicElement, name, counting(name, getattr(PadicElement, name)))
+        return count
+
+    @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+    def test_one_make_per_series(self, calls, fractions_built, name):
+        field = SERIES_FIELDS[name]
+        shift = _edge(field)
+        x = random_element(stream(17, "count", name), field, 80, shift, shift)
+        calls.clear()
+        built, y = fractions_built(lambda: p_exp(x))
+        assert (built, calls) == (0, {"_make": 1})
+        calls.clear()
+        built, _ = fractions_built(lambda: p_log(y))
+        # one for y - 1, one for the sum
+        assert (built, calls) == (0, {"_make": 2})

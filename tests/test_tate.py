@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_tate import tate as tate_mod
+from padic_tate import field as field_mod, tate as tate_mod
 from padic_tate.dual import DualElement
 from padic_tate.errors import (
     FieldMismatch,
@@ -324,15 +324,24 @@ class TestFusedLambert:
 
     @pytest.fixture
     def makes(self, monkeypatch):
-        """counted(call) -> (number of _make calls made in tate.py, result)."""
-        count = [0]
-        make = tate_mod._make
+        """counted(call) -> (number of _make calls made inside the Lambert
+        sums tate._dot, products included, result)."""
+        count, inside = [0], [False]
+        make, dot = field_mod._make, tate_mod._dot
 
         def counting_make(*args):
-            count[0] += 1
+            count[0] += inside[0]
             return make(*args)
 
-        monkeypatch.setattr(tate_mod, "_make", counting_make)
+        def counting_dot(*args):
+            inside[0] = True
+            try:
+                return dot(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(field_mod, "_make", counting_make)
+        monkeypatch.setattr(tate_mod, "_dot", counting_dot)
 
         def counted(call):
             count[0] = 0
