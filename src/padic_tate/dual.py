@@ -97,6 +97,5 @@ class DualElement:
         if n < 0:
             return self.invert() ** (-n)
         if n == 0:
-            one = PadicElement.one(self.value.field, self.value.rel_prec)
-            return DualElement.constant(one)
+            return DualElement.constant(self.value ** 0)
         return _binary_power(self, n)

@@ -15,10 +15,11 @@ bound abs_prec), and every comparison is made on those integers; the rational
 v = shift/e is built only for ValuationResult, Ball, RVClass and messages.
 An int or Fraction operand is exact: x + m, x - m and m - x keep x's
 abs_prec, and x * m and m / x keep x's relative precision; no operand is
-given a precision of its own.  An int summand is the raw vector
-(m, 0, ..., 0), reduced once together with x, and builds no Fraction; nor
-does x * m.  x - y aligns both operands and reduces once, without negating
-y first.
+given a precision of its own.  Each rule is written once: every sum or
+difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
+is one aligned _sum_terms, reduced once, and _product_term and
+_rational_unit give a product's term and a rational's unit, to the series
+layer too.
 All values are immutable and all operations are pure functions.
 """
 
@@ -330,11 +331,24 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _split_rational(value: Rational, p: int) -> tuple[int, int, int]:
-    """(w, a, b) with value = p^w * a/b and a, b prime to p; value != 0."""
-    num, den = value.numerator, value.denominator
-    vn, vd = _vp(num, p), _vp(den, p)
-    return vn - vd, num // p ** vn, den // p ** vd
+def _rational_unit(field: FieldDescriptor, num: int, den: int, mod: int) -> tuple[int, int]:
+    """(k, u) with num/den = pi^k * u and the unit u reduced modulo mod.
+
+    For num/den = p^w * a/b with a, b prime to p, p^w = pi^(e*w) * c^-w when
+    pi^e = c*p (c = 1 unless eisenstein), so k = e*w and u = a/b * c^-w.
+    num and den are nonzero; an int (den = 1) inverts nothing.
+    """
+    p, w = field.p, 0
+    while num % p == 0:
+        num //= p
+        w += 1
+    while den % p == 0:
+        den //= p
+        w -= 1
+    unit = num % mod if den == 1 else num * pow(den, -1, mod) % mod
+    if w and field.kind == "eisenstein":
+        unit = unit * pow(field.eis_unit, -w, mod) % mod
+    return field.e * w, unit
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -490,7 +504,7 @@ class PadicElement:
         value = Fraction(value)
         if value == 0:
             return PadicElement.zero(field, prec)
-        rel = prec - _split_rational(value, field.p)[0] * field.e
+        rel = prec - _rational_unit(field, value.numerator, value.denominator, 1)[0]
         if rel <= 0:
             return PadicElement.zero(field, prec)
         one = PadicElement(field, 0, (1,) + (0,) * (field.coeff_len - 1), rel)
@@ -553,7 +567,7 @@ class PadicElement:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._combine(1, other, 1)
 
     __radd__ = __add__
 
@@ -565,47 +579,33 @@ class PadicElement:
                             self.abs_prec)
 
     def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def _combine(self, other, sign: int):
-        """self + sign * other for sign = 1 or -1, in one pass: both operands
-        are aligned at the lower shift and reduced by one _make, so a
-        difference never negates other first."""
-        if isinstance(other, int):
-            return self if other == 0 else self._add_int(sign * other, 1)
-        other = _coerce(self, other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same_field(other)
-        prec = min(self.abs_prec, other.abs_prec)
-        if other.is_zero or other.shift >= prec:
-            return self.truncate(prec)
-        if self.is_zero or self.shift >= prec:
-            return _make(self.field, other.shift, [sign * c for c in other.coeffs], prec)
-        low = min(self.shift, other.shift)
-        a = _shift_vec(self.field, self.coeffs, self.shift - low)
-        b = _shift_vec(self.field, other.coeffs, other.shift - low)
-        return _make(self.field, low, [x + sign * y for x, y in zip(a, b)], prec)
-
-    def _add_int(self, m: int, sign: int) -> "PadicElement":
-        """sign * self + m for sign = 1 or -1, at self's abs_prec, with one
-        _make: m is the raw vector (m, 0, ..., 0) at shift 0, aligned with
-        self without a reduction of its own."""
-        field = self.field
-        low = min(self.shift, 0)
-        b = _shift_vec(field, (m,) + (0,) * (field.coeff_len - 1), -low)
-        if self.is_zero:
-            return _make(field, low, b, self.abs_prec)
-        a = _shift_vec(field, self.coeffs, self.shift - low)
-        return _make(field, low, [sign * x + y for x, y in zip(a, b)], self.abs_prec)
+        return self._combine(1, other, -1)
 
     def __rsub__(self, other):
+        return self._combine(-1, other, 1)
+
+    def _combine(self, a: int, other, b: int):
+        """a * self + b * other for a, b = 1 or -1, as one two-term
+        _sum_terms capped at the common precision, so that neither operand
+        is negated or reduced first.  An int other is exact: the raw vector
+        (other, 0, ..., 0) at shift 0, and the sum keeps self's abs_prec."""
         if isinstance(other, int):
-            return self._add_int(other, -1)
-        other = _coerce(self, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__sub__(self)
+            prec = self.abs_prec
+            vec = (b * other,) + (0,) * (self.field.coeff_len - 1) if other else None
+            term = (prec, 0, vec)
+        else:
+            other = _coerce(self, other)
+            if other is NotImplemented:
+                return NotImplemented
+            self._check_same_field(other)
+            prec = min(self.abs_prec, other.abs_prec)
+            term = other._term(b)
+        return _sum_terms(self.field, (self._term(a), term), prec)
+
+    def _term(self, sign: int) -> tuple:
+        """sign * self, for sign = 1 or -1, as a (prec, shift, vec) term."""
+        vec = self.coeffs if sign == 1 else [-c for c in self.coeffs]
+        return self.abs_prec, self.shift, vec or None
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -613,37 +613,24 @@ class PadicElement:
         if not isinstance(other, PadicElement):
             return NotImplemented
         self._check_same_field(other)
-        prec = min(self.abs_prec + other.shift, other.abs_prec + self.shift)
-        if self.is_zero or other.is_zero:
-            return PadicElement.zero(self.field, prec)
-        vec = _vec_mul(self.field, self.coeffs, other.coeffs)
-        return _make(self.field, self.shift + other.shift, vec, prec)
+        prec, shift, vec = _product_term(self, other)
+        return _make(self.field, shift, vec, prec) if vec else PadicElement.zero(self.field, prec)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def _scale_rational(self, value: Rational) -> "PadicElement":
-        """Exact multiplication by a rational scalar; relative precision kept."""
+        """Exact multiplication by a rational scalar; relative precision kept.
+        An imprecise zero has rel_prec 0, so its unit is taken modulo 1."""
         if value == 0:
             return PadicElement.zero(self.field, self.abs_prec)
-        p = self.field.p
-        if isinstance(value, int):
-            w = _vp(value, p)
-            num, den = value // p ** w, 1
-        else:
-            w, num, den = _split_rational(value, p)
-        shift = w * self.field.e
+        field, rel = self.field, self.rel_prec
+        shift, unit = _rational_unit(field, value.numerator, value.denominator,
+                                     field.p ** _ceil_div(rel, field.e))
         if self.is_zero:
-            return PadicElement.zero(self.field, self.abs_prec + shift)
-        rel = self.rel_prec
-        mod = p ** _ceil_div(rel, self.field.e)
-        unit = num % mod if den == 1 else (num * pow(den, -1, mod)) % mod
-        if self.field.kind == "eisenstein" and w:
-            # p^w = pi^(e*w) * c^(-w)
-            unit = (unit * pow(self.field.eis_unit, -w, mod)) % mod
-        vec = [unit * c for c in self.coeffs]
-        return PadicElement(self.field, self.shift + shift,
-                            _reduce_vec(self.field, vec, rel),
+            return PadicElement.zero(field, self.abs_prec + shift)
+        return PadicElement(field, self.shift + shift,
+                            _reduce_vec(field, [unit * c for c in self.coeffs], rel),
                             self.abs_prec + shift)
 
     def invert(self) -> "PadicElement":
@@ -754,7 +741,7 @@ class PadicElement:
 def _coerce(template: PadicElement, value) -> PadicElement:
     """An exact Fraction operand, built at the template's own abs_prec: a sum
     keeps min(abs_prec), so no digit beyond it could survive.  (An int
-    operand never gets here: it is added as a raw vector by _add_int.)"""
+    operand never gets here: _combine adds it as a raw vector.)"""
     if isinstance(value, PadicElement):
         return value
     if isinstance(value, Fraction):
@@ -793,6 +780,10 @@ def _make(field: FieldDescriptor, shift: int, vec: Sequence[int], prec: int) -> 
 def _sum_terms(field: FieldDescriptor, terms, cap: Optional[int] = None) -> PadicElement:
     """sum of pi^shift * vec over the (prec, shift, vec) terms, with one _make.
 
+    This is the one aligned sum: x + y, x - y, x +- m and m +- x are two-term
+    calls capped at the common precision, and exp, log and the Lambert sums
+    pass their raw terms.
+
     A term is exact modulo pi^prec, and vec None marks a zero term, which
     only bounds the precision.  The sum is known to the least term prec and
     cap (None: no cap).  As in a term-by-term sum, a term is added only when
@@ -817,6 +808,23 @@ def _sum_terms(field: FieldDescriptor, terms, cap: Optional[int] = None) -> Padi
     if acc is None:
         return PadicElement.zero(field, prec)
     return _make(field, low, acc, prec)
+
+
+def _product_term(c: Union[int, PadicElement], w: PadicElement) -> tuple:
+    """c * w as a (prec, shift, vec) term of _sum_terms, vec the raw product.
+
+    As __mul__ and _scale_rational give it, the product of two elements is
+    known to min(c.abs_prec + w.shift, w.abs_prec + c.shift), and an int
+    c != 0 keeps w's relative precision, to w.abs_prec + e*v_p(c) (c = 0
+    gives a zero known to w.abs_prec).
+    """
+    if isinstance(c, int):
+        if not c:
+            return w.abs_prec, w.shift, None
+        vec = [c * x for x in w.coeffs]
+        return w.abs_prec + w.field.e * _vp(c, w.field.p), w.shift, vec or None
+    vec = _vec_mul(w.field, c.coeffs, w.coeffs) if c.coeffs and w.coeffs else None
+    return min(c.abs_prec + w.shift, w.abs_prec + c.shift), c.shift + w.shift, vec
 
 
 # ---------------------------------------------------------------------------

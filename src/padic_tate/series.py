@@ -8,8 +8,10 @@ never from heuristics; a precision shortfall raises instead of degrading.
 Each series is reduced once, not once per term.  A term is a raw unit
 vector, taken modulo one p^K with K = ceil(rel/e) + 1, at a shift: exp steps
 it by x's unit and the unit part of 1/n, log keeps t^n as a running product
-and scales each term by the unit part of +-1/n apart from it.  The terms are
-added one at a time at a common shift and normalised by one _make.  The
+and scales each term by the unit part of +-1/n apart from it; the unit and
+shift of +-1/n come from field._rational_unit, as in _scale_rational.  The
+terms are added one at a time at a common shift by field._sum_terms, the
+aligned sum behind every field sum, and normalised by one _make.  The
 precision is tracked as the term-by-term loop tracks it: every product and
 scaling keeps the relative precision, and the sum is known to the least term
 precision (on the ball this is the argument's own).  Each term is exact modulo its own
@@ -26,7 +28,7 @@ from typing import Callable, Union
 
 from .dual import DualElement, _value_part
 from .errors import OutsideConvergenceDomain
-from .field import FieldDescriptor, PadicElement, _ceil_div, _sum_terms, _vec_mul
+from .field import PadicElement, _ceil_div, _rational_unit, _sum_terms, _vec_mul
 
 Evaluable = Union[PadicElement, DualElement]
 
@@ -150,22 +152,6 @@ def p_log(y: Evaluable) -> Evaluable:
     return acc.truncate(target)
 
 
-def _inverse_unit(field: FieldDescriptor, n: int, mod: int) -> tuple[int, int]:
-    """(e*v_p(n), u) with 1/n = pi^(-e*v_p(n)) * u and u reduced modulo mod.
-
-    For n = p^v * n_u, 1/n = p^-v / n_u and p^-v = pi^(-e*v) * c^v when
-    pi^e = c*p (c = 1 unless eisenstein), so u = c^v / n_u.
-    """
-    p, v = field.p, 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    unit = pow(n, -1, mod)
-    if v and field.kind == "eisenstein":
-        unit = unit * pow(field.eis_unit, v, mod) % mod
-    return field.e * v, unit
-
-
 def _exp_terms(x: PadicElement, T: int):
     """The (prec, shift, vec) terms of 1 + sum_{n<=T} x^n/n!.  As in the
     loop term = term * x * (1/n), term n is term n-1 times x's unit and
@@ -176,9 +162,9 @@ def _exp_terms(x: PadicElement, T: int):
     vec, shift = (1,) + (0,) * (field.coeff_len - 1), 0
     yield target, shift, vec
     for n in range(1, T + 1):
-        down, unit = _inverse_unit(field, n, mod)
+        k, unit = _rational_unit(field, 1, n, mod)
         vec = [a * unit % mod for a in _vec_mul(field, vec, x.coeffs)]
-        shift += x.shift - down
+        shift += x.shift + k
         yield shift + rel, shift, vec
 
 
@@ -192,11 +178,9 @@ def _log_terms(t: PadicElement, T: int):
     power = t.coeffs
     yield t.abs_prec, t.shift, power
     for n in range(2, T + 1):
-        down, unit = _inverse_unit(field, n, mod)
-        if n % 2 == 0:
-            unit = mod - unit
+        k, unit = _rational_unit(field, (-1) ** (n + 1), n, mod)
         power = [a % mod for a in _vec_mul(field, power, t.coeffs)]
-        shift = n * t.shift - down
+        shift = n * t.shift + k
         yield shift + rel, shift, [a * unit % mod for a in power]
 
 

@@ -9,13 +9,15 @@ inversion, once per curve.  The modular coefficients use c_m = m^k for
 s_k(q) and the exact integer c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2
 and p = 3 lose no precision; both sums stop after ceil(N / v(q)) terms.
 
-A sum is reduced once, not once per term: the raw products c_m * w_m are
-added at one common shift and normalised by one _make.  It is known to the
-least precision among its terms and N; as each term is exact modulo its own
-precision, the digits are those of the term-by-term sum.  For a dual
-argument the values and the derivatives are two such sums, and only the
-values are capped at N (the zero a sum starts from is a constant, with no
-derivative), so X' is known to the least precision among its own terms.
+A sum is reduced once, not once per term: the raw products c_m * w_m, each
+a term of field._product_term with the precision __mul__ gives it, are
+added at one common shift by field._sum_terms and normalised by one _make.
+It is known to the least precision among its terms and N; as each term is
+exact modulo its own precision, the digits are those of the term-by-term
+sum.  For a dual argument the values and the derivatives are two such sums,
+and only the values are capped at N (the zero a sum starts from is a
+constant, with no derivative), so X' is known to the least precision among
+its own terms.
 
 Points are produced by the map u -> (X(q,u), Y(q,u)) with
 
@@ -51,14 +53,7 @@ from .errors import (
     PrecisionCollapse,
     ZeroElement,
 )
-from .field import (
-    FieldDescriptor,
-    PadicElement,
-    ValuationResult,
-    _sum_terms,
-    _vec_mul,
-    _vp,
-)
+from .field import PadicElement, ValuationResult, _product_term, _sum_terms
 
 Evaluable = Union[PadicElement, DualElement]
 
@@ -117,30 +112,6 @@ def _require_positive_valuation(q: PadicElement) -> int:
     return q.shift
 
 
-def _dot(field: FieldDescriptor, coeffs: list, weights: list,
-         cap: Optional[int]) -> PadicElement:
-    """sum_m coeffs[m] * weights[m] with one reduction, known at most to pi^cap.
-
-    A term c*w is known to min(c.abs_prec + w.shift, w.abs_prec + c.shift),
-    or for an int c != 0 to w.abs_prec + e*v_p(c) (for c = 0 to w.abs_prec),
-    as PadicElement.__mul__ and _scale_rational give it; the sum is known to
-    the least of these and cap.  Each term's raw product is exact modulo its
-    own precision, so their sum by _sum_terms, reduced once, equals the
-    term-by-term sum at that precision.
-    """
-    terms = []
-    for c, w in zip(coeffs, weights):
-        if isinstance(c, int):
-            prec = w.abs_prec + field.e * _vp(c, field.p) if c else w.abs_prec
-            vec = [c * x for x in w.coeffs] if c and w.coeffs else None
-            terms.append((prec, w.shift, vec))
-        else:
-            prec = min(c.abs_prec + w.shift, w.abs_prec + c.shift)
-            vec = _vec_mul(field, c.coeffs, w.coeffs) if c.coeffs and w.coeffs else None
-            terms.append((prec, c.shift + w.shift, vec))
-    return _sum_terms(field, terms, cap)
-
-
 def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],
              terms: int, target: int) -> Evaluable:
     """sum_{m=1..terms} coeff(m) q^m / (1 - q^m), known at most to pi^target.
@@ -170,7 +141,8 @@ def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],
             if m > start:
                 tail.append(qm / (one - qm))
         weights[start:terms] = tail
-    sums = [_dot(q.field, part, weights, cap) for part, cap in zip(parts, (target, None))]
+    sums = [_sum_terms(q.field, map(_product_term, part, weights), cap)
+            for part, cap in zip(parts, (target, None))]
     return DualElement(*sums) if dual else sums[0]
 
 

@@ -39,9 +39,16 @@ class StrictSeries:
     @staticmethod
     def build(nvars: int, field: FieldDescriptor, terms: Mapping[Exponent, PadicElement],
               degree_cap: int, coeff_prec: int) -> "StrictSeries":
-        """Validate exponents, restrict to the valuation ring, canonicalise."""
+        """Validate exponents, restrict to the valuation ring, canonicalise.
+
+        Division walks every degree up to the cap, and the cap arrives from
+        the command line or an input file, so, as make_field caps e, it is
+        at most 64.
+        """
         if coeff_prec < 1:
             raise ValueError("coefficient precision must be >= 1")
+        if degree_cap > 64:
+            raise ValueError(f"degree cap {degree_cap} is above 64")
         clean: dict[Exponent, PadicElement] = {}
         for expo, c in terms.items():
             expo = tuple(int(x) for x in expo)

@@ -2,9 +2,10 @@
 
 Most work in plain Fractions / integers, independent of the library paths,
 and are reduced into the p-adic representation only at the final comparison
-step.  The others keep a simpler library algorithm that a faster one
-replaced: the brute-force rotundity check and the term-by-term Lambert,
-exp and log sums.
+step.  The others keep a library algorithm that a faster or simpler one
+replaced: the brute-force rotundity check, the term-by-term Lambert, exp
+and log sums, and the separate kernels for x +- y, x +- m and the unit of
+1/n that field._sum_terms and field._rational_unit replaced.
 """
 
 import itertools
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from padic_tate.dual import DualElement, _value_part
 from padic_tate.errors import OutsideConvergenceDomain, SearchSpaceTooLarge
-from padic_tate.field import PadicElement
+from padic_tate.field import PadicElement, _coerce, _make, _shift_vec
 from padic_tate.lattice import RotundVerdict, _normalized_rows, dim_image, rank
 from padic_tate.series import _exp_truncation, _log_truncation
 
@@ -64,6 +65,60 @@ def _moduli(field, rel_prec: int) -> list[int]:
     if field.kind == "eisenstein":
         return [max(0, _ceil_div(rel_prec - i, field.e)) for i in range(field.e)]
     return [max(0, rel_prec)] * field.f
+
+
+# The separate align-and-reduce kernels, kept verbatim as functions of self:
+# PadicElement._combine (an int other through _add_int), PadicElement._add_int
+# (which also served m - x as _add_int(m, -1)) and series._inverse_unit.
+
+def _combine(self, other, sign: int):
+    """self + sign * other for sign = 1 or -1, in one pass: both operands
+    are aligned at the lower shift and reduced by one _make, so a
+    difference never negates other first."""
+    if isinstance(other, int):
+        return self if other == 0 else _add_int(self, sign * other, 1)
+    other = _coerce(self, other)
+    if other is NotImplemented:
+        return NotImplemented
+    self._check_same_field(other)
+    prec = min(self.abs_prec, other.abs_prec)
+    if other.is_zero or other.shift >= prec:
+        return self.truncate(prec)
+    if self.is_zero or self.shift >= prec:
+        return _make(self.field, other.shift, [sign * c for c in other.coeffs], prec)
+    low = min(self.shift, other.shift)
+    a = _shift_vec(self.field, self.coeffs, self.shift - low)
+    b = _shift_vec(self.field, other.coeffs, other.shift - low)
+    return _make(self.field, low, [x + sign * y for x, y in zip(a, b)], prec)
+
+
+def _add_int(self, m: int, sign: int) -> PadicElement:
+    """sign * self + m for sign = 1 or -1, at self's abs_prec, with one
+    _make: m is the raw vector (m, 0, ..., 0) at shift 0, aligned with
+    self without a reduction of its own."""
+    field = self.field
+    low = min(self.shift, 0)
+    b = _shift_vec(field, (m,) + (0,) * (field.coeff_len - 1), -low)
+    if self.is_zero:
+        return _make(field, low, b, self.abs_prec)
+    a = _shift_vec(field, self.coeffs, self.shift - low)
+    return _make(field, low, [sign * x + y for x, y in zip(a, b)], self.abs_prec)
+
+
+def _inverse_unit(field, n: int, mod: int) -> tuple[int, int]:
+    """(e*v_p(n), u) with 1/n = pi^(-e*v_p(n)) * u and u reduced modulo mod.
+
+    For n = p^v * n_u, 1/n = p^-v / n_u and p^-v = pi^(-e*v) * c^v when
+    pi^e = c*p (c = 1 unless eisenstein), so u = c^v / n_u.
+    """
+    p, v = field.p, 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    unit = pow(n, -1, mod)
+    if v and field.kind == "eisenstein":
+        unit = unit * pow(field.eis_unit, v, mod) % mod
+    return field.e * v, unit
 
 
 def exp_partial_sum(x: Fraction, terms: int) -> Fraction:

@@ -140,17 +140,24 @@ class TestExitCodes:
         ["harness", "--suite", "exp", "--trials", "0"],
         ["tate", "verify-hom", "--q", "5^2", "--trials", "-2"],
         ["wdiv", "--g", "SERIES", "--f", "SERIES", "--active", "0"],
+        ["wdiv", "--g", "SERIES", "--f", "SERIES", "--degree-cap", "100000000", "--prec", "5"],
+        ["wdiv", "--g", "HUGE", "--f", "SERIES", "--degree-cap", "100000000", "--prec", "5"],
+        ["wdiv", "--g", "HUGE", "--f", "SERIES", "--prec", "5"],
         ["rv", "--x", "1+pi", "--lambda", "0", "--ext", "eisenstein:e=65,c=1", "--prec", "5"],
         ["exp", "--x", "5", "--ext", "eisenstein:e=2,C=3"],
         ["exp", "--x", "5", "--ext", "eisenstein:e=2,e=3"],
         ["exp", "--x", "5", "--ext", "unramified:f=2,poly=1,0,1"],
     ], ids=["rv-lambda", "balls-lambda", "rotund-height", "search-height", "mult-height",
             "harness-trials-negative", "harness-trials-zero", "verify-hom-trials",
-            "wdiv-active-zero", "eisenstein-degree", "ext-unknown-key", "ext-repeated-key",
+            "wdiv-active-zero", "wdiv-cap-flag", "wdiv-cap-flag-and-file", "wdiv-cap-file",
+            "eisenstein-degree", "ext-unknown-key", "ext-repeated-key",
             "ext-poly-after-f"])
     def test_bad_argument_is_2(self, tmp_path, capsys, argv):
         files = {"LATTICE": {"n": 2, "mult": [[1], [0]]},
-                 "SERIES": {"nvars": 1, "terms": [{"exp": [1], "coeff": "1"}]}}
+                 "SERIES": {"nvars": 1, "terms": [{"exp": [1], "coeff": "1"}]},
+                 # a division would walk all 10^8 degrees: the cap is refused
+                 "HUGE": {"nvars": 1, "degree_cap": 10 ** 8,
+                          "terms": [{"exp": [10 ** 8], "coeff": "1"}]}}
         for name, content in files.items():
             (tmp_path / name).write_text(json.dumps(content))
         assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2

@@ -305,7 +305,9 @@ def _scale_through_inverse(x, value):
     field = x.field
     if value == 0:
         return PadicElement.zero(field, x.abs_prec)
-    w, num, den = field_mod._split_rational(value, field.p)
+    num, den = value.numerator, value.denominator
+    vn, vd = vp_int(num, field.p), vp_int(den, field.p)
+    w, num, den = vn - vd, num // field.p ** vn, den // field.p ** vd
     shift = w * field.e
     if x.is_zero:
         return PadicElement.zero(field, x.abs_prec + shift)

@@ -108,6 +108,13 @@ class TestEisensteinAgainstModel:
             cmp_prec = min(got_prod.abs_prec, want_prod.abs_prec)
             assert got_prod.truncate(cmp_prec) \
                 .is_indistinguishable(want_prod.truncate(cmp_prec))
+            # a denominator carrying p twists the unit by c^-w, w = v_p(r) < 0
+            r = Fraction(rng.choice([1, -3, 7, 10]), p ** rng.randint(1, 3) * rng.choice([1, 7]))
+            got_scaled = ea * r
+            want_scaled = model.to_element(field, [x * r for x in a], prec)
+            cmp_prec = min(got_scaled.abs_prec, want_scaled.abs_prec)
+            assert got_scaled.truncate(cmp_prec) \
+                .is_indistinguishable(want_scaled.truncate(cmp_prec))
 
     def test_valuations_match(self):
         field = make_field(5, "eisenstein", e=4, c=-1)

@@ -19,6 +19,9 @@ from padic_tate.series import (
 )
 
 from oracles import (
+    _add_int,
+    _combine,
+    _inverse_unit,
     exp_partial_sum,
     exp_stepwise,
     from_fraction,
@@ -26,6 +29,7 @@ from oracles import (
     log_partial_sum,
     log_stepwise,
 )
+from strategies import elements, int_operands
 
 
 class TestFactorialValuation:
@@ -249,6 +253,15 @@ class TestDualConstants:
         seeded = dual_eval(p_exp, PadicElement.zero(Q5, 10))
         assert seeded == DualElement(PadicElement.one(Q5, 10), PadicElement.one(Q5, 10))
 
+    def test_zeroth_power_follows_the_element_rule(self, Q5):
+        # x ** 0 is 1 known to x's relative precision, or to its abs_prec for
+        # an imprecise zero, whose relative precision 0 would prove nothing
+        one = PadicElement.one(Q5, 10)
+        for value in (PadicElement.zero(Q5, 10), PadicElement.from_int(Q5, 35, 10)):
+            r = DualElement(value, one) ** 0
+            assert r == DualElement.constant(value ** 0)
+        assert str((DualElement(PadicElement.zero(Q5, 10), one) ** 0).value) == "1 + O(pi^10)"
+
     def test_log_of_one_proves_only_known_digits(self, Q5):
         # log'(y) y' = y'/y with y = 1 + O(5^10) and y' = 5^-3 + O(5^20):
         # the error of y costs y' its digits beyond pi^(10 - 3)
@@ -375,3 +388,63 @@ class TestFusedSeries:
         built, _ = fractions_built(lambda: p_log(y))
         # one for y - 1, one for the sum
         assert (built, calls) == (0, {"_make": 2})
+
+
+def _grid(field):
+    """Elements at shifts -2..4 known to precisions from below the shift
+    (imprecise zeros, abs_prec <= 0 included) to 12, with p-power entries."""
+    p = field.p
+    vecs = ([1] + [0] * (field.coeff_len - 1),
+            [p + 2 * i for i in range(field.coeff_len)],
+            [p ** 3 * (i + 1) for i in range(field.coeff_len)])
+    return [_make(field, shift, vec, prec)
+            for shift in (-2, 0, 1, 4) for prec in (shift - 1, -1, 0, shift + 1, 7, 12)
+            for vec in vecs]
+
+
+class TestOneAlignedSum:
+    """x + y, x - y, x +- m and m +- x, each one _sum_terms, and the unit of
+    a rational by _rational_unit agree in shift, coefficients and precision
+    with the separate kernels they replaced (tests/oracles.py)."""
+
+    @staticmethod
+    def _check_pair(x, y):
+        assert key(x + y) == key(_combine(x, y, 1))
+        assert key(x - y) == key(_combine(x, y, -1))
+
+    @staticmethod
+    def _check_int(x, m):
+        assert key(x + m) == key(m + x) == key(_combine(x, m, 1))
+        assert key(x - m) == key(_combine(x, m, -1))
+        assert key(m - x) == key(_add_int(x, m, -1))
+
+    @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+    def test_grid_matches_separate_kernels(self, name):
+        field = SERIES_FIELDS[name]
+        grid = _grid(field)
+        p = field.p
+        for x in grid:
+            for y in grid:
+                self._check_pair(x, y)
+            for m in (0, 1, -7, p, -p ** 3, 3 * p ** 12):
+                self._check_int(x, m)
+
+    @given(data=st.data(), name=st.sampled_from(sorted(SERIES_FIELDS)))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_matches_separate_kernels(self, data, name):
+        # y's shift reaches past x's precision, so that y is often skipped
+        field = SERIES_FIELDS[name]
+        x, y = data.draw(elements(field)), data.draw(elements(field, -3, 20))
+        self._check_pair(x, y)
+        self._check_pair(y, x)
+        self._check_int(x, data.draw(int_operands(field.p)))
+
+    @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+    def test_rational_unit_matches_inverse_unit(self, name):
+        field = SERIES_FIELDS[name]
+        for digits in (1, 5, 40):
+            mod = field.p ** digits
+            for n in range(1, 301):
+                down, unit = _inverse_unit(field, n, mod)
+                assert field_mod._rational_unit(field, 1, n, mod) == (-down, unit)
+                assert field_mod._rational_unit(field, -1, n, mod) == (-down, -unit % mod)

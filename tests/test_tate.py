@@ -325,23 +325,24 @@ class TestFusedLambert:
     @pytest.fixture
     def makes(self, monkeypatch):
         """counted(call) -> (number of _make calls made inside the Lambert
-        sums tate._dot, products included, result)."""
+        sums, products included, result).  Only tate's own _sum_terms is
+        patched, so the sums that field arithmetic makes are not counted."""
         count, inside = [0], [False]
-        make, dot = field_mod._make, tate_mod._dot
+        make, sum_terms = field_mod._make, tate_mod._sum_terms
 
         def counting_make(*args):
             count[0] += inside[0]
             return make(*args)
 
-        def counting_dot(*args):
+        def counting_sum_terms(*args):
             inside[0] = True
             try:
-                return dot(*args)
+                return sum_terms(*args)
             finally:
                 inside[0] = False
 
         monkeypatch.setattr(field_mod, "_make", counting_make)
-        monkeypatch.setattr(tate_mod, "_dot", counting_dot)
+        monkeypatch.setattr(tate_mod, "_sum_terms", counting_sum_terms)
 
         def counted(call):
             count[0] = 0

@@ -44,6 +44,11 @@ class TestSeriesBasics:
         with pytest.raises(DegreeCapExceeded):
             build(Q5, 1, {(9,): 1})
 
+    def test_cap_itself_bounded(self, Q5):
+        assert build(Q5, 1, {(64,): 1}, cap=64).degree_cap == 64
+        with pytest.raises(ValueError, match="degree cap 65 is above 64"):
+            build(Q5, 1, {(0,): 1}, cap=65)
+
     def test_cap_enforced_on_mul(self, Q5):
         f = build(Q5, 1, {(5,): 1})
         with pytest.raises(DegreeCapExceeded):
