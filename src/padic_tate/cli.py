@@ -72,6 +72,10 @@ SUITE_NAMES = ("balls", "exp", "lattice", "tate", "weierstrass")
 GLOBAL_DEFAULTS = {"p": 5, "prec": 40, "ext": "base", "seed": 0,
                    "slack": 10, "fmt": "text"}
 
+# the largest --prec accepted: the work of every command grows faster than
+# the square of the precision, so an uncapped --prec could run for hours
+MAX_PREC = 4096
+
 
 class _Context:
     """What every handler may use besides its arguments: the output record,
@@ -473,6 +477,8 @@ def dispatch(argv) -> int:
     args = _build_parser().parse_args(argv, namespace=argparse.Namespace(**GLOBAL_DEFAULTS))
     if os.environ.get("PADIC_TATE_SEED"):
         args.seed = int(os.environ["PADIC_TATE_SEED"])
+    if args.prec > MAX_PREC:
+        raise ValueError(f"--prec must be <= {MAX_PREC}, got {args.prec}")
     for name in ("trials", "active"):
         value = getattr(args, name, None)
         if value is not None and value < 1:

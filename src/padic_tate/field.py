@@ -19,7 +19,8 @@ given a precision of its own.  Each rule is written once: every sum or
 difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
 is one aligned _sum_terms, reduced once, and _product_term and
 _rational_unit give a product's term and a rational's unit, to the series
-layer too.
+layer too.  _int_combination reduces sum k_i * x_i + m (ints k_i and m)
+once, for the Tate-series coefficients.
 All values are immutable and all operations are pure functions.
 """
 
@@ -825,6 +826,25 @@ def _product_term(c: Union[int, PadicElement], w: PadicElement) -> tuple:
         return w.abs_prec + w.field.e * _vp(c, w.field.p), w.shift, vec or None
     vec = _vec_mul(w.field, c.coeffs, w.coeffs) if c.coeffs and w.coeffs else None
     return min(c.abs_prec + w.shift, w.abs_prec + c.shift), c.shift + w.shift, vec
+
+
+def _int_combination(pairs, const: int) -> PadicElement:
+    """sum k * x over the (k, x) pairs, plus const, with one _make.
+
+    The ks and const are ints and the xs elements of one field.  The sum is
+    one _sum_terms of the _product_term(k, x) terms and const as the raw
+    vector (const, 0, ..., 0) at shift 0, known to the least term precision:
+    the precision and digits that the same expression gets when each k * x,
+    sum and int operand is reduced on its own.
+    """
+    first = pairs[0][1]
+    for _, x in pairs:
+        first._check_same_field(x)
+    terms = [_product_term(k, x) for k, x in pairs]
+    cap = min(prec for prec, _, _ in terms)
+    if const:
+        terms.append((cap, 0, (const,) + (0,) * (first.field.coeff_len - 1)))
+    return _sum_terms(first.field, terms, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ exact modulo its own precision, the digits are those of the term-by-term
 sum.  For a dual argument the values and the derivatives are two such sums,
 and only the values are capped at N (the zero a sum starts from is a
 constant, with no derivative), so X' is known to the least precision among
-its own terms.
+its own terms.  Each coefficient c_m of X and Y below, a u^m + b u^-m + c
+with integers a, b, c, is reduced once too, by field._int_combination, with
+the precision and digits of the operation-by-operation expression; for a
+dual u its value and its derivative (without c) are one call each.
 
 Points are produced by the map u -> (X(q,u), Y(q,u)) with
 
@@ -53,7 +56,13 @@ from .errors import (
     PrecisionCollapse,
     ZeroElement,
 )
-from .field import PadicElement, ValuationResult, _product_term, _sum_terms
+from .field import (
+    PadicElement,
+    ValuationResult,
+    _int_combination,
+    _product_term,
+    _sum_terms,
+)
 
 Evaluable = Union[PadicElement, DualElement]
 
@@ -192,6 +201,28 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     return u_red, n
 
 
+def _laurent(up: Evaluable, un: Evaluable, a: int, b: int, c: int) -> Evaluable:
+    """a * up + b * un + c, for ints a, b, c, by one field._int_combination.
+
+    For dual up and un the value and the derivative are one call each, and
+    c, a constant, is left out of the derivative.
+    """
+    if isinstance(up, DualElement):
+        return DualElement(_int_combination(((a, up.value), (b, un.value)), c),
+                           _int_combination(((a, up.deriv), (b, un.deriv)), 0))
+    return _int_combination(((a, up), (b, un)), c)
+
+
+def _x_coefficient(up: Evaluable, un: Evaluable, m: int) -> Evaluable:
+    """m (u^m + u^-m - 2), the m-th coefficient of X, from up = u^m and un = u^-m."""
+    return _laurent(up, un, m, m, -2 * m)
+
+
+def _y_coefficient(up: Evaluable, un: Evaluable, m: int) -> Evaluable:
+    """(m-1)m/2 u^m - m(m+1)/2 u^-m + m, the m-th coefficient of Y."""
+    return _laurent(up, un, (m - 1) * m // 2, -(m * (m + 1) // 2), m)
+
+
 def tate_series_point(curve: TateCurve, u: Evaluable,
                       slack: int = DEFAULT_SLACK) -> tuple[Evaluable, Evaluable]:
     """(X(q,u), Y(q,u)) for u already reduced to the fundamental domain."""
@@ -220,9 +251,10 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
     for m in range(2, dmax + 1):
         upow.append(upow[-1] * u)
         unegpow.append(unegpow[-1] * u_inv)
-    x = _lambert(q, curve.weights, lambda m: (upow[m] + unegpow[m] - 2) * m, dmax, target)
-    y = _lambert(q, curve.weights, lambda m: upow[m] * ((m - 1) * m // 2)
-                 - unegpow[m] * (m * (m + 1) // 2) + m, dmax, target)
+    x = _lambert(q, curve.weights, lambda m: _x_coefficient(upow[m], unegpow[m], m),
+                 dmax, target)
+    y = _lambert(q, curve.weights, lambda m: _y_coefficient(upow[m], unegpow[m], m),
+                 dmax, target)
     return u * inv_omu * inv_omu + x, u * u * inv_omu * inv_omu * inv_omu + y
 
 

@@ -4,8 +4,9 @@ Most work in plain Fractions / integers, independent of the library paths,
 and are reduced into the p-adic representation only at the final comparison
 step.  The others keep a library algorithm that a faster or simpler one
 replaced: the brute-force rotundity check, the term-by-term Lambert, exp
-and log sums, and the separate kernels for x +- y, x +- m and the unit of
-1/n that field._sum_terms and field._rational_unit replaced.
+and log sums, the separate kernels for x +- y, x +- m and the unit of
+1/n that field._sum_terms and field._rational_unit replaced, and the Tate
+coefficients and dual product rule built one reduced operation at a time.
 """
 
 import itertools
@@ -119,6 +120,24 @@ def _inverse_unit(field, n: int, mod: int) -> tuple[int, int]:
     if v and field.kind == "eisenstein":
         unit = unit * pow(field.eis_unit, v, mod) % mod
     return field.e * v, unit
+
+
+# The Tate-series coefficients and the dual product rule as they were
+# before field._int_combination and one _sum_terms fused them, kept verbatim:
+# the two coefficient lambdas of tate.tate_series_point, as functions of the
+# lists of u^m and u^-m, and DualElement.__mul__ with a dual other.
+
+def x_coefficient_stepwise(upow, unegpow, m):
+    return (upow[m] + unegpow[m] - 2) * m
+
+
+def y_coefficient_stepwise(upow, unegpow, m):
+    return upow[m] * ((m - 1) * m // 2) - unegpow[m] * (m * (m + 1) // 2) + m
+
+
+def dual_mul_stepwise(self, other):
+    return DualElement(self.value * other.value,
+                       self.value * other.deriv + self.deriv * other.value)
 
 
 def exp_partial_sum(x: Fraction, terms: int) -> Fraction:

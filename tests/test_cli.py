@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import errno
 import hashlib
+import importlib.util
 import inspect
 import io
 import json
@@ -147,11 +148,15 @@ class TestExitCodes:
         ["exp", "--x", "5", "--ext", "eisenstein:e=2,C=3"],
         ["exp", "--x", "5", "--ext", "eisenstein:e=2,e=3"],
         ["exp", "--x", "5", "--ext", "unramified:f=2,poly=1,0,1"],
+        # refused before any work, which grows faster than the square of --prec
+        ["exp", "--x", "5", "--prec", "4097"],
+        ["--prec", "100000", "tate", "j", "--q", "5^2"],
+        ["harness", "--suite", "all", "--prec", "100000"],
     ], ids=["rv-lambda", "balls-lambda", "rotund-height", "search-height", "mult-height",
             "harness-trials-negative", "harness-trials-zero", "verify-hom-trials",
             "wdiv-active-zero", "wdiv-cap-flag", "wdiv-cap-flag-and-file", "wdiv-cap-file",
             "eisenstein-degree", "ext-unknown-key", "ext-repeated-key",
-            "ext-poly-after-f"])
+            "ext-poly-after-f", "exp-prec-cap", "tate-prec-cap", "harness-prec-cap"])
     def test_bad_argument_is_2(self, tmp_path, capsys, argv):
         files = {"LATTICE": {"n": 2, "mult": [[1], [0]]},
                  "SERIES": {"nvars": 1, "terms": [{"exp": [1], "coeff": "1"}]},
@@ -164,6 +169,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    def test_prec_cap_is_inclusive(self, capsys):
+        assert main(["exp", "--x", "0", "--prec", str(cli.MAX_PREC)]) == 0
+        assert capsys.readouterr().out == f"op=exp  x=0  result=1 + O(pi^{cli.MAX_PREC})\n"
 
     # the eisenstein rows sit each valuation comparison at its exact boundary
     @pytest.mark.parametrize("argv, code, message", [
@@ -648,3 +656,19 @@ class TestDimensionBound:
         assert capsys.readouterr().out == (
             "op=geom.plikely  index=0  ok=False  lhs=0  rhs=1000000\n")
         assert elapsed < 1.0 and peak < 10 ** 6
+
+
+class TestDigestScript:
+    def test_cheap_row_matches_in_process_run(self, capsys, monkeypatch):
+        # scripts/digests.py runs the harness in a child interpreter; its row
+        # for --p 2 at seed 0 matches the same run made here
+        spec = importlib.util.spec_from_file_location("digests", ROOT / "scripts" / "digests.py")
+        digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digests)
+        config = ("--p", "2")
+        assert config in digests.CONFIGS and 0 in digests.SEEDS
+        monkeypatch.delenv("PADIC_TATE_SEED", raising=False)
+        code, out = run_cli(capsys, "harness", "--suite", "all", "--format", "structured",
+                            *config, "--seed", "0")
+        sha = hashlib.sha256(out.encode()).hexdigest()
+        assert digests.row(config, 0) == f"--p 2  seed=0  exit={code}  sha256={sha}"

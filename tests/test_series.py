@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_tate import field as field_mod
+from padic_tate import field as field_mod, tate as tate_mod
 from padic_tate.dual import DualElement
 from padic_tate.errors import OutsideConvergenceDomain
 from padic_tate.field import PadicElement, _make, make_field
@@ -22,12 +22,15 @@ from oracles import (
     _add_int,
     _combine,
     _inverse_unit,
+    dual_mul_stepwise,
     exp_partial_sum,
     exp_stepwise,
     from_fraction,
     legendre_sum,
     log_partial_sum,
     log_stepwise,
+    x_coefficient_stepwise,
+    y_coefficient_stepwise,
 )
 from strategies import elements, int_operands
 
@@ -448,3 +451,90 @@ class TestOneAlignedSum:
                 down, unit = _inverse_unit(field, n, mod)
                 assert field_mod._rational_unit(field, 1, n, mod) == (-down, unit)
                 assert field_mod._rational_unit(field, -1, n, mod) == (-down, -unit % mod)
+
+
+def dkey(x):
+    return (key(x.value), key(x.deriv)) if isinstance(x, DualElement) else key(x)
+
+
+def _powers(u, count):
+    """[None, u, ..., u^count] and [None, u^-1, ..., u^-count], built as
+    tate_series_point builds them."""
+    inv = u.invert()
+    upow, unegpow = [None, u], [None, inv]
+    for _ in range(count - 1):
+        upow.append(upow[-1] * u)
+        unegpow.append(unegpow[-1] * inv)
+    return upow, unegpow
+
+
+def _duals(grid):
+    """Duals over the grid: each element as a value, with derivatives that
+    are units, p-powers and imprecise zeros (abs_prec <= 0 among them)."""
+    n = len(grid)
+    return [DualElement(x, grid[(7 * i + 3) % n]) for i, x in enumerate(grid)]
+
+
+class TestFusedCoefficients:
+    """The m-th coefficients of X and Y, each part one
+    field._int_combination, and the derivative of a dual product, one
+    _sum_terms, agree in shift, coefficients and precision with the same
+    expressions reduced one operation at a time (tests/oracles.py)."""
+
+    @staticmethod
+    def _check(upow, unegpow, m):
+        for fused, stepwise in ((tate_mod._x_coefficient, x_coefficient_stepwise),
+                                (tate_mod._y_coefficient, y_coefficient_stepwise)):
+            assert dkey(fused(upow[m], unegpow[m], m)) == dkey(stepwise(upow, unegpow, m))
+
+    @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+    def test_powers_of_u_near_one(self, name):
+        # u = 1 + pi^k v: m (u^m + u^-m - 2) = m (u^m - 1)^2 / u^m has
+        # valuation at least 2k, above its parts'; at prec 3 it is an
+        # imprecise zero.  m runs past p^2, so m = 1 and p | m both occur.
+        field = SERIES_FIELDS[name]
+        count = max(field.p ** 2, 8) + 1
+        for k in (1, 2, 5):
+            for prec in (3, 12, 40):
+                v = random_element(stream(19, "coefficient", name, k, prec), field, prec, 0, 0)
+                u = v * PadicElement.uniformizer(field, prec, k) + 1
+                for arg in (u, DualElement.seed(u)):
+                    upow, unegpow = _powers(arg, count)
+                    for m in range(1, count + 1):
+                        self._check(upow, unegpow, m)
+                upow, unegpow = _powers(u, count)
+                assert all(tate_mod._x_coefficient(upow[m], unegpow[m], m).shift
+                           >= min(2 * k, prec) for m in range(1, count + 1))
+
+    @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+    def test_grid_matches_stepwise(self, name):
+        # any pair of parts, imprecise zeros and abs_prec <= 0 included
+        field = SERIES_FIELDS[name]
+        grid = _grid(field)
+        p = field.p
+        for parts in (grid, _duals(grid)):
+            for up in parts:
+                for un in parts[::7]:
+                    for m in (1, 2, p, p + 1, p * p):
+                        self._check({m: up}, {m: un}, m)
+
+    @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+    def test_dual_product_grid_matches_stepwise(self, name):
+        field = SERIES_FIELDS[name]
+        grid = _grid(field)
+        duals = _duals(grid) + [DualElement.seed(x) for x in grid[::5]] + [
+            DualElement.constant(x) for x in grid[::5]]
+        for a in duals:
+            for b in duals[::3]:
+                assert dkey(a * b) == dkey(dual_mul_stepwise(a, b))
+
+    @given(data=st.data(), name=st.sampled_from(sorted(SERIES_FIELDS)),
+           m=st.integers(1, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_matches_stepwise(self, data, name, m):
+        field = SERIES_FIELDS[name]
+        up, un, dup, dun = (data.draw(elements(field)) for _ in range(4))
+        self._check({m: up}, {m: un}, m)
+        a, b = DualElement(up, dup), DualElement(un, dun)
+        self._check({m: a}, {m: b}, m)
+        assert dkey(a * b) == dkey(dual_mul_stepwise(a, b))

@@ -375,6 +375,46 @@ class TestFusedLambert:
         assert count[0] == 0
 
 
+class TestCoefficientMakes:
+    """Every _make call of a series point and of a dual product: each part
+    of a coefficient and the derivative of a dual product are reduced once."""
+
+    @pytest.fixture
+    def makes(self, monkeypatch):
+        count, make = [0], field_mod._make
+
+        def counting(*args):
+            count[0] += 1
+            return make(*args)
+
+        monkeypatch.setattr(field_mod, "_make", counting)
+
+        def counted(call):
+            count[0] = 0
+            call()
+            return count[0]
+        return counted
+
+    def test_series_point(self, makes, curve25, Q5):
+        # a fresh curve holds the 20 weights that curve_coefficients builds;
+        # u = 35 (v(u) = 1) needs 40, and its plain call builds the other 20
+        # (80 of its 249 _make calls), so the order below is part of the count
+        curve = curve_coefficients(curve25.q)
+        counts = []
+        for n in (7, 35):
+            u = PadicElement.from_int(Q5, n, 40)
+            counts += [makes(lambda: tate_series_point(curve, u)),
+                       makes(lambda: tate_series_point(curve, DualElement.seed(u)))]
+        # with a _make per operation in each coefficient: 129, 309, 329, 589
+        assert counts == [89, 181, 249, 341]
+
+    def test_dual_product(self, makes, Q5):
+        a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
+        b = DualElement.seed(PadicElement.from_int(Q5, 11, 40))
+        # the value's product and the derivative's one sum (4 stepwise)
+        assert makes(lambda: a * b) == 2
+
+
 class TestDualMemo:
     """verify_ode and relation_residual at one (u, slack) share one dual
     evaluation; any other u, precision, slack or curve recomputes."""
