@@ -23,7 +23,14 @@ from .errors import (
     InconsistentDimensions,
     SearchSpaceTooLarge,
 )
-from .field import PadicElement
+from .field import (
+    PadicElement,
+    _ceil_div,
+    _reduce_vec,
+    _shift_vec,
+    _vec_invert,
+    _vec_mul,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -425,22 +432,64 @@ def relation_search(z: Sequence[PadicElement], height: int,
 
     Exhaustive over the height box, so every planted relation within the box
     is found; an empty answer is 'no relation to precision', never a proof.
+    The box is not walked vector by vector.  A vanishing sum is 0 modulo
+    pi^t (t the threshold, or the least abs_prec if lower), so with z_j the
+    element of least valuation s_j among those with a known unit, the other
+    coordinates fix m_j modulo p^ceil((t - s_j)/e).  The search walks the
+    other coordinates in integer arithmetic, solves for m_j, and confirms
+    each candidate with the exact sum of the z_i * m_i.
     """
     n = len(z)
-    box = _height_box(n, height, max_candidates)
+    _height_box(n, height, max_candidates)     # its guards; the walk is the same box
     if not z:
         return []
-    threshold = min(x.abs_prec for x in z) - slack
-    tables = [{m: x * m for m in range(-height, height + 1)} for x in z]
-    found = []
-    for m_vec in box:
-        if not _primitive_signed(m_vec):
+    for x in z[1:]:
+        z[0]._check_same_field(x)
+    field = z[0].field
+    least = min(x.abs_prec for x in z)
+    threshold = least - slack
+    j = min(range(n), key=lambda i: (not z[i].coeffs, z[i].shift))
+    # an imprecise zero has shift = abs_prec >= least, so r = 0 when no z_i
+    # has a known unit: the modulus is 1 and every m_j is tried
+    r = max(min(least, threshold) - z[j].shift, 0)
+    modulus = field.p ** _ceil_div(r, field.e)
+    # w_i = pi^(s_i - s_j) u_i / u_j mod pi^r, 0 for an imprecise zero, so
+    # that the congruence reads m_j + sum_{i != j} m_i w_i = 0 mod pi^r
+    weights = []
+    inv = _vec_invert(field, z[j].coeffs, r) if r else None
+    for i, x in enumerate(z):
+        if i == j:
             continue
-        acc = tables[0][m_vec[0]]
-        for i in range(1, n):
-            acc = acc + tables[i][m_vec[i]]
-        if acc.shift >= threshold:
-            found.append(m_vec)
+        if r and x.coeffs:
+            shifted = _shift_vec(field, x.coeffs, x.shift - z[j].shift)
+            weights.append(_reduce_vec(field, _vec_mul(field, inv, shifted), r))
+        else:
+            weights.append((0,) * field.coeff_len)
+    cols = [tuple(w[k] for w in weights) for k in range(field.coeff_len)]
+    tables: list[dict[int, PadicElement]] = [{} for _ in z]
+
+    def scaled(i: int, m: int) -> PadicElement:
+        if m not in tables[i]:
+            tables[i][m] = z[i] * m
+        return tables[i][m]
+
+    found = []
+    for others in itertools.product(range(-height, height + 1), repeat=n - 1):
+        residue = _reduce_vec(field, [sum(map(operator.mul, others, col)) for col in cols], r)
+        if any(residue[1:]):
+            continue
+        # the least m_j >= -height with m_j = -residue mod the modulus
+        first = (height - residue[0]) % modulus - height
+        for m_j in range(first, height + 1, modulus):
+            m_vec = others[:j] + (m_j,) + others[j:]
+            if not _primitive_signed(m_vec):
+                continue
+            acc = scaled(0, m_vec[0])
+            for i in range(1, n):
+                acc = acc + scaled(i, m_vec[i])
+            if acc.shift >= threshold:
+                found.append(m_vec)
+    found.sort()
     return found
 
 

@@ -3,9 +3,10 @@
 Most work in plain Fractions / integers, independent of the library paths,
 and are reduced into the p-adic representation only at the final comparison
 step.  The others keep a library algorithm that a faster or simpler one
-replaced: the brute-force rotundity check, the term-by-term Lambert, exp
-and log sums, the separate kernels for x +- y, x +- m and the unit of
-1/n that field._sum_terms and field._rational_unit replaced, and the Tate
+replaced: the brute-force rotundity check, the relation search that walks
+the whole height box, the term-by-term Lambert, exp and log sums, the
+separate kernels for x +- y, x +- m and the unit of 1/n that
+field._sum_terms and field._rational_unit replaced, and the Tate
 coefficients and dual product rule built one reduced operation at a time.
 """
 
@@ -15,7 +16,14 @@ from fractions import Fraction
 from padic_tate.dual import DualElement, _value_part
 from padic_tate.errors import OutsideConvergenceDomain, SearchSpaceTooLarge
 from padic_tate.field import PadicElement, _coerce, _make, _shift_vec
-from padic_tate.lattice import RotundVerdict, _normalized_rows, dim_image, rank
+from padic_tate.lattice import (
+    RotundVerdict,
+    _height_box,
+    _normalized_rows,
+    _primitive_signed,
+    dim_image,
+    rank,
+)
 from padic_tate.series import _exp_truncation, _log_truncation
 
 
@@ -330,3 +338,25 @@ def rotund_check_brute(V, height: int,
         if dim_image(M, V) < rank(M):
             return RotundVerdict(True, M, height)
     return RotundVerdict(False, None, height)
+
+
+def relation_search_box(z, height: int, slack: int = 10,
+                        max_candidates: int = 5_000_000):
+    """relation_search by summing the z_i * m_i for every vector of the
+    height box, in itertools.product order, kept verbatim."""
+    n = len(z)
+    box = _height_box(n, height, max_candidates)
+    if not z:
+        return []
+    threshold = min(x.abs_prec for x in z) - slack
+    tables = [{m: x * m for m in range(-height, height + 1)} for x in z]
+    found = []
+    for m_vec in box:
+        if not _primitive_signed(m_vec):
+            continue
+        acc = tables[0][m_vec[0]]
+        for i in range(1, n):
+            acc = acc + tables[i][m_vec[i]]
+        if acc.shift >= threshold:
+            found.append(m_vec)
+    return found

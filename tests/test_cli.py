@@ -415,6 +415,12 @@ GOLDEN = [
       "--x", "3+3*g^2", "--prec", "640"], "763d4ad55f17d6883d6cbdd1565697b75b031ea5f7aaa87f96e4467f2fd3be64"),
     (["log", "--p", "3", "--ext", "unramified:f=3",
       "--y", "1+3*g", "--prec", "640", "--format", "structured"], "0c0037cf29ebd5b484890b28cc3f2dc30b9d3db5c669d9c591c252e4cf3bea24"),
+    # relation searches, recorded while the search walked the whole box: 255
+    # hits in itertools.product order, and an unramified field
+    (["relations", "search", "--z", "7", "--z", "11", "--z", "13", "--z", "2*7-3*11+13",
+      "--height", "10", "--prec", "60"], "2b6e246c77be26abed5cadd069427a54946afc57ec4b992b6008fc8d82c65125"),
+    (["relations", "search", "--p", "5", "--ext", "unramified:f=2", "--z", "7", "--z", "11",
+      "--z", "2*7+3*11", "--height", "5", "--prec", "30"], "fb22c86e53cb88fd3167852cd388719f3473ea1c5207381a8a9257b83a9354b0"),
     # the harness's one verification failure, the known false failure of
     # ode_doubled/5 (exit 1); its digest changes when that threshold is fixed
     (["harness", "--suite", "tate", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--trials", "6"], "0c9b28f043702cfab075c4efc790263a926e2319c132bbd15b53009d2eb76178"),

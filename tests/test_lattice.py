@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from padic_tate.errors import (
     DimensionMismatch,
+    FieldMismatch,
     FullRank,
     InconsistentDimensions,
     SearchSpaceTooLarge,
 )
 from padic_tate import lattice
-from padic_tate.field import PadicElement
+from padic_tate.field import PadicElement, make_field
 from padic_tate.lattice import (
     RotundVerdict,
     SubgroupLattice,
@@ -35,9 +36,9 @@ from padic_tate.lattice import (
     smith_normal_form,
     zeros,
 )
-from padic_tate.prng import random_unit, stream
+from padic_tate.prng import random_element, random_unit, stream
 
-from oracles import rank_over_Q, rotund_check_brute
+from oracles import rank_over_Q, relation_search_box, rotund_check_brute
 
 
 @pytest.fixture
@@ -377,6 +378,12 @@ class TestRelationSearch:
         zs = [random_unit(stream(79, "none", i), Q5, 60) for i in range(3)]
         assert relation_search(zs, 10) == []
 
+    def test_fields_must_match(self, Q5, Q3):
+        # the congruence is solved on coefficient vectors, which are only
+        # comparable within one field
+        with pytest.raises(FieldMismatch):
+            relation_search([PadicElement.one(Q5, 20), PadicElement.one(Q3, 20)], 2)
+
     def test_guard(self, Q5):
         zs = [PadicElement.one(Q5, 50)] * 6
         with pytest.raises(SearchSpaceTooLarge):
@@ -474,3 +481,115 @@ class TestRelationCompleteness:
             lead = next(x for x in m if x)
             normalized = tuple(m) if lead > 0 else tuple(-x for x in m)
             assert normalized in found
+
+
+# the three base fields, an eisenstein field over p = 5 and one over p = 2,
+# and unramified fields of degree 2 and 3
+RELATION_FIELDS = [
+    make_field(2),
+    make_field(3),
+    make_field(5),
+    make_field(5, "eisenstein", e=4, c=-1),
+    make_field(2, "eisenstein", e=3, c=3),
+    make_field(2, "unramified", f=2),
+    make_field(3, "unramified", f=3),
+]
+
+
+def _relation_case(i):
+    """(z, height, slack) for seeded case i: coordinates at shifts -1..3 and
+    abs_prec 4..24, some imprecise zeros (every fourth case one at -2, below
+    every other shift), slack from -2 to 10, and in every other case a
+    relation planted in the last coordinate."""
+    rng = stream(131, "relbox", i)
+    field = RELATION_FIELDS[i % len(RELATION_FIELDS)]
+    n = rng.randint(1, 4)
+    height = rng.randint(0, 5 if n < 4 else 2)
+    z = []
+    for _ in range(n):
+        prec = rng.randint(4, 24)
+        if rng.random() < 0.15:
+            z.append(PadicElement.zero(field, rng.randint(2, prec)))
+        else:
+            z.append(random_element(rng, field, prec, -1, 3))
+    if i % 4 == 3:
+        z[rng.randrange(n)] = PadicElement.zero(field, -2)
+    if i % 2 and n > 1 and height:
+        m = [rng.randint(-height, height) for _ in range(n - 1)]
+        acc = z[0] * m[0]
+        for x, k in zip(z[1:], m[1:]):
+            acc = acc + x * k
+        z[-1] = acc * rng.choice([1, -1])
+    return z, height, rng.choice([-2, -1, 0, 1, 3, 10])
+
+
+class TestRelationSearchMatchesBox:
+    """relation_search solves for one coordinate; the box walk kept in
+    tests/oracles.py sums every vector.  Same hits, same order."""
+
+    def test_seeded_inputs(self):
+        hits = 0
+        for i in range(600):
+            z, height, slack = _relation_case(i)
+            want = relation_search_box(z, height, slack)
+            assert relation_search(z, height, slack) == want, i
+            hits += len(want)
+        assert hits > 1000
+
+    def test_box_of_four_at_height_five(self):
+        for i, field in enumerate(RELATION_FIELDS):
+            rng = stream(131, "relbox4", i)
+            z = [random_element(rng, field, 12, 0, 2) for _ in range(3)]
+            z.append(z[0] * 2 - z[1] + z[2] * 3)
+            want = relation_search_box(z, 5, 0)
+            assert (2, -1, 3, -1) in want
+            assert relation_search(z, 5, 0) == want
+
+
+class TestRelationConfirmations:
+    """Each candidate is confirmed by the exact sum of n products, n - 1
+    PadicElement additions; the solved coordinate leaves at most one
+    candidate per vector of the other coordinates."""
+
+    @pytest.fixture
+    def confirmations(self, monkeypatch):
+        """counted(z, height, slack) -> (confirmations, hits) of one search."""
+        count = [0]
+        add = PadicElement.__add__
+
+        def counting(self, other):
+            count[0] += 1
+            return add(self, other)
+
+        def counted(z, height, slack=10):
+            count[0] = 0
+            monkeypatch.setattr(PadicElement, "__add__", counting)
+            hits = relation_search(z, height, slack)
+            monkeypatch.setattr(PadicElement, "__add__", add)
+            return count[0] // (len(z) - 1), len(hits)
+        return counted
+
+    def test_planted_pair(self, Q5, confirmations):
+        x = random_unit(stream(73, "plant"), Q5, 60)
+        assert confirmations([x, x * 2], 4) == (1, 1)
+
+    def test_harness_random_empty(self, Q5, confirmations):
+        zs = [random_unit(stream(0, "relrand", i), Q5, 60) for i in range(3)]
+        assert confirmations(zs, 10) == (0, 0)
+
+    def test_planted_triple(self, Q5, confirmations):
+        z1 = PadicElement.from_int(Q5, 5, 60)
+        z2 = z1 * z1
+        z3 = z2 * 2 - z1 * 3
+        assert confirmations([z1, z2, z3], 5) == (7, 7)
+
+    def test_at_most_one_per_other_vector(self, confirmations):
+        # elements at prec 40 with shifts 0..3 and slack 10 leave r >= 27, so
+        # the modulus p^ceil(r/e) is at least 2^9 (Q2(pi^3=6)), far above 2H
+        for i, field in enumerate(RELATION_FIELDS):
+            rng = stream(137, "relgate", i)
+            for n in (2, 3, 4):
+                height = 4 if n < 4 else 2
+                z = [random_element(rng, field, 40, 0, 3) for _ in range(n)]
+                done, hits = confirmations(z, height)
+                assert hits <= done <= (2 * height + 1) ** (n - 1)
