@@ -87,7 +87,7 @@ class _Context:
         self.prec = args.prec
         # verification commands validate prec > slack via RunConfig; plain
         # evaluation only uses slack as a local budget, clamped to the precision
-        self.slack = min(args.slack, max(args.prec - 1, 0))
+        self.slack = min(args.slack, args.prec - 1)
 
     def emit(self, **fields) -> None:
         if self.args.fmt == "structured":
@@ -477,8 +477,10 @@ def dispatch(argv) -> int:
     args = _build_parser().parse_args(argv, namespace=argparse.Namespace(**GLOBAL_DEFAULTS))
     if os.environ.get("PADIC_TATE_SEED"):
         args.seed = int(os.environ["PADIC_TATE_SEED"])
-    if args.prec > MAX_PREC:
-        raise ValueError(f"--prec must be <= {MAX_PREC}, got {args.prec}")
+    if not 1 <= args.prec <= MAX_PREC:
+        raise ValueError(f"--prec must be in [1, {MAX_PREC}], got {args.prec}")
+    if args.slack < 0:
+        raise ValueError(f"--slack must be >= 0, got {args.slack}")
     for name in ("trials", "active"):
         value = getattr(args, name, None)
         if value is not None and value < 1:

@@ -1,12 +1,10 @@
 """Finite-precision arithmetic in Q_p and supported finite extensions.
 
-An element is stored as pi^shift * unit, where pi is the uniformizer and the
-unit part lives on an integral basis of the ring of integers:
-
-* base field / unramified: coefficients of 1, g, ..., g^(f-1) with g the
-  residue generator, each an integer modulo a power of p;
-* eisenstein: coefficients of 1, pi, ..., pi^(e-1), each an integer modulo
-  a power of p, with pi^e = c*p.
+Every field is the fraction field of Z_p[x]/(F), F monic of degree e*f (the
+F of each kind is in FieldDescriptor), and pi^e = c*p.  An element is stored
+as pi^shift * unit, the unit a vector of e*f integers on 1, x, ..., x^(e*f-1):
+entry i sits at pi-offset i % e, modulo p^ceil((rel_prec - i % e)/e).  e = 1
+or f = 1, so x = pi when f = 1 and pi = p when f > 1.
 
 Absolute precision N means the value is known modulo pi^N.  Valuations are
 normalised so that v(p) = 1; the value group is (1/e)*Z.  Internally a
@@ -20,7 +18,10 @@ difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
 is one aligned _sum_terms, reduced once, and _product_term and
 _rational_unit give a product's term and a rational's unit, to the series
 layer too.  _int_combination reduces sum k_i * x_i + m (ints k_i and m)
-once, for the Tate-series coefficients.
+once, for the Tate-series coefficients.  The coefficient kernels read
+(p, e, f, c, F), never the kind.  They keep two fast paths, as Q_p at
+moderate precision ran a third slower without them: a length-1 vector
+(no loop over entries) and pi = p (a shift is one power of p).
 All values are immutable and all operations are pure functions.
 """
 
@@ -51,18 +52,28 @@ Rational = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """Q_p or a single-layer finite extension with its ramification data."""
+    """Q_p or a single-layer finite extension: the ring Z_p[x]/(F), F monic.
+
+    * base: F = x - p, so e = f = c = 1 and x = pi = p;
+    * eisenstein: F = x^e - c*p, so f = 1 and x = pi;
+    * unramified: F = residue_poly, irreducible mod p of degree f, so e = 1,
+      pi = p and x is the residue generator g.
+
+    kind is a label, read by __str__, make_field, parse_extension, the
+    parser (which names g) and the harness grid; the arithmetic reads only
+    p, e, f, c and F.
+    """
 
     p: int
     kind: str                    # "base" | "eisenstein" | "unramified"
     e: int = 1                   # ramification index, v(pi) = 1/e
     f: int = 1                   # residue degree
-    eis_unit: int = 1            # c with pi^e = c*p (eisenstein only)
+    eis_unit: int = 1            # c with pi^e = c*p (1 unless eisenstein)
     residue_poly: tuple[int, ...] = ()   # monic integer poly, low -> high
 
     @property
     def coeff_len(self) -> int:
-        return self.e if self.kind == "eisenstein" else self.f
+        return self.e * self.f
 
     def __str__(self) -> str:
         if self.kind == "base":
@@ -267,8 +278,15 @@ def parse_extension(p: int, ext: str) -> FieldDescriptor:
     if ext in ("", "base"):
         return make_field(p)
     kind, _, args = ext.partition(":")
+
+    def integer(key: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{key}: {text!r} is not an integer in {ext!r}") from None
+
     if kind == "unramified" and args.startswith("poly="):
-        coeffs = [int(x) for x in args[len("poly="):].split(",")]
+        coeffs = [integer("poly", x) for x in args[len("poly="):].split(",")]
         return make_field(p, "unramified", poly=coeffs)
     keys = {"eisenstein": ("e", "c"), "unramified": ("f",)}.get(kind)
     if keys is None:
@@ -279,7 +297,7 @@ def parse_extension(p: int, ext: str) -> FieldDescriptor:
         key = key.strip()
         if key not in keys or key in fields:
             raise ValueError(f"{kind} accepts only {' and '.join(keys)}, each at most once: {ext!r}")
-        fields[key] = int(val)
+        fields[key] = integer(key, val)
     if kind == "eisenstein":
         return make_field(p, "eisenstein", e=fields.get("e", 2), c=fields.get("c", 1))
     return make_field(p, "unramified", f=fields.get("f", 2))
@@ -335,9 +353,9 @@ def _vp(n: int, p: int) -> int:
 def _rational_unit(field: FieldDescriptor, num: int, den: int, mod: int) -> tuple[int, int]:
     """(k, u) with num/den = pi^k * u and the unit u reduced modulo mod.
 
-    For num/den = p^w * a/b with a, b prime to p, p^w = pi^(e*w) * c^-w when
-    pi^e = c*p (c = 1 unless eisenstein), so k = e*w and u = a/b * c^-w.
-    num and den are nonzero; an int (den = 1) inverts nothing.
+    For num/den = p^w * a/b with a, b prime to p, p^w = pi^(e*w) * c^-w as
+    pi^e = c*p, so k = e*w and u = a/b * c^-w.  num and den are nonzero; an
+    int (den = 1) inverts nothing.
     """
     p, w = field.p, 0
     while num % p == 0:
@@ -347,7 +365,7 @@ def _rational_unit(field: FieldDescriptor, num: int, den: int, mod: int) -> tupl
         den //= p
         w -= 1
     unit = num % mod if den == 1 else num * pow(den, -1, mod) % mod
-    if w and field.kind == "eisenstein":
+    if w:
         unit = unit * pow(field.eis_unit, -w, mod) % mod
     return field.e * w, unit
 
@@ -359,67 +377,51 @@ def _ceil_div(a: int, b: int) -> int:
 def _reduce_vec(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tuple[int, ...]:
     """vec, a full coefficient vector, reduced modulo pi^rel_prec.
 
-    Eisenstein entry i (the coefficient of pi^i) is taken modulo
-    p^ceil((rel_prec - i)/e), and is 0 when i >= rel_prec.
+    Entry i, at pi-offset i % e, is taken modulo p^ceil((rel_prec - i % e)/e),
+    and is 0 when i % e >= rel_prec.
     """
-    p = field.p
-    if field.kind == "base":
+    p, e = field.p, field.e
+    if len(vec) == 1:
         return (vec[0] % p ** rel_prec,) if rel_prec > 0 else (0,)
-    if field.kind == "eisenstein":
-        e = field.e
-        return tuple(v % p ** -((i - rel_prec) // e) if i < rel_prec else 0
-                     for i, v in enumerate(vec))
-    if rel_prec <= 0:
-        return (0,) * len(vec)
-    mod = p ** rel_prec
-    return tuple(v % mod for v in vec)
+    mods = [p ** max(0, _ceil_div(rel_prec - r, e)) for r in range(e)] * field.f
+    return tuple([v % m for v, m in zip(vec, mods)])
 
 
 def _vec_val(field: FieldDescriptor, vec: Sequence[int]) -> Optional[int]:
-    """pi-adic valuation of a canonically reduced vector, None if zero."""
-    p = field.p
-    if field.kind == "base":
+    """pi-adic valuation of a canonically reduced vector, None if zero: the
+    least e*v_p(vec[i]) + i % e over the nonzero entries."""
+    p, e = field.p, field.e
+    if len(vec) == 1:
         return _vp(vec[0], p) if vec[0] else None
-    best: Optional[int] = None
-    if field.kind == "eisenstein":
-        for i, a in enumerate(vec):
-            if a:
-                cand = field.e * _vp(a, p) + i
-                if best is None or cand < best:
-                    best = cand
-    else:
-        for b in vec:
-            if b:
-                cand = _vp(b, p)
-                if best is None or cand < best:
-                    best = cand
-    return best
+    return min([e * _vp(a, p) + i % e for i, a in enumerate(vec) if a], default=None)
 
 
 def _shift_vec(field: FieldDescriptor, vec: Sequence[int], k: int, work: int = 0) -> list[int]:
     """The coefficient vector of pi^k * vec, in one step.
 
-    With q, r = divmod(k, e), eisenstein entry i is vec[i - r] * (c*p)^(q + (i < r)).
+    With q, r = divmod(k, e), entry i is vec[i - r] * (c*p)^(q + (i < r)),
+    which holds as r = 0 when e = 1 and f = 1 when e > 1; when pi = p
+    (e = c = 1) it is one power of p.
     For k < 0 entries are floor-divided by powers of p, which is exact only
-    when vec has pi-adic valuation >= -k, i.e. e*v_p(vec[i]) + i >= -k for
+    when vec has pi-adic valuation >= -k, i.e. e*v_p(vec[i]) + i % e >= -k for
     each nonzero entry; negative powers of c are taken modulo p^work, so the
     result is right modulo p^work.
     """
-    p = field.p
-    if field.kind != "eisenstein":
+    p, c, e = field.p, field.eis_unit, field.e
+    if e == c == 1:
         scale = p ** abs(k)
         return [v * scale for v in vec] if k >= 0 else [v // scale for v in vec]
-    c, e = field.eis_unit, field.e
     q, r = divmod(k, e)
     if q >= 0:
         lo, hi = (c * p) ** q, (c * p) ** (q + 1)
-        return [vec[i - r] * (hi if i < r else lo) for i in range(e)]
+        return [vec[i - r] * (hi if i < r else lo) for i in range(len(vec))]
     mod = p ** work
     lo, hi = (p ** -q, pow(c, q, mod)), (p ** (-q - 1), pow(c, q + 1, mod))
-    return [vec[i - r] // d * u for i, (d, u) in enumerate([hi] * r + [lo] * (e - r))]
+    return [vec[i - r] // d * u for i, (d, u) in enumerate([hi] * r + [lo] * (len(vec) - r))]
 
 
 def _vec_mul(field: FieldDescriptor, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b reduced modulo F = x^n + sum low[j] x^j, not modulo p."""
     n = field.coeff_len
     if n == 1:
         return [a[0] * b[0]]
@@ -430,33 +432,23 @@ def _vec_mul(field: FieldDescriptor, a: Sequence[int], b: Sequence[int]) -> list
         for j, y in enumerate(b):
             if y:
                 conv[i + j] += x * y
-    if field.kind == "eisenstein":
-        cp = field.eis_unit * field.p
-        for idx in range(2 * n - 2, n - 1, -1):
-            if conv[idx]:
-                conv[idx - n] += conv[idx] * cp
-                conv[idx] = 0
-        return conv[:n]
-    # unramified: reduce by the monic defining polynomial
-    poly = field.residue_poly
+    low = field.residue_poly[:-1] or (-field.eis_unit * field.p,)
     for idx in range(2 * n - 2, n - 1, -1):
         cval = conv[idx]
-        if cval == 0:
-            continue
-        conv[idx] = 0
-        for j in range(n):
-            conv[idx - n + j] -= cval * poly[j]
+        if cval:
+            for j, fj in enumerate(low):
+                if fj:
+                    conv[idx - n + j] -= cval * fj
     return conv[:n]
 
 
 def _residue_inverse(field: FieldDescriptor, vec: Sequence[int]) -> list[int]:
-    """Inverse of the residue of a unit vector in the residue field."""
+    """Inverse of the residue of a unit vector in the residue field
+    F_p[x]/(G), G = residue_poly mod p, or x when f = 1: the residue is the
+    entries at pi-offset 0, all of them when e = 1 and the first when f = 1."""
     p = field.p
-    if field.kind != "unramified":
-        a0 = vec[0] % p
-        return [pow(a0, -1, p)] + [0] * (field.coeff_len - 1)
-    inv = _poly_inverse(vec, [c % p for c in field.residue_poly], p)
-    return inv + [0] * (field.f - len(inv))
+    inv = _poly_inverse(vec[::field.e], [c % p for c in field.residue_poly] or [0, 1], p)
+    return inv + [0] * (field.coeff_len - len(inv))
 
 
 def _vec_invert(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tuple[int, ...]:
@@ -531,18 +523,11 @@ class PadicElement:
     @staticmethod
     def from_pi_digits(field: FieldDescriptor, shift: int, digits: Sequence, prec: int) -> "PadicElement":
         """Assemble pi^shift * sum(digits[t] * pi^t) with residue digits."""
-        p = field.p
-        n = field.coeff_len
-        vec = [0] * n
-        if field.kind == "eisenstein":
-            cp = field.eis_unit * field.p
-            for t, d in enumerate(digits):
-                vec[t % field.e] += int(d) * cp ** (t // field.e)
-        else:
-            for t, d in enumerate(digits):
-                tup = (d,) if isinstance(d, int) else tuple(d)
-                for j, c in enumerate(tup):
-                    vec[j] += int(c) * p ** t
+        e, cp = field.e, field.eis_unit * field.p
+        vec = [0] * field.coeff_len
+        for t, d in enumerate(digits):
+            for j, x in enumerate((d,) if isinstance(d, int) else d):
+                vec[j * e + t % e] += int(x) * cp ** (t // e)
         return _make(field, shift, vec, prec)
 
     # -- state --------------------------------------------------------------
@@ -701,10 +686,7 @@ class PadicElement:
             # one pass reads the next e digits (one digit for e = 1); the
             # floor division in the shift by pi^-e drops exactly those digits
             digits = [v % p for v in vec]
-            if field.kind == "eisenstein":
-                out += digits
-            else:
-                out.append(digits[0] if field.f == 1 else tuple(digits))
+            out += digits if field.f == 1 else [tuple(digits)]
             vec = _shift_vec(field, vec, -field.e, work)
         return out[:count]
 
@@ -714,23 +696,16 @@ class PadicElement:
         digits = self.pi_digits(self.rel_prec)
         parts = []
         for t, d in enumerate(digits):
+            body = str(d) if isinstance(d, int) else _poly_str(d)
+            if body == "0":
+                continue
             k = self.shift + t
-            if isinstance(d, tuple):
-                if all(x == 0 for x in d):
-                    continue
-                body = _poly_str(d)
-                coeff = f"({body})"
-                plain_one = body == "1"
-            else:
-                if d == 0:
-                    continue
-                coeff = str(d)
-                plain_one = d == 1
+            coeff = body if isinstance(d, int) else f"({body})"
             if k == 0:
                 parts.append(coeff)
             else:
                 power = "pi" if k == 1 else f"pi^{k}"
-                parts.append(power if plain_one else f"{coeff}*{power}")
+                parts.append(power if body == "1" else f"{coeff}*{power}")
         if not parts:
             parts = ["0"]
         return " + ".join(parts) + f" + O(pi^{self.abs_prec})"

@@ -6,16 +6,31 @@ step.  The others keep a library algorithm that a faster or simpler one
 replaced: the brute-force rotundity check, the relation search that walks
 the whole height box, the term-by-term Lambert, exp and log sums, the
 separate kernels for x +- y, x +- m and the unit of 1/n that
-field._sum_terms and field._rational_unit replaced, and the Tate
-coefficients and dual product rule built one reduced operation at a time.
+field._sum_terms and field._rational_unit replaced, the Tate
+coefficients and dual product rule built one reduced operation at a time,
+and the coefficient kernels written once per field kind.
 """
 
 import itertools
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from padic_tate.dual import DualElement, _value_part
-from padic_tate.errors import OutsideConvergenceDomain, SearchSpaceTooLarge
-from padic_tate.field import PadicElement, _coerce, _make, _shift_vec
+from padic_tate.errors import (
+    InsufficientPrecision,
+    OutsideConvergenceDomain,
+    SearchSpaceTooLarge,
+    ZeroElement,
+)
+from padic_tate.field import (
+    FieldDescriptor,
+    PadicElement,
+    _coerce,
+    _make,
+    _poly_inverse,
+    _shift_vec,
+    _vp,
+)
 from padic_tate.lattice import (
     RotundVerdict,
     _height_box,
@@ -128,6 +143,159 @@ def _inverse_unit(field, n: int, mod: int) -> tuple[int, int]:
     if v and field.kind == "eisenstein":
         unit = unit * pow(field.eis_unit, v, mod) % mod
     return field.e * v, unit
+
+
+# The coefficient kernels as they were when each field kind had its own
+# branch, kept verbatim (renamed kind_*, pi_digits and from_pi_digits as
+# functions) as the reference for the one kernel set that reads only
+# (p, e, f, c, F).
+
+def kind_reduce_vec(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tuple[int, ...]:
+    """vec, a full coefficient vector, reduced modulo pi^rel_prec.
+
+    Eisenstein entry i (the coefficient of pi^i) is taken modulo
+    p^ceil((rel_prec - i)/e), and is 0 when i >= rel_prec.
+    """
+    p = field.p
+    if field.kind == "base":
+        return (vec[0] % p ** rel_prec,) if rel_prec > 0 else (0,)
+    if field.kind == "eisenstein":
+        e = field.e
+        return tuple(v % p ** -((i - rel_prec) // e) if i < rel_prec else 0
+                     for i, v in enumerate(vec))
+    if rel_prec <= 0:
+        return (0,) * len(vec)
+    mod = p ** rel_prec
+    return tuple(v % mod for v in vec)
+
+
+def kind_vec_val(field: FieldDescriptor, vec: Sequence[int]) -> Optional[int]:
+    """pi-adic valuation of a canonically reduced vector, None if zero."""
+    p = field.p
+    if field.kind == "base":
+        return _vp(vec[0], p) if vec[0] else None
+    best: Optional[int] = None
+    if field.kind == "eisenstein":
+        for i, a in enumerate(vec):
+            if a:
+                cand = field.e * _vp(a, p) + i
+                if best is None or cand < best:
+                    best = cand
+    else:
+        for b in vec:
+            if b:
+                cand = _vp(b, p)
+                if best is None or cand < best:
+                    best = cand
+    return best
+
+
+def kind_shift_vec(field: FieldDescriptor, vec: Sequence[int], k: int, work: int = 0) -> list[int]:
+    """The coefficient vector of pi^k * vec, in one step.
+
+    With q, r = divmod(k, e), eisenstein entry i is vec[i - r] * (c*p)^(q + (i < r)).
+    For k < 0 entries are floor-divided by powers of p, which is exact only
+    when vec has pi-adic valuation >= -k, i.e. e*v_p(vec[i]) + i >= -k for
+    each nonzero entry; negative powers of c are taken modulo p^work, so the
+    result is right modulo p^work.
+    """
+    p = field.p
+    if field.kind != "eisenstein":
+        scale = p ** abs(k)
+        return [v * scale for v in vec] if k >= 0 else [v // scale for v in vec]
+    c, e = field.eis_unit, field.e
+    q, r = divmod(k, e)
+    if q >= 0:
+        lo, hi = (c * p) ** q, (c * p) ** (q + 1)
+        return [vec[i - r] * (hi if i < r else lo) for i in range(e)]
+    mod = p ** work
+    lo, hi = (p ** -q, pow(c, q, mod)), (p ** (-q - 1), pow(c, q + 1, mod))
+    return [vec[i - r] // d * u for i, (d, u) in enumerate([hi] * r + [lo] * (e - r))]
+
+
+def kind_vec_mul(field: FieldDescriptor, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    n = field.coeff_len
+    if n == 1:
+        return [a[0] * b[0]]
+    conv = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                conv[i + j] += x * y
+    if field.kind == "eisenstein":
+        cp = field.eis_unit * field.p
+        for idx in range(2 * n - 2, n - 1, -1):
+            if conv[idx]:
+                conv[idx - n] += conv[idx] * cp
+                conv[idx] = 0
+        return conv[:n]
+    # unramified: reduce by the monic defining polynomial
+    poly = field.residue_poly
+    for idx in range(2 * n - 2, n - 1, -1):
+        cval = conv[idx]
+        if cval == 0:
+            continue
+        conv[idx] = 0
+        for j in range(n):
+            conv[idx - n + j] -= cval * poly[j]
+    return conv[:n]
+
+
+def kind_residue_inverse(field: FieldDescriptor, vec: Sequence[int]) -> list[int]:
+    """Inverse of the residue of a unit vector in the residue field."""
+    p = field.p
+    if field.kind != "unramified":
+        a0 = vec[0] % p
+        return [pow(a0, -1, p)] + [0] * (field.coeff_len - 1)
+    inv = _poly_inverse(vec, [c % p for c in field.residue_poly], p)
+    return inv + [0] * (field.f - len(inv))
+
+
+def kind_from_pi_digits(field: FieldDescriptor, shift: int, digits: Sequence, prec: int) -> "PadicElement":
+    """Assemble pi^shift * sum(digits[t] * pi^t) with residue digits."""
+    p = field.p
+    n = field.coeff_len
+    vec = [0] * n
+    if field.kind == "eisenstein":
+        cp = field.eis_unit * field.p
+        for t, d in enumerate(digits):
+            vec[t % field.e] += int(d) * cp ** (t // field.e)
+    else:
+        for t, d in enumerate(digits):
+            tup = (d,) if isinstance(d, int) else tuple(d)
+            for j, c in enumerate(tup):
+                vec[j] += int(c) * p ** t
+    return _make(field, shift, vec, prec)
+
+
+def kind_pi_digits(self, count: int):
+    """First ``count`` pi-adic digits of the unit part.
+
+    Digits are integers in [0, p) for residue degree 1, and tuples of f
+    such integers (coordinates on the residue basis) otherwise.
+    """
+    if self.is_zero:
+        raise ZeroElement("imprecise zero has no unit digits")
+    if count > self.rel_prec:
+        raise InsufficientPrecision(
+            f"{count} digits requested, {self.rel_prec} known")
+    field = self.field
+    p = field.p
+    work = _ceil_div(self.rel_prec, field.e) + 1
+    vec = self.coeffs
+    out = []
+    while len(out) < count:
+        # one pass reads the next e digits (one digit for e = 1); the
+        # floor division in the shift by pi^-e drops exactly those digits
+        digits = [v % p for v in vec]
+        if field.kind == "eisenstein":
+            out += digits
+        else:
+            out.append(digits[0] if field.f == 1 else tuple(digits))
+        vec = kind_shift_vec(field, vec, -field.e, work)
+    return out[:count]
 
 
 # The Tate-series coefficients and the dual product rule as they were

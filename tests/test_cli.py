@@ -152,11 +152,16 @@ class TestExitCodes:
         ["exp", "--x", "5", "--prec", "4097"],
         ["--prec", "100000", "tate", "j", "--q", "5^2"],
         ["harness", "--suite", "all", "--prec", "100000"],
+        # no digit known, or a budget that widens the thresholds
+        ["--prec", "-5", "relations", "search", "--z", "5", "--z", "7", "--height", "1"],
+        ["--prec", "0", "exp", "--x", "5"],
+        ["--slack", "-3", "harness", "--suite", "exp", "--trials", "1"],
     ], ids=["rv-lambda", "balls-lambda", "rotund-height", "search-height", "mult-height",
             "harness-trials-negative", "harness-trials-zero", "verify-hom-trials",
             "wdiv-active-zero", "wdiv-cap-flag", "wdiv-cap-flag-and-file", "wdiv-cap-file",
             "eisenstein-degree", "ext-unknown-key", "ext-repeated-key",
-            "ext-poly-after-f", "exp-prec-cap", "tate-prec-cap", "harness-prec-cap"])
+            "ext-poly-after-f", "exp-prec-cap", "tate-prec-cap", "harness-prec-cap",
+            "search-prec-negative", "exp-prec-zero", "harness-slack-negative"])
     def test_bad_argument_is_2(self, tmp_path, capsys, argv):
         files = {"LATTICE": {"n": 2, "mult": [[1], [0]]},
                  "SERIES": {"nvars": 1, "terms": [{"exp": [1], "coeff": "1"}]},
@@ -191,8 +196,15 @@ class TestExitCodes:
         (["rv", "--x", "5", "--lambda", "-1"], 2, "usage error: lambda must be >= 0"),
         (["tate", "add", "--q", "5^2", "--x1", "1", "--y1", "1", "--x2", "2", "--y2", "3"], 2,
          "error: curve equation residual has valuation 0"),
+        (["exp", "--x", "5", "--ext", "eisenstein:e=2,c=x"], 2,
+         "usage error: c: 'x' is not an integer in 'eisenstein:e=2,c=x'"),
+        (["exp", "--x", "5", "--ext", "eisenstein:e=2,c"], 2,
+         "usage error: c: '' is not an integer in 'eisenstein:e=2,c'"),
+        (["exp", "--x", "5", "--ext", "unramified:poly=1,a,1"], 2,
+         "usage error: poly: 'a' is not an integer in 'unramified:poly=1,a,1'"),
     ], ids=["exp-domain", "exp-boundary", "log-boundary", "same-imprecise",
-            "next-member-of-C", "rv-value-group", "rv-negative", "add-off-curve"])
+            "next-member-of-C", "rv-value-group", "rv-negative", "add-off-curve",
+            "ext-value-not-int", "ext-value-missing", "ext-poly-not-int"])
     def test_error_message(self, capsys, argv, code, message):
         assert main(argv) == code
         assert capsys.readouterr().err == message + "\n"

@@ -24,7 +24,9 @@ from padic_tate.field import (
     valuation,
 )
 from padic_tate.prng import random_element, random_unit, stream
+from padic_tate.series import p_exp, p_log
 
+import oracles
 from oracles import _moduli, first_irreducible_mod_p, from_fraction, vp_int
 from strategies import FIELDS, elements, int_operands
 
@@ -322,7 +324,8 @@ def _scale_through_inverse(x, value):
 class TestFastPathsMatchGeneralFormulas:
     @pytest.mark.parametrize("p, kind, kwargs", [
         (5, "base", {}), (2, "base", {}), (2, "unramified", {"f": 2}),
-        (3, "unramified", {"f": 3}), (5, "eisenstein", {"e": 3, "c": 2})])
+        (3, "unramified", {"f": 3}), (5, "eisenstein", {"e": 3, "c": 2}),
+        (3, "eisenstein", {"e": 1, "c": 2})])
     def test_reduce_vec(self, p, kind, kwargs):
         field = make_field(p, kind, **kwargs)
         rng = stream(0, "reduce-vec", p, kind)
@@ -348,6 +351,95 @@ class TestFastPathsMatchGeneralFormulas:
                 assert (got.shift, got.coeffs, got.abs_prec) == \
                     (want.shift, want.coeffs, want.abs_prec)
                 assert got == x * Fraction(m) == m * x
+
+
+# every kind, eisenstein e = 1 with pi = 2p included, and an explicit
+# poly= whose integer coefficients are not reduced mod p
+KERNEL_FIELDS = [
+    (2, "base", {}), (5, "base", {}),
+    (3, "eisenstein", {"e": 1, "c": 2}), (5, "eisenstein", {"e": 2, "c": 1}),
+    (5, "eisenstein", {"e": 3, "c": 2}), (5, "eisenstein", {"e": 4, "c": -1}),
+    (2, "unramified", {"f": 2}), (3, "unramified", {"f": 3}),
+    (5, "unramified", {"poly": (7, -4, 1)})]
+
+
+def _raw_vectors(rng, field, count):
+    """Unreduced vectors: zeros, small entries of both signs and big ones."""
+    p, bound = field.p, field.p ** 60
+    return [[rng.choice((0, rng.randrange(-p, p), rng.randrange(-bound, bound)))
+             for _ in range(field.coeff_len)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("p, kind, kwargs", KERNEL_FIELDS)
+class TestKernelsMatchPerKindReference:
+    """The one coefficient-kernel set against the per-kind kernels it
+    replaced (oracles.kind_*), on seeded inputs."""
+
+    def test_reduce_and_valuation(self, p, kind, kwargs):
+        field = make_field(p, kind, **kwargs)
+        rng = stream(1, "kernel-reduce", p, kind, *kwargs.values())
+        for vec in _raw_vectors(rng, field, 12) + [[0] * field.coeff_len]:
+            for rel in range(-2, 31):
+                want = oracles.kind_reduce_vec(field, vec, rel)
+                assert field_mod._reduce_vec(field, vec, rel) == want
+                assert field_mod._vec_val(field, want) == oracles.kind_vec_val(field, want)
+
+    def test_shift(self, p, kind, kwargs):
+        field = make_field(p, kind, **kwargs)
+        rng = stream(1, "kernel-shift", p, kind, *kwargs.values())
+        for vec in _raw_vectors(rng, field, 10):
+            for k in range(0, 9):
+                assert field_mod._shift_vec(field, vec, k) == oracles.kind_shift_vec(field, vec, k)
+            # valuation >= 8, so every shift down to pi^-8 is exact
+            deep = oracles.kind_shift_vec(field, vec, 8)
+            for k in range(-8, 0):
+                for work in (1, 4, 25):
+                    assert field_mod._shift_vec(field, deep, k, work) == \
+                        oracles.kind_shift_vec(field, deep, k, work)
+
+    def test_mul_and_residue_inverse(self, p, kind, kwargs):
+        field = make_field(p, kind, **kwargs)
+        rng = stream(1, "kernel-mul", p, kind, *kwargs.values())
+        vecs = _raw_vectors(rng, field, 12)
+        for a, b in zip(vecs, vecs[1:]):
+            assert field_mod._vec_mul(field, a, b) == oracles.kind_vec_mul(field, a, b)
+        for _ in range(12):
+            unit = random_unit(rng, field, 20).coeffs
+            assert field_mod._residue_inverse(field, unit) == \
+                oracles.kind_residue_inverse(field, unit)
+
+    def test_digits(self, p, kind, kwargs):
+        field = make_field(p, kind, **kwargs)
+        rng = stream(1, "kernel-digits", p, kind, *kwargs.values())
+        for _ in range(12):
+            # leading zero digits included: from_pi_digits renormalises
+            prec, shift = rng.randrange(1, 30), rng.randrange(-5, 6)
+            digits = [rng.randrange(p) if field.f == 1 else
+                      tuple(rng.randrange(p) for _ in range(field.f))
+                      for _ in range(rng.randrange(0, 25))]
+            got = PadicElement.from_pi_digits(field, shift, digits, prec)
+            assert _triple(got) == _triple(oracles.kind_from_pi_digits(field, shift, digits, prec))
+            x = random_element(rng, field, prec + 1, -3, min(prec, 3))
+            assert x.pi_digits(x.rel_prec) == oracles.kind_pi_digits(x, x.rel_prec)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_eisenstein_e1_c1_is_qp(p):
+    """x^1 - 1*p defines Q_p itself: every operation gives the same triple
+    and the same printed digits as over make_field(p)."""
+    qp, e11 = make_field(p), make_field(p, "eisenstein", e=1, c=1)
+    for i in range(12):
+        results = []
+        for field in (qp, e11):
+            # the same stream draws the same digits in both fields
+            rng = stream(2, "e1c1", p, i)
+            x = random_element(rng, field, 24, -2, 3)
+            y = random_element(rng, field, 20, 0, 2)
+            small = random_element(rng, field, 24, 2, 4)      # v > 1/(p-1)
+            results.append([x + y, x - y, x * y, x / y, p_exp(small), p_log(1 + small)])
+        for a, b in zip(*results):
+            assert _triple(a) == _triple(b)
+            assert str(a) == str(b)
 
 
 def _triple(x):
