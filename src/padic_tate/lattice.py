@@ -353,7 +353,7 @@ def lemma_vm_bound(V: SubgroupLattice, M: Matrix) -> VMBound:
                    image_dim=dim_image(M, V))
 
 
-def quotient_dim(L: Matrix, T: Matrix, n: int) -> int:
+def quotient_dim(L: Matrix, T: Matrix) -> int:
     """Dimension of the image of the subgroup spanned by L in the quotient by
     the subgroup spanned by T: rank[L | T] - rank T = rank L - rank(L cap T)."""
     return rank(L) - lattice_intersection_rank(L, T)
@@ -379,7 +379,7 @@ def persistently_likely(V: Matrix, S: Matrix, T_list: Sequence[Matrix],
             raise DimensionMismatch("lattice rows must equal the ambient n")
     out = []
     for idx, T in enumerate(T_list):
-        lhs = quotient_dim(V, T, n) + quotient_dim(S, T, n)
+        lhs = quotient_dim(V, T) + quotient_dim(S, T)
         rhs = n - rank(T)
         out.append(LikelyVerdict(index=idx, ok=lhs >= rhs, lhs=lhs, rhs=rhs))
     return out

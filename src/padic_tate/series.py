@@ -17,8 +17,8 @@ scaling keeps the relative precision, and the sum is known to the least term
 precision (on the ball this is the argument's own).  Each term is exact modulo its own
 precision, at least the final one, so the raw sum agrees with the loop's
 modulo pi^final and the canonical digits are the loop's.  A dual argument
-keeps the loop: the shift of a derivative after a sum is known only after a
-reduction, and the precision of the next product depends on it.
+takes the same path for its value and its derivative from the chain rule,
+exp(x)' = exp(x) x' and log(y)' = y'/y.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Union
 
-from .dual import DualElement, _value_part
+from .dual import DualElement
 from .errors import OutsideConvergenceDomain
 from .field import PadicElement, _ceil_div, _rational_unit, _sum_terms, _vec_mul
 
@@ -96,60 +96,46 @@ def _log_truncation(shift: int, e: int, p: int, target: int) -> int:
 def p_exp(x: Evaluable) -> Evaluable:
     """exp(x) = sum x^n / n! on the domain v(x) > 1/(p-1).
 
-    Given a dual number, evaluates the whole series over dual arithmetic and
-    returns (exp(x), exp'(x)).
+    Given a dual number (x, x'), returns (exp(x), exp(x) x') by the chain rule.
     """
-    val = _value_part(x)
-    field = val.field
+    if isinstance(x, DualElement):
+        v = p_exp(x.value)
+        return DualElement(v, v * x.deriv)
+    field = x.field
     p, e = field.p, field.e
-    target = val.abs_prec
     # v = shift/e > 1/(p-1), tested as shift*(p-1) > e
-    if val.is_zero:
-        if val.abs_prec * (p - 1) > e:
-            one = PadicElement.one(field, val.abs_prec)
-            return DualElement(one, one * x.deriv) if isinstance(x, DualElement) else one
+    if x.is_zero:
+        if x.abs_prec * (p - 1) > e:
+            return PadicElement.one(field, x.abs_prec)
         raise OutsideConvergenceDomain(
             "argument is an imprecise zero whose bound does not clear 1/(p-1)")
-    if val.shift * (p - 1) <= e:
+    if x.shift * (p - 1) <= e:
         raise OutsideConvergenceDomain(
-            f"v(x) = {Fraction(val.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
-    T = _exp_truncation(val.shift, e, p, target)
-    if isinstance(x, PadicElement):
-        return _sum_terms(field, _exp_terms(x, T))
-    # a PadicElement one is a constant to dual arithmetic, so for a dual x
-    # acc and term turn dual at the first product
-    acc = term = PadicElement.one(field, target)
-    for n in range(1, T + 1):
-        term = term * x * Fraction(1, n)
-        acc = acc + term
-    return acc.truncate(target)
+            f"v(x) = {Fraction(x.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
+    T = _exp_truncation(x.shift, e, p, x.abs_prec)
+    return _sum_terms(field, _exp_terms(x, T))
 
 
 def p_log(y: Evaluable) -> Evaluable:
-    """log(y) = sum (-1)^(n+1) (y-1)^n / n for v(y-1) > 1/(p-1)."""
-    field = _value_part(y).field
+    """log(y) = sum (-1)^(n+1) (y-1)^n / n for v(y-1) > 1/(p-1).
+
+    Given a dual number (y, y'), returns (log(y), y'/y) by the chain rule.
+    """
+    if isinstance(y, DualElement):
+        return DualElement(p_log(y.value), y.deriv / y.value)
+    field = y.field
     p, e = field.p, field.e
     t = y - 1
-    tval = _value_part(t)
-    target = tval.abs_prec
-    if tval.is_zero:
-        if tval.abs_prec * (p - 1) > e:
-            zero = PadicElement.zero(field, tval.abs_prec)
-            return DualElement(zero, y.deriv / y.value) if isinstance(y, DualElement) else zero
+    if t.is_zero:
+        if t.abs_prec * (p - 1) > e:
+            return PadicElement.zero(field, t.abs_prec)
         raise OutsideConvergenceDomain(
             "y - 1 is an imprecise zero whose bound does not clear 1/(p-1)")
-    if tval.shift * (p - 1) <= e:
+    if t.shift * (p - 1) <= e:
         raise OutsideConvergenceDomain(
-            f"v(y-1) = {Fraction(tval.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
-    T = _log_truncation(tval.shift, e, p, target)
-    if isinstance(t, PadicElement):
-        return _sum_terms(field, _log_terms(t, T))
-    acc = t
-    power = t
-    for n in range(2, T + 1):
-        power = power * t
-        acc = acc + power * Fraction((-1) ** (n + 1), n)
-    return acc.truncate(target)
+            f"v(y-1) = {Fraction(t.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
+    T = _log_truncation(t.shift, e, p, t.abs_prec)
+    return _sum_terms(field, _log_terms(t, T))
 
 
 def _exp_terms(x: PadicElement, T: int):

@@ -236,20 +236,17 @@ def weierstrass_divide(g: StrictSeries, f: StrictSeries, active: int,
     assert gamma > 0
     iterations = -(-prec // gamma) + 1
     q = initial if initial is not None else StrictSeries.zero(g.nvars, g.field, cap, prec)
-    r = StrictSeries.zero(g.nvars, g.field, cap, prec)
-    prev = q
     for k in range(iterations):
-        work = g - q * eps
-        q_next, r_next = _poly_divmod(work, w, active, d)
+        q_next, r = _poly_divmod(g - q * eps, w, active, d)
         if k:
-            gap = q_next - prev
+            gap = q_next - q
             floor = min(prec, k * gamma)
             if _gauss_shift(gap) < floor:
                 raise AssertionError(f"contraction too slow: {gauss_valuation(gap)} "
                                      f"after {k} passes (need {floor} pi-digits)")
-        if q_next.is_indistinguishable(prev) and k:
-            return q_next, r_next
-        prev, q, r = q_next, q_next, r_next
+            if q_next.is_indistinguishable(q):
+                return q_next, r
+        q = q_next
     return q, r
 
 

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from padic_tate.dual import DualElement, _value_part
+from padic_tate.dual import DualElement
 from padic_tate.errors import (
     InsufficientPrecision,
     OutsideConvergenceDomain,
@@ -379,23 +379,19 @@ def lambert_stepwise(q: PadicElement, weights: list, coeff, terms: int, target: 
 def exp_stepwise(x):
     """series.p_exp term by term: one __mul__, one scaling by 1/n and one
     __add__ per term, each reduced."""
-    val = _value_part(x)
-    field = val.field
+    field = x.field
     p, e = field.p, field.e
-    target = val.abs_prec
+    target = x.abs_prec
     # v = shift/e > 1/(p-1), tested as shift*(p-1) > e
-    if val.is_zero:
-        if val.abs_prec * (p - 1) > e:
-            one = PadicElement.one(field, val.abs_prec)
-            return DualElement(one, one * x.deriv) if isinstance(x, DualElement) else one
+    if x.is_zero:
+        if x.abs_prec * (p - 1) > e:
+            return PadicElement.one(field, x.abs_prec)
         raise OutsideConvergenceDomain(
             "argument is an imprecise zero whose bound does not clear 1/(p-1)")
-    if val.shift * (p - 1) <= e:
+    if x.shift * (p - 1) <= e:
         raise OutsideConvergenceDomain(
-            f"v(x) = {Fraction(val.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
-    T = _exp_truncation(val.shift, e, p, target)
-    # a PadicElement one is a constant to dual arithmetic, so for a dual x
-    # acc and term turn dual at the first product
+            f"v(x) = {Fraction(x.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
+    T = _exp_truncation(x.shift, e, p, target)
     acc = term = PadicElement.one(field, target)
     for n in range(1, T + 1):
         term = term * x * Fraction(1, n)
@@ -406,21 +402,19 @@ def exp_stepwise(x):
 def log_stepwise(y):
     """series.p_log term by term: power = power * t, then one scaling by
     (-1)^(n+1)/n and one __add__ per term, each reduced."""
-    field = _value_part(y).field
+    field = y.field
     p, e = field.p, field.e
     t = y - 1
-    tval = _value_part(t)
-    target = tval.abs_prec
-    if tval.is_zero:
-        if tval.abs_prec * (p - 1) > e:
-            zero = PadicElement.zero(field, tval.abs_prec)
-            return DualElement(zero, y.deriv / y.value) if isinstance(y, DualElement) else zero
+    target = t.abs_prec
+    if t.is_zero:
+        if t.abs_prec * (p - 1) > e:
+            return PadicElement.zero(field, t.abs_prec)
         raise OutsideConvergenceDomain(
             "y - 1 is an imprecise zero whose bound does not clear 1/(p-1)")
-    if tval.shift * (p - 1) <= e:
+    if t.shift * (p - 1) <= e:
         raise OutsideConvergenceDomain(
-            f"v(y-1) = {Fraction(tval.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
-    T = _log_truncation(tval.shift, e, p, target)
+            f"v(y-1) = {Fraction(t.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
+    T = _log_truncation(t.shift, e, p, target)
     acc = t
     power = t
     for n in range(2, T + 1):

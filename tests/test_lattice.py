@@ -346,7 +346,7 @@ class TestPersistentlyLikely:
         # dimensions are translation invariant by construction
         L = matrix([[1, 0], [0, 2], [1, 1]])
         T = matrix([[1], [0], [0]])
-        assert quotient_dim(L, T, 3) == rank(hstack(L, T)) - rank(T)
+        assert quotient_dim(L, T) == rank(hstack(L, T)) - rank(T)
 
 
 class TestAtypical:

@@ -190,6 +190,35 @@ class TestDual:
             err = (fin - deriv).valuation()
             assert err.at_least(Fraction(min(2 * k, fin.abs_prec - 1)))
 
+    # exact to the argument's precision, including the digits that come from
+    # the series' last term x^T/T! (t^T for log): at prec 8 these are 2*pi^7
+    # of exp(9) over Q_3 and 4*pi^6 + 4*pi^7 of 1/26 over Q_5
+    @pytest.mark.parametrize("p,n,prec", [(3, 9, 8), (5, 125, 8), (2, 4, 12), (3, 9, 20)])
+    def test_exp_derivative_exact(self, p, n, prec):
+        field = make_field(p)
+        d = dual_eval(p_exp, PadicElement.from_int(field, n, prec))
+        want = from_fraction(field, exp_partial_sum(Fraction(n), 4 * prec), prec)
+        assert key(d.deriv) == key(d.value) == key(want)
+
+    @pytest.mark.parametrize("p,n,prec", [(5, 26, 8), (3, 28, 8), (2, 5, 12), (5, 126, 20)])
+    def test_log_derivative_exact(self, p, n, prec):
+        field = make_field(p)
+        d = dual_eval(p_log, PadicElement.from_int(field, n, prec))
+        assert key(d.deriv) == key(from_fraction(field, Fraction(1, n), prec))
+        want = log_partial_sum(Fraction(n - 1), 4 * prec)
+        assert key(d.value) == key(from_fraction(field, want, prec))
+
+    def test_chain_rule_with_unseeded_derivative(self, Q5):
+        # (exp(x), exp(x) x') and (log(y), y'/y) for x = 5^3, y = 1 + x and
+        # a random integer derivative x' known to the same precision
+        m = stream(19, "dual-deriv").randrange(1, 5 ** 8)
+        deriv = PadicElement.from_int(Q5, m, 8)
+        ex = exp_partial_sum(Fraction(125), 32)
+        d = p_exp(DualElement(PadicElement.from_int(Q5, 125, 8), deriv))
+        assert key(d.deriv) == key(from_fraction(Q5, ex * m, 8))
+        d = p_log(DualElement(PadicElement.from_int(Q5, 126, 8), deriv))
+        assert key(d.deriv) == key(from_fraction(Q5, Fraction(m, 126), 8))
+
     def test_leibniz_matches_finite_difference(self, Q5):
         # product rule on a hand-built map, checked against a difference quotient
         def f(t):
@@ -342,18 +371,21 @@ def ball_elements(draw, field, max_prec: int) -> PadicElement:
 class TestFusedSeries:
     """p_exp and p_log reduce each series once, and agree with the
     term-by-term loops (tests/oracles.py) in shift, coefficients and
-    precision; duals keep the loop."""
+    precision; a dual takes the same path for its value and its derivative
+    from the chain rule."""
 
     @given(data=st.data(), name=st.sampled_from(sorted(SERIES_FIELDS)))
     @settings(max_examples=150, deadline=None)
     def test_matches_stepwise(self, data, name):
         x = data.draw(ball_elements(SERIES_FIELDS[name], 200))
         y = p_exp(x)
+        log_y = p_log(y)
         assert key(y) == key(exp_stepwise(x))
-        assert key(p_log(y)) == key(log_stepwise(y))
-        for got, want in ((dual_eval(p_exp, x), dual_eval(exp_stepwise, x)),
-                          (dual_eval(p_log, y), dual_eval(log_stepwise, y))):
-            assert (key(got.value), key(got.deriv)) == (key(want.value), key(want.deriv))
+        assert key(log_y) == key(log_stepwise(y))
+        # exp' = exp and log'(y) = 1/y
+        for got, want in ((dual_eval(p_exp, x), (y, y)),
+                          (dual_eval(p_log, y), (log_y, 1 / y))):
+            assert (key(got.value), key(got.deriv)) == tuple(map(key, want))
 
     @pytest.mark.parametrize("name", ["Q2", "Q5(pi^4=-5)", "Q27"])
     def test_matches_stepwise_at_prec_640(self, name):
@@ -391,6 +423,14 @@ class TestFusedSeries:
         built, _ = fractions_built(lambda: p_log(y))
         # one for y - 1, one for the sum
         assert (built, calls) == (0, {"_make": 2})
+        # a dual adds the one chain-rule product exp(x) x' or quotient y'/y
+        dx, dy = DualElement.seed(x), DualElement.seed(y)
+        calls.clear()
+        built, _ = fractions_built(lambda: p_exp(dx))
+        assert (built, calls) == (0, {"_make": 2, "__mul__": 1})
+        calls.clear()
+        built, _ = fractions_built(lambda: p_log(dy))
+        assert (built, calls) == (0, {"_make": 3, "__mul__": 1})
 
 
 def _grid(field):
