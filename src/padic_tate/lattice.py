@@ -26,6 +26,7 @@ from .errors import (
 from .field import (
     PadicElement,
     _ceil_div,
+    _int_combination,
     _reduce_vec,
     _shift_vec,
     _vec_invert,
@@ -437,7 +438,8 @@ def relation_search(z: Sequence[PadicElement], height: int,
     element of least valuation s_j among those with a known unit, the other
     coordinates fix m_j modulo p^ceil((t - s_j)/e).  The search walks the
     other coordinates in integer arithmetic, solves for m_j, and confirms
-    each candidate with the exact sum of the z_i * m_i.
+    each candidate with field._int_combination: the sum of the m_i * z_i,
+    reduced once, with the digits and precision of the step-by-step sum.
     """
     n = len(z)
     _height_box(n, height, max_candidates)     # its guards; the walk is the same box
@@ -466,13 +468,6 @@ def relation_search(z: Sequence[PadicElement], height: int,
         else:
             weights.append((0,) * field.coeff_len)
     cols = [tuple(w[k] for w in weights) for k in range(field.coeff_len)]
-    tables: list[dict[int, PadicElement]] = [{} for _ in z]
-
-    def scaled(i: int, m: int) -> PadicElement:
-        if m not in tables[i]:
-            tables[i][m] = z[i] * m
-        return tables[i][m]
-
     found = []
     for others in itertools.product(range(-height, height + 1), repeat=n - 1):
         residue = _reduce_vec(field, [sum(map(operator.mul, others, col)) for col in cols], r)
@@ -484,10 +479,7 @@ def relation_search(z: Sequence[PadicElement], height: int,
             m_vec = others[:j] + (m_j,) + others[j:]
             if not _primitive_signed(m_vec):
                 continue
-            acc = scaled(0, m_vec[0])
-            for i in range(1, n):
-                acc = acc + scaled(i, m_vec[i])
-            if acc.shift >= threshold:
+            if _int_combination(list(zip(m_vec, z)), 0).shift >= threshold:
                 found.append(m_vec)
     found.sort()
     return found

@@ -2,7 +2,10 @@
 
 A StrictSeries is a finite collection of monomials of total degree at most
 ``degree_cap`` whose coefficients lie in the valuation ring and share one
-absolute precision.  Division g = q*f + r by a series f that is regular of
+absolute precision, ``coeff_prec``: no coefficient, a zero one included, is
+known to fewer digits.  Each coefficient of a sum, difference, product or
+long-division remainder is one field._sum_terms of its raw terms, reduced
+once.  Division g = q*f + r by a series f that is regular of
 degree d in the active variable runs the contraction
 
     q_{k+1} = PolyQuot_w(g - q_k * eps),   r_{k+1} = PolyRem_w(g - q_k * eps)
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     AmbiguousAtPrecision,
@@ -23,7 +26,7 @@ from .errors import (
     DegreeCapExceeded,
     NotRegular,
 )
-from .field import FieldDescriptor, PadicElement, ValuationResult
+from .field import FieldDescriptor, PadicElement, ValuationResult, _product_term, _sum_terms
 
 Exponent = tuple[int, ...]
 
@@ -41,9 +44,12 @@ class StrictSeries:
               degree_cap: int, coeff_prec: int) -> "StrictSeries":
         """Validate exponents, restrict to the valuation ring, canonicalise.
 
-        Division walks every degree up to the cap, and the cap arrives from
-        the command line or an input file, so, as make_field caps e, it is
-        at most 64.
+        The series is known to the least abs_prec among coeff_prec and the
+        coefficients given, zero ones included, and every coefficient is
+        truncated to it; below one digit nothing is known, which raises
+        AmbiguousAtPrecision.  Division walks every degree up to the cap,
+        and the cap arrives from the command line or an input file, so, as
+        make_field caps e, it is at most 64.
         """
         if coeff_prec < 1:
             raise ValueError("coefficient precision must be >= 1")
@@ -56,16 +62,18 @@ class StrictSeries:
                 raise ValueError(f"bad exponent tuple {expo}")
             if sum(expo) > degree_cap:
                 raise DegreeCapExceeded(f"monomial {expo} exceeds cap {degree_cap}")
-            c = c.truncate(coeff_prec)
-            if c.is_zero:
-                continue
-            if c.shift < 0:
+            if not c.is_zero and c.shift < 0:
                 raise CoefficientOutsideValuationRing(
                     f"coefficient at {expo} has valuation {c.valuation()}")
             if expo in clean:
                 raise ValueError(f"duplicate exponent {expo}")
             clean[expo] = c
-        return StrictSeries(nvars, field, dict(sorted(clean.items())), degree_cap, coeff_prec)
+            coeff_prec = min(coeff_prec, c.abs_prec)
+        if coeff_prec < 1:
+            raise AmbiguousAtPrecision(f"a coefficient is known to {coeff_prec} pi-digits")
+        clean = {e: c.truncate(coeff_prec) for e, c in sorted(clean.items())}
+        return StrictSeries(nvars, field, {e: c for e, c in clean.items() if not c.is_zero},
+                            degree_cap, coeff_prec)
 
     @staticmethod
     def zero(nvars: int, field: FieldDescriptor, degree_cap: int, coeff_prec: int) -> "StrictSeries":
@@ -85,30 +93,27 @@ class StrictSeries:
             raise ValueError("series mismatch")
         return min(self.degree_cap, other.degree_cap), min(self.coeff_prec, other.coeff_prec)
 
-    def __add__(self, other: "StrictSeries") -> "StrictSeries":
+    def _combine(self, other: "StrictSeries", sign: int) -> "StrictSeries":
+        """self + sign * other, for sign = 1 or -1."""
         cap, prec = self._compatible(other)
-        out: dict[Exponent, PadicElement] = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            out[expo] = out[expo] + c if expo in out else c
-        return StrictSeries.build(self.nvars, self.field, out, cap, prec)
+        pairs = [(e, c._term(1)) for e, c in self.coeffs.items()]
+        pairs += [(e, c._term(sign)) for e, c in other.coeffs.items()]
+        return StrictSeries.build(self.nvars, self.field,
+                                  _sum_by_monomial(self.field, pairs, prec), cap, prec)
+
+    def __add__(self, other: "StrictSeries") -> "StrictSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "StrictSeries") -> "StrictSeries":
-        return self + other.scale(-1)
-
-    def scale(self, scalar) -> "StrictSeries":
-        out = {e: c * scalar for e, c in self.coeffs.items()}
-        return StrictSeries.build(self.nvars, self.field, out, self.degree_cap, self.coeff_prec)
+        return self._combine(other, -1)
 
     def __mul__(self, other: "StrictSeries") -> "StrictSeries":
         cap, prec = self._compatible(other)
-        acc: dict[Exponent, PadicElement] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc[expo] = acc[expo] + prod if expo in acc else prod
+        acc = _sum_by_monomial(self.field, (
+            (tuple(a + b for a, b in zip(e1, e2)), _product_term(c1, c2))
+            for e1, c1 in self.coeffs.items() for e2, c2 in other.coeffs.items()), prec)
         for expo, c in acc.items():
-            if sum(expo) > cap and not c.truncate(prec).is_zero:
+            if sum(expo) > cap and not c.is_zero:
                 raise DegreeCapExceeded(
                     f"product monomial {expo} exceeds cap {cap}; raise the cap")
         acc = {e: c for e, c in acc.items() if sum(e) <= cap}
@@ -129,6 +134,16 @@ class StrictSeries:
                             for i, k in enumerate(expo) if k)
             bits.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def _sum_by_monomial(field: FieldDescriptor, pairs: Iterable[tuple[Exponent, tuple]],
+                     prec: int) -> dict[Exponent, PadicElement]:
+    """One _sum_terms, capped at prec, of each monomial's (prec, shift, vec)
+    terms among the (monomial, term) pairs."""
+    groups: dict[Exponent, list[tuple]] = {}
+    for expo, term in pairs:
+        groups.setdefault(expo, []).append(term)
+    return {e: _sum_terms(field, terms, prec) for e, terms in groups.items()}
 
 
 def _gauss_shift(f: StrictSeries) -> int:
@@ -158,34 +173,17 @@ def _split_regular(f: StrictSeries, active: int):
             mixed_unit = True
     if mixed_unit:
         return None
-    # candidate d: the largest pure power with a unit coefficient
-    d = None
-    for j in sorted(pure, reverse=True):
-        c = pure[j]
-        if c.is_zero:
-            if c.abs_prec < 1:
-                raise AmbiguousAtPrecision(f"pure power {j} undecidable")
-            continue
-        if c.shift == 0:
-            d = j
-            break
+    # d: the largest pure power with a unit coefficient
+    d = max((j for j, c in pure.items() if c.shift == 0), default=None)
     if d is None:
         return None
-    lead = pure[d]
     # the leading coefficient must be 1 up to positive valuation
     one = PadicElement.one(f.field, f.coeff_prec)
-    delta = lead - one
+    delta = pure[d] - one
     if not delta.is_zero and delta.shift == 0:
         return None
-    unit = tuple(0 for _ in range(f.nvars))
-    w_terms: dict[Exponent, PadicElement] = {}
-    for j, c in pure.items():
-        if j > d or c.is_zero:
-            continue
-        expo = tuple(j if i == active else 0 for i in range(f.nvars))
-        w_terms[expo] = c if j != d else one
-    top = tuple(d if i == active else 0 for i in range(f.nvars))
-    w_terms[top] = one
+    w_terms = {tuple(j if i == active else 0 for i in range(f.nvars)): c if j < d else one
+               for j, c in pure.items() if j <= d}
     w = StrictSeries.build(f.nvars, f.field, w_terms, f.degree_cap, f.coeff_prec)
     eps = f - w
     if not eps.is_zero and _gauss_shift(eps) <= 0:
@@ -200,25 +198,31 @@ def regular_degree(f: StrictSeries, active: int) -> Optional[int]:
 
 
 def _poly_divmod(g: StrictSeries, w: StrictSeries, active: int, d: int):
-    """Long division by the monic degree-d polynomial w in the active variable."""
+    """Long division by the monic degree-d polynomial w in the active variable.
+
+    q and r are known to the lesser precision of g and w.  The remainder
+    keeps the raw terms of each monomial, reduced once: when its layer is
+    divided, or at the end below degree d.  Dividing c * x^e subtracts
+    c * x^(e - d) * w; its leading monomial cancels c exactly, so only w's
+    lower part, negated once, is multiplied out."""
     field, nvars = g.field, g.nvars
-    rem: dict[Exponent, PadicElement] = dict(g.coeffs)
+    prec = min(g.coeff_prec, w.coeff_prec)
+    rem = {e: [c._term(1)] for e, c in g.coeffs.items()}
+    lower = [(e, -c) for e, c in w.coeffs.items() if e[active] < d]
     quot: dict[Exponent, PadicElement] = {}
-
-    def add_term(target: dict, expo: Exponent, val: PadicElement):
-        target[expo] = target[expo] + val if expo in target else val
-
     for j in range(g.degree_in(active), d - 1, -1):
-        layer = [(e, c) for e, c in rem.items() if e[active] == j and not c.is_zero]
-        for expo, c in layer:
+        for expo in [e for e in rem if e[active] == j]:
+            c = _sum_terms(field, rem.pop(expo), prec)
+            if c.is_zero:
+                continue
             qexp = tuple(k - d if i == active else k for i, k in enumerate(expo))
-            add_term(quot, qexp, c)
-            for wexp, wc in w.coeffs.items():
+            quot[qexp] = c
+            for wexp, wc in lower:
                 target = tuple(a + b for a, b in zip(qexp, wexp))
-                add_term(rem, target, -(wc * c))
-        rem = {e: c for e, c in rem.items() if not c.is_zero}
-    q_series = StrictSeries.build(nvars, field, quot, g.degree_cap, g.coeff_prec)
-    r_series = StrictSeries.build(nvars, field, rem, g.degree_cap, g.coeff_prec)
+                rem.setdefault(target, []).append(_product_term(wc, c))
+    remainder = {e: _sum_terms(field, terms, prec) for e, terms in rem.items()}
+    q_series = StrictSeries.build(nvars, field, quot, g.degree_cap, prec)
+    r_series = StrictSeries.build(nvars, field, remainder, g.degree_cap, prec)
     return q_series, r_series
 
 
@@ -244,7 +248,7 @@ def weierstrass_divide(g: StrictSeries, f: StrictSeries, active: int,
             if _gauss_shift(gap) < floor:
                 raise AssertionError(f"contraction too slow: {gauss_valuation(gap)} "
                                      f"after {k} passes (need {floor} pi-digits)")
-            if q_next.is_indistinguishable(q):
+            if gap.is_zero:
                 return q_next, r
         q = q_next
     return q, r

@@ -8,7 +8,9 @@ the whole height box, the term-by-term Lambert, exp and log sums, the
 separate kernels for x +- y, x +- m and the unit of 1/n that
 field._sum_terms and field._rational_unit replaced, the Tate
 coefficients and dual product rule built one reduced operation at a time,
-and the coefficient kernels written once per field kind.
+the coefficient kernels written once per field kind, and the series sums,
+products and long division that added coefficients one PadicElement
+operation at a time.
 """
 
 import itertools
@@ -17,6 +19,7 @@ from typing import Optional, Sequence
 
 from padic_tate.dual import DualElement
 from padic_tate.errors import (
+    DegreeCapExceeded,
     InsufficientPrecision,
     OutsideConvergenceDomain,
     SearchSpaceTooLarge,
@@ -40,6 +43,7 @@ from padic_tate.lattice import (
     rank,
 )
 from padic_tate.series import _exp_truncation, _log_truncation
+from padic_tate.weierstrass import Exponent, StrictSeries
 
 
 def vp_int(n: int, p: int) -> int:
@@ -522,3 +526,63 @@ def relation_search_box(z, height: int, slack: int = 10,
         if acc.shift >= threshold:
             found.append(m_vec)
     return found
+
+
+# StrictSeries.__add__, __sub__, scale and __mul__ and weierstrass._poly_divmod
+# as they were before each coefficient became one field._sum_terms of its
+# raw terms, kept verbatim as functions of the series.
+
+def series_add(self, other):
+    cap, prec = self._compatible(other)
+    out: dict[Exponent, PadicElement] = dict(self.coeffs)
+    for expo, c in other.coeffs.items():
+        out[expo] = out[expo] + c if expo in out else c
+    return StrictSeries.build(self.nvars, self.field, out, cap, prec)
+
+
+def series_sub(self, other):
+    return series_add(self, series_scale(other, -1))
+
+
+def series_scale(self, scalar):
+    out = {e: c * scalar for e, c in self.coeffs.items()}
+    return StrictSeries.build(self.nvars, self.field, out, self.degree_cap, self.coeff_prec)
+
+
+def series_mul(self, other):
+    cap, prec = self._compatible(other)
+    acc: dict[Exponent, PadicElement] = {}
+    for e1, c1 in self.coeffs.items():
+        for e2, c2 in other.coeffs.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            prod = c1 * c2
+            acc[expo] = acc[expo] + prod if expo in acc else prod
+    for expo, c in acc.items():
+        if sum(expo) > cap and not c.truncate(prec).is_zero:
+            raise DegreeCapExceeded(
+                f"product monomial {expo} exceeds cap {cap}; raise the cap")
+    acc = {e: c for e, c in acc.items() if sum(e) <= cap}
+    return StrictSeries.build(self.nvars, self.field, acc, cap, prec)
+
+
+def poly_divmod_stepwise(g, w, active: int, d: int):
+    """Long division by the monic degree-d polynomial w in the active variable."""
+    field, nvars = g.field, g.nvars
+    rem: dict[Exponent, PadicElement] = dict(g.coeffs)
+    quot: dict[Exponent, PadicElement] = {}
+
+    def add_term(target: dict, expo: Exponent, val: PadicElement):
+        target[expo] = target[expo] + val if expo in target else val
+
+    for j in range(g.degree_in(active), d - 1, -1):
+        layer = [(e, c) for e, c in rem.items() if e[active] == j and not c.is_zero]
+        for expo, c in layer:
+            qexp = tuple(k - d if i == active else k for i, k in enumerate(expo))
+            add_term(quot, qexp, c)
+            for wexp, wc in w.coeffs.items():
+                target = tuple(a + b for a, b in zip(qexp, wexp))
+                add_term(rem, target, -(wc * c))
+        rem = {e: c for e, c in rem.items() if not c.is_zero}
+    q_series = StrictSeries.build(nvars, field, quot, g.degree_cap, g.coeff_prec)
+    r_series = StrictSeries.build(nvars, field, rem, g.degree_cap, g.coeff_prec)
+    return q_series, r_series

@@ -325,6 +325,18 @@ GOLDEN_FILES = {
     "@F": {"nvars": 2, "degree_cap": 8,
            "terms": [{"exp": [0, 2], "coeff": "1"}, {"exp": [1, 0], "coeff": "5"}]},
     "@N": {"nvars": 2, "degree_cap": 8, "terms": [{"exp": [0, 1], "coeff": "5"}]},
+    "@G3": {"nvars": 3, "degree_cap": 8,
+            "terms": [{"exp": [0, 0, 4], "coeff": "1"}, {"exp": [1, 1, 0], "coeff": "7"},
+                      {"exp": [0, 1, 2], "coeff": "-3"}, {"exp": [0, 0, 0], "coeff": "2"}]},
+    # x3^2 + companions plus a perturbation eps of positive Gauss valuation
+    "@FE": {"nvars": 3, "degree_cap": 8,
+            "terms": [{"exp": [0, 0, 2], "coeff": "1"}, {"exp": [0, 0, 1], "coeff": "3"},
+                      {"exp": [0, 0, 0], "coeff": "1+pi"}, {"exp": [1, 0, 1], "coeff": "pi^3"},
+                      {"exp": [0, 1, 0], "coeff": "2*pi^5"}]},
+    "@FU": {"nvars": 3, "degree_cap": 8,
+            "terms": [{"exp": [0, 0, 2], "coeff": "1"}, {"exp": [0, 0, 1], "coeff": "g"},
+                      {"exp": [0, 0, 0], "coeff": "1+g"}, {"exp": [1, 0, 1], "coeff": "5*g"},
+                      {"exp": [0, 1, 0], "coeff": "2*5^2"}]},
 }
 
 _P7_X = ("2 + 2*pi + pi^2 + pi^4 + 4*pi^5 + 2*pi^7 + pi^8 + 2*pi^9 + 4*pi^10 + pi^11"
@@ -436,6 +448,13 @@ GOLDEN = [
     # the harness's one verification failure, the known false failure of
     # ode_doubled/5 (exit 1); its digest changes when that threshold is fixed
     (["harness", "--suite", "tate", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--trials", "6"], "0c9b28f043702cfab075c4efc790263a926e2319c132bbd15b53009d2eb76178"),
+    # three-variable divisions with a nonzero eps over an eisenstein and an
+    # unramified field, recorded while the series layer added coefficients
+    # one PadicElement operation at a time
+    (["wdiv", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--g", "@G3", "--f", "@FE",
+      "--prec", "20", "--format", "structured"], "9aba7fa26fdbacaee9d783bbe1edcca6cbb61b655a804b5badfce96f59cb15b0"),
+    (["wdiv", "--p", "5", "--ext", "unramified:f=2", "--g", "@G3", "--f", "@FU",
+      "--prec", "20", "--format", "structured"], "739f54baddc6422a0cc1c4620c8c36f0cdfdcd1000a097c8a49e47bfd9b60b63"),
 ]
 
 

@@ -547,26 +547,26 @@ class TestRelationSearchMatchesBox:
 
 
 class TestRelationConfirmations:
-    """Each candidate is confirmed by the exact sum of n products, n - 1
-    PadicElement additions; the solved coordinate leaves at most one
-    candidate per vector of the other coordinates."""
+    """Each candidate is confirmed by one field._int_combination of the n
+    products m_i * z_i; the solved coordinate leaves at most one candidate
+    per vector of the other coordinates."""
 
     @pytest.fixture
     def confirmations(self, monkeypatch):
         """counted(z, height, slack) -> (confirmations, hits) of one search."""
         count = [0]
-        add = PadicElement.__add__
+        combine = lattice._int_combination
 
-        def counting(self, other):
+        def counting(pairs, const):
             count[0] += 1
-            return add(self, other)
+            return combine(pairs, const)
 
         def counted(z, height, slack=10):
             count[0] = 0
-            monkeypatch.setattr(PadicElement, "__add__", counting)
+            monkeypatch.setattr(lattice, "_int_combination", counting)
             hits = relation_search(z, height, slack)
-            monkeypatch.setattr(PadicElement, "__add__", add)
-            return count[0] // (len(z) - 1), len(hits)
+            monkeypatch.setattr(lattice, "_int_combination", combine)
+            return count[0], len(hits)
         return counted
 
     def test_planted_pair(self, Q5, confirmations):

@@ -1,15 +1,22 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from oracles import poly_divmod_stepwise, series_add, series_mul, series_sub
+from padic_tate.cli import main
 from padic_tate.errors import (
+    AmbiguousAtPrecision,
     CoefficientOutsideValuationRing,
     DegreeCapExceeded,
     NotRegular,
 )
-from padic_tate.field import PadicElement, ValuationResult
+from padic_tate.field import PadicElement, ValuationResult, make_field
+from padic_tate.parsing import parse_element
+from padic_tate.prng import random_element, stream
 from padic_tate.weierstrass import (
     StrictSeries,
+    _poly_divmod,
     gauss_valuation,
     regular_degree,
     weierstrass_divide,
@@ -133,3 +140,143 @@ class TestPreparation:
         assert (q * f - dist).is_zero
         assert dist.degree_in(1) == 2
         assert gauss_valuation(q).value == 0
+
+
+def from_literals(field, nvars, terms, prec=20):
+    """A series whose coefficients are parsed literals, "O(pi^k)" allowed."""
+    return StrictSeries.build(nvars, field, {expo: parse_element(text, field, prec)
+                                             for expo, text in terms.items()}, 8, prec)
+
+
+def digits(s: StrictSeries):
+    """Everything a series claims: its precision and each coefficient."""
+    return s.coeff_prec, [(e, c.shift, tuple(c.coeffs), c.abs_prec)
+                          for e, c in s.coeffs.items()]
+
+
+class TestOnePrecision:
+    """A series is known to the least precision among its coefficients, a
+    zero coefficient included, and no digit beyond it is reported."""
+
+    def test_imprecise_constant_bounds_the_remainder(self, Q5):
+        g = from_literals(Q5, 1, {(0,): "O(pi^3)", (1,): "1"})
+        f = from_literals(Q5, 1, {(1,): "1", (0,): "1"})
+        assert g.coeff_prec == 3
+        q, r = weierstrass_divide(g, f, 0)
+        assert r.coeff_prec == 3
+        assert [str(c) for c in r.coeffs.values()] == ["4 + 4*pi + 4*pi^2 + O(pi^3)"]
+        assert digits(q) == digits(from_literals(Q5, 1, {(0,): "1"}, prec=3))
+
+    def test_imprecise_perturbation_bounds_the_quotient(self, Q5):
+        # eps vanishes only modulo pi^3: f = x^2 + 125 x^3 fits f as well,
+        # and its quotient x - 125 x^2 + ... differs from x at pi^3
+        g = from_literals(Q5, 1, {(3,): "1"})
+        f = from_literals(Q5, 1, {(2,): "1", (3,): "O(pi^3)"})
+        q, r = weierstrass_divide(g, f, 0)
+        assert (q.coeff_prec, r.coeff_prec) == (3, 3)
+        assert digits(q) == digits(from_literals(Q5, 1, {(1,): "1"}, prec=3))
+
+    def test_difference_keeps_the_operand_precision(self, Q5):
+        g2 = from_literals(Q5, 1, {(0,): "7 + O(pi^1)"})
+        diff = g2 - g2
+        assert diff.is_zero and diff.coeff_prec == 1
+
+    def test_coefficient_known_to_no_digit_raises(self, Q5):
+        with pytest.raises(AmbiguousAtPrecision):
+            from_literals(Q5, 1, {(2,): "1", (3,): "O(pi^0)"})
+
+    def test_coefficient_known_to_no_digit_exits_3(self, tmp_path, capsys):
+        paths = {}
+        for name, terms in (("g", [{"exp": [1], "coeff": "1"}]),
+                            ("f", [{"exp": [2], "coeff": "1"},
+                                   {"exp": [3], "coeff": "O(pi^0)"}])):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps({"nvars": 1, "terms": terms}))
+        code = main(["--p", "5", "wdiv", "--g", str(paths["g"]), "--f", str(paths["f"]),
+                     "--prec", "20"])
+        assert code == 3
+        assert capsys.readouterr().out == ""
+
+
+SERIES_FIELDS = [
+    make_field(5),
+    make_field(2),
+    make_field(5, "eisenstein", e=2, c=1),
+    make_field(5, "eisenstein", e=4, c=-1),
+    make_field(3, "unramified", f=2),
+]
+
+
+def _random_series(rng, field, nvars, prec, degree, base=None):
+    """Up to five monomials of total degree <= degree, coefficients at
+    shifts 0-3, one in four known below prec and one in ten an imprecise
+    zero; with base, about half repeat or perturb base's coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        expo = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            expo[rng.randrange(nvars)] += 1
+        cprec = prec - rng.randint(1, 3) if rng.random() < 0.25 else prec
+        if rng.random() < 0.1:
+            terms[tuple(expo)] = PadicElement.zero(field, cprec)
+        else:
+            terms[tuple(expo)] = random_element(rng, field, cprec, 0, min(3, cprec - 1))
+    for expo, c in (base.coeffs.items() if base else ()):
+        if rng.random() < 0.5:
+            terms[expo] = c if rng.random() < 0.5 else \
+                c + random_element(rng, field, prec, 2, prec - 1)
+    return StrictSeries.build(nvars, field, terms, 8, prec)
+
+
+def _monic(rng, field, nvars, active, d, prec):
+    """x_active^d plus random companions of degree below d."""
+    def pure(j):
+        return tuple(j if i == active else 0 for i in range(nvars))
+    terms = {}
+    for j in range(d):
+        if rng.random() < 0.8:
+            cprec = prec - rng.randint(0, 2)
+            terms[pure(j)] = random_element(rng, field, cprec, 0, min(3, cprec - 1))
+    terms[pure(d)] = PadicElement.one(field, prec)
+    return StrictSeries.build(nvars, field, terms, 8, prec)
+
+
+class TestOneSumPerMonomial:
+    """Sums, differences, products and long division sum each monomial's
+    raw terms once; each result claims what the step-by-step series
+    arithmetic of tests/oracles.py claims."""
+
+    @pytest.mark.parametrize("k", range(len(SERIES_FIELDS)))
+    def test_matches_stepwise(self, k):
+        field = SERIES_FIELDS[k]
+        for i in range(60):
+            rng = stream(19, "series", k, i)
+            nvars, prec = rng.randint(1, 3), rng.choice((6, 10, 20))
+            a = _random_series(rng, field, nvars, prec, 3)
+            b = _random_series(rng, field, nvars, rng.choice((prec, prec - 2)), 3, base=a)
+            assert digits(a + b) == digits(series_add(a, b)), (k, i)
+            assert digits(a - b) == digits(series_sub(a, b)), (k, i)
+            assert digits(a * b) == digits(series_mul(a, b)), (k, i)
+            active, d = rng.randrange(nvars), rng.randint(1, 3)
+            g = _random_series(rng, field, nvars, prec, 5)
+            # w known to at least g's precision: when w's was lower, the
+            # stepwise division kept g's (TestOnePrecision)
+            w = _monic(rng, field, nvars, active, d, g.coeff_prec + rng.choice((2, 4)))
+            mine, theirs = _poly_divmod(g, w, active, d), poly_divmod_stepwise(g, w, active, d)
+            assert [digits(s) for s in mine] == [digits(s) for s in theirs], (k, i)
+
+    def test_division_combines_elements_once(self, Q5, monkeypatch):
+        # the only element-level sum is lead - one in the regularity test
+        f = build(Q5, 3, {(0, 0, 2): 1, (0, 0, 1): 3, (1, 0, 0): 25, (0, 1, 1): 125})
+        g = build(Q5, 3, {(0, 0, 4): 1, (1, 1, 0): 7, (0, 0, 0): 2})
+        calls = [0]
+        combine = PadicElement._combine
+
+        def counting(self, a, other, b):
+            calls[0] += 1
+            return combine(self, a, other, b)
+
+        monkeypatch.setattr(PadicElement, "_combine", counting)
+        q, r = weierstrass_divide(g, f, 2)
+        assert calls[0] == 1
+        assert not q.is_zero and not r.is_zero
