@@ -288,6 +288,8 @@ def _series_record(series: StrictSeries) -> dict:
     return {
         "nvars": series.nvars,
         "degree_cap": series.degree_cap,
+        # every coefficient is known modulo pi^prec, and to no more digits
+        "prec": series.coeff_prec,
         # the digits without the O-term, re-parseable by the grammar
         "terms": [{"exp": list(expo), "coeff": str(c).rsplit(" + O(", 1)[0]}
                   for expo, c in series.coeffs.items()],

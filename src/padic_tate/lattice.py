@@ -288,6 +288,17 @@ def rotund_check(V: SubgroupLattice, height: int,
     A witness refutes rotundity outright; exhausting the height box only
     verifies it up to that height.
 
+    When the parts have no common left kernel, that is when
+    rank [L_mult | L_ell] = n, no M of any height is a witness, and nothing
+    is walked.  Let W be the row space of M and K the left kernel of a part
+    L; then dim(W L) = dim W - dim(W cap K), so M is a witness exactly when
+    dim(W cap K_mult) + dim(W cap K_ell) > dim W.  That sum is at most
+    dim W + dim(W cap K_mult cap K_ell), so a witness needs
+    K_mult cap K_ell != 0, that is rank [L_mult | L_ell] < n.  Conversely a
+    primitive integer vector of K_mult cap K_ell, as the one nonzero row of
+    M, is a witness at its own height.  An empty part is skipped, as in
+    dim_image, and so kills every row.
+
     Both dim(MV) = rank(M L_mult) + rank(M L_ell) and rank(M) depend only on
     the set of rows of M, so each set of at most n candidate rows is tested
     once, as the first n-tuple of ``itertools.product(rows, repeat=n)`` that
@@ -307,7 +318,10 @@ def rotund_check(V: SubgroupLattice, height: int,
     total = len(rows) ** n
     if total > max_candidates:
         raise SearchSpaceTooLarge(f"{total} candidate matrices at height {height}")
-    images = [mat_mul(rows, part) for part in (V.mult, V.ell) if part]
+    parts = [part for part in (V.mult, V.ell) if part]
+    if rank(tuple(sum(row, ()) for row in zip(*parts))) == n:
+        return RotundVerdict(False, None, height)
+    images = [mat_mul(rows, part) for part in parts]
     for idx in itertools.combinations_with_replacement(range(len(rows)), n):
         if any(a == b != idx[0] for a, b in zip(idx, idx[1:])):
             continue

@@ -249,6 +249,31 @@ class TestFileFormats:
         for term in q_terms:
             parse_element(term["coeff"], field, 12)
 
+    def test_wdiv_record_states_its_precision(self, tmp_path, capsys):
+        # O(pi^3) + x divided by x + 1: q and r are known only mod pi^3
+        g = {"nvars": 1, "terms": [{"exp": [0], "coeff": "O(pi^3)"},
+                                   {"exp": [1], "coeff": "1"}]}
+        f = {"nvars": 1, "terms": [{"exp": [0], "coeff": "1"}, {"exp": [1], "coeff": "1"}]}
+        gp, fp = tmp_path / "g.json", tmp_path / "f.json"
+        gp.write_text(json.dumps(g))
+        fp.write_text(json.dumps(f))
+        code, out = run_cli(capsys, "wdiv", "--g", str(gp), "--f", str(fp),
+                            "--prec", "20", "--format", "structured")
+        assert code == 0
+        rec = records(out)[0]
+        q, r = json.loads(rec["q"]), json.loads(rec["r"])
+        assert q == {"nvars": 1, "degree_cap": 8, "prec": 3,
+                     "terms": [{"exp": [0], "coeff": "1"}]}
+        assert r == {"nvars": 1, "degree_cap": 8, "prec": 3,
+                     "terms": [{"exp": [0], "coeff": "4 + 4*pi + 4*pi^2"}]}
+        # the record reads back as a series file; "prec" is not an input key
+        rp = tmp_path / "r.json"
+        rp.write_text(rec["r"])
+        code, out = run_cli(capsys, "wdiv", "--g", str(rp), "--f", str(fp),
+                            "--prec", "20", "--format", "structured")
+        assert code == 0
+        assert json.loads(records(out)[0]["r"])["prec"] == 20
+
     def test_balls_and_rv(self, capsys):
         code, out = run_cli(capsys, "balls", "same", "--C", "0", "--lambda", "0",
                             "--x", "5", "--y", "30", "--format", "structured")
@@ -321,6 +346,9 @@ class TestPointRoundTrip:
 # calls that read them do not contain the path.
 GOLDEN_FILES = {
     "@V": {"n": 2, "mult": [[1], [0]], "ell": [[1], [0]]},
+    # both parts of full rank, so no candidate matrix refutes
+    "@R3": {"n": 3, "mult": [[1, 2, 0], [0, 1, -1], [2, 0, 1]],
+            "ell": [[2, 1, 1], [1, -1, 0], [0, 1, 2]]},
     "@G": {"nvars": 2, "degree_cap": 8, "terms": [{"exp": [0, 4], "coeff": "1"}]},
     "@F": {"nvars": 2, "degree_cap": 8,
            "terms": [{"exp": [0, 2], "coeff": "1"}, {"exp": [1, 0], "coeff": "5"}]},
@@ -402,12 +430,16 @@ GOLDEN = [
       "--x2", _P7_X, "--y2", _P7_Y], "3bec6efcd8bf0b31736325bf37e7c1080867509fb1c7ee27422b0f1b9c4695d9"),
     (["tate", "verify-hom", "--q", "5^2", "--trials", "2", "--prec", "30"], "3b513080e058a1bfba4adc1d4a5e0d21178f06a60ae7294fc262bb8d2683c4a0"),
     (["tate", "verify-ode", "--p", "3", "--q", "3^2", "--trials", "1", "--seed", "4"], "b5d6ad5fdd1fd9fcd7cb2463fb968e30161e57b44858f8af910925e226276fc1"),
-    (["wdiv", "--g", "@G", "--f", "@F", "--prec", "12", "--format", "structured"], "14b1c2fb403c6cc27ee32e4008aca8d5a0313f63ed594bb471fb93dee2ce0e1c"),
+    (["wdiv", "--g", "@G", "--f", "@F", "--prec", "12", "--format", "structured"], "7adab264455ad716795343fc0a856a58bc94334869f2cc518735f52c9974a7ef"),
     (["balls", "next", "--C", "0,1", "--lambda", "0", "--x", "5"], "c41a8c63288c2a5a6fa61cf838a978ce88c954f37c94b39b16c7aae643c77913"),
     (["balls", "same", "--C", "0", "--x", "5", "--y", "30"], "e343bec1c389311cc3235da94d3d09a2fc6fce215554c05dc08bca55c5d6ec87"),
     (["lattice", "smith", "--matrix", "2,4;6,8"], "90fe7c202d53983e974d52686d12df7e156ae2204ccceaf25853316829f349d4"),
     (["lattice", "kernel", "--matrix", "1,1", "--format", "structured"], "379027a14e7551355899587a59fafbbb7f5584dd3b9ecc88e80408d2e6421047"),
     (["geom", "rotund", "--lattice", "@V", "--height", "1"], "7e4bc5163a0ad28217698ccbe6b5606cc9be078bb9a6e08ca5e6e20c853363a2"),
+    # recorded while every set of candidate rows was walked (17 s at height 3)
+    (["geom", "rotund", "--lattice", "@R3", "--height", "2"], "eece59d5d4e5f793c928418273ab2cb9e03224abb84c59028a51320e0a9506eb"),
+    (["geom", "rotund", "--lattice", "@R3", "--height", "3",
+      "--format", "structured"], "0ac15260113b8c7bc15ae9c3d029348a361c915aaddfd5c3b386e22f7f4b7cce"),
     (["geom", "plikely", "--V", "1;0", "--S", "0;1", "--n", "2"], "381d80704f932b887a9b51bdf1d8516d505627ee9424a946b2d039b0133d180b"),
     (["geom", "plikely", "--V", "1;0", "--S", "1;0", "--T", "1;0", "--T", "0;1",
       "--n", "2"], "7138f1dca9bc919552166c4d4e22b4691f14b6a44a0337c7bbd5b4605b79b480"),
@@ -450,11 +482,12 @@ GOLDEN = [
     (["harness", "--suite", "tate", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--trials", "6"], "0c9b28f043702cfab075c4efc790263a926e2319c132bbd15b53009d2eb76178"),
     # three-variable divisions with a nonzero eps over an eisenstein and an
     # unramified field, recorded while the series layer added coefficients
-    # one PadicElement operation at a time
+    # one PadicElement operation at a time, and again when the q and r
+    # records gained their "prec" key
     (["wdiv", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--g", "@G3", "--f", "@FE",
-      "--prec", "20", "--format", "structured"], "9aba7fa26fdbacaee9d783bbe1edcca6cbb61b655a804b5badfce96f59cb15b0"),
+      "--prec", "20", "--format", "structured"], "58ac71eef29d6aaa390e86907f36dad128c5fa50baef63d624cfb94307234f2c"),
     (["wdiv", "--p", "5", "--ext", "unramified:f=2", "--g", "@G3", "--f", "@FU",
-      "--prec", "20", "--format", "structured"], "739f54baddc6422a0cc1c4620c8c36f0cdfdcd1000a097c8a49e47bfd9b60b63"),
+      "--prec", "20", "--format", "structured"], "f2f76e230a630835bf722648294460d2421e2d89a414b294fa275b390f415bba"),
 ]
 
 
@@ -588,6 +621,26 @@ class TestImportHygiene:
     def test_suite_names_are_the_harness_suites(self):
         from padic_tate import harness
         assert cli.SUITE_NAMES == tuple(sorted(harness.SUITES))
+
+
+class TestModuleEntry:
+    """``python -m padic_tate`` is the command line without an install."""
+
+    @pytest.mark.parametrize("lattice, height, code", [
+        ({"n": 3, "mult": [[1, 2, 0], [0, 1, -1], [2, 0, 1]],
+          "ell": [[2, 1, 1], [1, -1, 0], [0, 1, 2]]}, "3", 0),
+        ({"n": 2, "mult": [[1], [0]], "ell": [[1], [0]]}, "2", 1),
+        ({"n": 2, "mult": [[1], [0]], "ell": [[1], [0]]}, "-1", 2),
+    ], ids=["verified", "refuted", "usage-error"])
+    def test_matches_in_process_main(self, tmp_path, capsys, lattice, height, code):
+        path = tmp_path / "V.json"
+        path.write_text(json.dumps(lattice))
+        argv = ["geom", "rotund", "--lattice", str(path), "--height", height]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "padic_tate", *argv],
+                              capture_output=True, text=True, env=fresh_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
 
 def run_child(argv, stdout, unbuffered):

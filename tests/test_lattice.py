@@ -59,9 +59,23 @@ def lattice_calls(monkeypatch):
     return counted
 
 
-# both parts of full rank, so every candidate is tested and none refutes
+# both parts of full rank, so no row is killed by both and none refutes
 FULL_RANK_3 = SubgroupLattice(3, matrix([[1, 2, 0], [0, 1, -1], [2, 0, 1]]),
                               matrix([[2, 1, 1], [1, -1, 0], [0, 1, 2]]))
+
+# both parts kill exactly the multiples of (1, 2, 3), so the joint left
+# kernel is nonzero and the only witness is that row, of height 3: below
+# height 3 every candidate is tested and none refutes
+KERNEL_3 = SubgroupLattice(3, matrix([[2, 3], [-1, 0], [0, -1]]),
+                           matrix([[2, 3], [-1, 0], [0, -1]]))
+
+
+def _joint_kernel(V):
+    """A basis of {v : v L_mult = v L_ell = 0} as rows, from the Smith form
+    of the transposed [0 | L_mult | L_ell]; the zero column leaves the
+    kernel as it is and keeps the matrix from having no columns."""
+    joint = tuple(sum(row, (0,)) for row in zip(*[p for p in (V.mult, V.ell) if p]))
+    return list(zip(*kernel_lattice(tuple(zip(*(joint or zeros(V.n, 1)))))))
 
 
 def _random_part(rng, n):
@@ -234,9 +248,10 @@ class TestRotund:
                          matrix([[1, 0], [0, 2], [0, -1]])), 2,
          ((0, 0, 0), (0, 0, 0), (0, 1, 2))),
         (FULL_RANK_3, 1, None),
+        (KERNEL_3, 1, None),
         (SubgroupLattice(0, (), ()), 2, None),
     ], ids=["distinct-rows", "zero-row", "skew", "repeated-zero-row",
-            "rank-two-witness", "height-two", "full-rank", "n0"])
+            "rank-two-witness", "height-two", "full-rank", "joint-kernel", "n0"])
     def test_first_witness_matches_brute_force(self, V, height, witness):
         verdict = rotund_check(V, height)
         assert verdict == rotund_check_brute(V, height)
@@ -258,20 +273,63 @@ class TestRotund:
             assert {refuted for m, _, _, refuted in seen if m == n} == {False, True}
             assert {r for m, r, _, _ in seen if m == n} == set(range(n + 1))
 
+    def test_joint_kernel_witness_at_its_height(self):
+        # the brute force would walk 146^3 tuples here; this witness was
+        # recorded while every row set was walked, and it is re-verified
+        verdict = rotund_check(KERNEL_3, 3)
+        assert verdict == RotundVerdict(True, ((0, 0, 0), (0, 0, 0), (1, 2, 3)), 3)
+        assert dim_image(verdict.witness, KERNEL_3) < rank(verdict.witness)
+
+    def test_joint_kernel_decides_rotundity(self):
+        # the criterion checked against the brute force and the definition,
+        # not against the exit in rotund_check that relies on it
+        seen = set()
+        for i in range(120):
+            rng = stream(113, "rotund-kernel", i)
+            n = rng.randint(1, 3)
+            V = SubgroupLattice(n, _random_part(rng, n), _random_part(rng, n))
+            kernel = _joint_kernel(V)
+            seen.add((n, rank(V.mult), rank(V.ell), bool(kernel)))
+            if not kernel:
+                height = rng.randint(0, 1 if n == 3 else 2)
+                assert not rotund_check_brute(V, height).refuted, (V, height)
+                continue
+            # a saturated basis vector is primitive; as the one nonzero row
+            # it is a witness, and the walk meets every one-row set first,
+            # so a budget past the box's size costs nothing
+            v = min(kernel, key=lambda row: max(map(abs, row)))
+            M = zeros(n - 1, n) + (v,)
+            assert dim_image(M, V) < rank(M) == 1
+            height = max(map(abs, v))
+            verdict = rotund_check(V, height, max_candidates=10 ** 12)
+            assert verdict.refuted, (V, height)
+            assert dim_image(verdict.witness, V) < rank(verdict.witness)
+        for n in (1, 2, 3):
+            assert {k for m, _, _, k in seen if m == n} == {False, True}
+            assert {r for m, r, _, _ in seen if m == n} == set(range(n + 1))
+            assert {r for m, _, r, _ in seen if m == n} == set(range(n + 1))
+
     def test_each_row_set_ranked_once(self, lattice_calls):
         # 14 candidate rows at n = 3, H = 1: 14 + 91 + 364 = 469 sets of 1..3
-        # rows, three ranks each, against 14^3 = 2744 tuples and 8232 ranks
-        counts, verdict = lattice_calls(lambda: rotund_check(FULL_RANK_3, 1))
+        # rows, three ranks each, against 14^3 = 2744 tuples and 8232 ranks;
+        # one more rank finds the joint kernel nonzero
+        counts, verdict = lattice_calls(lambda: rotund_check(KERNEL_3, 1))
         assert not verdict.refuted
-        assert counts == {"_bareiss": 1407, "mat_mul": 2}
-        counts, brute = lattice_calls(lambda: rotund_check_brute(FULL_RANK_3, 1))
+        assert counts == {"_bareiss": 1408, "mat_mul": 2}
+        counts, brute = lattice_calls(lambda: rotund_check_brute(KERNEL_3, 1))
         assert brute == verdict
         assert counts == {"_bareiss": 8232, "mat_mul": 5488}
 
     def test_height_zero_tests_one_candidate(self, lattice_calls):
-        counts, verdict = lattice_calls(lambda: rotund_check(FULL_RANK_3, 0))
+        counts, verdict = lattice_calls(lambda: rotund_check(KERNEL_3, 0))
         assert verdict == RotundVerdict(False, None, 0)
-        assert counts == {"_bareiss": 3, "mat_mul": 2}
+        assert counts == {"_bareiss": 4, "mat_mul": 2}
+
+    @pytest.mark.parametrize("height", [0, 1, 2, 3])
+    def test_full_joint_rank_walks_nothing(self, height, lattice_calls):
+        counts, verdict = lattice_calls(lambda: rotund_check(FULL_RANK_3, height))
+        assert verdict == RotundVerdict(False, None, height)
+        assert counts == {"_bareiss": 1, "mat_mul": 0}
 
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
