@@ -283,14 +283,14 @@ def _poly_quot_start(g: StrictSeries, f: StrictSeries, active: int) -> StrictSer
     return q0
 
 
-def _oracle_cross_check(rng, field: FieldDescriptor, prec_n: int):
-    """Plant integer-coefficient data, solve g = q f + r by exact-rational
-    Gaussian elimination, and compare with the fixed-point division."""
+def _planted_division(rng, p: int, prec_n: int):
+    """(nvars, active, d, f, g, q, r) as integer-coefficient dicts: f is
+    regular of degree d in the last variable, with a perturbation of
+    valuation >= ceil(prec_n/3), and g = q f + r with deg_active(r) <= d-1.
+    By uniqueness of Weierstrass division, (q, r) is the division of g by f."""
     nvars = rng.randint(2, 3)
     active = nvars - 1
     d = rng.randint(1, 2)
-    p = field.p
-    cap = 8
 
     def rand_poly(max_deg, max_active, count):
         terms: dict = {}
@@ -302,35 +302,39 @@ def _oracle_cross_check(rng, field: FieldDescriptor, prec_n: int):
             terms[tuple(expo)] = terms.get(tuple(expo), 0) + rng.randint(-6, 6)
         return {k: v for k, v in terms.items() if v}
 
-    f_exact = {tuple(d if i == active else 0 for i in range(nvars)): 1}
+    f = {tuple(d if i == active else 0 for i in range(nvars)): 1}
     for j in range(d):
         if rng.random() < 0.8:
-            f_exact[tuple(j if i == active else 0 for i in range(nvars))] = rng.randint(0, 6)
+            f[tuple(j if i == active else 0 for i in range(nvars))] = rng.randint(0, 6)
     gamma = -(-prec_n // 3)
     for expo in rand_poly(1, min(1, d), rng.randint(1, 2)):
-        f_exact[expo] = f_exact.get(expo, 0) + p ** gamma * rng.randint(1, p - 1)
-    q_exact = rand_poly(3, 3, rng.randint(2, 4))
-    r_exact = rand_poly(3, max(0, d - 1), rng.randint(1, 3))
-    if not q_exact:
-        q_exact = {tuple([0] * nvars): 1}
-    g_exact = _poly_mul_exact(q_exact, f_exact)
-    for k, v in r_exact.items():
-        g_exact[k] = g_exact.get(k, 0) + v
-    g_exact = {k: v for k, v in g_exact.items() if v}
+        f[expo] = f.get(expo, 0) + p ** gamma * rng.randint(1, p - 1)
+    q = rand_poly(3, 3, rng.randint(2, 4))
+    r = rand_poly(3, max(0, d - 1), rng.randint(1, 3))
+    if not q:
+        q = {tuple([0] * nvars): 1}
+    g = _poly_mul_exact(q, f)
+    for k, v in r.items():
+        g[k] = g.get(k, 0) + v
+    g = {k: v for k, v in g.items() if v}
+    return nvars, active, d, f, g, q, r
 
-    solved = _solve_division_exact(g_exact, f_exact, nvars, active, d, cap)
-    if solved is None:
-        return False, "linear system had no unique solution"
-    q_sol, r_sol = solved
+
+def _oracle_cross_check(rng, field: FieldDescriptor, prec_n: int):
+    """Divide a planted g by f with the fixed-point division and compare
+    with the planted (q, r)."""
+    nvars, active, _, f, g, q, r = _planted_division(rng, field.p, prec_n)
 
     def series(terms):
         return StrictSeries.build(nvars, field,
                                   {k: PadicElement.from_rational(field, v, prec_n)
                                    for k, v in terms.items()},
-                                  cap, prec_n)
+                                  8, prec_n)
 
-    q_div, r_div = weierstrass_divide(series(g_exact), series(f_exact), active)
-    ok = q_div.is_indistinguishable(series(q_sol)) and r_div.is_indistinguishable(series(r_sol))
+    q_div, r_div = weierstrass_divide(series(g), series(f), active)
+    ok = q_div.is_indistinguishable(series(q)) and r_div.is_indistinguishable(series(r))
+    # the report digests pin these strings; the planted pair is what the
+    # exact-rational solve (tests/oracles.py) returns
     return ok, "division matches rational solve" if ok else "mismatch"
 
 
@@ -341,90 +345,6 @@ def _poly_mul_exact(a: dict, b: dict) -> dict:
             key = tuple(x + y for x, y in zip(e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
-
-
-def _solve_division_exact(g: dict, f: dict, nvars: int, active: int, d: int, cap: int):
-    """Unique rational (q, r) with g = q f + r identically and
-    deg_active(r) <= d-1, by Gaussian elimination over Fractions."""
-    import itertools as it
-
-    def monomials(total, pred=lambda e: True):
-        out = []
-        for e in it.product(range(total + 1), repeat=nvars):
-            if sum(e) <= total and pred(e):
-                out.append(e)
-        return sorted(out)
-
-    deg_g = max((sum(e) for e in g), default=0)
-    deg_f = max((sum(e) for e in f), default=0)
-    dq = max(deg_g, cap - deg_f + 2)
-    dq = min(dq, cap)
-    q_vars = monomials(dq)
-    r_vars = monomials(min(cap, max(deg_g, d)), lambda e: e[active] <= d - 1)
-    eq_monos = monomials(dq + deg_f)
-    cols = len(q_vars) + len(r_vars)
-    rows = []
-    rhs = []
-    q_index = {e: i for i, e in enumerate(q_vars)}
-    r_index = {e: len(q_vars) + i for i, e in enumerate(r_vars)}
-    for mono in eq_monos:
-        row = [Fraction(0)] * cols
-        for fe, fc in f.items():
-            qe = tuple(m - x for m, x in zip(mono, fe))
-            if qe in q_index and all(x >= 0 for x in qe):
-                row[q_index[qe]] += fc
-        if mono in r_index:
-            row[r_index[mono]] += 1
-        rows.append(row)
-        rhs.append(Fraction(g.get(mono, 0)))
-    solution = _gauss_solve(rows, rhs)
-    if solution is None:
-        return None
-    q_sol = {e: solution[q_index[e]] for e in q_vars if solution[q_index[e]]}
-    r_sol = {e: solution[r_index[e]] for e in r_vars if solution[r_index[e]]}
-    return q_sol, r_sol
-
-
-def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination over Q on the first ncols columns, in place;
-    returns the pivot columns, so their count is the rank.
-
-    The systems are sparse, so each pivot row is normalised and then
-    subtracted only at its nonzero columns; the reduced echelon form, and so
-    the solution with free variables at 0, is the same as a dense pass.
-    """
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        pivot = rows[rank]
-        inv = 1 / pivot[col]
-        support = [j for j, x in enumerate(pivot) if x]
-        for j in support:
-            pivot[j] *= inv
-        for i, row in enumerate(rows):
-            factor = row[col]
-            if factor and i != rank:
-                for j in support:
-                    row[j] -= factor * pivot[j]
-        pivots.append(col)
-    return pivots
-
-
-def _gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve an overdetermined consistent system; free variables pinned to 0."""
-    n = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = _row_reduce(aug, n)
-    if any(row[n] for row in aug[len(pivots):]):
-        return None                # inconsistent
-    solution = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        solution[col] = aug[i][n]
-    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +447,38 @@ def _grid_check(report: SuiteReport, field: FieldDescriptor, config: RunConfig) 
 # ---------------------------------------------------------------------------
 # lattice suite
 # ---------------------------------------------------------------------------
+
+def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination over Q on the first ncols columns, in place;
+    returns the pivot columns, so their count is the rank.
+
+    Two callers: the rank oracle of the lattice suite's snf/200 check, and
+    the exact-rational Weierstrass division solve, tests/oracles.solve_division.
+    That solve's systems are large and mostly zero, so each pivot row is
+    normalised and then subtracted only at its nonzero columns: the entries
+    outside that support do not change, and the reduced echelon form, and so
+    the solution with free variables at 0, is the same as a dense pass.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pivot = rows[rank]
+        inv = 1 / pivot[col]
+        support = [j for j, x in enumerate(pivot) if x]
+        for j in support:
+            pivot[j] *= inv
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if factor and i != rank:
+                for j in support:
+                    row[j] -= factor * pivot[j]
+        pivots.append(col)
+    return pivots
+
 
 def lattice_suite(config: RunConfig, matrices: int = 200) -> SuiteReport:
     report = SuiteReport("lattice")

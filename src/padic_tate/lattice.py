@@ -83,10 +83,7 @@ def _bareiss(M: Matrix) -> tuple[int, int]:
     rank the signed last pivot is the determinant (Bareiss 1968).
 
     It is meant for the small dense integer matrices of rank, determinant
-    and the rotundity checks.  The harness's large sparse rational systems
-    use harness._row_reduce: there the entries held here grow as minors of
-    the whole matrix, and back-substitution on them was slower than even a
-    dense Fraction elimination.
+    and the rotundity checks.
     """
     a = [list(row) for row in M]
     rows, cols = shape(M)

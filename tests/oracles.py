@@ -10,7 +10,9 @@ field._sum_terms and field._rational_unit replaced, the Tate
 coefficients and dual product rule built one reduced operation at a time,
 the coefficient kernels written once per field kind, and the series sums,
 products and long division that added coefficients one PadicElement
-operation at a time.
+operation at a time.  solve_division is the exact-rational Weierstrass
+division that the harness's oracle check ran before it compared with the
+planted (q, r).
 """
 
 import itertools
@@ -34,6 +36,7 @@ from padic_tate.field import (
     _shift_vec,
     _vp,
 )
+from padic_tate.harness import _row_reduce
 from padic_tate.lattice import (
     RotundVerdict,
     _height_box,
@@ -467,6 +470,44 @@ def row_reduce_dense(rows, ncols: int):
 def rank_over_Q(rows) -> int:
     """Plain Gaussian elimination over Fractions."""
     return len(row_reduce_dense(rows, len(rows[0]) if rows else 0)[0])
+
+
+def solve_division(g: dict, f: dict, nvars: int, active: int, d: int, cap: int = 8):
+    """(q, r) as Fraction dicts with g = q f + r identically and
+    deg_active(r) <= d-1, for integer-coefficient dicts g and f: one linear
+    system over Q, one unknown per monomial of q and of r up to the degree
+    cap, reduced by harness._row_reduce with free variables pinned to 0."""
+
+    def monomials(total, pred=lambda e: True):
+        return sorted(e for e in itertools.product(range(total + 1), repeat=nvars)
+                      if sum(e) <= total and pred(e))
+
+    deg_g = max((sum(e) for e in g), default=0)
+    deg_f = max((sum(e) for e in f), default=0)
+    dq = min(max(deg_g, cap - deg_f + 2), cap)
+    q_vars = monomials(dq)
+    r_vars = monomials(min(cap, max(deg_g, d)), lambda e: e[active] <= d - 1)
+    q_index = {e: i for i, e in enumerate(q_vars)}
+    r_index = {e: len(q_vars) + i for i, e in enumerate(r_vars)}
+    cols = len(q_vars) + len(r_vars)
+    rows = []
+    for mono in monomials(dq + deg_f):
+        row = [Fraction(0)] * (cols + 1)
+        for fe, fc in f.items():
+            qe = tuple(m - x for m, x in zip(mono, fe))
+            if qe in q_index:
+                row[q_index[qe]] += fc
+        if mono in r_index:
+            row[r_index[mono]] += 1
+        row[cols] = Fraction(g.get(mono, 0))
+        rows.append(row)
+    pivots = _row_reduce(rows, cols)
+    assert not any(row[cols] for row in rows[len(pivots):]), "inconsistent system"
+    solution = [Fraction(0)] * cols
+    for i, col in enumerate(pivots):
+        solution[col] = rows[i][cols]
+    return ({e: solution[q_index[e]] for e in q_vars if solution[q_index[e]]},
+            {e: solution[r_index[e]] for e in r_vars if solution[r_index[e]]})
 
 
 def first_irreducible_mod_p(p: int, f: int) -> tuple[int, ...]:

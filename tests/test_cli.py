@@ -488,6 +488,13 @@ GOLDEN = [
       "--prec", "20", "--format", "structured"], "58ac71eef29d6aaa390e86907f36dad128c5fa50baef63d624cfb94307234f2c"),
     (["wdiv", "--p", "5", "--ext", "unramified:f=2", "--g", "@G3", "--f", "@FU",
       "--prec", "20", "--format", "structured"], "f2f76e230a630835bf722648294460d2421e2d89a414b294fa275b390f415bba"),
+    # the weierstrass suite over Q_5, Q_2 and an eisenstein field, recorded
+    # while its oracle/* records still solved each division over Q
+    (["harness", "--suite", "weierstrass", "--format", "structured"], "3df130444d08509eef522176ec74362a1ba7c5989df22c13e6a5618faa261079"),
+    (["harness", "--suite", "weierstrass", "--format", "structured",
+      "--p", "2"], "54e2aae3bf28f4f080865e4117bb90db324b110e02974e189893a7097a7a0da0"),
+    (["harness", "--suite", "weierstrass", "--format", "structured",
+      "--p", "5", "--ext", "eisenstein:e=2,c=1"], "5100d8bb440a3442f03b90891d9a11d70c0e68e5f1b9665b57dcb84ca1b8ef56"),
 ]
 
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padic_tate import harness
 from padic_tate.harness import (
     RunConfig,
+    _planted_division,
     _row_reduce,
     balls_suite,
     exp_suite,
@@ -14,8 +16,10 @@ from padic_tate.harness import (
     tate_suite,
     weierstrass_suite,
 )
+from padic_tate.prng import stream
+from padic_tate.weierstrass import StrictSeries
 
-from oracles import row_reduce_dense
+from oracles import row_reduce_dense, solve_division
 
 
 class TestConfig:
@@ -97,8 +101,8 @@ class TestDifferentPrimes:
         assert rep.ok
 
 
-# sparse integer matrices with an augmented column, as the Weierstrass
-# oracle's systems are; mostly zeros, with repeated and dependent rows
+# sparse integer matrices with an augmented column, as the systems of
+# oracles.solve_division are; mostly zeros, with repeated and dependent rows
 _SPARSE_ROWS = st.integers(1, 9).flatmap(lambda n: st.lists(
     st.lists(st.one_of(st.just(0), st.just(0), st.integers(-6, 6)),
              min_size=n, max_size=n), min_size=1, max_size=12))
@@ -111,3 +115,36 @@ def test_sparse_row_reduce_matches_dense(rows, augmented):
     got = [[Fraction(x) for x in row] for row in rows]
     pivots = _row_reduce(got, ncols)
     assert (pivots, got) == row_reduce_dense(rows, ncols)
+
+
+class TestWeierstrassOracle:
+    """The oracle/* records compare the division with the planted (q, r),
+    which is what the exact-rational solve returns."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_planted_pair_is_the_rational_solve(self, p):
+        for seed in range(5):
+            for i in range(5):
+                nvars, active, d, f, g, q, r = _planted_division(
+                    stream(seed, "wdiv-oracle", i), p, 20)
+                assert solve_division(g, f, nvars, active, d) == (q, r), (seed, i)
+
+    @pytest.mark.parametrize("p, ext", [(5, "base"), (2, "base"),
+                                        (5, "eisenstein:e=2,c=1")])
+    def test_wrong_quotient_fails_every_record(self, monkeypatch, p, ext):
+        cfg = RunConfig(p=p, ext=ext, seed=0)
+        divide = harness.weierstrass_divide
+
+        def off_by_one(g, f, active, **kwargs):
+            q, r = divide(g, f, active, **kwargs)
+            coeffs = dict(q.coeffs)
+            expo = next(iter(coeffs))
+            coeffs[expo] = coeffs[expo] + 1
+            return StrictSeries.build(q.nvars, q.field, coeffs, q.degree_cap,
+                                      q.coeff_prec), r
+
+        assert weierstrass_suite(cfg, instances=0).ok
+        monkeypatch.setattr(harness, "weierstrass_divide", off_by_one)
+        records = weierstrass_suite(cfg, instances=0).records
+        assert [r.name for r in records] == [f"oracle/{i}" for i in range(5)]
+        assert all(not r.ok and r.measured == "mismatch" for r in records)
