@@ -463,7 +463,7 @@ def _harness(args, ctx):
     for name in SUITE_NAMES if args.suite == "all" else [args.suite]:
         kwargs = {}
         if name == "tate":
-            kwargs["q_literal"] = args.q or f"{config.p}^2"
+            kwargs["q_literal"] = args.q
         if name in ("exp", "tate") and args.trials is not None:
             kwargs["trials"] = args.trials
         report = run_suite(name, config, **kwargs)

@@ -1,9 +1,10 @@
 """The p-adic exponential and logarithm with rigorous truncation bounds.
 
 exp converges on the open ball of valuative radius 1/(p-1) around 0 and maps
-it bijectively onto 1 + that ball; log is its inverse there.  Truncation
-indices are derived from exact valuation lower bounds on the series tails,
-never from heuristics; a precision shortfall raises instead of degrading.
+it bijectively onto 1 + that ball; log is its inverse there.  Term counts are
+closed forms: exp stops at Legendre's bound v_p(n!) <= (n-1)/(p-1), and log at
+its exact last term below the precision, term n having shift n*v - e*v_p(n)
+for v = v(y-1) in pi-units.  A precision shortfall raises instead of degrading.
 
 Each series is reduced once, not once per term.  A term is a raw unit
 vector, taken modulo one p^K with K = ceil(rel/e) + 1, at a shift: exp steps
@@ -46,51 +47,40 @@ def factorial_valuation(n: int, p: int) -> Fraction:
 
 
 def _exp_truncation(shift: int, e: int, p: int, target: int) -> int:
-    """Smallest T with n*shift - e*v_p(n!) >= target for every n > T.
+    """Least T >= 1 past which Legendre's v_p(n!) <= (n-1)/(p-1) puts every
+    term x^n/n! at shift >= target.
 
-    Valid because the per-term lower bound n*shift - e*(n-1)/(p-1) is
-    strictly increasing on the convergence domain shift/e > 1/(p-1); the
-    bound at n + 1 is compared after multiplying through by p - 1.
+    Term T+1 is there once T*(shift*(p-1) - e) >= (target - shift)*(p-1), and
+    every later one with it, as that factor is positive on the domain.
     """
-    n = 1
-    while ((n + 1) * shift - target) * (p - 1) < e * n:
-        n += 1
-    return n
+    return max(1, _ceil_div((target - shift) * (p - 1), shift * (p - 1) - e))
 
 
 def _log_truncation(shift: int, e: int, p: int, target: int) -> int:
-    """Smallest T with n*shift - e*v_p(n) >= target for every n > T.
+    """The last n, or 1, whose term t^n/n has shift n*shift - e*v_p(n) < target.
 
-    The bound phi(n) = n*shift - e*floor(log_p n) increases between powers
-    of p and can dip only at them, so the tail is certified by checking
-    phi(T+1) together with phi at every power of p beyond T (the values at
-    powers are eventually increasing, so finitely many checks suffice).
+    Such an n with v_p(n) >= k is a multiple of p^k below (target + e*k)/shift.
+    The k that have one, p^k*shift < target + e*k, run up from 0, since
+    p^k*shift - e*k increases in k on the domain shift*(p-1) > e.
     """
-    def phi(n: int) -> int:
-        L = 0
-        while p ** (L + 1) <= n:
-            L += 1
-        return n * shift - e * L
+    T, k = 1, 0
+    while p ** k * shift < target + e * k:
+        last = _ceil_div(target + e * k, shift) - 1
+        T, k = max(T, last - last % p ** k), k + 1
+    return T
 
-    def tail_ok(n0: int) -> bool:
-        if phi(n0 + 1) < target:
-            return False
-        k = 1
-        while p ** k <= n0:
-            k += 1
-        while True:
-            val = (p ** k) * shift - e * k
-            if val < target:
-                return False
-            # increasing from here on: p^k(p-1)*shift > e
-            if (p ** k) * (p - 1) * shift > e:
-                return True
-            k += 1
 
-    n0 = 1
-    while not tail_ok(n0):
-        n0 += 1
-    return n0
+def _check_ball(t: PadicElement, zero: str, v: str) -> None:
+    """Raise unless v(t) > 1/(p-1), tested as shift*(p-1) > e (abs_prec for
+    an imprecise zero); zero and v name t in the two messages."""
+    p, e = t.field.p, t.field.e
+    if t.is_zero:
+        if t.abs_prec * (p - 1) <= e:
+            raise OutsideConvergenceDomain(
+                f"{zero} is an imprecise zero whose bound does not clear 1/(p-1)")
+    elif t.shift * (p - 1) <= e:
+        raise OutsideConvergenceDomain(
+            f"v({v}) = {Fraction(t.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
 
 
 def p_exp(x: Evaluable) -> Evaluable:
@@ -101,19 +91,11 @@ def p_exp(x: Evaluable) -> Evaluable:
     if isinstance(x, DualElement):
         v = p_exp(x.value)
         return DualElement(v, v * x.deriv)
-    field = x.field
-    p, e = field.p, field.e
-    # v = shift/e > 1/(p-1), tested as shift*(p-1) > e
+    _check_ball(x, "argument", "x")
     if x.is_zero:
-        if x.abs_prec * (p - 1) > e:
-            return PadicElement.one(field, x.abs_prec)
-        raise OutsideConvergenceDomain(
-            "argument is an imprecise zero whose bound does not clear 1/(p-1)")
-    if x.shift * (p - 1) <= e:
-        raise OutsideConvergenceDomain(
-            f"v(x) = {Fraction(x.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
-    T = _exp_truncation(x.shift, e, p, x.abs_prec)
-    return _sum_terms(field, _exp_terms(x, T))
+        return PadicElement.one(x.field, x.abs_prec)
+    T = _exp_truncation(x.shift, x.field.e, x.field.p, x.abs_prec)
+    return _sum_terms(x.field, _exp_terms(x, T))
 
 
 def p_log(y: Evaluable) -> Evaluable:
@@ -123,19 +105,12 @@ def p_log(y: Evaluable) -> Evaluable:
     """
     if isinstance(y, DualElement):
         return DualElement(p_log(y.value), y.deriv / y.value)
-    field = y.field
-    p, e = field.p, field.e
     t = y - 1
+    _check_ball(t, "y - 1", "y-1")
     if t.is_zero:
-        if t.abs_prec * (p - 1) > e:
-            return PadicElement.zero(field, t.abs_prec)
-        raise OutsideConvergenceDomain(
-            "y - 1 is an imprecise zero whose bound does not clear 1/(p-1)")
-    if t.shift * (p - 1) <= e:
-        raise OutsideConvergenceDomain(
-            f"v(y-1) = {Fraction(t.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
-    T = _log_truncation(t.shift, e, p, t.abs_prec)
-    return _sum_terms(field, _log_terms(t, T))
+        return PadicElement.zero(t.field, t.abs_prec)
+    T = _log_truncation(t.shift, t.field.e, t.field.p, t.abs_prec)
+    return _sum_terms(t.field, _log_terms(t, T))
 
 
 def _exp_terms(x: PadicElement, T: int):

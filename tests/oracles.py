@@ -45,7 +45,7 @@ from padic_tate.lattice import (
     dim_image,
     rank,
 )
-from padic_tate.series import _exp_truncation, _log_truncation
+from padic_tate.series import _exp_truncation
 from padic_tate.weierstrass import Exponent, StrictSeries
 
 
@@ -55,6 +55,16 @@ def vp_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def log_last_term(shift: int, e: int, p: int, target: int) -> int:
+    """The last n, or 1, whose log term t^n/n has shift n*shift - e*v_p(n)
+    below target, for v(t) = shift/e on the ball shift*(p-1) > e.  Every n is
+    tried up to target*(p-1)/(shift*(p-1) - e): past it, v_p(n) <= (n-1)/(p-1)
+    puts n*shift - e*v_p(n) at or above target."""
+    stop = target * (p - 1) // (shift * (p - 1) - e) + 1
+    return max((n for n in range(1, stop) if n * shift - e * vp_int(n, p) < target),
+               default=1)
 
 
 def legendre_sum(n: int, p: int) -> int:
@@ -406,9 +416,10 @@ def exp_stepwise(x):
     return acc.truncate(target)
 
 
-def log_stepwise(y):
+def log_stepwise(y, terms=None):
     """series.p_log term by term: power = power * t, then one scaling by
-    (-1)^(n+1)/n and one __add__ per term, each reduced."""
+    (-1)^(n+1)/n and one __add__ per term, each reduced.  The sum runs to
+    `terms` terms, by default to the last below the precision (log_last_term)."""
     field = y.field
     p, e = field.p, field.e
     t = y - 1
@@ -421,7 +432,7 @@ def log_stepwise(y):
     if t.shift * (p - 1) <= e:
         raise OutsideConvergenceDomain(
             f"v(y-1) = {Fraction(t.shift, e)} is not > 1/(p-1) = {Fraction(1, p - 1)}")
-    T = _log_truncation(t.shift, e, p, target)
+    T = terms or log_last_term(t.shift, e, p, target)
     acc = t
     power = t
     for n in range(2, T + 1):

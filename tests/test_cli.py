@@ -471,6 +471,27 @@ GOLDEN = [
       "--x", "3+3*g^2", "--prec", "640"], "763d4ad55f17d6883d6cbdd1565697b75b031ea5f7aaa87f96e4467f2fd3be64"),
     (["log", "--p", "3", "--ext", "unramified:f=3",
       "--y", "1+3*g", "--prec", "640", "--format", "structured"], "0c0037cf29ebd5b484890b28cc3f2dc30b9d3db5c669d9c591c252e4cf3bea24"),
+    # exp and log at prec 640 two shifts in from the ball's edge, and logs of
+    # arguments known short of the precision, recorded while log searched for
+    # a certified tail bound instead of stopping at its exact last term
+    (["exp", "--p", "2",
+      "--x", "2^4+2^5+2^9", "--prec", "640"], "12af6b78961ba36eaa3bc7683e131492923fdc84e0e079c4895ce0bae72fc402"),
+    (["log", "--p", "2",
+      "--y", "1+2^4+2^7", "--prec", "640", "--format", "structured"], "fc4cf4fb112aa9607ccaa2c74fa4e744df35f04d8d38f89ff03d265f64adc442"),
+    (["log", "--p", "2",
+      "--y", "1+2^3+O(pi^600)", "--prec", "640", "--format", "structured"], "fc7f15ab85b34e58fecff46e4bd509ef6fd07d3019a940d2cb26d97f748690e5"),
+    (["exp", "--p", "5", "--ext", "eisenstein:e=4,c=-1",
+      "--x", "pi^4+2*pi^5+pi^9", "--prec", "640"], "c5d3311b5118207847e85cc42349bbe5fbd976d689a08c5a28ec9a7b93f2ac95"),
+    (["log", "--p", "5", "--ext", "eisenstein:e=4,c=-1",
+      "--y", "1+pi^4+3*pi^6", "--prec", "640", "--format", "structured"], "5f3a8b58069ece82af96c8e34b11b0a46243ae703622f0b4cdc9cca1eb67ce7b"),
+    (["log", "--p", "5", "--ext", "eisenstein:e=4,c=-1",
+      "--y", "1+2*pi^2+O(pi^500)", "--prec", "640"], "b1963d06efa97a6ffcaa827be370a549b2ebbd71c413e213472bc079af87a78e"),
+    (["exp", "--p", "3", "--ext", "unramified:f=3",
+      "--x", "27*g+81", "--prec", "640"], "ca21aeaf244f6304b56e9e2cd65ab970d0120677ef1ee5cd3e3b480d9d823219"),
+    (["log", "--p", "3", "--ext", "unramified:f=3",
+      "--y", "1+27+27*g^2", "--prec", "640"], "8e4d533a1a178ad3d2c3cfbf40761955fc6d7732193ef07d2b71917b327fc5ba"),
+    (["log", "--p", "3", "--ext", "unramified:f=3",
+      "--y", "1+3*g^2+O(pi^400)", "--prec", "640", "--format", "structured"], "11bf7275eb4e8997b1e08320382847f0468aa5b0197b305f7df6381a986e6e56"),
     # relation searches, recorded while the search walked the whole box: 255
     # hits in itertools.product order, and an unramified field
     (["relations", "search", "--z", "7", "--z", "11", "--z", "13", "--z", "2*7-3*11+13",

@@ -95,6 +95,13 @@ class TestDifferentPrimes:
         rep = tate_suite(cfg, q_literal="2^2", trials=4)
         assert rep.ok
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_tate_default_q_is_p_squared(self, p):
+        cfg = RunConfig(p=p, prec=40, seed=0)
+        rep = run_suite("tate", cfg, trials=2)
+        want = tate_suite(cfg, q_literal=f"{p}^2", trials=2)
+        assert rep.ok and rep.records == want.records
+
     def test_weierstrass_p2(self):
         cfg = RunConfig(p=2, prec=40, seed=0)
         rep = weierstrass_suite(cfg, instances=6, oracle_instances=1)

@@ -12,6 +12,7 @@ from padic_tate.field import PadicElement, _make, make_field
 from padic_tate.prng import random_element, stream
 from padic_tate.series import (
     _exp_truncation,
+    _log_truncation,
     dual_eval,
     factorial_valuation,
     p_exp,
@@ -27,6 +28,7 @@ from oracles import (
     exp_stepwise,
     from_fraction,
     legendre_sum,
+    log_last_term,
     log_partial_sum,
     log_stepwise,
     x_coefficient_stepwise,
@@ -92,9 +94,9 @@ class TestExp:
             p_exp(PadicElement.uniformizer(E54, 12))   # v = 1/4 boundary
 
     def test_truncation_matches_rational_bound(self):
-        # the integer loop against the rational per-term bound it stands for:
+        # the closed form against the rational per-term bound it stands for:
         # T is the least n with (n+1)*shift - e*n/(p-1) >= target
-        for p, e in itertools.product((2, 3, 5, 7), (1, 2, 3, 4, 6)):
+        for p, e in itertools.product((2, 3, 5, 7, 11), (1, 2, 3, 4, 6, 64)):
             lo = e // (p - 1) + 1                   # least shift with shift/e > 1/(p-1)
             for shift, target in itertools.product(range(lo, lo + 5), range(1, 60)):
                 want = next(n for n in itertools.count(1)
@@ -129,6 +131,13 @@ class TestLog:
     def test_domain_rejected(self, Q5):
         with pytest.raises(OutsideConvergenceDomain):
             p_log(PadicElement.from_int(Q5, 2, 10))    # v(y-1) = 0
+
+    def test_truncation_is_the_last_term_below_target(self):
+        # six shifts in from the ball's edge, targets 1..699 step 7
+        for p, e in itertools.product((2, 3, 5, 7, 11), (1, 2, 3, 4, 6, 64)):
+            lo = e // (p - 1) + 1
+            for shift, target in itertools.product(range(lo, lo + 6), range(1, 700, 7)):
+                assert _log_truncation(shift, e, p, target) == log_last_term(shift, e, p, target)
 
     def test_bijection_both_ways(self, Q5, E54):
         for field, lo in ((Q5, 1), (E54, 2)):
@@ -395,6 +404,19 @@ class TestFusedSeries:
         y = p_exp(x)
         assert key(y) == key(exp_stepwise(x))
         assert key(p_log(y)) == key(log_stepwise(y))
+
+    @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+    def test_log_terms_past_the_last_change_no_digit(self, name):
+        # the stepwise sum carried to twice the last term's index, from the
+        # ball's edge inwards, with y - 1 known past the precision and not
+        field = SERIES_FIELDS[name]
+        for i, shift in enumerate(range(_edge(field), _edge(field) + 3)):
+            for rel in (200, 30):
+                t = random_element(stream(23, "log-tail", name, i, rel), field,
+                                   shift + rel, shift, shift)
+                y = PadicElement.one(field, 120) + t
+                T = _log_truncation(shift, field.e, field.p, y.abs_prec)
+                assert key(p_log(y)) == key(log_stepwise(y, 2 * T)), (shift, rel)
 
     @pytest.fixture
     def calls(self, monkeypatch):
