@@ -7,7 +7,8 @@ Runs `padic-tate harness --suite all --format structured` of the checkout
 this script sits in, in a fresh interpreter per row, for each field
 configuration in CONFIGS at seeds 0 and 1, and prints one line per row:
 the configuration, the seed, the exit code and the SHA-256 of stdout.
-Run it in two checkouts and compare the outputs.
+Run it in two checkouts and compare the outputs.  scripts/digests.txt holds
+the rows of this tree, which CI diffs against on each supported Python.
 """
 
 import hashlib

@@ -452,15 +452,16 @@ def _residue_inverse(field: FieldDescriptor, vec: Sequence[int]) -> list[int]:
 
 
 def _vec_invert(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tuple[int, ...]:
-    """Newton iteration z <- z(2 - u z), doubling correct digits per step."""
+    """Newton iteration z <- z(2 - u z), doubling correct digits per step;
+    each new z is reduced to the digits it has right, at most rel_prec."""
     z = _residue_inverse(field, vec)
     two = [2] + [0] * (field.coeff_len - 1)
     correct = 1
     guard = 0
     while correct < rel_prec:
+        correct = min(2 * correct, rel_prec)
         t = [a - b for a, b in zip(two, _vec_mul(field, vec, z))]
-        z = list(_reduce_vec(field, _vec_mul(field, z, t), rel_prec))
-        correct *= 2
+        z = list(_reduce_vec(field, _vec_mul(field, z, t), correct))
         guard += 1
         if guard > 64:
             raise InsufficientPrecision("inversion failed to converge")

@@ -122,85 +122,55 @@ def rank(M: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """(U, D, V) with U M V = D diagonal, d1 | d2 | ..., U and V unimodular."""
+    """(U, D, V) with U M V = D diagonal, d1 | d2 | ..., U and V unimodular.
+
+    It reduces B = [[M, I_r], [I_c, 0]] to [[D, U], [V, 0]]: an operation on
+    the first r rows or the first c columns acts on M and on U or V at once
+    (Cohen, GTM 138, section 2.4)."""
     r, c = shape(M)
-    A = [list(row) for row in M]
-    U = [list(row) for row in identity(r)]
-    V = [list(row) for row in identity(c)]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(i, j, q):
-        # row_i -= q * row_j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_sub(i, j, q):
-        for row in A:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    def row_negate(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
+    B = [list(row) + [0] * r for row in M] + [[0] * (c + r) for _ in range(c)]
+    for k in range(r):
+        B[k][c + k] = 1
+    for k in range(c):
+        B[r + k][k] = 1
     t = 0
     while t < min(r, c):
-        # choose the least nonzero entry in the trailing block as pivot
-        pivot = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        # the first least nonzero entry of the trailing block, row by row
+        pivot = min(((abs(B[i][j]), i, j) for i in range(t, r) for j in range(t, c)
+                     if B[i][j]), default=None)
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        if A[t][t] < 0:
-            row_negate(t)
-        dirty = False
+        _, i, j = pivot
+        B[t], B[i] = B[i], B[t]
+        for row in B:
+            row[t], row[j] = row[j], row[t]
+        if B[t][t] < 0:
+            B[t] = [-a for a in B[t]]
+        d, dirty = B[t][t], False
         for i in range(t + 1, r):
-            if A[i][t]:
-                q = A[i][t] // A[t][t]
-                row_sub(i, t, q)
-                if A[i][t]:
-                    dirty = True
+            if B[i][t]:
+                q = B[i][t] // d
+                B[i] = [a - q * b for a, b in zip(B[i], B[t])]
+                dirty |= B[i][t] != 0
         for j in range(t + 1, c):
-            if A[t][j]:
-                q = A[t][j] // A[t][t]
-                col_sub(j, t, q)
-                if A[t][j]:
-                    dirty = True
+            if B[t][j]:
+                q = B[t][j] // d
+                for row in B:
+                    row[j] -= q * row[t]
+                dirty |= B[t][j] != 0
         if dirty:
             continue
-        # pivot must divide the whole trailing block for the chain property
-        bad = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if A[i][j] % A[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            # fold the offending row into row t and continue reducing
-            A[t] = [a + b for a, b in zip(A[t], A[bad])]
-            U[t] = [a + b for a, b in zip(U[t], U[bad])]
-            continue
-        t += 1
-
-    return (tuple(tuple(row) for row in U),
-            tuple(tuple(row) for row in A),
-            tuple(tuple(row) for row in V))
+        # the pivot must divide the whole trailing block for the chain
+        # property; else fold the first offending row into row t and go on
+        bad = next((i for i in range(t + 1, r) if any(B[i][j] % d for j in range(t + 1, c))),
+                   None)
+        if bad is None:
+            t += 1
+        else:
+            B[t] = [a + b for a, b in zip(B[t], B[bad])]
+    return (tuple(tuple(row[c:]) for row in B[:r]),
+            tuple(tuple(row[:c]) for row in B[:r]),
+            tuple(tuple(row[:c]) for row in B[r:]))
 
 
 def kernel_lattice(A: Matrix) -> Matrix:

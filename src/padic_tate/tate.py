@@ -1,26 +1,29 @@
 """The Tate curve y^2 + xy = x^3 + a4(q) x + a6(q) and its uniformization.
 
-Every q-series here is a Lambert sum sum_m c_m q^m / (1 - q^m), evaluated by
-the single kernel ``_lambert``; N is the working precision and valuations
-count pi-digits.  The weights q^m / (1 - q^m) depend only on the curve, so
+Every q-series here is a Lambert sum sum_m c_m q^m / (1 - q^m); N is the
+working precision and valuations count pi-digits.  The modular coefficients
+use c_m = m^k for s_k(q) and the exact integer c_m = -(5m^3 + 7m^5)/12 for
+a6, so that p = 2 and p = 3 lose no precision.  A sum with integer c_m is
+the power series sum_n (sum_{d|n} c_d) q^n, which needs no inversion, so
+curve_coefficients builds no weight.  The point sums go through the kernel
+``_lambert``; their weights q^m / (1 - q^m) depend only on the curve, so
 each TateCurve keeps those computed so far and extends them on demand, up to
 the largest term count any of its sums has asked for; each weight costs one
-inversion, once per curve.  The modular coefficients use c_m = m^k for
-s_k(q) and the exact integer c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2
-and p = 3 lose no precision; both sums stop after ceil(N / v(q)) terms.
+inversion, once per curve.  All these sums stop after ceil(N / v(q)) terms.
 
-A sum is reduced once, not once per term: the raw products c_m * w_m, each
-a term of field._product_term with the precision __mul__ gives it, are
-added at one common shift by field._sum_terms and normalised by one _make.
-It is known to the least precision among its terms and N; as each term is
-exact modulo its own precision, the digits are those of the term-by-term
-sum.  For a dual argument the values and the derivatives are two such sums,
-and only the values are capped at N (the zero a sum starts from is a
-constant, with no derivative), so X' is known to the least precision among
-its own terms.  Each coefficient c_m of X and Y below, a u^m + b u^-m + c
-with integers a, b, c, is reduced once too, by field._int_combination, with
-the precision and digits of the operation-by-operation expression; for a
-dual u its value and its derivative (without c) are one call each.
+A sum is reduced once, not once per term: the raw products c_m * w_m (or
+c_n * q^n), each a term of field._product_term with the precision __mul__
+gives it, are added at one common shift by field._sum_terms and normalised
+by one _make.  It is known to the least precision among its terms and N; as
+each term is exact modulo its own precision, the digits are those of the
+term-by-term sum.  For a dual argument the values and the derivatives are
+two such sums, and only the values are capped at N (the zero a sum starts
+from is a constant, with no derivative), so X' is known to the least
+precision among its own terms.  Each coefficient c_m of X and Y below,
+a u^m + b u^-m + c with integers a, b, c, is reduced once too, by
+field._int_combination, with the precision and digits of the
+operation-by-operation expression; for a dual u its value and its
+derivative (without c) are one call each.
 
 Points are produced by the map u -> (X(q,u), Y(q,u)) with
 
@@ -41,6 +44,8 @@ assignment, so a concurrent reader sees a key with its own result.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -155,6 +160,23 @@ def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],
     return DualElement(*sums) if dual else sums[0]
 
 
+def _divisor_sum_series(q: PadicElement, coeff: Callable[[int], int]) -> PadicElement:
+    """sum_m coeff(m) q^m / (1 - q^m) for integer coefficients, summed as
+    sum_n (sum_{d|n} coeff(d)) q^n by a divisor sieve and one running power
+    of q.  The two differ by terms q^n with n > ceil(N / v(q)), zero at pi^N,
+    N = abs_prec(q); each term is known to pi^N at least, so the sum is
+    known to pi^N, as the Lambert sum is."""
+    target = q.abs_prec
+    terms = -(-target // q.shift)
+    sums = [0] * (terms + 1)
+    for d in range(1, terms + 1):
+        c = coeff(d)
+        for n in range(d, terms + 1, d):
+            sums[n] += c
+    powers = itertools.accumulate(itertools.repeat(q, terms), operator.mul)
+    return _sum_terms(q.field, list(map(_product_term, sums[1:], powers)), target)
+
+
 def s_k(q: PadicElement, k: int) -> PadicElement:
     """sum_{n>=1} n^k q^n / (1 - q^n), truncated once n v(q) clears the target."""
     if k < 1:
@@ -162,9 +184,8 @@ def s_k(q: PadicElement, k: int) -> PadicElement:
     if q.is_zero:
         # v(q) >= abs_prec > 0, so every term sits below the precision floor
         return PadicElement.zero(q.field, q.abs_prec)
-    sq = _require_positive_valuation(q)
-    target = q.abs_prec
-    return _lambert(q, [], lambda n: n ** k, -(-target // sq), target)
+    _require_positive_valuation(q)
+    return _divisor_sum_series(q, lambda n: n ** k)
 
 
 def a6_coefficient(n: int) -> int:
@@ -176,16 +197,12 @@ def a6_coefficient(n: int) -> int:
 
 
 def curve_coefficients(q: PadicElement) -> TateCurve:
-    """a4 = -5 s_3(q); a6 summed termwise with integer coefficients."""
-    sq = _require_positive_valuation(q)
-    target = q.abs_prec
-    terms = -(-target // sq)
-    weights = []
-    a4 = _lambert(q, weights, lambda n: n ** 3, terms, target) * (-5)
-    a6 = _lambert(q, weights, lambda n: -a6_coefficient(n), terms, target)
-    curve = TateCurve(q=q, a4=a4.truncate(target), a6=a6, prec=target)
-    curve.weights.extend(weights)
-    return curve
+    """a4 = -5 s_3(q); a6 summed with integer coefficients.  No Lambert
+    weight is built here: the first series point builds those it needs."""
+    _require_positive_valuation(q)
+    a4 = s_k(q, 3) * (-5)
+    a6 = _divisor_sum_series(q, lambda n: -a6_coefficient(n))
+    return TateCurve(q=q, a4=a4.truncate(q.abs_prec), a6=a6, prec=q.abs_prec)
 
 
 def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElement, int]:

@@ -4,8 +4,9 @@ Most work in plain Fractions / integers, independent of the library paths,
 and are reduced into the p-adic representation only at the final comparison
 step.  The others keep a library algorithm that a faster or simpler one
 replaced: the brute-force rotundity check, the relation search that walks
-the whole height box, the term-by-term Lambert, exp and log sums, the
-separate kernels for x +- y, x +- m and the unit of 1/n that
+the whole height box, the Smith normal form that kept U and V as two more
+matrices beside the reduced one, the term-by-term Lambert, exp and log
+sums, the separate kernels for x +- y, x +- m and the unit of 1/n that
 field._sum_terms and field._rational_unit replaced, the Tate
 coefficients and dual product rule built one reduced operation at a time,
 the coefficient kernels written once per field kind, and the series sums,
@@ -38,12 +39,15 @@ from padic_tate.field import (
 )
 from padic_tate.harness import _row_reduce
 from padic_tate.lattice import (
+    Matrix,
     RotundVerdict,
     _height_box,
     _normalized_rows,
     _primitive_signed,
     dim_image,
+    identity,
     rank,
+    shape,
 )
 from padic_tate.series import _exp_truncation
 from padic_tate.weierstrass import Exponent, StrictSeries
@@ -541,6 +545,89 @@ def first_irreducible_mod_p(p: int, f: int) -> tuple[int, ...]:
                    for low in itertools.product(range(p), repeat=deg)):
             return tuple(g)
     raise AssertionError(f"no irreducible polynomial of degree {f} mod {p}")
+
+
+def smith_normal_form_pair(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """lattice.smith_normal_form with U and V kept beside A: each row and
+    column operation applied to A and then to U or V."""
+    r, c = shape(M)
+    A = [list(row) for row in M]
+    U = [list(row) for row in identity(r)]
+    V = [list(row) for row in identity(c)]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def row_sub(i, j, q):
+        # row_i -= q * row_j
+        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_sub(i, j, q):
+        for row in A:
+            row[i] -= q * row[j]
+        for row in V:
+            row[i] -= q * row[j]
+
+    def row_negate(i):
+        A[i] = [-a for a in A[i]]
+        U[i] = [-a for a in U[i]]
+
+    t = 0
+    while t < min(r, c):
+        # choose the least nonzero entry in the trailing block as pivot
+        pivot = None
+        for i in range(t, r):
+            for j in range(t, c):
+                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        if A[t][t] < 0:
+            row_negate(t)
+        dirty = False
+        for i in range(t + 1, r):
+            if A[i][t]:
+                q = A[i][t] // A[t][t]
+                row_sub(i, t, q)
+                if A[i][t]:
+                    dirty = True
+        for j in range(t + 1, c):
+            if A[t][j]:
+                q = A[t][j] // A[t][t]
+                col_sub(j, t, q)
+                if A[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # pivot must divide the whole trailing block for the chain property
+        bad = None
+        for i in range(t + 1, r):
+            for j in range(t + 1, c):
+                if A[i][j] % A[t][t]:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            # fold the offending row into row t and continue reducing
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+            U[t] = [a + b for a, b in zip(U[t], U[bad])]
+            continue
+        t += 1
+
+    return (tuple(tuple(row) for row in U),
+            tuple(tuple(row) for row in A),
+            tuple(tuple(row) for row in V))
 
 
 def rotund_check_brute(V, height: int,

@@ -425,6 +425,8 @@ GOLDEN = [
     (["rv", "--x", "5 + 2*5^2", "--lambda", "1", "--prec", "10"], "a8bdd2916dc4b2deb3d18f3fa9e866b4be0492d2742646b4a13928b35a81d64c"),
     (["tate", "invariants", "--q", "5^2", "--prec", "20"], "e41fd5b6f1d70f219289ce985185a7be2ec234351a2c8c05636004e143a2e378"),
     (["tate", "j", "--q", "5^2", "--format", "structured"], "62eca5db592c956d14d482c0daffc1b80d29900ab59e3b59b6742e58901ef776"),
+    # recorded while every Lambert weight of a4 and a6 cost one inversion (3.3 s)
+    (["tate", "j", "--q", "5", "--prec", "2048"], "cab0594a63c4f07b474c50aeac1e1ec6a87b3952a32bf68d0b79f026eb2b9705"),
     (["tate", "map", "--q", "5^2", "--u", "7", "--prec", "20"], "8dec97edd9be014c346eea29197301540d00b99aa413bd06cf714e394cfc8fcb"),
     (["tate", "add", "--q", "5^2", "--prec", "20", "--x1", _P7_X, "--y1", _P7_Y,
       "--x2", _P7_X, "--y2", _P7_Y], "3bec6efcd8bf0b31736325bf37e7c1080867509fb1c7ee27422b0f1b9c4695d9"),
@@ -435,6 +437,15 @@ GOLDEN = [
     (["balls", "same", "--C", "0", "--x", "5", "--y", "30"], "e343bec1c389311cc3235da94d3d09a2fc6fce215554c05dc08bca55c5d6ec87"),
     (["lattice", "smith", "--matrix", "2,4;6,8"], "90fe7c202d53983e974d52686d12df7e156ae2204ccceaf25853316829f349d4"),
     (["lattice", "kernel", "--matrix", "1,1", "--format", "structured"], "379027a14e7551355899587a59fafbbb7f5584dd3b9ecc88e80408d2e6421047"),
+    # recorded while U and V were reduced as two matrices beside D: the fold
+    # of a row the pivot does not divide, a negative pivot, and a kernel
+    (["lattice", "smith", "--matrix", "2,0;0,3"], "8807c7597e2f1094ef5dd6e4c8618a4bb4bd7279a6d2c31c82899f209b00200d"),
+    (["lattice", "smith", "--matrix", "6,-4,10;-6,9,15;0,5,-7",
+      "--format", "structured"], "720703fea6d44c499ad50f05c92eb7c0f99047e4b517358a5029b667dc22c77e"),
+    (["lattice", "smith", "--matrix", "1,2,3,4,5;6,7,8,9,10;11,12,13,14,16",
+      "--format", "structured"], "41dee9ab1814b986150622ffcde381fb6a4a4d38d15e4a35b392004ad04fc338"),
+    (["lattice", "kernel", "--matrix", "2,4,6,8,10;3,6,9,12,15;1,0,-1,0,1",
+      "--format", "structured"], "275b0ad7aa347a165375bd2517d3c54696b145c86ab32f4bae0e4ee790bf8db1"),
     (["geom", "rotund", "--lattice", "@V", "--height", "1"], "7e4bc5163a0ad28217698ccbe6b5606cc9be078bb9a6e08ca5e6e20c853363a2"),
     # recorded while every set of candidate rows was walked (17 s at height 3)
     (["geom", "rotund", "--lattice", "@R3", "--height", "2"], "eece59d5d4e5f793c928418273ab2cb9e03224abb84c59028a51320e0a9506eb"),

@@ -180,6 +180,23 @@ class TestInvert:
                 residual = u * invert(u) - 1
                 assert residual.is_zero, (field.kind, i)
 
+    def test_newton_steps_double_their_precision(self, monkeypatch, Q5, E54):
+        # each step reduces its update to the digits it makes right, 2, 4,
+        # ..., 512, then rel_prec; the last line is the one final reduction
+        for field in (Q5, E54):
+            u = random_unit(stream(12, field.kind, 0), field, 640)
+            precs, reduce_vec = [], field_mod._reduce_vec
+
+            def recording(f, vec, rel_prec):
+                precs.append(rel_prec)
+                return reduce_vec(f, vec, rel_prec)
+
+            monkeypatch.setattr(field_mod, "_reduce_vec", recording)
+            z = field_mod._vec_invert(field, u.coeffs, 640)
+            monkeypatch.setattr(field_mod, "_reduce_vec", reduce_vec)
+            assert precs == [2 ** k for k in range(1, 10)] + [640, 640]
+            assert (u * PadicElement(field, 0, z, 640) - 1).is_zero
+
 
 class TestValuation:
     def test_v_p(self, Q5):

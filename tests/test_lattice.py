@@ -1,5 +1,7 @@
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +40,7 @@ from padic_tate.lattice import (
 )
 from padic_tate.prng import random_element, random_unit, stream
 
-from oracles import rank_over_Q, relation_search_box, rotund_check_brute
+from oracles import rank_over_Q, relation_search_box, rotund_check_brute, smith_normal_form_pair
 
 
 @pytest.fixture
@@ -154,6 +156,24 @@ class TestSmith:
             assert sum(1 for d in diag if d) == rank_over_Q(M) == rank(M)
             if r == c:
                 assert abs(determinant(M)) == math.prod(diag)
+
+    def test_seeded_against_two_matrix_oracle(self):
+        # the empty shapes, then three matrices of every shape 1..9 x 1..9 at
+        # each of three magnitudes and three densities: (U, D, V) and the
+        # kernel are the oracle's
+        cases = [(), matrix([[]]), zeros(3, 0)]
+        for n, (mag, density, r, c, _) in enumerate(itertools.product(
+                (9, 10 ** 6, 10 ** 12), (1, 0.5, 0.2), range(1, 10), range(1, 10), range(3))):
+            rng = stream(83, "snf-oracle", n)
+            cases.append(matrix([[rng.randint(-mag, mag) if rng.random() < density else 0
+                                  for _ in range(c)] for _ in range(r)]))
+        assert len(cases) >= 2000
+        for M in cases:
+            want = smith_normal_form_pair(M)
+            assert smith_normal_form(M) == want, M
+            with mock.patch.object(lattice, "smith_normal_form", lambda _: want):
+                kernel = kernel_lattice(M)
+            assert kernel_lattice(M) == kernel, M
 
 
 class TestKernel:

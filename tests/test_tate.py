@@ -176,13 +176,13 @@ class TestLambertWeights:
 
     def test_inversion_counts(self, inversions, Q5):
         q = PadicElement.from_int(Q5, 25, 40)
-        # a4 and a6 share the ceil(40/2) = 20 weights
+        # a4 and a6 are power series in q: no weight, no inversion
         n, curve = inversions(lambda: curve_coefficients(q))
-        assert n == 20
+        assert n == 0 and inversions(lambda: s_k(q, 5))[0] == 0
         u0 = PadicElement.from_int(Q5, 7, 40)
         u1 = PadicElement.from_int(Q5, 35, 40)
-        # 1/(1-u) and 1/u; v(u) = 0 needs no weight beyond the 20 stored
-        assert inversions(lambda: phi(curve, u0))[0] == 2
+        # v(u) = 0 runs to ceil(40/2) = 20 terms: 20 weights, 1/(1-u) and 1/u
+        assert inversions(lambda: phi(curve, u0))[0] == 22
         # v(u) = 1 runs to ceil(40/1) = 40 terms: 20 new weights, once
         assert inversions(lambda: phi(curve, u1))[0] == 22
         assert inversions(lambda: phi(curve, u1))[0] == 2
@@ -191,7 +191,10 @@ class TestLambertWeights:
     def test_weights_not_computed_eagerly(self, inversions, Q5):
         # ceil(640/600) = 2 terms; an up-front fill to prec would need 640
         q = PadicElement.from_int(Q5, 5 ** 600, 640)
-        assert inversions(lambda: curve_coefficients(q))[0] == 2
+        n, curve = inversions(lambda: curve_coefficients(q))
+        assert n == 0 and curve.weights == []
+        assert inversions(lambda: phi(curve, PadicElement.from_int(Q5, 7, 640)))[0] == 4
+        assert len(curve.weights) == 2
 
     def test_interleaved_extension_keeps_order(self, monkeypatch, Q5):
         # a second extension of the same list lands while the first is still
@@ -223,7 +226,7 @@ class TestLambertWeights:
             assert (tate_xy_with_derivative(curve, u)
                     == tate_xy_with_derivative(curve_coefficients(q), u))
         fresh = curve_coefficients(q)
-        assert len(fresh.weights) == 14
+        assert len(fresh.weights) == 0
         assert curve == fresh and hash(curve) == hash(fresh)
         assert "weights" not in repr(curve) and repr(curve) == repr(fresh)
 
@@ -311,10 +314,17 @@ class TestFusedLambert:
         if dual:
             u = DualElement.seed(u)
         slack = data.draw(st.integers(0, 3))
-        want = {}
+        # a4, a6 and s_k are power series with no weight, so their wanted
+        # values are the Lambert sums of the first ceil(N / v(q)) terms,
+        # N = abs_prec(q)
+        N = q.abs_prec
+
+        def stepwise(coeff):
+            return lambert_stepwise(q, [], coeff, -(-N // q.shift), N)
+        want = {"curve": (key((stepwise(lambda m: m ** 3) * (-5)).truncate(N)),
+                          key(stepwise(lambda m: -a6_coefficient(m)))),
+                "s_k": key(stepwise(lambda m: m ** 5))}
         with mock.patch.object(tate_mod, "_lambert", lambert_stepwise):
-            want["curve"] = outcome(lambda: a4_a6(q))
-            want["s_k"] = outcome(lambda: s_k(q, 5))
             curve = curve_coefficients(q)
             want["point"] = outcome(lambda: tate_series_point(curve, u, slack))
         got = {"curve": outcome(lambda: a4_a6(q)),
@@ -396,17 +406,18 @@ class TestCoefficientMakes:
         return counted
 
     def test_series_point(self, makes, curve25, Q5):
-        # a fresh curve holds the 20 weights that curve_coefficients builds;
-        # u = 35 (v(u) = 1) needs 40, and its plain call builds the other 20
-        # (80 of its 249 _make calls), so the order below is part of the count
+        # a fresh curve holds no weight: u = 7 (v(u) = 0) needs 20, which
+        # its plain call builds (60 of its 149 _make calls), and u = 35
+        # (v(u) = 1) needs 40, and its plain call builds the other 20 (80 of
+        # its 249), so the order below is part of the count
         curve = curve_coefficients(curve25.q)
         counts = []
         for n in (7, 35):
             u = PadicElement.from_int(Q5, n, 40)
             counts += [makes(lambda: tate_series_point(curve, u)),
                        makes(lambda: tate_series_point(curve, DualElement.seed(u)))]
-        # with a _make per operation in each coefficient: 129, 309, 329, 589
-        assert counts == [89, 181, 249, 341]
+        # with a _make per operation in each coefficient: 189, 309, 329, 589
+        assert counts == [149, 181, 249, 341]
 
     def test_dual_product(self, makes, Q5):
         a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
