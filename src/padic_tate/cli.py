@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .field import PadicElement, parse_extension, rv_class
 from .lattice import (
+    _COUNT_DIGITS,
     SubgroupLattice,
     atypical,
     kernel_lattice,
@@ -75,6 +77,8 @@ GLOBAL_DEFAULTS = {"p": 5, "prec": 40, "ext": "base", "seed": 0,
 # the largest --prec accepted: the work of every command grows faster than
 # the square of the precision, so an uncapped --prec could run for hours
 MAX_PREC = 4096
+# the least --lambda numerator or denominator that is refused
+_TOO_MANY_DIGITS = 10 ** _COUNT_DIGITS
 
 
 class _Context:
@@ -297,10 +301,22 @@ def _series_record(series: StrictSeries) -> dict:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    """--lambda as a Fraction, refused if its reduced numerator or denominator needs more
+    than _COUNT_DIGITS digits.  A decimal exponent E is applied last, as Fraction builds
+    10^E first: past |E| = _COUNT_DIGITS + len(text) any nonzero mantissa is there."""
+    exp = re.fullmatch(r"(.*[\d.])e([-+]?\d+(?:_\d+)*)\s*", text, re.I)
     try:
-        return Fraction(text)
+        value = Fraction(exp[1] + "e0") if exp else Fraction(text)
+    except ValueError:  # an invalid mantissa: the text's own message
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
+    shift = int(exp[2]) if exp and value else 0
+    if abs(shift) <= _COUNT_DIGITS + len(text):
+        value *= Fraction(10) ** shift
+        if max(abs(value.numerator), value.denominator) < _TOO_MANY_DIGITS:
+            return value
+    raise ValueError(f"--lambda {text!r} needs more than {_COUNT_DIGITS} digits")
 
 
 def _rows(M) -> str:

@@ -468,8 +468,11 @@ def relation_search(z: Sequence[PadicElement], height: int,
 
 def relation_false_positive_bound(n: int, height: int, p: int, f: int,
                                   threshold_pi: int) -> float:
-    """Chance a random height-box candidate vanishes to the threshold."""
-    return float((2 * height + 1) ** n) * float(p) ** (-threshold_pi * f)
+    """Chance a random height-box candidate vanishes to the threshold; inf past the float range."""
+    try:
+        return float((2 * height + 1) ** n) * float(p) ** (-threshold_pi * f)
+    except OverflowError:
+        return math.inf
 
 
 def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],

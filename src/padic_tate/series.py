@@ -6,20 +6,16 @@ closed forms: exp stops at Legendre's bound v_p(n!) <= (n-1)/(p-1), and log at
 its exact last term below the precision, term n having shift n*v - e*v_p(n)
 for v = v(y-1) in pi-units.  A precision shortfall raises instead of degrading.
 
-Each series is reduced once, not once per term.  A term is a raw unit
-vector, taken modulo one p^K with K = ceil(rel/e) + 1, at a shift: exp steps
-it by x's unit and the unit part of 1/n, log keeps t^n as a running product
-and scales each term by the unit part of +-1/n apart from it; the unit and
-shift of +-1/n come from field._rational_unit, as in _scale_rational.  The
-terms are added one at a time at a common shift by field._sum_terms, the
-aligned sum behind every field sum, and normalised by one _make.  The
-precision is tracked as the term-by-term loop tracks it: every product and
-scaling keeps the relative precision, and the sum is known to the least term
-precision (on the ball this is the argument's own).  Each term is exact modulo its own
-precision, at least the final one, so the raw sum agrees with the loop's
-modulo pi^final and the canonical digits are the loop's.  A dual argument
-takes the same path for its value and its derivative from the chain rule,
-exp(x)' = exp(x) x' and log(y)' = y'/y.
+Both series run one recurrence, term n = term n-1 * t * num(n)/n: exp from 1
+with t = x and num(n) = 1, log from t = y - 1 with num(n) = 1 - n.  A term is
+a raw vector modulo p^K, K = ceil(rel/e) + 1, at a shift; num(n)/n gives its
+unit and shift by field._rational_unit, and field._sum_terms adds the terms
+at one shift with one _make.  Every step keeps the relative precision rel,
+so a term is known to its shift + rel and the sum to the least of these (on
+the ball, the argument's own).  The units multiply, so a raw vector is the
+exact term modulo p^K = pi^(eK), past rel, and the digits are the term-by-term
+loop's.  A dual argument takes the same path for its value and its
+derivative from the chain rule, exp(x)' = exp(x) x' and log(y)' = y'/y.
 """
 
 from __future__ import annotations
@@ -95,7 +91,8 @@ def p_exp(x: Evaluable) -> Evaluable:
     if x.is_zero:
         return PadicElement.one(x.field, x.abs_prec)
     T = _exp_truncation(x.shift, x.field.e, x.field.p, x.abs_prec)
-    return _sum_terms(x.field, _exp_terms(x, T))
+    first = (x.abs_prec, 0, (1,) + (0,) * (x.field.coeff_len - 1))
+    return _sum_terms(x.field, _terms(x, first, 1, T, x.rel_prec, lambda n: 1))
 
 
 def p_log(y: Evaluable) -> Evaluable:
@@ -110,39 +107,22 @@ def p_log(y: Evaluable) -> Evaluable:
     if t.is_zero:
         return PadicElement.zero(t.field, t.abs_prec)
     T = _log_truncation(t.shift, t.field.e, t.field.p, t.abs_prec)
-    return _sum_terms(t.field, _log_terms(t, T))
+    first = (t.abs_prec, t.shift, t.coeffs)
+    return _sum_terms(t.field, _terms(t, first, 2, T, t.rel_prec, lambda n: 1 - n))
 
 
-def _exp_terms(x: PadicElement, T: int):
-    """The (prec, shift, vec) terms of 1 + sum_{n<=T} x^n/n!.  As in the
-    loop term = term * x * (1/n), term n is term n-1 times x's unit and
-    1/n's unit, and keeps the relative precision min(target, x.rel_prec)."""
-    field, target = x.field, x.abs_prec
-    rel = min(target, x.rel_prec)
+def _terms(t: PadicElement, first: tuple, n0: int, T: int, rel: int, num: Callable[[int], int]):
+    """The (prec, shift, vec) terms of a series: the given first term, then
+    for n = n0..T term n = term n-1 * t * num(n)/n, each at relative
+    precision rel."""
+    field, (prec, shift, vec) = t.field, first
     mod = field.p ** (_ceil_div(rel, field.e) + 1)
-    vec, shift = (1,) + (0,) * (field.coeff_len - 1), 0
-    yield target, shift, vec
-    for n in range(1, T + 1):
-        k, unit = _rational_unit(field, 1, n, mod)
-        vec = [a * unit % mod for a in _vec_mul(field, vec, x.coeffs)]
-        shift += x.shift + k
+    yield prec, shift, vec
+    for n in range(n0, T + 1):
+        k, unit = _rational_unit(field, num(n), n, mod)
+        vec = [a * unit % mod for a in _vec_mul(field, vec, t.coeffs)]
+        shift += t.shift + k
         yield shift + rel, shift, vec
-
-
-def _log_terms(t: PadicElement, T: int):
-    """The (prec, shift, vec) terms of sum_{n<=T} (-1)^(n+1) t^n/n.  As in
-    the loop power = power * t; acc = acc + power * (+-1/n), the sign and
-    1/n scale each term apart from the running power, and every term keeps
-    t's relative precision."""
-    field, rel = t.field, t.rel_prec
-    mod = field.p ** (_ceil_div(rel, field.e) + 1)
-    power = t.coeffs
-    yield t.abs_prec, t.shift, power
-    for n in range(2, T + 1):
-        k, unit = _rational_unit(field, (-1) ** (n + 1), n, mod)
-        power = [a % mod for a in _vec_mul(field, power, t.coeffs)]
-        shift = n * t.shift + k
-        yield shift + rel, shift, [a * unit % mod for a in power]
 
 
 def dual_eval(f: Callable[[DualElement], DualElement], x: PadicElement) -> DualElement:

@@ -7,7 +7,8 @@ replaced: the brute-force rotundity check, the relation search that walks
 the whole height box, the Smith normal form that kept U and V as two more
 matrices beside the reduced one, the term-by-term Lambert, exp and log
 sums, the separate kernels for x +- y, x +- m and the unit of 1/n that
-field._sum_terms and field._rational_unit replaced, the Tate
+field._sum_terms and field._rational_unit replaced, the separate exp
+and log term generators that one term recurrence replaced, the Tate
 coefficients and dual product rule built one reduced operation at a time,
 the coefficient kernels written once per field kind, and the series sums,
 products and long division that added coefficients one PadicElement
@@ -34,7 +35,9 @@ from padic_tate.field import (
     _coerce,
     _make,
     _poly_inverse,
+    _rational_unit,
     _shift_vec,
+    _vec_mul,
     _vp,
 )
 from padic_tate.harness import _row_reduce
@@ -443,6 +446,38 @@ def log_stepwise(y, terms=None):
         power = power * t
         acc = acc + power * Fraction((-1) ** (n + 1), n)
     return acc.truncate(target)
+
+
+def exp_terms(x: PadicElement, T: int):
+    """The (prec, shift, vec) terms of 1 + sum_{n<=T} x^n/n!.  As in the
+    loop term = term * x * (1/n), term n is term n-1 times x's unit and
+    1/n's unit, and keeps the relative precision min(target, x.rel_prec)."""
+    field, target = x.field, x.abs_prec
+    rel = min(target, x.rel_prec)
+    mod = field.p ** (_ceil_div(rel, field.e) + 1)
+    vec, shift = (1,) + (0,) * (field.coeff_len - 1), 0
+    yield target, shift, vec
+    for n in range(1, T + 1):
+        k, unit = _rational_unit(field, 1, n, mod)
+        vec = [a * unit % mod for a in _vec_mul(field, vec, x.coeffs)]
+        shift += x.shift + k
+        yield shift + rel, shift, vec
+
+
+def log_terms(t: PadicElement, T: int):
+    """The (prec, shift, vec) terms of sum_{n<=T} (-1)^(n+1) t^n/n.  As in
+    the loop power = power * t; acc = acc + power * (+-1/n), the sign and
+    1/n scale each term apart from the running power, and every term keeps
+    t's relative precision."""
+    field, rel = t.field, t.rel_prec
+    mod = field.p ** (_ceil_div(rel, field.e) + 1)
+    power = t.coeffs
+    yield t.abs_prec, t.shift, power
+    for n in range(2, T + 1):
+        k, unit = _rational_unit(field, (-1) ** (n + 1), n, mod)
+        power = [a % mod for a in _vec_mul(field, power, t.coeffs)]
+        shift = n * t.shift + k
+        yield shift + rel, shift, [a * unit % mod for a in power]
 
 
 def j_from_q_expansion(q: Fraction, terms: int) -> Fraction:

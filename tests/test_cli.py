@@ -174,6 +174,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        ["rv", "--x", "5"],
+        ["balls", "same", "--C", "0", "--x", "5", "--y", "7"],
+        ["balls", "next", "--C", "0", "--x", "5"],
+    ], ids=["rv", "balls-same", "balls-next"])
+    def test_lambda_beyond_the_digit_limit_is_2(self, capsys, command):
+        # 10^5000 and 10^-5000 need 5001 digits; 1e100000000 is refused from
+        # its text, before Fraction builds 10^100000000
+        for lam in ("1e5000", "1e-5000", "1e100000000"):
+            start = time.perf_counter()
+            assert main(command + ["--lambda", lam]) == 2
+            assert time.perf_counter() - start < 1
+            assert capsys.readouterr().err == \
+                f"usage error: --lambda '{lam}' needs more than 4300 digits\n"
+        # 10^4299 has 4300 digits, and a zero mantissa is zero at any exponent
+        for lam in ("1e4299", "0e5000", "0e100000000"):
+            assert main(command + ["--lambda", lam]) != 2
+            capsys.readouterr()
+
     def test_prec_cap_is_inclusive(self, capsys):
         assert main(["exp", "--x", "0", "--prec", str(cli.MAX_PREC)]) == 0
         assert capsys.readouterr().out == f"op=exp  x=0  result=1 + O(pi^{cli.MAX_PREC})\n"
@@ -289,6 +308,15 @@ class TestFileFormats:
         rec = records(out)[0]
         assert [2, -1] in json.loads(rec["relations"])
         assert "false_positive_bound" in rec
+
+    def test_relations_false_positive_bound_past_the_float_range(self, capsys):
+        # a threshold 498 digits below zero puts 5^498 past the float range
+        for slack, bound in (("400", "1.394e+279"), ("500", "inf")):
+            code, out = run_cli(capsys, "relations", "search", "--z", "1+O(pi^2)",
+                                "--z", "5", "--height", "1", "--slack", slack,
+                                "--prec", "1000", "--format", "structured")
+            assert code == 0
+            assert records(out)[0]["false_positive_bound"] == bound
 
 
 class TestHarnessCommand:
@@ -503,6 +531,15 @@ GOLDEN = [
       "--y", "1+27+27*g^2", "--prec", "640"], "8e4d533a1a178ad3d2c3cfbf40761955fc6d7732193ef07d2b71917b327fc5ba"),
     (["log", "--p", "3", "--ext", "unramified:f=3",
       "--y", "1+3*g^2+O(pi^400)", "--prec", "640", "--format", "structured"], "11bf7275eb4e8997b1e08320382847f0468aa5b0197b305f7df6381a986e6e56"),
+    # exp and log at prec 2048, and over Q_3(pi^3=6), where log's term
+    # ratio -t(n-1)/n reaches the c^-w factor of the unit whenever p | n-1,
+    # recorded while exp and log drew their terms from two generators
+    (["exp", "--p", "5", "--x", "5", "--prec", "2048"], "7a62c0784bd60e3b34cc6161308bb0c88ecd3d261b3f6ec1820b9aeb8a79a635"),
+    (["log", "--p", "5", "--y", "6", "--prec", "2048"], "b5c9d02e7ca04245cf986608c62dffae056a22ecedc6381cab00708fef5f70f6"),
+    (["log", "--p", "3", "--ext", "eisenstein:e=3,c=2",
+      "--y", "1+pi^2", "--prec", "640"], "3c4c196b4c7442c9116823a6daa0286f2173c5033290a791c9d29feabafc16fc"),
+    (["exp", "--p", "3", "--ext", "eisenstein:e=3,c=2",
+      "--x", "pi^2", "--prec", "640"], "2bec4f480d5b77d8d7674ea2d53c0010329141736f01c333594740f0da6fc407"),
     # relation searches, recorded while the search walked the whole box: 255
     # hits in itertools.product order, and an unramified field
     (["relations", "search", "--z", "7", "--z", "11", "--z", "13", "--z", "2*7-3*11+13",

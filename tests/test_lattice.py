@@ -33,6 +33,7 @@ from padic_tate.lattice import (
     persistently_likely,
     quotient_dim,
     rank,
+    relation_false_positive_bound,
     relation_search,
     rotund_check,
     smith_normal_form,
@@ -455,6 +456,12 @@ class TestRelationSearch:
     def test_random_empty(self, Q5):
         zs = [random_unit(stream(79, "none", i), Q5, 60) for i in range(3)]
         assert relation_search(zs, 10) == []
+
+    def test_false_positive_bound_past_the_float_range_is_inf(self):
+        # 9 * 5^398 still fits a float; 5^498 alone does not
+        assert relation_false_positive_bound(2, 1, 5, 1, -398) == 9 * 5.0 ** 398
+        assert relation_false_positive_bound(2, 1, 5, 1, -498) == math.inf
+        assert relation_false_positive_bound(3, 10, 5, 1, 50) == 21.0 ** 3 * 5.0 ** -50
 
     def test_fields_must_match(self, Q5, Q3):
         # the congruence is solved on coefficient vectors, which are only

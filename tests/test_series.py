@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_tate import field as field_mod, tate as tate_mod
+from padic_tate import field as field_mod, series as series_mod, tate as tate_mod
 from padic_tate.dual import DualElement
 from padic_tate.errors import OutsideConvergenceDomain
 from padic_tate.field import PadicElement, _make, make_field
@@ -26,11 +26,13 @@ from oracles import (
     dual_mul_stepwise,
     exp_partial_sum,
     exp_stepwise,
+    exp_terms,
     from_fraction,
     legendre_sum,
     log_last_term,
     log_partial_sum,
     log_stepwise,
+    log_terms,
     x_coefficient_stepwise,
     y_coefficient_stepwise,
 )
@@ -453,6 +455,77 @@ class TestFusedSeries:
         calls.clear()
         built, _ = fractions_built(lambda: p_log(dy))
         assert (built, calls) == (0, {"_make": 3, "__mul__": 1})
+
+
+RECURRENCE_FIELDS = {
+    "Q2": make_field(2),
+    "Q3": make_field(3),
+    "Q5": make_field(5),
+    "Q7": make_field(7),
+    "Q3(pi^3=6)": make_field(3, "eisenstein", e=3, c=2),
+    "Q5(pi^2=15)": make_field(5, "eisenstein", e=2, c=3),
+    "Q5(pi^4=-5)": make_field(5, "eisenstein", e=4, c=-1),
+    "Q2(pi^2=6)": make_field(2, "eisenstein", e=2, c=3),
+    "Q4": make_field(2, "unramified", f=2),
+    "Q27": make_field(3, "unramified", f=3),
+}
+
+
+class TestOneTermRecurrence:
+    """p_exp and p_log draw their terms from one recurrence, term n = term
+    n-1 * t * num(n)/n.  Against the separate exp and log generators it
+    replaced (tests/oracles.py), every term has the same precision and
+    shift and a vector congruent modulo p^K, and the sums are identical."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The term lists p_exp and p_log pass to _sum_terms."""
+        terms = []
+
+        def recording(field, gen):
+            terms.append(list(gen))
+            return field_mod._sum_terms(field, iter(terms[-1]))
+        monkeypatch.setattr(series_mod, "_sum_terms", recording)
+        return terms
+
+    @staticmethod
+    def _check(field, got, want, rel):
+        mod = field.p ** (-(-rel // field.e) + 1)
+        assert len(got) == len(want)
+        for (gp, gs, gv), (wp, ws, wv) in zip(got, want):
+            assert (gp, gs) == (wp, ws)
+            assert [(a - b) % mod for a, b in zip(gv, wv)] == [0] * field.coeff_len
+        assert key(field_mod._sum_terms(field, iter(got))) == \
+            key(field_mod._sum_terms(field, iter(want)))
+
+    @pytest.mark.parametrize("name", sorted(RECURRENCE_FIELDS))
+    def test_terms_match_separate_generators(self, recorded, name):
+        # shifts from the ball's edge inwards, precisions 1..640, arguments
+        # known to the precision and truncated short of it; log of exp(x)
+        # and of 1 + t
+        field = RECURRENCE_FIELDS[name]
+        p, e = field.p, field.e
+        checked = 0
+        for prec in (1, 2, 3, 5, 9, 17, 40, 97, 160, 333, 640):
+            for i, shift in enumerate(range(_edge(field), min(_edge(field) + 3, prec))):
+                rng = stream(29, "recurrence", name, prec, i)
+                for rel in sorted({prec - shift, max(1, (prec - shift) // 3)}):
+                    x = random_element(rng, field, shift + rel, shift, shift)
+                    t = random_element(rng, field, shift + rel, shift, shift)
+                    recorded.clear()
+                    y = p_exp(x)
+                    T = _exp_truncation(shift, e, p, x.abs_prec)
+                    self._check(field, recorded[0], list(exp_terms(x, T)),
+                                min(x.abs_prec, x.rel_prec))
+                    for arg in (y, PadicElement.one(field, prec) + t):
+                        recorded.clear()
+                        p_log(arg)
+                        u = arg - 1
+                        if not u.is_zero:
+                            T = _log_truncation(u.shift, e, p, u.abs_prec)
+                            self._check(field, recorded[0], list(log_terms(u, T)), u.rel_prec)
+                    checked += 1
+        assert checked > 40
 
 
 def _grid(field):
