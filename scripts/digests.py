@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Digests of the harness reports, to check that a change keeps them byte-identical.
+"""Digests of the harness reports and the benchmark results, to check that a
+change keeps them byte-identical.
 
 Usage: python scripts/digests.py
 
@@ -7,8 +8,11 @@ Runs `padic-tate harness --suite all --format structured` of the checkout
 this script sits in, in a fresh interpreter per row, for each field
 configuration in CONFIGS at seeds 0 and 1, and prints one line per row:
 the configuration, the seed, the exit code and the SHA-256 of stdout.
-Run it in two checkouts and compare the outputs.  scripts/digests.txt holds
-the rows of this tree, which CI diffs against on each supported Python.
+Then, for each perfbench workload, it replays requests 0..MIN_REQUESTS-1 of
+`perfbench/run.py --seed 7` in this process, untimed, and prints the result
+digest that run.py reports.  Run it in two checkouts and compare the
+outputs.  scripts/digests.txt holds the rows of this tree, which CI diffs
+against on each supported Python.
 """
 
 import hashlib
@@ -17,7 +21,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PERFBENCH = ROOT / "perfbench"
 
 CONFIGS = (
     ("--p", "5"),
@@ -27,6 +33,9 @@ CONFIGS = (
     ("--p", "5", "--ext", "eisenstein:e=4,c=-1"),
 )
 SEEDS = (0, 1)
+# perfbench/run.py's WORKLOAD_NAMES, at the seed its recorded digests use
+WORKLOADS = ("tate", "hiprec", "short", "lattice")
+PERFBENCH_SEED = 7
 
 
 def row(config, seed: int) -> str:
@@ -41,10 +50,36 @@ def row(config, seed: int) -> str:
     return f"{' '.join(config)}  seed={seed}  exit={run.returncode}  sha256={sha}"
 
 
+def perfbench_row(workload: str, seed: int = PERFBENCH_SEED) -> str:
+    """The line of one workload: its requests 0..MIN_REQUESTS-1 made and
+    checked as perfbench/run.py makes them, with run.Tally's digest."""
+    for path in (str(PERFBENCH), str(SRC)):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import run
+    import workloads
+
+    wl = workloads.WORKLOADS[workload]
+    ctx = wl.setup()
+    tally, prev = run.Tally(wl, ctx), None
+    for i in range(run.MIN_REQUESTS):
+        inp = wl.gen(ctx, seed, i, prev)
+        out = err = None
+        try:
+            out = wl.run(ctx, inp)
+        except Exception as exc:
+            err = f"{type(exc).__name__}: {exc}"
+        tally.add(inp, out, err)
+        prev = inp, out
+    return f"perfbench {workload}  seed={seed}  sha256={tally.digest}"
+
+
 def main() -> int:
     for config in CONFIGS:
         for seed in SEEDS:
             print(row(config, seed), flush=True)
+    for workload in WORKLOADS:
+        print(perfbench_row(workload), flush=True)
     return 0
 
 

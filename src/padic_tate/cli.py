@@ -302,20 +302,24 @@ def _series_record(series: StrictSeries) -> dict:
 
 def _fraction_arg(text: str) -> Fraction:
     """--lambda as a Fraction, refused if its reduced numerator or denominator needs more
-    than _COUNT_DIGITS digits.  A decimal exponent E is applied last, as Fraction builds
-    10^E first: past |E| = _COUNT_DIGITS + len(text) any nonzero mantissa is there."""
+    than _COUNT_DIGITS digits, or its text has a longer run of digits, which int() refuses
+    in words that vary with the Python version.  A decimal exponent E is applied last, as
+    Fraction builds 10^E first: past |E| = _COUNT_DIGITS + len(text) any nonzero mantissa
+    is there."""
     exp = re.fullmatch(r"(.*[\d.])e([-+]?\d+(?:_\d+)*)\s*", text, re.I)
     try:
         value = Fraction(exp[1] + "e0") if exp else Fraction(text)
-    except ValueError:  # an invalid mantissa: the text's own message
-        value = Fraction(text)
+        shift = int(exp[2]) if exp and value else 0
+        if abs(shift) <= _COUNT_DIGITS + len(text):
+            value *= Fraction(10) ** shift
+            if max(abs(value.numerator), value.denominator) < _TOO_MANY_DIGITS:
+                return value
+    except ValueError:
+        runs = re.findall(r"\d+", text.replace("_", ""))
+        if max(map(len, runs), default=0) <= _COUNT_DIGITS:
+            Fraction(text)  # an invalid text raises with its own message
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
-    shift = int(exp[2]) if exp and value else 0
-    if abs(shift) <= _COUNT_DIGITS + len(text):
-        value *= Fraction(10) ** shift
-        if max(abs(value.numerator), value.denominator) < _TOO_MANY_DIGITS:
-            return value
     raise ValueError(f"--lambda {text!r} needs more than {_COUNT_DIGITS} digits")
 
 
@@ -382,7 +386,7 @@ def _tate_verify(prefixes, args, ctx):
     report = tate_suite(cfg, q_literal=args.q, trials=args.trials)
     shown = [rec for rec in report.records if rec.name.startswith(prefixes)]
     for rec in shown:
-        ctx.emit(name=rec.name, ok=rec.ok, residual_valuation=rec.measured.lstrip(">="),
+        ctx.emit(name=rec.name, ok=rec.ok, residual_valuation=rec.measured,
                  prec=cfg.prec)
     return 0 if all(rec.ok for rec in shown) else 1
 

@@ -10,7 +10,8 @@ degree d in the active variable runs the contraction
 
     q_{k+1} = PolyQuot_w(g - q_k * eps),   r_{k+1} = PolyRem_w(g - q_k * eps)
 
-where f = w + eps splits off the monic degree-d polynomial part w; each pass
+where f = w + eps splits off the monic degree-d polynomial part w.  It
+starts at q_1 = PolyQuot_w(g), which is exact when eps = 0, and each pass
 improves agreement by at least the Gauss valuation of eps.
 """
 
@@ -226,30 +227,27 @@ def _poly_divmod(g: StrictSeries, w: StrictSeries, active: int, d: int):
     return q_series, r_series
 
 
-def weierstrass_divide(g: StrictSeries, f: StrictSeries, active: int,
-                       initial: Optional[StrictSeries] = None):
+def weierstrass_divide(g: StrictSeries, f: StrictSeries, active: int):
     """Unique (q, r) with g = q*f + r mod pi^N and deg_active(r) <= d-1."""
-    cap, prec = g._compatible(f)
+    _, prec = g._compatible(f)
     split = _split_regular(f, active)
     if split is None:
         raise NotRegular("f is not regular in the active variable at this precision")
     d, w, eps = split
+    q, r = _poly_divmod(g, w, active, d)
     if eps.is_zero:
-        return _poly_divmod(g, w, active, d)
+        return q, r
     gamma = _gauss_shift(eps)
     assert gamma > 0
-    iterations = -(-prec // gamma) + 1
-    q = initial if initial is not None else StrictSeries.zero(g.nvars, g.field, cap, prec)
-    for k in range(iterations):
+    for k in range(1, -(-prec // gamma) + 1):
         q_next, r = _poly_divmod(g - q * eps, w, active, d)
-        if k:
-            gap = q_next - q
-            floor = min(prec, k * gamma)
-            if _gauss_shift(gap) < floor:
-                raise AssertionError(f"contraction too slow: {gauss_valuation(gap)} "
-                                     f"after {k} passes (need {floor} pi-digits)")
-            if gap.is_zero:
-                return q_next, r
+        gap = q_next - q
+        floor = min(prec, k * gamma)
+        if _gauss_shift(gap) < floor:
+            raise AssertionError(f"contraction too slow: {gauss_valuation(gap)} "
+                                 f"after {k} passes (need {floor} pi-digits)")
+        if gap.is_zero:
+            return q_next, r
         q = q_next
     return q, r
 

@@ -14,7 +14,8 @@ the coefficient kernels written once per field kind, and the series sums,
 products and long division that added coefficients one PadicElement
 operation at a time.  solve_division is the exact-rational Weierstrass
 division that the harness's oracle check ran before it compared with the
-planted (q, r).
+planted (q, r), and weierstrass_divide_from_zero the division whose
+contraction started at q_0 = 0.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from padic_tate.dual import DualElement
 from padic_tate.errors import (
     DegreeCapExceeded,
     InsufficientPrecision,
+    NotRegular,
     OutsideConvergenceDomain,
     SearchSpaceTooLarge,
     ZeroElement,
@@ -53,7 +55,14 @@ from padic_tate.lattice import (
     shape,
 )
 from padic_tate.series import _exp_truncation
-from padic_tate.weierstrass import Exponent, StrictSeries
+from padic_tate.weierstrass import (
+    Exponent,
+    StrictSeries,
+    _gauss_shift,
+    _poly_divmod,
+    _split_regular,
+    gauss_valuation,
+)
 
 
 def vp_int(n: int, p: int) -> int:
@@ -760,3 +769,31 @@ def poly_divmod_stepwise(g, w, active: int, d: int):
     q_series = StrictSeries.build(nvars, field, quot, g.degree_cap, g.coeff_prec)
     r_series = StrictSeries.build(nvars, field, rem, g.degree_cap, g.coeff_prec)
     return q_series, r_series
+
+
+def weierstrass_divide_from_zero(g, f, active: int, initial=None):
+    """weierstrass.weierstrass_divide as it was when the contraction started
+    at q_0 = 0, or at a given initial quotient, kept verbatim."""
+    cap, prec = g._compatible(f)
+    split = _split_regular(f, active)
+    if split is None:
+        raise NotRegular("f is not regular in the active variable at this precision")
+    d, w, eps = split
+    if eps.is_zero:
+        return _poly_divmod(g, w, active, d)
+    gamma = _gauss_shift(eps)
+    assert gamma > 0
+    iterations = -(-prec // gamma) + 1
+    q = initial if initial is not None else StrictSeries.zero(g.nvars, g.field, cap, prec)
+    for k in range(iterations):
+        q_next, r = _poly_divmod(g - q * eps, w, active, d)
+        if k:
+            gap = q_next - q
+            floor = min(prec, k * gamma)
+            if _gauss_shift(gap) < floor:
+                raise AssertionError(f"contraction too slow: {gauss_valuation(gap)} "
+                                     f"after {k} passes (need {floor} pi-digits)")
+            if gap.is_zero:
+                return q_next, r
+        q = q_next
+    return q, r

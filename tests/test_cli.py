@@ -66,6 +66,13 @@ class TestDispatch:
         assert out1 == out2
         assert sum(1 for r in records(out1) if r["name"].startswith("hom/")) == 4
 
+    def test_verify_prints_a_bound_with_its_sign(self, capsys):
+        # every hom/ agreement here is known only as a lower bound
+        code, out = run_cli(capsys, "tate", "verify-hom", "--q", "5^2", "--trials", "2",
+                            "--prec", "30", "--format", "structured")
+        assert code == 0
+        assert [r["residual_valuation"] for r in records(out)] == [">=28", ">=26"]
+
     def test_seed_env_override(self, capsys, monkeypatch):
         base = ("tate", "verify-ode", "--p", "5", "--q", "5^2", "--trials", "2",
                 "--prec", "40", "--format", "structured")
@@ -192,6 +199,26 @@ class TestExitCodes:
         for lam in ("1e4299", "0e5000", "0e100000000"):
             assert main(command + ["--lambda", lam]) != 2
             capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [
+        ["rv", "--x", "5"],
+        ["balls", "same", "--C", "0", "--x", "5", "--y", "7"],
+        ["balls", "next", "--C", "0", "--x", "5"],
+    ], ids=["rv", "balls-same", "balls-next"])
+    def test_digit_run_beyond_the_limit_names_the_flag(self, capsys, command):
+        # int() refuses these runs in words that vary with the Python version
+        for lam in ("1" * 5000, "1." + "0" * 4301, "1_" * 4300 + "1", "2/" + "3" * 4301,
+                    "1e" + "1" * 5000):
+            assert main(command + ["--lambda", lam]) == 2
+            assert capsys.readouterr().err == \
+                f"usage error: --lambda '{lam}' needs more than 4300 digits\n"
+        # 1.000...0 is 1 however many zeros it has; only the run's length is refused
+        assert main(command + ["--lambda", "1." + "0" * 4300]) != 2
+        capsys.readouterr()
+        for lam in ("1 e5", "x" + "1" * 4300):
+            assert main(command + ["--lambda", lam]) == 2
+            assert capsys.readouterr().err == \
+                f"usage error: Invalid literal for Fraction: '{lam}'\n"
 
     def test_prec_cap_is_inclusive(self, capsys):
         assert main(["exp", "--x", "0", "--prec", str(cli.MAX_PREC)]) == 0
@@ -458,8 +485,8 @@ GOLDEN = [
     (["tate", "map", "--q", "5^2", "--u", "7", "--prec", "20"], "8dec97edd9be014c346eea29197301540d00b99aa413bd06cf714e394cfc8fcb"),
     (["tate", "add", "--q", "5^2", "--prec", "20", "--x1", _P7_X, "--y1", _P7_Y,
       "--x2", _P7_X, "--y2", _P7_Y], "3bec6efcd8bf0b31736325bf37e7c1080867509fb1c7ee27422b0f1b9c4695d9"),
-    (["tate", "verify-hom", "--q", "5^2", "--trials", "2", "--prec", "30"], "3b513080e058a1bfba4adc1d4a5e0d21178f06a60ae7294fc262bb8d2683c4a0"),
-    (["tate", "verify-ode", "--p", "3", "--q", "3^2", "--trials", "1", "--seed", "4"], "b5d6ad5fdd1fd9fcd7cb2463fb968e30161e57b44858f8af910925e226276fc1"),
+    (["tate", "verify-hom", "--q", "5^2", "--trials", "2", "--prec", "30"], "a6b08d1815d48dc0b4c8a480998e2897e58887e693ae6f592bd7717de65cd51d"),
+    (["tate", "verify-ode", "--p", "3", "--q", "3^2", "--trials", "1", "--seed", "4"], "b9352bb506858d3b1ec40ef47eefd1b6d856d407e8b455b92bb5505bc933cb8a"),
     (["wdiv", "--g", "@G", "--f", "@F", "--prec", "12", "--format", "structured"], "7adab264455ad716795343fc0a856a58bc94334869f2cc518735f52c9974a7ef"),
     (["balls", "next", "--C", "0,1", "--lambda", "0", "--x", "5"], "c41a8c63288c2a5a6fa61cf838a978ce88c954f37c94b39b16c7aae643c77913"),
     (["balls", "same", "--C", "0", "--x", "5", "--y", "30"], "e343bec1c389311cc3235da94d3d09a2fc6fce215554c05dc08bca55c5d6ec87"),
@@ -824,13 +851,18 @@ class TestDimensionBound:
         assert elapsed < 1.0 and peak < 10 ** 6
 
 
+def load_digests():
+    spec = importlib.util.spec_from_file_location("digests", ROOT / "scripts" / "digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    return digests
+
+
 class TestDigestScript:
     def test_cheap_row_matches_in_process_run(self, capsys, monkeypatch):
         # scripts/digests.py runs the harness in a child interpreter; its row
         # for --p 2 at seed 0 matches the same run made here
-        spec = importlib.util.spec_from_file_location("digests", ROOT / "scripts" / "digests.py")
-        digests = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(digests)
+        digests = load_digests()
         config = ("--p", "2")
         assert config in digests.CONFIGS and 0 in digests.SEEDS
         monkeypatch.delenv("PADIC_TATE_SEED", raising=False)
@@ -838,3 +870,13 @@ class TestDigestScript:
                             *config, "--seed", "0")
         sha = hashlib.sha256(out.encode()).hexdigest()
         assert digests.row(config, 0) == f"--p 2  seed=0  exit={code}  sha256={sha}"
+
+    def test_perfbench_row_is_recorded(self, monkeypatch):
+        # the short workload divides series and parses --lambda in the CLI;
+        # the replay puts perfbench/ on sys.path, which is restored after
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        digests = load_digests()
+        row = digests.perfbench_row("short")
+        assert row in (ROOT / "scripts" / "digests.txt").read_text().splitlines()
+        import run
+        assert digests.WORKLOADS == run.WORKLOAD_NAMES

@@ -155,3 +155,30 @@ class TestWeierstrassOracle:
         records = weierstrass_suite(cfg, instances=0).records
         assert [r.name for r in records] == [f"oracle/{i}" for i in range(5)]
         assert all(not r.ok and r.measured == "mismatch" for r in records)
+
+
+class TestWeierstrassUniqueness:
+    """unique/{i} divides g + f by f and expects (q + 1, r): a division that
+    ignores its dividend fails every one of them."""
+
+    @pytest.mark.parametrize("p, ext", [(5, "base"), (2, "base"),
+                                        (3, "unramified:f=2"), (5, "eisenstein:e=2,c=1")])
+    def test_a_division_that_ignores_g_fails_every_record(self, monkeypatch, p, ext):
+        cfg = RunConfig(p=p, ext=ext, seed=0)
+        divide = harness.weierstrass_divide
+        first = {}
+
+        def first_answer(g, f, active):
+            if id(f) not in first:      # f is kept, so its id is not reused
+                first[id(f)] = f, divide(g, f, active)
+            return first[id(f)][1]
+
+        def unique(records):
+            return [r for r in records if r.name.startswith("unique/")]
+
+        assert all(r.ok for r in unique(weierstrass_suite(cfg, oracle_instances=0).records))
+        monkeypatch.setattr(harness, "weierstrass_divide", first_answer)
+        records = weierstrass_suite(cfg, oracle_instances=0).records
+        assert len(unique(records)) == 50
+        assert not any(r.ok for r in unique(records))
+        assert all(r.ok for r in records if not r.name.startswith("unique/"))

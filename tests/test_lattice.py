@@ -504,6 +504,12 @@ class TestMultDependence:
         us = [random_unit(stream(97, "u", i), Q5, 60) for i in range(2)]
         assert mult_dependence_mod_kernel(q, us, 5) == []
 
+    def test_odd_powers_miss_the_valuation_of_q(self, Q5):
+        # v(5^m) = m is a multiple of v(25) = 2 only for even m
+        q = PadicElement.from_int(Q5, 25, 60)
+        five = PadicElement.from_int(Q5, 5, 60)
+        assert mult_dependence_mod_kernel(q, [five], 3) == [((2,), 1)]
+
 
 @given(st.lists(st.lists(st.integers(min_value=-50, max_value=50),
                          min_size=3, max_size=3), min_size=2, max_size=5))

@@ -183,6 +183,16 @@ class TestDual:
         want = PadicElement.one(Q5, 12) - xi * xi
         assert r.deriv.is_indistinguishable(want)
 
+    def test_integer_powers(self, Q5):
+        x = PadicElement.from_int(Q5, 7, 12)
+        cube = DualElement.seed(x) ** 3             # (x^3)' = 3 x^2
+        assert cube.value.is_indistinguishable(PadicElement.from_int(Q5, 343, 12))
+        assert cube.deriv.is_indistinguishable(PadicElement.from_int(Q5, 3 * 49, 12))
+        inv_sq = DualElement.seed(x) ** -2          # (x^-2)' = -2 x^-3
+        xi = x.invert()
+        assert inv_sq.value.is_indistinguishable(xi * xi)
+        assert inv_sq.deriv.is_indistinguishable(xi * xi * xi * -2)
+
     @pytest.mark.parametrize("op", [operator.truediv, operator.sub], ids=["div", "sub"])
     def test_unsupported_left_operand(self, Q5, op):
         x = PadicElement.from_int(Q5, 7, 12)

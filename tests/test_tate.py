@@ -596,6 +596,15 @@ class TestGroupLaw:
             right = curve_add(curve25, pts[0], curve_add(curve25, pts[1], pts[2]))
             assert point_difference_valuation(left, right).at_least(Fraction(28))
 
+    def test_difference_with_the_identity(self, curve25, Q5):
+        O = TatePoint.identity()
+        agreement = point_difference_valuation(O, O)
+        assert agreement.at_least(Fraction(10 ** 9)) and not agreement.is_exact
+        P = phi(curve25, PadicElement.from_int(Q5, 7, 40))
+        for pair in ((P, O), (O, P)):
+            with pytest.raises(ValueError, match="affine point with the identity"):
+                point_difference_valuation(*pair)
+
     def test_doubling_branch(self, curve25, Q5):
         P = phi(curve25, PadicElement.from_int(Q5, 7, 40))
         doubled = curve_add(curve25, P, P)

@@ -9,6 +9,7 @@ from oracles import (
     series_mul,
     series_sub,
     solve_division,
+    weierstrass_divide_from_zero,
 )
 from padic_tate.cli import main
 from padic_tate.errors import (
@@ -18,11 +19,13 @@ from padic_tate.errors import (
     NotRegular,
 )
 from padic_tate.field import PadicElement, ValuationResult, make_field
+from padic_tate.harness import _random_series_instance
 from padic_tate.parsing import parse_element
 from padic_tate.prng import random_element, stream
 from padic_tate.weierstrass import (
     StrictSeries,
     _poly_divmod,
+    _split_regular,
     gauss_valuation,
     regular_degree,
     weierstrass_divide,
@@ -285,3 +288,66 @@ class TestOneSumPerMonomial:
         q, r = weierstrass_divide(g, f, 2)
         assert calls[0] == 1
         assert not q.is_zero and not r.is_zero
+
+
+ONE_START_FIELDS = [
+    make_field(5),
+    make_field(2),
+    make_field(3, "unramified", f=2),
+    make_field(5, "eisenstein", e=2, c=1),
+]
+
+
+def _outcome(g, f, active, divide):
+    """What a division claims of q and r, caps included, or the error it raised."""
+    try:
+        q, r = divide(g, f, active)
+    except Exception as exc:
+        return type(exc).__name__
+    return [(s.degree_cap, digits(s)) for s in (q, r)]
+
+
+def _recap(s: StrictSeries, cap: int) -> StrictSeries:
+    return StrictSeries.build(s.nvars, s.field, s.coeffs, cap, s.coeff_prec)
+
+
+def _padic_division(rng, field, nvars, active):
+    """(g, f) with random digits, some known to fewer of them, and an eps of
+    Gauss valuation 2 or 3.  A mixed eps monomial of active degree d makes
+    q a geometric series, so the contraction runs up to prec/gamma passes."""
+    prec, d = rng.choice((6, 10)), rng.randint(1, 3)
+    eps = {}
+    for _ in range(rng.randint(1, 2)):
+        expo = [0] * nvars
+        expo[active] = rng.randint(0, d)
+        expo[rng.randrange(nvars)] += 1
+        eps[tuple(expo)] = random_element(rng, field, prec, 2, 3)
+    f = _monic(rng, field, nvars, active, d, prec) + StrictSeries.build(nvars, field, eps, 8, prec)
+    return _random_series(rng, field, nvars, prec, 3), f
+
+
+class TestOneStart:
+    """The contraction that starts at the polynomial division of g returns,
+    caps and precisions included, what the one that started at q_0 = 0 did."""
+
+    @pytest.mark.parametrize("k", range(len(ONE_START_FIELDS)))
+    def test_matches_the_zero_start(self, k):
+        field = ONE_START_FIELDS[k]
+        kinds = {"perturbed": 0, "eps=0": 0, "mixed caps": 0, "p-adic": 0}
+        for i in range(40):
+            rng = stream(23, "one-start", k, i)
+            nvars = rng.randint(1, 3)
+            active = nvars - 1
+            f, g, _ = _random_series_instance(rng, field, nvars, 20, 8)
+            w = _split_regular(f, active)[1]
+            g_cap, f_cap = rng.choice(((6, 12), (12, 6), (8, 10), (10, 8)))
+            cases = {"perturbed": (g, f), "eps=0": (g, w),
+                     "mixed caps": (_recap(g, g_cap), rng.choice((_recap(f, f_cap),
+                                                                  _recap(w, f_cap)))),
+                     "p-adic": _padic_division(rng, field, nvars, active)}
+            for kind, (a, b) in cases.items():
+                mine = _outcome(a, b, active, weierstrass_divide)
+                assert mine == _outcome(a, b, active, weierstrass_divide_from_zero), (k, i, kind)
+                kinds[kind] += not isinstance(mine, str)
+        assert min(kinds.values()) >= 30, kinds
+
