@@ -17,12 +17,12 @@ given a precision of its own.  Each rule is written once: every sum or
 difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
 is one aligned _sum_terms, reduced once, and _product_term and
 _rational_unit give a product's term and a rational's unit, to the series
-layer too.  _int_combination reduces sum k_i * x_i + m (ints k_i and m)
-once, for the Tate-series coefficients.  The coefficient kernels read
-(p, e, f, c, F), never the kind.  They keep two fast paths, as Q_p at
-moderate precision ran a third slower without them: a length-1 vector
-(no loop over entries) and pi = p (a shift is one power of p).
-All values are immutable and all operations are pure functions.
+layer too, and _scaled_term an int times a raw term.  _int_combination
+reduces sum k_i * x_i (ints k_i) once, for the relation search.  The
+coefficient kernels read (p, e, f, c, F), never the kind.  They keep two
+fast paths, as Q_p at moderate precision ran a third slower without them:
+a length-1 vector (no loop over entries) and pi = p (a shift is one power
+of p).  All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -791,36 +791,34 @@ def _product_term(c: Union[int, PadicElement], w: PadicElement) -> tuple:
     """c * w as a (prec, shift, vec) term of _sum_terms, vec the raw product.
 
     As __mul__ and _scale_rational give it, the product of two elements is
-    known to min(c.abs_prec + w.shift, w.abs_prec + c.shift), and an int
-    c != 0 keeps w's relative precision, to w.abs_prec + e*v_p(c) (c = 0
-    gives a zero known to w.abs_prec).
+    known to min(c.abs_prec + w.shift, w.abs_prec + c.shift); an int c is
+    _scaled_term's.
     """
     if isinstance(c, int):
-        if not c:
-            return w.abs_prec, w.shift, None
-        vec = [c * x for x in w.coeffs]
-        return w.abs_prec + w.field.e * _vp(c, w.field.p), w.shift, vec or None
+        return _scaled_term(w.field, c, (w.abs_prec, w.shift, w.coeffs))
     vec = _vec_mul(w.field, c.coeffs, w.coeffs) if c.coeffs and w.coeffs else None
     return min(c.abs_prec + w.shift, w.abs_prec + c.shift), c.shift + w.shift, vec
 
 
-def _int_combination(pairs, const: int) -> PadicElement:
-    """sum k * x over the (k, x) pairs, plus const, with one _make.
+def _scaled_term(field: FieldDescriptor, k: int, term: tuple) -> tuple:
+    """k * term for an int k and a raw (prec, shift, vec) term.  An int k != 0
+    keeps the term's relative precision, so the product is known to
+    prec + e*v_p(k); k = 0 gives a zero known to prec."""
+    prec, shift, vec = term
+    if not k:
+        return prec, shift, None
+    return prec + field.e * _vp(k, field.p), shift, [k * x for x in vec] if vec else None
 
-    The ks and const are ints and the xs elements of one field.  The sum is
-    one _sum_terms of the _product_term(k, x) terms and const as the raw
-    vector (const, 0, ..., 0) at shift 0, known to the least term precision:
-    the precision and digits that the same expression gets when each k * x,
-    sum and int operand is reduced on its own.
-    """
+
+def _int_combination(pairs) -> PadicElement:
+    """sum k * x over the (k, x) pairs (ints k, elements x of one field) as
+    one _sum_terms of the _product_term(k, x) terms, with one _make: the
+    precision and digits the same expression gets when each k * x and sum
+    is reduced on its own."""
     first = pairs[0][1]
     for _, x in pairs:
         first._check_same_field(x)
-    terms = [_product_term(k, x) for k, x in pairs]
-    cap = min(prec for prec, _, _ in terms)
-    if const:
-        terms.append((cap, 0, (const,) + (0,) * (first.field.coeff_len - 1)))
-    return _sum_terms(first.field, terms, cap)
+    return _sum_terms(first.field, [_product_term(k, x) for k, x in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -460,7 +460,7 @@ def relation_search(z: Sequence[PadicElement], height: int,
             m_vec = others[:j] + (m_j,) + others[j:]
             if not _primitive_signed(m_vec):
                 continue
-            if _int_combination(list(zip(m_vec, z)), 0).shift >= threshold:
+            if _int_combination(list(zip(m_vec, z))).shift >= threshold:
                 found.append(m_vec)
     found.sort()
     return found

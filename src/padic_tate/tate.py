@@ -5,10 +5,10 @@ working precision and valuations count pi-digits.  The modular coefficients
 use c_m = m^k for s_k(q) and the exact integer c_m = -(5m^3 + 7m^5)/12 for
 a6, so that p = 2 and p = 3 lose no precision.  A sum with integer c_m is
 the power series sum_n (sum_{d|n} c_d) q^n, which needs no inversion, so
-curve_coefficients builds no weight.  The point sums go through the kernel
-``_lambert``; their weights q^m / (1 - q^m) depend only on the curve, so
-each TateCurve keeps those computed so far and extends them on demand, up to
-the largest term count any of its sums has asked for; each weight costs one
+curve_coefficients builds no weight.  The point sums need the weights
+w_m = q^m / (1 - q^m), which depend only on the curve, so each TateCurve
+keeps those computed so far and _weights extends them on demand, up to the
+largest term count any point has asked for; each weight costs one
 inversion, once per curve.  All these sums stop after ceil(N / v(q)) terms.
 
 A sum is reduced once, not once per term: the raw products c_m * w_m (or
@@ -19,16 +19,33 @@ each term is exact modulo its own precision, the digits are those of the
 term-by-term sum.  For a dual argument the values and the derivatives are
 two such sums, and only the values are capped at N (the zero a sum starts
 from is a constant, with no derivative), so X' is known to the least
-precision among its own terms.  Each coefficient c_m of X and Y below,
-a u^m + b u^-m + c with integers a, b, c, is reduced once too, by
-field._int_combination, with the precision and digits of the
-operation-by-operation expression; for a dual u its value and its
-derivative (without c) are one call each.
+precision among its own terms.
 
-Points are produced by the map u -> (X(q,u), Y(q,u)) with
+Points are produced by the map u -> (X(q,u), Y(q,u)) (Silverman, Advanced
+Topics in the Arithmetic of Elliptic Curves, V.3) with
 
     X = u/(1-u)^2 + sum_m m (u^m + u^-m - 2) q^m / (1 - q^m)
     Y = u^2/(1-u)^3 + sum_m ((m-1)m/2 u^m - m(m+1)/2 u^-m + m) q^m / (1 - q^m)
+
+With S_m = u^m + u^-m the coefficients are X_m = m (S_m - 2) and
+Y_m = m^2 u^m - m(m+1)/2 S_m + m.  S_m is reduced once per m, the raw
+products S_m w_m and u^m w_m are made once each, and X and Y are each one
+_sum_terms of int multiples of them (field._scaled_term), the values with
+-2m w_m and m w_m too.  Each term, a product and then an int multiple, is
+exact modulo its own precision, so the sums are sound, and no digit or
+precision differs from the sums of separately reduced coefficients
+(tests/oracles.py):
+- X' = sum_m m S'_m w_m, S'_m reduced first: the terms of the coefficient
+  form, whose m-th term of X' is the reduced m S'_m times w_m.  Summing
+  m (u^m)' w_m + m (u^-m)' w_m instead loses digits of X' at a dual u known
+  beyond N with v(u) = 0 and u^2 = 1 mod pi: there m^2 (u^(m-1) - u^(-m-1))
+  cancels, and only a reduced S'_m keeps that cancellation in its shift.
+- Any other change of bracketing splits a reduced coefficient into parts,
+  which lowers a term's bound w_m.abs + shift only where parts tie at the
+  least shift.  Only the S_m part can have a negative shift, so ties sit at
+  shift >= 0 and the bound stays >= N + (m-1) v(q).  The values are capped
+  at N, and the m = 1 terms of Y' have one precision, at most N, in both
+  forms.
 
 Every q^(km) piece of the m-th summand has valuation at least
 km (v(q) - v(u)), so m <= ceil(N / (v(q) - v(u))) terms reach precision N;
@@ -64,8 +81,8 @@ from .errors import (
 from .field import (
     PadicElement,
     ValuationResult,
-    _int_combination,
     _product_term,
+    _scaled_term,
     _sum_terms,
 )
 
@@ -126,38 +143,21 @@ def _require_positive_valuation(q: PadicElement) -> int:
     return q.shift
 
 
-def _lambert(q: PadicElement, weights: list, coeff: Callable[[int], Evaluable],
-             terms: int, target: int) -> Evaluable:
-    """sum_{m=1..terms} coeff(m) q^m / (1 - q^m), known at most to pi^target.
-
-    weights holds q^m / (1 - q^m) for m = 1, 2, ... at this (q, target); it is
+def _weights(q: PadicElement, weights: list, terms: int, target: int) -> list:
+    """weights, holding q^m / (1 - q^m) for m = 1, 2, ... at this (q, target),
     extended in place to ``terms`` entries, each weight computed once.  The
     new entries go in by one slice assignment, so a concurrent extension of
-    the same list rewrites equal values at the same places.  The coefficients
-    are built and their fields checked before any weight is computed.  A
-    dual sum is two sums, of values and of derivatives, and only the values
-    are capped at target: a constant summand leaves a derivative as it is.
-    """
-    coeffs = [coeff(m) for m in range(1, terms + 1)]
-    dual = bool(coeffs) and isinstance(coeffs[0], DualElement)
-    parts = ([c.value for c in coeffs], [c.deriv for c in coeffs]) if dual else (coeffs,)
-    for part in parts:
-        for c in part:
-            if isinstance(c, PadicElement):
-                c._check_same_field(q)
+    the same list rewrites equal values at the same places."""
     start = len(weights)
     if terms > start:
-        one = PadicElement.one(q.field, target + q.shift)
-        qm = one
+        qm = one = PadicElement.one(q.field, target + q.shift)
         tail = []
         for m in range(1, terms + 1):
             qm = qm * q
             if m > start:
                 tail.append(qm / (one - qm))
         weights[start:terms] = tail
-    sums = [_sum_terms(q.field, map(_product_term, part, weights), cap)
-            for part, cap in zip(parts, (target, None))]
-    return DualElement(*sums) if dual else sums[0]
+    return weights
 
 
 def _divisor_sum_series(q: PadicElement, coeff: Callable[[int], int]) -> PadicElement:
@@ -218,26 +218,20 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     return u_red, n
 
 
-def _laurent(up: Evaluable, un: Evaluable, a: int, b: int, c: int) -> Evaluable:
-    """a * up + b * un + c, for ints a, b, c, by one field._int_combination.
-
-    For dual up and un the value and the derivative are one call each, and
-    c, a constant, is left out of the derivative.
-    """
-    if isinstance(up, DualElement):
-        return DualElement(_int_combination(((a, up.value), (b, un.value)), c),
-                           _int_combination(((a, up.deriv), (b, un.deriv)), 0))
-    return _int_combination(((a, up), (b, un)), c)
-
-
-def _x_coefficient(up: Evaluable, un: Evaluable, m: int) -> Evaluable:
-    """m (u^m + u^-m - 2), the m-th coefficient of X, from up = u^m and un = u^-m."""
-    return _laurent(up, un, m, m, -2 * m)
-
-
-def _y_coefficient(up: Evaluable, un: Evaluable, m: int) -> Evaluable:
-    """(m-1)m/2 u^m - m(m+1)/2 u^-m + m, the m-th coefficient of Y."""
-    return _laurent(up, un, (m - 1) * m // 2, -(m * (m + 1) // 2), m)
+def _point_sums(field, upow: list, spow: list, weights: list, cap: Optional[int]):
+    """sum_m m S_m w_m and sum_m (m^2 u^m - m(m+1)/2 S_m) w_m, one _sum_terms
+    each, for upow = [u, u^2, ...] and spow = [S_1, S_2, ...] (or their
+    derivatives).  With a cap, the values: -2m w_m and m w_m are added too."""
+    xs, ys = [], []
+    for m, (um, sm, w) in enumerate(zip(upow, spow, weights), 1):
+        st = _product_term(sm, w)
+        xs.append(_scaled_term(field, m, st))
+        ys += (_scaled_term(field, m * m, _product_term(um, w)),
+               _scaled_term(field, -(m * (m + 1) // 2), st))
+        if cap is not None:
+            xs.append(_product_term(-2 * m, w))
+            ys.append(_product_term(m, w))
+    return _sum_terms(field, xs, cap), _sum_terms(field, ys, cap)
 
 
 def tate_series_point(curve: TateCurve, u: Evaluable,
@@ -256,22 +250,27 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
     omu_val = _value_part(one_minus_u)
     if omu_val.is_zero:
         raise OnKernel("u is indistinguishable from 1 at this precision")
-    w = omu_val.shift
-    if 3 * w > target - slack:
+    if 3 * omu_val.shift > target - slack:
         raise InsufficientPrecision(
             f"principal part at v(1-u) = {omu_val.valuation()} exhausts the budget")
     inv_omu = one_minus_u.invert()
     dmax = -(-target // (sq - su))
-    u_inv = u.invert()
-    upow = [None, u]
-    unegpow = [None, u_inv]
-    for m in range(2, dmax + 1):
+    un = u_inv = u.invert()
+    upow, spow = [u], [u + u_inv]
+    for _ in range(dmax - 1):
         upow.append(upow[-1] * u)
-        unegpow.append(unegpow[-1] * u_inv)
-    x = _lambert(q, curve.weights, lambda m: _x_coefficient(upow[m], unegpow[m], m),
-                 dmax, target)
-    y = _lambert(q, curve.weights, lambda m: _y_coefficient(upow[m], unegpow[m], m),
-                 dmax, target)
+        un = un * u_inv
+        spow.append(upow[-1] + un)
+    uval._check_same_field(q)
+    weights = _weights(q, curve.weights, dmax, target)
+    if isinstance(u, DualElement):
+        xv, yv = _point_sums(q.field, [a.value for a in upow], [s.value for s in spow],
+                             weights, target)
+        xd, yd = _point_sums(q.field, [a.deriv for a in upow], [s.deriv for s in spow],
+                             weights, None)
+        x, y = DualElement(xv, xd), DualElement(yv, yd)
+    else:
+        x, y = _point_sums(q.field, upow, spow, weights, target)
     return u * inv_omu * inv_omu + x, u * u * inv_omu * inv_omu * inv_omu + y
 
 

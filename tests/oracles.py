@@ -10,6 +10,7 @@ sums, the separate kernels for x +- y, x +- m and the unit of 1/n that
 field._sum_terms and field._rational_unit replaced, the separate exp
 and log term generators that one term recurrence replaced, the Tate
 coefficients and dual product rule built one reduced operation at a time,
+the Tate series point summed over those coefficients,
 the coefficient kernels written once per field kind, and the series sums,
 products and long division that added coefficients one PadicElement
 operation at a time.  solve_division is the exact-rational Weierstrass
@@ -18,15 +19,20 @@ planted (q, r), and weierstrass_divide_from_zero the division whose
 contraction started at q_0 = 0.
 """
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from padic_tate.dual import DualElement
+from padic_tate.dual import DualElement, _value_part
 from padic_tate.errors import (
     DegreeCapExceeded,
+    DomainError,
+    ImpreciseValuation,
     InsufficientPrecision,
     NotRegular,
+    OnKernel,
     OutsideConvergenceDomain,
     SearchSpaceTooLarge,
     ZeroElement,
@@ -407,6 +413,54 @@ def lambert_stepwise(q: PadicElement, weights: list, coeff, terms: int, target: 
     for m in range(1, terms + 1):
         acc = coeff(m) * weights[m - 1] + acc
     return acc
+
+
+def point_sums_stepwise(field, upow, spow, weights, cap):
+    """tate._point_sums term by term: each product, int multiple and sum
+    reduced, from a zero known to pi^cap (cap None: from the first term)."""
+    xs, ys = [], []
+    for m, (um, sm, w) in enumerate(zip(upow, spow, weights), 1):
+        xs.append((sm * w) * m)
+        ys += [(um * w) * (m * m), (sm * w) * -(m * (m + 1) // 2)]
+        if cap is not None:
+            xs.append(w * (-2 * m))
+            ys.append(w * m)
+    start = [] if cap is None else [PadicElement.zero(field, cap)]
+    return tuple(functools.reduce(operator.add, start + terms) for terms in (xs, ys))
+
+
+def series_point_stepwise(curve, u, slack: int):
+    """tate.tate_series_point as it was when each coefficient of X and Y was
+    one reduced element: the same checks, the same powers of u, and X and Y
+    by x_coefficient_stepwise, y_coefficient_stepwise and lambert_stepwise."""
+    q = curve.q
+    sq = q.shift
+    uval = _value_part(u)
+    if uval.is_zero:
+        raise ImpreciseValuation("u has no exact valuation")
+    su = uval.shift
+    if not 0 <= su < sq:
+        raise DomainError("u must be reduced to the fundamental domain first")
+    target = curve.prec
+    one_minus_u = -(u - 1)
+    omu_val = _value_part(one_minus_u)
+    if omu_val.is_zero:
+        raise OnKernel("u is indistinguishable from 1 at this precision")
+    if 3 * omu_val.shift > target - slack:
+        raise InsufficientPrecision("principal part exhausts the budget")
+    inv_omu = one_minus_u.invert()
+    dmax = -(-target // (sq - su))
+    u_inv = u.invert()
+    upow = [None, u]
+    unegpow = [None, u_inv]
+    for m in range(2, dmax + 1):
+        upow.append(upow[-1] * u)
+        unegpow.append(unegpow[-1] * u_inv)
+    x = lambert_stepwise(q, curve.weights, lambda m: x_coefficient_stepwise(upow, unegpow, m),
+                         dmax, target)
+    y = lambert_stepwise(q, curve.weights, lambda m: y_coefficient_stepwise(upow, unegpow, m),
+                         dmax, target)
+    return u * inv_omu * inv_omu + x, u * u * inv_omu * inv_omu * inv_omu + y
 
 
 def exp_stepwise(x):

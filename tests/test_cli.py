@@ -591,6 +591,15 @@ GOLDEN = [
       "--p", "2"], "54e2aae3bf28f4f080865e4117bb90db324b110e02974e189893a7097a7a0da0"),
     (["harness", "--suite", "weierstrass", "--format", "structured",
       "--p", "5", "--ext", "eisenstein:e=2,c=1"], "5100d8bb440a3442f03b90891d9a11d70c0e68e5f1b9665b57dcb84ca1b8ef56"),
+    # point series beyond prec 40 and over extension fields, recorded while
+    # each coefficient of X and Y was reduced on its own
+    (["tate", "verify-ode", "--p", "5", "--q", "5^2", "--trials", "1",
+      "--prec", "1024"], "3fd704cf84c0d8540a8358afcdd28133b0aa524139a694aafd0242e26f635c17"),
+    (["tate", "map", "--q", "5^2", "--u", "7", "--prec", "2048"], "b66c5f1f3c3d7bb52bf87259c4dbf5e07a25c0b086b901bbfdc3855f796b67fb"),
+    (["tate", "map", "--p", "3", "--ext", "unramified:f=2", "--q", "3^3", "--u", "3*g+1",
+      "--prec", "400"], "463c2047e480ecf670b4e375b4f898ea647bb1b42cc1090d53bee77873fff913"),
+    (["tate", "verify-ode", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--q", "pi^3",
+      "--trials", "2", "--prec", "200"], "adef50ccae1e95c263e642e2c22baec8529173693874ea8eb9b3da857823575e"),
 ]
 
 

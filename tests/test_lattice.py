@@ -648,9 +648,9 @@ class TestRelationConfirmations:
         count = [0]
         combine = lattice._int_combination
 
-        def counting(pairs, const):
+        def counting(pairs):
             count[0] += 1
-            return combine(pairs, const)
+            return combine(pairs)
 
         def counted(z, height, slack=10):
             count[0] = 0

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_tate import field as field_mod, series as series_mod, tate as tate_mod
+from padic_tate import field as field_mod, series as series_mod
 from padic_tate.dual import DualElement
-from padic_tate.errors import OutsideConvergenceDomain
+from padic_tate.errors import OutsideConvergenceDomain, PadicError
 from padic_tate.field import PadicElement, _make, make_field
 from padic_tate.prng import random_element, stream
 from padic_tate.series import (
@@ -18,6 +18,7 @@ from padic_tate.series import (
     p_exp,
     p_log,
 )
+from padic_tate.tate import curve_coefficients, tate_series_point
 
 from oracles import (
     _add_int,
@@ -33,8 +34,7 @@ from oracles import (
     log_partial_sum,
     log_stepwise,
     log_terms,
-    x_coefficient_stepwise,
-    y_coefficient_stepwise,
+    series_point_stepwise,
 )
 from strategies import elements, int_operands
 
@@ -602,15 +602,13 @@ def dkey(x):
     return (key(x.value), key(x.deriv)) if isinstance(x, DualElement) else key(x)
 
 
-def _powers(u, count):
-    """[None, u, ..., u^count] and [None, u^-1, ..., u^-count], built as
-    tate_series_point builds them."""
-    inv = u.invert()
-    upow, unegpow = [None, u], [None, inv]
-    for _ in range(count - 1):
-        upow.append(upow[-1] * u)
-        unegpow.append(unegpow[-1] * inv)
-    return upow, unegpow
+def outcome(call):
+    """dkey of each coordinate that call() returns, or the type of the
+    library error it raises."""
+    try:
+        return tuple(map(dkey, call()))
+    except PadicError as exc:
+        return type(exc)
 
 
 def _duals(grid):
@@ -621,47 +619,50 @@ def _duals(grid):
 
 
 class TestFusedCoefficients:
-    """The m-th coefficients of X and Y, each part one
-    field._int_combination, and the derivative of a dual product, one
+    """The terms of the Tate point sums, an int times the raw product of two
+    elements (field._scaled_term), and the derivative of a dual product, one
     _sum_terms, agree in shift, coefficients and precision with the same
-    expressions reduced one operation at a time (tests/oracles.py)."""
+    expressions reduced one operation at a time (tests/oracles.py); so does
+    a series point near the kernel with its coefficients reduced each."""
 
     @staticmethod
-    def _check(upow, unegpow, m):
-        for fused, stepwise in ((tate_mod._x_coefficient, x_coefficient_stepwise),
-                                (tate_mod._y_coefficient, y_coefficient_stepwise)):
-            assert dkey(fused(upow[m], unegpow[m], m)) == dkey(stepwise(upow, unegpow, m))
+    def _check(s, w, m):
+        # m S_m w_m, a term of X and X', and -m(m+1)/2 S_m w_m, one of Y
+        field = w.field
+        for k in (m, -(m * (m + 1) // 2)):
+            term = field_mod._scaled_term(field, k, field_mod._product_term(s, w))
+            assert key(field_mod._sum_terms(field, [term])) == key((s * w) * k) \
+                == key((s * k) * w)
 
     @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
     def test_powers_of_u_near_one(self, name):
         # u = 1 + pi^k v: m (u^m + u^-m - 2) = m (u^m - 1)^2 / u^m has
         # valuation at least 2k, above its parts'; at prec 3 it is an
-        # imprecise zero.  m runs past p^2, so m = 1 and p | m both occur.
+        # imprecise zero.  v(q) = 1, so m runs to prec, past p^2 at prec
+        # 40, and m = 1 and p | m both occur; u is also known 30 digits
+        # beyond the curve.
         field = SERIES_FIELDS[name]
-        count = max(field.p ** 2, 8) + 1
         for k in (1, 2, 5):
             for prec in (3, 12, 40):
-                v = random_element(stream(19, "coefficient", name, k, prec), field, prec, 0, 0)
-                u = v * PadicElement.uniformizer(field, prec, k) + 1
-                for arg in (u, DualElement.seed(u)):
-                    upow, unegpow = _powers(arg, count)
-                    for m in range(1, count + 1):
-                        self._check(upow, unegpow, m)
-                upow, unegpow = _powers(u, count)
-                assert all(tate_mod._x_coefficient(upow[m], unegpow[m], m).shift
-                           >= min(2 * k, prec) for m in range(1, count + 1))
+                v = random_element(stream(19, "coefficient", name, k, prec), field, prec + 30, 0, 0)
+                q = PadicElement.uniformizer(field, prec)
+                for extra in (0, 30):
+                    u = (v * PadicElement.uniformizer(field, prec + extra, k) + 1).truncate(prec + extra)
+                    for arg in (u, DualElement.seed(u)):
+                        got = outcome(lambda: tate_series_point(curve_coefficients(q), arg, 0))
+                        want = outcome(lambda: series_point_stepwise(curve_coefficients(q), arg, 0))
+                        assert got == want, (k, prec, extra)
 
     @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
     def test_grid_matches_stepwise(self, name):
-        # any pair of parts, imprecise zeros and abs_prec <= 0 included
+        # any pair of factors, imprecise zeros and abs_prec <= 0 included
         field = SERIES_FIELDS[name]
         grid = _grid(field)
         p = field.p
-        for parts in (grid, _duals(grid)):
-            for up in parts:
-                for un in parts[::7]:
-                    for m in (1, 2, p, p + 1, p * p):
-                        self._check({m: up}, {m: un}, m)
+        for s in grid:
+            for w in grid[::7]:
+                for m in (1, 2, p, p + 1, p * p):
+                    self._check(s, w, m)
 
     @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
     def test_dual_product_grid_matches_stepwise(self, name):
@@ -678,8 +679,7 @@ class TestFusedCoefficients:
     @settings(max_examples=300, deadline=None)
     def test_drawn_matches_stepwise(self, data, name, m):
         field = SERIES_FIELDS[name]
-        up, un, dup, dun = (data.draw(elements(field)) for _ in range(4))
-        self._check({m: up}, {m: un}, m)
-        a, b = DualElement(up, dup), DualElement(un, dun)
-        self._check({m: a}, {m: b}, m)
+        x, w, dx, dw = (data.draw(elements(field)) for _ in range(4))
+        self._check(x, w, m)
+        a, b = DualElement(x, dx), DualElement(w, dw)
         assert dkey(a * b) == dkey(dual_mul_stepwise(a, b))

@@ -1,19 +1,20 @@
 import sys
 import threading
 from fractions import Fraction
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from padic_tate import field as field_mod, tate as tate_mod
 from padic_tate.dual import DualElement
 from padic_tate.errors import (
     FieldMismatch,
+    ImpreciseValuation,
     InsufficientPrecision,
     NonpositiveValuation,
     OnKernel,
     PadicError,
+    ZeroElement,
 )
 from padic_tate.field import PadicElement, make_field
 from padic_tate.prng import random_unit, stream
@@ -23,6 +24,7 @@ from padic_tate.tate import (
     curve_add,
     curve_coefficients,
     curve_discriminant,
+    curve_equation_residual,
     curve_neg,
     j_invariant,
     phi,
@@ -35,8 +37,16 @@ from padic_tate.tate import (
     verify_ode,
 )
 
-from oracles import from_fraction, j_from_q_expansion, lambert_stepwise, s_k_partial_sum, tate_xy
-from strategies import FIELDS, elements, int_operands, units
+from oracles import (
+    from_fraction,
+    j_from_q_expansion,
+    lambert_stepwise,
+    point_sums_stepwise,
+    s_k_partial_sum,
+    series_point_stepwise,
+    tate_xy,
+)
+from strategies import FIELDS, elements, units
 
 
 @pytest.fixture(scope="module")
@@ -200,18 +210,17 @@ class TestLambertWeights:
         # a second extension of the same list lands while the first is still
         # computing, as with two threads sharing one curve
         q = PadicElement.from_int(Q5, 25, 40)
-        want = []
-        tate_mod._lambert(q, want, lambda m: 1, 40, 40)
+        want = tate_mod._weights(q, [], 40, 40)
         weights, div, started = [], PadicElement.__truediv__, []
 
         def interleaving_div(self, other):
             if not started:
                 started.append(True)
-                tate_mod._lambert(q, weights, lambda m: 1, 20, 40)
+                tate_mod._weights(q, weights, 20, 40)
             return div(self, other)
 
         monkeypatch.setattr(PadicElement, "__truediv__", interleaving_div)
-        tate_mod._lambert(q, weights, lambda m: 1, 40, 40)
+        tate_mod._weights(q, weights, 40, 40)
         assert weights == want
 
     @pytest.mark.parametrize("order", [(7, 50), (50, 7)], ids=["v0-first", "v2-first"])
@@ -267,35 +276,35 @@ class TestFusedLambert:
     """Each Lambert sum is reduced once, and agrees with the term-by-term sum
     (tests/oracles.py) in shift, coefficients and precision."""
 
-    @given(data=st.data(), inputs=tate_inputs(),
-           kind=st.sampled_from(["element", "dual", "int"]), drawn=st.booleans())
+    @given(data=st.data(), inputs=tate_inputs(), capped=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_matches_stepwise(self, data, inputs, kind, drawn):
-        # drawn: weights of any shift and precision, zeros included, in place
-        # of the curve's, so that a term and not the target sets the precision
+    def test_matches_stepwise(self, data, inputs, capped):
+        # the point sums over drawn u^m, S_m and weights of any shift and
+        # precision, zeros included, so that a term and not the cap sets the
+        # precision; the weights extend a drawn prefix as the curve's do
         q, terms, target = inputs
+        assume(terms or capped)
         field = q.field
-        if kind == "int":
-            coeffs = [data.draw(int_operands(field.p)) for _ in range(terms)]
-        else:
-            coeffs = [data.draw(elements(field, -6, 4)) for _ in range(terms)]
-            if kind == "dual":
-                coeffs = [DualElement(c, data.draw(elements(field, -6, 4))) for c in coeffs]
-        weights = [data.draw(elements(field, 0, 6)) for _ in range(terms)] if drawn else []
-        w_fused, w_step = list(weights), list(weights)
-        got = tate_mod._lambert(q, w_fused, lambda m: coeffs[m - 1], terms, target)
-        want = lambert_stepwise(q, w_step, lambda m: coeffs[m - 1], terms, target)
-        assert key(got) == key(want) and w_fused == w_step
+        upow, spow = ([data.draw(elements(field, -6, 4)) for _ in range(terms)]
+                      for _ in range(2))
+        prefix = [data.draw(elements(field, 0, 6))
+                  for _ in range(data.draw(st.integers(0, terms)))]
+        w_fused = tate_mod._weights(q, list(prefix), terms, target)
+        w_step = list(prefix)
+        lambert_stepwise(q, w_step, lambda m: 0, terms, target)
+        assert w_fused == w_step
+        cap = target if capped else None
+        got = tate_mod._point_sums(field, upow, spow, w_fused, cap)
+        want = point_sums_stepwise(field, upow, spow, w_step, cap)
+        assert tuple(map(key, got)) == tuple(map(key, want))
 
     @pytest.mark.parametrize("dual", [False, True], ids=["element", "dual"])
     def test_other_field_raises_before_weights(self, Q5, dual):
-        q = PadicElement.from_int(Q5, 25, 40)
+        curve = curve_coefficients(PadicElement.from_int(Q5, 25, 40))
         alien = PadicElement.from_int(make_field(7), 3, 40)
-        coeff = DualElement.seed(alien) if dual else alien
-        weights = []
         with pytest.raises(FieldMismatch):
-            tate_mod._lambert(q, weights, lambda m: coeff, 20, 40)
-        assert weights == []
+            tate_series_point(curve, DualElement.seed(alien) if dual else alien)
+        assert curve.weights == []
 
     @given(data=st.data(), inputs=tate_inputs(), near_one=st.booleans(),
            dual=st.booleans())
@@ -324,9 +333,7 @@ class TestFusedLambert:
         want = {"curve": (key((stepwise(lambda m: m ** 3) * (-5)).truncate(N)),
                           key(stepwise(lambda m: -a6_coefficient(m)))),
                 "s_k": key(stepwise(lambda m: m ** 5))}
-        with mock.patch.object(tate_mod, "_lambert", lambert_stepwise):
-            curve = curve_coefficients(q)
-            want["point"] = outcome(lambda: tate_series_point(curve, u, slack))
+        want["point"] = outcome(lambda: series_point_stepwise(curve_coefficients(q), u, slack))
         got = {"curve": outcome(lambda: a4_a6(q)),
                "s_k": outcome(lambda: s_k(q, 5))}
         got["point"] = outcome(lambda: tate_series_point(curve_coefficients(q), u, slack))
@@ -385,9 +392,64 @@ class TestFusedLambert:
         assert count[0] == 0
 
 
+# the fields of the seeded point differential
+POINT_FIELDS = {
+    "Q2": make_field(2),
+    "Q3": make_field(3),
+    "Q5": make_field(5),
+    "Q7": make_field(7),
+    "Q5(pi^2=5)": make_field(5, "eisenstein", e=2, c=1),
+    "Q5(pi^4=-5)": make_field(5, "eisenstein", e=4, c=-1),
+    "Q3(pi^3=6)": make_field(3, "eisenstein", e=3, c=2),
+    "Q9": make_field(3, "unramified", f=2),
+    "Q8": make_field(2, "unramified", f=3),
+}
+
+
+def point_cases(name):
+    """(q, u) pairs over one field: v(q) = 1..3, u at each valuation
+    0..v(q)-1 and u = c + pi^k v for c = 1, -1, 2, 3 (near the kernel for
+    c = 1, and u^2 = 1 mod pi for c = -1), u known 3 digits short of q up to
+    30 beyond it."""
+    field = POINT_FIELDS[name]
+    rng = stream(31, "series-point", name)
+    for sq in (1, 2, 3):
+        N = rng.randint(6, 18)
+        q = random_unit(rng, field, N) * PadicElement.uniformizer(field, N + sq, sq)
+        for extra in (-3, 0, 5, 30):
+            prec = N + sq + extra
+            us = [random_unit(rng, field, prec) * PadicElement.uniformizer(field, prec, su)
+                  for su in range(sq)]
+            for c in (1, -1, 2, 3):
+                k = rng.randint(1, max(1, N // 3))
+                us.append(random_unit(rng, field, prec) * PadicElement.uniformizer(field, prec, k) + c)
+            for u in us:
+                yield q, u
+
+
+class TestSeriesPointDifferential:
+    """tate_series_point agrees with the sums of separately reduced
+    coefficients (tests/oracles.py) in the shift, coefficients and precision
+    of X, Y, X' and Y', or raises the same error."""
+
+    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
+    def test_matches_coefficient_form(self, name):
+        curves = {}
+        for i, (q, u) in enumerate(point_cases(name)):
+            if q not in curves:
+                curves[q] = (curve_coefficients(q), curve_coefficients(q))
+            curve, oracle_curve = curves[q]
+            slack = (0, 3, 10)[i % 3]
+            for arg in (u, DualElement.seed(u)):
+                got = outcome(lambda: tate_series_point(curve, arg, slack))
+                want = outcome(lambda: series_point_stepwise(oracle_curve, arg, slack))
+                assert got == want, (q, u, slack)
+        assert all(c.weights == o.weights for c, o in curves.values())
+
+
 class TestCoefficientMakes:
-    """Every _make call of a series point and of a dual product: each part
-    of a coefficient and the derivative of a dual product are reduced once."""
+    """Every _make call of a series point and of a dual product: each S_m
+    and the derivative of a dual product are reduced once."""
 
     @pytest.fixture
     def makes(self, monkeypatch):
@@ -407,17 +469,21 @@ class TestCoefficientMakes:
 
     def test_series_point(self, makes, curve25, Q5):
         # a fresh curve holds no weight: u = 7 (v(u) = 0) needs 20, which
-        # its plain call builds (60 of its 149 _make calls), and u = 35
+        # its plain call builds (60 of its 129 _make calls), and u = 35
         # (v(u) = 1) needs 40, and its plain call builds the other 20 (80 of
-        # its 249), so the order below is part of the count
+        # its 209), so the order below is part of the count.  The rest are
+        # the powers of u and u^-1, one S_m = u^m + u^-m per term, one sum
+        # for each of X and Y and the principal parts; a dual reduces its
+        # value and its derivative, two for each product, S_m and sum
         curve = curve_coefficients(curve25.q)
         counts = []
         for n in (7, 35):
             u = PadicElement.from_int(Q5, n, 40)
             counts += [makes(lambda: tate_series_point(curve, u)),
                        makes(lambda: tate_series_point(curve, DualElement.seed(u)))]
-        # with a _make per operation in each coefficient: 189, 309, 329, 589
-        assert counts == [149, 181, 249, 341]
+        # with a _make per coefficient part: 149, 181, 249, 341; per
+        # operation in each coefficient: 189, 309, 329, 589
+        assert counts == [129, 141, 209, 261]
 
     def test_dual_product(self, makes, Q5):
         a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
@@ -526,9 +592,7 @@ class TestDualMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        fresh = []
-        tate_mod._lambert(q, fresh, lambda m: 1, len(shared.weights), q.abs_prec)
-        assert shared.weights == fresh
+        assert shared.weights == tate_mod._weights(q, [], len(shared.weights), q.abs_prec)
 
     def test_eq_hash_repr_unchanged(self, curve, Q5):
         fresh = curve_coefficients(curve.q)
@@ -564,6 +628,43 @@ class TestPhi:
         assert p40.x.is_indistinguishable(p80.x.truncate(p40.x.abs_prec))
         assert p40.y.is_indistinguishable(p80.y.truncate(p40.y.abs_prec))
         assert p40.prec >= 40 - 10
+
+
+class TestGuards:
+    """Display, imprecise-zero guards and identity shortcuts."""
+
+    def test_point_str_and_prec(self, curve25, Q5):
+        P = phi(curve25, PadicElement.from_int(Q5, 7, 40))
+        assert str(P) == f"({P.x}, {P.y})"
+        assert str(TatePoint.identity()) == "identity"
+        assert TatePoint.identity().prec is None
+
+    def test_imprecise_zero_u(self, curve25, Q5):
+        zero = PadicElement.zero(Q5, 40)
+        with pytest.raises(ZeroElement):
+            phi(curve25, zero)
+        with pytest.raises(ImpreciseValuation):
+            tate_series_point(curve25, zero)
+        with pytest.raises(ImpreciseValuation):
+            reduce_to_fundamental(curve25.q, zero)
+
+    def test_imprecise_zero_q_and_k_zero(self, curve25, Q5):
+        with pytest.raises(NonpositiveValuation, match="q is an imprecise zero"):
+            curve_coefficients(PadicElement.zero(Q5, 40))
+        with pytest.raises(ValueError):
+            s_k(curve25.q, 0)
+
+    def test_identity_skips_on_curve_check(self, monkeypatch, curve25, Q5):
+        with pytest.raises(ValueError):
+            curve_equation_residual(curve25, TatePoint.identity())
+
+        def no_residual(*args):
+            raise AssertionError("on-curve check ran")
+        monkeypatch.setattr(tate_mod, "_equation_residual", no_residual)
+        O = TatePoint.identity()
+        off = TatePoint.affine(PadicElement.one(Q5, 40), PadicElement.one(Q5, 40))
+        assert curve_neg(curve25, O) == O and curve_add(curve25, O, O) == O
+        assert curve_add(curve25, O, off) == off and curve_add(curve25, off, O) == off
 
 
 class TestGroupLaw:

@@ -52,6 +52,11 @@ class TestSeriesBasics:
         z = StrictSeries.zero(2, Q5, 8, 9)
         assert gauss_valuation(z) == ValuationResult("at_least", Fraction(9))
 
+    def test_str(self, Q5):
+        assert str(StrictSeries.zero(2, Q5, 8, 10)) == "0 + O(pi^10)"
+        f = build(Q5, 2, {(1, 0): 3, (0, 2): 1}, prec=10)
+        assert str(f) == "(1 + O(pi^10))*x2^2 + (3 + O(pi^10))*x1"
+
     def test_valuation_ring_enforced(self, Q5):
         with pytest.raises(CoefficientOutsideValuationRing):
             build(Q5, 1, {(0,): Fraction(1, 5)})
