@@ -36,18 +36,34 @@ SEEDS = (0, 1)
 # perfbench/run.py's WORKLOAD_NAMES, at the seed its recorded digests use
 WORKLOADS = ("tate", "hiprec", "short", "lattice")
 PERFBENCH_SEED = 7
+# exp and log at the --prec cap, where the series terms dominate
+CLI_ROWS = (
+    ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
+    ("log", "--p", "5", "--y", "6", "--prec", "4096"),
+)
+
+
+def _run_cli(*args: str) -> tuple[int, str]:
+    """The exit code and stdout SHA-256 of one CLI call, made in a child
+    interpreter that imports this checkout's src/ and sees no PADIC_TATE_SEED."""
+    env = {k: v for k, v in os.environ.items() if k != "PADIC_TATE_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-m", "padic_tate.cli", *args], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return run.returncode, hashlib.sha256(run.stdout).hexdigest()
 
 
 def row(config, seed: int) -> str:
-    """The line of one harness run, made in a child interpreter that imports
-    this checkout's src/ and sees no PADIC_TATE_SEED."""
-    env = {k: v for k, v in os.environ.items() if k != "PADIC_TATE_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    argv = [sys.executable, "-m", "padic_tate.cli", "harness", "--suite", "all",
-            "--format", "structured", *config, "--seed", str(seed)]
-    run = subprocess.run(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    sha = hashlib.sha256(run.stdout).hexdigest()
-    return f"{' '.join(config)}  seed={seed}  exit={run.returncode}  sha256={sha}"
+    """The line of one harness run."""
+    code, sha = _run_cli("harness", "--suite", "all", "--format", "structured",
+                         *config, "--seed", str(seed))
+    return f"{' '.join(config)}  seed={seed}  exit={code}  sha256={sha}"
+
+
+def cli_row(argv) -> str:
+    """The line of one CLI call."""
+    code, sha = _run_cli(*argv)
+    return f"{' '.join(argv)}  exit={code}  sha256={sha}"
 
 
 def perfbench_row(workload: str, seed: int = PERFBENCH_SEED) -> str:
@@ -80,6 +96,8 @@ def main() -> int:
             print(row(config, seed), flush=True)
     for workload in WORKLOADS:
         print(perfbench_row(workload), flush=True)
+    for argv in CLI_ROWS:
+        print(cli_row(argv), flush=True)
     return 0
 
 

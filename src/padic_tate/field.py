@@ -15,9 +15,10 @@ An int or Fraction operand is exact: x + m, x - m and m - x keep x's
 abs_prec, and x * m and m / x keep x's relative precision; no operand is
 given a precision of its own.  Each rule is written once: every sum or
 difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
-is one aligned _sum_terms, reduced once, and _product_term and
-_rational_unit give a product's term and a rational's unit, to the series
-layer too, and _scaled_term an int times a raw term.  _int_combination
+is one aligned _sum_terms, reduced once, and _product_term gives a
+product's term, to the series layer too, _rational_unit a rational's unit
+(from _split_rational, whose p^w * a/b the series layer also reads), and
+_scaled_term an int times a raw term.  _int_combination
 reduces sum k_i * x_i (ints k_i) once, for the relation search.  The
 coefficient kernels read (p, e, f, c, F), never the kind.  They keep two
 fast paths, as Q_p at moderate precision ran a third slower without them:
@@ -350,6 +351,19 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _split_rational(p: int, num: int, den: int) -> tuple[int, int, int]:
+    """(w, a, b) with num/den = p^w * a/b and a, b prime to p; num and den
+    are nonzero."""
+    w = 0
+    while num % p == 0:
+        num //= p
+        w += 1
+    while den % p == 0:
+        den //= p
+        w -= 1
+    return w, num, den
+
+
 def _rational_unit(field: FieldDescriptor, num: int, den: int, mod: int) -> tuple[int, int]:
     """(k, u) with num/den = pi^k * u and the unit u reduced modulo mod.
 
@@ -357,13 +371,7 @@ def _rational_unit(field: FieldDescriptor, num: int, den: int, mod: int) -> tupl
     pi^e = c*p, so k = e*w and u = a/b * c^-w.  num and den are nonzero; an
     int (den = 1) inverts nothing.
     """
-    p, w = field.p, 0
-    while num % p == 0:
-        num //= p
-        w += 1
-    while den % p == 0:
-        den //= p
-        w -= 1
+    w, num, den = _split_rational(field.p, num, den)
     unit = num % mod if den == 1 else num * pow(den, -1, mod) % mod
     if w:
         unit = unit * pow(field.eis_unit, -w, mod) % mod

@@ -8,14 +8,23 @@ for v = v(y-1) in pi-units.  A precision shortfall raises instead of degrading.
 
 Both series run one recurrence, term n = term n-1 * t * num(n)/n: exp from 1
 with t = x and num(n) = 1, log from t = y - 1 with num(n) = 1 - n.  A term is
-a raw vector modulo p^K, K = ceil(rel/e) + 1, at a shift; num(n)/n gives its
-unit and shift by field._rational_unit, and field._sum_terms adds the terms
-at one shift with one _make.  Every step keeps the relative precision rel,
-so a term is known to its shift + rel and the sum to the least of these (on
-the ball, the argument's own).  The units multiply, so a raw vector is the
-exact term modulo p^K = pi^(eK), past rel, and the digits are the term-by-term
-loop's.  A dual argument takes the same path for its value and its
-derivative from the chain rule, exp(x)' = exp(x) x' and log(y)' = y'/y.
+a raw vector modulo M = p^K, K = ceil(rel/e) + 1, at a shift, and
+field._sum_terms adds the terms at one shift with one _make.  With num(n)/n =
+p^w * a/b, a and b prime to p (field._split_rational), and p^w =
+pi^(e*w) * c^-w as pi^e = c*p, a term adds e*w to the shift and takes each
+entry x of the product to x * a modulo M, divides that exactly by the small
+integer b, and, only for w != 0 and c != 1, multiplies by c^-w modulo M.
+The division forms no inverse modulo M: with y = -x/M modulo b, x + y*M is a
+multiple of b in [0, b*M), so its quotient by b is the residue of x/b in
+[0, M).  So each entry is the residue in [0, M) of x times the unit
+a/b * c^-w, the one that multiplying by that unit reduced modulo M gives,
+with small-integer steps in place of a K-digit product.  Every step keeps
+the relative precision rel, so a term is known to its shift + rel and the
+sum to the least of these (on the ball, the argument's own).  The units
+multiply, so a raw vector is the exact term modulo p^K = pi^(eK), past rel,
+and the digits are the term-by-term loop's.  A dual argument takes the same
+path for its value and its derivative from the chain rule, exp(x)' =
+exp(x) x' and log(y)' = y'/y.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Callable, Union
 
 from .dual import DualElement
 from .errors import OutsideConvergenceDomain
-from .field import PadicElement, _ceil_div, _rational_unit, _sum_terms, _vec_mul
+from .field import PadicElement, _ceil_div, _split_rational, _sum_terms, _vec_mul
 
 Evaluable = Union[PadicElement, DualElement]
 
@@ -114,14 +123,22 @@ def p_log(y: Evaluable) -> Evaluable:
 def _terms(t: PadicElement, first: tuple, n0: int, T: int, rel: int, num: Callable[[int], int]):
     """The (prec, shift, vec) terms of a series: the given first term, then
     for n = n0..T term n = term n-1 * t * num(n)/n, each at relative
-    precision rel."""
+    precision rel; c^-w is taken once per w."""
     field, (prec, shift, vec) = t.field, first
     mod = field.p ** (_ceil_div(rel, field.e) + 1)
+    c, cpow = field.eis_unit, {}
     yield prec, shift, vec
     for n in range(n0, T + 1):
-        k, unit = _rational_unit(field, num(n), n, mod)
-        vec = [a * unit % mod for a in _vec_mul(field, vec, t.coeffs)]
-        shift += t.shift + k
+        w, a, b = _split_rational(field.p, num(n), n)
+        vec = [x * a % mod for x in _vec_mul(field, vec, t.coeffs)]
+        if b != 1:
+            r = pow(mod, -1, b)
+            vec = [(x + (-x * r) % b * mod) // b for x in vec]
+        if w and c != 1:
+            if w not in cpow:
+                cpow[w] = pow(c, -w, mod)
+            vec = [x * cpow[w] % mod for x in vec]
+        shift += t.shift + field.e * w
         yield shift + rel, shift, vec
 
 

@@ -331,12 +331,8 @@ def curve_add(curve: TateCurve, P: TatePoint, Q: TatePoint,
         if not (y2 - y1).is_zero:
             raise PrecisionCollapse(
                 "x-coordinates agree to precision but y-coordinates conflict")
-        den = y1 + y1 + x1
-        num = x1 * x1 * 3 + curve.a4 - y1
-        if den.is_zero:
-            raise PrecisionCollapse(
-                "doubling denominator 2y + x is indistinguishable from zero")
-        lam = num / den
+        # 2y1 + x1 = (y2 + y1 + x1) - (y2 - y1) is not zero, as the first is not
+        lam = (x1 * x1 * 3 + curve.a4 - y1) / (y1 + y1 + x1)
     x3 = lam * lam + lam - x1 - x2
     y3 = lam * (x1 - x3) - y1 - x3
     return TatePoint.affine(x3, y3)

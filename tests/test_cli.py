@@ -567,6 +567,11 @@ GOLDEN = [
       "--y", "1+pi^2", "--prec", "640"], "3c4c196b4c7442c9116823a6daa0286f2173c5033290a791c9d29feabafc16fc"),
     (["exp", "--p", "3", "--ext", "eisenstein:e=3,c=2",
       "--x", "pi^2", "--prec", "640"], "2bec4f480d5b77d8d7674ea2d53c0010329141736f01c333594740f0da6fc407"),
+    # log over Q_3(pi^3=6) at prec 900, where num(n)/n = 3^w a/b has |w| up
+    # to 5 and so meets c^-w at ten w, recorded while each term multiplied
+    # by the K-digit unit of num(n)/n
+    (["log", "--p", "3", "--ext", "eisenstein:e=3,c=2",
+      "--y", "1+pi^2", "--prec", "900"], "25ad7766ee8f90c4a9b03d980bab8014fd59d052a3f659aabc632922a6e801a7"),
     # relation searches, recorded while the search walked the whole box: 255
     # hits in itertools.product order, and an unramified field
     (["relations", "search", "--z", "7", "--z", "11", "--z", "13", "--z", "2*7-3*11+13",
@@ -879,6 +884,12 @@ class TestDigestScript:
                             *config, "--seed", "0")
         sha = hashlib.sha256(out.encode()).hexdigest()
         assert digests.row(config, 0) == f"--p 2  seed=0  exit={code}  sha256={sha}"
+
+    def test_cli_rows_are_recorded(self):
+        # exp and log at the --prec cap, each in a child interpreter
+        digests = load_digests()
+        recorded = (ROOT / "scripts" / "digests.txt").read_text().splitlines()
+        assert {digests.cli_row(argv) for argv in digests.CLI_ROWS} <= set(recorded)
 
     def test_perfbench_row_is_recorded(self, monkeypatch):
         # the short workload divides series and parses --lambda in the CLI;

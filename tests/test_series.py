@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from padic_tate import field as field_mod, series as series_mod
 from padic_tate.dual import DualElement
 from padic_tate.errors import OutsideConvergenceDomain, PadicError
-from padic_tate.field import PadicElement, _make, make_field
+from padic_tate.field import PadicElement, _make, _vp, make_field
 from padic_tate.prng import random_element, stream
 from padic_tate.series import (
     _exp_truncation,
@@ -484,8 +484,8 @@ RECURRENCE_FIELDS = {
 class TestOneTermRecurrence:
     """p_exp and p_log draw their terms from one recurrence, term n = term
     n-1 * t * num(n)/n.  Against the separate exp and log generators it
-    replaced (tests/oracles.py), every term has the same precision and
-    shift and a vector congruent modulo p^K, and the sums are identical."""
+    replaced (tests/oracles.py), every term has the same precision, shift
+    and vector, both reduced modulo p^K, and the sums are identical."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -499,24 +499,23 @@ class TestOneTermRecurrence:
         return terms
 
     @staticmethod
-    def _check(field, got, want, rel):
-        mod = field.p ** (-(-rel // field.e) + 1)
-        assert len(got) == len(want)
-        for (gp, gs, gv), (wp, ws, wv) in zip(got, want):
-            assert (gp, gs) == (wp, ws)
-            assert [(a - b) % mod for a, b in zip(gv, wv)] == [0] * field.coeff_len
+    def _check(field, got, want):
+        assert [(gp, gs, list(gv)) for gp, gs, gv in got] == \
+            [(wp, ws, list(wv)) for wp, ws, wv in want]
         assert key(field_mod._sum_terms(field, iter(got))) == \
             key(field_mod._sum_terms(field, iter(want)))
 
     @pytest.mark.parametrize("name", sorted(RECURRENCE_FIELDS))
     def test_terms_match_separate_generators(self, recorded, name):
-        # shifts from the ball's edge inwards, precisions 1..640, arguments
+        # shifts from the ball's edge inwards, precisions 1..640 (and 2048 on
+        # Q2 and Q3(pi^3=6), where num(n)/n = p^w a/b has |w| >= 5), arguments
         # known to the precision and truncated short of it; log of exp(x)
         # and of 1 + t
         field = RECURRENCE_FIELDS[name]
         p, e = field.p, field.e
         checked = 0
-        for prec in (1, 2, 3, 5, 9, 17, 40, 97, 160, 333, 640):
+        precs = (1, 2, 3, 5, 9, 17, 40, 97, 160, 333, 640)
+        for prec in precs + ((2048,) if name in ("Q2", "Q3(pi^3=6)") else ()):
             for i, shift in enumerate(range(_edge(field), min(_edge(field) + 3, prec))):
                 rng = stream(29, "recurrence", name, prec, i)
                 for rel in sorted({prec - shift, max(1, (prec - shift) // 3)}):
@@ -525,17 +524,53 @@ class TestOneTermRecurrence:
                     recorded.clear()
                     y = p_exp(x)
                     T = _exp_truncation(shift, e, p, x.abs_prec)
-                    self._check(field, recorded[0], list(exp_terms(x, T)),
-                                min(x.abs_prec, x.rel_prec))
+                    self._check(field, recorded[0], list(exp_terms(x, T)))
                     for arg in (y, PadicElement.one(field, prec) + t):
                         recorded.clear()
                         p_log(arg)
                         u = arg - 1
                         if not u.is_zero:
                             T = _log_truncation(u.shift, e, p, u.abs_prec)
-                            self._check(field, recorded[0], list(log_terms(u, T)), u.rel_prec)
+                            self._check(field, recorded[0], list(log_terms(u, T)))
                     checked += 1
         assert checked > 40
+
+    @pytest.mark.parametrize("name", ["Q5", "Q3(pi^3=6)", "Q5(pi^4=-5)", "Q27"])
+    def test_terms_divide_by_small_integers(self, monkeypatch, name):
+        # each term divides exactly by b, the part of n prime to p: no unit
+        # of num(n)/n modulo p^K, one inverse modulo each b != 1 in turn, and
+        # c^-w once per w, only where c != 1
+        field = RECURRENCE_FIELDS[name]
+        p, e = field.p, field.e
+        rng = stream(31, "small-division", name)
+        x = random_element(rng, field, 640, _edge(field), _edge(field))
+        y = PadicElement.one(field, 640) + random_element(rng, field, 640, _edge(field), _edge(field))
+        u = y - 1
+
+        def no_unit(*args):
+            raise AssertionError("_rational_unit called")
+
+        calls = []
+
+        def recording_pow(base, exp, mod):
+            calls.append((base, exp, mod))
+            return pow(base, exp, mod)
+        monkeypatch.setattr(field_mod, "_rational_unit", no_unit)
+        monkeypatch.setattr(series_mod, "pow", recording_pow, raising=False)
+        for run, arg, t, n0, num, T in (
+                (p_exp, x, x, 1, lambda n: 1, _exp_truncation(x.shift, e, p, x.abs_prec)),
+                (p_log, y, u, 2, lambda n: 1 - n, _log_truncation(u.shift, e, p, u.abs_prec))):
+            calls.clear()
+            run(arg)
+            mod = p ** (-(-t.rel_prec // e) + 1)
+            # (w, b) with num(n)/n = p^w a/b
+            split = [(_vp(num(n), p) - _vp(n, p), n // p ** _vp(n, p)) for n in range(n0, T + 1)]
+            inverses = [(base, exp, m) for base, exp, m in calls if base == mod]
+            powers = [exp for base, exp, m in calls if base == field.eis_unit and m == mod]
+            assert len(inverses) + len(powers) == len(calls)
+            assert inverses == [(mod, -1, b) for w, b in split if b != 1]
+            want = {-w for w, b in split if w} if field.eis_unit != 1 else set()
+            assert sorted(powers) == sorted(want) and (field.eis_unit == 1 or want)
 
 
 def _grid(field):

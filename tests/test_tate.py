@@ -706,6 +706,13 @@ class TestGroupLaw:
             with pytest.raises(ValueError, match="affine point with the identity"):
                 point_difference_valuation(*pair)
 
+    def test_doubling_a_two_torsion_point(self, curve25, Q5):
+        # phi(-1) has 2y + x zero to precision, and so has y2 + y1 + x1, so
+        # doubling it returns the identity before forming the slope
+        P = phi(curve25, PadicElement.from_int(Q5, -1, 40))
+        assert (P.y + P.y + P.x).is_zero
+        assert curve_add(curve25, P, P).is_identity
+
     def test_doubling_branch(self, curve25, Q5):
         P = phi(curve25, PadicElement.from_int(Q5, 7, 40))
         doubled = curve_add(curve25, P, P)
