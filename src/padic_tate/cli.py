@@ -16,19 +16,8 @@ import sys
 from fractions import Fraction
 
 from .balls import ball_next, same_ball
-from .errors import (
-    AmbiguousAtPrecision,
-    DenominatorNotInvertible,
-    DivisionByImpreciseZero,
-    ImpreciseDistance,
-    ImpreciseValuation,
-    InsufficientPrecision,
-    PadicError,
-    ParseError,
-    PrecisionCollapse,
-    ZeroElement,
-)
-from .field import PadicElement, parse_extension, rv_class
+from .errors import PadicError, PrecisionError, UsageError
+from .field import DEFAULT_SLACK, PadicElement, parse_extension, rv_class
 from .lattice import (
     _COUNT_DIGITS,
     SubgroupLattice,
@@ -55,24 +44,12 @@ from .tate import (
 )
 from .weierstrass import StrictSeries, regular_degree, weierstrass_divide
 
-PRECISION_ERRORS = (
-    InsufficientPrecision,
-    PrecisionCollapse,
-    DivisionByImpreciseZero,
-    ImpreciseDistance,
-    ImpreciseValuation,
-    AmbiguousAtPrecision,
-    ZeroElement,
-)
-
-USAGE_ERRORS = (ParseError, DenominatorNotInvertible, ValueError)
-
 # the keys of harness.SUITES, sorted; listed here so that building the
 # parser does not import the harness
 SUITE_NAMES = ("balls", "exp", "lattice", "tate", "weierstrass")
 
 GLOBAL_DEFAULTS = {"p": 5, "prec": 40, "ext": "base", "seed": 0,
-                   "slack": 10, "fmt": "text"}
+                   "slack": DEFAULT_SLACK, "fmt": "text"}
 
 # the largest --prec accepted: the work of every command grows faster than
 # the square of the precision, so an uncapped --prec could run for hours
@@ -520,10 +497,10 @@ def main(argv=None) -> int:
             # is None when the process started with it closed
             if sys.stdout is not None:
                 sys.stdout.flush()
-    except PRECISION_ERRORS as exc:
+    except PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         code = 3
-    except USAGE_ERRORS as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         code = 2
     except PadicError as exc:

@@ -2,7 +2,15 @@
 
 
 class PadicError(Exception):
-    """Base class for every library error."""
+    """Base class for every library error; the CLI exits 2 on one."""
+
+
+class PrecisionError(PadicError):
+    """The precision at hand cannot decide the answer; the CLI exits 3."""
+
+
+class UsageError(PadicError):
+    """The input is malformed; the CLI exits 2 with "usage error"."""
 
 
 # ---- field construction -------------------------------------------------
@@ -25,27 +33,27 @@ class FieldMismatch(PadicError):
     pass
 
 
-class DivisionByImpreciseZero(PadicError):
+class DivisionByImpreciseZero(PrecisionError):
     """Divisor has no known nonzero digit at its precision."""
 
 
-class InsufficientPrecision(PadicError):
+class InsufficientPrecision(PrecisionError):
     pass
 
 
-class ZeroElement(PadicError):
+class ZeroElement(PrecisionError):
     pass
 
 
-class ImpreciseValuation(PadicError):
+class ImpreciseValuation(PrecisionError):
     """An exact valuation was required but only a lower bound is known."""
 
 
-class ParseError(PadicError):
+class ParseError(UsageError):
     """Element literal does not conform to the grammar."""
 
 
-class DenominatorNotInvertible(PadicError):
+class DenominatorNotInvertible(UsageError):
     pass
 
 
@@ -73,7 +81,7 @@ class OffCurveInput(PadicError):
     pass
 
 
-class PrecisionCollapse(PadicError):
+class PrecisionCollapse(PrecisionError):
     """A denominator is indistinguishable from zero but the numerator is not."""
 
 
@@ -83,7 +91,7 @@ class MemberOfC(PadicError):
     pass
 
 
-class ImpreciseDistance(PadicError):
+class ImpreciseDistance(PrecisionError):
     pass
 
 
@@ -97,7 +105,7 @@ class DegreeCapExceeded(PadicError):
     """An intermediate product overflows the total-degree cap; raise the cap."""
 
 
-class AmbiguousAtPrecision(PadicError):
+class AmbiguousAtPrecision(PrecisionError):
     pass
 
 

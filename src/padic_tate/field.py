@@ -18,12 +18,11 @@ difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
 is one aligned _sum_terms, reduced once, and _product_term gives a
 product's term, to the series layer too, _rational_unit a rational's unit
 (from _split_rational, whose p^w * a/b the series layer also reads), and
-_scaled_term an int times a raw term.  _int_combination
-reduces sum k_i * x_i (ints k_i) once, for the relation search.  The
-coefficient kernels read (p, e, f, c, F), never the kind.  They keep two
-fast paths, as Q_p at moderate precision ran a third slower without them:
-a length-1 vector (no loop over entries) and pi = p (a shift is one power
-of p).  All values are immutable and all operations are pure functions.
+_scaled_term an int times a raw term.  The coefficient kernels read
+(p, e, f, c, F), never the kind.  They keep two fast paths, as Q_p at
+moderate precision ran a third slower without them: a length-1 vector (no
+loop over entries) and pi = p (a shift is one power of p).  All values are
+immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -45,6 +44,9 @@ from .errors import (
 )
 
 Rational = Union[int, Fraction]
+
+# the pi-digits a check lets a result fall short of its inputs' precision
+DEFAULT_SLACK = 10
 
 
 # ---------------------------------------------------------------------------
@@ -816,17 +818,6 @@ def _scaled_term(field: FieldDescriptor, k: int, term: tuple) -> tuple:
     if not k:
         return prec, shift, None
     return prec + field.e * _vp(k, field.p), shift, [k * x for x in vec] if vec else None
-
-
-def _int_combination(pairs) -> PadicElement:
-    """sum k * x over the (k, x) pairs (ints k, elements x of one field) as
-    one _sum_terms of the _product_term(k, x) terms, with one _make: the
-    precision and digits the same expression gets when each k * x and sum
-    is reduced on its own."""
-    first = pairs[0][1]
-    for _, x in pairs:
-        first._check_same_field(x)
-    return _sum_terms(first.field, [_product_term(k, x) for k, x in pairs])
 
 
 # ---------------------------------------------------------------------------

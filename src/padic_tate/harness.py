@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import balls as balls_mod
 from . import lattice as lat
-from .field import FieldDescriptor, PadicElement, parse_extension
+from .field import DEFAULT_SLACK, FieldDescriptor, PadicElement, parse_extension
 from .parsing import parse_element
 from .prng import random_element, random_unit, stream
 from .series import p_exp, p_log
@@ -37,7 +37,7 @@ class RunConfig:
     prec: int = 40
     ext: str = "base"
     seed: int = 0
-    slack: int = 10
+    slack: int = DEFAULT_SLACK
 
     def __post_init__(self):
         if self.prec <= self.slack:
@@ -445,38 +445,6 @@ def _grid_check(report: SuiteReport, field: FieldDescriptor, config: RunConfig) 
 # lattice suite
 # ---------------------------------------------------------------------------
 
-def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination over Q on the first ncols columns, in place;
-    returns the pivot columns, so their count is the rank.
-
-    Two callers: the rank oracle of the lattice suite's snf/200 check, and
-    the exact-rational Weierstrass division solve, tests/oracles.solve_division.
-    That solve's systems are large and mostly zero, so each pivot row is
-    normalised and then subtracted only at its nonzero columns: the entries
-    outside that support do not change, and the reduced echelon form, and so
-    the solution with free variables at 0, is the same as a dense pass.
-    """
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        pivot = rows[rank]
-        inv = 1 / pivot[col]
-        support = [j for j, x in enumerate(pivot) if x]
-        for j in support:
-            pivot[j] *= inv
-        for i, row in enumerate(rows):
-            factor = row[col]
-            if factor and i != rank:
-                for j in support:
-                    row[j] -= factor * pivot[j]
-        pivots.append(col)
-    return pivots
-
-
 def lattice_suite(config: RunConfig, matrices: int = 200) -> SuiteReport:
     report = SuiteReport("lattice")
     snf_fail = 0
@@ -497,9 +465,9 @@ def lattice_suite(config: RunConfig, matrices: int = 200) -> SuiteReport:
                 snf_fail += 1
             if a and b % a:
                 snf_fail += 1
-        # independent rank oracle: elimination over Q, not lattice.py
-        oracle_rank = len(_row_reduce([[Fraction(x) for x in row] for row in M], c))
-        if sum(1 for d in diag if d) != oracle_rank:
+        # rank oracle: the fraction-free elimination, which shares no code
+        # with smith_normal_form
+        if sum(1 for d in diag if d) != lat.rank(M):
             snf_fail += 1
     report.check("snf/200", snf_fail == 0, f"{snf_fail} failures",
                  "identity, unimodularity, chain, oracle rank")

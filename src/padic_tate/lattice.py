@@ -24,11 +24,13 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .field import (
+    DEFAULT_SLACK,
     PadicElement,
     _ceil_div,
-    _int_combination,
+    _product_term,
     _reduce_vec,
     _shift_vec,
+    _sum_terms,
     _vec_invert,
     _vec_mul,
 )
@@ -228,6 +230,10 @@ def dim_image(M: Matrix, T: SubgroupLattice) -> int:
     return sum(rank(mat_mul(M, part)) for part in (T.mult, T.ell) if part)
 
 
+# the default bound on the candidates of one height-box search
+_MAX_CANDIDATES = 5_000_000
+
+
 @dataclass(frozen=True)
 class RotundVerdict:
     refuted: bool
@@ -249,7 +255,7 @@ def _normalized_rows(n: int, height: int,
 
 
 def rotund_check(V: SubgroupLattice, height: int,
-                 max_candidates: int = 5_000_000) -> RotundVerdict:
+                 max_candidates: int = _MAX_CANDIDATES) -> RotundVerdict:
     """Search integer matrices of entry height <= H for dim(MV) < rank(M).
 
     A witness refutes rotundity outright; exhausting the height box only
@@ -407,8 +413,8 @@ def _height_box(n: int, height: int,
 
 
 def relation_search(z: Sequence[PadicElement], height: int,
-                    slack: int = 10,
-                    max_candidates: int = 5_000_000) -> list[tuple[int, ...]]:
+                    slack: int = DEFAULT_SLACK,
+                    max_candidates: int = _MAX_CANDIDATES) -> list[tuple[int, ...]]:
     """All primitive integer vectors m with |m_i| <= height whose combination
     sum m_i z_i vanishes to precision minus slack.
 
@@ -419,7 +425,7 @@ def relation_search(z: Sequence[PadicElement], height: int,
     element of least valuation s_j among those with a known unit, the other
     coordinates fix m_j modulo p^ceil((t - s_j)/e).  The search walks the
     other coordinates in integer arithmetic, solves for m_j, and confirms
-    each candidate with field._int_combination: the sum of the m_i * z_i,
+    each candidate with one _sum_terms of the products m_i * z_i: the sum
     reduced once, with the digits and precision of the step-by-step sum.
     """
     n = len(z)
@@ -460,7 +466,7 @@ def relation_search(z: Sequence[PadicElement], height: int,
             m_vec = others[:j] + (m_j,) + others[j:]
             if not _primitive_signed(m_vec):
                 continue
-            if _int_combination(list(zip(m_vec, z))).shift >= threshold:
+            if _sum_terms(field, list(map(_product_term, m_vec, z))).shift >= threshold:
                 found.append(m_vec)
     found.sort()
     return found
@@ -476,8 +482,8 @@ def relation_false_positive_bound(n: int, height: int, p: int, f: int,
 
 
 def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
-                               height: int, slack: int = 10,
-                               max_candidates: int = 5_000_000
+                               height: int, slack: int = DEFAULT_SLACK,
+                               max_candidates: int = _MAX_CANDIDATES
                                ) -> list[tuple[tuple[int, ...], int]]:
     """Primitive (m, k) with prod u_i^(m_i) = q^k to precision minus slack.
 

@@ -79,6 +79,7 @@ from .errors import (
     ZeroElement,
 )
 from .field import (
+    DEFAULT_SLACK,
     PadicElement,
     ValuationResult,
     _product_term,
@@ -88,7 +89,6 @@ from .field import (
 
 Evaluable = Union[PadicElement, DualElement]
 
-DEFAULT_SLACK = 10
 # agreement reported for two identity points, which are equal by kind
 _UNBOUNDED_AGREEMENT = ValuationResult("at_least", Fraction(10 ** 9))
 
@@ -197,12 +197,12 @@ def a6_coefficient(n: int) -> int:
 
 
 def curve_coefficients(q: PadicElement) -> TateCurve:
-    """a4 = -5 s_3(q); a6 summed with integer coefficients.  No Lambert
+    """a4 = -5 s_3(q) and a6, each summed with integer coefficients.  No Lambert
     weight is built here: the first series point builds those it needs."""
     _require_positive_valuation(q)
-    a4 = s_k(q, 3) * (-5)
+    a4 = _divisor_sum_series(q, lambda n: -5 * n ** 3)
     a6 = _divisor_sum_series(q, lambda n: -a6_coefficient(n))
-    return TateCurve(q=q, a4=a4.truncate(q.abs_prec), a6=a6, prec=q.abs_prec)
+    return TateCurve(q=q, a4=a4, a6=a6, prec=q.abs_prec)
 
 
 def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElement, int]:
@@ -298,8 +298,6 @@ def curve_equation_residual(curve: TateCurve, point: TatePoint) -> ValuationResu
 
 
 def _assert_on_curve(curve: TateCurve, point: TatePoint, slack: int) -> None:
-    if point.is_identity:
-        return
     res = _equation_residual(curve, point)
     if not res.is_zero and res.shift < max(0, point.prec - slack):
         raise OffCurveInput(f"curve equation residual has valuation {res.valuation()}")

@@ -16,7 +16,9 @@ products and long division that added coefficients one PadicElement
 operation at a time.  solve_division is the exact-rational Weierstrass
 division that the harness's oracle check ran before it compared with the
 planted (q, r), and weierstrass_divide_from_zero the division whose
-contraction started at q_0 = 0.
+contraction started at q_0 = 0.  row_reduce_sparse, the elimination over Q
+under solve_division, was also the harness's snf/200 rank oracle until
+lattice.rank took its place.
 """
 
 import functools
@@ -48,7 +50,6 @@ from padic_tate.field import (
     _vec_mul,
     _vp,
 )
-from padic_tate.harness import _row_reduce
 from padic_tate.lattice import (
     Matrix,
     RotundVerdict,
@@ -338,9 +339,9 @@ def kind_pi_digits(self, count: int):
 
 
 # The Tate-series coefficients and the dual product rule as they were
-# before field._int_combination and one _sum_terms fused them, kept verbatim:
-# the two coefficient lambdas of tate.tate_series_point, as functions of the
-# lists of u^m and u^-m, and DualElement.__mul__ with a dual other.
+# before one _sum_terms fused them, kept verbatim: the two coefficient
+# lambdas of tate.tate_series_point, as functions of the lists of u^m and
+# u^-m, and DualElement.__mul__ with a dual other.
 
 def x_coefficient_stepwise(upow, unegpow, m):
     return (upow[m] + unegpow[m] - 2) * m
@@ -580,6 +581,37 @@ def row_reduce_dense(rows, ncols: int):
     return pivots, mat
 
 
+def row_reduce_sparse(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination over Q on the first ncols columns, in place;
+    returns the pivot columns, so their count is the rank.
+
+    The systems of solve_division are large and mostly zero, so each pivot
+    row is normalised and then subtracted only at its nonzero columns: the
+    entries outside that support do not change, and the reduced echelon
+    form, and so the solution with free variables at 0, is the same as
+    row_reduce_dense gives.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pivot = rows[rank]
+        inv = 1 / pivot[col]
+        support = [j for j, x in enumerate(pivot) if x]
+        for j in support:
+            pivot[j] *= inv
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if factor and i != rank:
+                for j in support:
+                    row[j] -= factor * pivot[j]
+        pivots.append(col)
+    return pivots
+
+
 def rank_over_Q(rows) -> int:
     """Plain Gaussian elimination over Fractions."""
     return len(row_reduce_dense(rows, len(rows[0]) if rows else 0)[0])
@@ -589,7 +621,7 @@ def solve_division(g: dict, f: dict, nvars: int, active: int, d: int, cap: int =
     """(q, r) as Fraction dicts with g = q f + r identically and
     deg_active(r) <= d-1, for integer-coefficient dicts g and f: one linear
     system over Q, one unknown per monomial of q and of r up to the degree
-    cap, reduced by harness._row_reduce with free variables pinned to 0."""
+    cap, reduced by row_reduce_sparse with free variables pinned to 0."""
 
     def monomials(total, pred=lambda e: True):
         return sorted(e for e in itertools.product(range(total + 1), repeat=nvars)
@@ -614,7 +646,7 @@ def solve_division(g: dict, f: dict, nvars: int, active: int, d: int, cap: int =
             row[r_index[mono]] += 1
         row[cols] = Fraction(g.get(mono, 0))
         rows.append(row)
-    pivots = _row_reduce(rows, cols)
+    pivots = row_reduce_sparse(rows, cols)
     assert not any(row[cols] for row in rows[len(pivots):]), "inconsistent system"
     solution = [Fraction(0)] * cols
     for i, col in enumerate(pivots):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from padic_tate import cli
+from padic_tate import cli, errors
 from padic_tate.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,6 +95,30 @@ class TestExitCodes:
                      "--prec", "6"]) == 3
         # imprecise zero has no leading-term class
         assert main(["rv", "--p", "5", "--x", "0", "--prec", "6"]) == 3
+
+    @pytest.mark.parametrize("error", [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.PadicError)],
+        ids=lambda cls: cls.__name__)
+    def test_error_class_decides_the_code(self, capsys, monkeypatch, error):
+        precision = {"PrecisionError", "InsufficientPrecision", "PrecisionCollapse",
+                     "DivisionByImpreciseZero", "ImpreciseDistance", "ImpreciseValuation",
+                     "AmbiguousAtPrecision", "ZeroElement"}
+        usage = {"UsageError", "ParseError", "DenominatorNotInvertible"}
+
+        def dispatch(argv):
+            raise error("boom")
+
+        # dispatch, not a handler: _build_parser caches the handlers
+        monkeypatch.setattr(cli, "dispatch", dispatch)
+        if error.__name__ in precision:
+            code, prefix = 3, "precision error: "
+        elif error.__name__ in usage:
+            code, prefix = 2, "usage error: "
+        else:
+            code, prefix = 2, "error: "
+        assert main([]) == code
+        assert capsys.readouterr().err == prefix + "boom\n"
 
     def test_domain_error_is_2(self, capsys):
         assert main(["log", "--p", "5", "--y", "2", "--prec", "6"]) == 2

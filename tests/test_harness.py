@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_tate import harness
+from padic_tate import harness, lattice
 from padic_tate.harness import (
     RunConfig,
     _planted_division,
-    _row_reduce,
     balls_suite,
     exp_suite,
     lattice_suite,
@@ -19,7 +18,7 @@ from padic_tate.harness import (
 from padic_tate.prng import stream
 from padic_tate.weierstrass import StrictSeries
 
-from oracles import row_reduce_dense, solve_division
+from oracles import row_reduce_dense, row_reduce_sparse, solve_division
 
 
 class TestConfig:
@@ -120,7 +119,7 @@ _SPARSE_ROWS = st.integers(1, 9).flatmap(lambda n: st.lists(
 def test_sparse_row_reduce_matches_dense(rows, augmented):
     ncols = len(rows[0]) - augmented
     got = [[Fraction(x) for x in row] for row in rows]
-    pivots = _row_reduce(got, ncols)
+    pivots = row_reduce_sparse(got, ncols)
     assert (pivots, got) == row_reduce_dense(rows, ncols)
 
 
@@ -155,6 +154,29 @@ class TestWeierstrassOracle:
         records = weierstrass_suite(cfg, instances=0).records
         assert [r.name for r in records] == [f"oracle/{i}" for i in range(5)]
         assert all(not r.ok and r.measured == "mismatch" for r in records)
+
+
+class TestSnfOracle:
+    """snf/200 compares the rank of D with an elimination that shares no code
+    with smith_normal_form, so it is the check that a D which is not
+    diagonal must fail."""
+
+    def test_a_swapped_diagonal_fails_snf(self, monkeypatch):
+        snf = lattice.smith_normal_form
+
+        def swapped(M):
+            U, D, V = snf(M)
+            if len(D) <= 2 and len(D[0]) >= 2:
+                # U M V = D, the unimodularity and the divisor chain still
+                # hold, so only the rank comparison can fail
+                D, V = ([(row[1], row[0]) + row[2:] for row in X] for X in (D, V))
+            return U, lattice.matrix(D), lattice.matrix(V)
+
+        cfg = RunConfig(p=5, prec=40, seed=0)
+        assert lattice_suite(cfg).records[0].ok
+        monkeypatch.setattr(lattice, "smith_normal_form", swapped)
+        record = lattice_suite(cfg).records[0]
+        assert record.name == "snf/200" and not record.ok
 
 
 class TestWeierstrassUniqueness:

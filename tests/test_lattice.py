@@ -638,25 +638,25 @@ class TestRelationSearchMatchesBox:
 
 
 class TestRelationConfirmations:
-    """Each candidate is confirmed by one field._int_combination of the n
-    products m_i * z_i; the solved coordinate leaves at most one candidate
-    per vector of the other coordinates."""
+    """Each candidate is confirmed by one _sum_terms of the n products
+    m_i * z_i; the solved coordinate leaves at most one candidate per vector
+    of the other coordinates."""
 
     @pytest.fixture
     def confirmations(self, monkeypatch):
         """counted(z, height, slack) -> (confirmations, hits) of one search."""
         count = [0]
-        combine = lattice._int_combination
+        combine = lattice._sum_terms
 
-        def counting(pairs):
+        def counting(field, terms, cap=None):
             count[0] += 1
-            return combine(pairs)
+            return combine(field, terms, cap)
 
         def counted(z, height, slack=10):
             count[0] = 0
-            monkeypatch.setattr(lattice, "_int_combination", counting)
+            monkeypatch.setattr(lattice, "_sum_terms", counting)
             hits = relation_search(z, height, slack)
-            monkeypatch.setattr(lattice, "_int_combination", combine)
+            monkeypatch.setattr(lattice, "_sum_terms", combine)
             return count[0], len(hits)
         return counted
 
