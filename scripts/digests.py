@@ -36,10 +36,12 @@ SEEDS = (0, 1)
 # perfbench/run.py's WORKLOAD_NAMES, at the seed its recorded digests use
 WORKLOADS = ("tate", "hiprec", "short", "lattice")
 PERFBENCH_SEED = 7
-# exp and log at the --prec cap, where the series terms dominate
+# exp and log at the --prec cap, where the series terms dominate, and a log
+# in an eisenstein field with c != 1, whose printed digits divide by c
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
+    ("log", "--p", "5", "--ext", "eisenstein:e=4,c=-1", "--y", "1+pi^2", "--prec", "4096"),
 )
 
 

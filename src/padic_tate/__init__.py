@@ -1,6 +1,6 @@
 """Finite-precision p-adic arithmetic, the Tate curve, and lattice calculus."""
 
-from .balls import Ball, ball_next, integer_scale, same_ball
+from .balls import Ball, ball_next, same_ball
 from .dual import DualElement
 from .errors import PadicError
 from .field import (
@@ -8,11 +8,8 @@ from .field import (
     PadicElement,
     RVClass,
     ValuationResult,
-    arithmetic,
-    invert,
     make_field,
     rv_class,
-    valuation,
 )
 from .lattice import (
     SubgroupLattice,
@@ -27,7 +24,7 @@ from .lattice import (
     smith_normal_form,
 )
 from .parsing import parse_element
-from .series import dual_eval, factorial_valuation, p_exp, p_log
+from .series import p_exp, p_log
 from .tate import (
     TateCurve,
     TatePoint,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ImpreciseDistance, MemberOfC
-from .field import PadicElement, Rational, _lambda_digits, _vp
+from .field import PadicElement, Rational, _lambda_digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +75,3 @@ def same_ball(C: Sequence[PadicElement], lam: Rational,
             f"v(x-y) >= {dxy.valuation().value} cannot be compared with {Fraction(bound, e)}")
     return True
 
-
-def integer_scale(m: int, p: int) -> Fraction:
-    """v(m) for a nonzero integer m; 'm-next' means v(m)-next."""
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    return Fraction(_vp(m, p))

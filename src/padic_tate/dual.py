@@ -41,10 +41,6 @@ class DualElement:
     def constant(x: PadicElement) -> "DualElement":
         return DualElement(x, PadicElement.zero(x.field, x.abs_prec))
 
-    def truncate(self, prec: int) -> "DualElement":
-        """Forget digits of value and derivative beyond pi^prec."""
-        return DualElement(self.value.truncate(prec), self.deriv.truncate(prec))
-
     def __add__(self, other):
         if isinstance(other, DualElement):
             return DualElement(self.value + other.value, self.deriv + other.deriv)

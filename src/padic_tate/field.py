@@ -467,14 +467,10 @@ def _vec_invert(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tu
     z = _residue_inverse(field, vec)
     two = [2] + [0] * (field.coeff_len - 1)
     correct = 1
-    guard = 0
     while correct < rel_prec:
         correct = min(2 * correct, rel_prec)
         t = [a - b for a, b in zip(two, _vec_mul(field, vec, z))]
         z = list(_reduce_vec(field, _vec_mul(field, z, t), correct))
-        guard += 1
-        if guard > 64:
-            raise InsufficientPrecision("inversion failed to converge")
     return _reduce_vec(field, z, rel_prec)
 
 
@@ -691,14 +687,16 @@ class PadicElement:
         field = self.field
         p = field.p
         work = _ceil_div(self.rel_prec, field.e) + 1
+        mod = p ** work
         vec = self.coeffs
         out = []
         while len(out) < count:
             # one pass reads the next e digits (one digit for e = 1); the
-            # floor division in the shift by pi^-e drops exactly those digits
+            # floor division in the shift by pi^-e drops exactly those digits,
+            # and the reduction keeps each pass's product by c^-1 to work digits
             digits = [v % p for v in vec]
             out += digits if field.f == 1 else [tuple(digits)]
-            vec = _shift_vec(field, vec, -field.e, work)
+            vec = [v % mod for v in _shift_vec(field, vec, -field.e, work)]
         return out[:count]
 
     def __str__(self) -> str:
@@ -821,29 +819,8 @@ def _scaled_term(field: FieldDescriptor, k: int, term: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# named operation wrappers
+# leading-term classes
 # ---------------------------------------------------------------------------
-
-def arithmetic(op: str, a: PadicElement, b: PadicElement) -> PadicElement:
-    """Dispatch one of add/sub/mul/div with the documented precision rules."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def invert(a: PadicElement) -> PadicElement:
-    return a.invert()
-
-
-def valuation(a: PadicElement) -> ValuationResult:
-    return a.valuation()
-
 
 def _lambda_digits(lam: Rational, e: int) -> int:
     """lambda * e, the pi-unit form of a scaling lambda >= 0 in (1/e)Z."""

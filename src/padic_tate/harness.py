@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import balls as balls_mod
 from . import lattice as lat
-from .field import DEFAULT_SLACK, FieldDescriptor, PadicElement, parse_extension
+from .field import DEFAULT_SLACK, FieldDescriptor, PadicElement, _ceil_div, parse_extension
 from .parsing import parse_element
 from .prng import random_element, random_unit, stream
 from .series import p_exp, p_log
@@ -216,7 +216,7 @@ def _random_series_instance(rng, field: FieldDescriptor, nvars: int, prec: int,
             f_terms[key] = coeff
     # perturbation of high valuation: gamma >= ceil(prec/3) keeps the
     # contraction within three passes and the degrees inside the cap
-    gamma = -(-prec // 3) + rng.randint(0, 2)
+    gamma = _ceil_div(prec, 3) + rng.randint(0, 2)
     eps_deg = rng.randint(0, 1) if nvars > 1 else 0
     for _ in range(rng.randint(1, 2)):
         key = expo(rng.randint(0, min(2, d)), eps_deg)
@@ -303,7 +303,7 @@ def _planted_division(rng, p: int, prec_n: int):
     for j in range(d):
         if rng.random() < 0.8:
             f[tuple(j if i == active else 0 for i in range(nvars))] = rng.randint(0, 6)
-    gamma = -(-prec_n // 3)
+    gamma = _ceil_div(prec_n, 3)
     for expo in rand_poly(1, min(1, d), rng.randint(1, 2)):
         f[expo] = f.get(expo, 0) + p ** gamma * rng.randint(1, p - 1)
     q = rand_poly(3, 3, rng.randint(2, 4))

@@ -230,7 +230,7 @@ def dim_image(M: Matrix, T: SubgroupLattice) -> int:
     return sum(rank(mat_mul(M, part)) for part in (T.mult, T.ell) if part)
 
 
-# the default bound on the candidates of one height-box search
+# the bound on the candidates of one height-box search
 _MAX_CANDIDATES = 5_000_000
 
 
@@ -246,16 +246,14 @@ class RotundVerdict:
         return f"verified up to height {self.height}"
 
 
-def _normalized_rows(n: int, height: int,
-                     max_candidates: int) -> list[tuple[int, ...]]:
+def _normalized_rows(n: int, height: int) -> list[tuple[int, ...]]:
     """Zero or primitive rows with positive leading entry; every integer row is
     a scalar multiple of exactly one of these, and scaling rows changes no rank."""
-    box = _height_box(n, height, max_candidates)
+    box = _height_box(n, height)
     return [(0,) * n] + [row for row in box if _primitive_signed(row)]
 
 
-def rotund_check(V: SubgroupLattice, height: int,
-                 max_candidates: int = _MAX_CANDIDATES) -> RotundVerdict:
+def rotund_check(V: SubgroupLattice, height: int) -> RotundVerdict:
     """Search integer matrices of entry height <= H for dim(MV) < rank(M).
 
     A witness refutes rotundity outright; exhausting the height box only
@@ -281,15 +279,15 @@ def rotund_check(V: SubgroupLattice, height: int,
     A set met earlier was already found not deficient, so the first deficient
     tuple reached is the first witness of the full product walk.
 
-    Each candidate has n * n entries, so an n with n * n > max_candidates is
-    refused before anything of size n is built.
+    Each candidate has n * n entries, so an n with n * n > _MAX_CANDIDATES
+    is refused before anything of size n is built.
     """
     n = V.n
-    if n * n > max_candidates:
-        raise SearchSpaceTooLarge(f"{n}x{n} candidate matrices exceed {max_candidates} entries")
-    rows = _normalized_rows(n, height, max_candidates)
+    if n * n > _MAX_CANDIDATES:
+        raise SearchSpaceTooLarge(f"{n}x{n} candidate matrices exceed {_MAX_CANDIDATES} entries")
+    rows = _normalized_rows(n, height)
     total = len(rows) ** n
-    if total > max_candidates:
+    if total > _MAX_CANDIDATES:
         raise SearchSpaceTooLarge(f"{total} candidate matrices at height {height}")
     parts = [part for part in (V.mult, V.ell) if part]
     if rank(tuple(sum(row, ()) for row in zip(*parts))) == n:
@@ -393,11 +391,10 @@ def _primitive_signed(vec: Sequence[int]) -> bool:
     return math.gcd(*vec) == 1 and next(x for x in vec if x) > 0
 
 
-def _height_box(n: int, height: int,
-                max_candidates: int) -> Iterator[tuple[int, ...]]:
+def _height_box(n: int, height: int) -> Iterator[tuple[int, ...]]:
     """Integer vectors of length n with |m_i| <= height, in lexicographic order.
 
-    Refuses a negative height, and a box of more than max_candidates vectors.
+    Refuses a negative height, and a box of more than _MAX_CANDIDATES vectors.
     A box whose size has more than _COUNT_DIGITS decimal digits is refused
     as side^n, without forming the power.
     """
@@ -407,14 +404,13 @@ def _height_box(n: int, height: int,
     if n * math.log10(side) > _COUNT_DIGITS:
         raise SearchSpaceTooLarge(f"{side}^{n} candidates at height {height}")
     total = side ** n
-    if total > max_candidates:
+    if total > _MAX_CANDIDATES:
         raise SearchSpaceTooLarge(f"{total} candidates at height {height}")
     return itertools.product(range(-height, height + 1), repeat=n)
 
 
 def relation_search(z: Sequence[PadicElement], height: int,
-                    slack: int = DEFAULT_SLACK,
-                    max_candidates: int = _MAX_CANDIDATES) -> list[tuple[int, ...]]:
+                    slack: int = DEFAULT_SLACK) -> list[tuple[int, ...]]:
     """All primitive integer vectors m with |m_i| <= height whose combination
     sum m_i z_i vanishes to precision minus slack.
 
@@ -429,7 +425,7 @@ def relation_search(z: Sequence[PadicElement], height: int,
     reduced once, with the digits and precision of the step-by-step sum.
     """
     n = len(z)
-    _height_box(n, height, max_candidates)     # its guards; the walk is the same box
+    _height_box(n, height)  # its guards; the walk is the same box
     if not z:
         return []
     for x in z[1:]:
@@ -482,8 +478,7 @@ def relation_false_positive_bound(n: int, height: int, p: int, f: int,
 
 
 def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
-                               height: int, slack: int = DEFAULT_SLACK,
-                               max_candidates: int = _MAX_CANDIDATES
+                               height: int, slack: int = DEFAULT_SLACK
                                ) -> list[tuple[tuple[int, ...], int]]:
     """Primitive (m, k) with prod u_i^(m_i) = q^k to precision minus slack.
 
@@ -493,7 +488,7 @@ def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
     if q.is_zero or q.shift <= 0:
         raise ValueError("q needs positive exact valuation")
     n = len(u)
-    box = _height_box(n, height, max_candidates)
+    box = _height_box(n, height)
     for x in u:
         if x.is_zero:
             raise ValueError("every u_i needs a known leading digit")

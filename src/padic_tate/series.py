@@ -39,18 +39,6 @@ from .field import PadicElement, _ceil_div, _split_rational, _sum_terms, _vec_mu
 Evaluable = Union[PadicElement, DualElement]
 
 
-def factorial_valuation(n: int, p: int) -> Fraction:
-    """v_p(n!) = (n - s_p(n)) / (p - 1) by Legendre's formula."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    digit_sum = 0
-    m = n
-    while m:
-        digit_sum += m % p
-        m //= p
-    return Fraction(n - digit_sum, p - 1)
-
-
 def _exp_truncation(shift: int, e: int, p: int, target: int) -> int:
     """Least T >= 1 past which Legendre's v_p(n!) <= (n-1)/(p-1) puts every
     term x^n/n! at shift >= target.
@@ -141,7 +129,3 @@ def _terms(t: PadicElement, first: tuple, n0: int, T: int, rel: int, num: Callab
         shift += t.shift + field.e * w
         yield shift + rel, shift, vec
 
-
-def dual_eval(f: Callable[[DualElement], DualElement], x: PadicElement) -> DualElement:
-    """Run an analytic evaluator over dual arithmetic seeded with (x, 1)."""
-    return f(DualElement.seed(x))

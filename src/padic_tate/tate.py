@@ -82,6 +82,7 @@ from .field import (
     DEFAULT_SLACK,
     PadicElement,
     ValuationResult,
+    _ceil_div,
     _product_term,
     _scaled_term,
     _sum_terms,
@@ -167,7 +168,7 @@ def _divisor_sum_series(q: PadicElement, coeff: Callable[[int], int]) -> PadicEl
     N = abs_prec(q); each term is known to pi^N at least, so the sum is
     known to pi^N, as the Lambert sum is."""
     target = q.abs_prec
-    terms = -(-target // q.shift)
+    terms = _ceil_div(target, q.shift)
     sums = [0] * (terms + 1)
     for d in range(1, terms + 1):
         c = coeff(d)
@@ -254,7 +255,7 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
         raise InsufficientPrecision(
             f"principal part at v(1-u) = {omu_val.valuation()} exhausts the budget")
     inv_omu = one_minus_u.invert()
-    dmax = -(-target // (sq - su))
+    dmax = _ceil_div(target, sq - su)
     un = u_inv = u.invert()
     upow, spow = [u], [u + u_inv]
     for _ in range(dmax - 1):

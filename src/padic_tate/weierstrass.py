@@ -27,7 +27,8 @@ from .errors import (
     DegreeCapExceeded,
     NotRegular,
 )
-from .field import FieldDescriptor, PadicElement, ValuationResult, _product_term, _sum_terms
+from .field import (FieldDescriptor, PadicElement, ValuationResult, _ceil_div, _product_term,
+                    _sum_terms)
 
 Exponent = tuple[int, ...]
 
@@ -239,7 +240,7 @@ def weierstrass_divide(g: StrictSeries, f: StrictSeries, active: int):
         return q, r
     gamma = _gauss_shift(eps)
     assert gamma > 0
-    for k in range(1, -(-prec // gamma) + 1):
+    for k in range(1, _ceil_div(prec, gamma) + 1):
         q_next, r = _poly_divmod(g - q * eps, w, active, d)
         gap = q_next - q
         floor = min(prec, k * gamma)

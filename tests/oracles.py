@@ -27,6 +27,7 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from padic_tate import lattice
 from padic_tate.dual import DualElement, _value_part
 from padic_tate.errors import (
     DegreeCapExceeded,
@@ -88,15 +89,6 @@ def log_last_term(shift: int, e: int, p: int, target: int) -> int:
     stop = target * (p - 1) // (shift * (p - 1) - e) + 1
     return max((n for n in range(1, stop) if n * shift - e * vp_int(n, p) < target),
                default=1)
-
-
-def legendre_sum(n: int, p: int) -> int:
-    total = 0
-    power = p
-    while power <= n:
-        total += n // power
-        power *= p
-    return total
 
 
 def from_fraction(field, value: Fraction, prec: int) -> PadicElement:
@@ -760,14 +752,13 @@ def smith_normal_form_pair(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             tuple(tuple(row) for row in V))
 
 
-def rotund_check_brute(V, height: int,
-                       max_candidates: int = 5_000_000) -> RotundVerdict:
+def rotund_check_brute(V, height: int) -> RotundVerdict:
     """rotund_check by ranking every n-tuple of candidate rows, in
     itertools.product order."""
     n = V.n
-    rows = _normalized_rows(n, height, max_candidates)
+    rows = _normalized_rows(n, height)
     total = len(rows) ** n
-    if total > max_candidates:
+    if total > lattice._MAX_CANDIDATES:
         raise SearchSpaceTooLarge(f"{total} candidate matrices at height {height}")
     for M in itertools.product(rows, repeat=n):
         if dim_image(M, V) < rank(M):
@@ -775,12 +766,11 @@ def rotund_check_brute(V, height: int,
     return RotundVerdict(False, None, height)
 
 
-def relation_search_box(z, height: int, slack: int = 10,
-                        max_candidates: int = 5_000_000):
+def relation_search_box(z, height: int, slack: int = 10):
     """relation_search by summing the z_i * m_i for every vector of the
     height box, in itertools.product order, kept verbatim."""
     n = len(z)
-    box = _height_box(n, height, max_candidates)
+    box = _height_box(n, height)
     if not z:
         return []
     threshold = min(x.abs_prec for x in z) - slack

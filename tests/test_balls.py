@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_tate.balls import Ball, ball_next, integer_scale, same_ball
+from padic_tate.balls import Ball, ball_next, same_ball
 from padic_tate.errors import ImpreciseDistance, MemberOfC
 from padic_tate.field import PadicElement, make_field
 from padic_tate.prng import random_element, stream
@@ -69,10 +69,6 @@ class TestSameBall:
         # v(x-y) >= 3 cannot be compared against lambda + v(x-0) = 3
         with pytest.raises(ImpreciseDistance):
             same_ball([zero], 3, x, y)
-
-    def test_m_next_helper(self):
-        assert integer_scale(25, 5) == 2
-        assert integer_scale(7, 5) == 0
 
 
 class TestPartitionProperties:

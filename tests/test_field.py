@@ -1,3 +1,4 @@
+import operator
 import time
 from fractions import Fraction
 
@@ -17,11 +18,8 @@ from padic_tate.errors import (
 from padic_tate.field import (
     PadicElement,
     ValuationResult,
-    arithmetic,
-    invert,
     make_field,
     rv_class,
-    valuation,
 )
 from padic_tate.prng import random_element, random_unit, stream
 from padic_tate.series import p_exp, p_log
@@ -111,7 +109,7 @@ class TestArithmeticExamples:
     def test_add_integers(self, Q5):
         a = PadicElement.from_int(Q5, 5, 12)
         b = PadicElement.from_int(Q5, 20, 12)
-        c = arithmetic("add", a, b)
+        c = a + b
         assert c.is_indistinguishable(PadicElement.from_int(Q5, 25, 12))
         assert c.valuation() == ValuationResult("exact", Fraction(2))
 
@@ -123,7 +121,7 @@ class TestArithmeticExamples:
         # 1/(1-5) against the partial geometric sum, frozen: 3906 mod 5^6
         one = PadicElement.one(Q5, 6)
         den = PadicElement.from_int(Q5, -4, 6)
-        q = arithmetic("div", one, den)
+        q = one / den
         assert sum(5 ** i for i in range(6)) == 3906
         assert q.is_indistinguishable(PadicElement.from_int(Q5, 3906, 6))
 
@@ -131,11 +129,11 @@ class TestArithmeticExamples:
         a = PadicElement.one(Q5, 5)
         b = PadicElement.one(Q3, 5)
         with pytest.raises(FieldMismatch):
-            arithmetic("add", a, b)
+            a + b
         c = PadicElement.one(make_field(7), 5)
-        for op in ("add", "sub", "mul", "div"):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(FieldMismatch):
-                arithmetic(op, a, c)
+                op(a, c)
 
     @pytest.mark.parametrize("kind, kwargs", [
         ("base", {}), ("eisenstein", {"e": 4, "c": -1}), ("unramified", {"f": 2})])
@@ -146,30 +144,30 @@ class TestArithmeticExamples:
         x = random_element(stream(0, "interop", kind), a, 12, 0, 3)
         y = random_element(stream(1, "interop", kind), b, 12, 0, 3)
         y_a = PadicElement(a, y.shift, y.coeffs, y.abs_prec)
-        for op in ("add", "sub", "mul", "div"):
-            assert arithmetic(op, x, y) == arithmetic(op, x, y_a)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert op(x, y) == op(x, y_a)
 
     def test_division_by_imprecise_zero(self, Q5):
         a = PadicElement.one(Q5, 8)
         z = PadicElement.zero(Q5, 8)
         with pytest.raises(DivisionByImpreciseZero):
-            arithmetic("div", a, z)
+            a / z
 
 
 class TestInvert:
     def test_identity(self, Q5):
         one = PadicElement.one(Q5, 9)
-        assert invert(one).is_indistinguishable(one)
+        assert one.invert().is_indistinguishable(one)
 
     def test_invert_two_frozen(self, Q5):
         # 1/2 mod 5^4 = 313, the modular inverse
         assert pow(2, -1, 5 ** 4) == 313
-        got = invert(PadicElement.from_int(Q5, 2, 4))
+        got = PadicElement.from_int(Q5, 2, 4).invert()
         assert got.is_indistinguishable(PadicElement.from_int(Q5, 313, 4))
 
     def test_invert_uniformizer(self, E54):
         pi = PadicElement.uniformizer(E54, 16)
-        ip = invert(pi)
+        ip = pi.invert()
         assert ip.valuation() == ValuationResult("exact", Fraction(-1, 4))
         assert (pi * ip - 1).is_zero
 
@@ -177,7 +175,7 @@ class TestInvert:
         for field in (Q5, E54, U22):
             for i in range(25):
                 u = random_unit(stream(11, field.kind, i), field, 24)
-                residual = u * invert(u) - 1
+                residual = u * u.invert() - 1
                 assert residual.is_zero, (field.kind, i)
 
     def test_newton_steps_double_their_precision(self, monkeypatch, Q5, E54):
@@ -200,15 +198,15 @@ class TestInvert:
 
 class TestValuation:
     def test_v_p(self, Q5):
-        assert valuation(PadicElement.from_int(Q5, 5, 10)) == \
+        assert PadicElement.from_int(Q5, 5, 10).valuation() == \
             ValuationResult("exact", Fraction(1))
 
     def test_imprecise_zero(self, Q5):
-        assert valuation(PadicElement.zero(Q5, 10)) == \
+        assert PadicElement.zero(Q5, 10).valuation() == \
             ValuationResult("at_least", Fraction(10))
 
     def test_uniformizer_cube(self, E54):
-        v = valuation(PadicElement.uniformizer(E54, 20, power=3))
+        v = PadicElement.uniformizer(E54, 20, power=3).valuation()
         assert v == ValuationResult("exact", Fraction(3, 4))
 
 
@@ -584,10 +582,9 @@ class TestAgainstRationalOracle:
         prec = 14
         ex = PadicElement.from_rational(field, x, prec)
         ey = PadicElement.from_rational(field, y, prec)
-        for op, fn in (("add", lambda: x + y), ("sub", lambda: x - y),
-                       ("mul", lambda: x * y)):
-            got = arithmetic(op, ex, ey)
-            want = from_fraction(field, fn(), got.abs_prec)
+        for op in (operator.add, operator.sub, operator.mul):
+            got = op(ex, ey)
+            want = from_fraction(field, op(x, y), got.abs_prec)
             assert got.is_indistinguishable(want), op
 
     @given(x=rationals())
@@ -697,3 +694,20 @@ class TestDisplay:
     def test_negative_shift(self, Q5):
         x = PadicElement.from_rational(Q5, Fraction(1, 25), 3)
         assert str(x) == "pi^-2 + O(pi^3)"
+
+    def test_digit_passes_stay_reduced(self, E54, monkeypatch):
+        # each pass multiplies by c^-1 modulo p^work; left unreduced, the
+        # entries would grow by about work digits per pass
+        rng = stream(3, "digit-passes")
+        digits = [rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(4095)]
+        x = PadicElement.from_pi_digits(E54, 0, digits, 4096)
+        work = field_mod._ceil_div(x.rel_prec, E54.e) + 1
+        largest, shift_vec = [], field_mod._shift_vec
+
+        def recording(field, vec, k, work=0):
+            largest.append(max(vec))
+            return shift_vec(field, vec, k, work)
+
+        monkeypatch.setattr(field_mod, "_shift_vec", recording)
+        assert x.pi_digits(4096) == digits
+        assert len(largest) == 1024 and max(largest) < 5 ** work

@@ -239,17 +239,20 @@ class TestRotund:
         V = SubgroupLattice(1, zeros(1, 0), identity(1))
         assert not rotund_check(V, 4).refuted
 
-    def test_search_space_guard(self):
+    def test_search_space_guard(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_MAX_CANDIDATES", 1000)
         with pytest.raises(SearchSpaceTooLarge):
-            rotund_check(full_subgroup(4), 40, max_candidates=1000)
+            rotund_check(full_subgroup(4), 40)
 
-    def test_guard_message_matches_brute_force(self):
+    def test_guard_message_matches_brute_force(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_MAX_CANDIDATES", 2743)
         with pytest.raises(SearchSpaceTooLarge) as fast:
-            rotund_check(FULL_RANK_3, 1, max_candidates=2743)
+            rotund_check(FULL_RANK_3, 1)
         with pytest.raises(SearchSpaceTooLarge) as brute:
-            rotund_check_brute(FULL_RANK_3, 1, max_candidates=2743)
+            rotund_check_brute(FULL_RANK_3, 1)
         assert str(fast.value) == str(brute.value) == "2744 candidate matrices at height 1"
-        assert not rotund_check(FULL_RANK_3, 1, max_candidates=2744).refuted
+        monkeypatch.setattr(lattice, "_MAX_CANDIDATES", 2744)
+        assert not rotund_check(FULL_RANK_3, 1).refuted
 
     @pytest.mark.parametrize("V, height, witness", [
         # dim V = 1 < 2 and (3, -1) is the only row killing the torus part,
@@ -301,7 +304,7 @@ class TestRotund:
         assert verdict == RotundVerdict(True, ((0, 0, 0), (0, 0, 0), (1, 2, 3)), 3)
         assert dim_image(verdict.witness, KERNEL_3) < rank(verdict.witness)
 
-    def test_joint_kernel_decides_rotundity(self):
+    def test_joint_kernel_decides_rotundity(self, monkeypatch):
         # the criterion checked against the brute force and the definition,
         # not against the exit in rotund_check that relies on it
         seen = set()
@@ -322,7 +325,9 @@ class TestRotund:
             M = zeros(n - 1, n) + (v,)
             assert dim_image(M, V) < rank(M) == 1
             height = max(map(abs, v))
-            verdict = rotund_check(V, height, max_candidates=10 ** 12)
+            with monkeypatch.context() as patch:
+                patch.setattr(lattice, "_MAX_CANDIDATES", 10 ** 12)
+                verdict = rotund_check(V, height)
             assert verdict.refuted, (V, height)
             assert dim_image(verdict.witness, V) < rank(verdict.witness)
         for n in (1, 2, 3):
@@ -364,9 +369,11 @@ class TestRotund:
             patch.setattr(lattice, "_normalized_rows", None)
             rotund_check(SubgroupLattice(10 ** 6, (), ()), height)
         assert str(err.value) == "1000000x1000000 candidate matrices exceed 5000000 entries"
+        monkeypatch.setattr(lattice, "_MAX_CANDIDATES", 8)
         with pytest.raises(SearchSpaceTooLarge, match="^3x3 candidate matrices exceed 8 entries$"):
-            rotund_check(FULL_RANK_3, 0, max_candidates=8)
-        assert rotund_check(FULL_RANK_3, 0, max_candidates=9) == RotundVerdict(False, None, 0)
+            rotund_check(FULL_RANK_3, 0)
+        monkeypatch.setattr(lattice, "_MAX_CANDIDATES", 9)
+        assert rotund_check(FULL_RANK_3, 0) == RotundVerdict(False, None, 0)
 
 
 class TestLemmaVM:
@@ -469,10 +476,11 @@ class TestRelationSearch:
         with pytest.raises(FieldMismatch):
             relation_search([PadicElement.one(Q5, 20), PadicElement.one(Q3, 20)], 2)
 
-    def test_guard(self, Q5):
+    def test_guard(self, Q5, monkeypatch):
+        monkeypatch.setattr(lattice, "_MAX_CANDIDATES", 10 ** 5)
         zs = [PadicElement.one(Q5, 50)] * 6
         with pytest.raises(SearchSpaceTooLarge):
-            relation_search(zs, 20, max_candidates=10 ** 5)
+            relation_search(zs, 20)
 
     def test_guard_count_is_written_out_while_it_fits(self, Q5):
         # 3^9012 has 4300 digits, the longest decimal Python writes by
