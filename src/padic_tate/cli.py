@@ -17,9 +17,8 @@ from fractions import Fraction
 
 from .balls import ball_next, same_ball
 from .errors import PadicError, PrecisionError, UsageError
-from .field import DEFAULT_SLACK, PadicElement, parse_extension, rv_class
+from .field import _COUNT_DIGITS, DEFAULT_SLACK, MAX_PREC, PadicElement, parse_extension, rv_class
 from .lattice import (
-    _COUNT_DIGITS,
     SubgroupLattice,
     atypical,
     kernel_lattice,
@@ -51,9 +50,6 @@ SUITE_NAMES = ("balls", "exp", "lattice", "tate", "weierstrass")
 GLOBAL_DEFAULTS = {"p": 5, "prec": 40, "ext": "base", "seed": 0,
                    "slack": DEFAULT_SLACK, "fmt": "text"}
 
-# the largest --prec accepted: the work of every command grows faster than
-# the square of the precision, so an uncapped --prec could run for hours
-MAX_PREC = 4096
 # the least --lambda numerator or denominator that is refused
 _TOO_MANY_DIGITS = 10 ** _COUNT_DIGITS
 

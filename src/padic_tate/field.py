@@ -47,6 +47,11 @@ Rational = Union[int, Fraction]
 
 # the pi-digits a check lets a result fall short of its inputs' precision
 DEFAULT_SLACK = 10
+# the largest --prec, and pi^-MAX_PREC the lowest term a literal may hold:
+# every command's work grows faster than the square of the precision
+MAX_PREC = 4096
+# the longest count written out in decimal (Python's default int -> str limit)
+_COUNT_DIGITS = 4300
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .field import (
+    _COUNT_DIGITS,
     DEFAULT_SLACK,
     PadicElement,
     _ceil_div,
@@ -382,9 +383,6 @@ def atypical(dim_x: int, dim_v: int, dim_w: int, dim_z: int) -> bool:
 # ---------------------------------------------------------------------------
 # bounded-height relation probers
 # ---------------------------------------------------------------------------
-
-# the longest count written out in decimal (Python's default int -> str limit)
-_COUNT_DIGITS = 4300
 
 
 def _primitive_signed(vec: Sequence[int]) -> bool:

@@ -18,12 +18,14 @@ division that the harness's oracle check ran before it compared with the
 planted (q, r), and weierstrass_divide_from_zero the division whose
 contraction started at q_0 = 0.  row_reduce_sparse, the elimination over Q
 under solve_division, was also the harness's snf/200 rank oracle until
-lattice.rank took its place.
+lattice.rank took its place.  parse_element_budgeted is the literal
+parser that evaluated every atom at a guessed working precision.
 """
 
 import functools
 import itertools
 import operator
+import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,12 +33,14 @@ from padic_tate import lattice
 from padic_tate.dual import DualElement, _value_part
 from padic_tate.errors import (
     DegreeCapExceeded,
+    DenominatorNotInvertible,
     DomainError,
     ImpreciseValuation,
     InsufficientPrecision,
     NotRegular,
     OnKernel,
     OutsideConvergenceDomain,
+    ParseError,
     SearchSpaceTooLarge,
     ZeroElement,
 )
@@ -873,3 +877,144 @@ def weierstrass_divide_from_zero(g, f, active: int, initial=None):
                 return q_next, r
         q = q_next
     return q, r
+
+
+# The literal parser as it was before each term was read exactly, kept
+# verbatim as the reference for parsing.parse_element: it evaluates every
+# atom at a working precision of prec + e * (the literal's token length) + 16,
+# refuses a denominator whose p-valuation passes that budget, and adds the
+# terms one PadicElement operation at a time before truncating to prec.
+
+_BUDGET_TOKEN = re.compile(r"\s*(?:(\d+)|(pi|g)|([+\-*/^()]))")
+
+
+def _budgeted_tokenize(text: str) -> list[str]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _BUDGET_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            raise ParseError(f"unexpected input at position {pos}: {text[pos:pos+8]!r}")
+        out.append(m.group(1) or m.group(2) or m.group(3))
+        pos = m.end()
+    return out
+
+
+class _BudgetedParser:
+    def __init__(self, tokens: list[str], field: FieldDescriptor, prec: int):
+        self.tokens = tokens
+        self.i = 0
+        self.field = field
+        # generous working precision so literal combinations do not cap early
+        extra = sum(len(t) for t in tokens) * field.e + 16
+        self.work = prec + extra
+
+    def peek(self, ahead: int = 0):
+        j = self.i + ahead
+        return self.tokens[j] if j < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input")
+        self.i += 1
+        return tok
+
+    def expect_int(self) -> int:
+        sign = 1
+        if self.peek() == "-":
+            self.take()
+            sign = -1
+        tok = self.take()
+        if not tok.isdigit():
+            raise ParseError(f"expected an integer, found {tok!r}")
+        return sign * int(tok)
+
+    def parse_atom(self) -> PadicElement:
+        tok = self.peek()
+        if tok in ("pi", "g"):
+            self.take()
+            power = 1
+            if self.peek() == "^":
+                self.take()
+                power = self.expect_int()
+            if tok == "pi":
+                return PadicElement.uniformizer(self.field, self.work, power)
+            if self.field.kind != "unramified":
+                raise ParseError("residue generator 'g' needs an unramified field")
+            gval = PadicElement.from_pi_digits(
+                self.field, 0, [tuple([0, 1] + [0] * (self.field.f - 2))], self.work)
+            return gval ** power
+        if tok is not None and tok.isdigit():
+            base = int(self.take())
+            if self.peek() == "^":
+                self.take()
+                expo = self.expect_int()
+                return self._materialize(Fraction(base)) ** expo
+            return self._materialize(Fraction(base))
+        raise ParseError(f"expected an atom, found {tok!r}")
+
+    def _materialize(self, value: Fraction) -> PadicElement:
+        den = value.denominator
+        if den != 1 and den % self.field.p == 0:
+            if _vp(den, self.field.p) * self.field.e > self.work:
+                raise DenominatorNotInvertible(
+                    f"denominator {den} exceeds the precision budget")
+        return PadicElement.from_rational(self.field, value, self.work)
+
+    def parse_term(self) -> PadicElement:
+        tok = self.peek()
+        if tok in ("pi", "g"):
+            return self.parse_atom()
+        if tok is not None and tok.isdigit():
+            if self.peek(1) == "^":
+                return self.parse_atom()
+            num = int(self.take())
+            if self.peek() == "/":
+                self.take()
+                dtok = self.take()
+                if not dtok.isdigit():
+                    raise ParseError(f"expected a denominator, found {dtok!r}")
+                den = int(dtok)
+                if den == 0:
+                    raise ParseError("zero denominator")
+                value = Fraction(num, den)
+            else:
+                value = Fraction(num)
+            if self.peek() == "*":
+                self.take()
+                return self.parse_atom() * value
+            return self._materialize(value)
+        raise ParseError(f"expected a term, found {tok!r}")
+
+    def parse_expr(self) -> PadicElement:
+        sign = 1
+        if self.peek() == "-":
+            self.take()
+            sign = -1
+        acc = self.parse_term()
+        if sign < 0:
+            acc = -acc
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            nxt = self.parse_term()
+            acc = acc + nxt if op == "+" else acc - nxt
+        if self.peek() is not None:
+            raise ParseError(f"trailing input {self.tokens[self.i:]!r}")
+        return acc
+
+
+def parse_element_budgeted(text: str, field: FieldDescriptor, prec: int) -> PadicElement:
+    marker = re.search(r"\+?\s*O\(pi\^(-?\d+)\)\s*$", text)
+    if marker:
+        prec = min(prec, int(marker.group(1)))
+        text = text[: marker.start()].strip()
+        if not text:
+            return PadicElement.zero(field, prec)
+    tokens = _budgeted_tokenize(text)
+    if not tokens:
+        raise ParseError("empty literal")
+    if tokens == ["0"]:
+        return PadicElement.zero(field, prec)
+    value = _BudgetedParser(tokens, field, prec).parse_expr()
+    return value.truncate(prec)

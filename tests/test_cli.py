@@ -123,6 +123,13 @@ class TestExitCodes:
     def test_domain_error_is_2(self, capsys):
         assert main(["log", "--p", "5", "--y", "2", "--prec", "6"]) == 2
 
+    @pytest.mark.parametrize("literal", ["0^-1", "0^-3 + 1", "2*0^-1", "1/0"])
+    def test_zero_to_a_negative_power_is_2(self, capsys, literal):
+        # an exact zero has no inverse at any precision: a usage error, not a
+        # precision error
+        assert main(["exp", "--x", literal]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_verification_failure_is_1(self, tmp_path, capsys):
         # a lattice that is definitely not persistently likely
         e1 = tmp_path / "e1.json"
@@ -243,6 +250,14 @@ class TestExitCodes:
             assert main(command + ["--lambda", lam]) == 2
             assert capsys.readouterr().err == \
                 f"usage error: Invalid literal for Fraction: '{lam}'\n"
+
+    def test_literal_integer_beyond_the_digit_limit_is_2(self, capsys):
+        # int() refuses these in words that vary with the Python version
+        for x in ("5" + "0" * 4300, "pi^-" + "1" * 4301, "1 + O(pi^" + "1" * 4301 + ")"):
+            assert main(["exp", "--x", x]) == 2
+            assert "more than 4300 digits" in capsys.readouterr().err
+        assert main(["exp", "--x", "5" + "0" * 4299, "--prec", "5"]) == 0
+        assert capsys.readouterr().out.endswith("result=1 + O(pi^5)\n")
 
     def test_prec_cap_is_inclusive(self, capsys):
         assert main(["exp", "--x", "0", "--prec", str(cli.MAX_PREC)]) == 0
@@ -629,6 +644,10 @@ GOLDEN = [
       "--prec", "400"], "463c2047e480ecf670b4e375b4f898ea647bb1b42cc1090d53bee77873fff913"),
     (["tate", "verify-ode", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--q", "pi^3",
       "--trials", "2", "--prec", "200"], "adef50ccae1e95c263e642e2c22baec8529173693874ea8eb9b3da857823575e"),
+    # a literal of negative valuation, printed whole: recorded after each term
+    # of a literal was read exactly, known to pi^20 (the guessed working
+    # precision before left it known to pi^12)
+    (["balls", "next", "--C", "0", "--x", "5^-30+1", "--prec", "20"], "c0ff8f372232fd561d1c373768e665ec9afdf13fecfd6248a92b116dcfdc1d9a"),
 ]
 
 
