@@ -39,12 +39,15 @@ PERFBENCH_SEED = 7
 # exp and log at the --prec cap, where the series terms dominate, and a log
 # in an eisenstein field with c != 1, whose printed digits divide by c; then
 # a literal of negative valuation that balls next prints whole, recorded
-# after each term of a literal was read exactly to --prec
+# after each term of a literal was read exactly to --prec; then a point
+# series at the --prec cap, recorded while each Lambert weight was one
+# inversion
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
     ("log", "--p", "5", "--ext", "eisenstein:e=4,c=-1", "--y", "1+pi^2", "--prec", "4096"),
     ("balls", "next", "--C", "0", "--x", "5^-30+1", "--prec", "20"),
+    ("tate", "map", "--q", "5^2", "--u", "7", "--prec", "4096"),
 )
 
 

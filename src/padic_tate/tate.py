@@ -8,8 +8,8 @@ the power series sum_n (sum_{d|n} c_d) q^n, which needs no inversion, so
 curve_coefficients builds no weight.  The point sums need the weights
 w_m = q^m / (1 - q^m), which depend only on the curve, so each TateCurve
 keeps those computed so far and _weights extends them on demand, up to the
-largest term count any point has asked for; each weight costs one
-inversion, once per curve.  All these sums stop after ceil(N / v(q)) terms.
+largest term count any point has asked for; w_m = q^m + q^2m + ... is known
+to the precision of q^m.  All these sums stop after ceil(N / v(q)) terms.
 
 A sum is reduced once, not once per term: the raw products c_m * w_m (or
 c_n * q^n), each a term of field._product_term with the precision __mul__
@@ -99,7 +99,6 @@ class TateCurve:
     q: PadicElement
     a4: PadicElement
     a6: PadicElement
-    prec: int
     # q^m / (1 - q^m) for m = 1, 2, ..., as far as any sum has asked
     weights: list = field(default_factory=list, init=False, compare=False, repr=False)
     # [((u, slack), (X, Y, X'))] of the last tate_xy_with_derivative call
@@ -144,20 +143,20 @@ def _require_positive_valuation(q: PadicElement) -> int:
     return q.shift
 
 
-def _weights(q: PadicElement, weights: list, terms: int, target: int) -> list:
-    """weights, holding q^m / (1 - q^m) for m = 1, 2, ... at this (q, target),
-    extended in place to ``terms`` entries, each weight computed once.  The
-    new entries go in by one slice assignment, so a concurrent extension of
-    the same list rewrites equal values at the same places."""
+def _weights(q: PadicElement, weights: list, terms: int) -> list:
+    """weights, holding q^m / (1 - q^m) for m = 1, 2, ... at this q, extended
+    in place to ``terms`` entries, each weight computed once as one _sum_terms
+    of q^m, q^2m, ...: it is known to the precision of q^m, N + (m-1) v(q) for
+    N = abs_prec(q), and each q^n with n > ceil(N / v(q)) + m - 2 lies past it.
+    The new entries go in by one slice assignment, so a concurrent extension
+    of the same list rewrites equal values at the same places."""
     start = len(weights)
     if terms > start:
-        qm = one = PadicElement.one(q.field, target + q.shift)
-        tail = []
-        for m in range(1, terms + 1):
-            qm = qm * q
-            if m > start:
-                tail.append(qm / (one - qm))
-        weights[start:terms] = tail
+        top = _ceil_div(q.abs_prec, q.shift) + terms - 2
+        chain = itertools.accumulate(itertools.repeat(q, top), operator.mul)
+        powers = [qn._term(1) for qn in chain]
+        weights[start:terms] = [_sum_terms(q.field, powers[m - 1::m])
+                                for m in range(start + 1, terms + 1)]
     return weights
 
 
@@ -203,7 +202,7 @@ def curve_coefficients(q: PadicElement) -> TateCurve:
     _require_positive_valuation(q)
     a4 = _divisor_sum_series(q, lambda n: -5 * n ** 3)
     a6 = _divisor_sum_series(q, lambda n: -a6_coefficient(n))
-    return TateCurve(q=q, a4=a4, a6=a6, prec=q.abs_prec)
+    return TateCurve(q=q, a4=a4, a6=a6)
 
 
 def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElement, int]:
@@ -246,7 +245,7 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
     su = uval.shift
     if not 0 <= su < sq:
         raise DomainError("u must be reduced to the fundamental domain first")
-    target = curve.prec
+    target = q.abs_prec
     one_minus_u = -(u - 1)
     omu_val = _value_part(one_minus_u)
     if omu_val.is_zero:
@@ -263,7 +262,7 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
         un = un * u_inv
         spow.append(upow[-1] + un)
     uval._check_same_field(q)
-    weights = _weights(q, curve.weights, dmax, target)
+    weights = _weights(q, curve.weights, dmax)
     if isinstance(u, DualElement):
         xv, yv = _point_sums(q.field, [a.value for a in upow], [s.value for s in spow],
                              weights, target)

@@ -394,8 +394,10 @@ def tate_xy(q: Fraction, u: Fraction, dmax: int) -> tuple[Fraction, Fraction]:
 
 
 def lambert_stepwise(q: PadicElement, weights: list, coeff, terms: int, target: int):
-    """tate._lambert term by term: one __mul__ and one __add__ per term,
-    each reduced, from a zero known to pi^target."""
+    """A Lambert sum term by term: one __mul__ and one __add__ per term,
+    each reduced, from a zero known to pi^target, over weights extended in
+    place as tate._weights extends them but each by one inversion of
+    1 - q^m against a one known to pi^(target + v(q))."""
     start = len(weights)
     if terms > start:
         one = PadicElement.one(q.field, target + q.shift)
@@ -438,7 +440,7 @@ def series_point_stepwise(curve, u, slack: int):
     su = uval.shift
     if not 0 <= su < sq:
         raise DomainError("u must be reduced to the fundamental domain first")
-    target = curve.prec
+    target = curve.q.abs_prec
     one_minus_u = -(u - 1)
     omu_val = _value_part(one_minus_u)
     if omu_val.is_zero:

@@ -644,6 +644,12 @@ GOLDEN = [
       "--prec", "400"], "463c2047e480ecf670b4e375b4f898ea647bb1b42cc1090d53bee77873fff913"),
     (["tate", "verify-ode", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--q", "pi^3",
       "--trials", "2", "--prec", "200"], "adef50ccae1e95c263e642e2c22baec8529173693874ea8eb9b3da857823575e"),
+    # point series above prec 400 outside Q_5, recorded while each Lambert
+    # weight q^m/(1-q^m) was one inversion
+    (["tate", "map", "--p", "2", "--q", "2^3", "--u", "3",
+      "--prec", "1024"], "bd8013a876e282a1a5980117dc3dd029e66e6ec86d1a260a8453fe3e93891857"),
+    (["tate", "map", "--p", "5", "--ext", "eisenstein:e=4,c=-1", "--q", "pi^5", "--u", "2+pi",
+      "--prec", "400"], "0dff072b79204365dd44ca3104772864899890889336a3ede8e446f638e79e01"),
     # a literal of negative valuation, printed whole: recorded after each term
     # of a literal was read exactly, known to pi^20 (the guessed working
     # precision before left it known to pi^12)

@@ -191,37 +191,43 @@ class TestLambertWeights:
         assert n == 0 and inversions(lambda: s_k(q, 5))[0] == 0
         u0 = PadicElement.from_int(Q5, 7, 40)
         u1 = PadicElement.from_int(Q5, 35, 40)
-        # v(u) = 0 runs to ceil(40/2) = 20 terms: 20 weights, 1/(1-u) and 1/u
-        assert inversions(lambda: phi(curve, u0))[0] == 22
-        # v(u) = 1 runs to ceil(40/1) = 40 terms: 20 new weights, once
-        assert inversions(lambda: phi(curve, u1))[0] == 22
+        # a weight is a sum of powers of q: a point inverts 1-u and u only,
+        # on a fresh curve and on a warm one.  v(u) = 0 runs to ceil(40/2)
+        # = 20 terms and v(u) = 1 to ceil(40/1) = 40, each weight built once
+        assert inversions(lambda: phi(curve, u0))[0] == 2
+        assert len(curve.weights) == 20
+        assert inversions(lambda: phi(curve, u1))[0] == 2
+        assert len(curve.weights) == 40
+        weights = list(curve.weights)
         assert inversions(lambda: phi(curve, u1))[0] == 2
         assert inversions(lambda: phi(curve, u0))[0] == 2
+        assert len(curve.weights) == 40
+        assert all(a is b for a, b in zip(curve.weights, weights))
 
     def test_weights_not_computed_eagerly(self, inversions, Q5):
         # ceil(640/600) = 2 terms; an up-front fill to prec would need 640
         q = PadicElement.from_int(Q5, 5 ** 600, 640)
         n, curve = inversions(lambda: curve_coefficients(q))
         assert n == 0 and curve.weights == []
-        assert inversions(lambda: phi(curve, PadicElement.from_int(Q5, 7, 640)))[0] == 4
+        assert inversions(lambda: phi(curve, PadicElement.from_int(Q5, 7, 640)))[0] == 2
         assert len(curve.weights) == 2
 
     def test_interleaved_extension_keeps_order(self, monkeypatch, Q5):
         # a second extension of the same list lands while the first is still
         # computing, as with two threads sharing one curve
         q = PadicElement.from_int(Q5, 25, 40)
-        want = tate_mod._weights(q, [], 40, 40)
-        weights, div, started = [], PadicElement.__truediv__, []
+        want = tate_mod._weights(q, [], 40)
+        weights, sum_terms, started = [], tate_mod._sum_terms, []
 
-        def interleaving_div(self, other):
+        def interleaving_sum_terms(*args):
             if not started:
                 started.append(True)
-                tate_mod._weights(q, weights, 20, 40)
-            return div(self, other)
+                tate_mod._weights(q, weights, 20)
+            return sum_terms(*args)
 
-        monkeypatch.setattr(PadicElement, "__truediv__", interleaving_div)
-        tate_mod._weights(q, weights, 40, 40)
-        assert weights == want
+        monkeypatch.setattr(tate_mod, "_sum_terms", interleaving_sum_terms)
+        tate_mod._weights(q, weights, 40)
+        assert started and weights == want
 
     @pytest.mark.parametrize("order", [(7, 50), (50, 7)], ids=["v0-first", "v2-first"])
     def test_shared_weights_match_fresh_curve(self, Q5, order):
@@ -289,7 +295,7 @@ class TestFusedLambert:
                       for _ in range(2))
         prefix = [data.draw(elements(field, 0, 6))
                   for _ in range(data.draw(st.integers(0, terms)))]
-        w_fused = tate_mod._weights(q, list(prefix), terms, target)
+        w_fused = tate_mod._weights(q, list(prefix), terms)
         w_step = list(prefix)
         lambert_stepwise(q, w_step, lambda m: 0, terms, target)
         assert w_fused == w_step
@@ -370,6 +376,8 @@ class TestFusedLambert:
     @pytest.mark.parametrize("n", [7, 35], ids=["v0", "v1"])
     def test_one_make_per_sum(self, makes, curve25, Q5, n):
         u = PadicElement.from_int(Q5, n, 40)
+        # a warm curve: each weight it builds is a sum of its own
+        tate_series_point(curve25, u)
         # X and Y: one sum each over 20 or 40 terms; dual: value and derivative
         assert makes(lambda: tate_series_point(curve25, u))[0] == 2
         assert makes(lambda: tate_series_point(curve25, DualElement.seed(u)))[0] == 4
@@ -447,6 +455,28 @@ class TestSeriesPointDifferential:
         assert all(c.weights == o.weights for c, o in curves.values())
 
 
+class TestWeightsDifferential:
+    """Each weight, a sum of powers of q, agrees with q^m / (1 - q^m) by
+    inversion (tests/oracles.py) in shift, coefficients and precision, built
+    in one extension and in two, at v(q) = 1..7 and precision up to 400."""
+
+    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
+    def test_matches_inversion(self, name):
+        field = POINT_FIELDS[name]
+        rng = stream(37, "weights", name)
+        for sq in range(1, 8):
+            for prec in (rng.randint(sq + 1, 40), rng.randint(41, 160), rng.randint(161, 400)):
+                q = random_unit(rng, field, prec - sq) * PadicElement.uniformizer(field, prec, sq)
+                # as many terms as a point at v(u) = su asks for
+                terms = -(-prec // (sq - rng.randint(0, sq - 1)))
+                want = []
+                lambert_stepwise(q, want, lambda m: 0, terms, prec)
+                part = rng.randint(1, terms)
+                for got in (tate_mod._weights(q, [], terms),
+                            tate_mod._weights(q, tate_mod._weights(q, [], part), terms)):
+                    assert list(map(key, got)) == list(map(key, want)), (q, terms, part)
+
+
 class TestCoefficientMakes:
     """Every _make call of a series point and of a dual product: each S_m
     and the derivative of a dual product are reduced once."""
@@ -469,21 +499,24 @@ class TestCoefficientMakes:
 
     def test_series_point(self, makes, curve25, Q5):
         # a fresh curve holds no weight: u = 7 (v(u) = 0) needs 20, which
-        # its plain call builds (60 of its 129 _make calls), and u = 35
-        # (v(u) = 1) needs 40, and its plain call builds the other 20 (80 of
-        # its 209), so the order below is part of the count.  The rest are
-        # the powers of u and u^-1, one S_m = u^m + u^-m per term, one sum
-        # for each of X and Y and the principal parts; a dual reduces its
-        # value and its derivative, two for each product, S_m and sum
+        # its plain call builds (57 of its 126 _make calls: the 37 products
+        # of the chain q, ..., q^38 and one sum per weight), and u = 35
+        # (v(u) = 1) needs 40, and its plain call builds the other 20 (77 of
+        # its 206, a chain to q^58), so the order below is part of the
+        # count.  The rest are the powers of u and u^-1, one S_m = u^m + u^-m
+        # per term, one sum for each of X and Y and the principal parts; a
+        # dual reduces its value and its derivative, two for each product,
+        # S_m and sum
         curve = curve_coefficients(curve25.q)
         counts = []
         for n in (7, 35):
             u = PadicElement.from_int(Q5, n, 40)
             counts += [makes(lambda: tate_series_point(curve, u)),
                        makes(lambda: tate_series_point(curve, DualElement.seed(u)))]
-        # with a _make per coefficient part: 149, 181, 249, 341; per
-        # operation in each coefficient: 189, 309, 329, 589
-        assert counts == [129, 141, 209, 261]
+        # with weights by inversion: 129, 141, 209, 261; with a _make per
+        # coefficient part as well: 149, 181, 249, 341; per operation in
+        # each coefficient: 189, 309, 329, 589
+        assert counts == [126, 141, 206, 261]
 
     def test_dual_product(self, makes, Q5):
         a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
@@ -592,7 +625,7 @@ class TestDualMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert shared.weights == tate_mod._weights(q, [], len(shared.weights), q.abs_prec)
+        assert shared.weights == tate_mod._weights(q, [], len(shared.weights))
 
     def test_eq_hash_repr_unchanged(self, curve, Q5):
         fresh = curve_coefficients(curve.q)
