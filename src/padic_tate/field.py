@@ -27,7 +27,6 @@ immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,39 +181,27 @@ def _poly_inverse(a: Sequence[int], g: Sequence[int], p: int) -> Optional[list[i
     return [x * scale % p for x in s1]
 
 
-def _poly_pow_rem(a: list[int], n: int, g: Sequence[int], p: int) -> list[int]:
-    """a^n modulo the monic g over F_p, by square-and-multiply."""
-
-    def mul(x, y):
-        prod = [0] * (len(x) + len(y))
-        for i, u in enumerate(x):
-            for j, v in enumerate(y):
-                prod[i + j] += u * v
-        return _poly_divmod(prod, g, p)[1]
-
-    out = [1]
-    while n:
-        if n & 1:
-            out = mul(out, a)
-        a = mul(a, a)
-        n >>= 1
-    return out
-
-
 def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
     """Rabin's test: a monic g of degree f >= 2 is irreducible over F_p iff
-    x^(p^f) = x mod g and gcd(x^(p^(f/r)) - x, g) = 1 for each prime r | f."""
-    g = [c % p for c in coeffs]
+    x^(p^f) = x mod g and gcd(x^(p^(f/r)) - x, g) = 1 for each prime r | f.
+    The powers are products in F_p[x]/(g), taken by _vec_mul."""
+    g = tuple(c % p for c in coeffs)
     f = len(g) - 1
-    frob = [[0, 1]]                           # x^(p^k) mod g for k = 0..f
+    ring = FieldDescriptor(p, "unramified", f=f, residue_poly=g)
+    frob = [[0, 1] + [0] * (f - 2)]           # x^(p^k) mod g for k = 0..f
     for _ in range(f):
-        frob.append(_poly_pow_rem(frob[-1], p, g, p))
+        power = frob[-1]
+        for bit in bin(p)[3:]:                # left-to-right square-and-multiply
+            power = [c % p for c in _vec_mul(ring, power, power)]
+            if bit == "1":
+                power = [c % p for c in _vec_mul(ring, power, frob[-1])]
+        frob.append(power)
     if frob[f] != frob[0]:
         return False
     for r in range(2, f + 1):
         if f % r or not _is_prime(r):
             continue
-        h = [u - v for u, v in itertools.zip_longest(frob[f // r], frob[0], fillvalue=0)]
+        h = [u - v for u, v in zip(frob[f // r], frob[0])]
         if _poly_inverse(h, g, p) is None:
             return False
     return True

@@ -245,13 +245,12 @@ def _random_series_instance(rng, field: FieldDescriptor, nvars: int, prec: int,
     return f, g, d
 
 
-def weierstrass_suite(config: RunConfig, instances: int = 50,
-                      oracle_instances: int = 5) -> SuiteReport:
+def weierstrass_suite(config: RunConfig) -> SuiteReport:
     field = config.field()
     report = SuiteReport("weierstrass")
     prec_n = 20
     cap = 8
-    for i in range(instances):
+    for i in range(50):
         rng = stream(config.seed, "wdiv", i)
         nvars = rng.randint(1, 3)
         active = nvars - 1
@@ -273,7 +272,7 @@ def weierstrass_suite(config: RunConfig, instances: int = 50,
         q2, r2 = weierstrass_divide(g + f, f, active)
         report.check(f"unique/{i}", q2.is_indistinguishable(q + one)
                      and r2.is_indistinguishable(r), "two starts agree", "agreement mod pi^N")
-    for i in range(oracle_instances):
+    for i in range(5):
         rng = stream(config.seed, "wdiv-oracle", i)
         ok, detail = _oracle_cross_check(rng, field, prec_n)
         report.check(f"oracle/{i}", ok, detail, "linear solve agrees")
@@ -348,7 +347,7 @@ def _poly_mul_exact(a: dict, b: dict) -> dict:
 # ball suite
 # ---------------------------------------------------------------------------
 
-def balls_suite(config: RunConfig, instances: int = 500, grid: bool = True) -> SuiteReport:
+def balls_suite(config: RunConfig) -> SuiteReport:
     field = config.field()
     report = SuiteReport("balls")
     prec = max(12, config.prec // 2)
@@ -358,7 +357,7 @@ def balls_suite(config: RunConfig, instances: int = 500, grid: bool = True) -> S
         return random_element(rng, field, prec, 0, 3)
 
     consistency_fail = 0
-    for i in range(instances):
+    for i in range(500):
         rng = stream(config.seed, "balls", i)
         csize = rng.randint(1, 4)
         C = []
@@ -404,7 +403,7 @@ def balls_suite(config: RunConfig, instances: int = 500, grid: bool = True) -> S
     report.check("criterion_vs_balls", consistency_fail == 0,
                  f"{consistency_fail} failures", "0 failures over seeded instances")
 
-    if grid and field.kind == "base":
+    if field.kind == "base":
         _grid_check(report, field, config)
     return report
 
@@ -445,10 +444,10 @@ def _grid_check(report: SuiteReport, field: FieldDescriptor, config: RunConfig) 
 # lattice suite
 # ---------------------------------------------------------------------------
 
-def lattice_suite(config: RunConfig, matrices: int = 200) -> SuiteReport:
+def lattice_suite(config: RunConfig) -> SuiteReport:
     report = SuiteReport("lattice")
     snf_fail = 0
-    for i in range(matrices):
+    for i in range(200):
         rng = stream(config.seed, "snf", i)
         r = rng.randint(1, 8)
         c = rng.randint(1, 8)

@@ -5,6 +5,13 @@ import pytest
 from padic_tate.field import make_field
 
 
+@pytest.fixture(autouse=True)
+def no_seed_override(monkeypatch):
+    """PADIC_TATE_SEED overrides --seed, so every test starts without it and
+    a test of the override sets it itself."""
+    monkeypatch.delenv("PADIC_TATE_SEED", raising=False)
+
+
 @pytest.fixture
 def fractions_built(monkeypatch):
     """counted(call) -> (number of Fraction objects call builds, its result)."""

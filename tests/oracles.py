@@ -653,25 +653,30 @@ def solve_division(g: dict, f: dict, nvars: int, active: int, d: int, cap: int =
             {e: solution[r_index[e]] for e in r_vars if solution[r_index[e]]})
 
 
-def first_irreducible_mod_p(p: int, f: int) -> tuple[int, ...]:
-    """First monic polynomial of degree f over F_p, in itertools.product order
-    of its low coefficients (constant term first), that no monic polynomial of
-    degree 1..f/2 divides: brute-force trial division."""
+def is_irreducible(g: Sequence[int], p: int) -> bool:
+    """True when no monic polynomial of degree 1..f/2 divides the monic g of
+    degree f over F_p: brute-force trial division."""
+    f = len(g) - 1
 
-    def divides(d, g):
-        rem = list(g)
+    def divides(d):
+        rem = [c % p for c in g]
         for i in range(len(rem) - 1, len(d) - 2, -1):
             c = rem[i]
             for j in range(len(d)):
                 rem[i - len(d) + 1 + j] = (rem[i - len(d) + 1 + j] - c * d[j]) % p
         return not any(rem)
 
-    for tail in itertools.product(range(p), repeat=f):
-        g = list(tail) + [1]
-        if not any(divides(list(low) + [1], g)
+    return not any(divides(list(low) + [1])
                    for deg in range(1, f // 2 + 1)
-                   for low in itertools.product(range(p), repeat=deg)):
-            return tuple(g)
+                   for low in itertools.product(range(p), repeat=deg))
+
+
+def first_irreducible_mod_p(p: int, f: int) -> tuple[int, ...]:
+    """First monic irreducible polynomial of degree f over F_p, in
+    itertools.product order of its low coefficients (constant term first)."""
+    for tail in itertools.product(range(p), repeat=f):
+        if is_irreducible(tail + (1,), p):
+            return tail + (1,)
     raise AssertionError(f"no irreducible polynomial of degree {f} mod {p}")
 
 

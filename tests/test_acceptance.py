@@ -96,7 +96,7 @@ def test_criterion_4_exponential_laws():
 def test_criterion_5_weierstrass_division():
     t0 = time.time()
     cfg = RunConfig(p=5, prec=40, seed=0, slack=10)
-    report = weierstrass_suite(cfg, instances=50, oracle_instances=5)
+    report = weierstrass_suite(cfg)
     bad = _failures(report)
     n_oracle = sum(1 for r in report.records if r.name.startswith("oracle/"))
     elapsed = time.time() - t0
@@ -107,7 +107,7 @@ def test_criterion_5_weierstrass_division():
 def test_criterion_6_ball_calculus():
     t0 = time.time()
     cfg = RunConfig(p=5, prec=40, seed=0, slack=10)
-    report = balls_suite(cfg, instances=500, grid=True)
+    report = balls_suite(cfg)
     bad = _failures(report)
     grid_records = [r for r in report.records if r.name.startswith("grid/")]
     elapsed = time.time() - t0
@@ -118,7 +118,7 @@ def test_criterion_6_ball_calculus():
 def test_criterion_7_lattice_calculus():
     t0 = time.time()
     cfg = RunConfig(p=5, prec=40, seed=0, slack=10)
-    report = lattice_suite(cfg, matrices=200)
+    report = lattice_suite(cfg)
     bad = _failures(report)
     elapsed = time.time() - t0
     _report("7 lattice-calculus", not bad and elapsed < 10,
@@ -188,8 +188,8 @@ def test_criterion_9_precision_soundness_and_determinism():
     for _ in range(2):
         snapshot = []
         for name, rep in (("tate", tate_suite(cfg, q_literal="5^2", trials=5)),
-                          ("balls", balls_suite(cfg, instances=50, grid=False)),
-                          ("lattice", lattice_suite(cfg, matrices=20))):
+                          ("balls", balls_suite(cfg)),
+                          ("lattice", lattice_suite(cfg))):
             snapshot += [(name, r.name, r.ok, r.measured) for r in rep.records]
         runs.append(snapshot)
     ok &= runs[0] == runs[1]

@@ -418,6 +418,21 @@ class TestHarnessCommand:
                          "--format", "structured", *options)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_seed_env_overrides_the_harness_seed(self, capsys, monkeypatch):
+        # the weierstrass report draws its instances from the seed
+        base = ("harness", "--suite", "weierstrass", "--format", "structured")
+        _, out_seed0 = run_cli(capsys, *base, "--seed", "0")
+        _, out_seed3 = run_cli(capsys, *base, "--seed", "3")
+        monkeypatch.setenv("PADIC_TATE_SEED", "3")
+        _, out_env = run_cli(capsys, *base, "--seed", "0")
+        assert out_env == out_seed3 != out_seed0
+
+    def test_non_integer_seed_env_is_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADIC_TATE_SEED", "three")
+        assert main(["harness", "--suite", "weierstrass", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "three" in captured.err
+
 
 class TestPointRoundTrip:
     def test_map_output_feeds_add(self, capsys):
@@ -668,10 +683,9 @@ def golden_digest(argv) -> str:
 
 @pytest.fixture
 def golden_env(tmp_path, monkeypatch):
-    """Fixed help width, no seed override, and the input files; returns the
-    argv rewriter that puts their paths in place of the @names."""
+    """Fixed help width and the input files; returns the argv rewriter that
+    puts their paths in place of the @names."""
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("PADIC_TATE_SEED", raising=False)
     paths = {}
     for name, content in GOLDEN_FILES.items():
         path = tmp_path / (name[1:] + ".json")
@@ -787,6 +801,18 @@ class TestImportHygiene:
     def test_suite_names_are_the_harness_suites(self):
         from padic_tate import harness
         assert cli.SUITE_NAMES == tuple(sorted(harness.SUITES))
+
+    def test_suite_parameters_are_what_the_cli_passes(self):
+        # --trials reaches exp and tate, --q reaches tate; every other suite
+        # has one size, so no option exists that only a test could set
+        from padic_tate import harness
+        params = {name: list(inspect.signature(suite).parameters)
+                  for name, suite in harness.SUITES.items()}
+        assert params == {"exp": ["config", "trials"],
+                          "tate": ["config", "q_literal", "trials"],
+                          "weierstrass": ["config"],
+                          "balls": ["config"],
+                          "lattice": ["config"]}
 
 
 class TestModuleEntry:
@@ -922,13 +948,12 @@ def load_digests():
 
 
 class TestDigestScript:
-    def test_cheap_row_matches_in_process_run(self, capsys, monkeypatch):
+    def test_cheap_row_matches_in_process_run(self, capsys):
         # scripts/digests.py runs the harness in a child interpreter; its row
         # for --p 2 at seed 0 matches the same run made here
         digests = load_digests()
         config = ("--p", "2")
         assert config in digests.CONFIGS and 0 in digests.SEEDS
-        monkeypatch.delenv("PADIC_TATE_SEED", raising=False)
         code, out = run_cli(capsys, "harness", "--suite", "all", "--format", "structured",
                             *config, "--seed", "0")
         sha = hashlib.sha256(out.encode()).hexdigest()

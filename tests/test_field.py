@@ -72,6 +72,19 @@ class TestMakeField:
             poly = make_field(p, "unramified", f=f).residue_poly
             assert poly == first_irreducible_mod_p(p, f)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_rabin_matches_trial_division(self, p):
+        # integer coefficients outside [0, p) check the reduction mod p too
+        for f in range(2, 7):
+            rng = stream(0, "rabin", p, f)
+            verdicts = set()
+            for _ in range(40):
+                g = [rng.randrange(-2 * p, 2 * p) for _ in range(f)] + [1]
+                verdict = field_mod._irreducible_mod_p(g, p)
+                assert verdict == oracles.is_irreducible(g, p), g
+                verdicts.add(verdict)
+            assert verdicts == {True, False}, (p, f)
+
     @pytest.mark.parametrize("p", [1000003, 10**18 + 3])
     def test_unramified_large_prime(self, p):
         start = time.perf_counter()
