@@ -8,10 +8,10 @@ Runs `padic-tate harness --suite all --format structured` of the checkout
 this script sits in, in a fresh interpreter per row, for each field
 configuration in CONFIGS at seeds 0 and 1, and prints one line per row:
 the configuration, the seed, the exit code and the SHA-256 of stdout.
-Then, for each perfbench workload, it replays requests 0..MIN_REQUESTS-1 of
-`perfbench/run.py --seed 7` in this process, untimed, and prints the result
-digest that run.py reports.  Run it in two checkouts and compare the
-outputs.  scripts/digests.txt holds the rows of this tree, which CI diffs
+Then, for each perfbench workload, it runs `perfbench/run.py`'s own request
+loop, `run.measure`, at seed 7 for MIN_REQUESTS requests in this process,
+and prints the result digest that run.py reports.  Run it in two checkouts
+and compare the outputs.  scripts/digests.txt holds the rows of this tree, which CI diffs
 against on each supported Python.
 """
 
@@ -75,8 +75,8 @@ def cli_row(argv) -> str:
 
 
 def perfbench_row(workload: str, seed: int = PERFBENCH_SEED) -> str:
-    """The line of one workload: its requests 0..MIN_REQUESTS-1 made and
-    checked as perfbench/run.py makes them, with run.Tally's digest."""
+    """The line of one workload: run.Tally's digest of its requests
+    0..MIN_REQUESTS-1, made by run.measure with no time budget."""
     for path in (str(PERFBENCH), str(SRC)):
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -84,17 +84,7 @@ def perfbench_row(workload: str, seed: int = PERFBENCH_SEED) -> str:
     import workloads
 
     wl = workloads.WORKLOADS[workload]
-    ctx = wl.setup()
-    tally, prev = run.Tally(wl, ctx), None
-    for i in range(run.MIN_REQUESTS):
-        inp = wl.gen(ctx, seed, i, prev)
-        out = err = None
-        try:
-            out = wl.run(ctx, inp)
-        except Exception as exc:
-            err = f"{type(exc).__name__}: {exc}"
-        tally.add(inp, out, err)
-        prev = inp, out
+    tally = run.measure(wl, wl.setup(), seed, 0)[0]
     return f"perfbench {workload}  seed={seed}  sha256={tally.digest}"
 
 

@@ -573,14 +573,17 @@ class PadicElement:
         """a * self + b * other for a, b = 1 or -1, as one two-term
         _sum_terms capped at the common precision, so that neither operand
         is negated or reduced first.  An int other is exact: the raw vector
-        (other, 0, ..., 0) at shift 0, and the sum keeps self's abs_prec."""
+        (other, 0, ..., 0) at shift 0, and the sum keeps self's abs_prec.  A
+        Fraction other is built at self's abs_prec, since no digit beyond it
+        could survive the sum."""
         if isinstance(other, int):
             prec = self.abs_prec
             vec = (b * other,) + (0,) * (self.field.coeff_len - 1) if other else None
             term = (prec, 0, vec)
         else:
-            other = _coerce(self, other)
-            if other is NotImplemented:
+            if isinstance(other, Fraction):
+                other = PadicElement.from_rational(self.field, other, self.abs_prec)
+            elif not isinstance(other, PadicElement):
                 return NotImplemented
             self._check_same_field(other)
             prec = min(self.abs_prec, other.abs_prec)
@@ -601,8 +604,7 @@ class PadicElement:
         prec, shift, vec = _product_term(self, other)
         return _make(self.field, shift, vec, prec) if vec else PadicElement.zero(self.field, prec)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def _scale_rational(self, value: Rational) -> "PadicElement":
         """Exact multiplication by a rational scalar; relative precision kept.
@@ -713,17 +715,6 @@ class PadicElement:
 
     def __repr__(self) -> str:
         return f"<{self} over {self.field}>"
-
-
-def _coerce(template: PadicElement, value) -> PadicElement:
-    """An exact Fraction operand, built at the template's own abs_prec: a sum
-    keeps min(abs_prec), so no digit beyond it could survive.  (An int
-    operand never gets here: _combine adds it as a raw vector.)"""
-    if isinstance(value, PadicElement):
-        return value
-    if isinstance(value, Fraction):
-        return PadicElement.from_rational(template.field, value, template.abs_prec)
-    return NotImplemented
 
 
 def _binary_power(base, n: int):

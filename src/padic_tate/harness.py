@@ -127,7 +127,7 @@ def _sample_fundamental(rng, field: FieldDescriptor, prec: int, sq: int) -> Padi
     the kernel so the principal parts stay inside the slack budget."""
     while True:
         u = random_element(rng, field, prec, 0, sq - 1)
-        if u.shift > 0 or _off_kernel(u):
+        if _off_kernel(u):
             return u
 
 
@@ -203,17 +203,16 @@ def _random_series_instance(rng, field: FieldDescriptor, nvars: int, prec: int,
             out[rng.randrange(nvars)] += 1 if nvars > 1 else 0
         return tuple(min(x, cap) for x in out)
 
-    one = PadicElement.one(field, prec)
-    f_terms: dict = {}
+    def add(terms, key, coeff):
+        if not coeff.is_zero:
+            terms[key] = terms[key] + coeff if key in terms else coeff
+
     top = tuple(d if i == active else 0 for i in range(nvars))
-    f_terms[top] = one
+    f_terms = {top: PadicElement.one(field, prec)}
     for j in range(d):
         if rng.random() < 0.7:
-            coeff = PadicElement.from_int(field, rng.randint(0, p ** 3), prec)
-            if coeff.is_zero:
-                continue
-            key = tuple(j if i == active else 0 for i in range(nvars))
-            f_terms[key] = coeff
+            add(f_terms, tuple(j if i == active else 0 for i in range(nvars)),
+                PadicElement.from_int(field, rng.randint(0, p ** 3), prec))
     # perturbation of high valuation: gamma >= ceil(prec/3) keeps the
     # contraction within three passes and the degrees inside the cap
     gamma = _ceil_div(prec, 3) + rng.randint(0, 2)
@@ -221,11 +220,7 @@ def _random_series_instance(rng, field: FieldDescriptor, nvars: int, prec: int,
     for _ in range(rng.randint(1, 2)):
         key = expo(rng.randint(0, min(2, d)), eps_deg)
         unit = rng.randint(1, p - 1) + p * rng.randint(0, p)
-        coeff = PadicElement.from_int(field, unit * p ** gamma, prec)
-        if key in f_terms:
-            f_terms[key] = f_terms[key] + coeff
-        else:
-            f_terms[key] = coeff
+        add(f_terms, key, PadicElement.from_int(field, unit * p ** gamma, prec))
     f = StrictSeries.build(nvars, field, f_terms, cap, prec)
 
     g_terms: dict = {}
@@ -233,14 +228,7 @@ def _random_series_instance(rng, field: FieldDescriptor, nvars: int, prec: int,
         key = expo(rng.randint(0, min(4, cap)), min(2, cap))
         if sum(key) > min(4, cap):
             continue
-        val = rng.randint(-p ** 3, p ** 3)
-        coeff = PadicElement.from_int(field, val, prec)
-        if coeff.is_zero:
-            continue
-        if key in g_terms:
-            g_terms[key] = g_terms[key] + coeff
-        else:
-            g_terms[key] = coeff
+        add(g_terms, key, PadicElement.from_int(field, rng.randint(-p ** 3, p ** 3), prec))
     g = StrictSeries.build(nvars, field, g_terms, cap, prec)
     return f, g, d
 

@@ -11,6 +11,7 @@ changes no dimension, so cosets carry no extra data here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -207,16 +208,8 @@ class SubgroupLattice:
                 raise DimensionMismatch("lattice rows must equal the ambient n")
 
     @property
-    def dim_mult(self) -> int:
-        return rank(self.mult)
-
-    @property
-    def dim_ell(self) -> int:
-        return rank(self.ell)
-
-    @property
     def dim(self) -> int:
-        return self.dim_mult + self.dim_ell
+        return rank(self.mult) + rank(self.ell)
 
 
 def full_subgroup(n: int) -> SubgroupLattice:
@@ -492,12 +485,7 @@ def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
             raise ValueError("every u_i needs a known leading digit")
     threshold = min([x.abs_prec for x in u] + [q.abs_prec]) - slack
     tables = [{m: x ** m for m in range(-height, height + 1)} for x in u]
-    qpow_cache: dict[int, PadicElement] = {}
-
-    def qpow(k: int) -> PadicElement:
-        if k not in qpow_cache:
-            qpow_cache[k] = q ** k
-        return qpow_cache[k]
+    qpow = functools.cache(q.__pow__)
 
     found = []
     for m_vec in box:

@@ -255,12 +255,9 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
             f"principal part at v(1-u) = {omu_val.valuation()} exhausts the budget")
     inv_omu = one_minus_u.invert()
     dmax = _ceil_div(target, sq - su)
-    un = u_inv = u.invert()
-    upow, spow = [u], [u + u_inv]
-    for _ in range(dmax - 1):
-        upow.append(upow[-1] * u)
-        un = un * u_inv
-        spow.append(upow[-1] + un)
+    upow = list(itertools.accumulate(itertools.repeat(u, dmax), operator.mul))
+    un = itertools.accumulate(itertools.repeat(u.invert(), dmax), operator.mul)
+    spow = list(map(operator.add, upow, un))
     uval._check_same_field(q)
     weights = _weights(q, curve.weights, dmax)
     if isinstance(u, DualElement):

@@ -77,10 +77,6 @@ class StrictSeries:
         return StrictSeries(nvars, field, {e: c for e, c in clean.items() if not c.is_zero},
                             degree_cap, coeff_prec)
 
-    @staticmethod
-    def zero(nvars: int, field: FieldDescriptor, degree_cap: int, coeff_prec: int) -> "StrictSeries":
-        return StrictSeries(nvars, field, {}, degree_cap, coeff_prec)
-
     # ------------------------------------------------------------------
 
     @property
@@ -120,9 +116,6 @@ class StrictSeries:
                     f"product monomial {expo} exceeds cap {cap}; raise the cap")
         acc = {e: c for e, c in acc.items() if sum(e) <= cap}
         return StrictSeries.build(self.nvars, self.field, acc, cap, prec)
-
-    def coefficient(self, expo: Exponent) -> PadicElement:
-        return self.coeffs.get(tuple(expo), PadicElement.zero(self.field, self.coeff_prec))
 
     def is_indistinguishable(self, other: "StrictSeries") -> bool:
         return (self - other).is_zero

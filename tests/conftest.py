@@ -1,3 +1,5 @@
+import collections
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -13,22 +15,40 @@ def no_seed_override(monkeypatch):
 
 
 @pytest.fixture
-def fractions_built(monkeypatch):
-    """counted(call) -> (number of Fraction objects call builds, its result)."""
-    count = [0]
-    new = Fraction.__new__
+def count_calls(monkeypatch):
+    """count_calls((owner, name), ...) wraps each attribute in a counter for
+    the test and returns counted(call) -> (Counter of the names call reached,
+    call's result).  A name never reached is absent, so a Counter compares
+    equal to a dict of the nonzero counts.  A staticmethod stays one."""
+    def install(*targets):
+        counts = collections.Counter()
 
-    def counting_new(cls, *args, **kwargs):
-        count[0] += 1
-        return new(cls, *args, **kwargs)
+        def wrap(name, fn):
+            def counting(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counting
 
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
+        for owner, name in targets:
+            attr = inspect.getattr_static(owner, name)
+            if isinstance(attr, staticmethod):
+                monkeypatch.setattr(owner, name, staticmethod(wrap(name, attr.__func__)))
+            else:
+                monkeypatch.setattr(owner, name, wrap(name, attr))
 
-    def counted(call):
-        count[0] = 0
-        result = call()
-        return count[0], result
-    return counted
+        def counted(call):
+            counts.clear()
+            result = call()
+            return collections.Counter(counts), result
+        return counted
+    return install
+
+
+@pytest.fixture
+def fractions_built(count_calls):
+    """counted(call) -> (Counter whose "__new__" is the number of Fraction
+    objects call builds, its result)."""
+    return count_calls((Fraction, "__new__"))
 
 
 @pytest.fixture(scope="session")

@@ -47,7 +47,6 @@ from padic_tate.errors import (
 from padic_tate.field import (
     FieldDescriptor,
     PadicElement,
-    _coerce,
     _make,
     _poly_inverse,
     _rational_unit,
@@ -137,8 +136,9 @@ def _combine(self, other, sign: int):
     difference never negates other first."""
     if isinstance(other, int):
         return self if other == 0 else _add_int(self, sign * other, 1)
-    other = _coerce(self, other)
-    if other is NotImplemented:
+    if isinstance(other, Fraction):
+        other = PadicElement.from_rational(self.field, other, self.abs_prec)
+    elif not isinstance(other, PadicElement):
         return NotImplemented
     self._check_same_field(other)
     prec = min(self.abs_prec, other.abs_prec)
@@ -871,7 +871,7 @@ def weierstrass_divide_from_zero(g, f, active: int, initial=None):
     gamma = _gauss_shift(eps)
     assert gamma > 0
     iterations = -(-prec // gamma) + 1
-    q = initial if initial is not None else StrictSeries.zero(g.nvars, g.field, cap, prec)
+    q = initial if initial is not None else StrictSeries.build(g.nvars, g.field, {}, cap, prec)
     for k in range(iterations):
         q_next, r = _poly_divmod(g - q * eps, w, active, d)
         if k:

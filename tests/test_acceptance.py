@@ -180,7 +180,8 @@ def test_criterion_9_precision_soundness_and_determinism():
     (qa, ra), (qb, rb) = division(20), division(40)
     for low, high in ((qa, qb), (ra, rb)):
         for expo, coeff in low.coeffs.items():
-            ok &= coeff.is_indistinguishable(high.coefficient(expo).truncate(20))
+            ok &= coeff.is_indistinguishable(
+                high.coeffs.get(expo, PadicElement.zero(field, high.coeff_prec)).truncate(20))
 
     # determinism: identical seeds give identical reports across two runs
     cfg = RunConfig(p=5, prec=40, seed=0, slack=10)

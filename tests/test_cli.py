@@ -703,24 +703,14 @@ class TestGoldenBytes:
 
 
 class TestParserReuse:
-    def test_first_call_builds_the_tree_and_later_calls_none(self, monkeypatch, capsys):
-        built = [0]
-        init = argparse.ArgumentParser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built[0] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    def test_first_call_builds_the_tree_and_later_calls_none(self, count_calls, capsys):
+        built = count_calls((argparse.ArgumentParser, "__init__"))
         cli._build_parser.cache_clear()
-        assert main(["exp", "--x", "5", "--prec", "5"]) == 0
         # the shared flags, the top parser, five command groups and 20 leaves
-        assert built[0] == 27
-        built[0] = 0
-        for k in range(20):
-            assert main(["exp", "--x", str(5 * k), "--prec", "5"]) == 0
-        assert main(["geom", "atypical", "--help"]) == 0
-        assert built[0] == 0
+        assert built(lambda: main(["exp", "--x", "5", "--prec", "5"])) == ({"__init__": 27}, 0)
+        later = built(lambda: [main(["exp", "--x", str(5 * k), "--prec", "5"]) for k in range(20)]
+                      + [main(["geom", "atypical", "--help"])])
+        assert later == ({}, [0] * 21)
 
     def test_omitted_T_is_zero_after_a_call_with_T(self, capsys):
         base = ["geom", "plikely", "--V", "1;0", "--S", "1;0", "--n", "2",

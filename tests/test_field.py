@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padic_tate import field as field_mod
+from padic_tate.dual import DualElement
 from padic_tate.errors import (
     DivisionByImpreciseZero,
     FieldMismatch,
@@ -528,6 +529,27 @@ class TestOperandRule:
         with pytest.raises(TypeError):
             [1] / x
 
+    ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+    @pytest.mark.parametrize("name", ["Q5", "E54", "U22"])
+    @pytest.mark.parametrize("op", ARITHMETIC, ids=["add", "sub", "mul", "div"])
+    def test_foreign_operand_refused_on_both_sides(self, request, name, op):
+        x = PadicElement.from_int(request.getfixturevalue(name), 7, 12)
+        for other in (1.5, "a", [1], None):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+
+    @pytest.mark.parametrize("name", ["Q5", "E54", "U22"])
+    def test_dual_right_operand_takes_its_reflected_operator(self, request, name):
+        field = request.getfixturevalue(name)
+        x = PadicElement.from_int(field, 7, 12)
+        d = DualElement(PadicElement.from_int(field, 3, 12), PadicElement.from_int(field, 2, 12))
+        reflected = [d.__radd__, d.__rsub__, d.__rmul__, d.__rtruediv__]
+        for op, rop in zip(self.ARITHMETIC, reflected):
+            assert op(x, d) == rop(x), op
+
 
 UNRAMIFIED_INVERSE_FIELDS = [(p, f) for p in (2, 3, 7, 1000003, 10**18 + 3)
                              for f in (2, 3, 5, 8)]
@@ -651,20 +673,10 @@ class TestOnePassOperands:
         assert key(m - x) == key(exact(m) + (-x))
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        """Counts of __neg__, __add__ and from_rational calls."""
-        count = {}
-
-        def counting(name, fn):
-            def wrapped(*args):
-                count[name] = count.get(name, 0) + 1
-                return fn(*args)
-            return wrapped
-        for name in ("__neg__", "__add__"):
-            monkeypatch.setattr(PadicElement, name, counting(name, getattr(PadicElement, name)))
-        monkeypatch.setattr(PadicElement, "from_rational",
-                            staticmethod(counting("from_rational", PadicElement.from_rational)))
-        return count
+    def calls(self, count_calls):
+        """counted(call) -> (calls of __neg__, __add__ and from_rational, call's result)."""
+        return count_calls((PadicElement, "__neg__"), (PadicElement, "__add__"),
+                           (PadicElement, "from_rational"))
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_one_pass_counts(self, calls, name):
@@ -672,28 +684,21 @@ class TestOnePassOperands:
         a = PadicElement.from_pi_digits(field, 0, [2, 3, 1, 4], 6)
         b = PadicElement.from_pi_digits(field, 1, [1, 1, 2], 7)
         zero = PadicElement.zero(field, 5)
-        calls.clear()
-        diffs = [a - b, b - a, a - zero, zero - a, a - 3, 3 - a, a - 0, a - 25]
-        assert calls == {}
-        sums = [a + 3, 3 + a, a + 0, a + 25]
-        assert set(calls) == {"__add__"}
+        counts, diffs = calls(lambda: [a - b, b - a, a - zero, zero - a,
+                                       a - 3, 3 - a, a - 0, a - 25])
+        assert counts == {}
+        counts, sums = calls(lambda: [a + 3, 3 + a, a + 0, a + 25])
+        assert set(counts) == {"__add__"}
         assert diffs[0] == -diffs[1] and diffs[4] == -diffs[5] and sums[0] == sums[1]
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
-    def test_int_operand_reduces_once(self, monkeypatch, fractions_built, name):
+    def test_int_operand_reduces_once(self, count_calls, name):
         field = FIELDS[name]
         a = PadicElement.from_pi_digits(field, -1, [2, 3, 1, 4], 6)
-        count = [0]
-        make = field_mod._make
-
-        def counting_make(*args):
-            count[0] += 1
-            return make(*args)
-
-        monkeypatch.setattr(field_mod, "_make", counting_make)
+        # one _make each, and no Fraction built
+        counted = count_calls((field_mod, "_make"), (Fraction, "__new__"))
         for op in (lambda: a + 7, lambda: a - 7, lambda: 7 - a, lambda: 7 + a):
-            count[0] = 0
-            assert fractions_built(op)[0] == 0 and count[0] == 1
+            assert counted(op)[0] == {"_make": 1}
 
 
 class TestDisplay:

@@ -403,40 +403,26 @@ class TestFusedSeries:
                 assert key(p_log(y)) == key(log_stepwise(y, 2 * T)), (shift, rel)
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        """Counts of _make, PadicElement.__mul__ and _scale_rational calls."""
-        count = {}
-
-        def counting(name, fn):
-            def wrapped(*args):
-                count[name] = count.get(name, 0) + 1
-                return fn(*args)
-            return wrapped
-        monkeypatch.setattr(field_mod, "_make", counting("_make", field_mod._make))
-        for name in ("__mul__", "_scale_rational"):
-            monkeypatch.setattr(PadicElement, name, counting(name, getattr(PadicElement, name)))
-        return count
+    def calls(self, count_calls):
+        """counted(call) -> (calls of _make, PadicElement.__mul__,
+        _scale_rational and Fraction.__new__, call's result)."""
+        return count_calls((field_mod, "_make"), (PadicElement, "__mul__"),
+                           (PadicElement, "_scale_rational"), (Fraction, "__new__"))
 
     @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
-    def test_one_make_per_series(self, calls, fractions_built, name):
+    def test_one_make_per_series(self, calls, name):
         field = SERIES_FIELDS[name]
         shift = _edge(field)
         x = random_element(stream(17, "count", name), field, 80, shift, shift)
-        calls.clear()
-        built, y = fractions_built(lambda: p_exp(x))
-        assert (built, calls) == (0, {"_make": 1})
-        calls.clear()
-        built, _ = fractions_built(lambda: p_log(y))
+        # no count of Fraction.__new__: no series builds a Fraction
+        counts, y = calls(lambda: p_exp(x))
+        assert counts == {"_make": 1}
         # one for y - 1, one for the sum
-        assert (built, calls) == (0, {"_make": 2})
+        assert calls(lambda: p_log(y))[0] == {"_make": 2}
         # a dual adds the one chain-rule product exp(x) x' or quotient y'/y
         dx, dy = DualElement.seed(x), DualElement.seed(y)
-        calls.clear()
-        built, _ = fractions_built(lambda: p_exp(dx))
-        assert (built, calls) == (0, {"_make": 2, "__mul__": 1})
-        calls.clear()
-        built, _ = fractions_built(lambda: p_log(dy))
-        assert (built, calls) == (0, {"_make": 3, "__mul__": 1})
+        assert calls(lambda: p_exp(dx))[0] == {"_make": 2, "__mul__": 1}
+        assert calls(lambda: p_log(dy))[0] == {"_make": 3, "__mul__": 1}
 
 
 RECURRENCE_FIELDS = {
