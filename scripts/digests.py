@@ -41,13 +41,19 @@ PERFBENCH_SEED = 7
 # a literal of negative valuation that balls next prints whole, recorded
 # after each term of a literal was read exactly to --prec; then a point
 # series at the --prec cap, recorded while each Lambert weight was one
-# inversion
+# inversion; then exp and log at the cap over Q_2, whose tails fall furthest
+# below their block's first term, and over the cubic unramified Q_3, whose
+# products are the longest, recorded while each series term was one product
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
     ("log", "--p", "5", "--ext", "eisenstein:e=4,c=-1", "--y", "1+pi^2", "--prec", "4096"),
     ("balls", "next", "--C", "0", "--x", "5^-30+1", "--prec", "20"),
     ("tate", "map", "--q", "5^2", "--u", "7", "--prec", "4096"),
+    ("exp", "--p", "2", "--x", "4", "--prec", "4096"),
+    ("log", "--p", "2", "--y", "5", "--prec", "4096"),
+    ("exp", "--p", "3", "--ext", "unramified:f=3", "--x", "3*g+3", "--prec", "4096"),
+    ("log", "--p", "3", "--ext", "unramified:f=3", "--y", "1+3*g", "--prec", "4096"),
 )
 
 

@@ -749,8 +749,8 @@ def _sum_terms(field: FieldDescriptor, terms, cap: Optional[int] = None) -> Padi
     """sum of pi^shift * vec over the (prec, shift, vec) terms, with one _make.
 
     This is the one aligned sum: x + y, x - y, x +- m and m +- x are two-term
-    calls capped at the common precision, and exp, log and the Lambert sums
-    pass their raw terms.
+    calls capped at the common precision, the Lambert sums pass their raw
+    terms, and exp and log pass their whole sum as one term.
 
     A term is exact modulo pi^prec, and vec None marks a zero term, which
     only bounds the precision.  The sum is known to the least term prec and

@@ -6,35 +6,79 @@ closed forms: exp stops at Legendre's bound v_p(n!) <= (n-1)/(p-1), and log at
 its exact last term below the precision, term n having shift n*v - e*v_p(n)
 for v = v(y-1) in pi-units.  A precision shortfall raises instead of degrading.
 
-Both series run one recurrence, term n = term n-1 * t * num(n)/n: exp from 1
-with t = x and num(n) = 1, log from t = y - 1 with num(n) = 1 - n.  A term is
-a raw vector modulo M = p^K, K = ceil(rel/e) + 1, at a shift, and
-field._sum_terms adds the terms at one shift with one _make.  With num(n)/n =
-p^w * a/b, a and b prime to p (field._split_rational), and p^w =
-pi^(e*w) * c^-w as pi^e = c*p, a term adds e*w to the shift and takes each
-entry x of the product to x * a modulo M, divides that exactly by the small
-integer b, and, only for w != 0 and c != 1, multiplies by c^-w modulo M.
-The division forms no inverse modulo M: with y = -x/M modulo b, x + y*M is a
-multiple of b in [0, b*M), so its quotient by b is the residue of x/b in
-[0, M).  So each entry is the residue in [0, M) of x times the unit
-a/b * c^-w, the one that multiplying by that unit reduced modulo M gives,
-with small-integer steps in place of a K-digit product.  Every step keeps
-the relative precision rel, so a term is known to its shift + rel and the
-sum to the least of these (on the ball, the argument's own).  The units
-multiply, so a raw vector is the exact term modulo p^K = pi^(eK), past rel,
-and the digits are the term-by-term loop's.  A dual argument takes the same
-path for its value and its derivative from the chain rule, exp(x)' =
-exp(x) x' and log(y)' = y'/y.
+Both series are hypergeometric: a sum over k <= T of d_k t^k with d_0 = 1 and
+d_k = d_(k-1) a(k)/b(k).  exp is one with t = x, a(k) = 1 and b(k) = k; log
+is t times one with t = y - 1, a(k) = -k and b(k) = k + 1, its T one less
+than the last term's index.  _hypergeometric sums it by rectangular splitting
+(Paterson and Stockmeyer, SIAM J. Comput. 2, 1973, in D. M. Smith's
+concurrent-summation form, ACM TOMS 15, 1989).  With m = isqrt(T + 1), the
+powers t^0..t^m cost m - 1 full products.  Block j holds terms jm..jm+L-1
+(L = m except in the last block) and is d_jm t^jm A_j / P_j, where
+
+    A_j = sum_{i<L} t^i * prod_{l=1..i} a(jm+l) * prod_{l=i+1..L-1} b(jm+l),
+    P_j = prod_{l=1..L-1} b(jm+l),
+
+so A_j is a sum of integer multiples of the powers, the integers about
+m*log(T) bits long.  The blocks are joined by Horner's rule in t^m.  The tail
+R_j = sum_{k>=jm} (d_k/d_jm) t^(k-jm) satisfies
+
+    R_j = (A_j + t^m * R_(j+1) * N_j / b(jm+m)) / P_j,  N_j = prod_{l=1..m} a(jm+l),
+
+one full product per link, and the sum is R_0.  A series thus makes
+(m - 1) + (blocks - 1) full products, and log one more for its factor t,
+where the term-by-term sum made one per term.
+
+The precision argument.  t enters as the integer coefficient vector of the
+argument's own representative pi^s * coeffs, s its shift, and every vector
+is taken modulo one power M = p^W.  An element of pi^n O has a vector
+divisible by p^floor(n/e), and an element of O an integral vector.  Let
+V(k) = k*s + e*v_p(d_k) be term k's pi-valuation.  A tail need not be
+integral: its term k, d_k t^k / (d_jm t^jm), has valuation V(k) - V(jm),
+which the p-parts of the b(l) can make negative.  So the loop carries
+p^G R_j, with G = max_j ceil((V(jm) - min_{k>=jm} V(k))/e), which makes every
+term of every tail, times p^G, integral; so are the block sums and links
+that are made of them.  Each unit part u of a divisor is divided as
+x -> (x + ((-x*r) mod u)*M) // u with r = M^-1 mod u, x/u modulo M with no
+inverse modulo M, and each p-part by an exact floor division.
+
+Let D_j count the digits by which the computed p^G R_j falls short of W.
+The last block is exact up to its division, so D_last = v_p(P_last).  A
+link multiplies p^G R_(j+1) by t^m, in pi^(m*s) O, which gains floor(m*s/e)
+digits, but no more than the W that the reduction modulo M keeps.  Then
+N_j / b(jm+m) = p^w u_j gains w more, again capped at W, or for w < 0 loses
+-w by an exact division.  Adding A_j, exact modulo M, loses nothing, and
+dividing by P_j loses v_p(P_j).  So
+
+    D_j = max(0, max(0, D_(j+1) - floor(m*s/e)) - w) + v_p(P_j).
+
+The product by t^m is reduced modulo M before the link's p^w reaches it, so
+its cap comes first; capping only after both would overstate what is known.
+A division by p^k is exact when the computed vector agrees with the true
+one, which p^k divides, to k digits or more; at link j that needs
+W >= D_j.  So W = ceil(prec/e) + G + max_j D_j makes every division exact
+and leaves p^G R_0 known modulo p^(ceil(prec/e) + G).  R_0 is integral, as
+V(k) >= V(0) = 0 on the ball, so the division by p^G is exact too, and R_0
+is known modulo p^ceil(prec/e), so modulo pi^prec.  exp takes prec =
+abs_prec(x); log takes prec = rel_prec(t) and then multiplies by t's unit at
+t's shift.  So each result is the truncated series of the argument's
+representative, exact modulo the argument's abs_prec, and one _sum_terms
+term, reduced by one _make, gives the digits and the precision of the
+term-by-term sum.  A dual argument takes the same path for its value and
+its derivative from the chain rule, exp(x)' = exp(x) x' and log(y)' = y'/y.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Union
+from itertools import accumulate
+from math import isqrt
+from operator import mul
+from typing import Sequence, Union
 
 from .dual import DualElement
 from .errors import OutsideConvergenceDomain
-from .field import PadicElement, _ceil_div, _split_rational, _sum_terms, _vec_mul
+from .field import (PadicElement, _ceil_div, _shift_vec, _split_rational, _sum_terms, _vec_mul,
+                    _vp)
 
 Evaluable = Union[PadicElement, DualElement]
 
@@ -88,8 +132,8 @@ def p_exp(x: Evaluable) -> Evaluable:
     if x.is_zero:
         return PadicElement.one(x.field, x.abs_prec)
     T = _exp_truncation(x.shift, x.field.e, x.field.p, x.abs_prec)
-    first = (x.abs_prec, 0, (1,) + (0,) * (x.field.coeff_len - 1))
-    return _sum_terms(x.field, _terms(x, first, 1, T, x.rel_prec, lambda n: 1))
+    vec = _hypergeometric(x, [1] * T, range(1, T + 1), x.abs_prec)
+    return _sum_terms(x.field, [(x.abs_prec, 0, vec)])
 
 
 def p_log(y: Evaluable) -> Evaluable:
@@ -104,28 +148,59 @@ def p_log(y: Evaluable) -> Evaluable:
     if t.is_zero:
         return PadicElement.zero(t.field, t.abs_prec)
     T = _log_truncation(t.shift, t.field.e, t.field.p, t.abs_prec)
-    first = (t.abs_prec, t.shift, t.coeffs)
-    return _sum_terms(t.field, _terms(t, first, 2, T, t.rel_prec, lambda n: 1 - n))
+    vec = _vec_mul(t.field, t.coeffs,
+                   _hypergeometric(t, range(-1, -T, -1), range(2, T + 1), t.rel_prec))
+    return _sum_terms(t.field, [(t.abs_prec, t.shift, vec)])
 
 
-def _terms(t: PadicElement, first: tuple, n0: int, T: int, rel: int, num: Callable[[int], int]):
-    """The (prec, shift, vec) terms of a series: the given first term, then
-    for n = n0..T term n = term n-1 * t * num(n)/n, each at relative
-    precision rel; c^-w is taken once per w."""
-    field, (prec, shift, vec) = t.field, first
-    mod = field.p ** (_ceil_div(rel, field.e) + 1)
-    c, cpow = field.eis_unit, {}
-    yield prec, shift, vec
-    for n in range(n0, T + 1):
-        w, a, b = _split_rational(field.p, num(n), n)
-        vec = [x * a % mod for x in _vec_mul(field, vec, t.coeffs)]
-        if b != 1:
-            r = pow(mod, -1, b)
-            vec = [(x + (-x * r) % b * mod) // b for x in vec]
-        if w and c != 1:
-            if w not in cpow:
-                cpow[w] = pow(c, -w, mod)
-            vec = [x * cpow[w] % mod for x in vec]
-        shift += t.shift + field.e * w
-        yield shift + rel, shift, vec
-
+def _hypergeometric(t: PadicElement, num: Sequence[int], den: Sequence[int],
+                    prec: int) -> list[int]:
+    """The integer vector of sum_{k<=T} d_k t^k, exact modulo p^ceil(prec/e),
+    for d_0 = 1, d_k = d_(k-1) a(k)/b(k), a(k) = num[k-1], b(k) = den[k-1]
+    and T = len(num): t is the representative pi^shift * coeffs, and the sum
+    is taken by rectangular splitting at the working precision of the module
+    docstring."""
+    field = t.field
+    p, e, s = field.p, field.e, t.shift
+    T = len(num)
+    m = isqrt(T + 1)
+    gain = m * s // e
+    V = list(accumulate([s + e * (_vp(x, p) - _vp(y, p)) for x, y in zip(num, den)], initial=0))
+    # from the last block to the first: G, with low the least V(k) for
+    # k >= jm; block j's integers alphas of A_j; P_j = p^v * u; the link
+    # N_j / b(jm+m) = p^w * na/nb, (0, 1, 1) for the last block; and D_j
+    blocks, low, G, lost, most = [], V[-1], 0, 0, 0
+    for j in reversed(range(0, T + 1, m)):
+        low = min(low, *V[j:j + m])
+        G = max(G, _ceil_div(V[j] - low, e))
+        alphas, P = list(accumulate(num[j:j + m - 1], mul, initial=1)), 1
+        for i in range(len(alphas) - 1, 0, -1):
+            P *= den[j + i - 1]
+            alphas[i - 1] *= P
+        v, u, _ = _split_rational(p, P, 1)
+        link = (_split_rational(p, alphas[-1] * num[j + m - 1], den[j + m - 1])
+                if j + m <= T else (0, 1, 1))
+        lost = max(0, max(0, lost - gain) - link[0]) + v
+        most = max(most, lost)
+        blocks.append((alphas, v, u, link))
+    W = _ceil_div(prec, e) + G + most
+    M, pG = p ** W, p ** G
+    powers = [(1,) + (0,) * (field.coeff_len - 1), [c % M for c in _shift_vec(field, t.coeffs, s)]]
+    for _ in range(m - 1):
+        powers.append([c % M for c in _vec_mul(field, powers[-1], powers[1])])
+    cols = list(zip(*powers[:m]))
+    r = None
+    for alphas, v, u, link in blocks:
+        acc = [pG * sum(map(mul, alphas, col)) for col in cols]
+        if r is not None:
+            w, na, nb = link
+            x = _vec_mul(field, powers[m], r)
+            if w < 0:
+                x = [c // p ** -w for c in x]
+            else:
+                na *= p ** w
+            acc = [nb * y + na * z for y, z in zip(acc, x)]
+            u *= nb
+        inv, pv = pow(M, -1, u), p ** v
+        r = [(y + (-y * inv) % u * M) // u // pv for y in [y % M for y in acc]]
+    return [c // pG for c in r]

@@ -8,7 +8,8 @@ the whole height box, the Smith normal form that kept U and V as two more
 matrices beside the reduced one, the term-by-term Lambert, exp and log
 sums, the separate kernels for x +- y, x +- m and the unit of 1/n that
 field._sum_terms and field._rational_unit replaced, the separate exp
-and log term generators that one term recurrence replaced, the Tate
+and log term generators, one term at a time by the recurrence term n =
+term n-1 * t * num(n)/n, that rectangular splitting replaced, the Tate
 coefficients and dual product rule built one reduced operation at a time,
 the Tate series point summed over those coefficients,
 the coefficient kernels written once per field kind, and the series sums,

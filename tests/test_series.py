@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from padic_tate import field as field_mod, series as series_mod
 from padic_tate.dual import DualElement
 from padic_tate.errors import OutsideConvergenceDomain, PadicError
-from padic_tate.field import PadicElement, _make, _vp, make_field
+from padic_tate.field import PadicElement, _ceil_div, _make, make_field
 from padic_tate.prng import random_element, stream
 from padic_tate.series import (
     _exp_truncation,
@@ -33,7 +34,7 @@ from oracles import (
     log_terms,
     series_point_stepwise,
 )
-from strategies import elements, int_operands
+from strategies import FIELDS, elements, int_operands
 
 
 class TestExp:
@@ -440,35 +441,17 @@ RECURRENCE_FIELDS = {
 
 
 class TestOneTermRecurrence:
-    """p_exp and p_log draw their terms from one recurrence, term n = term
-    n-1 * t * num(n)/n.  Against the separate exp and log generators it
-    replaced (tests/oracles.py), every term has the same precision, shift
-    and vector, both reduced modulo p^K, and the sums are identical."""
-
-    @pytest.fixture
-    def recorded(self, monkeypatch):
-        """The term lists p_exp and p_log pass to _sum_terms."""
-        terms = []
-
-        def recording(field, gen):
-            terms.append(list(gen))
-            return field_mod._sum_terms(field, iter(terms[-1]))
-        monkeypatch.setattr(series_mod, "_sum_terms", recording)
-        return terms
-
-    @staticmethod
-    def _check(field, got, want):
-        assert [(gp, gs, list(gv)) for gp, gs, gv in got] == \
-            [(wp, ws, list(wv)) for wp, ws, wv in want]
-        assert key(field_mod._sum_terms(field, iter(got))) == \
-            key(field_mod._sum_terms(field, iter(want)))
+    """p_exp and p_log against the one-term recurrences of tests/oracles.py,
+    term n = term n-1 * t * num(n)/n, which the library summed term by term
+    before rectangular splitting replaced them: the same shift,
+    coefficients and precision, dual arguments included."""
 
     @pytest.mark.parametrize("name", sorted(RECURRENCE_FIELDS))
-    def test_terms_match_separate_generators(self, recorded, name):
+    def test_terms_match_separate_generators(self, name):
         # shifts from the ball's edge inwards, precisions 1..640 (and 2048 on
         # Q2 and Q3(pi^3=6), where num(n)/n = p^w a/b has |w| >= 5), arguments
         # known to the precision and truncated short of it; log of exp(x)
-        # and of 1 + t
+        # and of 1 + t; a dual's derivative is the chain rule's product
         field = RECURRENCE_FIELDS[name]
         p, e = field.p, field.e
         checked = 0
@@ -479,56 +462,73 @@ class TestOneTermRecurrence:
                 for rel in sorted({prec - shift, max(1, (prec - shift) // 3)}):
                     x = random_element(rng, field, shift + rel, shift, shift)
                     t = random_element(rng, field, shift + rel, shift, shift)
-                    recorded.clear()
-                    y = p_exp(x)
                     T = _exp_truncation(shift, e, p, x.abs_prec)
-                    self._check(field, recorded[0], list(exp_terms(x, T)))
-                    for arg in (y, PadicElement.one(field, prec) + t):
-                        recorded.clear()
-                        p_log(arg)
+                    want = field_mod._sum_terms(field, exp_terms(x, T))
+                    d = p_exp(DualElement(x, t))
+                    assert key(p_exp(x)) == key(d.value) == key(want)
+                    assert key(d.deriv) == key(want * t)
+                    for arg in (d.value, PadicElement.one(field, prec) + t):
                         u = arg - 1
-                        if not u.is_zero:
-                            T = _log_truncation(u.shift, e, p, u.abs_prec)
-                            self._check(field, recorded[0], list(log_terms(u, T)))
+                        if u.is_zero:
+                            assert key(p_log(arg)) == key(u)
+                            continue
+                        T = _log_truncation(u.shift, e, p, u.abs_prec)
+                        want = field_mod._sum_terms(field, log_terms(u, T))
+                        d = p_log(DualElement(arg, x))
+                        assert key(p_log(arg)) == key(d.value) == key(want)
+                        assert key(d.deriv) == key(x / arg)
                     checked += 1
         assert checked > 40
 
     @pytest.mark.parametrize("name", ["Q5", "Q3(pi^3=6)", "Q5(pi^4=-5)", "Q27"])
-    def test_terms_divide_by_small_integers(self, monkeypatch, name):
-        # each term divides exactly by b, the part of n prime to p: no unit
-        # of num(n)/n modulo p^K, one inverse modulo each b != 1 in turn, and
-        # c^-w once per w, only where c != 1
+    def test_full_products(self, count_calls, name):
+        # a series of T + 1 terms makes m - 1 products for t^2..t^m, with
+        # m = isqrt(T + 1), and one per link between its blocks; log one more
+        # for its factor t
         field = RECURRENCE_FIELDS[name]
         p, e = field.p, field.e
-        rng = stream(31, "small-division", name)
-        x = random_element(rng, field, 640, _edge(field), _edge(field))
-        y = PadicElement.one(field, 640) + random_element(rng, field, 640, _edge(field), _edge(field))
-        u = y - 1
+        counted = count_calls((series_mod, "_vec_mul"))
 
-        def no_unit(*args):
-            raise AssertionError("_rational_unit called")
+        def products(T):
+            m = math.isqrt(T + 1)
+            return (m - 1) + (_ceil_div(T + 1, m) - 1)
 
-        calls = []
+        for prec in (2, 40, 160, 640):
+            for i, shift in enumerate(range(_edge(field), min(_edge(field) + 3, prec))):
+                x = random_element(stream(37, "products", name, prec, i), field, prec, shift, shift)
+                y = PadicElement.one(field, prec) + x
+                assert counted(lambda: p_exp(x))[0]["_vec_mul"] == \
+                    products(_exp_truncation(shift, e, p, prec))
+                assert counted(lambda: p_log(y))[0]["_vec_mul"] == \
+                    products(_log_truncation(shift, e, p, prec) - 1) + 1
+        if name == "Q27":
+            # shift 3 at prec 640: 30 full products for 256 terms
+            x = random_element(stream(37, "products", name), field, 640, 3, 3)
+            assert _exp_truncation(3, e, p, 640) == 255
+            assert counted(lambda: p_exp(x))[0]["_vec_mul"] == 30
 
-        def recording_pow(base, exp, mod):
-            calls.append((base, exp, mod))
-            return pow(base, exp, mod)
-        monkeypatch.setattr(field_mod, "_rational_unit", no_unit)
-        monkeypatch.setattr(series_mod, "pow", recording_pow, raising=False)
-        for run, arg, t, n0, num, T in (
-                (p_exp, x, x, 1, lambda n: 1, _exp_truncation(x.shift, e, p, x.abs_prec)),
-                (p_log, y, u, 2, lambda n: 1 - n, _log_truncation(u.shift, e, p, u.abs_prec))):
-            calls.clear()
-            run(arg)
-            mod = p ** (-(-t.rel_prec // e) + 1)
-            # (w, b) with num(n)/n = p^w a/b
-            split = [(_vp(num(n), p) - _vp(n, p), n // p ** _vp(n, p)) for n in range(n0, T + 1)]
-            inverses = [(base, exp, m) for base, exp, m in calls if base == mod]
-            powers = [exp for base, exp, m in calls if base == field.eis_unit and m == mod]
-            assert len(inverses) + len(powers) == len(calls)
-            assert inverses == [(mod, -1, b) for w, b in split if b != 1]
-            want = {-w for w, b in split if w} if field.eis_unit != 1 else set()
-            assert sorted(powers) == sorted(want) and (field.eis_unit == 1 or want)
+
+class TestDoubledPrecision:
+    """Every digit p_exp and p_log claim at precision N is the digit of the
+    same series at 2N: the argument is drawn at 2N and truncated to N, over
+    the four field kinds of tests/strategies.py, p = 2 included."""
+
+    @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)))
+    @settings(max_examples=200, deadline=None)
+    def test_claimed_digits_survive_doubling(self, data, name):
+        field = FIELDS[name]
+        p, edge = field.p, _edge(field)
+        N = data.draw(st.integers(edge + 1, 160))
+        # v(x) from the ball's edge inwards
+        shift = data.draw(st.integers(edge, N - 1))
+        vec = [data.draw(st.integers(0, p ** (2 * N))) for _ in range(field.coeff_len)]
+        vec[0] = vec[0] * p + data.draw(st.integers(1, p - 1))
+        wide = _make(field, shift, vec, 2 * N)
+        x = wide.truncate(N)
+        for f, arg, wide_arg in ((p_exp, x, wide), (p_log, 1 + x, 1 + wide)):
+            got, ref = f(arg), f(wide_arg)
+            assert got.abs_prec == N and ref.abs_prec == 2 * N
+            assert key(got) == key(ref.truncate(N))
 
 
 def _grid(field):
