@@ -12,13 +12,15 @@ Then, for each perfbench workload, it runs `perfbench/run.py`'s own request
 loop, `run.measure`, at seed 7 for MIN_REQUESTS requests in this process,
 and prints the result digest that run.py reports.  Run it in two checkouts
 and compare the outputs.  scripts/digests.txt holds the rows of this tree, which CI diffs
-against on each supported Python.
+against on each supported Python.  Each row's wall time goes to stderr, so
+stdout, and the diff, stay the same while a slow row shows in the log.
 """
 
 import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,7 +45,10 @@ PERFBENCH_SEED = 7
 # series at the --prec cap, recorded while each Lambert weight was one
 # inversion; then exp and log at the cap over Q_2, whose tails fall furthest
 # below their block's first term, and over the cubic unramified Q_3, whose
-# products are the longest, recorded while each series term was one product
+# products are the longest, recorded while each series term was one product;
+# then point series at v(u) > 0, at the cap over Q_5 and over an eisenstein
+# and an unramified field, recorded while X and Y were sums of PadicElement
+# products
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
@@ -54,6 +59,11 @@ CLI_ROWS = (
     ("log", "--p", "2", "--y", "5", "--prec", "4096"),
     ("exp", "--p", "3", "--ext", "unramified:f=3", "--x", "3*g+3", "--prec", "4096"),
     ("log", "--p", "3", "--ext", "unramified:f=3", "--y", "1+3*g", "--prec", "4096"),
+    ("tate", "map", "--q", "5^2", "--u", "35", "--prec", "4096"),
+    ("tate", "map", "--p", "5", "--ext", "eisenstein:e=4,c=-1", "--q", "pi^5",
+     "--u", "2*pi^3+pi^4", "--prec", "1024"),
+    ("tate", "map", "--p", "3", "--ext", "unramified:f=2", "--q", "3^3", "--u", "9*g+3",
+     "--prec", "1024"),
 )
 
 
@@ -94,14 +104,23 @@ def perfbench_row(workload: str, seed: int = PERFBENCH_SEED) -> str:
     return f"perfbench {workload}  seed={seed}  sha256={tally.digest}"
 
 
+def timed(make_row, *args) -> None:
+    """Print one row to stdout and its wall time to stderr."""
+    start = time.perf_counter()
+    line = make_row(*args)
+    print(line, flush=True)
+    label = line.rsplit("  sha256=", 1)[0]
+    print(f"{time.perf_counter() - start:.2f} s  {label}", file=sys.stderr, flush=True)
+
+
 def main() -> int:
     for config in CONFIGS:
         for seed in SEEDS:
-            print(row(config, seed), flush=True)
+            timed(row, config, seed)
     for workload in WORKLOADS:
-        print(perfbench_row(workload), flush=True)
+        timed(perfbench_row, workload)
     for argv in CLI_ROWS:
-        print(cli_row(argv), flush=True)
+        timed(cli_row, argv)
     return 0
 
 

@@ -1,25 +1,24 @@
 """The Tate curve y^2 + xy = x^3 + a4(q) x + a6(q) and its uniformization.
 
-Every q-series here is a Lambert sum sum_m c_m q^m / (1 - q^m); N is the
-working precision and valuations count pi-digits.  The modular coefficients
-use c_m = m^k for s_k(q) and the exact integer c_m = -(5m^3 + 7m^5)/12 for
-a6, so that p = 2 and p = 3 lose no precision.  A sum with integer c_m is
-the power series sum_n (sum_{d|n} c_d) q^n, which needs no inversion, so
-curve_coefficients builds no weight.  The point sums need the weights
-w_m = q^m / (1 - q^m), which depend only on the curve, so each TateCurve
-keeps those computed so far and _weights extends them on demand, up to the
-largest term count any point has asked for; w_m = q^m + q^2m + ... is known
-to the precision of q^m.  All these sums stop after ceil(N / v(q)) terms.
+Every q-series here is a Lambert sum sum_m c_m q^m / (1 - q^m); N = abs_prec(q)
+is the working precision and valuations count pi-digits.  The modular
+coefficients use c_m = m^k for s_k(q) and the exact integer
+c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2 and p = 3 lose no precision.  A
+sum with integer c_m is the power series sum_n (sum_{d|n} c_d) q^n, which
+needs no inversion, so curve_coefficients builds no weight.  The point sums
+need the weights w_m = q^m / (1 - q^m), which depend only on the curve, so
+each TateCurve keeps those computed so far and _weights extends them on
+demand, up to the largest term count any point has asked for;
+w_m = q^m + q^2m + ... lies at shift m v(q) and is known to the precision of
+q^m, N + (m-1) v(q).  The sums of curve_coefficients and s_k stop after
+ceil(N / v(q)) terms, and the point sums after ceil(N / (v(q) - v(u))).
 
 A sum is reduced once, not once per term: the raw products c_m * w_m (or
 c_n * q^n), each a term of field._product_term with the precision __mul__
 gives it, are added at one common shift by field._sum_terms and normalised
-by one _make.  It is known to the least precision among its terms and N; as
-each term is exact modulo its own precision, the digits are those of the
-term-by-term sum.  For a dual argument the values and the derivatives are
-two such sums, and only the values are capped at N (the zero a sum starts
-from is a constant, with no derivative), so X' is known to the least
-precision among its own terms.
+by one _make.  It is known to the least precision among its terms (and N,
+if it is capped there); as each term is exact modulo its own precision, the
+digits are those of the term-by-term sum.
 
 Points are produced by the map u -> (X(q,u), Y(q,u)) (Silverman, Advanced
 Topics in the Arithmetic of Elliptic Curves, V.3) with
@@ -28,13 +27,14 @@ Topics in the Arithmetic of Elliptic Curves, V.3) with
     Y = u^2/(1-u)^3 + sum_m ((m-1)m/2 u^m - m(m+1)/2 u^-m + m) q^m / (1 - q^m)
 
 With S_m = u^m + u^-m the coefficients are X_m = m (S_m - 2) and
-Y_m = m^2 u^m - m(m+1)/2 S_m + m.  S_m is reduced once per m, the raw
-products S_m w_m and u^m w_m are made once each, and X and Y are each one
-_sum_terms of int multiples of them (field._scaled_term), the values with
--2m w_m and m w_m too.  Each term, a product and then an int multiple, is
-exact modulo its own precision, so the sums are sound, and no digit or
-precision differs from the sums of separately reduced coefficients
-(tests/oracles.py):
+Y_m = m^2 u^m - m(m+1)/2 S_m + m.  Call the element sums of X and Y the two
+_sum_terms, capped at N, of int multiples (field._scaled_term) of the raw
+products S_m w_m and u^m w_m, S_m reduced once per m, and of -2m w_m and
+m w_m.  Each term, a product and then an int multiple, is exact modulo its
+own precision, so these sums are sound, and no digit or precision differs
+from the sums of separately reduced coefficients (tests/oracles.py).  The
+derivatives X' and Y' of a dual u are the same sums over S'_m and (u^m)',
+with no cap and no multiples of w_m, whose derivative is 0 (_point_sums):
 - X' = sum_m m S'_m w_m, S'_m reduced first: the terms of the coefficient
   form, whose m-th term of X' is the reduced m S'_m times w_m.  Summing
   m (u^m)' w_m + m (u^-m)' w_m instead loses digits of X' at a dual u known
@@ -46,6 +46,38 @@ precision differs from the sums of separately reduced coefficients
   shift >= 0 and the bound stays >= N + (m-1) v(q).  The values are capped
   at N, and the m = 1 terms of Y' have one precision, at most N, in both
   forms.
+
+The values X and Y, of a plain u and of a dual u's value alike, are not
+summed as elements: _point_values makes the element sums' digits in one
+integer pass.  Write R = rel_prec(u), su = v(u) and sq = v(q), in pi-digits,
+so 0 <= su < sq.
+- Precision.  u^m lies at shift m su and is known to m su + R, and u^-m lies
+  at -m su and is known to R - m su, so S_m is known to R - m su.  For su > 0
+  its shift is -m su; for su = 0 it is >= 0, so abs(w_m) + shift(S_m) >= N
+  and the digits of S_m never set the precision.  With w_m's own shift and
+  abs_prec, and e v_p(k) more for an int factor k, the term m S_m w_m is
+  known to min(R + m sq, N + (m-1) sq) - m su + e v_p(m), capped at N, and
+  -m(m+1)/2 S_m w_m likewise with e v_p(m(m+1)/2); m^2 u^m w_m is known to
+  more, and the multiples of w_m to N or more.  These bounds grow with m, as
+  sq > su, and m = 1 has unit factors, so the least of them, capped at N, is
+  P = min(N, R + sq) - su.
+- Digits.  Every term of an element sum is exact modulo its own precision,
+  which is >= P.  So the element sum is congruent modulo pi^P to the exact
+  sum of the same terms over the representatives of u, of u^-1 (u.invert()'s,
+  reduced to R digits) and of the w_m.  _point_values computes that exact
+  sum modulo pi^P and normalises it by one _make at P, so the digits, P and
+  the shift are those of the element sum.
+- The pass.  Term m is three pieces, u^-m w_m, u^m w_m and w_m, at shifts
+  m(sq - su), m(sq + su) and m sq, each >= 1, so every piece is an integral
+  absolute vector and no power of pi scales the sum.  A piece at shift s
+  counts only modulo pi^P, so its unit factors are taken modulo
+  p^ceil((P - s)/e), a multiple of pi^(P - s); s grows with m, so the
+  chains of u^m and u^-m, and u and u^-1 themselves, keep fewer digits at
+  each step.  u^-1 is inverted to min(R, P) digits, all that any
+  pi^(P - s) keeps.  A piece at or above pi^P adds nothing and is left
+  out, the chain of u^m stops with its pieces, and the pass ends when
+  u^-m w_m, the lowest piece, reaches pi^P, by m = ceil(N / (sq - su)) at
+  the latest.
 
 Every q^(km) piece of the m-th summand has valuation at least
 km (v(q) - v(u)), so m <= ceil(N / (v(q) - v(u))) terms reach precision N;
@@ -85,7 +117,10 @@ from .field import (
     _ceil_div,
     _product_term,
     _scaled_term,
+    _shift_vec,
     _sum_terms,
+    _vec_invert,
+    _vec_mul,
 )
 
 Evaluable = Union[PadicElement, DualElement]
@@ -218,20 +253,54 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     return u_red, n
 
 
-def _point_sums(field, upow: list, spow: list, weights: list, cap: Optional[int]):
-    """sum_m m S_m w_m and sum_m (m^2 u^m - m(m+1)/2 S_m) w_m, one _sum_terms
-    each, for upow = [u, u^2, ...] and spow = [S_1, S_2, ...] (or their
-    derivatives).  With a cap, the values: -2m w_m and m w_m are added too."""
+def _point_sums(field, upow: list, spow: list, weights: list):
+    """sum_m m S'_m w_m and sum_m (m^2 (u^m)' - m(m+1)/2 S'_m) w_m, one
+    _sum_terms each, for upow = [u', (u^2)', ...] and spow = [S'_1, S'_2, ...],
+    the derivatives of a dual u's powers and of its S_m."""
     xs, ys = [], []
     for m, (um, sm, w) in enumerate(zip(upow, spow, weights), 1):
         st = _product_term(sm, w)
         xs.append(_scaled_term(field, m, st))
         ys += (_scaled_term(field, m * m, _product_term(um, w)),
                _scaled_term(field, -(m * (m + 1) // 2), st))
-        if cap is not None:
-            xs.append(_product_term(-2 * m, w))
-            ys.append(_product_term(m, w))
-    return _sum_terms(field, xs, cap), _sum_terms(field, ys, cap)
+    return _sum_terms(field, xs), _sum_terms(field, ys)
+
+
+def _point_values(q: PadicElement, u: PadicElement, weights: list):
+    """X - u/(1-u)^2 and Y - u^2/(1-u)^3 at a plain u in the fundamental
+    domain, in the one integer pass of the module docstring, known to
+    P = min(N, rel_prec(u) + v(q)) - v(u); weights holds at least
+    ceil(N / (v(q) - v(u))) terms.  X takes the pieces u^-m w_m, u^m w_m and
+    w_m times m, m and -2m, and Y times -m(m+1)/2, m(m-1)/2 and m."""
+    field = q.field
+    p, e, su = field.p, field.e, u.shift
+    prec = min(q.abs_prec, u.rel_prec + q.shift) - su
+    ucoeffs = u.coeffs
+    vcoeffs = _vec_invert(field, ucoeffs, min(u.rel_prec, prec))
+    xs = ys = zero = [0] * field.coeff_len
+    upow = vpow = (1,) + (0,) * (field.coeff_len - 1)
+    for m, w in enumerate(weights, 1):
+        s = w.shift - m * su
+        if s >= prec:
+            break
+        mod = p ** _ceil_div(prec - s, e)
+        vcoeffs = [c % mod for c in vcoeffs]
+        vpow = [c % mod for c in _vec_mul(field, vpow, vcoeffs)]
+        wvec = [c % mod for c in w.coeffs]
+        neg = _shift_vec(field, _vec_mul(field, vpow, wvec), s)
+        pos = one = zero
+        s = w.shift + m * su
+        if s < prec:
+            mod = p ** _ceil_div(prec - s, e)
+            ucoeffs = [c % mod for c in ucoeffs]
+            upow = [c % mod for c in _vec_mul(field, upow, ucoeffs)]
+            pos = _shift_vec(field, _vec_mul(field, upow, wvec), s)
+        if w.shift < prec:
+            one = _shift_vec(field, wvec, w.shift)
+        lo, hi = m * (m - 1) // 2, m * (m + 1) // 2
+        xs = [x + m * (a + b - 2 * c) for x, a, b, c in zip(xs, neg, pos, one)]
+        ys = [y + lo * b - hi * a + m * c for y, a, b, c in zip(ys, neg, pos, one)]
+    return _sum_terms(field, [(prec, 0, xs)]), _sum_terms(field, [(prec, 0, ys)])
 
 
 def tate_series_point(curve: TateCurve, u: Evaluable,
@@ -255,19 +324,16 @@ def tate_series_point(curve: TateCurve, u: Evaluable,
             f"principal part at v(1-u) = {omu_val.valuation()} exhausts the budget")
     inv_omu = one_minus_u.invert()
     dmax = _ceil_div(target, sq - su)
-    upow = list(itertools.accumulate(itertools.repeat(u, dmax), operator.mul))
-    un = itertools.accumulate(itertools.repeat(u.invert(), dmax), operator.mul)
-    spow = list(map(operator.add, upow, un))
     uval._check_same_field(q)
     weights = _weights(q, curve.weights, dmax)
+    x, y = _point_values(q, uval, weights)
     if isinstance(u, DualElement):
-        xv, yv = _point_sums(q.field, [a.value for a in upow], [s.value for s in spow],
-                             weights, target)
+        upow = list(itertools.accumulate(itertools.repeat(u, dmax), operator.mul))
+        un = itertools.accumulate(itertools.repeat(u.invert(), dmax), operator.mul)
+        spow = map(operator.add, upow, un)
         xd, yd = _point_sums(q.field, [a.deriv for a in upow], [s.deriv for s in spow],
-                             weights, None)
-        x, y = DualElement(xv, xd), DualElement(yv, yd)
-    else:
-        x, y = _point_sums(q.field, upow, spow, weights, target)
+                             weights)
+        x, y = DualElement(x, xd), DualElement(y, yd)
     return u * inv_omu * inv_omu + x, u * u * inv_omu * inv_omu * inv_omu + y
 
 

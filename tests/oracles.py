@@ -415,18 +415,14 @@ def lambert_stepwise(q: PadicElement, weights: list, coeff, terms: int, target: 
     return acc
 
 
-def point_sums_stepwise(field, upow, spow, weights, cap):
+def point_sums_stepwise(field, upow, spow, weights):
     """tate._point_sums term by term: each product, int multiple and sum
-    reduced, from a zero known to pi^cap (cap None: from the first term)."""
+    reduced, from the first term."""
     xs, ys = [], []
     for m, (um, sm, w) in enumerate(zip(upow, spow, weights), 1):
         xs.append((sm * w) * m)
         ys += [(um * w) * (m * m), (sm * w) * -(m * (m + 1) // 2)]
-        if cap is not None:
-            xs.append(w * (-2 * m))
-            ys.append(w * m)
-    start = [] if cap is None else [PadicElement.zero(field, cap)]
-    return tuple(functools.reduce(operator.add, start + terms) for terms in (xs, ys))
+    return tuple(functools.reduce(operator.add, terms) for terms in (xs, ys))
 
 
 def series_point_stepwise(curve, u, slack: int):

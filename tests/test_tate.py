@@ -178,16 +178,17 @@ class TestLambertWeights:
         assert n.total() == 0 and inversions(lambda: s_k(q, 5))[0].total() == 0
         u0 = PadicElement.from_int(Q5, 7, 40)
         u1 = PadicElement.from_int(Q5, 35, 40)
-        # a weight is a sum of powers of q: a point inverts 1-u and u only,
-        # on a fresh curve and on a warm one.  v(u) = 0 runs to ceil(40/2)
-        # = 20 terms and v(u) = 1 to ceil(40/1) = 40, each weight built once
-        assert inversions(lambda: phi(curve, u0))[0].total() == 2
+        # a weight is a sum of powers of q, and u's unit vector is inverted
+        # inside the value pass: a point inverts the element 1-u only, on a
+        # fresh curve and on a warm one.  v(u) = 0 runs to ceil(40/2) = 20
+        # terms and v(u) = 1 to ceil(40/1) = 40, each weight built once
+        assert inversions(lambda: phi(curve, u0))[0].total() == 1
         assert len(curve.weights) == 20
-        assert inversions(lambda: phi(curve, u1))[0].total() == 2
+        assert inversions(lambda: phi(curve, u1))[0].total() == 1
         assert len(curve.weights) == 40
         weights = list(curve.weights)
-        assert inversions(lambda: phi(curve, u1))[0].total() == 2
-        assert inversions(lambda: phi(curve, u0))[0].total() == 2
+        assert inversions(lambda: phi(curve, u1))[0].total() == 1
+        assert inversions(lambda: phi(curve, u0))[0].total() == 1
         assert len(curve.weights) == 40
         assert all(a is b for a, b in zip(curve.weights, weights))
 
@@ -196,7 +197,7 @@ class TestLambertWeights:
         q = PadicElement.from_int(Q5, 5 ** 600, 640)
         n, curve = inversions(lambda: curve_coefficients(q))
         assert n.total() == 0 and curve.weights == []
-        assert inversions(lambda: phi(curve, PadicElement.from_int(Q5, 7, 640)))[0].total() == 2
+        assert inversions(lambda: phi(curve, PadicElement.from_int(Q5, 7, 640)))[0].total() == 1
         assert len(curve.weights) == 2
 
     def test_interleaved_extension_keeps_order(self, monkeypatch, Q5):
@@ -269,14 +270,14 @@ class TestFusedLambert:
     """Each Lambert sum is reduced once, and agrees with the term-by-term sum
     (tests/oracles.py) in shift, coefficients and precision."""
 
-    @given(data=st.data(), inputs=tate_inputs(), capped=st.booleans())
+    @given(data=st.data(), inputs=tate_inputs())
     @settings(max_examples=150, deadline=None)
-    def test_matches_stepwise(self, data, inputs, capped):
-        # the point sums over drawn u^m, S_m and weights of any shift and
-        # precision, zeros included, so that a term and not the cap sets the
+    def test_matches_stepwise(self, data, inputs):
+        # the derivative sums over drawn (u^m)', S'_m and weights of any shift
+        # and precision, zeros included, so that any term can set the
         # precision; the weights extend a drawn prefix as the curve's do
         q, terms, target = inputs
-        assume(terms or capped)
+        assume(terms)
         field = q.field
         upow, spow = ([data.draw(elements(field, -6, 4)) for _ in range(terms)]
                       for _ in range(2))
@@ -286,9 +287,8 @@ class TestFusedLambert:
         w_step = list(prefix)
         lambert_stepwise(q, w_step, lambda m: 0, terms, target)
         assert w_fused == w_step
-        cap = target if capped else None
-        got = tate_mod._point_sums(field, upow, spow, w_fused, cap)
-        want = point_sums_stepwise(field, upow, spow, w_step, cap)
+        got = tate_mod._point_sums(field, upow, spow, w_fused)
+        want = point_sums_stepwise(field, upow, spow, w_step)
         assert tuple(map(key, got)) == tuple(map(key, want))
 
     @pytest.mark.parametrize("dual", [False, True], ids=["element", "dual"])
@@ -365,11 +365,26 @@ class TestFusedLambert:
         u = PadicElement.from_int(Q5, n, 40)
         # a warm curve: each weight it builds is a sum of its own
         tate_series_point(curve25, u)
-        # X and Y: one sum each over 20 or 40 terms; dual: value and derivative
+        # X and Y: one sum each, over 20 or 40 terms, or over the one term of
+        # the integer pass for a plain point's values; a dual adds X' and Y'
         assert makes(lambda: tate_series_point(curve25, u))[0] == 2
         assert makes(lambda: tate_series_point(curve25, DualElement.seed(u)))[0] == 4
         assert makes(lambda: curve_coefficients(curve25.q))[0] == 2
         assert makes(lambda: s_k(curve25.q, 3))[0] == 1
+
+    @pytest.mark.parametrize("n, pieces", [(7, 76), (35, 100)], ids=["v0", "v1"])
+    def test_plain_point_is_one_pass(self, count_calls, curve25, Q5, n, pieces):
+        u = PadicElement.from_int(Q5, n, 40)
+        tate_series_point(curve25, u)    # the curve's weights now reach u's terms
+        counted = count_calls((field_mod, "_make"), (PadicElement, "__mul__"),
+                              (tate_mod, "_vec_mul"), (tate_mod, "_vec_invert"))
+        # over 20 or 40 terms: one _make for each of X and Y, and the other 9
+        # and all 6 products for the principal parts, none per term.  The
+        # pieces u^-m w_m and u^m w_m are integer products, two for each m
+        # below pi^P: m <= 19 at v(u) = 0, where P = 40, and m <= 38 and
+        # m <= 12 at v(u) = 1, where P = 39; u's unit vector is inverted once
+        assert counted(lambda: tate_series_point(curve25, u))[0] == {
+            "_make": 11, "__mul__": 6, "_vec_mul": pieces, "_vec_invert": 1}
 
     def test_phi_builds_no_integer_operand(self, count_calls, curve25, Q5):
         us = [PadicElement.from_int(Q5, n, 40) for n in (7, 8, 6)]
@@ -393,17 +408,21 @@ POINT_FIELDS = {
 
 
 def point_cases(name):
-    """(q, u) pairs over one field: v(q) = 1..3, u at each valuation
+    """(q, u) pairs over one field: v(q) = 1..5 with q known to 7..23 digits,
+    and one more q of v(q) 1..5 known to 100..160; u at each valuation
     0..v(q)-1 and u = c + pi^k v for c = 1, -1, 2, 3 (near the kernel for
-    c = 1, and u^2 = 1 mod pi for c = -1), u known 3 digits short of q up to
-    30 beyond it."""
+    c = 1, and u^2 = 1 mod pi for c = -1), u known ceil(N/2) and 3 digits
+    short of q, N = abs_prec(q), up to 30 beyond it.  A short u sets the
+    precision of the values, min(N, rel_prec(u) + v(q)) - v(u), and at
+    v(u) > 0 the pieces u^m w_m run out of digits before u^-m w_m do."""
     field = POINT_FIELDS[name]
     rng = stream(31, "series-point", name)
-    for sq in (1, 2, 3):
-        N = rng.randint(6, 18)
-        q = random_unit(rng, field, N) * PadicElement.uniformizer(field, N + sq, sq)
-        for extra in (-3, 0, 5, 30):
-            prec = N + sq + extra
+    qs = [(sq, sq + rng.randint(6, 18)) for sq in range(1, 6)]
+    qs.append((rng.randint(1, 5), rng.randint(100, 160)))
+    for sq, N in qs:
+        q = random_unit(rng, field, N - sq) * PadicElement.uniformizer(field, N, sq)
+        for extra in (-(-N // 2), 3, 0, -5, -30):
+            prec = N - extra
             us = [random_unit(rng, field, prec) * PadicElement.uniformizer(field, prec, su)
                   for su in range(sq)]
             for c in (1, -1, 2, 3):
@@ -465,24 +484,25 @@ class TestCoefficientMakes:
 
     def test_series_point(self, makes, curve25, Q5):
         # a fresh curve holds no weight: u = 7 (v(u) = 0) needs 20, which
-        # its plain call builds (57 of its 126 _make calls: the 37 products
+        # its plain call builds (57 of its 68 _make calls: the 37 products
         # of the chain q, ..., q^38 and one sum per weight), and u = 35
         # (v(u) = 1) needs 40, and its plain call builds the other 20 (77 of
-        # its 206, a chain to q^58), so the order below is part of the
-        # count.  The rest are the powers of u and u^-1, one S_m = u^m + u^-m
-        # per term, one sum for each of X and Y and the principal parts; a
-        # dual reduces its value and its derivative, two for each product,
-        # S_m and sum
+        # its 88, a chain to q^58), so the order below is part of the count.
+        # The other 11 of a plain call are one for each of X and Y, summed in
+        # one integer pass, and 9 for the principal parts.  A dual also
+        # reduces the powers of u and u^-1 and one S_m = u^m + u^-m per term,
+        # each value and derivative, and sums X' and Y'
         curve = curve_coefficients(curve25.q)
         counts = []
         for n in (7, 35):
             u = PadicElement.from_int(Q5, n, 40)
             counts += [makes(lambda: tate_series_point(curve, u))[0].total(),
                        makes(lambda: tate_series_point(curve, DualElement.seed(u)))[0].total()]
-        # with weights by inversion: 129, 141, 209, 261; with a _make per
-        # coefficient part as well: 149, 181, 249, 341; per operation in
-        # each coefficient: 189, 309, 329, 589
-        assert counts == [126, 141, 206, 261]
+        # with X and Y of a plain u as sums of reduced products: 126, 141,
+        # 206, 261; with weights by inversion: 129, 141, 209, 261; with a
+        # _make per coefficient part as well: 149, 181, 249, 341; per
+        # operation in each coefficient: 189, 309, 329, 589
+        assert counts == [68, 141, 88, 261]
 
     def test_dual_product(self, makes, Q5):
         a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
