@@ -48,7 +48,10 @@ PERFBENCH_SEED = 7
 # products are the longest, recorded while each series term was one product;
 # then point series at v(u) > 0, at the cap over Q_5 and over an eisenstein
 # and an unramified field, recorded while X and Y were sums of PadicElement
-# products
+# products; then the ODE and X' checks, whose X' is the principal part's
+# derivative, a digit short of its closed form at p = 2, plus the series'
+# X', over Q_2 and over a ramified field, recorded while X' was summed over
+# DualElement chains of u^m, u^-m and S_m
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
@@ -64,6 +67,9 @@ CLI_ROWS = (
      "--u", "2*pi^3+pi^4", "--prec", "1024"),
     ("tate", "map", "--p", "3", "--ext", "unramified:f=2", "--q", "3^3", "--u", "9*g+3",
      "--prec", "1024"),
+    ("tate", "verify-ode", "--p", "2", "--q", "2^3", "--trials", "1", "--prec", "1024"),
+    ("tate", "verify-ode", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--q", "pi^3",
+     "--trials", "1", "--prec", "1024"),
 )
 
 

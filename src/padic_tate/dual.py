@@ -23,10 +23,6 @@ from .field import PadicElement, _binary_power, _product_term, _sum_terms
 _CONSTANT = (PadicElement, int, Fraction)
 
 
-def _value_part(x: PadicElement | DualElement) -> PadicElement:
-    return x.value if isinstance(x, DualElement) else x
-
-
 @dataclass(frozen=True)
 class DualElement:
     value: PadicElement

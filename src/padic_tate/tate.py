@@ -32,25 +32,11 @@ _sum_terms, capped at N, of int multiples (field._scaled_term) of the raw
 products S_m w_m and u^m w_m, S_m reduced once per m, and of -2m w_m and
 m w_m.  Each term, a product and then an int multiple, is exact modulo its
 own precision, so these sums are sound, and no digit or precision differs
-from the sums of separately reduced coefficients (tests/oracles.py).  The
-derivatives X' and Y' of a dual u are the same sums over S'_m and (u^m)',
-with no cap and no multiples of w_m, whose derivative is 0 (_point_sums):
-- X' = sum_m m S'_m w_m, S'_m reduced first: the terms of the coefficient
-  form, whose m-th term of X' is the reduced m S'_m times w_m.  Summing
-  m (u^m)' w_m + m (u^-m)' w_m instead loses digits of X' at a dual u known
-  beyond N with v(u) = 0 and u^2 = 1 mod pi: there m^2 (u^(m-1) - u^(-m-1))
-  cancels, and only a reduced S'_m keeps that cancellation in its shift.
-- Any other change of bracketing splits a reduced coefficient into parts,
-  which lowers a term's bound w_m.abs + shift only where parts tie at the
-  least shift.  Only the S_m part can have a negative shift, so ties sit at
-  shift >= 0 and the bound stays >= N + (m-1) v(q).  The values are capped
-  at N, and the m = 1 terms of Y' have one precision, at most N, in both
-  forms.
+from the sums of separately reduced coefficients (tests/oracles.py).
 
-The values X and Y, of a plain u and of a dual u's value alike, are not
-summed as elements: _point_values makes the element sums' digits in one
-integer pass.  Write R = rel_prec(u), su = v(u) and sq = v(q), in pi-digits,
-so 0 <= su < sq.
+X and Y are not summed as elements: _point_values makes the element sums'
+digits in one integer pass.  Write R = rel_prec(u), su = v(u) and
+sq = v(q), in pi-digits, so 0 <= su < sq.
 - Precision.  u^m lies at shift m su and is known to m su + R, and u^-m lies
   at -m su and is known to R - m su, so S_m is known to R - m su.  For su > 0
   its shift is -m su; for su = 0 it is >= 0, so abs(w_m) + shift(S_m) >= N
@@ -79,14 +65,35 @@ so 0 <= su < sq.
   u^-m w_m, the lowest piece, reaches pi^P, by m = ceil(N / (sq - su)) at
   the latest.
 
-Every q^(km) piece of the m-th summand has valuation at least
-km (v(q) - v(u)), so m <= ceil(N / (v(q) - v(u))) terms reach precision N;
-evaluation always reduces u to the fundamental domain 0 <= v(u) < v(q) first.
+X' = dX/du is what the same series gives on the dual number u + eps
+(DualElement, u' = 1), whose element sums are its reference
+(tests/oracles.py): the _sum_terms, with no cap, of m S'_m w_m, with
+S'_m = (u^m)' + (u^-m)' = m (u^(m-1) - u^(-m-1)) reduced.
+tate_xy_with_derivative sums it in the same integer pass, with no dual chain:
+- Precision.  By the product bounds S'_m is known to R - (m+1) su, at shift
+  -(m+1) su + g_m, g_m = min(R, e v_p(m) + v(u^2m - 1)) for the digits that
+  cancel in u^(m-1) - u^(-m-1) (none at su > 0).  So m S'_m w_m is known to
+  T_m = min(R + m sq, N + (m-1) sq + g_m) - (m+1) su + e v_p(m).  Both
+  bounds are least at m = 1, as sq > su and u^2 - 1 divides u^2m - 1, so
+  X' is known to P' = min(R + sq, N + g_1) - 2 su, g_1 the shift of the
+  element u^2 - 1: P - su at su > 0, and not capped at N.
+- Digits.  As for X and Y, the element sum is congruent modulo pi^P' to the
+  exact sum of m^2 (u^(m-1) - u^(-m-1)) w_m over the representatives, and
+  so to u^-1 Z, Z = sum_m m^2 (u^m w_m - u^-m w_m), the pass's first two
+  pieces times m^2 and -m^2: replacing u^(m-1) by u^-1 u^m changes term m
+  only at pi^(R + sq) and above, and an error of relative size
+  pi^min(R, W) in the inverted u^-1 only at pi^(min(R, W) + sq - 2 su), both
+  >= P' as P' <= R + sq - 2 su.  So the pass takes its pieces modulo
+  pi^(W - s), W = max(P, P' + su), and X' is one _make of u^-1 Z at shift
+  -su and precision P'.  Taking Z modulo pi^(P - s) instead loses digits of
+  X' at su = 0 with u^2 = 1 mod pi.
+The principal part's X' is taken on the dual seed: the closed form
+(1+u)/(1-u)^3 is known a digit better at p = 2, which would change what the
+checks print.
 
-The derivative X' comes from running the same series on the dual number
-u + eps.  verify_ode and relation_residual both need (X, Y, X') at one u, so
-each TateCurve also remembers its last dual evaluation, keyed on (u, slack):
-u compares by field, shift, coefficients and absolute precision, so another
+verify_ode and relation_residual both need (X, Y, X') at one u, so each
+TateCurve also remembers its last such evaluation, keyed on (u, slack): u
+compares by field, shift, coefficients and absolute precision, so another
 u, field, precision or slack recomputes.  The entry is replaced by one item
 assignment, so a concurrent reader sees a key with its own result.
 """
@@ -97,9 +104,9 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from .dual import DualElement, _value_part
+from .dual import DualElement
 from .errors import (
     DomainError,
     ImpreciseValuation,
@@ -116,14 +123,11 @@ from .field import (
     ValuationResult,
     _ceil_div,
     _product_term,
-    _scaled_term,
     _shift_vec,
     _sum_terms,
     _vec_invert,
     _vec_mul,
 )
-
-Evaluable = Union[PadicElement, DualElement]
 
 # agreement reported for two identity points, which are equal by kind
 _UNBOUNDED_AGREEMENT = ValuationResult("at_least", Fraction(10 ** 9))
@@ -253,88 +257,88 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     return u_red, n
 
 
-def _point_sums(field, upow: list, spow: list, weights: list):
-    """sum_m m S'_m w_m and sum_m (m^2 (u^m)' - m(m+1)/2 S'_m) w_m, one
-    _sum_terms each, for upow = [u', (u^2)', ...] and spow = [S'_1, S'_2, ...],
-    the derivatives of a dual u's powers and of its S_m."""
-    xs, ys = [], []
-    for m, (um, sm, w) in enumerate(zip(upow, spow, weights), 1):
-        st = _product_term(sm, w)
-        xs.append(_scaled_term(field, m, st))
-        ys += (_scaled_term(field, m * m, _product_term(um, w)),
-               _scaled_term(field, -(m * (m + 1) // 2), st))
-    return _sum_terms(field, xs), _sum_terms(field, ys)
-
-
-def _point_values(q: PadicElement, u: PadicElement, weights: list):
+def _point_values(q: PadicElement, u: PadicElement, weights: list, deriv: bool):
     """X - u/(1-u)^2 and Y - u^2/(1-u)^3 at a plain u in the fundamental
     domain, in the one integer pass of the module docstring, known to
-    P = min(N, rel_prec(u) + v(q)) - v(u); weights holds at least
-    ceil(N / (v(q) - v(u))) terms.  X takes the pieces u^-m w_m, u^m w_m and
-    w_m times m, m and -2m, and Y times -m(m+1)/2, m(m-1)/2 and m."""
+    P = min(N, rel_prec(u) + v(q)) - v(u); weights holds the
+    ceil(N / (v(q) - v(u))) terms of the element sums.  X takes the pieces
+    u^-m w_m, u^m w_m and w_m times m, m and -2m, and Y times -m(m+1)/2,
+    m(m-1)/2 and m.  With deriv, X' - (u/(1-u)^2)' follows as u^-1 Z, known
+    to P' = min(R + v(q), N + shift(u^2 - 1)) - 2 v(u)."""
     field = q.field
     p, e, su = field.p, field.e, u.shift
-    prec = min(q.abs_prec, u.rel_prec + q.shift) - su
+    prec = work = min(q.abs_prec, u.rel_prec + q.shift) - su
+    if deriv:
+        dprec = min(u.rel_prec + q.shift, q.abs_prec + (u * u - 1).shift) - 2 * su
+        work = max(prec, dprec + su)
     ucoeffs = u.coeffs
-    vcoeffs = _vec_invert(field, ucoeffs, min(u.rel_prec, prec))
-    xs = ys = zero = [0] * field.coeff_len
+    vcoeffs = inverse = _vec_invert(field, ucoeffs, min(u.rel_prec, work))
+    xs = ys = zs = zero = [0] * field.coeff_len
     upow = vpow = (1,) + (0,) * (field.coeff_len - 1)
     for m, w in enumerate(weights, 1):
         s = w.shift - m * su
-        if s >= prec:
+        if s >= work:
             break
-        mod = p ** _ceil_div(prec - s, e)
+        mod = p ** _ceil_div(work - s, e)
         vcoeffs = [c % mod for c in vcoeffs]
         vpow = [c % mod for c in _vec_mul(field, vpow, vcoeffs)]
         wvec = [c % mod for c in w.coeffs]
         neg = _shift_vec(field, _vec_mul(field, vpow, wvec), s)
         pos = one = zero
         s = w.shift + m * su
-        if s < prec:
-            mod = p ** _ceil_div(prec - s, e)
+        if s < work:
+            mod = p ** _ceil_div(work - s, e)
             ucoeffs = [c % mod for c in ucoeffs]
             upow = [c % mod for c in _vec_mul(field, upow, ucoeffs)]
             pos = _shift_vec(field, _vec_mul(field, upow, wvec), s)
-        if w.shift < prec:
+        if w.shift < work:
             one = _shift_vec(field, wvec, w.shift)
         lo, hi = m * (m - 1) // 2, m * (m + 1) // 2
         xs = [x + m * (a + b - 2 * c) for x, a, b, c in zip(xs, neg, pos, one)]
         ys = [y + lo * b - hi * a + m * c for y, a, b, c in zip(ys, neg, pos, one)]
-    return _sum_terms(field, [(prec, 0, xs)]), _sum_terms(field, [(prec, 0, ys)])
+        if deriv:
+            zs = [z + m * m * (b - a) for z, a, b in zip(zs, neg, pos)]
+    sums = [_sum_terms(field, [(prec, 0, xs)]), _sum_terms(field, [(prec, 0, ys)])]
+    if deriv:
+        sums.append(_sum_terms(field, [(dprec, -su, _vec_mul(field, inverse, zs))]))
+    return sums
 
 
-def tate_series_point(curve: TateCurve, u: Evaluable,
-                      slack: int = DEFAULT_SLACK) -> tuple[Evaluable, Evaluable]:
-    """(X(q,u), Y(q,u)) for u already reduced to the fundamental domain."""
+def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) -> list:
+    """[X, Y], and X' with deriv: the guards, the pass, the principal parts."""
     q = curve.q
     sq = q.shift
-    uval = _value_part(u)
-    if uval.is_zero:
+    if u.is_zero:
         raise ImpreciseValuation("u has no exact valuation")
-    su = uval.shift
+    su = u.shift
     if not 0 <= su < sq:
         raise DomainError("u must be reduced to the fundamental domain first")
     target = q.abs_prec
     one_minus_u = -(u - 1)
-    omu_val = _value_part(one_minus_u)
-    if omu_val.is_zero:
+    if one_minus_u.is_zero:
         raise OnKernel("u is indistinguishable from 1 at this precision")
-    if 3 * omu_val.shift > target - slack:
+    if 3 * one_minus_u.shift > target - slack:
         raise InsufficientPrecision(
-            f"principal part at v(1-u) = {omu_val.valuation()} exhausts the budget")
+            f"principal part at v(1-u) = {one_minus_u.valuation()} exhausts the budget")
     inv_omu = one_minus_u.invert()
+    u._check_same_field(q)
     dmax = _ceil_div(target, sq - su)
-    uval._check_same_field(q)
-    weights = _weights(q, curve.weights, dmax)
-    x, y = _point_values(q, uval, weights)
-    if isinstance(u, DualElement):
-        upow = list(itertools.accumulate(itertools.repeat(u, dmax), operator.mul))
-        un = itertools.accumulate(itertools.repeat(u.invert(), dmax), operator.mul)
-        spow = map(operator.add, upow, un)
-        xd, yd = _point_sums(q.field, [a.deriv for a in upow], [s.deriv for s in spow],
-                             weights)
-        x, y = DualElement(x, xd), DualElement(y, yd)
-    return u * inv_omu * inv_omu + x, u * u * inv_omu * inv_omu * inv_omu + y
+    weights = _weights(q, curve.weights, dmax)[:dmax]
+    out = _point_values(q, u, weights, deriv)
+    out[0] = u * inv_omu * inv_omu + out[0]
+    out[1] = u * u * inv_omu * inv_omu * inv_omu + out[1]
+    if deriv:
+        # the principal part's X' on the dual seed (module docstring)
+        seed = DualElement.seed(u)
+        inv = (-(seed - 1)).invert()
+        out[2] = (seed * inv * inv).deriv + out[2]
+    return out
+
+
+def tate_series_point(curve: TateCurve, u: PadicElement,
+                      slack: int = DEFAULT_SLACK) -> tuple[PadicElement, PadicElement]:
+    """(X(q,u), Y(q,u)) for u already reduced to the fundamental domain."""
+    return tuple(_series_point(curve, u, slack, False))
 
 
 def phi(curve: TateCurve, u: PadicElement, slack: int = DEFAULT_SLACK) -> TatePoint:
@@ -430,7 +434,7 @@ def curve_discriminant(curve: TateCurve) -> PadicElement:
 
 def tate_xy_with_derivative(curve: TateCurve, u: PadicElement,
                             slack: int = DEFAULT_SLACK):
-    """(X, Y, X') at u via dual-number evaluation of the series.
+    """(X, Y, X') at u, X' = dX/du, from one integer pass (module docstring).
 
     The curve keeps one entry, the last (u, slack) and its result, so a
     second call at the same u (verify_ode then relation_residual) reuses
@@ -441,8 +445,7 @@ def tate_xy_with_derivative(curve: TateCurve, u: PadicElement,
     last = curve.memo[0]
     if last is not None and last[0] == key:
         return last[1]
-    xd, yd = tate_series_point(curve, DualElement.seed(u), slack=slack)
-    out = (xd.value, yd.value, xd.deriv)
+    out = tuple(_series_point(curve, u, slack, True))
     curve.memo[0] = (key, out)
     return out
 

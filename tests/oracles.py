@@ -23,15 +23,13 @@ lattice.rank took its place.  parse_element_budgeted is the literal
 parser that evaluated every atom at a guessed working precision.
 """
 
-import functools
 import itertools
-import operator
 import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from padic_tate import lattice
-from padic_tate.dual import DualElement, _value_part
+from padic_tate.dual import DualElement
 from padic_tate.errors import (
     DegreeCapExceeded,
     DenominatorNotInvertible,
@@ -336,9 +334,11 @@ def kind_pi_digits(self, count: int):
 
 
 # The Tate-series coefficients and the dual product rule as they were
-# before one _sum_terms fused them, kept verbatim: the two coefficient
-# lambdas of tate.tate_series_point, as functions of the lists of u^m and
-# u^-m, and DualElement.__mul__ with a dual other.
+# before one _sum_terms fused them, kept verbatim: the coefficients of X and
+# Y as functions of the lists of u^m and u^-m, which series_point_stepwise
+# evaluates on a plain u or, for X', on the dual seed u + eps (the reference
+# for tate.tate_xy_with_derivative, whose pass has no dual chain), and
+# DualElement.__mul__ with a dual other.
 
 def x_coefficient_stepwise(upow, unegpow, m):
     return (upow[m] + unegpow[m] - 2) * m
@@ -415,14 +415,8 @@ def lambert_stepwise(q: PadicElement, weights: list, coeff, terms: int, target: 
     return acc
 
 
-def point_sums_stepwise(field, upow, spow, weights):
-    """tate._point_sums term by term: each product, int multiple and sum
-    reduced, from the first term."""
-    xs, ys = [], []
-    for m, (um, sm, w) in enumerate(zip(upow, spow, weights), 1):
-        xs.append((sm * w) * m)
-        ys += [(um * w) * (m * m), (sm * w) * -(m * (m + 1) // 2)]
-    return tuple(functools.reduce(operator.add, terms) for terms in (xs, ys))
+def _value_part(x):
+    return x.value if isinstance(x, DualElement) else x
 
 
 def series_point_stepwise(curve, u, slack: int):
@@ -457,6 +451,12 @@ def series_point_stepwise(curve, u, slack: int):
     y = lambert_stepwise(q, curve.weights, lambda m: y_coefficient_stepwise(upow, unegpow, m),
                          dmax, target)
     return u * inv_omu * inv_omu + x, u * u * inv_omu * inv_omu * inv_omu + y
+
+
+def xy_with_derivative_stepwise(curve, u: PadicElement, slack: int):
+    """(X, Y, X') at u from series_point_stepwise on the dual seed u + eps."""
+    x, y = series_point_stepwise(curve, DualElement.seed(u), slack)
+    return x.value, y.value, x.deriv
 
 
 def exp_stepwise(x):

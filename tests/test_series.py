@@ -17,7 +17,7 @@ from padic_tate.series import (
     p_exp,
     p_log,
 )
-from padic_tate.tate import curve_coefficients, tate_series_point
+from padic_tate.tate import curve_coefficients, tate_series_point, tate_xy_with_derivative
 
 from oracles import (
     _add_int,
@@ -33,6 +33,7 @@ from oracles import (
     log_stepwise,
     log_terms,
     series_point_stepwise,
+    xy_with_derivative_stepwise,
 )
 from strategies import FIELDS, elements, int_operands
 
@@ -301,18 +302,17 @@ class TestDualConstants:
 
 class TestDualWithCurveEvaluator:
     def test_dual_eval_of_curve_coordinate(self, Q5):
-        # a fixed-q coordinate evaluator is a valid formula handle
-        from padic_tate.tate import curve_coefficients, tate_series_point, \
-            tate_xy_with_derivative
+        # a fixed-q coordinate evaluator written for elements is a valid
+        # formula handle: the coefficient form of X (tests/oracles.py) on
+        # the dual seed gives the X' that the library's integer pass sums
         q = PadicElement.from_int(Q5, 25, 40)
-        curve = curve_coefficients(q)
         u = PadicElement.from_int(Q5, 7, 40)
 
         def x_at_fixed_q(t):
-            return tate_series_point(curve, t)[0]
+            return series_point_stepwise(curve_coefficients(q), t, 10)[0]
 
         d = x_at_fixed_q(DualElement.seed(u))
-        x, y, xp = tate_xy_with_derivative(curve, u)
+        x, y, xp = tate_xy_with_derivative(curve_coefficients(q), u)
         assert d.value.is_indistinguishable(x)
         assert d.deriv.is_indistinguishable(xp)
         # and the derivative satisfies the coordinate relation at u
@@ -641,9 +641,10 @@ class TestFusedCoefficients:
                 q = PadicElement.uniformizer(field, prec)
                 for extra in (0, 30):
                     u = (v * PadicElement.uniformizer(field, prec + extra, k) + 1).truncate(prec + extra)
-                    for arg in (u, DualElement.seed(u)):
-                        got = outcome(lambda: tate_series_point(curve_coefficients(q), arg, 0))
-                        want = outcome(lambda: series_point_stepwise(curve_coefficients(q), arg, 0))
+                    for point, oracle in ((tate_series_point, series_point_stepwise),
+                                          (tate_xy_with_derivative, xy_with_derivative_stepwise)):
+                        got = outcome(lambda: point(curve_coefficients(q), u, 0))
+                        want = outcome(lambda: oracle(curve_coefficients(q), u, 0))
                         assert got == want, (k, prec, extra)
 
     @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))

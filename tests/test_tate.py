@@ -41,12 +41,12 @@ from oracles import (
     from_fraction,
     j_from_q_expansion,
     lambert_stepwise,
-    point_sums_stepwise,
     s_k_partial_sum,
     series_point_stepwise,
     tate_xy,
+    xy_with_derivative_stepwise,
 )
-from strategies import FIELDS, elements, units
+from strategies import FIELDS, units
 
 
 @pytest.fixture(scope="module")
@@ -236,8 +236,6 @@ class TestLambertWeights:
 
 def key(x):
     """Everything that equality of results compares, spelled out."""
-    if isinstance(x, DualElement):
-        return key(x.value), key(x.deriv)
     return x.shift, x.coeffs, x.abs_prec
 
 
@@ -257,46 +255,25 @@ def a4_a6(q):
 
 @st.composite
 def tate_inputs(draw):
-    """(q, terms, target) over one of FIELDS, v(q) in 1..3."""
+    """(q, target) over one of FIELDS, v(q) in 1..3."""
     field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     target = draw(st.integers(4, 24))
     sq = draw(st.integers(1, 3))
     unit = draw(units(field, target))
     q = unit * PadicElement.uniformizer(field, target + sq, sq)
-    return q, draw(st.integers(0, 14)), target
+    return q, target
 
 
 class TestFusedLambert:
     """Each Lambert sum is reduced once, and agrees with the term-by-term sum
     (tests/oracles.py) in shift, coefficients and precision."""
 
-    @given(data=st.data(), inputs=tate_inputs())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_stepwise(self, data, inputs):
-        # the derivative sums over drawn (u^m)', S'_m and weights of any shift
-        # and precision, zeros included, so that any term can set the
-        # precision; the weights extend a drawn prefix as the curve's do
-        q, terms, target = inputs
-        assume(terms)
-        field = q.field
-        upow, spow = ([data.draw(elements(field, -6, 4)) for _ in range(terms)]
-                      for _ in range(2))
-        prefix = [data.draw(elements(field, 0, 6))
-                  for _ in range(data.draw(st.integers(0, terms)))]
-        w_fused = tate_mod._weights(q, list(prefix), terms)
-        w_step = list(prefix)
-        lambert_stepwise(q, w_step, lambda m: 0, terms, target)
-        assert w_fused == w_step
-        got = tate_mod._point_sums(field, upow, spow, w_fused)
-        want = point_sums_stepwise(field, upow, spow, w_step)
-        assert tuple(map(key, got)) == tuple(map(key, want))
-
     @pytest.mark.parametrize("dual", [False, True], ids=["element", "dual"])
     def test_other_field_raises_before_weights(self, Q5, dual):
         curve = curve_coefficients(PadicElement.from_int(Q5, 25, 40))
         alien = PadicElement.from_int(make_field(7), 3, 40)
         with pytest.raises(FieldMismatch):
-            tate_series_point(curve, DualElement.seed(alien) if dual else alien)
+            (tate_xy_with_derivative if dual else tate_series_point)(curve, alien)
         assert curve.weights == []
 
     @given(data=st.data(), inputs=tate_inputs(), near_one=st.booleans(),
@@ -305,7 +282,7 @@ class TestFusedLambert:
     def test_series_point_matches_stepwise(self, data, inputs, near_one, dual):
         # u = 1 + pi^k v sits k digits off the kernel, where X's coefficient
         # m(u^m + u^-m - 2) has a higher valuation than its parts
-        q, _, target = inputs
+        q, target = inputs
         field = q.field
         if near_one:
             k = data.draw(st.integers(1, max(1, target // 3)))
@@ -313,8 +290,6 @@ class TestFusedLambert:
         else:
             shift = data.draw(st.integers(0, q.shift - 1))
             u = data.draw(units(field, target)) * PadicElement.uniformizer(field, target, shift)
-        if dual:
-            u = DualElement.seed(u)
         slack = data.draw(st.integers(0, 3))
         # a4, a6 and s_k are power series with no weight, so their wanted
         # values are the Lambert sums of the first ceil(N / v(q)) terms,
@@ -326,10 +301,13 @@ class TestFusedLambert:
         want = {"curve": (key((stepwise(lambda m: m ** 3) * (-5)).truncate(N)),
                           key(stepwise(lambda m: -a6_coefficient(m)))),
                 "s_k": key(stepwise(lambda m: m ** 5))}
-        want["point"] = outcome(lambda: series_point_stepwise(curve_coefficients(q), u, slack))
+        # with dual, (X, Y, X') against the coefficient form on u + eps
+        point, oracle = ((tate_xy_with_derivative, xy_with_derivative_stepwise) if dual
+                         else (tate_series_point, series_point_stepwise))
+        want["point"] = outcome(lambda: oracle(curve_coefficients(q), u, slack))
         got = {"curve": outcome(lambda: a4_a6(q)),
                "s_k": outcome(lambda: s_k(q, 5))}
-        got["point"] = outcome(lambda: tate_series_point(curve_coefficients(q), u, slack))
+        got["point"] = outcome(lambda: point(curve_coefficients(q), u, slack))
         assert got == want
 
     @pytest.fixture
@@ -366,9 +344,11 @@ class TestFusedLambert:
         # a warm curve: each weight it builds is a sum of its own
         tate_series_point(curve25, u)
         # X and Y: one sum each, over 20 or 40 terms, or over the one term of
-        # the integer pass for a plain point's values; a dual adds X' and Y'
+        # the integer pass for a plain point's values; the pass adds X' as a
+        # third one-term sum (no memo entry for u, so it runs)
         assert makes(lambda: tate_series_point(curve25, u))[0] == 2
-        assert makes(lambda: tate_series_point(curve25, DualElement.seed(u)))[0] == 4
+        curve25.memo[0] = None
+        assert makes(lambda: tate_xy_with_derivative(curve25, u))[0] == 3
         assert makes(lambda: curve_coefficients(curve25.q))[0] == 2
         assert makes(lambda: s_k(curve25.q, 3))[0] == 1
 
@@ -434,8 +414,9 @@ def point_cases(name):
 
 class TestSeriesPointDifferential:
     """tate_series_point agrees with the sums of separately reduced
-    coefficients (tests/oracles.py) in the shift, coefficients and precision
-    of X, Y, X' and Y', or raises the same error."""
+    coefficients (tests/oracles.py), and tate_xy_with_derivative with the
+    same sums on the dual seed u + eps, in the shift, coefficients and
+    precision of X, Y and X', or raises the same error."""
 
     @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
     def test_matches_coefficient_form(self, name):
@@ -445,11 +426,48 @@ class TestSeriesPointDifferential:
                 curves[q] = (curve_coefficients(q), curve_coefficients(q))
             curve, oracle_curve = curves[q]
             slack = (0, 3, 10)[i % 3]
-            for arg in (u, DualElement.seed(u)):
-                got = outcome(lambda: tate_series_point(curve, arg, slack))
-                want = outcome(lambda: series_point_stepwise(oracle_curve, arg, slack))
+            for point, oracle in ((tate_series_point, series_point_stepwise),
+                                  (tate_xy_with_derivative, xy_with_derivative_stepwise)):
+                got = outcome(lambda: point(curve, u, slack))
+                want = outcome(lambda: oracle(oracle_curve, u, slack))
                 assert got == want, (q, u, slack)
         assert all(c.weights == o.weights for c, o in curves.values())
+
+
+class TestDoubledPrecision:
+    """Every digit of X, Y and X' that tate_xy_with_derivative claims at
+    precision N is the digit at 2N: q and u are drawn at 2N, u at 2(N + k)
+    for u known k digits beyond q, and truncated to N and N + k, over the
+    four field kinds of tests/strategies.py.  u is drawn at v(u) > 0, at
+    v(u) = 0 with u = -1 mod pi, where u^2 = 1 mod pi and digits of X'
+    cancel, and as any unit."""
+
+    @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)),
+           kind=st.sampled_from(["v(u) > 0", "u = -1 mod pi", "unit"]))
+    @settings(max_examples=150, deadline=None)
+    def test_claimed_digits_survive_doubling(self, data, name, kind):
+        field = FIELDS[name]
+        N = data.draw(st.integers(12, 40))
+        sq = data.draw(st.integers(2 if kind == "v(u) > 0" else 1, 4))
+        k = data.draw(st.integers(0, N))
+        top = 2 * (N + k)
+        q = data.draw(units(field, top)) * PadicElement.uniformizer(field, top + sq, sq)
+        u = data.draw(units(field, top))
+        if kind == "v(u) > 0":
+            u = u * PadicElement.uniformizer(field, top + sq, data.draw(st.integers(1, sq - 1)))
+        elif kind == "u = -1 mod pi":
+            u = u * PadicElement.uniformizer(field, top + 1, data.draw(st.integers(1, N))) - 1
+        slack = data.draw(st.sampled_from([0, 3, 10]))
+        try:
+            got = tate_xy_with_derivative(curve_coefficients(q.truncate(N)), u.truncate(N + k),
+                                          slack)
+        except PadicError:
+            assume(False)
+        ref = tate_xy_with_derivative(curve_coefficients(q.truncate(2 * N)),
+                                      u.truncate(2 * (N + k)), slack)
+        for a, b in zip(got, ref):
+            assert b.abs_prec >= a.abs_prec
+            assert key(a) == key(b.truncate(a.abs_prec))
 
 
 class TestWeightsDifferential:
@@ -489,20 +507,23 @@ class TestCoefficientMakes:
         # (v(u) = 1) needs 40, and its plain call builds the other 20 (77 of
         # its 88, a chain to q^58), so the order below is part of the count.
         # The other 11 of a plain call are one for each of X and Y, summed in
-        # one integer pass, and 9 for the principal parts.  A dual also
-        # reduces the powers of u and u^-1 and one S_m = u^m + u^-m per term,
-        # each value and derivative, and sums X' and Y'
+        # one integer pass, and 9 for the principal parts.  (X, Y, X') makes
+        # those 11, one more for X' of the same pass, two for u^2 - 1, whose
+        # shift sets the precision of X', and 8 for the principal part's X'
+        # on the dual seed: seed - 1, two in the derivative of its inverse,
+        # two in each dual product, and the sum with the series' X'
         curve = curve_coefficients(curve25.q)
         counts = []
         for n in (7, 35):
             u = PadicElement.from_int(Q5, n, 40)
             counts += [makes(lambda: tate_series_point(curve, u))[0].total(),
-                       makes(lambda: tate_series_point(curve, DualElement.seed(u)))[0].total()]
-        # with X and Y of a plain u as sums of reduced products: 126, 141,
-        # 206, 261; with weights by inversion: 129, 141, 209, 261; with a
-        # _make per coefficient part as well: 149, 181, 249, 341; per
+                       makes(lambda: tate_xy_with_derivative(curve, u))[0].total()]
+        # with X' of a dual u's chains of u^m, u^-m and S_m: 68, 141, 88,
+        # 261; with X and Y of a plain u as sums of reduced products: 126,
+        # 141, 206, 261; with weights by inversion: 129, 141, 209, 261; with
+        # a _make per coefficient part as well: 149, 181, 249, 341; per
         # operation in each coefficient: 189, 309, 329, 589
-        assert counts == [68, 141, 88, 261]
+        assert counts == [68, 22, 88, 22]
 
     def test_dual_product(self, makes, Q5):
         a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
@@ -512,12 +533,13 @@ class TestCoefficientMakes:
 
 
 class TestDualMemo:
-    """verify_ode and relation_residual at one (u, slack) share one dual
-    evaluation; any other u, precision, slack or curve recomputes."""
+    """verify_ode and relation_residual at one (u, slack) share one
+    evaluation of (X, Y, X'); any other u, precision, slack or curve
+    recomputes.  An evaluation is one call of the guards and integer pass."""
 
     @pytest.fixture
     def series_calls(self, count_calls):
-        return count_calls((tate_mod, "tate_series_point"))
+        return count_calls((tate_mod, "_series_point"))
 
     @pytest.fixture
     def curve(self, Q5):
