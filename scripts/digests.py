@@ -51,7 +51,9 @@ PERFBENCH_SEED = 7
 # products; then the ODE and X' checks, whose X' is the principal part's
 # derivative, a digit short of its closed form at p = 2, plus the series'
 # X', over Q_2 and over a ramified field, recorded while X' was summed over
-# DualElement chains of u^m, u^-m and S_m
+# DualElement chains of u^m, u^-m and S_m; then points whose principal part
+# sets the precision, v(1-u) = 2 over Q_5 and v(1-u) = 1 over Q_2, recorded
+# while the principal parts were PadicElement products
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
@@ -70,6 +72,8 @@ CLI_ROWS = (
     ("tate", "verify-ode", "--p", "2", "--q", "2^3", "--trials", "1", "--prec", "1024"),
     ("tate", "verify-ode", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--q", "pi^3",
      "--trials", "1", "--prec", "1024"),
+    ("tate", "map", "--q", "5^2", "--u", "26", "--prec", "1024"),
+    ("tate", "map", "--p", "2", "--q", "2^3", "--u", "3", "--prec", "1024"),
 )
 
 

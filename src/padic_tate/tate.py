@@ -27,12 +27,13 @@ Topics in the Arithmetic of Elliptic Curves, V.3) with
     Y = u^2/(1-u)^3 + sum_m ((m-1)m/2 u^m - m(m+1)/2 u^-m + m) q^m / (1 - q^m)
 
 With S_m = u^m + u^-m the coefficients are X_m = m (S_m - 2) and
-Y_m = m^2 u^m - m(m+1)/2 S_m + m.  Call the element sums of X and Y the two
-_sum_terms, capped at N, of int multiples (field._scaled_term) of the raw
-products S_m w_m and u^m w_m, S_m reduced once per m, and of -2m w_m and
-m w_m.  Each term, a product and then an int multiple, is exact modulo its
+Y_m = m^2 u^m - m(m+1)/2 S_m + m.  Call the element sums of X and Y the
+sums, capped at N, of the terms m S_m w_m and -2m w_m, and m^2 u^m w_m,
+-m(m+1)/2 S_m w_m and m w_m, each an element product times an int, known to
+the precision __mul__ and the int give it.  Each term is exact modulo its
 own precision, so these sums are sound, and no digit or precision differs
-from the sums of separately reduced coefficients (tests/oracles.py).
+from the sums of separately reduced coefficients, the reference of the pass
+(tests/oracles.py).
 
 X and Y are not summed as elements: _point_values makes the element sums'
 digits in one integer pass.  Write R = rel_prec(u), su = v(u) and
@@ -87,9 +88,38 @@ tate_xy_with_derivative sums it in the same integer pass, with no dual chain:
   pi^(W - s), W = max(P, P' + su), and X' is one _make of u^-1 Z at shift
   -su and precision P'.  Taking Z modulo pi^(P - s) instead loses digits of
   X' at su = 0 with u^2 = 1 mod pi.
-The principal part's X' is taken on the dual seed: the closed form
-(1+u)/(1-u)^3 is known a digit better at p = 2, which would change what the
-checks print.
+
+The principal parts u/(1-u)^2, u^2/(1-u)^3 and (u/(1-u)^2)' = (1+u)/(1-u)^3
+are one raw term each, added to the pass's term of the same coordinate by
+one _sum_terms, so that X, Y and X' are one _make each.  Their reference is
+the element chains u (1-u)^-1 (1-u)^-1 and u u (1-u)^-1 (1-u)^-1 (1-u)^-1 of
+__mul__ and invert, and for X' the derivative of the first on the dual seed
+u + eps (DualElement, tests/oracles.py).  Write A = abs_prec(u),
+t = v(1-u) and I for the inverse of the unit of 1 - u, taken to its
+rel_prec A - t.  t su = 0: at su > 0, 1 - u = 1 mod pi, and at t > 0,
+u = 1 mod pi.
+- Precision.  (1-u)^-1 is I at shift -t, known to A - 2t.  __mul__ knows
+  a b to min(abs(a) + shift(b), abs(b) + shift(a)), so with t su = 0 the
+  chain of X is known to A - 3t, at shift su - 2t, and that of Y to
+  A - 4t + su, at 2 su - 3t.  Each link is a product of units known to a
+  relative precision of A - t or A - su, >= 1 as 1 - u and u are not
+  imprecise zeros, so no link is a zero whose shift would be its
+  precision.  On the seed (u, 1), its 1 known to A, (1-u)^-1 has the
+  derivative (1-u)^-2, known to A - 3t at shift -2t; the first product's
+  derivative u (1-u)^-2 + (1-u)^-1 = (1-u)^-2 is then known to A - 3t,
+  and the second's, a Leibniz sum of two products each known to A - 4t,
+  to A - 4t.
+- Digits.  Every link is congruent to the exact value at u's
+  representative modulo its own precision, and so is each raw term:
+  u I^2 at shift su - 2t, u^2 I^3 at 2 su - 3t and (1+u) I^3 at -3t are,
+  as I is known to the relative precision A - t, off by at most
+  pi^(A - 3t + su), pi^(A - 4t + 2 su) and pi^(A - 4t + v(1+u)).  So a
+  term given its chain's precision, A - 3t, A - 4t + su and A - 4t, has
+  the chain's digits there, and its coordinate's one _make, at the lesser
+  precision of its two terms, the digits, precision and shift of the sum
+  of two elements.  X' takes the dual chain's A - 4t and not what the
+  closed form alone is known to, a digit more at p = 2, where pi divides
+  1 + u when t > 0, which would change what the checks print.
 
 verify_ode and relation_residual both need (X, Y, X') at one u, so each
 TateCurve also remembers its last such evaluation, keyed on (u, slack): u
@@ -106,7 +136,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .dual import DualElement
 from .errors import (
     DomainError,
     ImpreciseValuation,
@@ -257,9 +286,10 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     return u_red, n
 
 
-def _point_values(q: PadicElement, u: PadicElement, weights: list, deriv: bool):
+def _point_values(q: PadicElement, u: PadicElement, weights: list, deriv: bool) -> list:
     """X - u/(1-u)^2 and Y - u^2/(1-u)^3 at a plain u in the fundamental
-    domain, in the one integer pass of the module docstring, known to
+    domain, as raw (prec, shift, vec) terms of _sum_terms, from the one
+    integer pass of the module docstring, known to
     P = min(N, rel_prec(u) + v(q)) - v(u); weights holds the
     ceil(N / (v(q) - v(u))) terms of the element sums.  X takes the pieces
     u^-m w_m, u^m w_m and w_m times m, m and -2m, and Y times -m(m+1)/2,
@@ -298,14 +328,16 @@ def _point_values(q: PadicElement, u: PadicElement, weights: list, deriv: bool):
         ys = [y + lo * b - hi * a + m * c for y, a, b, c in zip(ys, neg, pos, one)]
         if deriv:
             zs = [z + m * m * (b - a) for z, a, b in zip(zs, neg, pos)]
-    sums = [_sum_terms(field, [(prec, 0, xs)]), _sum_terms(field, [(prec, 0, ys)])]
+    terms = [(prec, 0, xs), (prec, 0, ys)]
     if deriv:
-        sums.append(_sum_terms(field, [(dprec, -su, _vec_mul(field, inverse, zs))]))
-    return sums
+        terms.append((dprec, -su, _vec_mul(field, inverse, zs)))
+    return terms
 
 
 def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) -> list:
-    """[X, Y], and X' with deriv: the guards, the pass, the principal parts."""
+    """[X, Y], and X' with deriv: the guards, then each coordinate as one
+    _sum_terms of the pass's term and its principal part's term (module
+    docstring)."""
     q = curve.q
     sq = q.shift
     if u.is_zero:
@@ -314,25 +346,32 @@ def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) ->
     if not 0 <= su < sq:
         raise DomainError("u must be reduced to the fundamental domain first")
     target = q.abs_prec
-    one_minus_u = -(u - 1)
+    one_minus_u = 1 - u
     if one_minus_u.is_zero:
         raise OnKernel("u is indistinguishable from 1 at this precision")
-    if 3 * one_minus_u.shift > target - slack:
+    t = one_minus_u.shift
+    if 3 * t > target - slack:
         raise InsufficientPrecision(
             f"principal part at v(1-u) = {one_minus_u.valuation()} exhausts the budget")
-    inv_omu = one_minus_u.invert()
     u._check_same_field(q)
+    field = q.field
     dmax = _ceil_div(target, sq - su)
     weights = _weights(q, curve.weights, dmax)[:dmax]
-    out = _point_values(q, u, weights, deriv)
-    out[0] = u * inv_omu * inv_omu + out[0]
-    out[1] = u * u * inv_omu * inv_omu * inv_omu + out[1]
+    terms = _point_values(q, u, weights, deriv)
+    # the principal parts from I, the unit of (1-u)^-1, at the precisions of
+    # the element chains (module docstring), a = abs_prec(u)
+    a = u.abs_prec
+    inv = _vec_invert(field, one_minus_u.coeffs, one_minus_u.rel_prec)
+    inv2 = _vec_mul(field, inv, inv)
+    ui2 = _vec_mul(field, u.coeffs, inv2)
+    ui3 = _vec_mul(field, ui2, inv)
+    parts = [(a - 3 * t, su - 2 * t, ui2),
+             (a - 4 * t + su, 2 * su - 3 * t, _vec_mul(field, u.coeffs, ui3))]
     if deriv:
-        # the principal part's X' on the dual seed (module docstring)
-        seed = DualElement.seed(u)
-        inv = (-(seed - 1)).invert()
-        out[2] = (seed * inv * inv).deriv + out[2]
-    return out
+        # (1 + u) I^3 = I^3 + pi^su ui3, with ui3 the vector of u's unit times I^3
+        cube, shifted = _vec_mul(field, inv2, inv), _shift_vec(field, ui3, su)
+        parts.append((a - 4 * t, -3 * t, [c + d for c, d in zip(cube, shifted)]))
+    return [_sum_terms(field, pair) for pair in zip(terms, parts)]
 
 
 def tate_series_point(curve: TateCurve, u: PadicElement,

@@ -169,7 +169,7 @@ class TestLambertWeights:
 
     @pytest.fixture
     def inversions(self, count_calls):
-        return count_calls((PadicElement, "invert"))
+        return count_calls((PadicElement, "invert"), (tate_mod, "_vec_invert"))
 
     def test_inversion_counts(self, inversions, Q5):
         q = PadicElement.from_int(Q5, 25, 40)
@@ -178,17 +178,18 @@ class TestLambertWeights:
         assert n.total() == 0 and inversions(lambda: s_k(q, 5))[0].total() == 0
         u0 = PadicElement.from_int(Q5, 7, 40)
         u1 = PadicElement.from_int(Q5, 35, 40)
-        # a weight is a sum of powers of q, and u's unit vector is inverted
-        # inside the value pass: a point inverts the element 1-u only, on a
-        # fresh curve and on a warm one.  v(u) = 0 runs to ceil(40/2) = 20
-        # terms and v(u) = 1 to ceil(40/1) = 40, each weight built once
-        assert inversions(lambda: phi(curve, u0))[0].total() == 1
+        # a weight is a sum of powers of q, and no element is inverted: a
+        # point inverts two unit vectors, u's in the value pass and 1-u's for
+        # the principal parts, on a fresh curve and on a warm one.
+        # v(u) = 0 runs to ceil(40/2) = 20 terms and v(u) = 1 to
+        # ceil(40/1) = 40, each weight built once
+        assert inversions(lambda: phi(curve, u0))[0] == {"_vec_invert": 2}
         assert len(curve.weights) == 20
-        assert inversions(lambda: phi(curve, u1))[0].total() == 1
+        assert inversions(lambda: phi(curve, u1))[0] == {"_vec_invert": 2}
         assert len(curve.weights) == 40
         weights = list(curve.weights)
-        assert inversions(lambda: phi(curve, u1))[0].total() == 1
-        assert inversions(lambda: phi(curve, u0))[0].total() == 1
+        assert inversions(lambda: phi(curve, u1))[0] == {"_vec_invert": 2}
+        assert inversions(lambda: phi(curve, u0))[0] == {"_vec_invert": 2}
         assert len(curve.weights) == 40
         assert all(a is b for a, b in zip(curve.weights, weights))
 
@@ -197,7 +198,8 @@ class TestLambertWeights:
         q = PadicElement.from_int(Q5, 5 ** 600, 640)
         n, curve = inversions(lambda: curve_coefficients(q))
         assert n.total() == 0 and curve.weights == []
-        assert inversions(lambda: phi(curve, PadicElement.from_int(Q5, 7, 640)))[0].total() == 1
+        u = PadicElement.from_int(Q5, 7, 640)
+        assert inversions(lambda: phi(curve, u))[0] == {"_vec_invert": 2}
         assert len(curve.weights) == 2
 
     def test_interleaved_extension_keeps_order(self, monkeypatch, Q5):
@@ -343,28 +345,30 @@ class TestFusedLambert:
         u = PadicElement.from_int(Q5, n, 40)
         # a warm curve: each weight it builds is a sum of its own
         tate_series_point(curve25, u)
-        # X and Y: one sum each, over 20 or 40 terms, or over the one term of
-        # the integer pass for a plain point's values; the pass adds X' as a
-        # third one-term sum (no memo entry for u, so it runs)
+        # X and Y: one sum each, over 20 or 40 terms, or over the integer
+        # pass's term and the principal part's for a plain point; the pass
+        # adds X' as a third such sum (no memo entry for u, so it runs)
         assert makes(lambda: tate_series_point(curve25, u))[0] == 2
         curve25.memo[0] = None
         assert makes(lambda: tate_xy_with_derivative(curve25, u))[0] == 3
         assert makes(lambda: curve_coefficients(curve25.q))[0] == 2
         assert makes(lambda: s_k(curve25.q, 3))[0] == 1
 
-    @pytest.mark.parametrize("n, pieces", [(7, 76), (35, 100)], ids=["v0", "v1"])
+    @pytest.mark.parametrize("n, pieces", [(7, 80), (35, 104)], ids=["v0", "v1"])
     def test_plain_point_is_one_pass(self, count_calls, curve25, Q5, n, pieces):
         u = PadicElement.from_int(Q5, n, 40)
         tate_series_point(curve25, u)    # the curve's weights now reach u's terms
         counted = count_calls((field_mod, "_make"), (PadicElement, "__mul__"),
                               (tate_mod, "_vec_mul"), (tate_mod, "_vec_invert"))
-        # over 20 or 40 terms: one _make for each of X and Y, and the other 9
-        # and all 6 products for the principal parts, none per term.  The
-        # pieces u^-m w_m and u^m w_m are integer products, two for each m
-        # below pi^P: m <= 19 at v(u) = 0, where P = 40, and m <= 38 and
-        # m <= 12 at v(u) = 1, where P = 39; u's unit vector is inverted once
+        # over 20 or 40 terms: one _make for each of X and Y and one for the
+        # element 1 - u, none per term, and no element product.  The pieces
+        # u^-m w_m and u^m w_m are integer products, two for each m below
+        # pi^P: m <= 19 at v(u) = 0, where P = 40, and m <= 38 and m <= 12 at
+        # v(u) = 1, where P = 39; 4 more build the principal parts u I^2 and
+        # u^2 I^3, with I the inverse of 1 - u's unit.  u's and 1 - u's unit
+        # vectors are inverted once each
         assert counted(lambda: tate_series_point(curve25, u))[0] == {
-            "_make": 11, "__mul__": 6, "_vec_mul": pieces, "_vec_invert": 1}
+            "_make": 3, "_vec_mul": pieces, "_vec_invert": 2}
 
     def test_phi_builds_no_integer_operand(self, count_calls, curve25, Q5):
         us = [PadicElement.from_int(Q5, n, 40) for n in (7, 8, 6)]
@@ -440,16 +444,23 @@ class TestDoubledPrecision:
     for u known k digits beyond q, and truncated to N and N + k, over the
     four field kinds of tests/strategies.py.  u is drawn at v(u) > 0, at
     v(u) = 0 with u = -1 mod pi, where u^2 = 1 mod pi and digits of X'
-    cancel, and as any unit."""
+    cancel, as any unit, and as u = 1 + pi^j v near the kernel, 3j <= N -
+    slack, known k <= 3j digits beyond q, where the principal parts, known
+    to N + k - 3j and N + k - 4j, set the precision."""
 
     @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)),
-           kind=st.sampled_from(["v(u) > 0", "u = -1 mod pi", "unit"]))
+           kind=st.sampled_from(["v(u) > 0", "u = -1 mod pi", "unit", "u = 1 mod pi"]))
     @settings(max_examples=150, deadline=None)
     def test_claimed_digits_survive_doubling(self, data, name, kind):
         field = FIELDS[name]
         N = data.draw(st.integers(12, 40))
         sq = data.draw(st.integers(2 if kind == "v(u) > 0" else 1, 4))
-        k = data.draw(st.integers(0, N))
+        slack = data.draw(st.sampled_from([0, 3, 10]))
+        if kind == "u = 1 mod pi":
+            j = data.draw(st.integers(1, max(1, (N - slack) // 3)))
+            k = data.draw(st.integers(0, 3 * j))
+        else:
+            k = data.draw(st.integers(0, N))
         top = 2 * (N + k)
         q = data.draw(units(field, top)) * PadicElement.uniformizer(field, top + sq, sq)
         u = data.draw(units(field, top))
@@ -457,7 +468,8 @@ class TestDoubledPrecision:
             u = u * PadicElement.uniformizer(field, top + sq, data.draw(st.integers(1, sq - 1)))
         elif kind == "u = -1 mod pi":
             u = u * PadicElement.uniformizer(field, top + 1, data.draw(st.integers(1, N))) - 1
-        slack = data.draw(st.sampled_from([0, 3, 10]))
+        elif kind == "u = 1 mod pi":
+            u = u * PadicElement.uniformizer(field, top + 1, j) + 1
         try:
             got = tate_xy_with_derivative(curve_coefficients(q.truncate(N)), u.truncate(N + k),
                                           slack)
@@ -506,24 +518,25 @@ class TestCoefficientMakes:
         # of the chain q, ..., q^38 and one sum per weight), and u = 35
         # (v(u) = 1) needs 40, and its plain call builds the other 20 (77 of
         # its 88, a chain to q^58), so the order below is part of the count.
-        # The other 11 of a plain call are one for each of X and Y, summed in
-        # one integer pass, and 9 for the principal parts.  (X, Y, X') makes
-        # those 11, one more for X' of the same pass, two for u^2 - 1, whose
-        # shift sets the precision of X', and 8 for the principal part's X'
-        # on the dual seed: seed - 1, two in the derivative of its inverse,
-        # two in each dual product, and the sum with the series' X'
+        # The other 3 of a plain call are one for the element 1 - u and one
+        # for each of X and Y, each the sum of its integer pass's term and
+        # its principal part's.  (X, Y, X') makes those 3, one more for X',
+        # summed the same way, and two for u^2 - 1, whose shift sets the
+        # precision of X'
         curve = curve_coefficients(curve25.q)
         counts = []
         for n in (7, 35):
             u = PadicElement.from_int(Q5, n, 40)
             counts += [makes(lambda: tate_series_point(curve, u))[0].total(),
                        makes(lambda: tate_xy_with_derivative(curve, u))[0].total()]
-        # with X' of a dual u's chains of u^m, u^-m and S_m: 68, 141, 88,
-        # 261; with X and Y of a plain u as sums of reduced products: 126,
-        # 141, 206, 261; with weights by inversion: 129, 141, 209, 261; with
-        # a _make per coefficient part as well: 149, 181, 249, 341; per
-        # operation in each coefficient: 189, 309, 329, 589
-        assert counts == [68, 22, 88, 22]
+        # with the principal parts as element products and that of X' on
+        # the dual seed: 68, 22, 88, 22; with X' of a dual u's chains of
+        # u^m, u^-m and S_m: 68, 141, 88, 261; with X and Y of a plain u as
+        # sums of reduced products: 126, 141, 206, 261; with weights by
+        # inversion: 129, 141, 209, 261; with a _make per coefficient part
+        # as well: 149, 181, 249, 341; per operation in each coefficient:
+        # 189, 309, 329, 589
+        assert counts == [60, 6, 80, 6]
 
     def test_dual_product(self, makes, Q5):
         a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
