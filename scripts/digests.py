@@ -53,7 +53,9 @@ PERFBENCH_SEED = 7
 # X', over Q_2 and over a ramified field, recorded while X' was summed over
 # DualElement chains of u^m, u^-m and S_m; then points whose principal part
 # sets the precision, v(1-u) = 2 over Q_5 and v(1-u) = 1 over Q_2, recorded
-# while the principal parts were PadicElement products
+# while the principal parts were PadicElement products; then a point and the
+# ODE and X' checks over Q_p at a large p, recorded while the point's pass over
+# Q_p ran on one-entry coefficient lists
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
@@ -74,6 +76,9 @@ CLI_ROWS = (
      "--trials", "1", "--prec", "1024"),
     ("tate", "map", "--q", "5^2", "--u", "26", "--prec", "1024"),
     ("tate", "map", "--p", "2", "--q", "2^3", "--u", "3", "--prec", "1024"),
+    ("tate", "map", "--p", "1000003", "--q", "1000003^2", "--u", "7", "--prec", "200"),
+    ("tate", "verify-ode", "--p", "1000003", "--q", "1000003^2", "--trials", "2",
+     "--prec", "120"),
 )
 
 

@@ -455,7 +455,11 @@ def _residue_inverse(field: FieldDescriptor, vec: Sequence[int]) -> list[int]:
 
 def _vec_invert(field: FieldDescriptor, vec: Sequence[int], rel_prec: int) -> tuple[int, ...]:
     """Newton iteration z <- z(2 - u z), doubling correct digits per step;
-    each new z is reduced to the digits it has right, at most rel_prec."""
+    each new z is reduced to the digits it has right, at most rel_prec.
+    A one-entry vector, e = 1, is inverted modulo p^rel_prec by pow, to the
+    same reduced inverse."""
+    if len(vec) == 1:
+        return (pow(vec[0], -1, field.p ** rel_prec),) if rel_prec > 0 else (0,)
     z = _residue_inverse(field, vec)
     two = [2] + [0] * (field.coeff_len - 1)
     correct = 1

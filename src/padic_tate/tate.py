@@ -77,7 +77,12 @@ tate_xy_with_derivative sums it in the same integer pass, with no dual chain:
   T_m = min(R + m sq, N + (m-1) sq + g_m) - (m+1) su + e v_p(m).  Both
   bounds are least at m = 1, as sq > su and u^2 - 1 divides u^2m - 1, so
   X' is known to P' = min(R + sq, N + g_1) - 2 su, g_1 the shift of the
-  element u^2 - 1: P - su at su > 0, and not capped at N.
+  element u^2 - 1: P - su at su > 0, and not capped at N.  g_1 is read
+  from integers, with no element.  The element u u - 1 is known to
+  A + su, A = abs_prec(u).  At su > 0 it is -1 plus a multiple of pi, so
+  g_1 = 0.  At su = 0 its shift is the valuation of u^2 - 1 = (u - 1)(u + 1)
+  at u's representative, capped at A; 1 - u is not an imprecise zero, so
+  t = v(1 - u) < A is exact, and g_1 = min(A, t + v(1 + u)).
 - Digits.  As for X and Y, the element sum is congruent modulo pi^P' to the
   exact sum of m^2 (u^(m-1) - u^(-m-1)) w_m over the representatives, and
   so to u^-1 Z, Z = sum_m m^2 (u^m w_m - u^-m w_m), the pass's first two
@@ -121,6 +126,13 @@ u = 1 mod pi.
   closed form alone is known to, a digit more at p = 2, where pi divides
   1 + u when t > 0, which would change what the checks print.
 
+Over Q_p, and any field with one-entry vectors (e = f = 1, pi = c p),
+the pass runs on plain ints, not on lists: _int_pass takes each piece
+modulo the same p^(work - s) at the same steps as _list_pass, which
+extension fields run, so its three sums are the same integers, and X, Y
+and X' the same digits, precisions and shifts.  The two share every
+precision, P, P' and W, and u's inverse, computed before the choice.
+
 verify_ode and relation_residual both need (X, Y, X') at one u, so each
 TateCurve also remembers its last such evaluation, keyed on (u, slack): u
 compares by field, shift, coefficients and absolute precision, so another
@@ -156,6 +168,7 @@ from .field import (
     _sum_terms,
     _vec_invert,
     _vec_mul,
+    _vec_val,
 )
 
 # agreement reported for two identity points, which are equal by kind
@@ -286,23 +299,42 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     return u_red, n
 
 
-def _point_values(q: PadicElement, u: PadicElement, weights: list, deriv: bool) -> list:
+def _point_values(q: PadicElement, u: PadicElement, weights: list, t: int,
+                  deriv: bool) -> list:
     """X - u/(1-u)^2 and Y - u^2/(1-u)^3 at a plain u in the fundamental
     domain, as raw (prec, shift, vec) terms of _sum_terms, from the one
     integer pass of the module docstring, known to
     P = min(N, rel_prec(u) + v(q)) - v(u); weights holds the
-    ceil(N / (v(q) - v(u))) terms of the element sums.  X takes the pieces
-    u^-m w_m, u^m w_m and w_m times m, m and -2m, and Y times -m(m+1)/2,
-    m(m-1)/2 and m.  With deriv, X' - (u/(1-u)^2)' follows as u^-1 Z, known
-    to P' = min(R + v(q), N + shift(u^2 - 1)) - 2 v(u)."""
+    ceil(N / (v(q) - v(u))) terms of the element sums.  With deriv,
+    X' - (u/(1-u)^2)' follows as u^-1 Z, known to
+    P' = min(R + v(q), N + g) - 2 v(u), g the shift of u^2 - 1 taken from
+    t = v(1 - u).  The pass runs on ints over Q_p, on vectors otherwise."""
     field = q.field
-    p, e, su = field.p, field.e, u.shift
+    su = u.shift
     prec = work = min(q.abs_prec, u.rel_prec + q.shift) - su
     if deriv:
-        dprec = min(u.rel_prec + q.shift, q.abs_prec + (u * u - 1).shift) - 2 * su
+        # u^2 - 1 = (u - 1)(u + 1) is a unit at su > 0; 1 + u's vector is
+        # nonzero, as its first entry is a reduced coefficient plus 1
+        g = 0 if su else min(u.abs_prec, t + _vec_val(field, [u.coeffs[0] + 1, *u.coeffs[1:]]))
+        dprec = min(u.rel_prec + q.shift, q.abs_prec + g) - 2 * su
         work = max(prec, dprec + su)
-    ucoeffs = u.coeffs
-    vcoeffs = inverse = _vec_invert(field, ucoeffs, min(u.rel_prec, work))
+    inverse = _vec_invert(field, u.coeffs, min(u.rel_prec, work))
+    one_pass = _int_pass if field.coeff_len == 1 else _list_pass
+    xs, ys, zs = one_pass(field, u.coeffs, inverse, su, weights, work, deriv)
+    terms = [(prec, 0, xs), (prec, 0, ys)]
+    if deriv:
+        terms.append((dprec, -su, _vec_mul(field, inverse, zs)))
+    return terms
+
+
+def _list_pass(field, ucoeffs, vcoeffs, su: int, weights: list, work: int,
+               deriv: bool) -> tuple:
+    """The coefficient vectors of the pass's X and Y sums and of Z, each
+    piece at shift s taken modulo pi^(work - s), for u's unit vector
+    ucoeffs and its inverse vcoeffs.  X takes the pieces u^-m w_m, u^m w_m
+    and w_m times m, m and -2m, Y times -m(m+1)/2, m(m-1)/2 and m, and Z
+    the first two times -m^2 and m^2."""
+    p, e = field.p, field.e
     xs = ys = zs = zero = [0] * field.coeff_len
     upow = vpow = (1,) + (0,) * (field.coeff_len - 1)
     for m, w in enumerate(weights, 1):
@@ -328,10 +360,44 @@ def _point_values(q: PadicElement, u: PadicElement, weights: list, deriv: bool) 
         ys = [y + lo * b - hi * a + m * c for y, a, b, c in zip(ys, neg, pos, one)]
         if deriv:
             zs = [z + m * m * (b - a) for z, a, b in zip(zs, neg, pos)]
-    terms = [(prec, 0, xs), (prec, 0, ys)]
-    if deriv:
-        terms.append((dprec, -su, _vec_mul(field, inverse, zs)))
-    return terms
+    return xs, ys, zs
+
+
+def _int_pass(field, ucoeffs, vcoeffs, su: int, weights: list, work: int,
+              deriv: bool) -> tuple:
+    """_list_pass over a field of one-entry vectors, e = 1 and pi = c p, on
+    plain ints: the same pieces, reduced modulo the same powers of p, so
+    the same three one-entry vectors."""
+    p = field.p
+    pi = field.eis_unit * p
+    uc, vc = ucoeffs[0], vcoeffs[0]
+    x = y = z = 0
+    upow = vpow = 1
+    for m, w in enumerate(weights, 1):
+        sw = w.shift
+        s = sw - m * su
+        if s >= work:
+            break
+        mod = p ** (work - s)
+        vc %= mod
+        vpow = vpow * vc % mod
+        wv = w.coeffs[0] % mod
+        neg = vpow * wv * pi ** s
+        pos = one = 0
+        s = sw + m * su
+        if s < work:
+            mod = p ** (work - s)
+            uc %= mod
+            upow = upow * uc % mod
+            pos = upow * wv * pi ** s
+        if sw < work:
+            one = wv * pi ** sw
+        lo, hi = m * (m - 1) // 2, m * (m + 1) // 2
+        x += m * (neg + pos - 2 * one)
+        y += lo * pos - hi * neg + m * one
+        if deriv:
+            z += m * m * (pos - neg)
+    return [x], [y], [z]
 
 
 def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) -> list:
@@ -357,7 +423,7 @@ def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) ->
     field = q.field
     dmax = _ceil_div(target, sq - su)
     weights = _weights(q, curve.weights, dmax)[:dmax]
-    terms = _point_values(q, u, weights, deriv)
+    terms = _point_values(q, u, weights, t, deriv)
     # the principal parts from I, the unit of (1-u)^-1, at the precisions of
     # the element chains (module docstring), a = abs_prec(u)
     a = u.abs_prec

@@ -194,8 +194,10 @@ class TestInvert:
 
     def test_newton_steps_double_their_precision(self, monkeypatch, Q5, E54):
         # each step reduces its update to the digits it makes right, 2, 4,
-        # ..., 512, then rel_prec; the last line is the one final reduction
-        for field in (Q5, E54):
+        # ..., 512, then rel_prec; the last line is the one final reduction.
+        # A one-entry vector (Q5) is inverted by pow modulo p^rel_prec, with
+        # no Newton step and no reduction, to the same inverse
+        for field, want in ((Q5, []), (E54, [2 ** k for k in range(1, 10)] + [640, 640])):
             u = random_unit(stream(12, field.kind, 0), field, 640)
             precs, reduce_vec = [], field_mod._reduce_vec
 
@@ -206,8 +208,20 @@ class TestInvert:
             monkeypatch.setattr(field_mod, "_reduce_vec", recording)
             z = field_mod._vec_invert(field, u.coeffs, 640)
             monkeypatch.setattr(field_mod, "_reduce_vec", reduce_vec)
-            assert precs == [2 ** k for k in range(1, 10)] + [640, 640]
+            assert precs == want
             assert (u * PadicElement(field, 0, z, 640) - 1).is_zero
+
+    @pytest.mark.parametrize("p", [2, 5, 1000003])
+    def test_one_entry_inverse(self, p):
+        # the one reduced inverse modulo p^rel_prec, and (0,) at rel_prec <= 0
+        # as _reduce_vec gives it; Q_p[pi]/(pi - c p), e = 1, is one-entry too
+        for field in (make_field(p), make_field(p, "eisenstein", e=1, c=3 if p == 2 else 2)):
+            rng = stream(13, str(field), 0)
+            for rel_prec in (-1, 0, 1, 2, 7, 64):
+                vec = random_unit(rng, field, 70).coeffs
+                (z,) = field_mod._vec_invert(field, vec, rel_prec)
+                mod = p ** max(rel_prec, 0)
+                assert 0 <= z < mod and (vec[0] * z - 1) % mod == 0, (field, rel_prec)
 
 
 class TestValuation:

@@ -355,18 +355,23 @@ class TestFusedLambert:
         assert makes(lambda: s_k(curve25.q, 3))[0] == 1
 
     @pytest.mark.parametrize("n, pieces", [(7, 80), (35, 104)], ids=["v0", "v1"])
-    def test_plain_point_is_one_pass(self, count_calls, curve25, Q5, n, pieces):
+    def test_plain_point_is_one_pass(self, monkeypatch, count_calls, curve25, Q5, n, pieces):
         u = PadicElement.from_int(Q5, n, 40)
         tate_series_point(curve25, u)    # the curve's weights now reach u's terms
         counted = count_calls((field_mod, "_make"), (PadicElement, "__mul__"),
                               (tate_mod, "_vec_mul"), (tate_mod, "_vec_invert"))
         # over 20 or 40 terms: one _make for each of X and Y and one for the
-        # element 1 - u, none per term, and no element product.  The pieces
-        # u^-m w_m and u^m w_m are integer products, two for each m below
-        # pi^P: m <= 19 at v(u) = 0, where P = 40, and m <= 38 and m <= 12 at
-        # v(u) = 1, where P = 39; 4 more build the principal parts u I^2 and
-        # u^2 I^3, with I the inverse of 1 - u's unit.  u's and 1 - u's unit
-        # vectors are inverted once each
+        # element 1 - u, none per term, and no element product.  Over Q_5
+        # the pass runs on ints, so the only vector products are the 4 that
+        # build the principal parts u I^2 and u^2 I^3, with I the inverse of
+        # 1 - u's unit.  u's and 1 - u's unit vectors are inverted once each
+        assert counted(lambda: tate_series_point(curve25, u))[0] == {
+            "_make": 3, "_vec_mul": 4, "_vec_invert": 2}
+        # the list pass that extension fields run makes the pieces u^-m w_m
+        # and u^m w_m as vector products, two for each m below pi^P: m <= 19
+        # at v(u) = 0, where P = 40, and m <= 38 and m <= 12 at v(u) = 1,
+        # where P = 39; with the 4 above, 80 and 104
+        monkeypatch.setattr(tate_mod, "_int_pass", tate_mod._list_pass)
         assert counted(lambda: tate_series_point(curve25, u))[0] == {
             "_make": 3, "_vec_mul": pieces, "_vec_invert": 2}
 
@@ -383,6 +388,8 @@ POINT_FIELDS = {
     "Q3": make_field(3),
     "Q5": make_field(5),
     "Q7": make_field(7),
+    "Q1000003": make_field(1000003),
+    "Q5(pi=10)": make_field(5, "eisenstein", e=1, c=2),
     "Q5(pi^2=5)": make_field(5, "eisenstein", e=2, c=1),
     "Q5(pi^4=-5)": make_field(5, "eisenstein", e=4, c=-1),
     "Q3(pi^3=6)": make_field(3, "eisenstein", e=3, c=2),
@@ -438,45 +445,95 @@ class TestSeriesPointDifferential:
         assert all(c.weights == o.weights for c, o in curves.values())
 
 
+class TestIntPass:
+    """Over a field of one-entry vectors, Q_p and an eisenstein field with
+    e = 1, the point's pass runs on ints.  Its raw terms, the output of
+    _point_values, are those of the list pass that extension fields run,
+    at every input of point_cases, slack 0, 3 and 10, with and without X',
+    and so is the outcome of the whole point, or the error it raises."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, f in POINT_FIELDS.items() if f.coeff_len == 1))
+    def test_matches_list_pass(self, monkeypatch, name):
+        raw, point_values, int_pass = [], tate_mod._point_values, tate_mod._int_pass
+
+        def recording(*args):
+            raw.append(point_values(*args))
+            return raw[-1]
+
+        monkeypatch.setattr(tate_mod, "_point_values", recording)
+        curves, ran, total = {}, 0, 0
+        for i, (q, u) in enumerate(point_cases(name)):
+            curve = curves.setdefault(q, curve_coefficients(q))
+            slack = (0, 3, 10)[i % 3]
+            for deriv in (False, True):
+                runs = []
+                for one_pass in (int_pass, tate_mod._list_pass):
+                    monkeypatch.setattr(tate_mod, "_int_pass", one_pass)
+                    raw.clear()
+                    got = outcome(lambda: tuple(tate_mod._series_point(curve, u, slack, deriv)))
+                    runs.append((got, list(raw)))
+                assert runs[0] == runs[1], (q, u, slack, deriv)
+                ran, total = ran + bool(raw), total + 1
+        # most inputs reach the pass: the rest are near the kernel and raise
+        assert ran > 0.8 * total
+
+
 class TestDoubledPrecision:
     """Every digit of X, Y and X' that tate_xy_with_derivative claims at
     precision N is the digit at 2N: q and u are drawn at 2N, u at 2(N + k)
     for u known k digits beyond q, and truncated to N and N + k, over the
-    four field kinds of tests/strategies.py.  u is drawn at v(u) > 0, at
-    v(u) = 0 with u = -1 mod pi, where u^2 = 1 mod pi and digits of X'
-    cancel, as any unit, and as u = 1 + pi^j v near the kernel, 3j <= N -
-    slack, known k <= 3j digits beyond q, where the principal parts, known
-    to N + k - 3j and N + k - 4j, set the precision."""
+    four field kinds of tests/strategies.py, two of them Q_p, whose pass
+    runs on ints, and two extensions, whose pass runs on vectors.  u is
+    drawn at v(u) > 0, at v(u) = 0 with u = -1 mod pi, where u^2 = 1 mod pi
+    and digits of X' cancel, as any unit, and as u = 1 + pi^j v near the
+    kernel, 3j <= N - slack, known k <= 3j digits beyond q, where the
+    principal parts, known to N + k - 3j and N + k - 4j, set the precision.
+    "u short" draws u known to k < N - v(q) digits, and to 2k for the
+    reference, at v(u) >= v(q)/2, so that u sets the pass's precision
+    P = k + v(q) - v(u) and X and Y are known to it, ahead of the principal
+    parts, known to k + v(u) and k + 2 v(u), and X' to P - v(u)."""
 
     @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)),
-           kind=st.sampled_from(["v(u) > 0", "u = -1 mod pi", "unit", "u = 1 mod pi"]))
+           kind=st.sampled_from(["v(u) > 0", "u = -1 mod pi", "unit", "u = 1 mod pi",
+                                 "u short"]))
     @settings(max_examples=150, deadline=None)
     def test_claimed_digits_survive_doubling(self, data, name, kind):
         field = FIELDS[name]
         N = data.draw(st.integers(12, 40))
-        sq = data.draw(st.integers(2 if kind == "v(u) > 0" else 1, 4))
+        sq = data.draw(st.integers(1 if kind in ("u = -1 mod pi", "unit", "u = 1 mod pi") else 2, 4))
         slack = data.draw(st.sampled_from([0, 3, 10]))
+        su = 0
+        if kind in ("v(u) > 0", "u short"):
+            su = data.draw(st.integers(-(-sq // 2) if kind == "u short" else 1, sq - 1))
         if kind == "u = 1 mod pi":
             j = data.draw(st.integers(1, max(1, (N - slack) // 3)))
             k = data.draw(st.integers(0, 3 * j))
+        elif kind == "u short":
+            k = data.draw(st.integers(1, N - sq - 1))
         else:
             k = data.draw(st.integers(0, N))
+        # u's absolute precision: k digits past q's, or k past its own shift
+        uprec = su + k if kind == "u short" else N + k
         top = 2 * (N + k)
         q = data.draw(units(field, top)) * PadicElement.uniformizer(field, top + sq, sq)
         u = data.draw(units(field, top))
-        if kind == "v(u) > 0":
-            u = u * PadicElement.uniformizer(field, top + sq, data.draw(st.integers(1, sq - 1)))
+        if su:
+            u = u * PadicElement.uniformizer(field, top + sq, su)
         elif kind == "u = -1 mod pi":
             u = u * PadicElement.uniformizer(field, top + 1, data.draw(st.integers(1, N))) - 1
         elif kind == "u = 1 mod pi":
             u = u * PadicElement.uniformizer(field, top + 1, j) + 1
         try:
-            got = tate_xy_with_derivative(curve_coefficients(q.truncate(N)), u.truncate(N + k),
+            got = tate_xy_with_derivative(curve_coefficients(q.truncate(N)), u.truncate(uprec),
                                           slack)
         except PadicError:
             assume(False)
+        if kind == "u short":
+            P = k + sq - su
+            assert [c.abs_prec for c in got] == [P, P, P - su]
         ref = tate_xy_with_derivative(curve_coefficients(q.truncate(2 * N)),
-                                      u.truncate(2 * (N + k)), slack)
+                                      u.truncate(2 * uprec), slack)
         for a, b in zip(got, ref):
             assert b.abs_prec >= a.abs_prec
             assert key(a) == key(b.truncate(a.abs_prec))
@@ -520,23 +577,23 @@ class TestCoefficientMakes:
         # its 88, a chain to q^58), so the order below is part of the count.
         # The other 3 of a plain call are one for the element 1 - u and one
         # for each of X and Y, each the sum of its integer pass's term and
-        # its principal part's.  (X, Y, X') makes those 3, one more for X',
-        # summed the same way, and two for u^2 - 1, whose shift sets the
-        # precision of X'
+        # its principal part's.  (X, Y, X') makes those 3 and one more for
+        # X', summed the same way; the shift of u^2 - 1, which sets the
+        # precision of X', comes from v(1 - u) and v(1 + u), with no element
         curve = curve_coefficients(curve25.q)
         counts = []
         for n in (7, 35):
             u = PadicElement.from_int(Q5, n, 40)
             counts += [makes(lambda: tate_series_point(curve, u))[0].total(),
                        makes(lambda: tate_xy_with_derivative(curve, u))[0].total()]
-        # with the principal parts as element products and that of X' on
-        # the dual seed: 68, 22, 88, 22; with X' of a dual u's chains of
-        # u^m, u^-m and S_m: 68, 141, 88, 261; with X and Y of a plain u as
-        # sums of reduced products: 126, 141, 206, 261; with weights by
-        # inversion: 129, 141, 209, 261; with a _make per coefficient part
-        # as well: 149, 181, 249, 341; per operation in each coefficient:
-        # 189, 309, 329, 589
-        assert counts == [60, 6, 80, 6]
+        # with u^2 - 1 an element: 60, 6, 80, 6; with the principal parts
+        # as element products and that of X' on the dual seed: 68, 22, 88,
+        # 22; with X' of a dual u's chains of u^m, u^-m and S_m: 68, 141,
+        # 88, 261; with X and Y of a plain u as sums of reduced products:
+        # 126, 141, 206, 261; with weights by inversion: 129, 141, 209, 261;
+        # with a _make per coefficient part as well: 149, 181, 249, 341; per
+        # operation in each coefficient: 189, 309, 329, 589
+        assert counts == [60, 4, 80, 4]
 
     def test_dual_product(self, makes, Q5):
         a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
