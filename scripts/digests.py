@@ -55,7 +55,11 @@ PERFBENCH_SEED = 7
 # sets the precision, v(1-u) = 2 over Q_5 and v(1-u) = 1 over Q_2, recorded
 # while the principal parts were PadicElement products; then a point and the
 # ODE and X' checks over Q_p at a large p, recorded while the point's pass over
-# Q_p ran on one-entry coefficient lists
+# Q_p ran on one-entry coefficient lists; then curves whose q has a unit other
+# than 1, over Q_5 and Q_2 and over an unramified and an eisenstein field, so
+# that q's powers are not trivial and the working precision of the sums of a4,
+# a6 and s_k shows in the digits, recorded while those sums were chains of
+# element powers of q
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
@@ -79,6 +83,12 @@ CLI_ROWS = (
     ("tate", "map", "--p", "1000003", "--q", "1000003^2", "--u", "7", "--prec", "200"),
     ("tate", "verify-ode", "--p", "1000003", "--q", "1000003^2", "--trials", "2",
      "--prec", "120"),
+    ("tate", "invariants", "--q", "7*5^2+5^3", "--prec", "4096"),
+    ("tate", "invariants", "--p", "2", "--q", "3*2^3+2^5", "--prec", "1024"),
+    ("tate", "invariants", "--p", "3", "--ext", "unramified:f=2", "--q", "(g+1)*3^2",
+     "--prec", "1024"),
+    ("tate", "j", "--p", "5", "--ext", "eisenstein:e=4,c=-1", "--q", "2*pi^5+pi^6",
+     "--prec", "1024"),
 )
 
 

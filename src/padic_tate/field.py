@@ -15,14 +15,14 @@ An int or Fraction operand is exact: x + m, x - m and m - x keep x's
 abs_prec, and x * m and m / x keep x's relative precision; no operand is
 given a precision of its own.  Each rule is written once: every sum or
 difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
-is one aligned _sum_terms, reduced once, and _product_term gives a
-product's term, to the series layer too, _rational_unit a rational's unit
-(from _split_rational, whose p^w * a/b the series layer also reads), and
-_scaled_term an int times a raw term.  The coefficient kernels read
-(p, e, f, c, F), never the kind.  They keep two fast paths, as Q_p at
-moderate precision ran a third slower without them: a length-1 vector (no
-loop over entries) and pi = p (a shift is one power of p).  All values are
-immutable and all operations are pure functions.
+is one aligned _sum_terms, reduced once, _product_term gives a product's
+term, an int times an element's too, to __mul__, dual products, Weierstrass
+division and the relation search, and _rational_unit a rational's unit
+(from _split_rational, whose p^w * a/b the series layer also reads).  The
+coefficient kernels read (p, e, f, c, F), never the kind.  They keep two
+fast paths, as Q_p at moderate precision ran a third slower without them: a
+length-1 vector (no loop over entries) and pi = p (a shift is one power of
+p).  All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -786,23 +786,17 @@ def _product_term(c: Union[int, PadicElement], w: PadicElement) -> tuple:
     """c * w as a (prec, shift, vec) term of _sum_terms, vec the raw product.
 
     As __mul__ and _scale_rational give it, the product of two elements is
-    known to min(c.abs_prec + w.shift, w.abs_prec + c.shift); an int c is
-    _scaled_term's.
+    known to min(c.abs_prec + w.shift, w.abs_prec + c.shift).  An int c != 0
+    keeps w's relative precision, so c * w is known to
+    w.abs_prec + e*v_p(c); c = 0 gives a zero known to w.abs_prec.
     """
     if isinstance(c, int):
-        return _scaled_term(w.field, c, (w.abs_prec, w.shift, w.coeffs))
+        if not c:
+            return w.abs_prec, w.shift, None
+        vec = [c * x for x in w.coeffs] if w.coeffs else None
+        return w.abs_prec + w.field.e * _vp(c, w.field.p), w.shift, vec
     vec = _vec_mul(w.field, c.coeffs, w.coeffs) if c.coeffs and w.coeffs else None
     return min(c.abs_prec + w.shift, w.abs_prec + c.shift), c.shift + w.shift, vec
-
-
-def _scaled_term(field: FieldDescriptor, k: int, term: tuple) -> tuple:
-    """k * term for an int k and a raw (prec, shift, vec) term.  An int k != 0
-    keeps the term's relative precision, so the product is known to
-    prec + e*v_p(k); k = 0 gives a zero known to prec."""
-    prec, shift, vec = term
-    if not k:
-        return prec, shift, None
-    return prec + field.e * _vp(k, field.p), shift, [k * x for x in vec] if vec else None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ for v = v(y-1) in pi-units.  A precision shortfall raises instead of degrading.
 Both series are hypergeometric: a sum over k <= T of d_k t^k with d_0 = 1 and
 d_k = d_(k-1) a(k)/b(k).  exp is one with t = x, a(k) = 1 and b(k) = k; log
 is t times one with t = y - 1, a(k) = -k and b(k) = k + 1, its T one less
-than the last term's index.  _hypergeometric sums it by rectangular splitting
+than the last term's index.  Its third caller is the Tate curve's power
+series sum_n A_n q^n for a4, a6 and s_k (tate._divisor_sum_series), which is
+A_1 q times one with t = q, a(k) = A_(k+1) and b(k) = A_k.
+_hypergeometric sums each by rectangular splitting
 (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973, in D. M. Smith's
 concurrent-summation form, ACM TOMS 15, 1989).  With m = isqrt(T + 1), the
 powers t^0..t^m cost m - 1 full products.  Block j holds terms jm..jm+L-1
@@ -58,12 +61,15 @@ one, which p^k divides, to k digits or more; at link j that needs
 W >= D_j.  So W = ceil(prec/e) + G + max_j D_j makes every division exact
 and leaves p^G R_0 known modulo p^(ceil(prec/e) + G).  R_0 is integral, as
 V(k) >= V(0) = 0 on the ball, so the division by p^G is exact too, and R_0
-is known modulo p^ceil(prec/e), so modulo pi^prec.  exp takes prec =
-abs_prec(x); log takes prec = rel_prec(t) and then multiplies by t's unit at
-t's shift.  So each result is the truncated series of the argument's
-representative, exact modulo the argument's abs_prec, and one _sum_terms
-term, reduced by one _make, gives the digits and the precision of the
-term-by-term sum.  A dual argument takes the same path for its value and
+is known modulo p^ceil(prec/e), so modulo pi^prec.  For the Tate series,
+V(k) = k v(q) + e (v_p(A_(k+1)) - v_p(A_1)) >= 0 as each d_k = A_(k+1)/A_1
+is an integer: A_1 is 1 for s_k and -1 for a6, and -5 for a4, where 5
+divides every A_n.  exp takes prec = abs_prec(x); log and the Tate series
+take prec = rel_prec(t) and then multiply by t's unit at t's shift, the
+Tate series by A_1 too.  So each result is the truncated series of the
+argument's representative, exact modulo the argument's abs_prec, and one
+_sum_terms term, reduced by one _make, gives the digits and the precision of
+the term-by-term sum.  A dual argument takes the same path for its value and
 its derivative from the chain rule, exp(x)' = exp(x) x' and log(y)' = y'/y.
 """
 

@@ -4,21 +4,24 @@ Every q-series here is a Lambert sum sum_m c_m q^m / (1 - q^m); N = abs_prec(q)
 is the working precision and valuations count pi-digits.  The modular
 coefficients use c_m = m^k for s_k(q) and the exact integer
 c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2 and p = 3 lose no precision.  A
-sum with integer c_m is the power series sum_n (sum_{d|n} c_d) q^n, which
-needs no inversion, so curve_coefficients builds no weight.  The point sums
-need the weights w_m = q^m / (1 - q^m), which depend only on the curve, so
-each TateCurve keeps those computed so far and _weights extends them on
-demand, up to the largest term count any point has asked for;
-w_m = q^m + q^2m + ... lies at shift m v(q) and is known to the precision of
-q^m, N + (m-1) v(q).  The sums of curve_coefficients and s_k stop after
+sum with integer c_m is the power series sum_n A_n q^n, A_n = sum_{d|n} c_d,
+which needs no inversion, so curve_coefficients builds no weight.  Its A_n
+are nonzero, so the series is hypergeometric, and _divisor_sum_series sums
+it with series._hypergeometric, the rectangular-splitting kernel of exp and
+log, as one raw term at shift v(q), exact modulo pi^N and reduced by one
+_make.  The point sums need the weights w_m = q^m / (1 - q^m), which depend
+only on the curve, so each TateCurve keeps those computed so far and
+_weights extends them on demand, up to the largest term count any point has
+asked for; w_m = q^m + q^2m + ... lies at shift m v(q) and is known to the
+precision of q^m, N + (m-1) v(q), so each weight is summed from its own
+element powers of q.  The sums of curve_coefficients and s_k stop after
 ceil(N / v(q)) terms, and the point sums after ceil(N / (v(q) - v(u))).
 
-A sum is reduced once, not once per term: the raw products c_m * w_m (or
-c_n * q^n), each a term of field._product_term with the precision __mul__
-gives it, are added at one common shift by field._sum_terms and normalised
-by one _make.  It is known to the least precision among its terms (and N,
-if it is capped there); as each term is exact modulo its own precision, the
-digits are those of the term-by-term sum.
+A sum is reduced once, not once per term: its raw terms, each exact modulo
+its own precision, are added at one common shift by field._sum_terms and
+normalised by one _make.  It is known to the least precision among its
+terms (and N, if it is capped there), and its digits are those of the
+term-by-term sum.
 
 Points are produced by the map u -> (X(q,u), Y(q,u)) (Silverman, Advanced
 Topics in the Arithmetic of Elliptic Curves, V.3) with
@@ -163,13 +166,13 @@ from .field import (
     PadicElement,
     ValuationResult,
     _ceil_div,
-    _product_term,
     _shift_vec,
     _sum_terms,
     _vec_invert,
     _vec_mul,
     _vec_val,
 )
+from .series import _hypergeometric
 
 # agreement reported for two identity points, which are equal by kind
 _UNBOUNDED_AGREEMENT = ValuationResult("at_least", Fraction(10 ** 9))
@@ -243,10 +246,21 @@ def _weights(q: PadicElement, weights: list, terms: int) -> list:
 
 def _divisor_sum_series(q: PadicElement, coeff: Callable[[int], int]) -> PadicElement:
     """sum_m coeff(m) q^m / (1 - q^m) for integer coefficients, summed as
-    sum_n (sum_{d|n} coeff(d)) q^n by a divisor sieve and one running power
-    of q.  The two differ by terms q^n with n > ceil(N / v(q)), zero at pi^N,
-    N = abs_prec(q); each term is known to pi^N at least, so the sum is
-    known to pi^N, as the Lambert sum is."""
+    sum_n A_n q^n, A_n = sum_{d|n} coeff(d) from a divisor sieve, over the
+    T = ceil(N / v(q)) terms, N = abs_prec(q).  The two differ by terms q^n
+    with n > T, zero at pi^N, so the sum is known to pi^N, as the Lambert
+    sum is.
+
+    Every A_n is nonzero, so sum_n A_n q^n = A_1 q sum_{k<T} d_k q^k with
+    d_k = A_(k+1)/A_1 is hypergeometric, d_k = d_(k-1) A_(k+1)/A_k, and
+    series._hypergeometric sums it by rectangular splitting, as p_log sums
+    its series.  Its precision argument needs R_0 integral:
+    V(k) = k v(q) + e (v_p(A_(k+1)) - v_p(A_1)) >= 0.  Each caller's d_k
+    is an integer, so that holds: A_1 = 1 for s_k, A_1 = -1 for a6, and
+    A_1 = -5 for a4, where 5 divides every A_n = -5 sigma_3(n).  The
+    kernel's vector is exact modulo pi^rel_prec(q); times q's unit, at
+    q's shift, and times A_1, it is one raw term exact modulo pi^N, reduced
+    by one _make."""
     target = q.abs_prec
     terms = _ceil_div(target, q.shift)
     sums = [0] * (terms + 1)
@@ -254,8 +268,8 @@ def _divisor_sum_series(q: PadicElement, coeff: Callable[[int], int]) -> PadicEl
         c = coeff(d)
         for n in range(d, terms + 1, d):
             sums[n] += c
-    powers = itertools.accumulate(itertools.repeat(q, terms), operator.mul)
-    return _sum_terms(q.field, list(map(_product_term, sums[1:], powers)), target)
+    vec = _vec_mul(q.field, q.coeffs, _hypergeometric(q, sums[2:], sums[1:-1], q.rel_prec))
+    return _sum_terms(q.field, [(target, q.shift, [sums[1] * c for c in vec])])
 
 
 def s_k(q: PadicElement, k: int) -> PadicElement:

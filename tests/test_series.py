@@ -612,20 +612,25 @@ def _duals(grid):
 
 
 class TestFusedCoefficients:
-    """The terms of the Tate point sums, an int times the raw product of two
-    elements (field._scaled_term), and the derivative of a dual product, one
-    _sum_terms, agree in shift, coefficients and precision with the same
-    expressions reduced one operation at a time (tests/oracles.py); so does
-    a series point near the kernel with its coefficients reduced each."""
+    """The raw terms of products, an int times an element and an element
+    times an element (field._product_term), and the derivative of a dual
+    product, one _sum_terms, agree in shift, coefficients and precision
+    with the same expressions reduced one operation at a time
+    (tests/oracles.py); so does a series point near the kernel with its
+    coefficients reduced each."""
 
     @staticmethod
     def _check(s, w, m):
-        # m S_m w_m, a term of X and X', and -m(m+1)/2 S_m w_m, one of Y
+        # the int multiples of the Tate point's coefficients, m S_m w_m and
+        # -m(m+1)/2 S_m w_m, of each factor and of their product, and 0
         field = w.field
-        for k in (m, -(m * (m + 1) // 2)):
-            term = field_mod._scaled_term(field, k, field_mod._product_term(s, w))
-            assert key(field_mod._sum_terms(field, [term])) == key((s * w) * k) \
-                == key((s * k) * w)
+        for k in (m, -(m * (m + 1) // 2), 0):
+            for x in (s, w, s * w):
+                term = field_mod._product_term(k, x)
+                assert key(field_mod._sum_terms(field, [term])) == key(x * k)
+            if k:
+                assert key((s * w) * k) == key((s * k) * w)
+        assert key(field_mod._sum_terms(field, [field_mod._product_term(s, w)])) == key(s * w)
 
     @pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
     def test_powers_of_u_near_one(self, name):

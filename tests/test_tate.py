@@ -492,7 +492,9 @@ class TestDoubledPrecision:
     "u short" draws u known to k < N - v(q) digits, and to 2k for the
     reference, at v(u) >= v(q)/2, so that u sets the pass's precision
     P = k + v(q) - v(u) and X and Y are known to it, ahead of the principal
-    parts, known to k + v(u) and k + 2 v(u), and X' to P - v(u)."""
+    parts, known to k + v(u) and k + 2 v(u), and X' to P - v(u).  The
+    curve's a4 and a6 and s_k are checked the same way over every field of
+    POINT_FIELDS, q drawn with random digits at 2N and truncated to N."""
 
     @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)),
            kind=st.sampled_from(["v(u) > 0", "u = -1 mod pi", "unit", "u = 1 mod pi",
@@ -538,6 +540,24 @@ class TestDoubledPrecision:
             assert b.abs_prec >= a.abs_prec
             assert key(a) == key(b.truncate(a.abs_prec))
 
+    @given(data=st.data(), name=st.sampled_from(sorted(POINT_FIELDS)),
+           sq=st.integers(1, 5), seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_coefficients_survive_doubling(self, data, name, sq, seed):
+        # every digit of a4, a6 and s_k claimed at N is the digit at 2N: q is
+        # drawn at 2N, with random digits throughout, and truncated to N
+        field = POINT_FIELDS[name]
+        N = data.draw(st.integers(sq + 1, 160))
+        q = random_unit(stream(seed, "doubling"), field, 2 * N - sq) * \
+            PadicElement.uniformizer(field, 2 * N, sq)
+
+        def values(x):
+            curve = curve_coefficients(x)
+            return [curve.a4, curve.a6] + [s_k(x, k) for k in (1, 3, 11)]
+        for a, b in zip(values(q.truncate(N)), values(q)):
+            assert a.abs_prec == N and b.abs_prec == 2 * N
+            assert key(a) == key(b.truncate(N))
+
 
 class TestWeightsDifferential:
     """Each weight, a sum of powers of q, agrees with q^m / (1 - q^m) by
@@ -559,6 +579,32 @@ class TestWeightsDifferential:
                 for got in (tate_mod._weights(q, [], terms),
                             tate_mod._weights(q, tate_mod._weights(q, [], part), terms)):
                     assert list(map(key, got)) == list(map(key, want)), (q, terms, part)
+
+
+class TestCoefficientsDifferential:
+    """a4, a6 and s_k for k = 1, 3 and 11, each one rectangular sum of a
+    power series in q, agree with their Lambert sums term by term
+    (tests/oracles.py) in shift, coefficients and precision, at v(q) = 1..5
+    and N = abs_prec(q) up to 160, with q drawn past N and truncated to it.
+    N = v(q) + 1 and N = 2 v(q) sum T = ceil(N / v(q)) = 2 terms."""
+
+    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
+    def test_matches_lambert_sums(self, name):
+        field = POINT_FIELDS[name]
+        rng = stream(41, "coefficients", name)
+        for sq in range(1, 6):
+            for N in (sq + 1, 2 * sq, rng.randint(2 * sq + 1, 40), rng.randint(41, 160)):
+                q = random_unit(rng, field, N + 20) * PadicElement.uniformizer(field, N + 20, sq)
+                q = q.truncate(N)
+                weights, terms = [], -(-N // sq)
+
+                def stepwise(coeff):
+                    return key(lambert_stepwise(q, weights, coeff, terms, N).truncate(N))
+                curve = curve_coefficients(q)
+                got = [key(curve.a4), key(curve.a6)] + [key(s_k(q, k)) for k in (1, 3, 11)]
+                want = [stepwise(lambda m: -5 * m ** 3), stepwise(lambda m: -a6_coefficient(m))]
+                want += [stepwise(lambda m, k=k: m ** k) for k in (1, 3, 11)]
+                assert got == want, (q, N)
 
 
 class TestCoefficientMakes:
@@ -594,6 +640,17 @@ class TestCoefficientMakes:
         # with a _make per coefficient part as well: 149, 181, 249, 341; per
         # operation in each coefficient: 189, 309, 329, 589
         assert counts == [60, 4, 80, 4]
+
+    def test_curve_coefficients(self, count_calls, Q5):
+        # a4, a6 and s_k are one rectangular sum each, scaled by q's unit
+        # and A_1: one _make apiece and no element product; a chain of the
+        # powers q, ..., q^20 made 19 products per sum, each reduced by a
+        # _make of its own (40 _make and 38 __mul__ for a4 and a6)
+        q = random_unit(stream(43, "makes"), Q5, 38) * PadicElement.uniformizer(Q5, 40, 2)
+        counted = count_calls((field_mod, "_make"), (PadicElement, "__mul__"),
+                              (tate_mod, "_hypergeometric"))
+        assert counted(lambda: curve_coefficients(q))[0] == {"_make": 2, "_hypergeometric": 2}
+        assert counted(lambda: s_k(q, 3))[0] == {"_make": 1, "_hypergeometric": 1}
 
     def test_dual_product(self, makes, Q5):
         a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
