@@ -59,7 +59,8 @@ PERFBENCH_SEED = 7
 # than 1, over Q_5 and Q_2 and over an unramified and an eisenstein field, so
 # that q's powers are not trivial and the working precision of the sums of a4,
 # a6 and s_k shows in the digits, recorded while those sums were chains of
-# element powers of q
+# element powers of q; then curves whose last Lambert term, n = ceil(N/v(q)),
+# is half the sum, recorded while the sums of a4, a6 and s_k still summed it
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
@@ -89,6 +90,8 @@ CLI_ROWS = (
      "--prec", "1024"),
     ("tate", "j", "--p", "5", "--ext", "eisenstein:e=4,c=-1", "--q", "2*pi^5+pi^6",
      "--prec", "1024"),
+    ("tate", "invariants", "--q", "5^3", "--prec", "5"),
+    ("tate", "invariants", "--p", "2", "--q", "3*2^4", "--prec", "7"),
 )
 
 

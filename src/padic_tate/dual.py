@@ -7,9 +7,7 @@ its derivative at x.
 
 A PadicElement, int or Fraction operand is a constant whose derivative is
 exactly zero, not a zero known to some precision: d + c keeps d.deriv
-unchanged and d * c has derivative d.deriv * c.  The Leibniz term
-v1*d2 + d1*v2 of a product of two duals is one aligned field._sum_terms of
-the two raw products, reduced once, known to the lesser of their precisions.
+unchanged and d * c has derivative d.deriv * c.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import PadicElement, _binary_power, _product_term, _sum_terms
+from .field import PadicElement, _binary_power
 
 # operands whose derivative is exactly zero
 _CONSTANT = (PadicElement, int, Fraction)
@@ -62,11 +60,7 @@ class DualElement:
     def __mul__(self, other):
         if isinstance(other, DualElement):
             v1, d1, v2, d2 = self.value, self.deriv, other.value, other.deriv
-            value = v1 * v2
-            v1._check_same_field(d2)
-            d1._check_same_field(v2)
-            terms = (_product_term(v1, d2), _product_term(d1, v2))
-            return DualElement(value, _sum_terms(v1.field, terms))
+            return DualElement(v1 * v2, v1 * d2 + d1 * v2)
         if isinstance(other, _CONSTANT):
             return DualElement(self.value * other, self.deriv * other)
         return NotImplemented

@@ -16,8 +16,8 @@ abs_prec, and x * m and m / x keep x's relative precision; no operand is
 given a precision of its own.  Each rule is written once: every sum or
 difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
 is one aligned _sum_terms, reduced once, _product_term gives a product's
-term, an int times an element's too, to __mul__, dual products, Weierstrass
-division and the relation search, and _rational_unit a rational's unit
+term, an int times an element's too, to __mul__, Weierstrass division and
+the relation search, and _rational_unit a rational's unit
 (from _split_rational, whose p^w * a/b the series layer also reads).  The
 coefficient kernels read (p, e, f, c, F), never the kind.  They keep two
 fast paths, as Q_p at moderate precision ran a third slower without them: a

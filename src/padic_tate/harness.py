@@ -67,6 +67,9 @@ class SuiteReport:
     def check(self, name: str, ok: bool, measured, threshold) -> None:
         self.records.append(AssertionRecord(name, bool(ok), str(measured), str(threshold)))
 
+    def expect(self, name: str, measured, expected) -> None:
+        self.check(name, measured == expected, measured, expected)
+
     def check_valuation(self, name: str, result, threshold: Fraction) -> None:
         self.check(name, result.at_least(threshold), result, threshold)
 
@@ -153,7 +156,7 @@ def tate_suite(config: RunConfig, q_literal: str | None = None, trials: int = 20
 
     for n in range(-2, 3):
         pt = phi(curve, q ** n)
-        report.check(f"kernel/q^{n}", pt.is_identity, pt.kind, "identity")
+        report.expect(f"kernel/q^{n}", pt.kind, "identity")
 
     jv = j_invariant(curve)
     report.check("j/valuation", jv.valuation().is_exact
@@ -244,7 +247,7 @@ def weierstrass_suite(config: RunConfig) -> SuiteReport:
         active = nvars - 1
         f, g, d_expected = _random_series_instance(rng, field, nvars, prec_n, cap)
         d = regular_degree(f, active)
-        report.check(f"regular/{i}", d == d_expected, d, d_expected)
+        report.expect(f"regular/{i}", d, d_expected)
         if d is None:
             continue
         q, r = weierstrass_divide(g, f, active)
@@ -461,15 +464,13 @@ def lattice_suite(config: RunConfig) -> SuiteReport:
 
     # worked examples
     U, D, V = lat.smith_normal_form(lat.matrix([[2, 4], [6, 8]]))
-    report.check("snf/example", [D[0][0], D[1][1]] == [2, 4], [D[0][0], D[1][1]], [2, 4])
+    report.expect("snf/example", [D[0][0], D[1][1]], [2, 4])
     ker = lat.kernel_lattice(lat.matrix([[2, 4]]))
     ok = lat.rank(ker) == 1 and [abs(ker[0][0]), abs(ker[1][0])] == [2, 1]
     report.check("kernel/saturated", ok, ker, "span{(2,-1)}")
 
     T_full_mult = lat.SubgroupLattice(2, lat.identity(2), lat.zeros(2, 0))
-    report.check("dim_image/example",
-                 lat.dim_image(lat.matrix([[1, 0], [0, 0]]), T_full_mult) == 1,
-                 lat.dim_image(lat.matrix([[1, 0], [0, 0]]), T_full_mult), 1)
+    report.expect("dim_image/example", lat.dim_image(lat.matrix([[1, 0], [0, 0]]), T_full_mult), 1)
 
     full1 = lat.full_subgroup(1)
     v1 = lat.rotund_check(full1, 3)
@@ -517,15 +518,15 @@ def lattice_suite(config: RunConfig) -> SuiteReport:
     report.check("plikely/failing", not res[0].ok and (res[0].lhs, res[0].rhs) == (0, 1),
                  (res[0].lhs, res[0].rhs), "(0, 1) fails")
 
-    report.check("atypical/1", lat.atypical(1, 1, 1, 3) is True, lat.atypical(1, 1, 1, 3), True)
-    report.check("atypical/2", lat.atypical(0, 1, 2, 3) is False, lat.atypical(0, 1, 2, 3), False)
-    report.check("atypical/3", lat.atypical(2, 2, 2, 2) is False, lat.atypical(2, 2, 2, 2), False)
+    report.expect("atypical/1", lat.atypical(1, 1, 1, 3), True)
+    report.expect("atypical/2", lat.atypical(0, 1, 2, 3), False)
+    report.expect("atypical/3", lat.atypical(2, 2, 2, 2), False)
 
     field = config.field()
     rng = stream(config.seed, "relations")
     x = random_unit(rng, field, 60)
     rels = lat.relation_search([x, x * 2], 5, slack=config.slack)
-    report.check("relations/planted", rels == [(2, -1)], rels, [(2, -1)])
+    report.expect("relations/planted", rels, [(2, -1)])
     z1 = PadicElement.from_int(field, field.p, 60)
     z2 = z1 * z1
     z3 = z2 * 2 - z1 * 3
@@ -538,17 +539,17 @@ def lattice_suite(config: RunConfig) -> SuiteReport:
                  rels, "contains (3, -2, 1), all exact")
     zs = [random_unit(stream(config.seed, "relrand", i), field, 60) for i in range(3)]
     rels = lat.relation_search(zs, 10, slack=config.slack)
-    report.check("relations/random_empty", rels == [], rels, [])
+    report.expect("relations/random_empty", rels, [])
 
     q = PadicElement.from_int(field, field.p, 60) ** 2
     w = random_unit(stream(config.seed, "multdep"), field, 60)
     found = lat.mult_dependence_mod_kernel(q, [w, w * w], 4, slack=config.slack)
-    report.check("mult/planted", found == [((2, -1), 0)], found, [((2, -1), 0)])
+    report.expect("mult/planted", found, [((2, -1), 0)])
     found = lat.mult_dependence_mod_kernel(q, [q * w, w], 4, slack=config.slack)
-    report.check("mult/planted_kernel", found == [((1, -1), 1)], found, [((1, -1), 1)])
+    report.expect("mult/planted_kernel", found, [((1, -1), 1)])
     us = [random_unit(stream(config.seed, "multrand", i), field, 60) for i in range(2)]
     found = lat.mult_dependence_mod_kernel(q, us, 5, slack=config.slack)
-    report.check("mult/random_empty", found == [], found, [])
+    report.expect("mult/random_empty", found, [])
 
     return report
 

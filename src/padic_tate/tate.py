@@ -15,7 +15,8 @@ _weights extends them on demand, up to the largest term count any point has
 asked for; w_m = q^m + q^2m + ... lies at shift m v(q) and is known to the
 precision of q^m, N + (m-1) v(q), so each weight is summed from its own
 element powers of q.  The sums of curve_coefficients and s_k stop after
-ceil(N / v(q)) terms, and the point sums after ceil(N / (v(q) - v(u))).
+(N - 1) // v(q) terms, the last below pi^N, and the point sums after
+ceil(N / (v(q) - v(u))).
 
 A sum is reduced once, not once per term: its raw terms, each exact modulo
 its own precision, are added at one common shift by field._sum_terms and
@@ -38,7 +39,7 @@ own precision, so these sums are sound, and no digit or precision differs
 from the sums of separately reduced coefficients, the reference of the pass
 (tests/oracles.py).
 
-X and Y are not summed as elements: _point_values makes the element sums'
+X and Y are not summed as elements: _series_point makes the element sums'
 digits in one integer pass.  Write R = rel_prec(u), su = v(u) and
 sq = v(q), in pi-digits, so 0 <= su < sq.
 - Precision.  u^m lies at shift m su and is known to m su + R, and u^-m lies
@@ -54,7 +55,7 @@ sq = v(q), in pi-digits, so 0 <= su < sq.
 - Digits.  Every term of an element sum is exact modulo its own precision,
   which is >= P.  So the element sum is congruent modulo pi^P to the exact
   sum of the same terms over the representatives of u, of u^-1 (u.invert()'s,
-  reduced to R digits) and of the w_m.  _point_values computes that exact
+  reduced to R digits) and of the w_m.  _series_point computes that exact
   sum modulo pi^P and normalises it by one _make at P, so the digits, P and
   the shift are those of the element sum.
 - The pass.  Term m is three pieces, u^-m w_m, u^m w_m and w_m, at shifts
@@ -183,7 +184,7 @@ class TateCurve:
     q: PadicElement
     a4: PadicElement
     a6: PadicElement
-    # q^m / (1 - q^m) for m = 1, 2, ..., as far as any sum has asked
+    # q^m / (1 - q^m) for m = 1, 2, ..., as far as any point has asked
     weights: list = field(default_factory=list, init=False, compare=False, repr=False)
     # [((u, slack), (X, Y, X'))] of the last tate_xy_with_derivative call
     memo: list = field(default_factory=lambda: [None], init=False, compare=False, repr=False)
@@ -247,9 +248,10 @@ def _weights(q: PadicElement, weights: list, terms: int) -> list:
 def _divisor_sum_series(q: PadicElement, coeff: Callable[[int], int]) -> PadicElement:
     """sum_m coeff(m) q^m / (1 - q^m) for integer coefficients, summed as
     sum_n A_n q^n, A_n = sum_{d|n} coeff(d) from a divisor sieve, over the
-    T = ceil(N / v(q)) terms, N = abs_prec(q).  The two differ by terms q^n
-    with n > T, zero at pi^N, so the sum is known to pi^N, as the Lambert
-    sum is.
+    T = (N - 1) // v(q) terms below pi^N, N = abs_prec(q).  The two differ
+    by terms q^n with n > T, at shift n v(q) >= N and so zero at pi^N, and
+    the sum is known to pi^N, as the Lambert sum is.  q is not an imprecise
+    zero, so N > v(q) and T >= 1.
 
     Every A_n is nonzero, so sum_n A_n q^n = A_1 q sum_{k<T} d_k q^k with
     d_k = A_(k+1)/A_1 is hypergeometric, d_k = d_(k-1) A_(k+1)/A_k, and
@@ -262,7 +264,7 @@ def _divisor_sum_series(q: PadicElement, coeff: Callable[[int], int]) -> PadicEl
     q's shift, and times A_1, it is one raw term exact modulo pi^N, reduced
     by one _make."""
     target = q.abs_prec
-    terms = _ceil_div(target, q.shift)
+    terms = (target - 1) // q.shift
     sums = [0] * (terms + 1)
     for d in range(1, terms + 1):
         c = coeff(d)
@@ -284,11 +286,11 @@ def s_k(q: PadicElement, k: int) -> PadicElement:
 
 
 def a6_coefficient(n: int) -> int:
-    """(5n^3 + 7n^5)/12, an exact integer for every n."""
-    num = 5 * n ** 3 + 7 * n ** 5
-    if num % 12:
-        raise ArithmeticError(f"(5n^3+7n^5)/12 not integral at n={n}")
-    return num // 12
+    """(5n^3 + 7n^5)/12, an exact integer for every n, as 12 divides
+    n^3 (5 + 7n^2).  Mod 3: 5 + 7n^2 = 2(1 - n^2), and n (1 - n^2) =
+    -(n - 1) n (n + 1) is a product of three consecutive integers.  Mod 4:
+    n^3 = 0 for n even, and n^2 = 1, so 5 + 7n^2 = 12 = 0, for n odd."""
+    return (5 * n ** 3 + 7 * n ** 5) // 12
 
 
 def curve_coefficients(q: PadicElement) -> TateCurve:
@@ -311,34 +313,6 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     u_red = u * q ** (-n)
     assert 0 <= u_red.shift < sq
     return u_red, n
-
-
-def _point_values(q: PadicElement, u: PadicElement, weights: list, t: int,
-                  deriv: bool) -> list:
-    """X - u/(1-u)^2 and Y - u^2/(1-u)^3 at a plain u in the fundamental
-    domain, as raw (prec, shift, vec) terms of _sum_terms, from the one
-    integer pass of the module docstring, known to
-    P = min(N, rel_prec(u) + v(q)) - v(u); weights holds the
-    ceil(N / (v(q) - v(u))) terms of the element sums.  With deriv,
-    X' - (u/(1-u)^2)' follows as u^-1 Z, known to
-    P' = min(R + v(q), N + g) - 2 v(u), g the shift of u^2 - 1 taken from
-    t = v(1 - u).  The pass runs on ints over Q_p, on vectors otherwise."""
-    field = q.field
-    su = u.shift
-    prec = work = min(q.abs_prec, u.rel_prec + q.shift) - su
-    if deriv:
-        # u^2 - 1 = (u - 1)(u + 1) is a unit at su > 0; 1 + u's vector is
-        # nonzero, as its first entry is a reduced coefficient plus 1
-        g = 0 if su else min(u.abs_prec, t + _vec_val(field, [u.coeffs[0] + 1, *u.coeffs[1:]]))
-        dprec = min(u.rel_prec + q.shift, q.abs_prec + g) - 2 * su
-        work = max(prec, dprec + su)
-    inverse = _vec_invert(field, u.coeffs, min(u.rel_prec, work))
-    one_pass = _int_pass if field.coeff_len == 1 else _list_pass
-    xs, ys, zs = one_pass(field, u.coeffs, inverse, su, weights, work, deriv)
-    terms = [(prec, 0, xs), (prec, 0, ys)]
-    if deriv:
-        terms.append((dprec, -su, _vec_mul(field, inverse, zs)))
-    return terms
 
 
 def _list_pass(field, ucoeffs, vcoeffs, su: int, weights: list, work: int,
@@ -415,9 +389,11 @@ def _int_pass(field, ucoeffs, vcoeffs, su: int, weights: list, work: int,
 
 
 def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) -> list:
-    """[X, Y], and X' with deriv: the guards, then each coordinate as one
-    _sum_terms of the pass's term and its principal part's term (module
-    docstring)."""
+    """[X, Y], and X' with deriv, at a plain u in the fundamental domain:
+    the guards, then P, P' and W, the one integer pass over the
+    ceil(N / (v(q) - v(u))) weights, on ints over Q_p and on vectors
+    otherwise, and each coordinate as one _sum_terms of its pass term and
+    its principal part's term (module docstring)."""
     q = curve.q
     sq = q.shift
     if u.is_zero:
@@ -437,7 +413,16 @@ def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) ->
     field = q.field
     dmax = _ceil_div(target, sq - su)
     weights = _weights(q, curve.weights, dmax)[:dmax]
-    terms = _point_values(q, u, weights, t, deriv)
+    prec = work = min(target, u.rel_prec + sq) - su
+    if deriv:
+        # u^2 - 1 = (u - 1)(u + 1) is a unit at su > 0; 1 + u's vector is
+        # nonzero, as its first entry is a reduced coefficient plus 1
+        g = 0 if su else min(u.abs_prec, t + _vec_val(field, [u.coeffs[0] + 1, *u.coeffs[1:]]))
+        dprec = min(u.rel_prec + sq, target + g) - 2 * su
+        work = max(prec, dprec + su)
+    inverse = _vec_invert(field, u.coeffs, min(u.rel_prec, work))
+    one_pass = _int_pass if field.coeff_len == 1 else _list_pass
+    xs, ys, zs = one_pass(field, u.coeffs, inverse, su, weights, work, deriv)
     # the principal parts from I, the unit of (1-u)^-1, at the precisions of
     # the element chains (module docstring), a = abs_prec(u)
     a = u.abs_prec
@@ -445,10 +430,13 @@ def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) ->
     inv2 = _vec_mul(field, inv, inv)
     ui2 = _vec_mul(field, u.coeffs, inv2)
     ui3 = _vec_mul(field, ui2, inv)
+    terms = [(prec, 0, xs), (prec, 0, ys)]
     parts = [(a - 3 * t, su - 2 * t, ui2),
              (a - 4 * t + su, 2 * su - 3 * t, _vec_mul(field, u.coeffs, ui3))]
     if deriv:
-        # (1 + u) I^3 = I^3 + pi^su ui3, with ui3 the vector of u's unit times I^3
+        # X' - (u/(1-u)^2)' = u^-1 Z, and (1 + u) I^3 = I^3 + pi^su ui3,
+        # with ui3 the vector of u's unit times I^3
+        terms.append((dprec, -su, _vec_mul(field, inverse, zs)))
         cube, shifted = _vec_mul(field, inv2, inv), _shift_vec(field, ui3, su)
         parts.append((a - 4 * t, -3 * t, [c + d for c, d in zip(cube, shifted)]))
     return [_sum_terms(field, pair) for pair in zip(terms, parts)]

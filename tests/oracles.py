@@ -338,7 +338,7 @@ def kind_pi_digits(self, count: int):
 # Y as functions of the lists of u^m and u^-m, which series_point_stepwise
 # evaluates on a plain u or, for X', on the dual seed u + eps (the reference
 # for tate.tate_xy_with_derivative, whose pass has no dual chain), and
-# DualElement.__mul__ with a dual other.
+# DualElement.__mul__ with a dual other, which is again written this way.
 
 def x_coefficient_stepwise(upow, unegpow, m):
     return (upow[m] + unegpow[m] - 2) * m

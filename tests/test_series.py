@@ -613,11 +613,11 @@ def _duals(grid):
 
 class TestFusedCoefficients:
     """The raw terms of products, an int times an element and an element
-    times an element (field._product_term), and the derivative of a dual
-    product, one _sum_terms, agree in shift, coefficients and precision
-    with the same expressions reduced one operation at a time
+    times an element (field._product_term), agree in shift, coefficients
+    and precision with the same expressions reduced one operation at a time
     (tests/oracles.py); so does a series point near the kernel with its
-    coefficients reduced each."""
+    coefficients reduced each, and a dual product, whose derivative is the
+    reference's v1*d2 + d1*v2 of reduced products."""
 
     @staticmethod
     def _check(s, w, m):

@@ -295,7 +295,7 @@ class TestFusedLambert:
         slack = data.draw(st.integers(0, 3))
         # a4, a6 and s_k are power series with no weight, so their wanted
         # values are the Lambert sums of the first ceil(N / v(q)) terms,
-        # N = abs_prec(q)
+        # N = abs_prec(q), the last of them zero at pi^N
         N = q.abs_prec
 
         def stepwise(coeff):
@@ -447,29 +447,30 @@ class TestSeriesPointDifferential:
 
 class TestIntPass:
     """Over a field of one-entry vectors, Q_p and an eisenstein field with
-    e = 1, the point's pass runs on ints.  Its raw terms, the output of
-    _point_values, are those of the list pass that extension fields run,
-    at every input of point_cases, slack 0, 3 and 10, with and without X',
-    and so is the outcome of the whole point, or the error it raises."""
+    e = 1, the point's pass runs on ints.  Its sums (xs, ys, zs) are those
+    of the list pass that extension fields run, at every input of
+    point_cases, slack 0, 3 and 10, with and without X', and so is the
+    outcome of the whole point, or the error it raises."""
 
     @pytest.mark.parametrize(
         "name", sorted(n for n, f in POINT_FIELDS.items() if f.coeff_len == 1))
     def test_matches_list_pass(self, monkeypatch, name):
-        raw, point_values, int_pass = [], tate_mod._point_values, tate_mod._int_pass
+        raw, passes = [], (tate_mod._int_pass, tate_mod._list_pass)
 
-        def recording(*args):
-            raw.append(point_values(*args))
-            return raw[-1]
+        def recording(one_pass):
+            def run(*args):
+                raw.append(one_pass(*args))
+                return raw[-1]
+            return run
 
-        monkeypatch.setattr(tate_mod, "_point_values", recording)
         curves, ran, total = {}, 0, 0
         for i, (q, u) in enumerate(point_cases(name)):
             curve = curves.setdefault(q, curve_coefficients(q))
             slack = (0, 3, 10)[i % 3]
             for deriv in (False, True):
                 runs = []
-                for one_pass in (int_pass, tate_mod._list_pass):
-                    monkeypatch.setattr(tate_mod, "_int_pass", one_pass)
+                for one_pass in passes:
+                    monkeypatch.setattr(tate_mod, "_int_pass", recording(one_pass))
                     raw.clear()
                     got = outcome(lambda: tuple(tate_mod._series_point(curve, u, slack, deriv)))
                     runs.append((got, list(raw)))
@@ -482,7 +483,8 @@ class TestIntPass:
 class TestDoubledPrecision:
     """Every digit of X, Y and X' that tate_xy_with_derivative claims at
     precision N is the digit at 2N: q and u are drawn at 2N, u at 2(N + k)
-    for u known k digits beyond q, and truncated to N and N + k, over the
+    for u known k digits beyond q, each with random digits throughout
+    (prng.random_unit), and truncated to N and N + k, over the
     four field kinds of tests/strategies.py, two of them Q_p, whose pass
     runs on ints, and two extensions, whose pass runs on vectors.  u is
     drawn at v(u) > 0, at v(u) = 0 with u = -1 mod pi, where u^2 = 1 mod pi
@@ -498,9 +500,10 @@ class TestDoubledPrecision:
 
     @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)),
            kind=st.sampled_from(["v(u) > 0", "u = -1 mod pi", "unit", "u = 1 mod pi",
-                                 "u short"]))
+                                 "u short"]),
+           seed=st.integers(0, 10 ** 6))
     @settings(max_examples=150, deadline=None)
-    def test_claimed_digits_survive_doubling(self, data, name, kind):
+    def test_claimed_digits_survive_doubling(self, data, name, kind, seed):
         field = FIELDS[name]
         N = data.draw(st.integers(12, 40))
         sq = data.draw(st.integers(1 if kind in ("u = -1 mod pi", "unit", "u = 1 mod pi") else 2, 4))
@@ -517,9 +520,9 @@ class TestDoubledPrecision:
             k = data.draw(st.integers(0, N))
         # u's absolute precision: k digits past q's, or k past its own shift
         uprec = su + k if kind == "u short" else N + k
-        top = 2 * (N + k)
-        q = data.draw(units(field, top)) * PadicElement.uniformizer(field, top + sq, sq)
-        u = data.draw(units(field, top))
+        top, rng = 2 * (N + k), stream(seed, "point doubling")
+        q = random_unit(rng, field, top) * PadicElement.uniformizer(field, top + sq, sq)
+        u = random_unit(rng, field, top)
         if su:
             u = u * PadicElement.uniformizer(field, top + sq, su)
         elif kind == "u = -1 mod pi":
@@ -586,7 +589,8 @@ class TestCoefficientsDifferential:
     power series in q, agree with their Lambert sums term by term
     (tests/oracles.py) in shift, coefficients and precision, at v(q) = 1..5
     and N = abs_prec(q) up to 160, with q drawn past N and truncated to it.
-    N = v(q) + 1 and N = 2 v(q) sum T = ceil(N / v(q)) = 2 terms."""
+    N = v(q) + 1 and N = 2 v(q) sum the T = (N - 1) // v(q) = 1 term below
+    pi^N, against ceil(N / v(q)) = 2 Lambert terms, the second zero at pi^N."""
 
     @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
     def test_matches_lambert_sums(self, name):
@@ -655,8 +659,9 @@ class TestCoefficientMakes:
     def test_dual_product(self, makes, Q5):
         a = DualElement(PadicElement.from_int(Q5, 7, 40), PadicElement.from_int(Q5, 3, 40))
         b = DualElement.seed(PadicElement.from_int(Q5, 11, 40))
-        # the value's product and the derivative's one sum (4 stepwise)
-        assert makes(lambda: a * b)[0].total() == 2
+        # the value's product, the derivative's two products and their sum
+        # (2 while the derivative was one fused sum of the raw products)
+        assert makes(lambda: a * b)[0].total() == 4
 
 
 class TestDualMemo:
