@@ -60,7 +60,11 @@ PERFBENCH_SEED = 7
 # that q's powers are not trivial and the working precision of the sums of a4,
 # a6 and s_k shows in the digits, recorded while those sums were chains of
 # element powers of q; then curves whose last Lambert term, n = ceil(N/v(q)),
-# is half the sum, recorded while the sums of a4, a6 and s_k still summed it
+# is half the sum, recorded while the sums of a4, a6 and s_k still summed it;
+# then points where the theta series' working precision differs most from the
+# Lambert pass's: p = 2 at the --prec cap with v(1-u) = 2, v(u) = v(q) - 1 in a
+# ramified field, and v(1-u) = 2 in an unramified field, recorded while the
+# point was the Lambert pass over the cached weights q^m/(1-q^m)
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
@@ -92,6 +96,11 @@ CLI_ROWS = (
      "--prec", "1024"),
     ("tate", "invariants", "--q", "5^3", "--prec", "5"),
     ("tate", "invariants", "--p", "2", "--q", "3*2^4", "--prec", "7"),
+    ("tate", "map", "--p", "2", "--q", "2^3", "--u", "5", "--prec", "4096"),
+    ("tate", "map", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--q", "pi^4",
+     "--u", "2*pi^3+pi^5", "--prec", "1024"),
+    ("tate", "map", "--p", "3", "--ext", "unramified:f=2", "--q", "3^2", "--u", "1+9*g",
+     "--prec", "1024"),
 )
 
 

@@ -1,22 +1,16 @@
 """The Tate curve y^2 + xy = x^3 + a4(q) x + a6(q) and its uniformization.
 
-Every q-series here is a Lambert sum sum_m c_m q^m / (1 - q^m); N = abs_prec(q)
-is the working precision and valuations count pi-digits.  The modular
-coefficients use c_m = m^k for s_k(q) and the exact integer
-c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2 and p = 3 lose no precision.  A
-sum with integer c_m is the power series sum_n A_n q^n, A_n = sum_{d|n} c_d,
-which needs no inversion, so curve_coefficients builds no weight.  Its A_n
-are nonzero, so the series is hypergeometric, and _divisor_sum_series sums
-it with series._hypergeometric, the rectangular-splitting kernel of exp and
-log, as one raw term at shift v(q), exact modulo pi^N and reduced by one
-_make.  The point sums need the weights w_m = q^m / (1 - q^m), which depend
-only on the curve, so each TateCurve keeps those computed so far and
-_weights extends them on demand, up to the largest term count any point has
-asked for; w_m = q^m + q^2m + ... lies at shift m v(q) and is known to the
-precision of q^m, N + (m-1) v(q), so each weight is summed from its own
-element powers of q.  The sums of curve_coefficients and s_k stop after
-(N - 1) // v(q) terms, the last below pi^N, and the point sums after
-ceil(N / (v(q) - v(u))).
+N = abs_prec(q) is the working precision of the curve, and valuations count
+pi-digits.  The modular coefficients are Lambert sums
+sum_m c_m q^m / (1 - q^m), with c_m = m^k for s_k(q) and the exact integer
+c_m = -(5m^3 + 7m^5)/12 for a6, so that p = 2 and p = 3 lose no precision.
+A sum with integer c_m is the power series sum_n A_n q^n,
+A_n = sum_{d|n} c_d, which needs no inversion.  Its A_n are nonzero, so the
+series is hypergeometric, and _divisor_sum_series sums it with
+series._hypergeometric, the rectangular-splitting kernel of exp and log, as
+one raw term at shift v(q), exact modulo pi^N and reduced by one _make.  The
+sums stop after (N - 1) // v(q) terms, the last below pi^N.
+curve_coefficients sums a4 = -5 s_3, a6 and s_1, which the points add.
 
 A sum is reduced once, not once per term: its raw terms, each exact modulo
 its own precision, are added at one common shift by field._sum_terms and
@@ -30,112 +24,66 @@ Topics in the Arithmetic of Elliptic Curves, V.3) with
     X = u/(1-u)^2 + sum_m m (u^m + u^-m - 2) q^m / (1 - q^m)
     Y = u^2/(1-u)^3 + sum_m ((m-1)m/2 u^m - m(m+1)/2 u^-m + m) q^m / (1 - q^m)
 
-With S_m = u^m + u^-m the coefficients are X_m = m (S_m - 2) and
-Y_m = m^2 u^m - m(m+1)/2 S_m + m.  Call the element sums of X and Y the
-sums, capped at N, of the terms m S_m w_m and -2m w_m, and m^2 u^m w_m,
--m(m+1)/2 S_m w_m and m w_m, each an element product times an int, known to
-the precision __mul__ and the int give it.  Each term is exact modulo its
-own precision, so these sums are sound, and no digit or precision differs
-from the sums of separately reduced coefficients, the reference of the pass
-(tests/oracles.py).
+and X' = dX/du.  Write R = rel_prec(u), A = abs_prec(u), su = v(u) and
+sq = v(q), so 0 <= su < sq, and t = v(1 - u); t su = 0.
+- The claims.  X, Y and X' are claimed to the precisions that these series
+  carry when each product and sum tracks its own, their reference
+  (tests/oracles.py, X' on the dual seed u + eps).  Term m of a sum is
+  known to min(R + m sq, N + (m-1) sq) - m su, and term m of X' to
+  min(R + m sq, N + (m-1) sq + g_m) - (m+1) su, g_m for the digits that
+  cancel in u^(m-1) - u^(-m-1); each is least at m = 1, as sq > su and
+  u^2 - 1 divides u^2m - 1.  So the sums are known to
+  P = min(N, R + sq) - su, and that of X' to P' = min(R + sq, N + g) - 2 su,
+  with g = 0 at su > 0, where u^2 - 1 is a unit, and g = min(A, t + v(1 + u))
+  at su = 0, read from integers.  The principal parts, as chains of __mul__
+  and invert through (1-u)^-1, known to A - 2t at shift -t, are known to
+  A - 3t, A - 4t + su and, on the dual seed, A - 4t.  So X is claimed to
+  min(P, A - 3t), Y to min(P, A - 4t + su) and X' to min(P', A - 4t), and
+  each holds the digits below its claim of its value at the representatives
+  of q and u, as its reference does.
+- Theta.  The values come from Tate's theta function (Roquette, Analytic
+  Theory of Elliptic Functions over Local Fields, 1970; Silverman, V.3)
 
-X and Y are not summed as elements: _series_point makes the element sums'
-digits in one integer pass.  Write R = rel_prec(u), su = v(u) and
-sq = v(q), in pi-digits, so 0 <= su < sq.
-- Precision.  u^m lies at shift m su and is known to m su + R, and u^-m lies
-  at -m su and is known to R - m su, so S_m is known to R - m su.  For su > 0
-  its shift is -m su; for su = 0 it is >= 0, so abs(w_m) + shift(S_m) >= N
-  and the digits of S_m never set the precision.  With w_m's own shift and
-  abs_prec, and e v_p(k) more for an int factor k, the term m S_m w_m is
-  known to min(R + m sq, N + (m-1) sq) - m su + e v_p(m), capped at N, and
-  -m(m+1)/2 S_m w_m likewise with e v_p(m(m+1)/2); m^2 u^m w_m is known to
-  more, and the multiples of w_m to N or more.  These bounds grow with m, as
-  sq > su, and m = 1 has unit factors, so the least of them, capped at N, is
-  P = min(N, R + sq) - su.
-- Digits.  Every term of an element sum is exact modulo its own precision,
-  which is >= P.  So the element sum is congruent modulo pi^P to the exact
-  sum of the same terms over the representatives of u, of u^-1 (u.invert()'s,
-  reduced to R digits) and of the w_m.  _series_point computes that exact
-  sum modulo pi^P and normalises it by one _make at P, so the digits, P and
-  the shift are those of the element sum.
-- The pass.  Term m is three pieces, u^-m w_m, u^m w_m and w_m, at shifts
-  m(sq - su), m(sq + su) and m sq, each >= 1, so every piece is an integral
-  absolute vector and no power of pi scales the sum.  A piece at shift s
-  counts only modulo pi^P, so its unit factors are taken modulo
-  p^ceil((P - s)/e), a multiple of pi^(P - s); s grows with m, so the
-  chains of u^m and u^-m, and u and u^-1 themselves, keep fewer digits at
-  each step.  u^-1 is inverted to min(R, P) digits, all that any
-  pi^(P - s) keeps.  A piece at or above pi^P adds nothing and is left
-  out, the chain of u^m stops with its pieces, and the pass ends when
-  u^-m w_m, the lowest piece, reaches pi^P, by m = ceil(N / (sq - su)) at
-  the latest.
+      theta(u) = sum_{n in Z} (-1)^n q^(n(n-1)/2) u^n
+               = (1 - u) prod_{n>=1} (1 - q^n)(1 - q^n u)(1 - q^n / u).
 
-X' = dX/du is what the same series gives on the dual number u + eps
-(DualElement, u' = 1), whose element sums are its reference
-(tests/oracles.py): the _sum_terms, with no cap, of m S'_m w_m, with
-S'_m = (u^m)' + (u^-m)' = m (u^(m-1) - u^(-m-1)) reduced.
-tate_xy_with_derivative sums it in the same integer pass, with no dual chain:
-- Precision.  By the product bounds S'_m is known to R - (m+1) su, at shift
-  -(m+1) su + g_m, g_m = min(R, e v_p(m) + v(u^2m - 1)) for the digits that
-  cancel in u^(m-1) - u^(-m-1) (none at su > 0).  So m S'_m w_m is known to
-  T_m = min(R + m sq, N + (m-1) sq + g_m) - (m+1) su + e v_p(m).  Both
-  bounds are least at m = 1, as sq > su and u^2 - 1 divides u^2m - 1, so
-  X' is known to P' = min(R + sq, N + g_1) - 2 su, g_1 the shift of the
-  element u^2 - 1: P - su at su > 0, and not capped at N.  g_1 is read
-  from integers, with no element.  The element u u - 1 is known to
-  A + su, A = abs_prec(u).  At su > 0 it is -1 plus a multiple of pi, so
-  g_1 = 0.  At su = 0 its shift is the valuation of u^2 - 1 = (u - 1)(u + 1)
-  at u's representative, capped at A; 1 - u is not an imprecise zero, so
-  t = v(1 - u) < A is exact, and g_1 = min(A, t + v(1 + u)).
-- Digits.  As for X and Y, the element sum is congruent modulo pi^P' to the
-  exact sum of m^2 (u^(m-1) - u^(-m-1)) w_m over the representatives, and
-  so to u^-1 Z, Z = sum_m m^2 (u^m w_m - u^-m w_m), the pass's first two
-  pieces times m^2 and -m^2: replacing u^(m-1) by u^-1 u^m changes term m
-  only at pi^(R + sq) and above, and an error of relative size
-  pi^min(R, W) in the inverted u^-1 only at pi^(min(R, W) + sq - 2 su), both
-  >= P' as P' <= R + sq - 2 su.  So the pass takes its pieces modulo
-  pi^(W - s), W = max(P, P' + su), and X' is one _make of u^-1 Z at shift
-  -su and precision P'.  Taking Z modulo pi^(P - s) instead loses digits of
-  X' at su = 0 with u^2 = 1 mod pi.
+  Write D = u d/du and L_k = D^k log theta.  Summed over n in Z,
+  z/(1-z)^2 at z = q^n u is -L_2, and z/(1-z)^2 is unchanged by z -> 1/z, so
+  X = -L_2 - 2 s_1(q).  2z^2/(1-z)^3 = z(1+z)/(1-z)^3 - z/(1-z)^2 gives
+  Y = (L_2 - L_3)/2 + s_1(q), and X' = -L_3 / u.  D^j theta is the same
+  series with term n weighted by n^j, and
 
-The principal parts u/(1-u)^2, u^2/(1-u)^3 and (u/(1-u)^2)' = (1+u)/(1-u)^3
-are one raw term each, added to the pass's term of the same coordinate by
-one _sum_terms, so that X, Y and X' are one _make each.  Their reference is
-the element chains u (1-u)^-1 (1-u)^-1 and u u (1-u)^-1 (1-u)^-1 (1-u)^-1 of
-__mul__ and invert, and for X' the derivative of the first on the dual seed
-u + eps (DualElement, tests/oracles.py).  Write A = abs_prec(u),
-t = v(1-u) and I for the inverse of the unit of 1 - u, taken to its
-rel_prec A - t.  t su = 0: at su > 0, 1 - u = 1 mod pi, and at t > 0,
-u = 1 mod pi.
-- Precision.  (1-u)^-1 is I at shift -t, known to A - 2t.  __mul__ knows
-  a b to min(abs(a) + shift(b), abs(b) + shift(a)), so with t su = 0 the
-  chain of X is known to A - 3t, at shift su - 2t, and that of Y to
-  A - 4t + su, at 2 su - 3t.  Each link is a product of units known to a
-  relative precision of A - t or A - su, >= 1 as 1 - u and u are not
-  imprecise zeros, so no link is a zero whose shift would be its
-  precision.  On the seed (u, 1), its 1 known to A, (1-u)^-1 has the
-  derivative (1-u)^-2, known to A - 3t at shift -2t; the first product's
-  derivative u (1-u)^-2 + (1-u)^-1 = (1-u)^-2 is then known to A - 3t,
-  and the second's, a Leibniz sum of two products each known to A - 4t,
-  to A - 4t.
-- Digits.  Every link is congruent to the exact value at u's
-  representative modulo its own precision, and so is each raw term:
-  u I^2 at shift su - 2t, u^2 I^3 at 2 su - 3t and (1+u) I^3 at -3t are,
-  as I is known to the relative precision A - t, off by at most
-  pi^(A - 3t + su), pi^(A - 4t + 2 su) and pi^(A - 4t + v(1+u)).  So a
-  term given its chain's precision, A - 3t, A - 4t + su and A - 4t, has
-  the chain's digits there, and its coordinate's one _make, at the lesser
-  precision of its two terms, the digits, precision and shift of the sum
-  of two elements.  X' takes the dual chain's A - 4t and not what the
-  closed form alone is known to, a digit more at p = 2, where pi divides
-  1 + u when t > 0, which would change what the checks print.
+      theta^2 L_2 = theta D^2 theta - (D theta)^2
+      theta^3 L_3 = theta^2 D^3 theta - 3 theta D theta D^2 theta + 2 (D theta)^3
 
-Over Q_p, and any field with one-entry vectors (e = f = 1, pi = c p),
-the pass runs on plain ints, not on lists: _int_pass takes each piece
-modulo the same p^(work - s) at the same steps as _list_pass, which
-extension fields run, so its three sums are the same integers, and X, Y
-and X' the same digits, precisions and shifts.  The two share every
-precision, P, P' and W, and u's inverse, computed before the choice.
+  so a point is four sums over one chain of terms and one inversion of
+  theta's unit.  Term n >= 0 lies at shift n(n-1)/2 sq + n su and term -k
+  at k(k+1)/2 sq - k su >= k(k-1)/2 sq + k, so every term is integral, and
+  about 2 sqrt(2K / sq) of them lie below pi^K.  The other factors of the
+  product are units, so v(theta) = t: the factor 1 - u carries the pole at
+  u = 1, and the principal parts need no code of their own.
+- The working precision K.  _theta_sums builds the term at shift s from a
+  chain of unit products taken modulo p^ceil((K - s)/e), a multiple of
+  pi^(K - s), so each sum D^j theta is an integral vector exact modulo
+  pi^K, and so are the products of sums theta^2 L_2 and theta^3 L_3.
+  theta's unit, theta / pi^t, is then known to pi^(K - t), and so is its
+  inverse; one of those integral products times the inverse's k-th power,
+  at shift -k t, is known to pi^(K - (k+1) t).  So L_2 is known to K - 3t,
+  L_3 to K - 4t, and X' = -L_3 / u, with u's unit inverted to K digits, to
+  K - 4t - su.  Y's halving costs no digit, at p = 2 neither:
+  theta^3 (L_2 - L_3) =
+  theta^2 (D^2 theta - D^3 theta) + theta D theta (3 D^2 theta - D theta)
+  - 2 (D theta)^3 has the even weights n^2 (1 - n) and n (3n - 1) in its two
+  sums, so the integers it is computed as are even, and their half is the
+  same expression with half those weights, again exact modulo pi^K.  So
+  K = max(claim(X) + 3t, claim(Y) + 4t, claim(X') + 4t + su), with no other
+  margin, and each coordinate is one _sum_terms, at its claim, of its theta
+  term and its multiple of s_1, known to N.  The deriv flag decides only
+  whether X' is made.
+- The kernels.  Over Q_p, and any field of one-entry vectors (e = f = 1,
+  pi = c p), the chains run on plain ints, and elsewhere on coefficient
+  lists through _vec_mul and _shift_vec: the same products, reduced modulo
+  the same powers of p, so the same integers.
 
 verify_ode and relation_residual both need (X, Y, X') at one u, so each
 TateCurve also remembers its last such evaluation, keyed on (u, slack): u
@@ -146,7 +94,6 @@ assignment, so a concurrent reader sees a key with its own result.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -167,6 +114,7 @@ from .field import (
     PadicElement,
     ValuationResult,
     _ceil_div,
+    _product_term,
     _shift_vec,
     _sum_terms,
     _vec_invert,
@@ -184,8 +132,8 @@ class TateCurve:
     q: PadicElement
     a4: PadicElement
     a6: PadicElement
-    # q^m / (1 - q^m) for m = 1, 2, ..., as far as any point has asked
-    weights: list = field(default_factory=list, init=False, compare=False, repr=False)
+    # s_1(q), which X and Y add: a function of q, so neither compared nor shown
+    s1: PadicElement = field(compare=False, repr=False)
     # [((u, slack), (X, Y, X'))] of the last tate_xy_with_derivative call
     memo: list = field(default_factory=lambda: [None], init=False, compare=False, repr=False)
 
@@ -226,23 +174,6 @@ def _require_positive_valuation(q: PadicElement) -> int:
     if q.shift <= 0:
         raise NonpositiveValuation(f"v(q) = {q.valuation()} must be positive")
     return q.shift
-
-
-def _weights(q: PadicElement, weights: list, terms: int) -> list:
-    """weights, holding q^m / (1 - q^m) for m = 1, 2, ... at this q, extended
-    in place to ``terms`` entries, each weight computed once as one _sum_terms
-    of q^m, q^2m, ...: it is known to the precision of q^m, N + (m-1) v(q) for
-    N = abs_prec(q), and each q^n with n > ceil(N / v(q)) + m - 2 lies past it.
-    The new entries go in by one slice assignment, so a concurrent extension
-    of the same list rewrites equal values at the same places."""
-    start = len(weights)
-    if terms > start:
-        top = _ceil_div(q.abs_prec, q.shift) + terms - 2
-        chain = itertools.accumulate(itertools.repeat(q, top), operator.mul)
-        powers = [qn._term(1) for qn in chain]
-        weights[start:terms] = [_sum_terms(q.field, powers[m - 1::m])
-                                for m in range(start + 1, terms + 1)]
-    return weights
 
 
 def _divisor_sum_series(q: PadicElement, coeff: Callable[[int], int]) -> PadicElement:
@@ -294,12 +225,11 @@ def a6_coefficient(n: int) -> int:
 
 
 def curve_coefficients(q: PadicElement) -> TateCurve:
-    """a4 = -5 s_3(q) and a6, each summed with integer coefficients.  No Lambert
-    weight is built here: the first series point builds those it needs."""
+    """a4 = -5 s_3(q), a6 and s_1(q), each summed with integer coefficients."""
     _require_positive_valuation(q)
     a4 = _divisor_sum_series(q, lambda n: -5 * n ** 3)
     a6 = _divisor_sum_series(q, lambda n: -a6_coefficient(n))
-    return TateCurve(q=q, a4=a4, a6=a6)
+    return TateCurve(q=q, a4=a4, a6=a6, s1=_divisor_sum_series(q, lambda n: n))
 
 
 def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElement, int]:
@@ -315,85 +245,66 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     return u_red, n
 
 
-def _list_pass(field, ucoeffs, vcoeffs, su: int, weights: list, work: int,
-               deriv: bool) -> tuple:
-    """The coefficient vectors of the pass's X and Y sums and of Z, each
-    piece at shift s taken modulo pi^(work - s), for u's unit vector
-    ucoeffs and its inverse vcoeffs.  X takes the pieces u^-m w_m, u^m w_m
-    and w_m times m, m and -2m, Y times -m(m+1)/2, m(m-1)/2 and m, and Z
-    the first two times -m^2 and m^2."""
-    p, e = field.p, field.e
-    xs = ys = zs = zero = [0] * field.coeff_len
-    upow = vpow = (1,) + (0,) * (field.coeff_len - 1)
-    for m, w in enumerate(weights, 1):
-        s = w.shift - m * su
-        if s >= work:
-            break
-        mod = p ** _ceil_div(work - s, e)
-        vcoeffs = [c % mod for c in vcoeffs]
-        vpow = [c % mod for c in _vec_mul(field, vpow, vcoeffs)]
-        wvec = [c % mod for c in w.coeffs]
-        neg = _shift_vec(field, _vec_mul(field, vpow, wvec), s)
-        pos = one = zero
-        s = w.shift + m * su
-        if s < work:
+def _int_ring(field) -> tuple:
+    """The theta chains' ring operations on plain ints, for fields of
+    one-entry vectors: a vector's value, the product modulo mod, the product
+    by pi^s and the weighted sum of terms, as a vector."""
+    pi = field.eis_unit * field.p
+
+    def mul(a, b, mod):
+        return a * b % mod
+
+    def shift(a, s):
+        return a * pi ** s
+
+    def total(weights, terms):
+        return [sum(map(operator.mul, weights, terms))]
+    return operator.itemgetter(0), mul, shift, total
+
+
+def _list_ring(field) -> tuple:
+    """_int_ring's operations on coefficient lists, for any field."""
+    def mul(a, b, mod):
+        return [c % mod for c in _vec_mul(field, a, b)]
+
+    def shift(a, s):
+        return _shift_vec(field, a, s)
+
+    def total(weights, terms):
+        return [sum(map(operator.mul, weights, entry)) for entry in zip(*terms)]
+    return list, mul, shift, total
+
+
+def _theta_sums(q: PadicElement, u: PadicElement, inverse, work: int) -> list:
+    """[D^j theta for j = 0..3], each sum_n n^j (-1)^n q^(n(n-1)/2) u^n over
+    the terms below pi^work, as an integral vector congruent to its series
+    modulo pi^work (module docstring).  u is plain, 0 <= v(u) < v(q), and
+    inverse is its unit's inverse."""
+    field = q.field
+    load, mul, shift, total = (_int_ring if field.coeff_len == 1 else _list_ring)(field)
+    p, e, sq, su = field.p, field.e, q.shift, u.shift
+    one, unit, qunit = load([1] + [0] * (field.coeff_len - 1)), load(u.coeffs), load(q.coeffs)
+    ns, terms = [0], [one]
+    # term n+1 is term n times -q^n u, and term -(k+1) is term -k times
+    # -q^(k+1) u^-1, so each chain steps by one more v(q) each time
+    for step, gap, ratio in ((1, su, unit), (-1, sq - su, mul(qunit, load(inverse), p ** work))):
+        n = s = 0
+        term = one
+        while s + gap < work:
+            n, s = n + step, s + gap
             mod = p ** _ceil_div(work - s, e)
-            ucoeffs = [c % mod for c in ucoeffs]
-            upow = [c % mod for c in _vec_mul(field, upow, ucoeffs)]
-            pos = _shift_vec(field, _vec_mul(field, upow, wvec), s)
-        if w.shift < work:
-            one = _shift_vec(field, wvec, w.shift)
-        lo, hi = m * (m - 1) // 2, m * (m + 1) // 2
-        xs = [x + m * (a + b - 2 * c) for x, a, b, c in zip(xs, neg, pos, one)]
-        ys = [y + lo * b - hi * a + m * c for y, a, b, c in zip(ys, neg, pos, one)]
-        if deriv:
-            zs = [z + m * m * (b - a) for z, a, b in zip(zs, neg, pos)]
-    return xs, ys, zs
-
-
-def _int_pass(field, ucoeffs, vcoeffs, su: int, weights: list, work: int,
-              deriv: bool) -> tuple:
-    """_list_pass over a field of one-entry vectors, e = 1 and pi = c p, on
-    plain ints: the same pieces, reduced modulo the same powers of p, so
-    the same three one-entry vectors."""
-    p = field.p
-    pi = field.eis_unit * p
-    uc, vc = ucoeffs[0], vcoeffs[0]
-    x = y = z = 0
-    upow = vpow = 1
-    for m, w in enumerate(weights, 1):
-        sw = w.shift
-        s = sw - m * su
-        if s >= work:
-            break
-        mod = p ** (work - s)
-        vc %= mod
-        vpow = vpow * vc % mod
-        wv = w.coeffs[0] % mod
-        neg = vpow * wv * pi ** s
-        pos = one = 0
-        s = sw + m * su
-        if s < work:
-            mod = p ** (work - s)
-            uc %= mod
-            upow = upow * uc % mod
-            pos = upow * wv * pi ** s
-        if sw < work:
-            one = wv * pi ** sw
-        lo, hi = m * (m - 1) // 2, m * (m + 1) // 2
-        x += m * (neg + pos - 2 * one)
-        y += lo * pos - hi * neg + m * one
-        if deriv:
-            z += m * m * (pos - neg)
-    return [x], [y], [z]
+            term, ratio = mul(term, ratio, mod), mul(ratio, qunit, mod)
+            ns.append(n)
+            terms.append(shift(term, s))
+            gap += sq
+    return [total([(-1 if n & 1 else 1) * n ** j for n in ns], terms) for j in range(4)]
 
 
 def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) -> list:
     """[X, Y], and X' with deriv, at a plain u in the fundamental domain:
-    the guards, then P, P' and W, the one integer pass over the
-    ceil(N / (v(q) - v(u))) weights, on ints over Q_p and on vectors
-    otherwise, and each coordinate as one _sum_terms of its pass term and
-    its principal part's term (module docstring)."""
+    the guards, the claimed precisions and the working precision K, the
+    theta sums modulo pi^K, and each coordinate as one _sum_terms of its
+    log-derivative term and its multiple of s_1(q) (module docstring)."""
     q = curve.q
     sq = q.shift
     if u.is_zero:
@@ -411,35 +322,34 @@ def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) ->
             f"principal part at v(1-u) = {one_minus_u.valuation()} exhausts the budget")
     u._check_same_field(q)
     field = q.field
-    dmax = _ceil_div(target, sq - su)
-    weights = _weights(q, curve.weights, dmax)[:dmax]
-    prec = work = min(target, u.rel_prec + sq) - su
-    if deriv:
-        # u^2 - 1 = (u - 1)(u + 1) is a unit at su > 0; 1 + u's vector is
-        # nonzero, as its first entry is a reduced coefficient plus 1
-        g = 0 if su else min(u.abs_prec, t + _vec_val(field, [u.coeffs[0] + 1, *u.coeffs[1:]]))
-        dprec = min(u.rel_prec + sq, target + g) - 2 * su
-        work = max(prec, dprec + su)
-    inverse = _vec_invert(field, u.coeffs, min(u.rel_prec, work))
-    one_pass = _int_pass if field.coeff_len == 1 else _list_pass
-    xs, ys, zs = one_pass(field, u.coeffs, inverse, su, weights, work, deriv)
-    # the principal parts from I, the unit of (1-u)^-1, at the precisions of
-    # the element chains (module docstring), a = abs_prec(u)
     a = u.abs_prec
-    inv = _vec_invert(field, one_minus_u.coeffs, one_minus_u.rel_prec)
-    inv2 = _vec_mul(field, inv, inv)
-    ui2 = _vec_mul(field, u.coeffs, inv2)
-    ui3 = _vec_mul(field, ui2, inv)
-    terms = [(prec, 0, xs), (prec, 0, ys)]
-    parts = [(a - 3 * t, su - 2 * t, ui2),
-             (a - 4 * t + su, 2 * su - 3 * t, _vec_mul(field, u.coeffs, ui3))]
+    prec = min(target, u.rel_prec + sq) - su
+    # u^2 - 1 = (u - 1)(u + 1) is a unit at su > 0; 1 + u's vector is
+    # nonzero, as its first entry is a reduced coefficient plus 1
+    g = 0 if su else min(a, t + _vec_val(field, [u.coeffs[0] + 1, *u.coeffs[1:]]))
+    dprec = min(u.rel_prec + sq, target + g) - 2 * su
+    xc, yc, dc = min(prec, a - 3 * t), min(prec, a - 4 * t + su), min(dprec, a - 4 * t)
+    # each claim and what dividing by theta^2, theta^3 and, for X', u costs it
+    work = max(xc + 3 * t, yc + 4 * t, dc + 4 * t + su)
+    inverse = _vec_invert(field, u.coeffs, work)
+    theta, d1, d2, d3 = _theta_sums(q, u, inverse, work)
+
+    def mul(x, y):
+        return _vec_mul(field, x, y)
+    # m2 = -theta^2 L2 and m3 = -theta^3 L3; m3 - theta m2 = theta^3 (L2 - L3)
+    # is even, and psi inverts theta's unit
+    psi = _vec_invert(field, _shift_vec(field, theta, -t, _ceil_div(work, field.e)), work - t)
+    psi2, square = mul(psi, psi), mul(d1, d1)
+    psi3 = mul(psi2, psi)
+    m2 = [x - y for x, y in zip(square, mul(theta, d2))]
+    inner = [3 * x - y for x, y in zip(mul(d1, d2), mul(theta, d3))]
+    m3 = [x - 2 * y for x, y in zip(mul(theta, inner), mul(square, d1))]
+    half = [(x - y) // 2 for x, y in zip(m3, mul(theta, m2))]
+    out = [_sum_terms(field, [(xc, -2 * t, mul(m2, psi2)), _product_term(-2, curve.s1)]),
+           _sum_terms(field, [(yc, -3 * t, mul(half, psi3)), curve.s1._term(1)])]
     if deriv:
-        # X' - (u/(1-u)^2)' = u^-1 Z, and (1 + u) I^3 = I^3 + pi^su ui3,
-        # with ui3 the vector of u's unit times I^3
-        terms.append((dprec, -su, _vec_mul(field, inverse, zs)))
-        cube, shifted = _vec_mul(field, inv2, inv), _shift_vec(field, ui3, su)
-        parts.append((a - 4 * t, -3 * t, [c + d for c, d in zip(cube, shifted)]))
-    return [_sum_terms(field, pair) for pair in zip(terms, parts)]
+        out.append(_sum_terms(field, [(dc, -3 * t - su, mul(mul(m3, psi3), inverse))]))
+    return out
 
 
 def tate_series_point(curve: TateCurve, u: PadicElement,

@@ -10,9 +10,10 @@ sums, the separate kernels for x +- y, x +- m and the unit of 1/n that
 field._sum_terms and field._rational_unit replaced, the separate exp
 and log term generators, one term at a time by the recurrence term n =
 term n-1 * t * num(n)/n, that rectangular splitting replaced, the Tate
-coefficients and dual product rule built one reduced operation at a time,
-the Tate series point summed over those coefficients,
-the coefficient kernels written once per field kind, and the series sums,
+coefficients built one reduced operation at a time, the Tate series point
+summed over those coefficients,
+the coefficient kernels written once per field kind, Delta from Euler's
+pentagonal series rather than from a4 and a6, and the series sums,
 products and long division that added coefficients one PadicElement
 operation at a time.  solve_division is the exact-rational Weierstrass
 division that the harness's oracle check ran before it compared with the
@@ -23,6 +24,7 @@ lattice.rank took its place.  parse_element_budgeted is the literal
 parser that evaluated every atom at a guessed working precision.
 """
 
+import functools
 import itertools
 import re
 from fractions import Fraction
@@ -333,12 +335,11 @@ def kind_pi_digits(self, count: int):
     return out[:count]
 
 
-# The Tate-series coefficients and the dual product rule as they were
-# before one _sum_terms fused them, kept verbatim: the coefficients of X and
-# Y as functions of the lists of u^m and u^-m, which series_point_stepwise
-# evaluates on a plain u or, for X', on the dual seed u + eps (the reference
-# for tate.tate_xy_with_derivative, whose pass has no dual chain), and
-# DualElement.__mul__ with a dual other, which is again written this way.
+# The Tate-series coefficients as they were before one _sum_terms fused
+# them, kept verbatim: the coefficients of X and Y as functions of the lists
+# of u^m and u^-m, which series_point_stepwise evaluates on a plain u or, for
+# X', on the dual seed u + eps (the reference for
+# tate.tate_xy_with_derivative, which sums no Lambert series).
 
 def x_coefficient_stepwise(upow, unegpow, m):
     return (upow[m] + unegpow[m] - 2) * m
@@ -346,11 +347,6 @@ def x_coefficient_stepwise(upow, unegpow, m):
 
 def y_coefficient_stepwise(upow, unegpow, m):
     return upow[m] * ((m - 1) * m // 2) - unegpow[m] * (m * (m + 1) // 2) + m
-
-
-def dual_mul_stepwise(self, other):
-    return DualElement(self.value * other.value,
-                       self.value * other.deriv + self.deriv * other.value)
 
 
 def exp_partial_sum(x: Fraction, terms: int) -> Fraction:
@@ -396,9 +392,9 @@ def tate_xy(q: Fraction, u: Fraction, dmax: int) -> tuple[Fraction, Fraction]:
 
 def lambert_stepwise(q: PadicElement, weights: list, coeff, terms: int, target: int):
     """A Lambert sum term by term: one __mul__ and one __add__ per term,
-    each reduced, from a zero known to pi^target, over weights extended in
-    place as tate._weights extends them but each by one inversion of
-    1 - q^m against a one known to pi^(target + v(q))."""
+    each reduced, from a zero known to pi^target, over the weights
+    q^m / (1 - q^m), extended in place to ``terms`` entries, each by one
+    inversion of 1 - q^m against a one known to pi^(target + v(q))."""
     start = len(weights)
     if terms > start:
         one = PadicElement.one(q.field, target + q.shift)
@@ -413,6 +409,13 @@ def lambert_stepwise(q: PadicElement, weights: list, coeff, terms: int, target: 
     for m in range(1, terms + 1):
         acc = coeff(m) * weights[m - 1] + acc
     return acc
+
+
+@functools.lru_cache(maxsize=64)
+def _point_weights(q: PadicElement) -> list:
+    """The Lambert weights that series_point_stepwise has built at q, kept
+    between its calls at the same q and extended by lambert_stepwise."""
+    return []
 
 
 def _value_part(x):
@@ -446,9 +449,10 @@ def series_point_stepwise(curve, u, slack: int):
     for m in range(2, dmax + 1):
         upow.append(upow[-1] * u)
         unegpow.append(unegpow[-1] * u_inv)
-    x = lambert_stepwise(q, curve.weights, lambda m: x_coefficient_stepwise(upow, unegpow, m),
+    weights = _point_weights(q)
+    x = lambert_stepwise(q, weights, lambda m: x_coefficient_stepwise(upow, unegpow, m),
                          dmax, target)
-    y = lambert_stepwise(q, curve.weights, lambda m: y_coefficient_stepwise(upow, unegpow, m),
+    y = lambert_stepwise(q, weights, lambda m: y_coefficient_stepwise(upow, unegpow, m),
                          dmax, target)
     return u * inv_omu * inv_omu + x, u * u * inv_omu * inv_omu * inv_omu + y
 
@@ -537,6 +541,22 @@ def log_terms(t: PadicElement, T: int):
         power = [a % mod for a in _vec_mul(field, power, t.coeffs)]
         shift = n * t.shift + k
         yield shift + rel, shift, [a * unit % mod for a in power]
+
+
+def discriminant_pentagonal(q: PadicElement) -> PadicElement:
+    """Delta = q prod_{n>=1} (1 - q^n)^24, with the product summed by Euler's
+    pentagonal series sum_{k in Z} (-1)^k q^(k(3k-1)/2) as PadicElement
+    operations, over the exponents g with g v(q) < N = abs_prec(q): the
+    others lie at or past pi^N, and the sum is known to N.  No divisor sum
+    and neither a4 nor a6 enters it."""
+    N = q.abs_prec
+    euler = PadicElement.one(q.field, N)
+    for k in itertools.count(1):
+        exponents = [g for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g * q.shift < N]
+        if not exponents:
+            return q * euler ** 24
+        for g in exponents:
+            euler = euler + q ** g * (-1) ** k
 
 
 def j_from_q_expansion(q: Fraction, terms: int) -> Fraction:

@@ -38,6 +38,7 @@ from padic_tate.tate import (
 )
 
 from oracles import (
+    discriminant_pentagonal,
     from_fraction,
     j_from_q_expansion,
     lambert_stepwise,
@@ -165,7 +166,10 @@ class TestSeriesPoint:
 
 
 class TestLambertWeights:
-    """Each curve computes q^m/(1-q^m) once, and only as far as asked."""
+    """What a curve keeps for its points in place of the Lambert weights
+    q^m/(1-q^m): s_1(q), summed with a4 and a6, and the memo.  A point
+    inverts two unit vectors, u's and theta's, on a fresh curve and a warm
+    one, and a curve that has made points gives what a fresh one gives."""
 
     @pytest.fixture
     def inversions(self, count_calls):
@@ -173,51 +177,11 @@ class TestLambertWeights:
 
     def test_inversion_counts(self, inversions, Q5):
         q = PadicElement.from_int(Q5, 25, 40)
-        # a4 and a6 are power series in q: no weight, no inversion
+        # a4, a6 and s_1 are power series in q: no inversion
         n, curve = inversions(lambda: curve_coefficients(q))
         assert n.total() == 0 and inversions(lambda: s_k(q, 5))[0].total() == 0
-        u0 = PadicElement.from_int(Q5, 7, 40)
-        u1 = PadicElement.from_int(Q5, 35, 40)
-        # a weight is a sum of powers of q, and no element is inverted: a
-        # point inverts two unit vectors, u's in the value pass and 1-u's for
-        # the principal parts, on a fresh curve and on a warm one.
-        # v(u) = 0 runs to ceil(40/2) = 20 terms and v(u) = 1 to
-        # ceil(40/1) = 40, each weight built once
-        assert inversions(lambda: phi(curve, u0))[0] == {"_vec_invert": 2}
-        assert len(curve.weights) == 20
-        assert inversions(lambda: phi(curve, u1))[0] == {"_vec_invert": 2}
-        assert len(curve.weights) == 40
-        weights = list(curve.weights)
-        assert inversions(lambda: phi(curve, u1))[0] == {"_vec_invert": 2}
-        assert inversions(lambda: phi(curve, u0))[0] == {"_vec_invert": 2}
-        assert len(curve.weights) == 40
-        assert all(a is b for a, b in zip(curve.weights, weights))
-
-    def test_weights_not_computed_eagerly(self, inversions, Q5):
-        # ceil(640/600) = 2 terms; an up-front fill to prec would need 640
-        q = PadicElement.from_int(Q5, 5 ** 600, 640)
-        n, curve = inversions(lambda: curve_coefficients(q))
-        assert n.total() == 0 and curve.weights == []
-        u = PadicElement.from_int(Q5, 7, 640)
-        assert inversions(lambda: phi(curve, u))[0] == {"_vec_invert": 2}
-        assert len(curve.weights) == 2
-
-    def test_interleaved_extension_keeps_order(self, monkeypatch, Q5):
-        # a second extension of the same list lands while the first is still
-        # computing, as with two threads sharing one curve
-        q = PadicElement.from_int(Q5, 25, 40)
-        want = tate_mod._weights(q, [], 40)
-        weights, sum_terms, started = [], tate_mod._sum_terms, []
-
-        def interleaving_sum_terms(*args):
-            if not started:
-                started.append(True)
-                tate_mod._weights(q, weights, 20)
-            return sum_terms(*args)
-
-        monkeypatch.setattr(tate_mod, "_sum_terms", interleaving_sum_terms)
-        tate_mod._weights(q, weights, 40)
-        assert started and weights == want
+        for u in (PadicElement.from_int(Q5, n, 40) for n in (7, 35, 35, 7)):
+            assert inversions(lambda: phi(curve, u))[0] == {"_vec_invert": 2}
 
     @pytest.mark.parametrize("order", [(7, 50), (50, 7)], ids=["v0-first", "v2-first"])
     def test_shared_weights_match_fresh_curve(self, Q5, order):
@@ -225,15 +189,14 @@ class TestLambertWeights:
         curve = curve_coefficients(q)
         for u in order:
             phi(curve, PadicElement.from_int(Q5, u, 40))
-        assert len(curve.weights) == 40
         for u in (PadicElement.from_int(Q5, n, 40) for n in order):
             assert phi(curve, u) == phi(curve_coefficients(q), u)
             assert (tate_xy_with_derivative(curve, u)
                     == tate_xy_with_derivative(curve_coefficients(q), u))
         fresh = curve_coefficients(q)
-        assert len(fresh.weights) == 0
+        assert key(curve.s1) == key(fresh.s1) == key(s_k(q, 1))
         assert curve == fresh and hash(curve) == hash(fresh)
-        assert "weights" not in repr(curve) and repr(curve) == repr(fresh)
+        assert "s1" not in repr(curve) and repr(curve) == repr(fresh)
 
 
 def key(x):
@@ -271,12 +234,14 @@ class TestFusedLambert:
     (tests/oracles.py) in shift, coefficients and precision."""
 
     @pytest.mark.parametrize("dual", [False, True], ids=["element", "dual"])
-    def test_other_field_raises_before_weights(self, Q5, dual):
+    def test_other_field_raises_before_weights(self, count_calls, Q5, dual):
+        # the field check comes before the theta sums and leaves no memo
         curve = curve_coefficients(PadicElement.from_int(Q5, 25, 40))
         alien = PadicElement.from_int(make_field(7), 3, 40)
-        with pytest.raises(FieldMismatch):
-            (tate_xy_with_derivative if dual else tate_series_point)(curve, alien)
-        assert curve.weights == []
+        point = tate_xy_with_derivative if dual else tate_series_point
+        counted = count_calls((tate_mod, "_theta_sums"))
+        calls, _ = counted(lambda: pytest.raises(FieldMismatch, point, curve, alien))
+        assert calls.total() == 0 and curve.memo == [None]
 
     @given(data=st.data(), inputs=tate_inputs(), near_one=st.booleans(),
            dual=st.booleans())
@@ -343,41 +308,51 @@ class TestFusedLambert:
     @pytest.mark.parametrize("n", [7, 35], ids=["v0", "v1"])
     def test_one_make_per_sum(self, makes, curve25, Q5, n):
         u = PadicElement.from_int(Q5, n, 40)
-        # a warm curve: each weight it builds is a sum of its own
-        tate_series_point(curve25, u)
-        # X and Y: one sum each, over 20 or 40 terms, or over the integer
-        # pass's term and the principal part's for a plain point; the pass
-        # adds X' as a third such sum (no memo entry for u, so it runs)
+        # X and Y: one sum each, of the theta term and the multiple of s_1;
+        # X' is a third (no memo entry for u, so it runs)
         assert makes(lambda: tate_series_point(curve25, u))[0] == 2
         curve25.memo[0] = None
         assert makes(lambda: tate_xy_with_derivative(curve25, u))[0] == 3
-        assert makes(lambda: curve_coefficients(curve25.q))[0] == 2
+        # a4, a6 and s_1, and s_k alone
+        assert makes(lambda: curve_coefficients(curve25.q))[0] == 3
         assert makes(lambda: s_k(curve25.q, 3))[0] == 1
 
-    @pytest.mark.parametrize("n, pieces", [(7, 80), (35, 104)], ids=["v0", "v1"])
-    def test_plain_point_is_one_pass(self, monkeypatch, count_calls, curve25, Q5, n, pieces):
+    @pytest.mark.parametrize("n, products", [(7, 34), (35, 36)], ids=["v0", "v1"])
+    def test_plain_point_is_one_pass(self, monkeypatch, count_calls, curve25, Q5, n, products):
         u = PadicElement.from_int(Q5, n, 40)
-        tate_series_point(curve25, u)    # the curve's weights now reach u's terms
         counted = count_calls((field_mod, "_make"), (PadicElement, "__mul__"),
                               (tate_mod, "_vec_mul"), (tate_mod, "_vec_invert"))
-        # over 20 or 40 terms: one _make for each of X and Y and one for the
-        # element 1 - u, none per term, and no element product.  Over Q_5
-        # the pass runs on ints, so the only vector products are the 4 that
-        # build the principal parts u I^2 and u^2 I^3, with I the inverse of
-        # 1 - u's unit.  u's and 1 - u's unit vectors are inverted once each
+        # one _make for each of X and Y and one for the element 1 - u, none
+        # per term, and no element product.  Over Q_5 the theta chains run
+        # on ints, so the only vector products are the 11 that combine the
+        # four sums and the powers of psi, the inverse of theta's unit.  u's
+        # and theta's unit vectors are inverted once each
         assert counted(lambda: tate_series_point(curve25, u))[0] == {
-            "_make": 3, "_vec_mul": 4, "_vec_invert": 2}
-        # the list pass that extension fields run makes the pieces u^-m w_m
-        # and u^m w_m as vector products, two for each m below pi^P: m <= 19
-        # at v(u) = 0, where P = 40, and m <= 38 and m <= 12 at v(u) = 1,
-        # where P = 39; with the 4 above, 80 and 104
-        monkeypatch.setattr(tate_mod, "_int_pass", tate_mod._list_pass)
+            "_make": 3, "_vec_mul": 11, "_vec_invert": 2}
+        # the list ring that extension fields run makes each chain step two
+        # vector products, and the negative chain's first ratio q u^-1 one.
+        # K = 40 at v(u) = 0 keeps the terms n = 1..6 at n(n-1) < 40 and
+        # -1..-5 at k(k+1) < 40, and K = 39 at v(u) = 1 the terms n and -k
+        # up to 6 at n^2 < 39; with the 11 above, 34 and 36
+        monkeypatch.setattr(tate_mod, "_int_ring", tate_mod._list_ring)
         assert counted(lambda: tate_series_point(curve25, u))[0] == {
-            "_make": 3, "_vec_mul": pieces, "_vec_invert": 2}
+            "_make": 3, "_vec_mul": products, "_vec_invert": 2}
+
+    def test_chain_length_at_the_cap(self, count_calls):
+        # at prec 4096 over Q_9 with v(q) = 2 and a unit u, K = 4096 keeps
+        # the terms n = 1..64, n(n-1) < K, and -1..-63, k(k+1) < K: 127
+        # terms, about 2 sqrt(2K / v(q)), two vector products each, one for
+        # q u^-1 and 11 after the chains.  The Lambert pass summed
+        # ceil(K / v(q)) = 2048 terms
+        field = make_field(3, "unramified", f=2)
+        curve = curve_coefficients(PadicElement.from_int(field, 9, 4096))
+        u = PadicElement.from_int(field, 7, 4096)
+        counted = count_calls((tate_mod, "_vec_mul"), (tate_mod, "_vec_invert"))
+        assert counted(lambda: tate_series_point(curve, u))[0] == {
+            "_vec_mul": 2 * 127 + 1 + 11, "_vec_invert": 2}
 
     def test_phi_builds_no_integer_operand(self, count_calls, curve25, Q5):
         us = [PadicElement.from_int(Q5, n, 40) for n in (7, 8, 6)]
-        phi(curve25, us[0])              # the curve's weights now reach u's terms
         counted = count_calls((PadicElement, "from_rational"))
         assert counted(lambda: [phi(curve25, u) for u in us])[0].total() == 0
 
@@ -433,35 +408,31 @@ class TestSeriesPointDifferential:
     def test_matches_coefficient_form(self, name):
         curves = {}
         for i, (q, u) in enumerate(point_cases(name)):
-            if q not in curves:
-                curves[q] = (curve_coefficients(q), curve_coefficients(q))
-            curve, oracle_curve = curves[q]
+            curve = curves.setdefault(q, curve_coefficients(q))
             slack = (0, 3, 10)[i % 3]
             for point, oracle in ((tate_series_point, series_point_stepwise),
                                   (tate_xy_with_derivative, xy_with_derivative_stepwise)):
                 got = outcome(lambda: point(curve, u, slack))
-                want = outcome(lambda: oracle(oracle_curve, u, slack))
+                want = outcome(lambda: oracle(curve, u, slack))
                 assert got == want, (q, u, slack)
-        assert all(c.weights == o.weights for c, o in curves.values())
 
 
 class TestIntPass:
     """Over a field of one-entry vectors, Q_p and an eisenstein field with
-    e = 1, the point's pass runs on ints.  Its sums (xs, ys, zs) are those
-    of the list pass that extension fields run, at every input of
-    point_cases, slack 0, 3 and 10, with and without X', and so is the
-    outcome of the whole point, or the error it raises."""
+    e = 1, the theta chains run on ints.  Their four sums are those of the
+    list ring that extension fields run, at every input of point_cases,
+    slack 0, 3 and 10, with and without X', and so is the outcome of the
+    whole point, or the error it raises."""
 
     @pytest.mark.parametrize(
         "name", sorted(n for n, f in POINT_FIELDS.items() if f.coeff_len == 1))
     def test_matches_list_pass(self, monkeypatch, name):
-        raw, passes = [], (tate_mod._int_pass, tate_mod._list_pass)
+        raw, theta_sums = [], tate_mod._theta_sums
 
-        def recording(one_pass):
-            def run(*args):
-                raw.append(one_pass(*args))
-                return raw[-1]
-            return run
+        def recording(*args):
+            raw.append(theta_sums(*args))
+            return raw[-1]
+        monkeypatch.setattr(tate_mod, "_theta_sums", recording)
 
         curves, ran, total = {}, 0, 0
         for i, (q, u) in enumerate(point_cases(name)):
@@ -469,14 +440,14 @@ class TestIntPass:
             slack = (0, 3, 10)[i % 3]
             for deriv in (False, True):
                 runs = []
-                for one_pass in passes:
-                    monkeypatch.setattr(tate_mod, "_int_pass", recording(one_pass))
+                for ring in (tate_mod._int_ring, tate_mod._list_ring):
+                    monkeypatch.setattr(tate_mod, "_int_ring", ring)
                     raw.clear()
                     got = outcome(lambda: tuple(tate_mod._series_point(curve, u, slack, deriv)))
                     runs.append((got, list(raw)))
                 assert runs[0] == runs[1], (q, u, slack, deriv)
                 ran, total = ran + bool(raw), total + 1
-        # most inputs reach the pass: the rest are near the kernel and raise
+        # most inputs reach the sums: the rest are near the kernel and raise
         assert ran > 0.8 * total
 
 
@@ -485,8 +456,8 @@ class TestDoubledPrecision:
     precision N is the digit at 2N: q and u are drawn at 2N, u at 2(N + k)
     for u known k digits beyond q, each with random digits throughout
     (prng.random_unit), and truncated to N and N + k, over the
-    four field kinds of tests/strategies.py, two of them Q_p, whose pass
-    runs on ints, and two extensions, whose pass runs on vectors.  u is
+    four field kinds of tests/strategies.py, two of them Q_p, whose theta
+    chains run on ints, and two extensions, whose chains run on vectors.  u is
     drawn at v(u) > 0, at v(u) = 0 with u = -1 mod pi, where u^2 = 1 mod pi
     and digits of X' cancel, as any unit, and as u = 1 + pi^j v near the
     kernel, 3j <= N - slack, known k <= 3j digits beyond q, where the
@@ -496,7 +467,8 @@ class TestDoubledPrecision:
     P = k + v(q) - v(u) and X and Y are known to it, ahead of the principal
     parts, known to k + v(u) and k + 2 v(u), and X' to P - v(u).  The
     curve's a4 and a6 and s_k are checked the same way over every field of
-    POINT_FIELDS, q drawn with random digits at 2N and truncated to N."""
+    POINT_FIELDS, q drawn with random digits at 2N and truncated to N, and
+    so is P + P, from curve_add's doubling branch, at a point phi(u)."""
 
     @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)),
            kind=st.sampled_from(["v(u) > 0", "u = -1 mod pi", "unit", "u = 1 mod pi",
@@ -561,11 +533,37 @@ class TestDoubledPrecision:
             assert a.abs_prec == N and b.abs_prec == 2 * N
             assert key(a) == key(b.truncate(N))
 
+    @given(data=st.data(), name=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_point_doubling_survives_doubling(self, data, name, seed):
+        field = FIELDS[name]
+        N = data.draw(st.integers(12, 40))
+        sq = data.draw(st.integers(1, 4))
+        su = data.draw(st.integers(0, sq - 1))
+        rng = stream(seed, "add doubling")
+        q = random_unit(rng, field, 2 * N) * PadicElement.uniformizer(field, 2 * N + sq, sq)
+        u = random_unit(rng, field, 2 * N) * PadicElement.uniformizer(field, 2 * N + su, su)
+
+        def doubled(prec):
+            curve = curve_coefficients(q.truncate(prec))
+            point = phi(curve, u.truncate(prec))
+            return curve_add(curve, point, point)
+        try:
+            got = doubled(N)
+        except PadicError:
+            assume(False)
+        assume(not got.is_identity)
+        ref = doubled(2 * N)
+        for a, b in ((got.x, ref.x), (got.y, ref.y)):
+            assert b.abs_prec >= a.abs_prec
+            assert key(a) == key(b.truncate(a.abs_prec))
+
 
 class TestWeightsDifferential:
-    """Each weight, a sum of powers of q, agrees with q^m / (1 - q^m) by
-    inversion (tests/oracles.py) in shift, coefficients and precision, built
-    in one extension and in two, at v(q) = 1..7 and precision up to 400."""
+    """s_1(q), which each curve keeps where its Lambert weights were, agrees
+    with the sum of m q^m / (1 - q^m) over those weights, each by one
+    inversion (tests/oracles.py), in shift, coefficients and precision, at
+    v(q) = 1..7 and precision up to 400."""
 
     @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
     def test_matches_inversion(self, name):
@@ -574,14 +572,8 @@ class TestWeightsDifferential:
         for sq in range(1, 8):
             for prec in (rng.randint(sq + 1, 40), rng.randint(41, 160), rng.randint(161, 400)):
                 q = random_unit(rng, field, prec - sq) * PadicElement.uniformizer(field, prec, sq)
-                # as many terms as a point at v(u) = su asks for
-                terms = -(-prec // (sq - rng.randint(0, sq - 1)))
-                want = []
-                lambert_stepwise(q, want, lambda m: 0, terms, prec)
-                part = rng.randint(1, terms)
-                for got in (tate_mod._weights(q, [], terms),
-                            tate_mod._weights(q, tate_mod._weights(q, [], part), terms)):
-                    assert list(map(key, got)) == list(map(key, want)), (q, terms, part)
+                want = lambert_stepwise(q, [], lambda m: m, -(-prec // sq), prec).truncate(prec)
+                assert key(curve_coefficients(q).s1) == key(want), q
 
 
 class TestCoefficientsDifferential:
@@ -611,6 +603,26 @@ class TestCoefficientsDifferential:
                 assert got == want, (q, N)
 
 
+class TestPentagonalDiscriminant:
+    """a4 and a6 together, through curve_discriminant, agree with
+    Delta = q prod_{n>=1} (1 - q^n)^24, its product summed by Euler's
+    pentagonal series (tests/oracles.py), which no divisor sum enters, in
+    shift, coefficients and the precision N = abs_prec(q) that both are
+    known to, over Q_2..Q_11 at v(q) = 1..4 and N = 10..300."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_matches_curve_discriminant(self, p):
+        field = make_field(p)
+        rng = stream(47, "pentagonal", p)
+        for sq in range(1, 5):
+            for _ in range(8):
+                N = rng.randint(10, 300)
+                q = random_unit(rng, field, N - sq) * PadicElement.uniformizer(field, N, sq)
+                delta, want = curve_discriminant(curve_coefficients(q)), discriminant_pentagonal(q)
+                assert delta.abs_prec == want.abs_prec == N
+                assert key(delta) == key(want), q
+
+
 class TestCoefficientMakes:
     """Every _make call of a series point and of a dual product: each S_m
     and the derivative of a dual product are reduced once."""
@@ -620,40 +632,37 @@ class TestCoefficientMakes:
         return count_calls((field_mod, "_make"))
 
     def test_series_point(self, makes, curve25, Q5):
-        # a fresh curve holds no weight: u = 7 (v(u) = 0) needs 20, which
-        # its plain call builds (57 of its 68 _make calls: the 37 products
-        # of the chain q, ..., q^38 and one sum per weight), and u = 35
-        # (v(u) = 1) needs 40, and its plain call builds the other 20 (77 of
-        # its 88, a chain to q^58), so the order below is part of the count.
-        # The other 3 of a plain call are one for the element 1 - u and one
-        # for each of X and Y, each the sum of its integer pass's term and
-        # its principal part's.  (X, Y, X') makes those 3 and one more for
-        # X', summed the same way; the shift of u^2 - 1, which sets the
-        # precision of X', comes from v(1 - u) and v(1 + u), with no element
+        # a plain point makes one _make for the element 1 - u and one for
+        # each of X and Y, each the sum of its theta term and its multiple
+        # of s_1, on a fresh curve as on a warm one; (X, Y, X') makes one
+        # more for X'.  The shift of u^2 - 1, which sets the precision of
+        # X', comes from v(1 - u) and v(1 + u), with no element
         curve = curve_coefficients(curve25.q)
         counts = []
         for n in (7, 35):
             u = PadicElement.from_int(Q5, n, 40)
             counts += [makes(lambda: tate_series_point(curve, u))[0].total(),
                        makes(lambda: tate_xy_with_derivative(curve, u))[0].total()]
-        # with u^2 - 1 an element: 60, 6, 80, 6; with the principal parts
-        # as element products and that of X' on the dual seed: 68, 22, 88,
-        # 22; with X' of a dual u's chains of u^m, u^-m and S_m: 68, 141,
-        # 88, 261; with X and Y of a plain u as sums of reduced products:
-        # 126, 141, 206, 261; with weights by inversion: 129, 141, 209, 261;
-        # with a _make per coefficient part as well: 149, 181, 249, 341; per
-        # operation in each coefficient: 189, 309, 329, 589
-        assert counts == [60, 4, 80, 4]
+        # with the Lambert weights built as the points asked for them: 60,
+        # 4, 80, 4; with u^2 - 1 an element as well: 60, 6, 80, 6; with the
+        # principal parts as element products and that of X' on the dual
+        # seed: 68, 22, 88, 22; with X' of a dual u's chains of u^m, u^-m
+        # and S_m: 68, 141, 88, 261; with X and Y of a plain u as sums of
+        # reduced products: 126, 141, 206, 261; with weights by inversion:
+        # 129, 141, 209, 261; with a _make per coefficient part as well:
+        # 149, 181, 249, 341; per operation in each coefficient: 189, 309,
+        # 329, 589
+        assert counts == [3, 4, 3, 4]
 
     def test_curve_coefficients(self, count_calls, Q5):
-        # a4, a6 and s_k are one rectangular sum each, scaled by q's unit
-        # and A_1: one _make apiece and no element product; a chain of the
-        # powers q, ..., q^20 made 19 products per sum, each reduced by a
-        # _make of its own (40 _make and 38 __mul__ for a4 and a6)
+        # a4, a6, s_1 and s_k are one rectangular sum each, scaled by q's
+        # unit and A_1: one _make apiece and no element product; a chain of
+        # the powers q, ..., q^20 made 19 products per sum, each reduced by
+        # a _make of its own (40 _make and 38 __mul__ for a4 and a6)
         q = random_unit(stream(43, "makes"), Q5, 38) * PadicElement.uniformizer(Q5, 40, 2)
         counted = count_calls((field_mod, "_make"), (PadicElement, "__mul__"),
                               (tate_mod, "_hypergeometric"))
-        assert counted(lambda: curve_coefficients(q))[0] == {"_make": 2, "_hypergeometric": 2}
+        assert counted(lambda: curve_coefficients(q))[0] == {"_make": 3, "_hypergeometric": 3}
         assert counted(lambda: s_k(q, 3))[0] == {"_make": 1, "_hypergeometric": 1}
 
     def test_dual_product(self, makes, Q5):
@@ -667,7 +676,7 @@ class TestCoefficientMakes:
 class TestDualMemo:
     """verify_ode and relation_residual at one (u, slack) share one
     evaluation of (X, Y, X'); any other u, precision, slack or curve
-    recomputes.  An evaluation is one call of the guards and integer pass."""
+    recomputes.  An evaluation is one call of the guards and theta sums."""
 
     @pytest.fixture
     def series_calls(self, count_calls):
@@ -723,7 +732,7 @@ class TestDualMemo:
 
     def test_shared_curve_across_threads(self, Q5):
         # more threads than cores and a short switch interval, so that memo
-        # reads and writes and weight extensions on one curve interleave
+        # reads and writes on one curve interleave
         q = PadicElement.from_int(Q5, 125, 40)
         us = [PadicElement.from_int(Q5, n, 40) for n in (7, 35, 50, 8)]
         want = {n: tate_xy_with_derivative(curve_coefficients(q), u)
@@ -752,7 +761,7 @@ class TestDualMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert shared.weights == tate_mod._weights(q, [], len(shared.weights))
+        assert shared.memo[0][1] in want.values()
 
     def test_eq_hash_repr_unchanged(self, curve, Q5):
         fresh = curve_coefficients(curve.q)
