@@ -64,7 +64,9 @@ PERFBENCH_SEED = 7
 # then points where the theta series' working precision differs most from the
 # Lambert pass's: p = 2 at the --prec cap with v(1-u) = 2, v(u) = v(q) - 1 in a
 # ramified field, and v(1-u) = 2 in an unramified field, recorded while the
-# point was the Lambert pass over the cached weights q^m/(1-q^m)
+# point was the Lambert pass over the cached weights q^m/(1-q^m); then the
+# refusal of a q of valuation 1/e over a residue field of 2 elements, where no
+# pair of samples can be drawn, new output: before it the command never ended
 CLI_ROWS = (
     ("exp", "--p", "5", "--x", "5", "--prec", "4096"),
     ("log", "--p", "5", "--y", "6", "--prec", "4096"),
@@ -101,6 +103,7 @@ CLI_ROWS = (
      "--u", "2*pi^3+pi^5", "--prec", "1024"),
     ("tate", "map", "--p", "3", "--ext", "unramified:f=2", "--q", "3^2", "--u", "1+9*g",
      "--prec", "1024"),
+    ("tate", "verify-hom", "--p", "2", "--q", "2"),
 )
 
 

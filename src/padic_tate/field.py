@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -525,12 +526,15 @@ class PadicElement:
 
     @staticmethod
     def from_pi_digits(field: FieldDescriptor, shift: int, digits: Sequence, prec: int) -> "PadicElement":
-        """Assemble pi^shift * sum(digits[t] * pi^t) with residue digits."""
+        """Assemble pi^shift * sum(digits[t] * pi^t) with residue digits,
+        the digits at each pi-offset r = t mod e by Horner's rule in c p."""
         e, cp = field.e, field.eis_unit * field.p
         vec = [0] * field.coeff_len
-        for t, d in enumerate(digits):
-            for j, x in enumerate((d,) if isinstance(d, int) else d):
-                vec[j * e + t % e] += int(x) * cp ** (t // e)
+        rows = [(d,) if isinstance(d, int) else d for d in digits]
+        for j, xs in enumerate(zip_longest(*rows, fillvalue=0)):
+            for r in range(e):
+                for x in reversed(xs[r::e]):
+                    vec[j * e + r] = vec[j * e + r] * cp + int(x)
         return _make(field, shift, vec, prec)
 
     # -- state --------------------------------------------------------------
@@ -753,8 +757,8 @@ def _sum_terms(field: FieldDescriptor, terms, cap: Optional[int] = None) -> Padi
     """sum of pi^shift * vec over the (prec, shift, vec) terms, with one _make.
 
     This is the one aligned sum: x + y, x - y, x +- m and m +- x are two-term
-    calls capped at the common precision, the Lambert sums pass their raw
-    terms, and exp and log pass their whole sum as one term.
+    calls capped at the common precision, literals and Tate point coordinates
+    pass their raw terms, and exp, log, a4, a6 and s_k one term each.
 
     A term is exact modulo pi^prec, and vec None marks a zero term, which
     only bounds the precision.  The sum is known to the least term prec and

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import balls as balls_mod
 from . import lattice as lat
+from .errors import DomainError
 from .field import DEFAULT_SLACK, FieldDescriptor, PadicElement, _ceil_div, parse_extension
 from .parsing import parse_element
 from .prng import random_element, random_unit, stream
@@ -153,6 +154,10 @@ def tate_suite(config: RunConfig, q_literal: str | None = None, trials: int = 20
     threshold = Fraction(prec - slack, e)
     q = parse_element(q_literal or f"{config.p}^2", field, prec)
     curve = curve_coefficients(q)
+    if field.p ** field.f == 2 and q.shift == 1:
+        # every sample is 1 + pi * unit, and so every product of two is 1 mod pi^2
+        raise DomainError(f"--q of valuation {q.valuation()} over a residue field of 2 elements "
+                          "leaves no pair of samples off the kernel; take a larger valuation")
 
     for n in range(-2, 3):
         pt = phi(curve, q ** n)

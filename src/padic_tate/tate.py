@@ -35,12 +35,12 @@ sq = v(q), so 0 <= su < sq, and t = v(1 - u); t su = 0.
   u^2 - 1 divides u^2m - 1.  So the sums are known to
   P = min(N, R + sq) - su, and that of X' to P' = min(R + sq, N + g) - 2 su,
   with g = 0 at su > 0, where u^2 - 1 is a unit, and g = min(A, t + v(1 + u))
-  at su = 0, read from integers.  The principal parts, as chains of __mul__
-  and invert through (1-u)^-1, known to A - 2t at shift -t, are known to
-  A - 3t, A - 4t + su and, on the dual seed, A - 4t.  So X is claimed to
-  min(P, A - 3t), Y to min(P, A - 4t + su) and X' to min(P', A - 4t), and
-  each holds the digits below its claim of its value at the representatives
-  of q and u, as its reference does.
+  at su = 0, both read from u's digits.  The principal parts, as chains of
+  __mul__ and invert through (1-u)^-1, known to A - 2t at shift -t, are
+  known to A - 3t, A - 4t + su and, on the dual seed, A - 4t.  So X is
+  claimed to min(P, A - 3t), Y to min(P, A - 4t + su) and X' to
+  min(P', A - 4t), and each holds the digits below its claim of its value
+  at the representatives of q and u, as its reference does.
 - Theta.  The values come from Tate's theta function (Roquette, Analytic
   Theory of Elliptic Functions over Local Fields, 1970; Silverman, V.3)
 
@@ -80,10 +80,10 @@ sq = v(q), so 0 <= su < sq, and t = v(1 - u); t su = 0.
   margin, and each coordinate is one _sum_terms, at its claim, of its theta
   term and its multiple of s_1, known to N.  The deriv flag decides only
   whether X' is made.
-- The kernels.  Over Q_p, and any field of one-entry vectors (e = f = 1,
-  pi = c p), the chains run on plain ints, and elsewhere on coefficient
-  lists through _vec_mul and _shift_vec: the same products, reduced modulo
-  the same powers of p, so the same integers.
+- The kernels.  One chain loop and one weighted total run on plain ints
+  over Q_p, and any field of one-entry vectors (e = f = 1, pi = c p), and
+  elsewhere on coefficient lists through _vec_mul and _shift_vec: the same
+  products, reduced modulo the same powers of p, so the same integers.
 
 verify_ode and relation_residual both need (X, Y, X') at one u, so each
 TateCurve also remembers its last such evaluation, keyed on (u, slack): u
@@ -245,49 +245,34 @@ def reduce_to_fundamental(q: PadicElement, u: PadicElement) -> tuple[PadicElemen
     return u_red, n
 
 
-def _int_ring(field) -> tuple:
-    """The theta chains' ring operations on plain ints, for fields of
-    one-entry vectors: a vector's value, the product modulo mod, the product
-    by pi^s and the weighted sum of terms, as a vector."""
-    pi = field.eis_unit * field.p
-
-    def mul(a, b, mod):
-        return a * b % mod
-
-    def shift(a, s):
-        return a * pi ** s
-
-    def total(weights, terms):
-        return [sum(map(operator.mul, weights, terms))]
-    return operator.itemgetter(0), mul, shift, total
-
-
-def _list_ring(field) -> tuple:
-    """_int_ring's operations on coefficient lists, for any field."""
-    def mul(a, b, mod):
-        return [c % mod for c in _vec_mul(field, a, b)]
-
-    def shift(a, s):
-        return _shift_vec(field, a, s)
-
-    def total(weights, terms):
-        return [sum(map(operator.mul, weights, entry)) for entry in zip(*terms)]
-    return list, mul, shift, total
-
-
 def _theta_sums(q: PadicElement, u: PadicElement, inverse, work: int) -> list:
     """[D^j theta for j = 0..3], each sum_n n^j (-1)^n q^(n(n-1)/2) u^n over
     the terms below pi^work, as an integral vector congruent to its series
     modulo pi^work (module docstring).  u is plain, 0 <= v(u) < v(q), and
     inverse is its unit's inverse."""
     field = q.field
-    load, mul, shift, total = (_int_ring if field.coeff_len == 1 else _list_ring)(field)
     p, e, sq, su = field.p, field.e, q.shift, u.shift
-    one, unit, qunit = load([1] + [0] * (field.coeff_len - 1)), load(u.coeffs), load(q.coeffs)
+    if field.coeff_len == 1:
+        pi = field.eis_unit * p
+        one, unit, qunit, inv = 1, u.coeffs[0], q.coeffs[0], inverse[0]
+
+        def mul(a, b, mod):
+            return a * b % mod
+
+        def shift(a, s):
+            return a * pi ** s
+    else:
+        one, unit, qunit, inv = [1] + [0] * (field.coeff_len - 1), u.coeffs, q.coeffs, inverse
+
+        def mul(a, b, mod):
+            return [c % mod for c in _vec_mul(field, a, b)]
+
+        def shift(a, s):
+            return _shift_vec(field, a, s)
     ns, terms = [0], [one]
     # term n+1 is term n times -q^n u, and term -(k+1) is term -k times
     # -q^(k+1) u^-1, so each chain steps by one more v(q) each time
-    for step, gap, ratio in ((1, su, unit), (-1, sq - su, mul(qunit, load(inverse), p ** work))):
+    for step, gap, ratio in ((1, su, unit), (-1, sq - su, mul(qunit, inv, p ** work))):
         n = s = 0
         term = one
         while s + gap < work:
@@ -297,7 +282,9 @@ def _theta_sums(q: PadicElement, u: PadicElement, inverse, work: int) -> list:
             ns.append(n)
             terms.append(shift(term, s))
             gap += sq
-    return [total([(-1 if n & 1 else 1) * n ** j for n in ns], terms) for j in range(4)]
+    entries = [terms] if field.coeff_len == 1 else list(zip(*terms))
+    weights = ([(-1 if n & 1 else 1) * n ** j for n in ns] for j in range(4))
+    return [[sum(map(operator.mul, w, entry)) for entry in entries] for w in weights]
 
 
 def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) -> list:
@@ -312,17 +299,15 @@ def _series_point(curve: TateCurve, u: PadicElement, slack: int, deriv: bool) ->
     su = u.shift
     if not 0 <= su < sq:
         raise DomainError("u must be reduced to the fundamental domain first")
-    target = q.abs_prec
-    one_minus_u = 1 - u
-    if one_minus_u.is_zero:
+    target, field, a = q.abs_prec, q.field, u.abs_prec
+    # t = v(1 - u) from u's digits, in u's own field: the field check comes later
+    t = _vec_val(u.field, [u.coeffs[0] - 1, *u.coeffs[1:]]) if su == 0 else 0
+    if t is None or t >= a:
         raise OnKernel("u is indistinguishable from 1 at this precision")
-    t = one_minus_u.shift
     if 3 * t > target - slack:
         raise InsufficientPrecision(
-            f"principal part at v(1-u) = {one_minus_u.valuation()} exhausts the budget")
+            f"principal part at v(1-u) = {Fraction(t, u.field.e)} exhausts the budget")
     u._check_same_field(q)
-    field = q.field
-    a = u.abs_prec
     prec = min(target, u.rel_prec + sq) - su
     # u^2 - 1 = (u - 1)(u + 1) is a unit at su > 0; 1 + u's vector is
     # nonzero, as its first entry is a reduced coefficient plus 1
@@ -363,9 +348,10 @@ def phi(curve: TateCurve, u: PadicElement, slack: int = DEFAULT_SLACK) -> TatePo
     if u.is_zero:
         raise ZeroElement("u must have a known nonzero digit or exact valuation")
     u_red, _ = reduce_to_fundamental(curve.q, u)
-    if (u_red - 1).is_zero:
+    try:
+        x, y = tate_series_point(curve, u_red, slack=slack)
+    except OnKernel:
         return TatePoint.identity()
-    x, y = tate_series_point(curve, u_red, slack=slack)
     return TatePoint.affine(x, y)
 
 
@@ -451,7 +437,7 @@ def curve_discriminant(curve: TateCurve) -> PadicElement:
 
 def tate_xy_with_derivative(curve: TateCurve, u: PadicElement,
                             slack: int = DEFAULT_SLACK):
-    """(X, Y, X') at u, X' = dX/du, from one integer pass (module docstring).
+    """(X, Y, X') at u, X' = dX/du, from the theta sums (module docstring).
 
     The curve keeps one entry, the last (u, slack) and its result, so a
     second call at the same u (verify_ode then relation_residual) reuses

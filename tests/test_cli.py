@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from padic_tate import cli, errors
+from padic_tate import cli, errors, harness
 from padic_tate.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -432,6 +432,41 @@ class TestHarnessCommand:
         assert main(["harness", "--suite", "weierstrass", "--seed", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "three" in captured.err
+
+    # Over a residue field of 2 elements at v(q) = 1/e, every sample is a
+    # unit = 1 mod pi one digit off the kernel, so the product of any two is
+    # two digits off it and no pair can be drawn: the tate suite refuses
+    # before it draws.  With q of larger valuation, or a larger residue
+    # field, pairs are found in a few tries
+    @pytest.mark.parametrize("argv", [
+        ("tate", "verify-hom", "--p", "2", "--q", "2"),
+        ("tate", "verify-ode", "--p", "2", "--q", "2^3+2"),
+        ("harness", "--suite", "tate", "--p", "2", "--ext", "eisenstein:e=2,c=1", "--q", "pi"),
+    ], ids=" ".join)
+    def test_no_sample_pair_is_refused(self, capsys, monkeypatch, argv):
+        def no_draw(*args):
+            raise AssertionError("a sample was drawn")
+        monkeypatch.setattr(harness, "_sample_fundamental", no_draw)
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --q of valuation ") and "residue field" in captured.err
+
+    def test_all_suites_stop_at_the_refusal(self, capsys):
+        code, out = run_cli(capsys, "harness", "--p", "2", "--q", "2", "--trials", "1",
+                            "--format", "structured")
+        suites = [rec["suite"] for rec in records(out)]
+        assert code == 2 and suites and "tate" not in suites and "weierstrass" not in suites
+
+    @pytest.mark.parametrize("options", [
+        ("--p", "2", "--q", "4"), ("--p", "2", "--ext", "unramified:f=2", "--q", "2"),
+        ("--p", "3", "--q", "3"), ("--p", "3", "--ext", "unramified:f=2", "--q", "3"),
+        ("--p", "5", "--q", "5"), ("--p", "2", "--ext", "eisenstein:e=2,c=1", "--q", "pi^2"),
+    ], ids=" ".join)
+    def test_neighbours_still_run(self, capsys, options):
+        code, out = run_cli(capsys, "tate", "verify-hom", *options, "--trials", "2",
+                            "--format", "structured")
+        assert code == 0 and [rec["name"] for rec in records(out)] == ["hom/0", "hom/1"]
 
 
 class TestPointRoundTrip:

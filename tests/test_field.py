@@ -464,6 +464,12 @@ class TestKernelsMatchPerKindReference:
             assert _triple(got) == _triple(oracles.kind_from_pi_digits(field, shift, digits, prec))
             x = random_element(rng, field, prec + 1, -3, min(prec, 3))
             assert x.pi_digits(x.rel_prec) == oracles.kind_pi_digits(x, x.rel_prec)
+        # and 4096 digits, --prec's cap, where the reference takes one power
+        # of c p per digit
+        digits = [rng.randrange(p) if field.f == 1 else
+                  tuple(rng.randrange(p) for _ in range(field.f)) for _ in range(4096)]
+        got = PadicElement.from_pi_digits(field, 2, digits, 4096)
+        assert _triple(got) == _triple(oracles.kind_from_pi_digits(field, 2, digits, 4096))
 
 
 @pytest.mark.parametrize("p", [2, 5])

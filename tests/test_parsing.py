@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from padic_tate.parsing import parse_element
 from padic_tate.prng import random_unit, stream
 
 from oracles import parse_element_budgeted
+from strategies import FIELDS as KINDS
 
 # the nine fields of tests/test_tate.py's TestSeriesPointDifferential
 FIELDS = {
@@ -219,3 +221,37 @@ class TestRoundTrip:
             assert parse_element(str(x), field, prec + rng.randint(0, 5)) == x, str(x)
             zero = PadicElement.zero(field, shift)
             assert parse_element(str(zero), field, MAX_PREC) == zero
+
+
+class TestDoubledPrecision:
+    """A literal is an exact value, so every digit parse_element claims at
+    N is the digit it reads at 2N.  x is drawn with random digits to 2N
+    (prng.random_unit), at shifts -5..5, and its literal is str(x) without
+    the O-term; the variants scale each term by a rational a/b, add a term
+    p^-k of negative valuation, and, over an unramified field, add
+    r * g^b with an exponent b of 20 to 40 digits."""
+
+    @staticmethod
+    def variants(rng, x):
+        field, p = x.field, x.field.p
+        text = str(x).rsplit(" + O(pi^", 1)[0]
+        terms = re.split(r" \+ (?![^()]*\))", text)   # at " + " outside parentheses
+        a = rng.choice([1, rng.randint(2, 10 ** 6), p ** rng.randint(1, 5)])
+        b = rng.choice([rng.randint(2, 10 ** 6), p ** rng.randint(1, 5), p ** rng.randint(1, 3) * 7])
+        yield text
+        yield " + ".join(f"{a}/{b}*{t}" for t in terms)
+        yield f"{text} - {p}^-{rng.randint(1, 12)}"
+        if field.kind == "unramified":
+            yield f"{text} + {a}/{b}*g^{rng.randint(10 ** 19, 10 ** 40)}"
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_claimed_digits_survive_doubling(self, name):
+        field = KINDS[name]
+        rng = stream(43, "doubled-literals", name)
+        for _ in range(60):
+            N, shift = rng.randint(1, 60), rng.randint(-5, 5)
+            x = PadicElement(field, shift, random_unit(rng, field, 2 * N).coeffs, 2 * N + shift)
+            for text in self.variants(rng, x):
+                got, ref = parse_element(text, field, N), parse_element(text, field, 2 * N)
+                assert got.abs_prec == N and ref.abs_prec == 2 * N, text
+                assert got == ref.truncate(N), (text, N)

@@ -56,6 +56,12 @@ def curve25(Q5):
     return curve_coefficients(q)
 
 
+@pytest.fixture
+def makes(count_calls):
+    """counted(call) -> (Counter of every _make call, result)."""
+    return count_calls((field_mod, "_make"))
+
+
 class TestSk:
     def test_below_precision_floor(self, Q5):
         q = PadicElement.from_int(Q5, 5 ** 9, 8)
@@ -163,6 +169,10 @@ class TestSeriesPoint:
     def test_kernel_rejected(self, curve25, Q5):
         with pytest.raises(OnKernel):
             tate_series_point(curve25, PadicElement.one(Q5, 40))
+        # an unreduced representative of 1 + O(5^40): v(1 - u) = 50 is past
+        # what u is known to
+        with pytest.raises(OnKernel):
+            tate_series_point(curve25, PadicElement(Q5, 0, (1 + 5 ** 50,), 40))
 
 
 class TestLambertWeights:
@@ -230,8 +240,9 @@ def tate_inputs(draw):
 
 
 class TestFusedLambert:
-    """Each Lambert sum is reduced once, and agrees with the term-by-term sum
-    (tests/oracles.py) in shift, coefficients and precision."""
+    """Each coordinate of a point, and each of a4, a6 and s_k, is reduced
+    once, and agrees with the term-by-term Lambert sums (tests/oracles.py)
+    in shift, coefficients and precision."""
 
     @pytest.mark.parametrize("dual", [False, True], ids=["element", "dual"])
     def test_other_field_raises_before_weights(self, count_calls, Q5, dual):
@@ -277,66 +288,31 @@ class TestFusedLambert:
         got["point"] = outcome(lambda: point(curve_coefficients(q), u, slack))
         assert got == want
 
-    @pytest.fixture
-    def makes(self, monkeypatch):
-        """counted(call) -> (number of _make calls made inside the Lambert
-        sums, products included, result).  Only tate's own _sum_terms is
-        patched, so the sums that field arithmetic makes are not counted."""
-        count, inside = [0], [False]
-        make, sum_terms = field_mod._make, tate_mod._sum_terms
-
-        def counting_make(*args):
-            count[0] += inside[0]
-            return make(*args)
-
-        def counting_sum_terms(*args):
-            inside[0] = True
-            try:
-                return sum_terms(*args)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(field_mod, "_make", counting_make)
-        monkeypatch.setattr(tate_mod, "_sum_terms", counting_sum_terms)
-
-        def counted(call):
-            count[0] = 0
-            result = call()
-            return count[0], result
-        return counted
-
     @pytest.mark.parametrize("n", [7, 35], ids=["v0", "v1"])
     def test_one_make_per_sum(self, makes, curve25, Q5, n):
         u = PadicElement.from_int(Q5, n, 40)
         # X and Y: one sum each, of the theta term and the multiple of s_1;
         # X' is a third (no memo entry for u, so it runs)
-        assert makes(lambda: tate_series_point(curve25, u))[0] == 2
+        assert makes(lambda: tate_series_point(curve25, u))[0].total() == 2
         curve25.memo[0] = None
-        assert makes(lambda: tate_xy_with_derivative(curve25, u))[0] == 3
+        assert makes(lambda: tate_xy_with_derivative(curve25, u))[0].total() == 3
         # a4, a6 and s_1, and s_k alone
-        assert makes(lambda: curve_coefficients(curve25.q))[0] == 3
-        assert makes(lambda: s_k(curve25.q, 3))[0] == 1
+        assert makes(lambda: curve_coefficients(curve25.q))[0].total() == 3
+        assert makes(lambda: s_k(curve25.q, 3))[0].total() == 1
 
-    @pytest.mark.parametrize("n, products", [(7, 34), (35, 36)], ids=["v0", "v1"])
-    def test_plain_point_is_one_pass(self, monkeypatch, count_calls, curve25, Q5, n, products):
+    @pytest.mark.parametrize("n", [7, 35], ids=["v0", "v1"])
+    def test_plain_point_is_one_pass(self, count_calls, curve25, Q5, n):
         u = PadicElement.from_int(Q5, n, 40)
         counted = count_calls((field_mod, "_make"), (PadicElement, "__mul__"),
                               (tate_mod, "_vec_mul"), (tate_mod, "_vec_invert"))
-        # one _make for each of X and Y and one for the element 1 - u, none
-        # per term, and no element product.  Over Q_5 the theta chains run
-        # on ints, so the only vector products are the 11 that combine the
-        # four sums and the powers of psi, the inverse of theta's unit.  u's
-        # and theta's unit vectors are inverted once each
+        # one _make for each of X and Y, none per term and none for 1 - u,
+        # whose valuation is read from u's vector, and no element product.
+        # Over Q_5 the theta chains run on ints, so the only vector products
+        # are the 11 that combine the four sums and the powers of psi, the
+        # inverse of theta's unit.  u's and theta's unit vectors are
+        # inverted once each
         assert counted(lambda: tate_series_point(curve25, u))[0] == {
-            "_make": 3, "_vec_mul": 11, "_vec_invert": 2}
-        # the list ring that extension fields run makes each chain step two
-        # vector products, and the negative chain's first ratio q u^-1 one.
-        # K = 40 at v(u) = 0 keeps the terms n = 1..6 at n(n-1) < 40 and
-        # -1..-5 at k(k+1) < 40, and K = 39 at v(u) = 1 the terms n and -k
-        # up to 6 at n^2 < 39; with the 11 above, 34 and 36
-        monkeypatch.setattr(tate_mod, "_int_ring", tate_mod._list_ring)
-        assert counted(lambda: tate_series_point(curve25, u))[0] == {
-            "_make": 3, "_vec_mul": products, "_vec_invert": 2}
+            "_make": 2, "_vec_mul": 11, "_vec_invert": 2}
 
     def test_chain_length_at_the_cap(self, count_calls):
         # at prec 4096 over Q_9 with v(q) = 2 and a unit u, K = 4096 keeps
@@ -415,40 +391,6 @@ class TestSeriesPointDifferential:
                 got = outcome(lambda: point(curve, u, slack))
                 want = outcome(lambda: oracle(curve, u, slack))
                 assert got == want, (q, u, slack)
-
-
-class TestIntPass:
-    """Over a field of one-entry vectors, Q_p and an eisenstein field with
-    e = 1, the theta chains run on ints.  Their four sums are those of the
-    list ring that extension fields run, at every input of point_cases,
-    slack 0, 3 and 10, with and without X', and so is the outcome of the
-    whole point, or the error it raises."""
-
-    @pytest.mark.parametrize(
-        "name", sorted(n for n, f in POINT_FIELDS.items() if f.coeff_len == 1))
-    def test_matches_list_pass(self, monkeypatch, name):
-        raw, theta_sums = [], tate_mod._theta_sums
-
-        def recording(*args):
-            raw.append(theta_sums(*args))
-            return raw[-1]
-        monkeypatch.setattr(tate_mod, "_theta_sums", recording)
-
-        curves, ran, total = {}, 0, 0
-        for i, (q, u) in enumerate(point_cases(name)):
-            curve = curves.setdefault(q, curve_coefficients(q))
-            slack = (0, 3, 10)[i % 3]
-            for deriv in (False, True):
-                runs = []
-                for ring in (tate_mod._int_ring, tate_mod._list_ring):
-                    monkeypatch.setattr(tate_mod, "_int_ring", ring)
-                    raw.clear()
-                    got = outcome(lambda: tuple(tate_mod._series_point(curve, u, slack, deriv)))
-                    runs.append((got, list(raw)))
-                assert runs[0] == runs[1], (q, u, slack, deriv)
-                ran, total = ran + bool(raw), total + 1
-        # most inputs reach the sums: the rest are near the kernel and raise
-        assert ran > 0.8 * total
 
 
 class TestDoubledPrecision:
@@ -624,35 +566,29 @@ class TestPentagonalDiscriminant:
 
 
 class TestCoefficientMakes:
-    """Every _make call of a series point and of a dual product: each S_m
-    and the derivative of a dual product are reduced once."""
-
-    @pytest.fixture
-    def makes(self, count_calls):
-        return count_calls((field_mod, "_make"))
+    """Every _make call of a series point, of phi and of a dual product:
+    each coordinate and the derivative of a dual product are reduced once."""
 
     def test_series_point(self, makes, curve25, Q5):
-        # a plain point makes one _make for the element 1 - u and one for
-        # each of X and Y, each the sum of its theta term and its multiple
-        # of s_1, on a fresh curve as on a warm one; (X, Y, X') makes one
-        # more for X'.  The shift of u^2 - 1, which sets the precision of
-        # X', comes from v(1 - u) and v(1 + u), with no element
+        # a plain point makes one _make for each of X and Y, each the sum of
+        # its theta term and its multiple of s_1, on a fresh curve as on a
+        # warm one; (X, Y, X') makes one more for X'.  v(1 - u) and
+        # v(1 + u), which set the precisions, are read from u's vector, with
+        # no element
         curve = curve_coefficients(curve25.q)
         counts = []
         for n in (7, 35):
             u = PadicElement.from_int(Q5, n, 40)
             counts += [makes(lambda: tate_series_point(curve, u))[0].total(),
                        makes(lambda: tate_xy_with_derivative(curve, u))[0].total()]
-        # with the Lambert weights built as the points asked for them: 60,
-        # 4, 80, 4; with u^2 - 1 an element as well: 60, 6, 80, 6; with the
-        # principal parts as element products and that of X' on the dual
-        # seed: 68, 22, 88, 22; with X' of a dual u's chains of u^m, u^-m
-        # and S_m: 68, 141, 88, 261; with X and Y of a plain u as sums of
-        # reduced products: 126, 141, 206, 261; with weights by inversion:
-        # 129, 141, 209, 261; with a _make per coefficient part as well:
-        # 149, 181, 249, 341; per operation in each coefficient: 189, 309,
-        # 329, 589
-        assert counts == [3, 4, 3, 4]
+        assert counts == [2, 3, 2, 3]
+
+    @pytest.mark.parametrize("n", [7, 35, 6], ids=["v0", "v1", "near-kernel"])
+    def test_phi(self, makes, curve25, Q5, n):
+        # u in the fundamental domain, off the kernel: phi tests the kernel
+        # once, inside the point, so it makes X and Y and nothing else
+        u = PadicElement.from_int(Q5, n, 40)
+        assert makes(lambda: phi(curve25, u))[0].total() == 2
 
     def test_curve_coefficients(self, count_calls, Q5):
         # a4, a6, s_1 and s_k are one rectangular sum each, scaled by q's
