@@ -16,8 +16,8 @@ abs_prec, and x * m and m / x keep x's relative precision; no operand is
 given a precision of its own.  Each rule is written once: every sum or
 difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
 is one aligned _sum_terms, reduced once, _product_term gives a product's
-term, an int times an element's too, to __mul__, Weierstrass division and
-the relation search, and _rational_unit a rational's unit
+term, an int times elements' too, to __mul__, Weierstrass division, the
+relation search and the Tate group law, and _rational_unit a rational's unit
 (from _split_rational, whose p^w * a/b the series layer also reads).  The
 coefficient kernels read (p, e, f, c, F), never the kind.  They keep two
 fast paths, as Q_p at moderate precision ran a third slower without them: a
@@ -757,8 +757,10 @@ def _sum_terms(field: FieldDescriptor, terms, cap: Optional[int] = None) -> Padi
     """sum of pi^shift * vec over the (prec, shift, vec) terms, with one _make.
 
     This is the one aligned sum: x + y, x - y, x +- m and m +- x are two-term
-    calls capped at the common precision, literals and Tate point coordinates
-    pass their raw terms, and exp, log, a4, a6 and s_k one term each.
+    calls capped at the common precision; literals, Tate point coordinates,
+    Weierstrass division's coefficients and the relation search's candidate
+    sums pass their raw terms, and the Tate group law and its checks their
+    monomials (tate._monomial_sum); exp, log, a4, a6 and s_k pass one term each.
 
     A term is exact modulo pi^prec, and vec None marks a zero term, which
     only bounds the precision.  The sum is known to the least term prec and
@@ -786,14 +788,33 @@ def _sum_terms(field: FieldDescriptor, terms, cap: Optional[int] = None) -> Padi
     return _make(field, low, acc, prec)
 
 
-def _product_term(c: Union[int, PadicElement], w: PadicElement) -> tuple:
-    """c * w as a (prec, shift, vec) term of _sum_terms, vec the raw product.
+def _product_term(c: Union[int, PadicElement], w: PadicElement, *more: PadicElement) -> tuple:
+    """c * w * more[0] * ... as a (prec, shift, vec) term of _sum_terms, vec
+    the raw product, for __mul__, Weierstrass division's products, the
+    relation search's m_i * z_i, the s_1 term of a Tate point and the
+    monomials of the Tate group law and its checks (tate._monomial_sum).
 
     As __mul__ and _scale_rational give it, the product of two elements is
     known to min(c.abs_prec + w.shift, w.abs_prec + c.shift).  An int c != 0
     keeps w's relative precision, so c * w is known to
-    w.abs_prec + e*v_p(c); c = 0 gives a zero known to w.abs_prec.
+    w.abs_prec + e*v_p(c); c = 0 gives a zero known to w.abs_prec.  With
+    more, the elements' product is known to min_i(A_i + sum_{j != i} s_j),
+    an imprecise zero's s being its A, which is what the left-to-right
+    chain of __mul__ claims, and an int c adds e*v_p(c) wherever the chain
+    scales.  The caller checks the fields.
     """
+    if more:
+        if isinstance(c, int):
+            prec, shift, vec = _product_term(w, *more)
+            if not c:
+                return prec, shift, None
+            return (prec + w.field.e * _vp(c, w.field.p), shift,
+                    [c * x for x in vec] if vec else None)
+        prec, shift, vec = _product_term(c, w)
+        for x in more:
+            prec, shift = min(prec + x.shift, x.abs_prec + shift), shift + x.shift
+            vec = _vec_mul(w.field, vec, x.coeffs) if vec and x.coeffs else None
+        return prec, shift, vec
     if isinstance(c, int):
         if not c:
             return w.abs_prec, w.shift, None

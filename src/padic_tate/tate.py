@@ -85,6 +85,18 @@ sq = v(q), so 0 <= su < sq, and t = v(1 - u); t su = 0.
   elsewhere on coefficient lists through _vec_mul and _shift_vec: the same
   products, reduced modulo the same powers of p, so the same integers.
 
+The group law and its checks are sums of monomials.  The on-curve
+residual, the chord's x3 and y3, the tangent's numerator and denominator,
+the ODE and X' residuals and Delta are each one _monomial_sum: every
+monomial is one field._product_term, an int times a product of elements,
+known to what the chain of __mul__ and _scale_rational claims, and the sum
+is reduced by one _make at the least of those precisions, so its digits
+and precision are the operator chain's (tests/oracles.py).  Two rules keep
+each claim the chain's.  A sum the chain writes twice stays two terms:
+y1 + y1, not 2 y1, which at p = 2 would claim e more digits.  A difference
+the chain multiplies stays one element: lam (x1 - x3), as distributing it
+lowers the claim where v(x1 - x3) > v(x1).
+
 verify_ode and relation_residual both need (X, Y, X') at one u, so each
 TateCurve also remembers its last such evaluation, keyed on (u, slack): u
 compares by field, shift, coefficients and absolute precision, so another
@@ -355,11 +367,29 @@ def phi(curve: TateCurve, u: PadicElement, slack: int = DEFAULT_SLACK) -> TatePo
     return TatePoint.affine(x, y)
 
 
+def _monomial_sum(*monomials) -> PadicElement:
+    """The sum of the monomials, each the arguments (c, w, *more) of one
+    field._product_term, reduced by one _make (module docstring).  Fields
+    are checked in the order of the operator chain m1 + m2 + ..., each
+    product's factors left to right and then the term against the first,
+    so a FieldMismatch names the pair the chain names."""
+    head = None
+    for monomial in monomials:
+        first, *rest = monomial[1:] if isinstance(monomial[0], int) else monomial
+        for x in rest:
+            first._check_same_field(x)
+        if head is None:
+            head = first
+        else:
+            head._check_same_field(first)
+    return _sum_terms(head.field, [_product_term(*m) for m in monomials])
+
+
 def _equation_residual(curve: TateCurve, point: TatePoint) -> PadicElement:
     if point.is_identity:
         raise ValueError("identity point has no affine residual")
     x, y = point.x, point.y
-    return y * y + x * y - x * x * x - curve.a4 * x - curve.a6
+    return _monomial_sum((y, y), (x, y), (-1, x, x, x), (-1, curve.a4, x), (-1, curve.a6))
 
 
 def curve_equation_residual(curve: TateCurve, point: TatePoint) -> ValuationResult:
@@ -394,15 +424,16 @@ def curve_add(curve: TateCurve, P: TatePoint, Q: TatePoint,
     if not dx.is_zero:
         lam = (y2 - y1) / dx
     else:
-        if (y2 + y1 + x1).is_zero:
+        if _monomial_sum((1, y2), (1, y1), (1, x1)).is_zero:
             return TatePoint.identity()
         if not (y2 - y1).is_zero:
             raise PrecisionCollapse(
                 "x-coordinates agree to precision but y-coordinates conflict")
         # 2y1 + x1 = (y2 + y1 + x1) - (y2 - y1) is not zero, as the first is not
-        lam = (x1 * x1 * 3 + curve.a4 - y1) / (y1 + y1 + x1)
-    x3 = lam * lam + lam - x1 - x2
-    y3 = lam * (x1 - x3) - y1 - x3
+        lam = (_monomial_sum((3, x1, x1), (1, curve.a4), (-1, y1))
+               / _monomial_sum((1, y1), (1, y1), (1, x1)))
+    x3 = _monomial_sum((lam, lam), (1, lam), (-1, x1), (-1, x2))
+    y3 = _monomial_sum((lam, x1 - x3), (-1, y1), (-1, x3))
     return TatePoint.affine(x3, y3)
 
 
@@ -427,12 +458,10 @@ def j_invariant(curve: TateCurve) -> PadicElement:
 
 
 def curve_discriminant(curve: TateCurve) -> PadicElement:
-    """Delta for b2 = 1, b4 = 2 a4, b6 = 4 a6, b8 = a6 - a4^2."""
+    """Delta = -b8 - 8 b4^3 - 27 b6^2 + 9 b4 b6 for b2 = 1, b4 = 2 a4,
+    b6 = 4 a6 and b8 = a6 - a4^2, as monomials in a4 and a6."""
     a4, a6 = curve.a4, curve.a6
-    b4 = a4 * 2
-    b6 = a6 * 4
-    b8 = a6 - a4 * a4
-    return -b8 - (b4 * b4 * b4) * 8 - (b6 * b6) * 27 + b4 * b6 * 9
+    return _monomial_sum((-1, a6), (1, a4, a4), (-64, a4, a4, a4), (-432, a6, a6), (72, a4, a6))
 
 
 def tate_xy_with_derivative(curve: TateCurve, u: PadicElement,
@@ -453,17 +482,24 @@ def tate_xy_with_derivative(curve: TateCurve, u: PadicElement,
     return out
 
 
+def _relation_residual(curve: TateCurve, u: PadicElement, slack: int) -> PadicElement:
+    x, y, xp = tate_xy_with_derivative(curve, u, slack=slack)
+    return _monomial_sum((u, xp), (-1, x), (-2, y))
+
+
 def relation_residual(curve: TateCurve, u: PadicElement,
                       slack: int = DEFAULT_SLACK) -> ValuationResult:
     """Valuation of u X' - X - 2Y."""
-    x, y, xp = tate_xy_with_derivative(curve, u, slack=slack)
-    return (u * xp - x - y * 2).valuation()
+    return _relation_residual(curve, u, slack).valuation()
+
+
+def _ode_residual(curve: TateCurve, u: PadicElement, slack: int) -> PadicElement:
+    x, _, xp = tate_xy_with_derivative(curve, u, slack=slack)
+    return _monomial_sum((u, xp, u, xp), (-4, x, x, x), (-1, x, x), (-4, curve.a4, x),
+                         (-4, curve.a6))
 
 
 def verify_ode(curve: TateCurve, u: PadicElement,
                slack: int = DEFAULT_SLACK) -> ValuationResult:
     """Valuation of (u X')^2 - 4X^3 - X^2 - 4 a4 X - 4 a6 at u."""
-    x, _, xp = tate_xy_with_derivative(curve, u, slack=slack)
-    uxp = u * xp
-    res = uxp * uxp - (x ** 3) * 4 - x * x - curve.a4 * x * 4 - curve.a6 * 4
-    return res.valuation()
+    return _ode_residual(curve, u, slack).valuation()

@@ -21,7 +21,10 @@ planted (q, r), and weierstrass_divide_from_zero the division whose
 contraction started at q_0 = 0.  row_reduce_sparse, the elimination over Q
 under solve_division, was also the harness's snf/200 rank oracle until
 lattice.rank took its place.  parse_element_budgeted is the literal
-parser that evaluated every atom at a guessed working precision.
+parser that evaluated every atom at a guessed working precision.  The Tate
+group law, its on-curve check, the ODE and X' residuals and Delta are kept
+as the chains of PadicElement operators they were before each became one
+sum of monomials.
 """
 
 import functools
@@ -39,6 +42,8 @@ from padic_tate.errors import (
     ImpreciseValuation,
     InsufficientPrecision,
     NotRegular,
+    PrecisionCollapse,
+    OffCurveInput,
     OnKernel,
     OutsideConvergenceDomain,
     ParseError,
@@ -46,6 +51,7 @@ from padic_tate.errors import (
     ZeroElement,
 )
 from padic_tate.field import (
+    DEFAULT_SLACK,
     FieldDescriptor,
     PadicElement,
     _make,
@@ -67,6 +73,7 @@ from padic_tate.lattice import (
     shape,
 )
 from padic_tate.series import _exp_truncation
+from padic_tate.tate import TatePoint, tate_xy_with_derivative
 from padic_tate.weierstrass import (
     Exponent,
     StrictSeries,
@@ -557,6 +564,72 @@ def discriminant_pentagonal(q: PadicElement) -> PadicElement:
             return q * euler ** 24
         for g in exponents:
             euler = euler + q ** g * (-1) ** k
+
+
+# The Tate group law and its checks as they were before each expression
+# became one field._sum_terms of its monomials, kept verbatim as the
+# reference for tate._equation_residual, curve_add, _ode_residual (the
+# residual verify_ode takes the valuation of), _relation_residual and
+# curve_discriminant.
+
+def equation_residual_chained(curve, point: TatePoint) -> PadicElement:
+    if point.is_identity:
+        raise ValueError("identity point has no affine residual")
+    x, y = point.x, point.y
+    return y * y + x * y - x * x * x - curve.a4 * x - curve.a6
+
+
+def _assert_on_curve_chained(curve, point: TatePoint, slack: int) -> None:
+    res = equation_residual_chained(curve, point)
+    if not res.is_zero and res.shift < max(0, point.prec - slack):
+        raise OffCurveInput(f"curve equation residual has valuation {res.valuation()}")
+
+
+def curve_add_chained(curve, P: TatePoint, Q: TatePoint,
+                      slack: int = DEFAULT_SLACK) -> TatePoint:
+    """Chord-tangent law for y^2 + xy = x^3 + a4 x + a6 (a1 = 1, a2 = a3 = 0)."""
+    if P.is_identity:
+        return Q
+    if Q.is_identity:
+        return P
+    _assert_on_curve_chained(curve, P, slack)
+    _assert_on_curve_chained(curve, Q, slack)
+    x1, y1 = P.x, P.y
+    x2, y2 = Q.x, Q.y
+    dx = x2 - x1
+    if not dx.is_zero:
+        lam = (y2 - y1) / dx
+    else:
+        if (y2 + y1 + x1).is_zero:
+            return TatePoint.identity()
+        if not (y2 - y1).is_zero:
+            raise PrecisionCollapse(
+                "x-coordinates agree to precision but y-coordinates conflict")
+        # 2y1 + x1 = (y2 + y1 + x1) - (y2 - y1) is not zero, as the first is not
+        lam = (x1 * x1 * 3 + curve.a4 - y1) / (y1 + y1 + x1)
+    x3 = lam * lam + lam - x1 - x2
+    y3 = lam * (x1 - x3) - y1 - x3
+    return TatePoint.affine(x3, y3)
+
+
+def relation_residual_chained(curve, u: PadicElement, slack: int) -> PadicElement:
+    x, y, xp = tate_xy_with_derivative(curve, u, slack=slack)
+    return u * xp - x - y * 2
+
+
+def ode_residual_chained(curve, u: PadicElement, slack: int) -> PadicElement:
+    x, _, xp = tate_xy_with_derivative(curve, u, slack=slack)
+    uxp = u * xp
+    return uxp * uxp - (x ** 3) * 4 - x * x - curve.a4 * x * 4 - curve.a6 * 4
+
+
+def discriminant_chained(curve) -> PadicElement:
+    """Delta for b2 = 1, b4 = 2 a4, b6 = 4 a6, b8 = a6 - a4^2."""
+    a4, a6 = curve.a4, curve.a6
+    b4 = a4 * 2
+    b6 = a6 * 4
+    b8 = a6 - a4 * a4
+    return -b8 - (b4 * b4 * b4) * 8 - (b6 * b6) * 27 + b4 * b6 * 9
 
 
 def j_from_q_expansion(q: Fraction, terms: int) -> Fraction:

@@ -749,3 +749,75 @@ class TestDisplay:
         monkeypatch.setattr(field_mod, "_shift_vec", recording)
         assert x.pi_digits(4096) == digits
         assert len(largest) == 1024 and max(largest) < 5 ** work
+
+
+# the fields of the fused-term soundness check: Q_p at p = 2 and p = 5, two
+# eisenstein fields and two unramified ones
+FUSED_FIELDS = {
+    "Q2": make_field(2),
+    "Q5": make_field(5),
+    "Q5(pi^2=5)": make_field(5, "eisenstein", e=2, c=1),
+    "Q2(pi^3=6)": make_field(2, "eisenstein", e=3, c=3),
+    "Q9": make_field(3, "unramified", f=2),
+    "Q8": make_field(2, "unramified", f=3),
+}
+
+
+class TestFusedTermsDoubledPrecision:
+    """field._sum_terms of field._product_term terms claims no digit it has
+    not got: each factor is drawn with random digits (prng.random_unit) to
+    2N and truncated to N, one in six as an imprecise zero (a value of
+    valuation at least N known to N), and every digit claimed from the
+    truncated factors is the digit from the drawn ones.  A monomial is an
+    int c in {0, +-1, p, -4, 3p^2}, or none, times 1 to 4 factors, and each
+    claim is the one the chain of __mul__, _scale_rational and + gives."""
+
+    @staticmethod
+    def factor(rng, field):
+        """(the factor known to N, the same value known to 2N)."""
+        if rng.randrange(6) == 0:
+            prec = rng.randint(-3, 8)
+            rel = rng.randint(1, 12)
+            shift = prec + rng.randint(0, 3)
+            full = PadicElement(field, shift, random_unit(rng, field, 2 * rel).coeffs,
+                                shift + 2 * rel)
+            return full.truncate(prec), full
+        shift, rel = rng.randint(-3, 5), rng.randint(1, 12)
+        full = PadicElement(field, shift, random_unit(rng, field, 2 * rel).coeffs,
+                            shift + 2 * rel)
+        return full.truncate(shift + rel), full
+
+    @staticmethod
+    def chained(monomial):
+        """The monomial by the operators, left to right, the int last."""
+        c, *factors = monomial
+        if not isinstance(c, int):
+            c, factors = 1, [c, *factors]
+        out = factors[0]
+        for x in factors[1:]:
+            out = out * x
+        return out * c
+
+    @pytest.mark.parametrize("name", sorted(FUSED_FIELDS))
+    def test_claimed_digits_survive_doubling(self, name):
+        field = FUSED_FIELDS[name]
+        p = field.p
+        rng = stream(59, "fused terms", name)
+        for _ in range(600):
+            lows, highs = [], []
+            for _ in range(rng.randint(1, 3)):
+                pairs = [self.factor(rng, field) for _ in range(rng.randint(1, 4))]
+                c = rng.choice([None, 0, 1, -1, p, -4, 3 * p * p])
+                if c is None and len(pairs) == 1:
+                    c = 1
+                head = () if c is None else (c,)
+                lows.append(head + tuple(lo for lo, _ in pairs))
+                highs.append(head + tuple(hi for _, hi in pairs))
+            got = field_mod._sum_terms(field, [field_mod._product_term(*m) for m in lows])
+            ref = field_mod._sum_terms(field, [field_mod._product_term(*m) for m in highs])
+            assert ref.abs_prec >= got.abs_prec
+            assert key(got) == key(ref.truncate(got.abs_prec)), lows
+            chain = self.chained(lows[0])
+            for m in lows[1:]:
+                chain = chain + self.chained(m)
+            assert key(got) == key(chain), lows

@@ -650,22 +650,14 @@ class TestRelationConfirmations:
     of the other coordinates."""
 
     @pytest.fixture
-    def confirmations(self, monkeypatch):
-        """counted(z, height, slack) -> (confirmations, hits) of one search."""
-        count = [0]
-        combine = lattice._sum_terms
+    def confirmations(self, count_calls):
+        """confirmed(z, height, slack) -> (confirmations, hits) of one search."""
+        counted = count_calls((lattice, "_sum_terms"))
 
-        def counting(field, terms, cap=None):
-            count[0] += 1
-            return combine(field, terms, cap)
-
-        def counted(z, height, slack=10):
-            count[0] = 0
-            monkeypatch.setattr(lattice, "_sum_terms", counting)
-            hits = relation_search(z, height, slack)
-            monkeypatch.setattr(lattice, "_sum_terms", combine)
-            return count[0], len(hits)
-        return counted
+        def confirmed(z, height, slack=10):
+            calls, hits = counted(lambda: relation_search(z, height, slack))
+            return calls["_sum_terms"], len(hits)
+        return confirmed
 
     def test_planted_pair(self, Q5, confirmations):
         x = random_unit(stream(73, "plant"), Q5, 60)

@@ -38,10 +38,15 @@ from padic_tate.tate import (
 )
 
 from oracles import (
+    curve_add_chained,
+    discriminant_chained,
     discriminant_pentagonal,
+    equation_residual_chained,
     from_fraction,
     j_from_q_expansion,
     lambert_stepwise,
+    ode_residual_chained,
+    relation_residual_chained,
     s_k_partial_sum,
     series_point_stepwise,
     tate_xy,
@@ -393,6 +398,106 @@ class TestSeriesPointDifferential:
                 assert got == want, (q, u, slack)
 
 
+def group_law_result(call):
+    """What call() gives, spelled out: the key of an element, the kind and
+    keys of a point, or the type and message of the error it raises."""
+    try:
+        out = call()
+    except (PadicError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, TatePoint):
+        return ("identity",) if out.is_identity else ("affine", key(out.x), key(out.y))
+    return key(out)
+
+
+def group_law_cases(name):
+    """(curve, points, us, slack) over one field: v(q) = 1..3 with q known to
+    12..60 digits, u at each valuation 0..v(q)-1, near -1 and at v(1 - u) = 1
+    and 2, where x has a pole and x1 - x3 can lie above x1, known up to 3
+    digits short of q or 10 beyond it, the points phi(u), and beside them
+    each point with a coordinate truncated or replaced by an imprecise zero,
+    its negative, and a point of the next field of POINT_FIELDS, whole and
+    as the y of a point of this one, and its x as one more u, with the
+    on-curve slack cycling 0, 3, 10 and N."""
+    names = sorted(POINT_FIELDS)
+    field = POINT_FIELDS[name]
+    other = POINT_FIELDS[names[(names.index(name) + 1) % len(names)]]
+    rng = stream(61, "group law", name)
+    alien = phi(curve_coefficients(PadicElement.uniformizer(other, 30, 2)),
+                PadicElement.from_int(other, 7, 30))
+    assert not alien.is_identity
+    for i, sq in enumerate((1, 2, 3, 1, 2, 3)):
+        N = rng.randint(12, 60)
+        q = random_unit(rng, field, N - sq) * PadicElement.uniformizer(field, N, sq)
+        curve = curve_coefficients(q)
+        prec = N + rng.randint(-3, 10)
+        us = [random_unit(rng, field, prec) * PadicElement.uniformizer(field, prec, su)
+              for su in range(sq)]
+        for c, j in ((-1, 1), (1, 1), (1, 2)):
+            us.append(random_unit(rng, field, prec) * PadicElement.uniformizer(field, prec, j) + c)
+        points = []
+        for u in us:
+            try:
+                points.append(phi(curve, u))
+            except PadicError:
+                pass
+        for P in list(points):
+            if P.is_identity:
+                continue
+            k = rng.randint(1, 12)
+            points += [TatePoint.affine(P.x.truncate(P.x.abs_prec - k), P.y),
+                       TatePoint.affine(P.x, PadicElement.zero(field, k)),
+                       TatePoint.affine(PadicElement.zero(field, k), P.y),
+                       curve_neg(curve, P)]
+        first = next(P for P in points if not P.is_identity)
+        points += [alien, TatePoint.affine(first.x, alien.y)]
+        yield curve, points, us + [alien.x], (0, 3, 10, N)[i % 4]
+
+
+class TestGroupLawDifferential:
+    """The on-curve residual, curve_add, the ODE and X' residuals and Delta,
+    each one sum of monomials, agree with the operator chains they replaced
+    (tests/oracles.py) in the shift, coefficients and precision of every
+    result, or raise the same error with the same message, over every field
+    of POINT_FIELDS.  Each pair of points is added, a point to itself
+    included, so the doubling branch runs where y1 + y1 and 2 y1 claim
+    different precisions at p = 2, and the tangent's 2 y1 + x1 is formed."""
+
+    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
+    def test_matches_chained_operators(self, name):
+        doublings = 0
+        for curve, points, us, slack in group_law_cases(name):
+            assert group_law_result(lambda: curve_discriminant(curve)) == \
+                group_law_result(lambda: discriminant_chained(curve))
+            for P in points:
+                assert group_law_result(lambda: tate_mod._equation_residual(curve, P)) == \
+                    group_law_result(lambda: equation_residual_chained(curve, P))
+                for Q in points:
+                    got = group_law_result(lambda: curve_add(curve, P, Q, slack))
+                    assert got == group_law_result(lambda: curve_add_chained(curve, P, Q, slack)), \
+                        (P, Q, slack)
+                    doublings += P is Q and got[0] == "affine"
+            for u in us:
+                for fused, chained in ((tate_mod._ode_residual, ode_residual_chained),
+                                       (tate_mod._relation_residual, relation_residual_chained)):
+                    assert group_law_result(lambda: fused(curve, u, slack)) == \
+                        group_law_result(lambda: chained(curve, u, slack)), (u, slack)
+        assert doublings > 0
+
+    def test_zero_coefficients(self, Q5):
+        # Delta and the residual where a4 or a6 is an imprecise zero
+        q = PadicElement.from_int(Q5, 25, 30)
+        point = phi(curve_coefficients(q), PadicElement.from_int(Q5, 7, 30))
+        zero, s1 = PadicElement.zero(Q5, 6), s_k(q, 1)
+        for a4, a6 in ((zero, curve_coefficients(q).a6), (curve_coefficients(q).a4, zero),
+                       (zero, PadicElement.zero(Q5, 3))):
+            curve = tate_mod.TateCurve(q, a4, a6, s1)
+            assert group_law_result(lambda: curve_discriminant(curve)) == \
+                group_law_result(lambda: discriminant_chained(curve))
+            assert group_law_result(lambda: tate_mod._equation_residual(curve, point)) == \
+                group_law_result(lambda: equation_residual_chained(curve, point))
+
+
 class TestDoubledPrecision:
     """Every digit of X, Y and X' that tate_xy_with_derivative claims at
     precision N is the digit at 2N: q and u are drawn at 2N, u at 2(N + k)
@@ -607,6 +712,35 @@ class TestCoefficientMakes:
         # the value's product, the derivative's two products and their sum
         # (2 while the derivative was one fused sum of the raw products)
         assert makes(lambda: a * b)[0].total() == 4
+
+
+class TestGroupLawMakes:
+    """The on-curve residual, the ODE and X' residuals after a memo hit, and
+    each coordinate of a chord are one _make each, with no __mul__ or
+    _scale_rational beyond the slope's one product by 1/dx."""
+
+    @pytest.fixture
+    def calls(self, count_calls):
+        return count_calls((field_mod, "_make"), (PadicElement, "__mul__"),
+                           (PadicElement, "_scale_rational"))
+
+    def test_equation_residual(self, calls, curve25, Q5):
+        P = phi(curve25, PadicElement.from_int(Q5, 7, 40))
+        assert calls(lambda: tate_mod._equation_residual(curve25, P))[0] == {"_make": 1}
+
+    @pytest.mark.parametrize("n", [7, 35], ids=["v0", "v1"])
+    def test_ode_and_relation_after_a_memo_hit(self, calls, curve25, Q5, n):
+        u = PadicElement.from_int(Q5, n, 40)
+        tate_xy_with_derivative(curve25, u)
+        assert calls(lambda: verify_ode(curve25, u))[0] == {"_make": 1}
+        assert calls(lambda: relation_residual(curve25, u))[0] == {"_make": 1}
+
+    def test_chord(self, calls, curve25, Q5):
+        # two on-curve residuals, dx and dy, the slope (one __mul__ by the
+        # inverse of dx), x3, x1 - x3 and y3; the operator chains made 29
+        P, Q = (phi(curve25, PadicElement.from_int(Q5, n, 40)) for n in (7, 11))
+        counts, S = calls(lambda: curve_add(curve25, P, Q))
+        assert counts == {"_make": 8, "__mul__": 1} and not S.is_identity
 
 
 class TestDualMemo:
