@@ -15,14 +15,15 @@ An int or Fraction operand is exact: x + m, x - m and m - x keep x's
 abs_prec, and x * m and m / x keep x's relative precision; no operand is
 given a precision of its own.  Each rule is written once: every sum or
 difference (an int m as the raw vector (m, 0, ..., 0), no Fraction built)
-is one aligned _sum_terms, reduced once, _product_term gives a product's
-term, an int times elements' too, to __mul__, Weierstrass division, the
-relation search and the Tate group law, and _rational_unit a rational's unit
-(from _split_rational, whose p^w * a/b the series layer also reads).  The
-coefficient kernels read (p, e, f, c, F), never the kind.  They keep two
-fast paths, as Q_p at moderate precision ran a third slower without them: a
-length-1 vector (no loop over entries) and pi = p (a shift is one power of
-p).  All values are immutable and all operations are pure functions.
+is one aligned _sum_terms, reduced once, _product_term gives the term of an
+int times a product of elements, the int first (1 for __mul__ and Weierstrass
+division, m_i in the relation search, c in the Tate group law), in one fold,
+and _rational_unit a rational's unit (from _split_rational, whose p^w * a/b
+the series layer also reads).  The coefficient kernels read (p, e, f, c, F),
+never the kind.  They keep two fast paths, as Q_p at moderate precision ran
+a third slower without them: a length-1 vector (no loop over entries) and
+pi = p (a shift is one power of p).  All values are immutable and all
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -609,7 +610,7 @@ class PadicElement:
         if not isinstance(other, PadicElement):
             return NotImplemented
         self._check_same_field(other)
-        prec, shift, vec = _product_term(self, other)
+        prec, shift, vec = _product_term(1, self, other)
         return _make(self.field, shift, vec, prec) if vec else PadicElement.zero(self.field, prec)
 
     __rmul__ = __mul__
@@ -788,40 +789,35 @@ def _sum_terms(field: FieldDescriptor, terms, cap: Optional[int] = None) -> Padi
     return _make(field, low, acc, prec)
 
 
-def _product_term(c: Union[int, PadicElement], w: PadicElement, *more: PadicElement) -> tuple:
+def _product_term(c: int, w: PadicElement, *more: PadicElement) -> tuple:
     """c * w * more[0] * ... as a (prec, shift, vec) term of _sum_terms, vec
-    the raw product, for __mul__, Weierstrass division's products, the
-    relation search's m_i * z_i, the s_1 term of a Tate point and the
-    monomials of the Tate group law and its checks (tate._monomial_sum).
+    the raw product: an int first, then one or more elements.  Its callers
+    pass their int, 1 where there is none: __mul__ (1, self, other),
+    Weierstrass division's products (1, c1, c2) and (1, wc, c), the
+    relation search's (m_i, z_i), the s_1 term of a Tate point (-2, s_1)
+    and the monomials of the Tate group law and its checks
+    (tate._monomial_sum).
 
-    As __mul__ and _scale_rational give it, the product of two elements is
-    known to min(c.abs_prec + w.shift, w.abs_prec + c.shift).  An int c != 0
-    keeps w's relative precision, so c * w is known to
-    w.abs_prec + e*v_p(c); c = 0 gives a zero known to w.abs_prec.  With
-    more, the elements' product is known to min_i(A_i + sum_{j != i} s_j),
-    an imprecise zero's s being its A, which is what the left-to-right
-    chain of __mul__ claims, and an int c adds e*v_p(c) wherever the chain
-    scales.  The caller checks the fields.
+    The elements are folded left to right as __mul__ folds them: a product
+    known to A at shift s times x is known to
+    min(A + x.shift, x.abs_prec + s), an imprecise zero's shift being its
+    abs_prec, so the product is known to min_i(A_i + sum_{j != i} s_j).
+    Then, as _scale_rational gives it, c = 1 leaves the fold, c = 0 gives a
+    zero known to the fold's precision, and any other c keeps its relative
+    precision, adding e*v_p(c) to its precision.  The caller checks the
+    fields.
     """
-    if more:
-        if isinstance(c, int):
-            prec, shift, vec = _product_term(w, *more)
-            if not c:
-                return prec, shift, None
-            return (prec + w.field.e * _vp(c, w.field.p), shift,
-                    [c * x for x in vec] if vec else None)
-        prec, shift, vec = _product_term(c, w)
-        for x in more:
-            prec, shift = min(prec + x.shift, x.abs_prec + shift), shift + x.shift
-            vec = _vec_mul(w.field, vec, x.coeffs) if vec and x.coeffs else None
-        return prec, shift, vec
-    if isinstance(c, int):
-        if not c:
-            return w.abs_prec, w.shift, None
-        vec = [c * x for x in w.coeffs] if w.coeffs else None
-        return w.abs_prec + w.field.e * _vp(c, w.field.p), w.shift, vec
-    vec = _vec_mul(w.field, c.coeffs, w.coeffs) if c.coeffs and w.coeffs else None
-    return min(c.abs_prec + w.shift, w.abs_prec + c.shift), c.shift + w.shift, vec
+    prec, shift, vec = w.abs_prec, w.shift, w.coeffs
+    for x in more:
+        # min(a, b) inline: the call costs a fifth of a two-element product
+        a, b = prec + x.shift, x.abs_prec + shift
+        prec, shift = a if a < b else b, shift + x.shift
+        vec = _vec_mul(w.field, vec, x.coeffs) if vec and x.coeffs else None
+    if c == 1:
+        return prec, shift, vec or None
+    if not c:
+        return prec, shift, None
+    return prec + w.field.e * _vp(c, w.field.p), shift, [c * x for x in vec] if vec else None
 
 
 # ---------------------------------------------------------------------------

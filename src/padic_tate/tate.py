@@ -88,14 +88,15 @@ sq = v(q), so 0 <= su < sq, and t = v(1 - u); t su = 0.
 The group law and its checks are sums of monomials.  The on-curve
 residual, the chord's x3 and y3, the tangent's numerator and denominator,
 the ODE and X' residuals and Delta are each one _monomial_sum: every
-monomial is one field._product_term, an int times a product of elements,
-known to what the chain of __mul__ and _scale_rational claims, and the sum
-is reduced by one _make at the least of those precisions, so its digits
-and precision are the operator chain's (tests/oracles.py).  Two rules keep
-each claim the chain's.  A sum the chain writes twice stays two terms:
-y1 + y1, not 2 y1, which at p = 2 would claim e more digits.  A difference
-the chain multiplies stays one element: lam (x1 - x3), as distributing it
-lowers the claim where v(x1 - x3) > v(x1).
+monomial starts with its int, 1 where the chain has none, and is one
+field._product_term, that int times a product of elements, known to what
+the chain of __mul__ and _scale_rational claims, and the sum is reduced by
+one _make at the least of those precisions, so its digits and precision
+are the operator chain's (tests/oracles.py).  Two rules keep each claim the
+chain's.  A sum the chain writes twice stays two terms: y1 + y1, not 2 y1,
+which at p = 2 would claim e more digits.  A difference the chain
+multiplies stays one element: lam (x1 - x3), as distributing it lowers the
+claim where v(x1 - x3) > v(x1).
 
 verify_ode and relation_residual both need (X, Y, X') at one u, so each
 TateCurve also remembers its last such evaluation, keyed on (u, slack): u
@@ -373,23 +374,20 @@ def _monomial_sum(*monomials) -> PadicElement:
     are checked in the order of the operator chain m1 + m2 + ..., each
     product's factors left to right and then the term against the first,
     so a FieldMismatch names the pair the chain names."""
-    head = None
-    for monomial in monomials:
-        first, *rest = monomial[1:] if isinstance(monomial[0], int) else monomial
+    head, terms = monomials[0][1], []
+    for c, first, *rest in monomials:
         for x in rest:
             first._check_same_field(x)
-        if head is None:
-            head = first
-        else:
-            head._check_same_field(first)
-    return _sum_terms(head.field, [_product_term(*m) for m in monomials])
+        head._check_same_field(first)
+        terms.append(_product_term(c, first, *rest))
+    return _sum_terms(head.field, terms)
 
 
 def _equation_residual(curve: TateCurve, point: TatePoint) -> PadicElement:
     if point.is_identity:
         raise ValueError("identity point has no affine residual")
     x, y = point.x, point.y
-    return _monomial_sum((y, y), (x, y), (-1, x, x, x), (-1, curve.a4, x), (-1, curve.a6))
+    return _monomial_sum((1, y, y), (1, x, y), (-1, x, x, x), (-1, curve.a4, x), (-1, curve.a6))
 
 
 def curve_equation_residual(curve: TateCurve, point: TatePoint) -> ValuationResult:
@@ -432,8 +430,8 @@ def curve_add(curve: TateCurve, P: TatePoint, Q: TatePoint,
         # 2y1 + x1 = (y2 + y1 + x1) - (y2 - y1) is not zero, as the first is not
         lam = (_monomial_sum((3, x1, x1), (1, curve.a4), (-1, y1))
                / _monomial_sum((1, y1), (1, y1), (1, x1)))
-    x3 = _monomial_sum((lam, lam), (1, lam), (-1, x1), (-1, x2))
-    y3 = _monomial_sum((lam, x1 - x3), (-1, y1), (-1, x3))
+    x3 = _monomial_sum((1, lam, lam), (1, lam), (-1, x1), (-1, x2))
+    y3 = _monomial_sum((1, lam, x1 - x3), (-1, y1), (-1, x3))
     return TatePoint.affine(x3, y3)
 
 
@@ -484,7 +482,7 @@ def tate_xy_with_derivative(curve: TateCurve, u: PadicElement,
 
 def _relation_residual(curve: TateCurve, u: PadicElement, slack: int) -> PadicElement:
     x, y, xp = tate_xy_with_derivative(curve, u, slack=slack)
-    return _monomial_sum((u, xp), (-1, x), (-2, y))
+    return _monomial_sum((1, u, xp), (-1, x), (-2, y))
 
 
 def relation_residual(curve: TateCurve, u: PadicElement,
@@ -495,7 +493,7 @@ def relation_residual(curve: TateCurve, u: PadicElement,
 
 def _ode_residual(curve: TateCurve, u: PadicElement, slack: int) -> PadicElement:
     x, _, xp = tate_xy_with_derivative(curve, u, slack=slack)
-    return _monomial_sum((u, xp, u, xp), (-4, x, x, x), (-1, x, x), (-4, curve.a4, x),
+    return _monomial_sum((1, u, xp, u, xp), (-4, x, x, x), (-1, x, x), (-4, curve.a4, x),
                          (-4, curve.a6))
 
 

@@ -108,7 +108,7 @@ class StrictSeries:
     def __mul__(self, other: "StrictSeries") -> "StrictSeries":
         cap, prec = self._compatible(other)
         acc = _sum_by_monomial(self.field, (
-            (tuple(a + b for a, b in zip(e1, e2)), _product_term(c1, c2))
+            (tuple(a + b for a, b in zip(e1, e2)), _product_term(1, c1, c2))
             for e1, c1 in self.coeffs.items() for e2, c2 in other.coeffs.items()), prec)
         for expo, c in acc.items():
             if sum(expo) > cap and not c.is_zero:
@@ -214,7 +214,7 @@ def _poly_divmod(g: StrictSeries, w: StrictSeries, active: int, d: int):
             quot[qexp] = c
             for wexp, wc in lower:
                 target = tuple(a + b for a, b in zip(qexp, wexp))
-                rem.setdefault(target, []).append(_product_term(wc, c))
+                rem.setdefault(target, []).append(_product_term(1, wc, c))
     remainder = {e: _sum_terms(field, terms, prec) for e, terms in rem.items()}
     q_series = StrictSeries.build(nvars, field, quot, g.degree_cap, prec)
     r_series = StrictSeries.build(nvars, field, remainder, g.degree_cap, prec)

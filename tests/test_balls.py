@@ -71,6 +71,13 @@ class TestSameBall:
             same_ball([zero], 3, x, y)
 
 
+@pytest.mark.parametrize("call", [lambda x: ball_next([], 0, x),
+                                  lambda x: same_ball([], 0, x, x)], ids=["next", "same"])
+def test_empty_C_is_refused(Q5, call):
+    with pytest.raises(ValueError, match="C must be a non-empty finite set"):
+        call(PadicElement.from_int(Q5, 7, 10))
+
+
 class TestPartitionProperties:
     def test_consistency_seeded(self, Q5):
         # same_ball(x, y) iff the lambda-next balls coincide

@@ -263,6 +263,32 @@ class TestExitCodes:
         assert main(["exp", "--x", "0", "--prec", str(cli.MAX_PREC)]) == 0
         assert capsys.readouterr().out == f"op=exp  x=0  result=1 + O(pi^{cli.MAX_PREC})\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["exp", "--x", "5 5"], "usage error: trailing input ['5']"),
+        (["exp", "--x", "(5 5)"], "usage error: expected ')', found '5'"),
+        (["exp", "--x", "5^pi"], "usage error: expected an integer, found 'pi'"),
+        (["lattice", "smith", "--matrix", "1,2;3"], "usage error: ragged matrix"),
+        (["geom", "rotund", "--lattice", "LATTICE"],
+         "error: lattice rows must equal the ambient n"),
+        (["geom", "plikely", "--V", "1;0", "--S", "1;0", "--n", "3"],
+         "error: lattice rows must equal the ambient n"),
+        (["wdiv", "--g", "SERIES", "--f", "SERIES", "--active", "5"],
+         "usage error: active variable out of range"),
+        (["wdiv", "--g", "LONG", "--f", "SERIES"], "usage error: bad exponent tuple (1, 0)"),
+        (["wdiv", "--g", "NEGATIVE", "--f", "SERIES"], "usage error: bad exponent tuple (-1,)"),
+    ], ids=["exp-trailing", "exp-unclosed", "exp-power-not-int", "smith-ragged",
+            "rotund-rows", "plikely-rows", "wdiv-active-high", "wdiv-exp-length",
+            "wdiv-exp-negative"])
+    def test_refusal_is_one_line(self, tmp_path, capsys, argv, message):
+        files = {"LATTICE": {"n": 3, "mult": [[1], [2]]},
+                 "SERIES": {"nvars": 1, "terms": [{"exp": [1], "coeff": "1"}]},
+                 "LONG": {"nvars": 1, "terms": [{"exp": [1, 0], "coeff": "1"}]},
+                 "NEGATIVE": {"nvars": 1, "terms": [{"exp": [-1], "coeff": "1"}]}}
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+
     # the eisenstein rows sit each valuation comparison at its exact boundary
     @pytest.mark.parametrize("argv, code, message", [
         (["exp", "--x", "1"], 2, "error: v(x) = 0 is not > 1/(p-1) = 1/4"),

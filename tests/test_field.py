@@ -769,8 +769,9 @@ class TestFusedTermsDoubledPrecision:
     2N and truncated to N, one in six as an imprecise zero (a value of
     valuation at least N known to N), and every digit claimed from the
     truncated factors is the digit from the drawn ones.  A monomial is an
-    int c in {0, +-1, p, -4, 3p^2}, or none, times 1 to 4 factors, and each
-    claim is the one the chain of __mul__, _scale_rational and + gives."""
+    int c in {0, +-1, p, -4, 3p^2}, or none (passed as 1), times 1 to 4
+    factors, and each claim is the one the chain of __mul__, _scale_rational
+    and + gives."""
 
     @staticmethod
     def factor(rng, field):
@@ -791,8 +792,6 @@ class TestFusedTermsDoubledPrecision:
     def chained(monomial):
         """The monomial by the operators, left to right, the int last."""
         c, *factors = monomial
-        if not isinstance(c, int):
-            c, factors = 1, [c, *factors]
         out = factors[0]
         for x in factors[1:]:
             out = out * x
@@ -808,9 +807,7 @@ class TestFusedTermsDoubledPrecision:
             for _ in range(rng.randint(1, 3)):
                 pairs = [self.factor(rng, field) for _ in range(rng.randint(1, 4))]
                 c = rng.choice([None, 0, 1, -1, p, -4, 3 * p * p])
-                if c is None and len(pairs) == 1:
-                    c = 1
-                head = () if c is None else (c,)
+                head = (1,) if c is None else (c,)
                 lows.append(head + tuple(lo for lo, _ in pairs))
                 highs.append(head + tuple(hi for _, hi in pairs))
             got = field_mod._sum_terms(field, [field_mod._product_term(*m) for m in lows])

@@ -463,6 +463,9 @@ class TestRelationSearch:
         zs = [random_unit(stream(79, "none", i), Q5, 60) for i in range(3)]
         assert relation_search(zs, 10) == []
 
+    def test_no_elements_is_no_relation(self):
+        assert relation_search([], 3) == []
+
     def test_false_positive_bound_past_the_float_range_is_inf(self):
         # 9 * 5^398 still fits a float; 5^498 alone does not
         assert relation_false_positive_bound(2, 1, 5, 1, -398) == 9 * 5.0 ** 398

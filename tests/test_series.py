@@ -630,7 +630,7 @@ class TestFusedCoefficients:
                 assert key(field_mod._sum_terms(field, [term])) == key(x * k)
             if k:
                 assert key((s * w) * k) == key((s * k) * w)
-        assert key(field_mod._sum_terms(field, [field_mod._product_term(s, w)])) == key(s * w)
+        assert key(field_mod._sum_terms(field, [field_mod._product_term(1, s, w)])) == key(s * w)
 
     @staticmethod
     def _check_leibniz(a, b):

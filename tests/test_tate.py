@@ -180,11 +180,11 @@ class TestSeriesPoint:
             tate_series_point(curve25, PadicElement(Q5, 0, (1 + 5 ** 50,), 40))
 
 
-class TestLambertWeights:
-    """What a curve keeps for its points in place of the Lambert weights
-    q^m/(1-q^m): s_1(q), summed with a4 and a6, and the memo.  A point
-    inverts two unit vectors, u's and theta's, on a fresh curve and a warm
-    one, and a curve that has made points gives what a fresh one gives."""
+class TestCurveState:
+    """What a curve keeps for its points: s_1(q), summed with a4 and a6,
+    and the memo.  A point inverts two unit vectors, u's and theta's, on a
+    fresh curve and a warm one, and a curve that has made points gives what
+    a fresh one gives."""
 
     @pytest.fixture
     def inversions(self, count_calls):
@@ -199,7 +199,7 @@ class TestLambertWeights:
             assert inversions(lambda: phi(curve, u))[0] == {"_vec_invert": 2}
 
     @pytest.mark.parametrize("order", [(7, 50), (50, 7)], ids=["v0-first", "v2-first"])
-    def test_shared_weights_match_fresh_curve(self, Q5, order):
+    def test_warm_curve_matches_fresh_curve(self, Q5, order):
         q = PadicElement.from_int(Q5, 125, 40)
         curve = curve_coefficients(q)
         for u in order:
@@ -244,13 +244,13 @@ def tate_inputs(draw):
     return q, target
 
 
-class TestFusedLambert:
+class TestFusedSeriesPoint:
     """Each coordinate of a point, and each of a4, a6 and s_k, is reduced
     once, and agrees with the term-by-term Lambert sums (tests/oracles.py)
     in shift, coefficients and precision."""
 
     @pytest.mark.parametrize("dual", [False, True], ids=["element", "dual"])
-    def test_other_field_raises_before_weights(self, count_calls, Q5, dual):
+    def test_other_field_raises_before_theta_sums(self, count_calls, Q5, dual):
         # the field check comes before the theta sums and leaves no memo
         curve = curve_coefficients(PadicElement.from_int(Q5, 25, 40))
         alien = PadicElement.from_int(make_field(7), 3, 40)
@@ -606,28 +606,13 @@ class TestDoubledPrecision:
             assert key(a) == key(b.truncate(a.abs_prec))
 
 
-class TestWeightsDifferential:
-    """s_1(q), which each curve keeps where its Lambert weights were, agrees
-    with the sum of m q^m / (1 - q^m) over those weights, each by one
-    inversion (tests/oracles.py), in shift, coefficients and precision, at
-    v(q) = 1..7 and precision up to 400."""
-
-    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
-    def test_matches_inversion(self, name):
-        field = POINT_FIELDS[name]
-        rng = stream(37, "weights", name)
-        for sq in range(1, 8):
-            for prec in (rng.randint(sq + 1, 40), rng.randint(41, 160), rng.randint(161, 400)):
-                q = random_unit(rng, field, prec - sq) * PadicElement.uniformizer(field, prec, sq)
-                want = lambert_stepwise(q, [], lambda m: m, -(-prec // sq), prec).truncate(prec)
-                assert key(curve_coefficients(q).s1) == key(want), q
-
-
 class TestCoefficientsDifferential:
-    """a4, a6 and s_k for k = 1, 3 and 11, each one rectangular sum of a
-    power series in q, agree with their Lambert sums term by term
-    (tests/oracles.py) in shift, coefficients and precision, at v(q) = 1..5
-    and N = abs_prec(q) up to 160, with q drawn past N and truncated to it.
+    """a4, a6, s_k for k = 1, 3 and 11 and the s_1 each curve keeps, each
+    one rectangular sum of a power series in q, agree with their Lambert
+    sums term by term, each weight q^m / (1 - q^m) by one inversion
+    (tests/oracles.py), in shift, coefficients and precision, at
+    v(q) = 1..7 and N = abs_prec(q) up to 400, with q drawn past N and
+    truncated to it.
     N = v(q) + 1 and N = 2 v(q) sum the T = (N - 1) // v(q) = 1 term below
     pi^N, against ceil(N / v(q)) = 2 Lambert terms, the second zero at pi^N."""
 
@@ -635,8 +620,9 @@ class TestCoefficientsDifferential:
     def test_matches_lambert_sums(self, name):
         field = POINT_FIELDS[name]
         rng = stream(41, "coefficients", name)
-        for sq in range(1, 6):
-            for N in (sq + 1, 2 * sq, rng.randint(2 * sq + 1, 40), rng.randint(41, 160)):
+        for sq in range(1, 8):
+            for N in (sq + 1, 2 * sq, rng.randint(2 * sq + 1, 40), rng.randint(41, 160),
+                      rng.randint(161, 400)):
                 q = random_unit(rng, field, N + 20) * PadicElement.uniformizer(field, N + 20, sq)
                 q = q.truncate(N)
                 weights, terms = [], -(-N // sq)
@@ -644,8 +630,10 @@ class TestCoefficientsDifferential:
                 def stepwise(coeff):
                     return key(lambert_stepwise(q, weights, coeff, terms, N).truncate(N))
                 curve = curve_coefficients(q)
-                got = [key(curve.a4), key(curve.a6)] + [key(s_k(q, k)) for k in (1, 3, 11)]
+                got = [key(curve.a4), key(curve.a6), key(curve.s1)]
+                got += [key(s_k(q, k)) for k in (1, 3, 11)]
                 want = [stepwise(lambda m: -5 * m ** 3), stepwise(lambda m: -a6_coefficient(m))]
+                want += [stepwise(lambda m: m)]
                 want += [stepwise(lambda m, k=k: m ** k) for k in (1, 3, 11)]
                 assert got == want, (q, N)
 
@@ -741,6 +729,32 @@ class TestGroupLawMakes:
         P, Q = (phi(curve25, PadicElement.from_int(Q5, n, 40)) for n in (7, 11))
         counts, S = calls(lambda: curve_add(curve25, P, Q))
         assert counts == {"_make": 8, "__mul__": 1} and not S.is_identity
+
+
+class TestProductTermCalls:
+    """Each monomial is one field._product_term call, an int first, and a
+    product of two elements by __mul__ is one more: the on-curve residual
+    makes 5, a chord 18 (two residuals, the slope's product by 1/dx, then
+    x3 and y3) and verify_ode on a fresh curve 6 (its 5 and the Tate
+    point's s_1 term).  The recursive form made 8, 24 and 11."""
+
+    @pytest.fixture
+    def calls(self, count_calls):
+        return count_calls((field_mod, "_product_term"), (tate_mod, "_product_term"))
+
+    def test_equation_residual(self, calls, curve25, Q5):
+        P = phi(curve25, PadicElement.from_int(Q5, 7, 40))
+        assert calls(lambda: tate_mod._equation_residual(curve25, P))[0] == {"_product_term": 5}
+
+    def test_chord(self, calls, curve25, Q5):
+        P, Q = (phi(curve25, PadicElement.from_int(Q5, n, 40)) for n in (7, 8))
+        counts, S = calls(lambda: curve_add(curve25, P, Q))
+        assert counts == {"_product_term": 18} and not S.is_identity
+
+    def test_verify_ode(self, calls, Q5):
+        curve = curve_coefficients(PadicElement.from_int(Q5, 25, 40))
+        u = PadicElement.from_int(Q5, 7, 40)
+        assert calls(lambda: verify_ode(curve, u))[0] == {"_product_term": 6}
 
 
 class TestDualMemo:
