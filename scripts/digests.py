@@ -170,6 +170,11 @@ CLI_ROWS = (
      "--x1", _E52_U1[0], "--y1", _E52_U1[1], "--x2", _E52_U2[0], "--y2", _E52_U2[1]),
     ("tate", "add", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--q", "pi^4", "--prec", "1024",
      "--x1", _E52_U1[0], "--y1", _E52_U1[1], "--x2", _E52_U1[0], "--y2", _E52_U1[1]),
+    ("relations", "mult", "--q", "5^2", "--u", "7", "--u", "49", "--u", "175", "--height", "4"),
+    ("relations", "mult", "--p", "5", "--ext", "eisenstein:e=2,c=1", "--q", "pi^3",
+     "--u", "2+pi", "--u", "4+4*pi+pi^2", "--u", "2*pi^3+pi^4", "--height", "3"),
+    ("relations", "mult", "--q", "5^2", "--u", "7", "--u", "11", "--u", "13", "--u", "17",
+     "--prec", "40", "--height", "8"),
 )
 
 

@@ -718,8 +718,6 @@ class PadicElement:
             else:
                 power = "pi" if k == 1 else f"pi^{k}"
                 parts.append(power if body == "1" else f"{coeff}*{power}")
-        if not parts:
-            parts = ["0"]
         return " + ".join(parts) + f" + O(pi^{self.abs_prec})"
 
     def __repr__(self) -> str:

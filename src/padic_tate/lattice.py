@@ -265,13 +265,13 @@ def rotund_check(V: SubgroupLattice, height: int) -> RotundVerdict:
     dim_image, and so kills every row.
 
     Both dim(MV) = rank(M L_mult) + rank(M L_ell) and rank(M) depend only on
-    the set of rows of M, so each set of at most n candidate rows is tested
-    once, as the first n-tuple of ``itertools.product(rows, repeat=n)`` that
-    uses exactly that set: its indices s0 < ... < s(k-1) with s0 repeated
-    n - k + 1 times.  These are the non-decreasing index tuples, taken in
-    lexicographic (hence product) order, that repeat no index but the first.
-    A set met earlier was already found not deficient, so the first deficient
-    tuple reached is the first witness of the full product walk.
+    the span of the rows of M, and the zero row rows[0] adds nothing to it,
+    so each set of d = 1..n nonzero candidate rows is ranked once, on its
+    own d rows, with d in the outer loop.  In ``itertools.product(rows,
+    repeat=n)`` order a span is first met as its sorted set padded in front
+    with n - d zero rows, and every padded set of d rows comes before every
+    one of d + 1 rows, so the first deficient set, padded, is the first
+    witness of the full product walk.
 
     Each candidate has n * n entries, so an n with n * n > _MAX_CANDIDATES
     is refused before anything of size n is built.
@@ -287,12 +287,11 @@ def rotund_check(V: SubgroupLattice, height: int) -> RotundVerdict:
     if rank(tuple(sum(row, ()) for row in zip(*parts))) == n:
         return RotundVerdict(False, None, height)
     images = [mat_mul(rows, part) for part in parts]
-    for idx in itertools.combinations_with_replacement(range(len(rows)), n):
-        if any(a == b != idx[0] for a, b in zip(idx, idx[1:])):
-            continue
-        M = tuple(rows[i] for i in idx)
-        if sum(rank(tuple(image[i] for i in idx)) for image in images) < rank(M):
-            return RotundVerdict(True, M, height)
+    for d in range(1, n + 1):
+        for idx in itertools.combinations(range(1, len(rows)), d):
+            M = tuple(rows[i] for i in idx)
+            if sum(rank(tuple(image[i] for i in idx)) for image in images) < rank(M):
+                return RotundVerdict(True, (rows[0],) * (n - d) + M, height)
     return RotundVerdict(False, None, height)
 
 
@@ -474,7 +473,10 @@ def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
     """Primitive (m, k) with prod u_i^(m_i) = q^k to precision minus slack.
 
     Only one exponent k can match each m (valuations decide it), so the scan
-    is exhaustive in m for every k at once.
+    is exhaustive in m for every k at once.  The fields are checked before
+    the walk, in a chain of products' order: u_0 against each later u_i, then
+    q.  A candidate that passes the filters costs one _make: one _sum_terms of
+    prod u_i^(m_i) q^(-k), folded by _product_term, and -1 at its precision.
     """
     if q.is_zero or q.shift <= 0:
         raise ValueError("q needs positive exact valuation")
@@ -483,9 +485,13 @@ def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
     for x in u:
         if x.is_zero:
             raise ValueError("every u_i needs a known leading digit")
+    if u:
+        for x in (*u[1:], q):
+            u[0]._check_same_field(x)
     threshold = min([x.abs_prec for x in u] + [q.abs_prec]) - slack
     tables = [{m: x ** m for m in range(-height, height + 1)} for x in u]
     qpow = functools.cache(q.__pow__)
+    minus_one = (-1,) + (0,) * (q.field.coeff_len - 1)
 
     found = []
     for m_vec in box:
@@ -497,10 +503,7 @@ def mult_dependence_mod_kernel(q: PadicElement, u: Sequence[PadicElement],
         k = val // q.shift
         if not _primitive_signed(tuple(m_vec) + (k,)):
             continue
-        prod = tables[0][m_vec[0]]
-        for i in range(1, n):
-            prod = prod * tables[i][m_vec[i]]
-        residual = prod * qpow(-k) - 1
-        if residual.shift >= threshold:
+        term = _product_term(1, *[t[m] for t, m in zip(tables, m_vec)], qpow(-k))
+        if _sum_terms(q.field, (term, (term[0], 0, minus_one))).shift >= threshold:
             found.append((m_vec, k))
     return found

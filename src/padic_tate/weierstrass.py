@@ -180,10 +180,8 @@ def _split_regular(f: StrictSeries, active: int):
     w_terms = {tuple(j if i == active else 0 for i in range(f.nvars)): c if j < d else one
                for j, c in pure.items() if j <= d}
     w = StrictSeries.build(f.nvars, f.field, w_terms, f.degree_cap, f.coeff_prec)
-    eps = f - w
-    if not eps.is_zero and _gauss_shift(eps) <= 0:
-        return None
-    return d, w, eps
+    # by the checks above, no coefficient of f - w is a unit
+    return d, w, f - w
 
 
 def regular_degree(f: StrictSeries, active: int) -> Optional[int]:

@@ -4,12 +4,13 @@ Most work in plain Fractions / integers, independent of the library paths,
 and are reduced into the p-adic representation only at the final comparison
 step.  The others keep a library algorithm that a faster or simpler one
 replaced: the brute-force rotundity check, the relation search that walks
-the whole height box, the Smith normal form that kept U and V as two more
-matrices beside the reduced one, the term-by-term Lambert, exp and log
-sums, the separate kernels for x +- y, x +- m and the unit of 1/n that
-field._sum_terms and field._rational_unit replaced, the separate exp
-and log term generators, one term at a time by the recurrence term n =
-term n-1 * t * num(n)/n, that rectangular splitting replaced, the Tate
+the whole height box, the multiplicative dependence search that confirmed
+each candidate with a chain of products, the Smith normal form that kept U
+and V as two more matrices beside the reduced one, the term-by-term
+Lambert, exp and log sums, the separate kernels for x +- y, x +- m and the
+unit of 1/n that field._sum_terms and field._rational_unit replaced, the
+separate exp and log term generators, one term at a time by the recurrence
+term n = term n-1 * t * num(n)/n, that rectangular splitting replaced, the Tate
 coefficients built one reduced operation at a time, the Tate series point
 summed over those coefficients,
 the coefficient kernels written once per field kind, Delta from Euler's
@@ -885,6 +886,41 @@ def relation_search_box(z, height: int, slack: int = 10):
             acc = acc + tables[i][m_vec[i]]
         if acc.shift >= threshold:
             found.append(m_vec)
+    return found
+
+
+def mult_dependence_chained(q, u, height: int, slack: int = DEFAULT_SLACK):
+    """mult_dependence_mod_kernel confirming each candidate with the chain
+    prod * u_i^(m_i) ... * q^(-k) - 1 of PadicElement operators, so that
+    the fields are checked only when a candidate reaches the chain, kept
+    verbatim."""
+    if q.is_zero or q.shift <= 0:
+        raise ValueError("q needs positive exact valuation")
+    n = len(u)
+    box = _height_box(n, height)
+    for x in u:
+        if x.is_zero:
+            raise ValueError("every u_i needs a known leading digit")
+    threshold = min([x.abs_prec for x in u] + [q.abs_prec]) - slack
+    tables = [{m: x ** m for m in range(-height, height + 1)} for x in u]
+    qpow = functools.cache(q.__pow__)
+
+    found = []
+    for m_vec in box:
+        if all(x == 0 for x in m_vec):
+            continue
+        val = sum(m * x.shift for m, x in zip(m_vec, u))
+        if val % q.shift:
+            continue
+        k = val // q.shift
+        if not _primitive_signed(tuple(m_vec) + (k,)):
+            continue
+        prod = tables[0][m_vec[0]]
+        for i in range(1, n):
+            prod = prod * tables[i][m_vec[i]]
+        residual = prod * qpow(-k) - 1
+        if residual.shift >= threshold:
+            found.append((m_vec, k))
     return found
 
 

@@ -276,14 +276,36 @@ class TestExitCodes:
          "usage error: active variable out of range"),
         (["wdiv", "--g", "LONG", "--f", "SERIES"], "usage error: bad exponent tuple (1, 0)"),
         (["wdiv", "--g", "NEGATIVE", "--f", "SERIES"], "usage error: bad exponent tuple (-1,)"),
+        (["exp", "--x", "5", "--ext", "eisenstein:e=0"],
+         "usage error: eisenstein extension needs a ramification index e >= 1"),
+        (["exp", "--x", "5", "--ext", "unramified:f=1"],
+         "usage error: unramified extension needs f >= 2 or an explicit polynomial"),
+        (["exp", "--x", "5", "--ext", "unramified:f=9"],
+         "usage error: unramified extensions support degree <= 8"),
+        (["exp", "--x", "5", "--ext", "unramified:poly=1,1"],
+         "error: defining polynomial must be monic of degree >= 2"),
+        (["relations", "mult", "--q", "1", "--u", "7"],
+         "usage error: q needs positive exact valuation"),
+        (["relations", "mult", "--q", "0", "--u", "7"],
+         "usage error: q needs positive exact valuation"),
+        (["relations", "mult", "--q", "25", "--u", "0"],
+         "usage error: every u_i needs a known leading digit"),
+        (["exp", "--p", "2", "--x", "O(pi^1)"],
+         "error: argument is an imprecise zero whose bound does not clear 1/(p-1)"),
+        (["wdiv", "--g", "SERIES2", "--f", "SERIES3"], "usage error: series mismatch"),
     ], ids=["exp-trailing", "exp-unclosed", "exp-power-not-int", "smith-ragged",
             "rotund-rows", "plikely-rows", "wdiv-active-high", "wdiv-exp-length",
-            "wdiv-exp-negative"])
+            "wdiv-exp-negative", "eisenstein-e0", "unramified-f1", "unramified-f9",
+            "unramified-poly-linear", "mult-q-unit", "mult-q-zero", "mult-u-zero",
+            "exp-imprecise-zero", "wdiv-nvars"])
     def test_refusal_is_one_line(self, tmp_path, capsys, argv, message):
         files = {"LATTICE": {"n": 3, "mult": [[1], [2]]},
                  "SERIES": {"nvars": 1, "terms": [{"exp": [1], "coeff": "1"}]},
                  "LONG": {"nvars": 1, "terms": [{"exp": [1, 0], "coeff": "1"}]},
-                 "NEGATIVE": {"nvars": 1, "terms": [{"exp": [-1], "coeff": "1"}]}}
+                 "NEGATIVE": {"nvars": 1, "terms": [{"exp": [-1], "coeff": "1"}]},
+                 # f is regular in the active variable, the last of g's two
+                 "SERIES2": {"nvars": 2, "terms": [{"exp": [0, 1], "coeff": "1"}]},
+                 "SERIES3": {"nvars": 3, "terms": [{"exp": [0, 1, 0], "coeff": "1"}]}}
         for name, content in files.items():
             (tmp_path / name).write_text(json.dumps(content))
         assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
@@ -519,6 +541,13 @@ GOLDEN_FILES = {
     # both parts of full rank, so no candidate matrix refutes
     "@R3": {"n": 3, "mult": [[1, 2, 0], [0, 1, -1], [2, 0, 1]],
             "ell": [[2, 1, 1], [1, -1, 0], [0, 1, 2]]},
+    # both parts kill only the multiples of (1, 5, 7), of height 7
+    "@K157": {"n": 3, "mult": [[5, 7], [-1, 0], [0, -1]], "ell": [[5, 7], [-1, 0], [0, -1]]},
+    # the first witness at height 1 pads two nonzero rows with one zero row
+    "@W2": {"n": 3, "mult": [[2], [-2], [0]], "ell": [[1], [1], [1]]},
+    # the joint kernel is spanned by (3, -7, 3), and no plane of rows of
+    # height 1 is a witness, so the first one at height 1 has three rows
+    "@W3": {"n": 3, "mult": [[2], [3], [5]], "ell": [[5], [3], [2]]},
     "@G": {"nvars": 2, "degree_cap": 8, "terms": [{"exp": [0, 4], "coeff": "1"}]},
     "@F": {"nvars": 2, "degree_cap": 8,
            "terms": [{"exp": [0, 2], "coeff": "1"}, {"exp": [1, 0], "coeff": "5"}]},
@@ -621,6 +650,13 @@ GOLDEN = [
     (["geom", "rotund", "--lattice", "@R3", "--height", "2"], "eece59d5d4e5f793c928418273ab2cb9e03224abb84c59028a51320e0a9506eb"),
     (["geom", "rotund", "--lattice", "@R3", "--height", "3",
       "--format", "structured"], "0ac15260113b8c7bc15ae9c3d029348a361c915aaddfd5c3b386e22f7f4b7cce"),
+    # recorded while every row set holding the zero row was ranked again
+    (["geom", "rotund", "--lattice", "@K157", "--height", "1"], "8c75e3dddd73f4771d363448dbcf28fa95d2a7487fd2ad797465f6d850730357"),
+    (["geom", "rotund", "--lattice", "@K157", "--height", "2",
+      "--format", "structured"], "a8bdf68934e6677912a0c4d5749af9e591d37e20119d78bdb3716c3db28e7e8c"),
+    (["geom", "rotund", "--lattice", "@W2", "--height", "1"], "8aed73ae16a9a6fb29c73d3b0c55b4e978133e086b57652ff281c09bd764ce21"),
+    (["geom", "rotund", "--lattice", "@W3", "--height", "1",
+      "--format", "structured"], "dce64706624dc001daa3e67f7eec4f31814644449ae8df7001ea88635d0cfca3"),
     (["geom", "plikely", "--V", "1;0", "--S", "0;1", "--n", "2"], "381d80704f932b887a9b51bdf1d8516d505627ee9424a946b2d039b0133d180b"),
     (["geom", "plikely", "--V", "1;0", "--S", "1;0", "--T", "1;0", "--T", "0;1",
       "--n", "2"], "7138f1dca9bc919552166c4d4e22b4691f14b6a44a0337c7bbd5b4605b79b480"),

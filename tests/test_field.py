@@ -100,12 +100,18 @@ class TestMakeField:
         with pytest.raises(NotPrime):
             make_field(6)
 
-    @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
+    # p - 1 = 2^s d with s = 2 for 53 and s = 3 for 1000000009, so some base
+    # is squared on its way to -1
+    @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1, 53, 1000000009])
     def test_large_prime(self, p):
         assert make_field(p).p == p
 
-    # 3825123056546413051 is a strong pseudoprime to every prime base <= 31
-    @pytest.mark.parametrize("n", [2047, 561, 3825123056546413051])
+    # 3825123056546413051 is a strong pseudoprime to every prime base <= 31;
+    # 1373653 to bases 2 and 3, 25326001 to 2, 3 and 5, and
+    # 318665857834031151167461 to every prime base <= 37, with s = 2, 4 and 2,
+    # so the bases that pass are squared before one fails
+    @pytest.mark.parametrize("n", [2047, 561, 3825123056546413051, 1373653, 25326001,
+                                   318665857834031151167461])
     def test_pseudoprime_rejected(self, n):
         with pytest.raises(NotPrime):
             make_field(n)

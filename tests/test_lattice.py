@@ -13,7 +13,7 @@ from padic_tate.errors import (
     InconsistentDimensions,
     SearchSpaceTooLarge,
 )
-from padic_tate import lattice
+from padic_tate import field as field_mod, lattice
 from padic_tate.field import PadicElement, make_field
 from padic_tate.lattice import (
     RotundVerdict,
@@ -41,7 +41,13 @@ from padic_tate.lattice import (
 )
 from padic_tate.prng import random_element, random_unit, stream
 
-from oracles import rank_over_Q, relation_search_box, rotund_check_brute, smith_normal_form_pair
+from oracles import (
+    mult_dependence_chained,
+    rank_over_Q,
+    relation_search_box,
+    rotund_check_brute,
+    smith_normal_form_pair,
+)
 
 
 @pytest.fixture
@@ -335,20 +341,22 @@ class TestRotund:
             assert {r for m, _, r, _ in seen if m == n} == set(range(n + 1))
 
     def test_each_row_set_ranked_once(self, lattice_calls):
-        # 14 candidate rows at n = 3, H = 1: 14 + 91 + 364 = 469 sets of 1..3
-        # rows, three ranks each, against 14^3 = 2744 tuples and 8232 ranks;
-        # one more rank finds the joint kernel nonzero
+        # 13 nonzero candidate rows at n = 3, H = 1: 13 + 78 + 286 = 377 sets
+        # of 1..3 rows, three ranks each, against 14^3 = 2744 tuples and 8232
+        # ranks; one more rank finds the joint kernel nonzero
         counts, verdict = lattice_calls(lambda: rotund_check(KERNEL_3, 1))
         assert not verdict.refuted
-        assert counts == {"_bareiss": 1408, "mat_mul": 2}
+        assert counts == {"_bareiss": 1132, "mat_mul": 2}
         counts, brute = lattice_calls(lambda: rotund_check_brute(KERNEL_3, 1))
         assert brute == verdict
         assert counts == {"_bareiss": 8232, "mat_mul": 5488}
 
     def test_height_zero_tests_one_candidate(self, lattice_calls):
+        # the one candidate is the zero matrix, which spans nothing, so no
+        # row set is ranked: the one rank finds the joint kernel nonzero
         counts, verdict = lattice_calls(lambda: rotund_check(KERNEL_3, 0))
         assert verdict == RotundVerdict(False, None, 0)
-        assert counts == {"_bareiss": 4, "mat_mul": 2}
+        assert counts == {"_bareiss": 1, "mat_mul": 2}
 
     @pytest.mark.parametrize("height", [0, 1, 2, 3])
     def test_full_joint_rank_walks_nothing(self, height, lattice_calls):
@@ -498,6 +506,32 @@ class TestRelationSearch:
         assert str(err.value) == f"{2 * height + 1}^2 candidates at height {height}"
 
 
+MULT_FIELDS = [
+    make_field(5),
+    make_field(2),
+    make_field(5, "eisenstein", e=2, c=1),
+    make_field(3, "unramified", f=2),
+]
+
+
+def _mult_case(i):
+    """(q, u, height, slack) for seeded case i: q at shift 1..3, one to
+    three u_i at shifts 0..2, abs_prec 8..40, and in every other case a
+    planted hit: a later u_i set to u_0^a q^b, or to u_0^a times another
+    u_i."""
+    rng = stream(139, "multdep", i)
+    field = MULT_FIELDS[i // 2 % len(MULT_FIELDS)]
+    n = rng.randint(1, 3)
+    height = rng.randint(0, 4 if n < 3 else 3)
+    q = random_element(rng, field, rng.randint(8, 40), 1, 3)
+    u = [random_element(rng, field, rng.randint(8, 40), 0, 2) for _ in range(n)]
+    if i % 2 and n > 1:
+        a = rng.choice([-2, -1, 1, 2])
+        other = q ** rng.randint(-1, 1) if rng.random() < 0.5 else u[rng.randrange(1, n)]
+        u[-1] = u[0] ** a * other
+    return q, u, height, rng.choice([0, 2, 5])
+
+
 class TestMultDependence:
     def test_planted_square(self, Q5):
         q = PadicElement.from_int(Q5, 25, 60)
@@ -519,6 +553,60 @@ class TestMultDependence:
         q = PadicElement.from_int(Q5, 25, 60)
         five = PadicElement.from_int(Q5, 5, 60)
         assert mult_dependence_mod_kernel(q, [five], 3) == [((2,), 1)]
+
+    def test_seeded_against_chained_products(self):
+        hits, fields_hit = 0, set()
+        for i in range(300):
+            q, u, height, slack = _mult_case(i)
+            want = mult_dependence_chained(q, u, height, slack)
+            assert mult_dependence_mod_kernel(q, u, height, slack) == want, i
+            hits += len(want)
+            if want:
+                fields_hit.add(q.field)
+        assert hits > 100
+        assert fields_hit == set(MULT_FIELDS)
+
+    def test_one_make_per_candidate(self, Q5, count_calls):
+        # 7 * 175 / 49 = 25 and 49 / 7^2 = 1 span the 12 hits at height 4;
+        # each candidate that passes the filters costs one _make, beside the
+        # tables and the powers of q (1196 with the chain of products; the
+        # CLI call, whose four literals make one each, 333 against 1200)
+        q = PadicElement.from_int(Q5, 25, 40)
+        u = [PadicElement.from_int(Q5, x, 40) for x in (7, 49, 175)]
+        counts, hits = count_calls((field_mod, "_make"))(
+            lambda: mult_dependence_mod_kernel(q, u, 4))
+        assert counts == {"_make": 329}
+        assert len(hits) == 12
+        assert hits == mult_dependence_chained(q, u, 4)
+
+    @pytest.mark.parametrize("kinds, message", [
+        ((5, 3, 5), "Q_5 vs Q_3"),
+        ((5, 3, 7), "Q_5 vs Q_3"),
+        ((5, 5, 7), "Q_5 vs Q_7"),
+    ], ids=["u", "u-before-q", "q"])
+    def test_fields_checked_as_the_chain_checks_them(self, kinds, message):
+        # (p of u_0, p of u_1, p of q): the chain meets u_0 against u_1 before
+        # q, and m = (0, 1) with k = 0 reaches it at height 1
+        *u, q = (PadicElement.from_int(make_field(p), 7 * p * p + 1, 20) for p in kinds)
+        q = q * PadicElement.from_int(q.field, q.field.p, 20)
+        for search in (mult_dependence_mod_kernel, mult_dependence_chained):
+            with pytest.raises(FieldMismatch, match=f"^{message}$"):
+                search(q, u, 1)
+
+    def test_fields_checked_before_any_candidate(self, Q5):
+        # 7 over Q_7 has valuation 1 and q = 25 valuation 2, so at height 1 no
+        # candidate reaches the chain, which returns []; the check comes first
+        q = PadicElement.from_int(Q5, 25, 40)
+        seven = [PadicElement.from_int(make_field(7), 7, 40)]
+        assert mult_dependence_chained(q, seven, 1) == []
+        with pytest.raises(FieldMismatch, match="^Q_7 vs Q_5$"):
+            mult_dependence_mod_kernel(q, seven, 1)
+        for search in (mult_dependence_mod_kernel, mult_dependence_chained):
+            with pytest.raises(FieldMismatch, match="^Q_7 vs Q_5$"):
+                search(q, seven, 2)
+
+    def test_no_units_is_no_dependence(self, Q5):
+        assert mult_dependence_mod_kernel(PadicElement.from_int(Q5, 25, 40), [], 3) == []
 
 
 @given(st.lists(st.lists(st.integers(min_value=-50, max_value=50),
